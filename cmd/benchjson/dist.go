@@ -2,10 +2,10 @@ package main
 
 // Multi-run aggregation: `benchjson merge` folds N bench artifacts into
 // one distribution report (mean/stddev/min/max per metric), and compare
-// judges a new run against that distribution at k sigma instead of the
-// flat percent tolerance — a step-function regression stands out from
-// run-to-run noise the way a 25% blanket threshold never can (BayesPerf:
-// single-sample performance measurements mislead).
+// judges a new run against that distribution at k sigma — a
+// step-function regression stands out from run-to-run noise the way a
+// blanket percent threshold never can (BayesPerf: single-sample
+// performance measurements mislead).
 
 import (
 	"encoding/json"
@@ -152,8 +152,12 @@ func loadAny(path string) (*MergedReport, error) {
 // per-metric sigma is floored at floorPct percent of the baseline mean,
 // so a degenerate distribution (one run, or runs that happened to
 // agree exactly) cannot turn measurement jitter into a gate failure.
-// Dropped-benchmark and dropped-metric handling matches compareReports:
-// disappearing from the artifact must fail the gate.
+// Benchmarks present in the baseline but absent from the new artifact —
+// and gated metrics a shared benchmark stopped reporting, or reports as
+// NaN — are listed in dropped and must fail the gate too, otherwise
+// deleting (or renaming) a gated benchmark or its ReportMetric call
+// would silently bypass it. Benchmarks new to the artifact are
+// informational.
 func compareDist(base *MergedReport, newRep *Report, kSigma, floorPct float64) (deltas []delta, added, dropped []string) {
 	byName := map[string]*MergedBenchmark{}
 	for i := range base.Benchmarks {
@@ -170,6 +174,9 @@ func compareDist(base *MergedReport, newRep *Report, kSigma, floorPct float64) (
 		for _, k := range gatedMetrics {
 			_, inOld := ob.Metrics[k]
 			nv, inNew := nb.Metrics[k]
+			// A NaN gated value is as gone as a missing one: every
+			// comparison against NaN is false, so without this it would
+			// sail through the regression check below.
 			if inOld && (!inNew || math.IsNaN(nv)) {
 				dropped = append(dropped, nb.Name+" "+k)
 			}

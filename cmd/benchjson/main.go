@@ -13,12 +13,11 @@
 // Compare prints per-metric deltas for every benchmark the two
 // artifacts share and exits non-zero when wall clock (ns/op) worsens or
 // checker throughput (states/sec) drops — the two series that gate the
-// perf trajectory; the other metrics are informational. Against a plain
-// single-run baseline the gate is a flat -tolerance percent; against a
-// `merge`d multi-run baseline it is distribution-aware, failing only
-// values beyond -sigma standard deviations of the baseline mean (with
-// -sigma-floor percent of the mean as the minimum sigma, so a
-// degenerate distribution cannot fail on jitter).
+// perf trajectory; the other metrics are informational. The gate is
+// distribution-aware, failing only values beyond -sigma standard
+// deviations of the baseline mean (with -sigma-floor percent of the mean
+// as the minimum sigma, so a degenerate distribution — a single-run
+// baseline, or runs that agreed exactly — cannot fail on jitter).
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -182,96 +180,19 @@ type delta struct {
 // fail the compare gate; everything else is informational.
 var gatedMetrics = []string{"ns/op", "states/sec"}
 
-// compareReports diffs two artifacts benchmark-by-benchmark. A metric
-// is a regression when it is ns/op and grew, or states/sec and shrank,
-// by more than tolerance percent. Benchmarks present in the baseline
-// but absent from the new artifact — and gated metrics a shared
-// benchmark stopped reporting — are listed in dropped and must fail
-// the gate too, otherwise deleting (or renaming) a gated benchmark or
-// its ReportMetric call would silently bypass it. Benchmarks new to
-// the artifact are informational.
-func compareReports(oldRep, newRep *Report, tolerance float64) (deltas []delta, added, dropped []string) {
-	byName := map[string]*Benchmark{}
-	for i := range oldRep.Benchmarks {
-		byName[oldRep.Benchmarks[i].Name] = &oldRep.Benchmarks[i]
-	}
-	for i := range newRep.Benchmarks {
-		nb := &newRep.Benchmarks[i]
-		ob := byName[nb.Name]
-		if ob == nil {
-			added = append(added, nb.Name)
-			continue
-		}
-		delete(byName, nb.Name)
-		for _, k := range gatedMetrics {
-			_, inOld := ob.Metrics[k]
-			nv, inNew := nb.Metrics[k]
-			// A NaN gated value is as gone as a missing one — every
-			// comparison against NaN is false, so without this it would
-			// sail through the regression check below.
-			if inOld && (!inNew || math.IsNaN(nv)) {
-				dropped = append(dropped, nb.Name+" "+k)
-			}
-		}
-		keys := make([]string, 0, len(nb.Metrics))
-		for k := range nb.Metrics {
-			if _, shared := ob.Metrics[k]; shared {
-				keys = append(keys, k)
-			}
-		}
-		// Wall clock first, then the rest alphabetically.
-		sort.Slice(keys, func(i, j int) bool {
-			if (keys[i] == "ns/op") != (keys[j] == "ns/op") {
-				return keys[i] == "ns/op"
-			}
-			return keys[i] < keys[j]
-		})
-		for _, k := range keys {
-			d := delta{bench: nb.Name, metric: k, old: ob.Metrics[k], new: nb.Metrics[k]}
-			if d.old != 0 {
-				d.pct = (d.new - d.old) / d.old * 100
-			}
-			switch k {
-			case "ns/op":
-				d.regression = d.pct > tolerance
-			case "states/sec":
-				d.regression = d.pct < -tolerance
-			}
-			deltas = append(deltas, d)
-		}
-	}
-	for name := range byName {
-		dropped = append(dropped, name)
-	}
-	sort.Strings(added)
-	sort.Strings(dropped)
-	return deltas, added, dropped
-}
-
-func compareMain(oldPath, newPath string, tolerance, kSigma, sigmaFloor float64) {
+func compareMain(oldPath, newPath string, kSigma, sigmaFloor float64) {
 	newRep, err := loadReport(newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var (
-		deltas         []delta
-		added, dropped []string
-		gate           string
-	)
-	if base, merr := loadAny(oldPath); merr == nil && base.Runs > 1 {
-		// Multi-run baseline: distribution-aware k-sigma gate.
-		deltas, added, dropped = compareDist(base, newRep, kSigma, sigmaFloor)
-		gate = fmt.Sprintf("%.1f sigma of the %d-run baseline", kSigma, base.Runs)
-	} else {
-		oldRep, lerr := loadReport(oldPath)
-		if lerr != nil {
-			fmt.Fprintln(os.Stderr, lerr)
-			os.Exit(1)
-		}
-		deltas, added, dropped = compareReports(oldRep, newRep, tolerance)
-		gate = fmt.Sprintf("%.0f%%", tolerance)
+	base, err := loadAny(oldPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	deltas, added, dropped := compareDist(base, newRep, kSigma, sigmaFloor)
+	gate := fmt.Sprintf("%.1f sigma of the %d-run baseline", kSigma, base.Runs)
 	fmt.Printf("%-40s %-24s %14s %14s %9s\n", "benchmark", "metric", "old", "new", "delta")
 	regressions := 0
 	for _, d := range deltas {
@@ -329,18 +250,17 @@ func main() {
 	var (
 		in         = flag.String("in", "-", "bench output file (- = stdin)")
 		out        = flag.String("out", "BENCH_ci.json", "JSON artifact path")
-		tolerance  = flag.Float64("tolerance", 10, "compare mode: regression threshold in percent (plain baseline)")
-		kSigma     = flag.Float64("sigma", 3, "compare mode: regression threshold in standard deviations (merged baseline)")
-		sigmaFloor = flag.Float64("sigma-floor", 5, "compare mode: minimum sigma as percent of the baseline mean (merged baseline)")
+		kSigma     = flag.Float64("sigma", 3, "compare mode: regression threshold in standard deviations of the baseline")
+		sigmaFloor = flag.Float64("sigma-floor", 5, "compare mode: minimum sigma as percent of the baseline mean")
 	)
 	flag.Parse()
 	switch flag.Arg(0) {
 	case "compare":
 		if flag.NArg() != 3 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson [-tolerance pct] [-sigma k] [-sigma-floor pct] compare OLD.json NEW.json")
+			fmt.Fprintln(os.Stderr, "usage: benchjson [-sigma k] [-sigma-floor pct] compare OLD.json NEW.json")
 			os.Exit(2)
 		}
-		compareMain(flag.Arg(1), flag.Arg(2), *tolerance, *kSigma, *sigmaFloor)
+		compareMain(flag.Arg(1), flag.Arg(2), *kSigma, *sigmaFloor)
 		return
 	case "merge":
 		if flag.NArg() < 2 {

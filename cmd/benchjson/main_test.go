@@ -72,6 +72,13 @@ func mkReport(name string, metrics map[string]float64) *Report {
 	return &Report{Benchmarks: []Benchmark{b}}
 }
 
+// compareAt10 judges newRep against a single-run baseline lifted into a
+// degenerate distribution, where one sigma floored at 10% of the mean
+// gates changes beyond 10%.
+func compareAt10(oldRep, newRep *Report) (deltas []delta, added, dropped []string) {
+	return compareDist(toMerged(oldRep), newRep, 1, 10)
+}
+
 func TestCompareFlagsRegressions(t *testing.T) {
 	oldRep := &Report{Benchmarks: []Benchmark{
 		{Name: "Sec5ModelCheck", Metrics: map[string]float64{"ns/op": 100, "states/sec": 1000, "safety-states": 243}},
@@ -83,12 +90,12 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		{Name: "Table4Barrier", Metrics: map[string]float64{"ns/op": 250}},
 		{Name: "Added", Metrics: map[string]float64{"ns/op": 7}},
 	}}
-	deltas, added, dropped := compareReports(oldRep, newRep, 10)
+	deltas, added, dropped := compareAt10(oldRep, newRep)
 	got := map[string]bool{}
 	for _, d := range deltas {
 		got[d.bench+" "+d.metric] = d.regression
 	}
-	// ns/op +5% is within tolerance; states/sec -50% and ns/op +25% are not.
+	// ns/op +5% is within the gate; states/sec -50% and ns/op +25% are not.
 	for key, want := range map[string]bool{
 		"Sec5ModelCheck ns/op":         false,
 		"Sec5ModelCheck states/sec":    true,
@@ -118,7 +125,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 func TestCompareFlagsDroppedGatedMetric(t *testing.T) {
 	oldRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100, "states/sec": 1000, "safety-states": 243})
 	newRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100})
-	deltas, _, dropped := compareReports(oldRep, newRep, 10)
+	deltas, _, dropped := compareAt10(oldRep, newRep)
 	if len(dropped) != 1 || dropped[0] != "Sec5ModelCheck states/sec" {
 		t.Errorf("dropped = %v, want [Sec5ModelCheck states/sec] (informational safety-states must not gate)", dropped)
 	}
@@ -130,7 +137,7 @@ func TestCompareFlagsDroppedGatedMetric(t *testing.T) {
 func TestCompareImprovementPasses(t *testing.T) {
 	oldRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100, "states/sec": 1000})
 	newRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 50, "states/sec": 3000})
-	deltas, _, _ := compareReports(oldRep, newRep, 10)
+	deltas, _, _ := compareAt10(oldRep, newRep)
 	for _, d := range deltas {
 		if d.regression {
 			t.Errorf("%s %s flagged as regression on improvement (%+.1f%%)", d.bench, d.metric, d.pct)
@@ -141,53 +148,6 @@ func TestCompareImprovementPasses(t *testing.T) {
 	}
 }
 
-// TestCompareZeroTolerance pins -tolerance 0 semantics: any ns/op
-// growth or states/sec drop at all regresses, but byte-identical
-// values still pass — the threshold comparison is strict, so a 0%
-// change is never "beyond 0%".
-func TestCompareZeroTolerance(t *testing.T) {
-	oldRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100, "states/sec": 1000})
-	newRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100.001, "states/sec": 999.999})
-	deltas, _, _ := compareReports(oldRep, newRep, 0)
-	for _, d := range deltas {
-		if !d.regression {
-			t.Errorf("%s %s: %+g%% not flagged at tolerance 0", d.bench, d.metric, d.pct)
-		}
-	}
-
-	same := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100, "states/sec": 1000})
-	deltas, _, _ = compareReports(oldRep, same, 0)
-	for _, d := range deltas {
-		if d.regression {
-			t.Errorf("%s %s: identical values flagged at tolerance 0", d.bench, d.metric)
-		}
-	}
-}
-
-// TestCompareExactlyAtTolerance pins the boundary: a change of exactly
-// the tolerance passes (the gate reads "beyond N percent"), one hair
-// past it fails. Values are chosen so the percentage math is exact in
-// binary floating point (16/128 and 125/1000 are both powers of two
-// over their bases).
-func TestCompareExactlyAtTolerance(t *testing.T) {
-	oldRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 128, "states/sec": 1000})
-	at := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 144, "states/sec": 875})
-	deltas, _, _ := compareReports(oldRep, at, 12.5)
-	for _, d := range deltas {
-		if d.regression {
-			t.Errorf("%s %s: %+g%% flagged at tolerance 12.5, want exactly-at-threshold to pass", d.bench, d.metric, d.pct)
-		}
-	}
-
-	past := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 145, "states/sec": 874})
-	deltas, _, _ = compareReports(oldRep, past, 12.5)
-	for _, d := range deltas {
-		if !d.regression {
-			t.Errorf("%s %s: %+g%% not flagged just past tolerance 12.5", d.bench, d.metric, d.pct)
-		}
-	}
-}
-
 // TestCompareNaNGatedMetric pins the NaN hole: every comparison
 // against NaN is false, so a NaN gated value would pass the threshold
 // check — it must instead gate like a missing metric. Informational
@@ -195,7 +155,7 @@ func TestCompareExactlyAtTolerance(t *testing.T) {
 func TestCompareNaNGatedMetric(t *testing.T) {
 	oldRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100, "states/sec": 1000, "safety-states": 243})
 	newRep := mkReport("Sec5ModelCheck", map[string]float64{"ns/op": 100, "states/sec": math.NaN(), "safety-states": math.NaN()})
-	deltas, _, dropped := compareReports(oldRep, newRep, 10)
+	deltas, _, dropped := compareAt10(oldRep, newRep)
 	if len(dropped) != 1 || dropped[0] != "Sec5ModelCheck states/sec" {
 		t.Errorf("dropped = %v, want [Sec5ModelCheck states/sec]", dropped)
 	}

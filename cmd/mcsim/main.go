@@ -16,42 +16,34 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
 	"tokencmp/internal/experiments"
 	"tokencmp/internal/machine"
 	"tokencmp/internal/prof"
-	"tokencmp/internal/runner"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
 	"tokencmp/internal/tokencmp"
 	"tokencmp/internal/topo"
-	"tokencmp/internal/workload"
 )
 
-// oneRun is the result of a single-seed simulation.
-type oneRun struct {
-	res   machine.Result
-	mon   *workload.LockMonitor
-	proto string
-}
-
 func main() {
+	d := experiments.DefaultSpec()
 	var (
-		proto    = flag.String("proto", "TokenCMP-dst1", "protocol (see -list)")
-		wl       = flag.String("workload", "locking", "locking, barrier, OLTP, Apache, or SPECjbb")
-		locks    = flag.Int("locks", 32, "locking: number of locks")
-		acquires = flag.Int("acquires", 64, "locking: acquires per processor")
-		barriers = flag.Int("barriers", 20, "barrier: rounds")
-		wjitter  = flag.Int64("workjitter", 0, "barrier: work jitter in ns")
-		txns     = flag.Int("txns", 40, "commercial: transactions per processor")
-		cmps     = flag.Int("cmps", 4, "CMP count")
-		procs    = flag.Int("procs", 4, "processors per CMP")
-		banks    = flag.Int("banks", 4, "L2 banks per CMP")
-		seed     = flag.Int64("seed", 1, "perturbation seed (first of -seeds)")
-		seeds    = flag.Int("seeds", 1, "perturbed runs (mean ± CI when > 1)")
+		proto    = flag.String("proto", d.Protocol, "protocol (see -list)")
+		wl       = flag.String("workload", d.Workload, "locking, barrier, OLTP, Apache, or SPECjbb")
+		locks    = flag.Int("locks", d.Locks, "locking: number of locks")
+		acquires = flag.Int("acquires", d.Acquires, "locking: acquires per processor")
+		barriers = flag.Int("barriers", d.Barriers, "barrier: rounds")
+		wjitter  = flag.Int64("workjitter", d.WorkJitter.Nanoseconds(), "barrier: work jitter in ns")
+		txns     = flag.Int("txns", d.Txns, "commercial: transactions per processor")
+		cmps     = flag.Int("cmps", d.Geom.CMPs, "CMP count")
+		procs    = flag.Int("procs", d.Geom.ProcsPerCMP, "processors per CMP")
+		banks    = flag.Int("banks", d.Geom.L2Banks, "L2 banks per CMP")
+		seed     = flag.Int64("seed", d.Seed, "perturbation seed (first of -seeds)")
+		seeds    = flag.Int("seeds", d.Seeds, "perturbed runs (mean ± CI when > 1)")
 		jobs     = flag.Int("jobs", 0, "concurrent runs (0 = one per CPU)")
 		check    = flag.Bool("check", false, "enable coherence monitors")
 		ctrs     = flag.Bool("counters", false, "print the event-counter table")
@@ -95,148 +87,69 @@ func main() {
 		defer cancelBudget()
 	}
 
-	g := topo.NewGeometry(*cmps, *procs, *banks)
-	baseFaults := faultFlags()
-	runOne := func(s int64) (oneRun, error) {
-		faults := baseFaults
-		if faults.Enabled() {
-			// Perturb the fault seed alongside the workload seed so each
-			// run of a -seeds sweep sees an independent fault pattern.
-			faults.Seed += s - *seed
-		}
-		m, err := machine.New(machine.Config{
-			Protocol:         *proto,
-			Geom:             g,
-			Seed:             s,
-			CheckConsistency: *check,
-			AuditTokens:      *check,
-			Faults:           faults,
-		})
-		if err != nil {
-			return oneRun{}, err
-		}
-		var progs []cpu.Program
-		var mon *workload.LockMonitor
-		switch *wl {
-		case "locking":
-			lc := workload.DefaultLocking(*locks)
-			lc.Acquires = *acquires
-			progs, mon = workload.LockingPrograms(lc, g.TotalProcs(), s)
-		case "barrier":
-			bc := workload.DefaultBarrier(g.TotalProcs(), sim.NS(*wjitter))
-			bc.Iterations = *barriers
-			progs, mon = workload.BarrierPrograms(bc, s)
-		default:
-			params, perr := experiments.CommercialParamsFor(*wl)
-			if perr != nil {
-				return oneRun{}, perr
-			}
-			params.TxnsPerProc = *txns
-			progs, mon = workload.CommercialPrograms(params, g.TotalProcs(), s)
-		}
-		res, err := m.RunCtx(ctx, progs, 0)
-		if err != nil {
-			return oneRun{}, err
-		}
-		return oneRun{res: res, mon: mon, proto: m.Proto.Name()}, nil
+	// Run k of the sweep uses seed -seed+k and fault seed -faultseed+k,
+	// so every run sees an independent workload and fault pattern.
+	spec := experiments.Spec{
+		Protocol:   *proto,
+		Geom:       topo.NewGeometry(*cmps, *procs, *banks),
+		Workload:   *wl,
+		Locks:      *locks,
+		Acquires:   *acquires,
+		Barriers:   *barriers,
+		WorkJitter: sim.NS(*wjitter),
+		Txns:       *txns,
+		Seed:       *seed,
+		Seeds:      *seeds,
+		Faults:     faultFlags(),
+		Check:      *check,
 	}
-
-	// Each seed writes its own slot and completion flag, so when the
-	// wall-clock budget expires the completed prefix of runs is still
-	// reportable as partial progress.
-	slots := make([]oneRun, *seeds)
-	done := make([]bool, *seeds)
-	err = runner.New(*jobs).RunCtx(ctx, *seeds, func(i int) error {
-		r, rerr := runOne(*seed + int64(i))
-		if rerr != nil {
-			return rerr
-		}
-		slots[i], done[i] = r, true
-		return nil
-	})
-	runs := slots[:0]
-	for i, ok := range done {
-		if ok {
-			runs = append(runs, slots[i])
-		}
-	}
-	partial := false
-	if err != nil {
-		if (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) && len(runs) > 0 {
-			// Budget expired: report what completed, then exit non-zero.
-			partial = true
-			fmt.Fprintf(os.Stderr, "mcsim: wall-clock budget %v exhausted: %d/%d seed runs completed; reporting partial results\n",
-				*timeout, len(runs), *seeds)
-		} else {
-			fmt.Fprintln(os.Stderr, err)
-			stopProf() // flush a usable CPU profile even on failure
-			os.Exit(1)
-		}
-	}
-
-	fmt.Printf("protocol:   %s\n", runs[0].proto)
-	fmt.Printf("workload:   %s\n", *wl)
-	if len(runs) == 1 {
-		res, mon := runs[0].res, runs[0].mon
-		fmt.Printf("runtime:    %v\n", res.Runtime)
-		fmt.Printf("events:     %d\n", res.Events)
-		fmt.Printf("L1 misses:  %d\n", res.Misses)
-		if res.Misses > 0 {
-			fmt.Printf("persistent: %d (%.3f%% of misses)\n", res.Persistent,
-				100*float64(res.Persistent)/float64(res.Misses))
-		}
-		fmt.Printf("acquires:   %d (mutual-exclusion violations: %d)\n", mon.Acquires, len(mon.Violations))
-		for _, lvl := range []stats.Level{stats.IntraCMP, stats.InterCMP} {
-			fmt.Printf("%s traffic: %d bytes in %d messages\n",
-				lvl, res.Traffic.TotalBytes(lvl), res.Traffic.TotalMessages(lvl))
-		}
-		if *ctrs {
-			fmt.Println("event counters:")
-			counters.Fprint(os.Stdout, res.Counters)
-		}
-		if partial {
-			stopProf()
-			os.Exit(1)
-		}
-		return
-	}
-
-	// Multi-seed summary: runtime mean ± 95% CI, totals over all runs.
-	var runtime stats.Sample
-	var traffic stats.Traffic
-	var misses, persistent, events, totalAcq uint64
-	violations := 0
-	allCtrs := map[string]uint64{}
-	for _, r := range runs {
-		runtime.Add(float64(r.res.Runtime) / float64(sim.Nanosecond))
-		traffic.Merge(&r.res.Traffic)
-		counters.MergeInto(allCtrs, r.res.Counters)
-		misses += r.res.Misses
-		persistent += r.res.Persistent
-		events += r.res.Events
-		totalAcq += r.mon.Acquires
-		violations += len(r.mon.Violations)
-	}
+	// The cell folds every run that completed, so when the wall-clock
+	// budget expires the completed runs are still reportable as partial
+	// progress.
+	cells, err := experiments.RunCells(ctx, []experiments.Spec{spec}, *jobs)
+	c := cells[0]
+	runs := c.Runtime.N()
+	partial := runs > 0 && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
 	if partial {
-		fmt.Printf("runs:       %d of %d requested (PARTIAL: -timeout %v expired)\n", len(runs), *seeds, *timeout)
+		// Budget expired: report what completed, then exit non-zero.
+		fmt.Fprintf(os.Stderr, "mcsim: wall-clock budget %v exhausted: %d/%d seed runs completed; reporting partial results\n",
+			*timeout, runs, *seeds)
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		stopProf() // flush a usable CPU profile even on failure
+		os.Exit(1)
+	}
+
+	fmt.Printf("protocol:   %s\n", spec.Protocol)
+	fmt.Printf("workload:   %s\n", spec.Workload)
+	ctrTitle := "event counters:"
+	if runs == 1 {
+		// One run prints its exact simulated time; more print the mean
+		// runtime with its 95% confidence interval.
+		fmt.Printf("runtime:    %v\n", sim.Time(math.Round(c.Runtime.Mean()*float64(sim.Nanosecond))))
 	} else {
-		fmt.Printf("runs:       %d (seeds %d..%d)\n", *seeds, *seed, *seed+int64(*seeds)-1)
+		if partial {
+			fmt.Printf("runs:       %d of %d requested (PARTIAL: -timeout %v expired)\n", runs, *seeds, *timeout)
+		} else {
+			fmt.Printf("runs:       %d (seeds %d..%d)\n", *seeds, *seed, *seed+int64(*seeds)-1)
+		}
+		fmt.Printf("runtime:    %s ns\n", c.Runtime.String())
+		ctrTitle = "event counters (summed over all runs):"
 	}
-	fmt.Printf("runtime:    %s ns\n", runtime.String())
-	fmt.Printf("events:     %d\n", events)
-	fmt.Printf("L1 misses:  %d\n", misses)
-	if misses > 0 {
-		fmt.Printf("persistent: %d (%.3f%% of misses)\n", persistent,
-			100*float64(persistent)/float64(misses))
+	fmt.Printf("events:     %d\n", c.Events)
+	fmt.Printf("L1 misses:  %d\n", c.Misses)
+	if c.Misses > 0 {
+		fmt.Printf("persistent: %d (%.3f%% of misses)\n", c.Persist,
+			100*float64(c.Persist)/float64(c.Misses))
 	}
-	fmt.Printf("acquires:   %d (mutual-exclusion violations: %d)\n", totalAcq, violations)
+	fmt.Printf("acquires:   %d (mutual-exclusion violations: %d)\n", c.Acquires, c.Violations)
 	for _, lvl := range []stats.Level{stats.IntraCMP, stats.InterCMP} {
 		fmt.Printf("%s traffic: %d bytes in %d messages\n",
-			lvl, traffic.TotalBytes(lvl), traffic.TotalMessages(lvl))
+			lvl, c.Traffic.TotalBytes(lvl), c.Traffic.TotalMessages(lvl))
 	}
 	if *ctrs {
-		fmt.Println("event counters (summed over all runs):")
-		counters.Fprint(os.Stdout, allCtrs)
+		fmt.Println(ctrTitle)
+		counters.Fprint(os.Stdout, c.Counters)
 	}
 	if partial {
 		stopProf()

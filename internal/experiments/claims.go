@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
 	"tokencmp/internal/machine"
-	"tokencmp/internal/runner"
 	"tokencmp/internal/stats"
 )
 
@@ -29,63 +28,36 @@ func CounterMetric(name string) Metric {
 	return func(res machine.Result) float64 { return float64(res.Counters[name]) }
 }
 
-// RunSeeds executes one protocol over seeds 1..opt.Seeds of a workload
-// through the shared worker pool and returns the per-seed results in
-// seed order (deterministic for any opt.Jobs).
-func RunSeeds(proto string, opt Options, progs func(m *machine.Machine, seed int64) []cpu.Program) ([]machine.Result, error) {
-	out := make([]machine.Result, opt.Seeds)
-	pool := runner.New(opt.Jobs)
-	err := pool.Run(opt.Seeds, func(i int) error {
-		res, err := run(proto, opt, int64(i+1), progs)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
+// RunSeeds makes the perturbed runs of spec (see Spec.Seeds) through a
+// pool of jobs workers and returns the per-seed results in seed order
+// (deterministic for any jobs).
+func RunSeeds(ctx context.Context, spec Spec, jobs int) ([]machine.Result, error) {
+	runs, err := sweep(ctx, []Spec{spec}, jobs)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]machine.Result, len(runs[0]))
+	for i, r := range runs[0] {
+		out[i] = r.res
 	}
 	return out, nil
 }
 
-// PairedRatio runs num and den over the same workload and seeds and
-// returns the per-seed sample of metric(num)/metric(den). A seed whose
-// denominator metric is zero is an error: a claim ratio over a counter
-// that never fired means the metric (or the wiring) is wrong.
-func PairedRatio(numProto, denProto string, opt Options, metric Metric, progs func(m *machine.Machine, seed int64) []cpu.Program) (stats.Sample, error) {
+// PairedFraction runs spec and returns the per-seed sample of num/den
+// where both metrics come from the same run (e.g. persistent requests
+// as a fraction of misses). A seed whose denominator is zero is an
+// error: a claim over a counter that never fired means the metric (or
+// the wiring) is wrong.
+func PairedFraction(ctx context.Context, spec Spec, jobs int, num, den Metric) (stats.Sample, error) {
 	var sample stats.Sample
-	numRes, err := RunSeeds(numProto, opt, progs)
-	if err != nil {
-		return sample, err
-	}
-	denRes, err := RunSeeds(denProto, opt, progs)
-	if err != nil {
-		return sample, err
-	}
-	for i := range numRes {
-		den := metric(denRes[i])
-		if den == 0 || math.IsNaN(den) {
-			return sample, fmt.Errorf("experiments: %s seed %d: zero/NaN denominator metric", denProto, i+1)
-		}
-		sample.Add(metric(numRes[i]) / den)
-	}
-	return sample, nil
-}
-
-// PairedFraction runs one protocol and returns the per-seed sample of
-// num/den where both metrics come from the same run (e.g. persistent
-// requests as a fraction of misses).
-func PairedFraction(proto string, opt Options, num, den Metric, progs func(m *machine.Machine, seed int64) []cpu.Program) (stats.Sample, error) {
-	var sample stats.Sample
-	results, err := RunSeeds(proto, opt, progs)
+	results, err := RunSeeds(ctx, spec, jobs)
 	if err != nil {
 		return sample, err
 	}
 	for i := range results {
 		d := den(results[i])
 		if d == 0 || math.IsNaN(d) {
-			return sample, fmt.Errorf("experiments: %s seed %d: zero/NaN denominator metric", proto, i+1)
+			return sample, fmt.Errorf("experiments: %s seed %d: zero/NaN denominator metric", spec.Protocol, spec.Seed+int64(i))
 		}
 		sample.Add(num(results[i]) / d)
 	}

@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
 	"tokencmp/internal/machine"
 	"tokencmp/internal/stats"
-	"tokencmp/internal/workload"
 )
 
 // The claim tests pin the paper's quantitative prose as CI-bounded
@@ -36,21 +35,12 @@ var (
 func claimResults(t *testing.T) map[string][]machine.Result {
 	t.Helper()
 	claimOnce.Do(func() {
-		opt := DefaultOptions()
-		opt.Seeds = claimSeeds
-		params, err := CommercialParamsFor("OLTP")
-		if err != nil {
-			claimErr = err
-			return
-		}
-		params.TxnsPerProc = claimTxns
-		progs := func(m *machine.Machine, seed int64) []cpu.Program {
-			p, _ := workload.CommercialPrograms(params, m.Cfg.Geom.TotalProcs(), seed)
-			return p
-		}
+		spec := DefaultSpec()
+		spec.Workload, spec.Txns, spec.Seeds = "OLTP", claimTxns, claimSeeds
 		claimRes = map[string][]machine.Result{}
 		for _, proto := range []string{"HammerCMP", "DirectoryCMP", "TokenCMP-dst1"} {
-			res, rerr := RunSeeds(proto, opt, progs)
+			spec.Protocol = proto
+			res, rerr := RunSeeds(context.Background(), spec, 0)
 			if rerr != nil {
 				claimErr = rerr
 				return

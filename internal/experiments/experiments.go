@@ -11,13 +11,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
-	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
-	"tokencmp/internal/machine"
 	"tokencmp/internal/network"
-	"tokencmp/internal/runner"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
@@ -55,8 +50,8 @@ type Options struct {
 	Check bool
 
 	// Faults configures the network's seeded fault injector for every
-	// run of the experiment (zero value: reliable network). The fault
-	// seed is perturbed per run alongside the workload seed so each
+	// run of the experiment (zero value: reliable network). Seed k of
+	// every cell (k = 1..Seeds) uses fault seed Faults.Seed+k-1, so each
 	// seeded repetition sees an independent fault pattern.
 	Faults network.FaultConfig
 
@@ -69,9 +64,6 @@ type Options struct {
 	// on the Table 3 hierarchy (simulation scaling, as in the paper's
 	// methodology lineage). Zero means the Table 3 sizes.
 	CommercialL1, CommercialL2Bank int
-
-	// effective per-run cache overrides (set by RunCommercial).
-	l1Size, l2BankSize int
 }
 
 // DefaultOptions returns the paper's target system (four 4-way CMPs)
@@ -97,98 +89,39 @@ func (o *Options) ctx() context.Context {
 	return context.Background()
 }
 
-// run executes one workload on one protocol with one seed.
-func run(proto string, opt Options, seed int64, progs func(m *machine.Machine, s int64) []cpu.Program) (machine.Result, error) {
-	faults := opt.Faults
-	if faults.Enabled() {
-		// Each seeded repetition draws an independent fault pattern, so
-		// the cell's confidence interval covers fault-timing variance
-		// too, not just workload perturbation.
-		faults.Seed += seed
+// spec returns the template every run of the experiment starts from:
+// seeds 1..Seeds of proto with the options' knobs, fault plan, monitors,
+// and event cap. The caller fills in the workload.
+func (o *Options) spec(proto string) Spec {
+	return Spec{
+		Protocol: proto,
+		Geom:     o.Geom,
+		Acquires: o.Acquires,
+		Barriers: o.Barriers,
+		Txns:     o.TxnsPerProc,
+		Seed:     1,
+		Seeds:    o.Seeds,
+		Faults:   o.Faults,
+		Check:    o.Check,
+		Limit:    o.Limit,
 	}
-	m, err := machine.New(machine.Config{
-		Protocol:         proto,
-		Geom:             opt.Geom,
-		Seed:             seed,
-		CheckConsistency: opt.Check,
-		AuditTokens:      opt.Check,
-		Faults:           faults,
-		L1Size:           opt.l1Size,
-		L2BankSize:       opt.l2BankSize,
-	})
-	if err != nil {
-		return machine.Result{}, err
-	}
-	res, err := m.RunCtx(opt.ctx(), progs(m, seed), opt.Limit)
-	if err != nil {
-		return res, fmt.Errorf("%s seed %d: %w", proto, seed, err)
-	}
-	return res, nil
 }
 
-// Cell is one measured configuration.
+// Cell is one measured configuration: the runs of one Spec folded
+// together (see RunCells).
 type Cell struct {
 	Runtime stats.Sample // nanoseconds
 	Traffic stats.Traffic
+	Events  uint64
 	Misses  uint64
 	Persist uint64
+	// Acquires and Violations total the lock monitor over the runs:
+	// successful lock acquisitions and mutual-exclusion violations.
+	Acquires   uint64
+	Violations int
 	// Counters accumulates the uniform event-counter snapshots of every
 	// seed run in the cell (summed, like Misses).
 	Counters map[string]uint64
-}
-
-// cellTask describes one (protocol, configuration) cell; runCells runs
-// its opt.Seeds perturbed seeds through the shared worker pool.
-type cellTask struct {
-	proto string
-	opt   Options
-	progs func(m *machine.Machine, s int64) []cpu.Program
-}
-
-// runCells executes every (task, seed) pair through a bounded worker
-// pool — the whole experiment fans out at once, not one cell at a time —
-// and then merges each task's seed results in ascending seed order into
-// index-addressed cells. The merge order is fixed, so the returned
-// cells are identical to a serial nested-loop run for any jobs value.
-// Cancelling ctx stops dispatching new runs; runs already in flight
-// stop within sim.CancelCheckEvery events because every task's machine
-// carries the same context.
-func runCells(ctx context.Context, tasks []cellTask, jobs int) ([]*Cell, error) {
-	offsets := make([]int, len(tasks)+1)
-	for i, t := range tasks {
-		offsets[i+1] = offsets[i] + t.opt.Seeds
-	}
-	results := make([]machine.Result, offsets[len(tasks)])
-	pool := runner.New(jobs)
-	err := pool.RunCtx(ctx, len(results), func(i int) error {
-		// ti is the task owning flat slot i: the smallest index with
-		// offsets[ti+1] > i.
-		ti := sort.SearchInts(offsets[1:], i+1)
-		t := tasks[ti]
-		res, err := run(t.proto, t.opt, int64(i-offsets[ti]+1), t.progs)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]*Cell, len(tasks))
-	for ti := range tasks {
-		c := &Cell{Counters: map[string]uint64{}}
-		for s := offsets[ti]; s < offsets[ti+1]; s++ {
-			res := &results[s]
-			c.Runtime.Add(float64(res.Runtime) / float64(sim.Nanosecond))
-			c.Traffic.Merge(&res.Traffic)
-			c.Misses += res.Misses
-			c.Persist += res.Persistent
-			counters.MergeInto(c.Counters, res.Counters)
-		}
-		cells[ti] = c
-	}
-	return cells, nil
 }
 
 // LockSweep is the Figure 2 / Figure 3 experiment.
@@ -202,22 +135,15 @@ type LockSweep struct {
 // RunLockSweep measures the locking micro-benchmark across lock counts.
 // Every (protocol, lock count, seed) run goes through the worker pool.
 func RunLockSweep(protocols []string, lockCounts []int, opt Options) (*LockSweep, error) {
-	var tasks []cellTask
+	var specs []Spec
 	for _, proto := range protocols {
 		for _, locks := range lockCounts {
-			locks := locks
-			tasks = append(tasks, cellTask{proto: proto, opt: opt,
-				progs: func(m *machine.Machine, seed int64) []cpu.Program {
-					lc := workload.DefaultLocking(locks)
-					if opt.Acquires > 0 {
-						lc.Acquires = opt.Acquires
-					}
-					progs, _ := workload.LockingPrograms(lc, m.Cfg.Geom.TotalProcs(), seed)
-					return progs
-				}})
+			spec := opt.spec(proto)
+			spec.Workload, spec.Locks = "locking", locks
+			specs = append(specs, spec)
 		}
 	}
-	cells, err := runCells(opt.ctx(), tasks, opt.Jobs)
+	cells, err := RunCells(opt.ctx(), specs, opt.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -295,22 +221,15 @@ type BarrierTable struct {
 // (protocol, jitter, seed) run goes through the worker pool.
 func RunBarrierTable(protocols []string, opt Options) (*BarrierTable, error) {
 	jitters := []sim.Time{0, sim.NS(1000)}
-	var tasks []cellTask
+	var specs []Spec
 	for _, proto := range protocols {
 		for _, jitter := range jitters {
-			jitter := jitter
-			tasks = append(tasks, cellTask{proto: proto, opt: opt,
-				progs: func(m *machine.Machine, seed int64) []cpu.Program {
-					bc := workload.DefaultBarrier(m.Cfg.Geom.TotalProcs(), jitter)
-					if opt.Barriers > 0 {
-						bc.Iterations = opt.Barriers
-					}
-					progs, _ := workload.BarrierPrograms(bc, seed)
-					return progs
-				}})
+			spec := opt.spec(proto)
+			spec.Workload, spec.WorkJitter = "barrier", jitter
+			specs = append(specs, spec)
 		}
 	}
-	cells, err := runCells(opt.ctx(), tasks, opt.Jobs)
+	cells, err := RunCells(opt.ctx(), specs, opt.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -360,27 +279,19 @@ func CommercialParamsFor(name string) (workload.CommercialParams, error) {
 // RunCommercial measures the commercial surrogates on all protocols.
 // Every (workload, protocol, seed) run goes through the worker pool.
 func RunCommercial(workloads, protocols []string, opt Options) (*Commercial, error) {
-	runOpt := opt
-	runOpt.l1Size = opt.CommercialL1
-	runOpt.l2BankSize = opt.CommercialL2Bank
-	var tasks []cellTask
+	var specs []Spec
 	for _, wl := range workloads {
-		params, err := CommercialParamsFor(wl)
-		if err != nil {
+		if _, err := CommercialParamsFor(wl); err != nil {
 			return nil, err
 		}
-		if opt.TxnsPerProc > 0 {
-			params.TxnsPerProc = opt.TxnsPerProc
-		}
 		for _, proto := range protocols {
-			tasks = append(tasks, cellTask{proto: proto, opt: runOpt,
-				progs: func(m *machine.Machine, seed int64) []cpu.Program {
-					progs, _ := workload.CommercialPrograms(params, m.Cfg.Geom.TotalProcs(), seed)
-					return progs
-				}})
+			spec := opt.spec(proto)
+			spec.Workload = wl
+			spec.L1Size, spec.L2BankSize = opt.CommercialL1, opt.CommercialL2Bank
+			specs = append(specs, spec)
 		}
 	}
-	cells, err := runCells(opt.ctx(), tasks, opt.Jobs)
+	cells, err := RunCells(opt.ctx(), specs, opt.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -464,15 +375,4 @@ func (c *Commercial) PersistentFraction(wl, proto string) float64 {
 		return 0
 	}
 	return float64(cell.Persist) / float64(cell.Misses)
-}
-
-// SortedProtocols returns the protocols present in m in alphabetical
-// order.
-func SortedProtocols(m map[string]*Cell) []string {
-	var out []string
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

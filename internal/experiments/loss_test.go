@@ -1,14 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
-	"tokencmp/internal/machine"
 	"tokencmp/internal/network"
 	"tokencmp/internal/stats"
-	"tokencmp/internal/workload"
 )
 
 // The loss-sweep claim pins the paper's robustness argument (Section 2,
@@ -32,35 +30,24 @@ var lossSweepDrops = []float64{0, 0.01, 0.05, 0.20}
 // the majority-transient regime must survive).
 const lossPersistFrac = 0.80
 
-func lossProgs(opt Options) func(m *machine.Machine, seed int64) []cpu.Program {
-	return func(m *machine.Machine, seed int64) []cpu.Program {
-		lc := workload.DefaultLocking(4)
-		lc.Acquires = opt.Acquires
-		progs, _ := workload.LockingPrograms(lc, m.Cfg.Geom.TotalProcs(), seed)
-		return progs
-	}
-}
-
 func TestLossSweepSurvivalClaim(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Seeds = claimSeeds
-	opt.Acquires = 8
-	opt.Check = true // coherence monitors + token audit on every run
+	spec := DefaultSpec()
+	spec.Locks, spec.Acquires, spec.Seeds = 4, 8, claimSeeds
+	spec.Check = true // coherence monitors + token audit on every run
 
 	fracs := make([]stats.Sample, len(lossSweepDrops))
 	for i, drop := range lossSweepDrops {
-		opt.Faults = network.UniformFaults(1, drop, 0, 0, 0)
+		spec.Faults = network.UniformFaults(1, drop, 0, 0, 0)
 		// PairedFraction fails the test on any non-completing run or
 		// token-audit violation, which is the survival half of the claim.
-		frac, err := PairedFraction("TokenCMP-dst1", opt,
-			CounterMetric(counters.ReqPersistent), CounterMetric(counters.L1Miss),
-			lossProgs(opt))
+		frac, err := PairedFraction(context.Background(), spec, 0,
+			CounterMetric(counters.ReqPersistent), CounterMetric(counters.L1Miss))
 		if err != nil {
 			t.Fatalf("drop=%.2f: %v", drop, err)
 		}
 		fracs[i] = frac
 
-		res, err := RunSeeds("TokenCMP-dst1", opt, lossProgs(opt))
+		res, err := RunSeeds(context.Background(), spec, 0)
 		if err != nil {
 			t.Fatalf("drop=%.2f: %v", drop, err)
 		}

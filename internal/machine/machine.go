@@ -156,13 +156,19 @@ func (m *Machine) Traffic() stats.Traffic {
 	return m.net.Traffic
 }
 
-// Counters returns the machine-wide uniform event-counter snapshot
+// Counters returns the machine-wide uniform event-counter snapshot,
+// with the interconnect's traffic counters derived from its Traffic
 // (nil if the protocol carries no registry).
 func (m *Machine) Counters() map[string]uint64 {
-	if cs, ok := m.Proto.(counterSource); ok {
-		return cs.Counters().Snapshot()
+	cs, ok := m.Proto.(counterSource)
+	if !ok {
+		return nil
 	}
-	return nil
+	snap := cs.Counters().Snapshot()
+	if m.net != nil {
+		m.net.TrafficCounters(snap)
+	}
+	return snap
 }
 
 // PersistentRequests reports substrate persistent requests (0 for

@@ -9,6 +9,7 @@ import (
 	"tokencmp/internal/counters"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
+	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 	"tokencmp/internal/workload"
 )
@@ -264,5 +265,57 @@ func TestRunCtxBackgroundIdentical(t *testing.T) {
 	live := runOnce(ctx)
 	if plain.Runtime != live.Runtime || plain.Events != live.Events || plain.Misses != live.Misses {
 		t.Errorf("live-context run diverged: %+v vs %+v", plain, live)
+	}
+}
+
+// TestNetCountersMatchTraffic asserts, on one seed per protocol, that
+// the interconnect's net.* counters agree with the run's Traffic: bytes
+// and hops are the per-level traffic totals, an inter-CMP message is
+// one inter-CMP hop, and each adds at most two intra-CMP hops (one per
+// cache-side endpoint). PerfectL2 has no interconnect and no net.*
+// traffic counters.
+func TestNetCountersMatchTraffic(t *testing.T) {
+	for _, proto := range Protocols() {
+		t.Run(proto, func(t *testing.T) {
+			m, err := New(smallCfg(proto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := workload.OLTP()
+			params.TxnsPerProc = 4
+			progs, _ := workload.CommercialPrograms(params, m.Cfg.Geom.TotalProcs(), 1)
+			res, err := m.Run(progs, 60_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, tr := res.Counters, &res.Traffic
+			if proto == "PerfectL2" {
+				for name := range c {
+					if strings.HasPrefix(name, "net.") {
+						t.Errorf("PerfectL2 reports interconnect counter %s", name)
+					}
+				}
+				return
+			}
+			for _, rel := range []struct {
+				name      string
+				got, want uint64
+			}{
+				{counters.NetBytesIntraCMP, c[counters.NetBytesIntraCMP], tr.TotalBytes(stats.IntraCMP)},
+				{counters.NetBytesInterCMP, c[counters.NetBytesInterCMP], tr.TotalBytes(stats.InterCMP)},
+				{counters.NetHopIntraCMP, c[counters.NetHopIntraCMP], tr.TotalMessages(stats.IntraCMP)},
+				{counters.NetHopInterCMP, c[counters.NetHopInterCMP], tr.TotalMessages(stats.InterCMP)},
+				{counters.NetMsgInterCMP, c[counters.NetMsgInterCMP], c[counters.NetHopInterCMP]},
+			} {
+				if rel.got != rel.want {
+					t.Errorf("%s = %d, want %d", rel.name, rel.got, rel.want)
+				}
+			}
+			msgIntra, hopIntra, inter := c[counters.NetMsgIntraCMP], c[counters.NetHopIntraCMP], c[counters.NetMsgInterCMP]
+			if msgIntra == 0 || inter == 0 || msgIntra > hopIntra || hopIntra-msgIntra > 2*inter {
+				t.Errorf("intra msgs %d, intra hops %d, inter msgs %d: want 0 < msgs <= hops <= msgs + 2*inter",
+					msgIntra, hopIntra, inter)
+			}
+		})
 	}
 }

@@ -172,17 +172,6 @@ func (r *Result) String() string {
 		r.Model, status, states, r.Transitions, r.Diameter, r.Elapsed, detail)
 }
 
-// Check exhaustively explores model up to limit states (0 = 5,000,000)
-// with one worker per CPU and no symmetry reduction. Equivalent to
-// CheckJobs(m, limit, 0).
-func Check(m Model, limit int) *Result { return CheckJobs(m, limit, 0) }
-
-// CheckJobs is Check with an explicit worker count (jobs <= 0 selects
-// runner.DefaultJobs()).
-func CheckJobs(m Model, limit, jobs int) *Result {
-	return CheckOpt(m, Options{Limit: limit, Jobs: jobs})
-}
-
 // expansion is one frontier state's parallel-computed outputs. The
 // successor keys live in the worker-filled SuccBuf and their hashes are
 // computed in the worker, so the serial merge never hashes a key; mult

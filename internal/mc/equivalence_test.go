@@ -42,7 +42,7 @@ func TestPackedEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, jobs := range []int{1, 8} {
-			r := mc.CheckJobs(tc.build(), 0, jobs)
+			r := mc.CheckOpt(tc.build(), mc.Options{Jobs: jobs})
 			if !r.OK() {
 				t.Errorf("%s jobs=%d: %v", tc.name, jobs, r)
 				continue
@@ -79,7 +79,7 @@ func TestPackedEquivalenceFullScale(t *testing.T) {
 		}, 233339, 913287, 63},
 	}
 	for _, tc := range cases {
-		r := mc.Check(tc.build(), 0)
+		r := mc.CheckOpt(tc.build(), mc.Options{})
 		if !r.OK() {
 			t.Errorf("%s: %v", tc.name, r)
 			continue
@@ -278,7 +278,7 @@ func TestScaledConfigs(t *testing.T) {
 		}, 273325, 2898255, 18},
 	}
 	for _, tc := range cases {
-		r := mc.Check(tc.build(), 0)
+		r := mc.CheckOpt(tc.build(), mc.Options{})
 		if !r.OK() {
 			t.Errorf("%s: %v", tc.name, r)
 			continue

@@ -18,7 +18,7 @@ func TestHammerFlat(t *testing.T) {
 	if testing.Short() {
 		m = models.NewHammerModel(2, 5)
 	}
-	res := mc.Check(m, 0)
+	res := mc.CheckOpt(m, mc.Options{})
 	t.Log(res)
 	if !res.OK() {
 		t.Fatalf("hammer broadcast model failed: %v", res)

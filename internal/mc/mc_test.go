@@ -8,7 +8,7 @@ import (
 )
 
 func TestTokenSafetyOnly(t *testing.T) {
-	res := mc.Check(models.NewTokenModel(models.DefaultTokenConfig(models.SafetyOnly)), 0)
+	res := mc.CheckOpt(models.NewTokenModel(models.DefaultTokenConfig(models.SafetyOnly)), mc.Options{})
 	t.Log(res)
 	if !res.OK() {
 		t.Fatalf("safety-only model failed: %v", res)
@@ -20,7 +20,7 @@ func TestTokenDistributed(t *testing.T) {
 	if testing.Short() {
 		cfg.T = 3
 	}
-	res := mc.Check(models.NewTokenModel(cfg), 0)
+	res := mc.CheckOpt(models.NewTokenModel(cfg), mc.Options{})
 	t.Log(res)
 	if !res.OK() {
 		t.Fatalf("distributed model failed: %v", res)
@@ -32,7 +32,7 @@ func TestTokenArbiter(t *testing.T) {
 	if testing.Short() {
 		cfg.T = 3
 	}
-	res := mc.Check(models.NewTokenModel(cfg), 0)
+	res := mc.CheckOpt(models.NewTokenModel(cfg), mc.Options{})
 	t.Log(res)
 	if !res.OK() {
 		t.Fatalf("arbiter model failed: %v", res)
@@ -40,7 +40,7 @@ func TestTokenArbiter(t *testing.T) {
 }
 
 func TestDirectoryFlat(t *testing.T) {
-	res := mc.Check(models.DefaultDirModel(), 0)
+	res := mc.CheckOpt(models.DefaultDirModel(), mc.Options{})
 	t.Log(res)
 	if !res.OK() {
 		t.Fatalf("flat directory model failed: %v", res)

@@ -45,8 +45,8 @@ func TestTokenLossVerifiesAllActivations(t *testing.T) {
 // model at the same configuration, and the corpus contains states with
 // tokens actually in the Lost pool.
 func TestTokenLossEnlargesStateSpace(t *testing.T) {
-	base := mc.Check(NewTokenModel(DefaultTokenConfig(SafetyOnly)), 0)
-	loss := mc.Check(NewTokenModel(lossCfg(SafetyOnly)), 0)
+	base := mc.CheckOpt(NewTokenModel(DefaultTokenConfig(SafetyOnly)), mc.Options{})
+	loss := mc.CheckOpt(NewTokenModel(lossCfg(SafetyOnly)), mc.Options{})
 	if !base.OK() || !loss.OK() {
 		t.Fatalf("models failed: base %v, loss %v", base, loss)
 	}

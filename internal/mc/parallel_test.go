@@ -40,9 +40,9 @@ func TestCheckJobsDeterministic(t *testing.T) {
 		}, 0},
 	}
 	for _, tc := range cases {
-		serial := fieldsOf(mc.CheckJobs(tc.build(), tc.limit, 1))
+		serial := fieldsOf(mc.CheckOpt(tc.build(), mc.Options{Limit: tc.limit, Jobs: 1}))
 		for _, jobs := range []int{2, 8} {
-			got := fieldsOf(mc.CheckJobs(tc.build(), tc.limit, jobs))
+			got := fieldsOf(mc.CheckOpt(tc.build(), mc.Options{Limit: tc.limit, Jobs: jobs}))
 			if got != serial {
 				t.Errorf("%s: jobs=%d diverged\nserial:   %s\nparallel: %s", tc.name, jobs, serial, got)
 			}
@@ -54,19 +54,19 @@ func TestCheckJobsDeterministic(t *testing.T) {
 // checker explored limit+1 states and then let the final expansion
 // overshoot arbitrarily.
 func TestCheckLimitExact(t *testing.T) {
-	full := mc.Check(smallTokenModel(), 0)
+	full := mc.CheckOpt(smallTokenModel(), mc.Options{})
 	if full.States < 60 {
 		t.Fatalf("model too small for the test: %d states", full.States)
 	}
 	for _, jobs := range []int{1, 4} {
 		for _, limit := range []int{1, 17, 50} {
-			res := mc.CheckJobs(smallTokenModel(), limit, jobs)
+			res := mc.CheckOpt(smallTokenModel(), mc.Options{Limit: limit, Jobs: jobs})
 			if res.States != limit {
 				t.Errorf("jobs=%d limit=%d: explored %d states, want exactly %d", jobs, limit, res.States, limit)
 			}
 		}
 		// A cap beyond the reachable set must not truncate anything.
-		res := mc.CheckJobs(smallTokenModel(), full.States+1000, jobs)
+		res := mc.CheckOpt(smallTokenModel(), mc.Options{Limit: full.States + 1000, Jobs: jobs})
 		if res.States != full.States || res.Transitions != full.Transitions {
 			t.Errorf("jobs=%d: capped run (%d states, %d transitions) != full run (%d, %d)",
 				jobs, res.States, res.Transitions, full.States, full.Transitions)

@@ -116,16 +116,16 @@ type Network struct {
 	// so the steady-state send path allocates nothing.
 	free []*Message
 
-	// Traffic accumulates the Figure 7 byte counts.
-	Traffic stats.Traffic
+	// Traffic accumulates the Figure 7 byte and hop counts; onChipMsgs
+	// counts the messages sent over an on-chip link. TrafficCounters
+	// derives the net.{msg,bytes,hop}.* counters from the two.
+	Traffic    stats.Traffic
+	onChipMsgs uint64
 
-	// Uniform event-counter handles, pre-resolved by WireCounters so the
-	// send path pays one nil check and plain word adds (no map lookups).
-	ctrMsgIntra, ctrMsgInter     *counters.Counter
-	ctrBytesIntra, ctrBytesInter *counters.Counter
-	ctrHopIntra, ctrHopInter     *counters.Counter
-	ctrDropped, ctrDup           *counters.Counter
-	ctrReordered, ctrRetx        *counters.Counter
+	// Fault-injection counter handles, pre-resolved by WireCounters so
+	// the fault path pays one nil check and a plain word add.
+	ctrDropped, ctrDup    *counters.Counter
+	ctrReordered, ctrRetx *counters.Counter
 
 	// Fault-injection state (see faults.go). Classify maps a message to
 	// its fault class; protocols with recovery machinery install it at
@@ -240,19 +240,27 @@ func (n *Network) EachInFlight(fn func(b mem.Block, tokens, owners int)) {
 	}
 }
 
-// WireCounters registers the network's uniform event counters in cs
-// (the machine-wide registry) and keeps the handles for the send path.
+// WireCounters registers the network's fault-injection counters in cs
+// (the machine-wide registry) and keeps the handles for the fault path.
 func (n *Network) WireCounters(cs *counters.Set) {
-	n.ctrMsgIntra = cs.Counter(counters.NetMsgIntraCMP)
-	n.ctrMsgInter = cs.Counter(counters.NetMsgInterCMP)
-	n.ctrBytesIntra = cs.Counter(counters.NetBytesIntraCMP)
-	n.ctrBytesInter = cs.Counter(counters.NetBytesInterCMP)
-	n.ctrHopIntra = cs.Counter(counters.NetHopIntraCMP)
-	n.ctrHopInter = cs.Counter(counters.NetHopInterCMP)
 	n.ctrDropped = cs.Counter(counters.NetDropped)
 	n.ctrDup = cs.Counter(counters.NetDup)
 	n.ctrReordered = cs.Counter(counters.NetReordered)
 	n.ctrRetx = cs.Counter(counters.NetRetx)
+}
+
+// TrafficCounters adds the interconnect's traffic counters to snap,
+// derived from Traffic so the two agree by construction: every
+// Traffic entry is one link traversal (a hop), and only an on-chip
+// message crosses the intra-CMP level without leaving its chip.
+func (n *Network) TrafficCounters(snap map[string]uint64) {
+	inter := n.Traffic.TotalMessages(stats.InterCMP)
+	snap[counters.NetMsgIntraCMP] = n.onChipMsgs
+	snap[counters.NetMsgInterCMP] = inter
+	snap[counters.NetBytesIntraCMP] = n.Traffic.TotalBytes(stats.IntraCMP)
+	snap[counters.NetBytesInterCMP] = n.Traffic.TotalBytes(stats.InterCMP)
+	snap[counters.NetHopIntraCMP] = n.Traffic.TotalMessages(stats.IntraCMP)
+	snap[counters.NetHopInterCMP] = inter
 }
 
 // Attach registers the endpoint for id.
@@ -367,31 +375,14 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	// global side, so their hops add no on-chip traffic.
 	if lp.Level == stats.IntraCMP {
 		n.Traffic.Add(stats.IntraCMP, m.Class, m.Size)
-		if n.ctrMsgIntra != nil {
-			n.ctrMsgIntra.Inc()
-			n.ctrBytesIntra.Add(uint64(m.Size))
-			n.ctrHopIntra.Inc()
-		}
+		n.onChipMsgs++
 	} else {
 		n.Traffic.Add(stats.InterCMP, m.Class, m.Size)
-		if n.ctrMsgInter != nil {
-			n.ctrMsgInter.Inc()
-			n.ctrBytesInter.Add(uint64(m.Size))
-			n.ctrHopInter.Inc()
-		}
 		if n.Geom.KindOf(m.Src) != topo.Mem {
 			n.Traffic.Add(stats.IntraCMP, m.Class, m.Size)
-			if n.ctrHopIntra != nil {
-				n.ctrHopIntra.Inc()
-				n.ctrBytesIntra.Add(uint64(m.Size))
-			}
 		}
 		if n.Geom.KindOf(m.Dst) != topo.Mem {
 			n.Traffic.Add(stats.IntraCMP, m.Class, m.Size)
-			if n.ctrHopIntra != nil {
-				n.ctrHopIntra.Inc()
-				n.ctrBytesIntra.Add(uint64(m.Size))
-			}
 		}
 	}
 	n.InFlight++

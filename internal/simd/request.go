@@ -15,11 +15,14 @@
 package simd
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
 
+	"tokencmp/internal/experiments"
 	"tokencmp/internal/machine"
+	"tokencmp/internal/topo"
 )
 
 // Chaos workload names, accepted only when Config.Chaos is set. They
@@ -54,41 +57,38 @@ type Request struct {
 	TimeoutMS int `json:"timeout_ms"` // per-request deadline (0 = server default)
 }
 
-// Normalize fills defaulted fields in place. Defaults mirror mcsim so
-// the daemon and the CLI answer the same question the same way.
+// Normalize fills defaulted fields in place from experiments.DefaultSpec,
+// the defaults mcsim's flags use too, so the daemon and the CLI answer
+// the same question the same way.
 func (r *Request) Normalize() {
-	if r.Protocol == "" {
-		r.Protocol = "TokenCMP-dst1"
-	}
-	if r.Workload == "" {
-		r.Workload = "locking"
-	}
-	if r.Locks == 0 {
-		r.Locks = 32
-	}
-	if r.Acquires == 0 {
-		r.Acquires = 64
-	}
-	if r.Barriers == 0 {
-		r.Barriers = 20
-	}
-	if r.Txns == 0 {
-		r.Txns = 40
-	}
-	if r.CMPs == 0 {
-		r.CMPs = 4
-	}
-	if r.Procs == 0 {
-		r.Procs = 4
-	}
-	if r.Banks == 0 {
-		r.Banks = 4
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Seeds == 0 {
-		r.Seeds = 1
+	d := experiments.DefaultSpec()
+	r.Protocol = cmp.Or(r.Protocol, d.Protocol)
+	r.Workload = cmp.Or(r.Workload, d.Workload)
+	r.Locks = cmp.Or(r.Locks, d.Locks)
+	r.Acquires = cmp.Or(r.Acquires, d.Acquires)
+	r.Barriers = cmp.Or(r.Barriers, d.Barriers)
+	r.Txns = cmp.Or(r.Txns, d.Txns)
+	r.CMPs = cmp.Or(r.CMPs, d.Geom.CMPs)
+	r.Procs = cmp.Or(r.Procs, d.Geom.ProcsPerCMP)
+	r.Banks = cmp.Or(r.Banks, d.Geom.L2Banks)
+	r.Seed = cmp.Or(r.Seed, d.Seed)
+	r.Seeds = cmp.Or(r.Seeds, d.Seeds)
+}
+
+// Spec is the experiment the request describes: every field but
+// TimeoutMS, on a reliable network with barrier work unjittered.
+func (r *Request) Spec() experiments.Spec {
+	return experiments.Spec{
+		Protocol: r.Protocol,
+		Geom:     topo.NewGeometry(r.CMPs, r.Procs, r.Banks),
+		Workload: r.Workload,
+		Locks:    r.Locks,
+		Acquires: r.Acquires,
+		Barriers: r.Barriers,
+		Txns:     r.Txns,
+		Seed:     r.Seed,
+		Seeds:    r.Seeds,
+		Check:    r.Check,
 	}
 }
 
@@ -176,13 +176,13 @@ func (r *Request) Class(threshold int64) Class {
 	return ClassLight
 }
 
-// Key is the cache identity of the experiment: every field that can
-// change the simulation result, in a fixed order, and nothing else
-// (TimeoutMS steers serving, not simulation). Two requests with equal
-// keys are guaranteed byte-identical response bodies because the
-// simulator is deterministic in exactly these inputs.
+// Key is the cache identity of the experiment: the canonical encoding
+// of its Spec, so it holds every field that can change the simulation
+// result and nothing else (TimeoutMS steers serving, not simulation).
+// Two requests with equal keys are guaranteed byte-identical response
+// bodies because the simulator is deterministic in exactly these
+// inputs. A change to the encoding changes every key, so entries a
+// durable cache wrote under an older encoding are never served.
 func (r *Request) Key() string {
-	return fmt.Sprintf("v1|proto=%s|wl=%s|locks=%d|acq=%d|bar=%d|txns=%d|geom=%dx%dx%d|seed=%d|seeds=%d|check=%t",
-		r.Protocol, r.Workload, r.Locks, r.Acquires, r.Barriers, r.Txns,
-		r.CMPs, r.Procs, r.Banks, r.Seed, r.Seeds, r.Check)
+	return "v2|" + r.Spec().Key()
 }

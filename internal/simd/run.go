@@ -6,13 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"tokencmp/internal/cpu"
 	"tokencmp/internal/experiments"
-	"tokencmp/internal/machine"
-	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
-	"tokencmp/internal/topo"
-	"tokencmp/internal/workload"
 )
 
 // Response is the JSON body for a completed experiment. It is built
@@ -48,84 +43,32 @@ func runRequest(ctx context.Context, req Request) ([]byte, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-
-	g := topo.NewGeometry(req.CMPs, req.Procs, req.Banks)
-	var (
-		runtime    stats.Sample
-		traffic    stats.Traffic
-		events     uint64
-		misses     uint64
-		persistent uint64
-		acquires   uint64
-		violations int
-		protoName  string
-	)
-	for i := 0; i < req.Seeds; i++ {
-		seed := req.Seed + int64(i)
-		m, err := machine.New(machine.Config{
-			Protocol:         req.Protocol,
-			Geom:             g,
-			Seed:             seed,
-			CheckConsistency: req.Check,
-			AuditTokens:      req.Check,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var progs []cpu.Program
-		var mon *workload.LockMonitor
-		switch req.Workload {
-		case "locking":
-			lc := workload.DefaultLocking(req.Locks)
-			lc.Acquires = req.Acquires
-			progs, mon = workload.LockingPrograms(lc, g.TotalProcs(), seed)
-		case "barrier":
-			bc := workload.DefaultBarrier(g.TotalProcs(), 0)
-			bc.Iterations = req.Barriers
-			progs, mon = workload.BarrierPrograms(bc, seed)
-		default:
-			params, err := experiments.CommercialParamsFor(req.Workload)
-			if err != nil {
-				return nil, err
-			}
-			params.TxnsPerProc = req.Txns
-			progs, mon = workload.CommercialPrograms(params, g.TotalProcs(), seed)
-		}
-		res, err := m.RunCtx(ctx, progs, 0)
-		if err != nil {
-			return nil, err
-		}
-		protoName = m.Proto.Name()
-		runtime.Add(float64(res.Runtime) / float64(sim.Nanosecond))
-		traffic.Merge(&res.Traffic)
-		events += res.Events
-		misses += res.Misses
-		persistent += res.Persistent
-		acquires += mon.Acquires
-		violations += len(mon.Violations)
+	spec := req.Spec()
+	cells, err := experiments.RunCells(ctx, []experiments.Spec{spec}, 1)
+	if err != nil {
+		return nil, err
 	}
-
+	c := cells[0]
 	resp := Response{
-		Protocol:   protoName,
-		Workload:   req.Workload,
-		Runs:       req.Seeds,
-		RuntimeNS:  runtime.Mean(),
-		Events:     events,
-		Misses:     misses,
-		Persistent: persistent,
-		Acquires:   acquires,
-		Violations: violations,
-		IntraBytes: traffic.TotalBytes(stats.IntraCMP),
-		IntraMsgs:  traffic.TotalMessages(stats.IntraCMP),
-		InterBytes: traffic.TotalBytes(stats.InterCMP),
-		InterMsgs:  traffic.TotalMessages(stats.InterCMP),
+		Protocol:   spec.Protocol,
+		Workload:   spec.Workload,
+		Runs:       c.Runtime.N(),
+		RuntimeNS:  c.Runtime.Mean(),
+		Events:     c.Events,
+		Misses:     c.Misses,
+		Persistent: c.Persist,
+		Acquires:   c.Acquires,
+		Violations: c.Violations,
+		IntraBytes: c.Traffic.TotalBytes(stats.IntraCMP),
+		IntraMsgs:  c.Traffic.TotalMessages(stats.IntraCMP),
+		InterBytes: c.Traffic.TotalBytes(stats.InterCMP),
+		InterMsgs:  c.Traffic.TotalMessages(stats.InterCMP),
 	}
-	if req.Seeds > 1 {
-		resp.RuntimeCI = runtime.CI95()
+	if resp.Runs > 1 {
+		resp.RuntimeCI = c.Runtime.CI95()
 	}
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(&resp); err != nil {
+	if err := json.NewEncoder(&buf).Encode(&resp); err != nil {
 		return nil, fmt.Errorf("simd: encode response: %w", err)
 	}
 	return buf.Bytes(), nil
