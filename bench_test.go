@@ -7,6 +7,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,6 +28,25 @@ import (
 
 func simNewEngine() *sim.Engine { return sim.NewEngine() }
 
+// reportEventRate attaches host ns/event and events/sec to a bench.
+// events is one op's total over every run (the runs are deterministic,
+// so every op fires the same events); the time is wall clock at the
+// bench's job count.
+func reportEventRate(b *testing.B, events uint64) {
+	per := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(events)
+	b.ReportMetric(per, "ns/event")
+	b.ReportMetric(1e9/per, "events/sec")
+}
+
+func sweepEvents(sweep *experiments.LockSweep) (n uint64) {
+	for _, cells := range sweep.Cells {
+		for _, c := range cells {
+			n += c.Events
+		}
+	}
+	return n
+}
+
 func benchOpts() experiments.Options {
 	opt := experiments.DefaultOptions()
 	opt.Seeds = 1
@@ -44,6 +64,7 @@ func benchOpts() experiments.Options {
 func BenchmarkFig2LockingPersistent(b *testing.B) {
 	b.ReportAllocs()
 	opt := benchOpts()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		sweep, err := experiments.RunLockSweep(
 			[]string{"TokenCMP-arb0", "DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst0"},
@@ -57,8 +78,10 @@ func BenchmarkFig2LockingPersistent(b *testing.B) {
 			b.ReportMetric(sweep.Cells["TokenCMP-dst0"][0].Runtime.Mean()/base, "dst0@2locks")
 			b.ReportMetric(sweep.Cells["TokenCMP-dst0"][2].Runtime.Mean()/base, "dst0@512locks")
 			b.ReportMetric(sweep.Cells["HammerCMP"][2].Runtime.Mean()/base, "hammer@512locks")
+			events = sweepEvents(sweep)
 		}
 	}
+	reportEventRate(b, events)
 }
 
 // BenchmarkFig3LockingTransient regenerates Figure 3: the sweep with
@@ -66,6 +89,7 @@ func BenchmarkFig2LockingPersistent(b *testing.B) {
 func BenchmarkFig3LockingTransient(b *testing.B) {
 	b.ReportAllocs()
 	opt := benchOpts()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		sweep, err := experiments.RunLockSweep(
 			[]string{"DirectoryCMP", "TokenCMP-dst4", "TokenCMP-dst1", "TokenCMP-dst1-pred"},
@@ -78,8 +102,10 @@ func BenchmarkFig3LockingTransient(b *testing.B) {
 			b.ReportMetric(sweep.Cells["TokenCMP-dst1"][2].Runtime.Mean()/base, "dst1@512locks")
 			b.ReportMetric(sweep.Cells["TokenCMP-dst4"][0].Runtime.Mean()/base, "dst4@2locks")
 			b.ReportMetric(sweep.Cells["TokenCMP-dst1-pred"][0].Runtime.Mean()/base, "dst1pred@2locks")
+			events = sweepEvents(sweep)
 		}
 	}
+	reportEventRate(b, events)
 }
 
 // BenchmarkTable4Barrier regenerates Table 4: the barrier micro-benchmark
@@ -106,6 +132,7 @@ func BenchmarkTable4Barrier(b *testing.B) {
 func BenchmarkFig6Runtime(b *testing.B) {
 	b.ReportAllocs()
 	opt := benchOpts()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunCommercial(
 			[]string{"OLTP", "SPECjbb"},
@@ -120,9 +147,13 @@ func BenchmarkFig6Runtime(b *testing.B) {
 				ham := res.Cells[wl]["HammerCMP"].Runtime.Mean()
 				b.ReportMetric((base/tok-1)*100, wl+"-speedup-%")
 				b.ReportMetric((base/ham-1)*100, wl+"-hammer-speedup-%")
+				for _, c := range res.Cells[wl] {
+					events += c.Events
+				}
 			}
 		}
 	}
+	reportEventRate(b, events)
 }
 
 // BenchmarkFig7aInterTraffic regenerates Figure 7a: inter-CMP bytes
@@ -219,6 +250,47 @@ func BenchmarkSimdCacheParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// table3Delays are the simulator's fixed latencies (Table 3): L1, L2,
+// on-chip link, memory controller, off-chip link, response hold, DRAM.
+var table3Delays = []sim.Time{sim.NS(2), sim.NS(7), sim.NS(2), sim.NS(6), sim.NS(20), sim.NS(30), sim.NS(80)}
+
+// stepper keeps an engine's queue at a fixed depth: each event it fires
+// schedules its successor.
+type stepper struct {
+	eng *sim.Engine
+	k   int
+}
+
+func reschedule(ctx, _ any) {
+	s := ctx.(*stepper)
+	s.k++
+	s.eng.ScheduleCall(table3Delays[s.k%len(table3Delays)], reschedule, s, nil)
+}
+
+// BenchmarkEngineScheduleStep is the event queue's rung of the per-layer
+// ladder: fire one event, which schedules its successor at a Table 3
+// latency, at steady queue depths of 16, 256 and 4096. One op is a batch
+// of stepBatch events, so the CI's single iteration still times
+// thousands of them; ns/event is the per-event cost.
+func BenchmarkEngineScheduleStep(b *testing.B) {
+	const stepBatch = 1 << 14
+	for _, depth := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			s := &stepper{eng: sim.NewEngine()}
+			for i := range depth {
+				s.eng.ScheduleCall(table3Delays[i%len(table3Delays)], reschedule, s, nil)
+			}
+			for b.Loop() {
+				for range stepBatch {
+					s.eng.Step()
+				}
+			}
+			reportEventRate(b, stepBatch)
+		})
+	}
 }
 
 // BenchmarkProtocolHandoff measures the raw simulator: one contended

@@ -269,12 +269,12 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 		return true
 	}
 	m.Eng.SetContext(ctx)
+	start := m.Eng.Executed
 	ok := m.Eng.RunUntil(allDone, limit)
 	res := Result{Runtime: m.Eng.Now(), Traffic: m.Traffic(), Misses: m.Proto.Misses(),
 		Persistent: m.PersistentRequests(), Events: m.Eng.Executed, Counters: m.Counters()}
-	if cerr := m.Eng.Err(); cerr != nil {
-		return res, fmt.Errorf("machine: %s interrupted after %d events at %v: %w",
-			m.Proto.Name(), m.Eng.Executed, m.Eng.Now(), cerr)
+	if err := m.interrupted(); err != nil {
+		return res, err
 	}
 	if !ok {
 		return res, fmt.Errorf("machine: %s did not finish (events=%d, pending=%d, now=%v)",
@@ -283,12 +283,43 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 	if len(m.Violations) > 0 {
 		return res, fmt.Errorf("machine: %s consistency violations: %v", m.Proto.Name(), m.Violations[0])
 	}
-	if m.Cfg.AuditTokens {
-		if a, okA := m.Proto.(tokenAuditor); okA {
-			if err := a.TokenAudit(); err != nil {
-				return res, fmt.Errorf("machine: %s: %w", m.Proto.Name(), err)
-			}
+	if a, okA := m.Proto.(tokenAuditor); okA && m.Cfg.AuditTokens {
+		if err := m.drain(limit - (m.Eng.Executed - start)); err != nil {
+			return res, err
+		}
+		if err := a.TokenAudit(); err != nil {
+			return res, fmt.Errorf("machine: %s: %w", m.Proto.Name(), err)
 		}
 	}
 	return res, nil
+}
+
+// drain fires the events still pending when the last processor
+// finished, at most limit of them. The token audit counts tokens in
+// caches, memories and messages on the wire, so it holds only once no
+// token waits in a scheduled event (a CopyOf'd carrier held across a
+// tag or memory access). Result is snapshotted before the drain, so
+// draining moves no figure.
+func (m *Machine) drain(limit uint64) error {
+	if limit > 0 {
+		m.Eng.Run(limit)
+	}
+	if err := m.interrupted(); err != nil {
+		return err
+	}
+	if n := m.Eng.Pending(); n > 0 {
+		return fmt.Errorf("machine: %s did not quiesce for the token audit (events=%d, pending=%d, now=%v)",
+			m.Proto.Name(), m.Eng.Executed, n, m.Eng.Now())
+	}
+	return nil
+}
+
+// interrupted wraps the engine's cancellation error, if any, with the
+// run's position.
+func (m *Machine) interrupted() error {
+	if cerr := m.Eng.Err(); cerr != nil {
+		return fmt.Errorf("machine: %s interrupted after %d events at %v: %w",
+			m.Proto.Name(), m.Eng.Executed, m.Eng.Now(), cerr)
+	}
+	return nil
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -206,43 +208,212 @@ func TestScheduleCallPassesCtxArg(t *testing.T) {
 	}
 }
 
-// TestHeapPopsTotalOrder cross-checks the 4-ary heap against a sorted
-// reference over a large pseudo-random schedule.
-func TestHeapPopsTotalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	e := NewEngine()
-	const n = 5000
-	var fired []Time
-	for i := 0; i < n; i++ {
-		e.Schedule(Time(rng.Intn(500))*Nanosecond, func() { fired = append(fired, e.Now()) })
+// stamp is one scheduled event's expected firing time and its
+// scheduling sequence number.
+type stamp struct {
+	at  Time
+	seq int
+}
+
+// orderRun drives an engine from a byte script and records every
+// scheduled event's expected (time, sequence) alongside the order the
+// events actually fired in. The script is read a byte at a time: the
+// first picks how many root events to schedule, each fired event reads
+// one byte for its number of children, and each scheduled event reads a
+// (class, value) pair choosing its firing time and scheduling form. An
+// exhausted script reads as zeros and schedules no more children, so
+// every script terminates.
+type orderRun struct {
+	e      *Engine
+	script []byte
+	only   int // if >= 0, every event uses this time class
+	stamps []stamp
+	fired  []int
+	firedT []Time
+}
+
+// orderMaxEvents bounds one script's events.
+const orderMaxEvents = 1 << 15
+
+var table3Delays = []Time{NS(2), NS(7), NS(2), NS(6), NS(20), NS(30), NS(80)}
+
+func (r *orderRun) next() (byte, bool) {
+	if len(r.script) == 0 {
+		return 0, false
 	}
-	e.Run(0)
-	if len(fired) != n {
-		t.Fatalf("fired %d events, want %d", len(fired), n)
+	b := r.script[0]
+	r.script = r.script[1:]
+	return b, true
+}
+
+// target maps a class byte and a value byte to an absolute firing time.
+// The classes cover zero and past delays, the protocols' 125 ps grid
+// and Table 3 latencies, off-grid picoseconds (several distinct times
+// per bucket), delays just under and just over the wheel's horizon, the
+// exact first and last instants of the wheel's range, and ms-scale
+// overflow.
+func (r *orderRun) target(class, v byte) Time {
+	now := r.e.Now()
+	horizon := Time(wheelSize) << bucketShift
+	edge := (now>>bucketShift + wheelSize) << bucketShift // first instant beyond the wheel
+	if r.only >= 0 {
+		class = byte(r.only)
 	}
-	for i := 1; i < n; i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("time went backwards at %d: %v < %v", i, fired[i], fired[i-1])
+	switch class % 10 {
+	case 0:
+		return now
+	case 1:
+		return now - Time(v) - 1
+	case 2:
+		return now + Time(v)*125
+	case 3:
+		return now + table3Delays[int(v)%len(table3Delays)]
+	case 4:
+		return now + horizon - Time(v)
+	case 5:
+		return now + horizon + Time(v)
+	case 6:
+		return now + Time(v)
+	case 7:
+		return now + Time(v%4+1)*Millisecond + Time(v)
+	case 8:
+		return edge - 1 - Time(v%2)
+	default:
+		return edge + Time(v%2)
+	}
+}
+
+func (r *orderRun) schedule() {
+	class, _ := r.next()
+	v, _ := r.next()
+	now := r.e.Now()
+	at := r.target(class, v)
+	seq := len(r.stamps)
+	r.stamps = append(r.stamps, stamp{at: max(at, now), seq: seq})
+	fire := func() { r.fire(seq) }
+	call := func(ctx, _ any) { ctx.(*orderRun).fire(seq) }
+	switch class / 10 % 4 {
+	case 0:
+		r.e.Schedule(at-now, fire)
+	case 1:
+		r.e.ScheduleAt(at, fire)
+	case 2:
+		r.e.ScheduleCall(at-now, call, r, nil)
+	default:
+		r.e.ScheduleCallAt(at, call, r, nil)
+	}
+}
+
+func (r *orderRun) fire(seq int) {
+	r.fired = append(r.fired, seq)
+	r.firedT = append(r.firedT, r.e.Now())
+	n, ok := r.next()
+	if !ok || len(r.stamps) >= orderMaxEvents {
+		return
+	}
+	for range n % 4 {
+		r.schedule()
+	}
+}
+
+// runOrder runs script to completion and checks the firing order
+// against the sorted reference: every event fired exactly once, at its
+// expected time, in (time, sequence) order.
+func runOrder(t testing.TB, script []byte, only int) {
+	t.Helper()
+	r := &orderRun{e: NewEngine(), script: script, only: only}
+	roots, _ := r.next()
+	for range 1 + roots%64 {
+		r.schedule()
+	}
+	r.e.Run(0)
+	if len(r.fired) != len(r.stamps) || r.e.Pending() != 0 {
+		t.Fatalf("fired %d of %d events, %d still pending", len(r.fired), len(r.stamps), r.e.Pending())
+	}
+	want := slices.Clone(r.stamps)
+	slices.SortFunc(want, func(a, b stamp) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for i, w := range want {
+		if r.fired[i] != w.seq || r.firedT[i] != w.at {
+			t.Fatalf("event %d: fired seq %d at %v, want seq %d at %v", i, r.fired[i], r.firedT[i], w.seq, w.at)
 		}
 	}
 }
 
-// TestScheduleCallDoesNotAllocate pins the closure-free fast path at
-// zero allocations per scheduled+fired event once the queue is warm.
-func TestScheduleCallDoesNotAllocate(t *testing.T) {
-	e := NewEngine()
-	nop := func(_, _ any) {}
-	// Warm the queue's backing slice.
-	for i := 0; i < 64; i++ {
-		e.ScheduleCall(NS(1), nop, e, nil)
+// TestEnginePopsExactOrder cross-checks the timing wheel against a
+// sorted (time, sequence) reference over pseudo-random schedules with
+// nested scheduling, mixing every delay class and then exercising each
+// class alone.
+func TestEnginePopsExactOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	script := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
 	}
-	e.Run(0)
-	avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleCall(NS(1), nop, e, nil)
-		e.Step()
+	for seed := 0; seed < 20; seed++ {
+		runOrder(t, script(8192), -1)
+	}
+	for class := 0; class < 10; class++ {
+		runOrder(t, script(4096), class)
+	}
+	// A deep queue: 64 roots, every event with three children.
+	deep := script(orderMaxEvents)
+	deep[0] = 63
+	for i := 1; i < len(deep); i++ {
+		if i%3 == 0 {
+			deep[i] = 3
+		}
+	}
+	runOrder(t, deep, -1)
+}
+
+// FuzzEngineOrder runs arbitrary scripts through the same exact-order
+// check as TestEnginePopsExactOrder.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 42, 7, 3, 44, 9, 2, 5, 200, 1, 37, 3})
+	f.Add([]byte{63, 8, 0, 9, 1, 8, 1, 9, 0, 3, 4, 255, 5, 0, 3, 4, 0, 5, 255})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		runOrder(t, script, -1)
 	})
-	if avg != 0 {
-		t.Errorf("ScheduleCall+Step allocates %.2f per event, want 0", avg)
+}
+
+// TestScheduleCallDoesNotAllocate pins the closure-free fast path at
+// zero allocations per scheduled+fired event once the queue is warm:
+// at a steady 1 ns delay; one bucket width apart, so each of the 1001
+// measured events lands in a bucket the run has never used (a queue
+// that allocated per bucket would fail here); and through the overflow
+// heap.
+func TestScheduleCallDoesNotAllocate(t *testing.T) {
+	nop := func(_, _ any) {}
+	for _, c := range []struct {
+		name string
+		d    Time
+	}{
+		{"steady", NS(1)},
+		{"fresh-buckets", 1 << bucketShift},
+		{"overflow", Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			// Warm the slot slab and the overflow heap.
+			for i := 0; i < 64; i++ {
+				e.ScheduleCall(c.d, nop, e, nil)
+			}
+			e.Run(0)
+			avg := testing.AllocsPerRun(1000, func() {
+				e.ScheduleCall(c.d, nop, e, nil)
+				e.Step()
+			})
+			if avg != 0 {
+				t.Errorf("ScheduleCall+Step allocates %.2f per event, want 0", avg)
+			}
+		})
 	}
 }
 
