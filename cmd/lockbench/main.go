@@ -27,6 +27,11 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
+	fig2, fig3, err := figures(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	opt := experiments.DefaultOptions()
 	opt.Acquires = *acquires
@@ -35,7 +40,7 @@ func main() {
 	opt.Faults = faultFlags()
 	lockCounts := []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-	if *mode == "persistent" || *mode == "both" {
+	if fig2 {
 		sweep, err := experiments.RunLockSweep(
 			[]string{"TokenCMP-arb0", "DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst0"},
 			lockCounts, opt)
@@ -49,7 +54,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *mode == "transient" || *mode == "both" {
+	if fig3 {
 		sweep, err := experiments.RunLockSweep(
 			[]string{"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst4", "TokenCMP-dst1", "TokenCMP-dst1-pred"},
 			lockCounts, opt)
@@ -62,4 +67,17 @@ func main() {
 			sweep.RenderCounters(os.Stdout)
 		}
 	}
+}
+
+// figures reports which of Figures 2 and 3 a -mode value selects.
+func figures(mode string) (fig2, fig3 bool, err error) {
+	switch mode {
+	case "persistent":
+		return true, false, nil
+	case "transient":
+		return false, true, nil
+	case "both":
+		return true, true, nil
+	}
+	return false, false, fmt.Errorf("lockbench: unknown -mode %q (want persistent, transient, or both)", mode)
 }

@@ -33,6 +33,11 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
+	fig6, fig7a, fig7b, err := figures(*what)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -58,7 +63,7 @@ func main() {
 		stopProf() // flush a usable CPU profile even on failure
 		os.Exit(1)
 	}
-	if *what == "runtime" || *what == "all" {
+	if fig6 {
 		res.RenderRuntime(os.Stdout)
 		fmt.Println()
 		fmt.Println("Persistent requests as a share of L1 misses (paper: < 0.3%):")
@@ -67,14 +72,29 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *what == "inter" || *what == "all" {
+	if fig7a {
 		res.RenderTraffic(os.Stdout, stats.InterCMP)
 		fmt.Println()
 	}
-	if *what == "intra" || *what == "all" {
+	if fig7b {
 		res.RenderTraffic(os.Stdout, stats.IntraCMP)
 	}
 	if *ctrs {
 		res.RenderCounters(os.Stdout)
 	}
+}
+
+// figures reports which of Figures 6, 7a and 7b a -what value selects.
+func figures(what string) (fig6, fig7a, fig7b bool, err error) {
+	switch what {
+	case "runtime":
+		return true, false, false, nil
+	case "inter":
+		return false, true, false, nil
+	case "intra":
+		return false, false, true, nil
+	case "all":
+		return true, true, true, nil
+	}
+	return false, false, false, fmt.Errorf("workloadbench: unknown -what %q (want runtime, inter, intra, or all)", what)
 }

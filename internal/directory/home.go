@@ -23,16 +23,6 @@ type homeTxn struct {
 	oldOwner int
 }
 
-// HomeStats counts home-directory events.
-type HomeStats struct {
-	GetS, GetM uint64
-	Fwds       uint64
-	Invs       uint64
-	Puts       uint64
-	MemReads   uint64
-	MemWrites  uint64
-}
-
 // HomeCtrl is a memory controller running the inter-CMP directory: it
 // tracks which CMPs cache each of its home blocks (but not which caches
 // within a CMP — that is the L2 banks' job), defers conflicting requests
@@ -46,8 +36,6 @@ type HomeCtrl struct {
 	dir   map[mem.Block]*homeLine
 	busy  map[mem.Block]*homeTxn
 	queue map[mem.Block][]network.Message // deferred requests, copied per the ownership contract
-
-	Stats HomeStats
 }
 
 func newHome(sys *System, id topo.NodeID, cmp int) *HomeCtrl {
@@ -140,7 +128,6 @@ func (c *HomeCtrl) admit(m *network.Message) {
 func (c *HomeCtrl) cmpOf(id topo.NodeID) int { return c.sys.Geom.CMPOf(id) }
 
 func (c *HomeCtrl) startGetS(m *network.Message) {
-	c.Stats.GetS++
 	b := m.Block
 	hl := c.lineFor(b)
 	c.busy[b] = &homeTxn{kind: kGetS, oldOwner: hl.owner}
@@ -153,7 +140,6 @@ func (c *HomeCtrl) startGetS(m *network.Message) {
 		if hl.sharers == 0 {
 			gst = grantE
 		}
-		c.Stats.MemReads++
 		c.sys.ctr.memRead.Inc()
 		req := m.Requestor
 		c.sys.Eng.Schedule(c.dataDelay(), func() {
@@ -173,7 +159,6 @@ func (c *HomeCtrl) startGetS(m *network.Message) {
 	}
 	// A CMP owns the block: forward (possibly to the requester's own
 	// chip, whose L2 serves it from its writeback buffer in PUT races).
-	c.Stats.Fwds++
 	c.sys.ctr.fwdSent.Inc()
 	owner := c.sys.Geom.L2BankFor(hl.owner, b)
 	c.sys.Net.SendNew(network.Message{
@@ -187,7 +172,6 @@ func (c *HomeCtrl) startGetS(m *network.Message) {
 }
 
 func (c *HomeCtrl) startGetM(m *network.Message) {
-	c.Stats.GetM++
 	b := m.Block
 	hl := c.lineFor(b)
 	reqCMP := c.cmpOf(m.Requestor)
@@ -205,7 +189,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 		}
 		mask &^= 1 << uint(cmp)
 		acks++
-		c.Stats.Invs++
 		c.sys.ctr.invSent.Inc()
 		c.sys.Net.SendNew(network.Message{
 			Src:       c.id,
@@ -221,7 +204,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 	case hl.owner == -1:
 		// Memory data (possibly redundant if the requester was a sharer,
 		// but always current); the fetch overlaps the directory lookup.
-		c.Stats.MemReads++
 		c.sys.ctr.memRead.Inc()
 		req := m.Requestor
 		c.sys.Eng.Schedule(c.dataDelay(), func() {
@@ -250,7 +232,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 		})
 	default:
 		// Forward to the owner chip, which sends data to the requester.
-		c.Stats.Fwds++
 		c.sys.ctr.fwdSent.Inc()
 		c.sys.Net.SendNew(network.Message{
 			Src:       c.id,
@@ -265,7 +246,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 }
 
 func (c *HomeCtrl) startPut(m *network.Message) {
-	c.Stats.Puts++
 	b := m.Block
 	c.busy[b] = &homeTxn{kind: kPut}
 	c.sys.Net.SendNew(network.Message{
@@ -310,7 +290,6 @@ func (c *HomeCtrl) handleWbData(m *network.Message) {
 	hl := c.lineFor(b)
 	evictor := c.cmpOf(m.Src)
 	if m.Kind == kWbData {
-		c.Stats.MemWrites++
 		c.sys.ctr.memWrite.Inc()
 		hl.value = m.Data
 		if hl.owner == evictor {

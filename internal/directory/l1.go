@@ -46,15 +46,6 @@ type wbEntry struct {
 	valid bool // cleared if a forward/invalidate consumed the line
 }
 
-// L1Stats counts per-L1 events.
-type L1Stats struct {
-	Hits, Misses  uint64
-	Writebacks    uint64
-	Invalidations uint64
-	FwdsServed    uint64
-	Migratory     uint64
-}
-
 // L1Ctrl is a DirectoryCMP L1 cache controller.
 type L1Ctrl struct {
 	id        topo.NodeID
@@ -62,13 +53,12 @@ type L1Ctrl struct {
 	isInstr   bool
 	cmp, proc int
 
-	cache *cache.Array[l1Line]
-	txns  map[mem.Block]*l1Txn
-	wb    map[mem.Block]*wbEntry
+	cache    *cache.Array[l1Line]
+	txn      *l1Txn    // the outstanding miss, if any
+	txnBlock mem.Block // the block txn is for
+	wb       map[mem.Block]*wbEntry
 
 	pend cpu.PendingAccess // access parked across the tag-access delay
-
-	Stats L1Stats
 }
 
 // l1AttemptCall is the closure-free ScheduleCall target for the
@@ -87,7 +77,6 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		cmp:     cmp,
 		proc:    proc,
 		cache:   cache.New[l1Line](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
-		txns:    make(map[mem.Block]*l1Txn),
 		wb:      make(map[mem.Block]*wbEntry),
 	}
 }
@@ -102,8 +91,8 @@ func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done f
 		panic("directory: data access routed to L1I")
 	}
 	b := mem.BlockOf(addr)
-	if _, busy := c.txns[b]; busy {
-		panic(fmt.Sprintf("directory: L1 %v already busy on %v", c.id, b))
+	if c.txn != nil {
+		panic(fmt.Sprintf("directory: L1 %v already busy on %v", c.id, c.txnBlock))
 	}
 	c.pend.Park("directory: L1", kind, b, store, done)
 	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1AttemptCall, c, nil)
@@ -114,14 +103,12 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 		s := &l.State
 		switch kind {
 		case cpu.Load, cpu.IFetch:
-			c.Stats.Hits++
 			c.sys.ctr.l1Hit.Inc()
 			c.cache.TouchLine(l)
 			done(s.data)
 			return
 		default: // Store, Atomic
 			if s.st == l1M || s.st == l1E {
-				c.Stats.Hits++
 				c.sys.ctr.l1Hit.Inc()
 				c.cache.TouchLine(l)
 				s.st = l1M // silent E→M upgrade
@@ -140,7 +127,6 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	}
 	// Miss (or S-upgrade). Reserve the line now so the victim's writeback
 	// overlaps the request.
-	c.Stats.Misses++
 	c.sys.ctr.l1Miss.Inc()
 	line, ok := c.reserve(b)
 	if !ok {
@@ -150,7 +136,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 		return
 	}
 	line.pinned = true
-	c.txns[b] = &l1Txn{kind: kind, store: store, done: done}
+	c.txn, c.txnBlock = &l1Txn{kind: kind, store: store, done: done}, b
 	req := kGetS
 	if kind == cpu.Store || kind == cpu.Atomic {
 		req = kGetM
@@ -189,7 +175,6 @@ func (c *L1Ctrl) evict(b mem.Block, st l1Line) {
 	if st.st == l1S {
 		return
 	}
-	c.Stats.Writebacks++
 	c.sys.ctr.l1Writeback.Inc()
 	c.wb[b] = &wbEntry{data: st.data, dirty: st.dirty, valid: true}
 	c.sys.Net.SendNew(network.Message{
@@ -238,11 +223,11 @@ func (c *L1Ctrl) handle(m *network.Message) bool {
 
 func (c *L1Ctrl) handleGrant(m *network.Message) {
 	b := m.Block
-	txn := c.txns[b]
-	if txn == nil {
+	txn := c.txn
+	if txn == nil || c.txnBlock != b {
 		panic(fmt.Sprintf("directory: L1 %v got grant for %v with no transaction", c.id, b))
 	}
-	delete(c.txns, b)
+	c.txn = nil
 	l := c.cache.Lookup(b)
 	if l == nil {
 		panic(fmt.Sprintf("directory: L1 %v grant for unreserved line %v", c.id, b))
@@ -311,13 +296,11 @@ func (c *L1Ctrl) handleFwdGetS(m *network.Message) bool {
 		c.sys.Eng.ScheduleCallAt(l.holdUntil, dirL1Handle, c, m)
 		return false
 	}
-	c.Stats.FwdsServed++
 	migratory := false
 	switch {
 	case l != nil && l.st == l1M && l.dirty:
 		// Migratory sharing: invalidate our copy, pass read/write access.
 		migratory = true
-		c.Stats.Migratory++
 		c.sys.ctr.migratory.Inc()
 		c.cache.Invalidate(b)
 	case l != nil:
@@ -353,7 +336,6 @@ func (c *L1Ctrl) handleFwdGetM(m *network.Message) bool {
 		c.sys.Eng.ScheduleCallAt(l.holdUntil, dirL1Handle, c, m)
 		return false
 	}
-	c.Stats.FwdsServed++
 	switch {
 	case l != nil:
 		c.cache.Invalidate(b)
@@ -390,7 +372,6 @@ func (c *L1Ctrl) handleInv(m *network.Message) bool {
 	} else if w := c.wb[b]; w != nil {
 		w.valid = false
 	}
-	c.Stats.Invalidations++
 	c.sys.Net.SendNew(network.Message{
 		Src:   c.id,
 		Dst:   m.Requestor,

@@ -96,17 +96,6 @@ type extSrv struct {
 	pendingHome []network.Message
 }
 
-// L2Stats counts per-bank events.
-type L2Stats struct {
-	LocalGetS, LocalGetM uint64
-	InterGetS, InterGetM uint64
-	FwdsIn               uint64
-	InvsIn               uint64
-	Recalls              uint64
-	Writebacks           uint64
-	MigratoryGrants      uint64
-}
-
 // L2Ctrl is a DirectoryCMP L2 bank: a shared cache slice plus the
 // intra-CMP directory for its blocks, and the chip's agent in the
 // inter-CMP protocol.
@@ -120,8 +109,6 @@ type L2Ctrl struct {
 	ext   map[mem.Block]*extSrv
 	queue map[mem.Block][]network.Message // deferred messages, copied per the ownership contract
 	wb    map[mem.Block]*wbEntry          // our three-phase PUTs to home
-
-	Stats L2Stats
 }
 
 func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
@@ -229,7 +216,6 @@ func (c *L2Ctrl) startLocal(m *network.Message) {
 	}
 
 	if m.Kind == kGetS {
-		c.Stats.LocalGetS++
 		switch {
 		case line != nil && line.cs != csI && line.ownerL1 != topo.None && line.ownerL1 != m.Requestor:
 			txn.fwdPending = true
@@ -246,7 +232,6 @@ func (c *L2Ctrl) startLocal(m *network.Message) {
 		return
 	}
 
-	c.Stats.LocalGetM++
 	switch {
 	case line != nil && (line.cs == csM || line.cs == csE):
 		if line.ownerL1 != topo.None && line.ownerL1 != m.Requestor {
@@ -323,7 +308,6 @@ func (c *L2Ctrl) grantLocal(b mem.Block, txn *l2Txn) {
 	case txn.migr:
 		// Migratory read: pass exclusive ownership.
 		gst = grantM
-		c.Stats.MigratoryGrants++
 		c.sys.ctr.migratory.Inc()
 		line.ownerL1 = req
 		line.cs = csM
@@ -372,11 +356,6 @@ func (c *L2Ctrl) goInter(b mem.Block, txn *l2Txn) {
 		return
 	}
 	txn.interPending = true
-	if txn.kind == kGetS {
-		c.Stats.InterGetS++
-	} else {
-		c.Stats.InterGetM++
-	}
 	c.sys.Net.SendNew(network.Message{
 		Src:       c.id,
 		Dst:       c.home(b),
@@ -410,7 +389,6 @@ func (c *L2Ctrl) reserve(b mem.Block) bool {
 // data from a local owner), then write owned data back to the home via a
 // three-phase PUT.
 func (c *L2Ctrl) recall(v mem.Block, st l2Line) {
-	c.Stats.Recalls++
 	srv := &extSrv{kind: -1, evState: st, hasData: st.hasData, data: st.data, dirty: st.dirty}
 	c.ext[v] = srv
 	if st.ownerL1 != topo.None {
@@ -436,7 +414,6 @@ func (c *L2Ctrl) finishRecallIfDone(v mem.Block, srv *extSrv) {
 	st := srv.evState
 	owned := st.cs == csM || st.cs == csE || st.cs == csO
 	if owned {
-		c.Stats.Writebacks++
 		c.sys.ctr.l2Writeback.Inc()
 		c.wb[v] = &wbEntry{data: srv.data, dirty: srv.dirty, valid: true}
 		c.sys.Net.SendNew(network.Message{
@@ -672,7 +649,6 @@ func (c *L2Ctrl) admitHomeFwd(m *network.Message) {
 
 func (c *L2Ctrl) startHomeFwd(m *network.Message) {
 	b := m.Block
-	c.Stats.FwdsIn++
 	line := c.lookup(b)
 
 	// Data may live in our writeback buffer (PUT racing with the fwd).
@@ -763,7 +739,6 @@ func (c *L2Ctrl) finishExtIfDone(b mem.Block, srv *extSrv) {
 		if srv.migr {
 			// Migratory chip-to-chip transfer: requester gets M; we
 			// invalidate entirely.
-			c.Stats.MigratoryGrants++
 			c.sys.ctr.migratory.Inc()
 			c.sys.Net.SendNew(network.Message{
 				Src:       c.id,
@@ -880,7 +855,6 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 		c.queue[b] = append(c.queue[b], *m)
 		return
 	}
-	c.Stats.InvsIn++
 	line := c.lookup(b)
 	if line == nil {
 		// Stale sharer entry (we dropped an S line silently, or the copy

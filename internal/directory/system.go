@@ -75,14 +75,3 @@ func (s *System) Name() string { return s.Cfg.Name() }
 
 // Counters exposes the machine-wide uniform event-counter registry.
 func (s *System) Counters() *counters.Set { return s.Ctrs }
-
-// Misses totals L1 misses.
-func (s *System) Misses() uint64 {
-	var n uint64
-	for c := range s.L1Ds {
-		for p := range s.L1Ds[c] {
-			n += s.L1Ds[c][p].Stats.Misses + s.L1Is[c][p].Stats.Misses
-		}
-	}
-	return n
-}

@@ -126,15 +126,6 @@ func popWbAndReply(sys *System, src topo.NodeID, wb map[mem.Block][]*wbEntry, gm
 	})
 }
 
-// L1Stats counts per-L1 events.
-type L1Stats struct {
-	Hits, Misses uint64
-	Writebacks   uint64
-	ProbesServed uint64
-	Migratory    uint64
-	GrantsE      uint64
-}
-
 // L1Ctrl is a HammerCMP L1 cache controller: a MOESI cache that
 // requests through the home memory controller and collects the
 // broadcast's fan-in of per-cache responses.
@@ -145,13 +136,12 @@ type L1Ctrl struct {
 	cmp, proc int
 	peers     int // caches other than this one = expected probe responses
 
-	cache *cache.Array[l1Line]
-	txns  map[mem.Block]*l1Txn
-	wb    map[mem.Block][]*wbEntry
+	cache    *cache.Array[l1Line]
+	txn      *l1Txn    // the outstanding miss, if any
+	txnBlock mem.Block // the block txn is for
+	wb       map[mem.Block][]*wbEntry
 
 	pend cpu.PendingAccess // access parked across the tag-access delay
-
-	Stats L1Stats
 }
 
 // l1AttemptCall is the closure-free ScheduleCall target for the
@@ -171,7 +161,6 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		proc:    proc,
 		peers:   len(sys.caches) - 1,
 		cache:   cache.New[l1Line](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
-		txns:    make(map[mem.Block]*l1Txn),
 		wb:      make(map[mem.Block][]*wbEntry),
 	}
 }
@@ -180,6 +169,14 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 // target).
 func (c *L1Ctrl) bank(b mem.Block) topo.NodeID {
 	return c.sys.Geom.L2BankFor(c.cmp, b)
+}
+
+// txnFor returns the outstanding miss for b, or nil.
+func (c *L1Ctrl) txnFor(b mem.Block) *l1Txn {
+	if c.txnBlock != b {
+		return nil
+	}
+	return c.txn
 }
 
 // home returns block b's home memory controller (the broadcast
@@ -192,8 +189,8 @@ func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done f
 		panic("hammercmp: data access routed to L1I")
 	}
 	b := mem.BlockOf(addr)
-	if _, busy := c.txns[b]; busy {
-		panic(fmt.Sprintf("hammercmp: L1 %v already busy on %v", c.id, b))
+	if c.txn != nil {
+		panic(fmt.Sprintf("hammercmp: L1 %v already busy on %v", c.id, c.txnBlock))
 	}
 	c.pend.Park("hammercmp: L1", kind, b, store, done)
 	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1AttemptCall, c, nil)
@@ -204,14 +201,12 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 		s := &l.State
 		switch kind {
 		case cpu.Load, cpu.IFetch:
-			c.Stats.Hits++
 			c.sys.ctr.l1Hit.Inc()
 			c.cache.TouchLine(l)
 			done(s.data)
 			return
 		default: // Store, Atomic
 			if s.st == hM || s.st == hE {
-				c.Stats.Hits++
 				c.sys.ctr.l1Hit.Inc()
 				c.cache.TouchLine(l)
 				s.st = hM // silent E→M upgrade
@@ -231,7 +226,6 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	}
 	// Miss (or upgrade). Reserve the line now so the victim's writeback
 	// overlaps the broadcast.
-	c.Stats.Misses++
 	c.sys.ctr.l1Miss.Inc()
 	line, ok := c.reserve(b)
 	if !ok {
@@ -241,7 +235,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 		return
 	}
 	line.pinned = true
-	c.txns[b] = &l1Txn{kind: kind, store: store, done: done}
+	c.txn, c.txnBlock = &l1Txn{kind: kind, store: store, done: done}, b
 	req := kGetS
 	if kind == cpu.Store || kind == cpu.Atomic {
 		req = kGetM
@@ -281,7 +275,6 @@ func (c *L1Ctrl) evict(b mem.Block, st l1Line) {
 	if st.st != hM && st.st != hO {
 		return
 	}
-	c.Stats.Writebacks++
 	c.sys.ctr.l1Writeback.Inc()
 	c.wb[b] = append(c.wb[b], &wbEntry{data: st.data, dirty: st.dirty, excl: st.st == hM, valid: true})
 	c.sys.Net.SendNew(network.Message{
@@ -329,7 +322,7 @@ func (c *L1Ctrl) handle(m *network.Message) bool {
 // handleResponse folds one probe response into the broadcast
 // collection.
 func (c *L1Ctrl) handleResponse(m *network.Message) {
-	txn := c.txns[m.Block]
+	txn := c.txnFor(m.Block)
 	if txn == nil {
 		panic(fmt.Sprintf("hammercmp: L1 %v stray %s for %v", c.id, kindName(m.Kind), m.Block))
 	}
@@ -349,7 +342,7 @@ func (c *L1Ctrl) handleResponse(m *network.Message) {
 }
 
 func (c *L1Ctrl) handleMemData(m *network.Message) {
-	txn := c.txns[m.Block]
+	txn := c.txnFor(m.Block)
 	if txn == nil {
 		panic(fmt.Sprintf("hammercmp: L1 %v stray MemData for %v", c.id, m.Block))
 	}
@@ -368,7 +361,7 @@ func (c *L1Ctrl) maybeComplete(b mem.Block, txn *l1Txn) {
 	if txn.got < c.peers || !txn.memGot {
 		return
 	}
-	delete(c.txns, b)
+	c.txn = nil
 	l := c.cache.Lookup(b)
 	if l == nil {
 		panic(fmt.Sprintf("hammercmp: L1 %v completion without reserved line for %v", c.id, b))
@@ -400,7 +393,6 @@ func (c *L1Ctrl) maybeComplete(b mem.Block, txn *l1Txn) {
 		case txn.migr:
 			// Migratory handoff: the modified owner invalidated itself
 			// and passed write permission with the data.
-			c.Stats.Migratory++
 			c.sys.ctr.migratory.Inc()
 			s.st = hM
 			s.dirty = true
@@ -415,7 +407,6 @@ func (c *L1Ctrl) maybeComplete(b mem.Block, txn *l1Txn) {
 			s.dirty = dirty
 		default:
 			// Nobody holds a copy: exclusive-clean from memory.
-			c.Stats.GrantsE++
 			s.st = hE
 			s.dirty = false
 		}
@@ -457,13 +448,11 @@ func (c *L1Ctrl) handleProbe(m *network.Message) bool {
 			c.sys.Eng.ScheduleCallAt(s.holdUntil, hammerL1Handle, c, m)
 			return false
 		}
-		c.Stats.ProbesServed++
 		if m.Kind == kProbeS {
 			switch s.st {
 			case hM:
 				// Migratory sharing: invalidate and pass write
 				// permission with the dirty data.
-				c.Stats.Migratory++
 				c.respondData(m, s.data, true, auxMigr)
 				c.invalidate(b, l)
 			case hO:
@@ -487,7 +476,6 @@ func (c *L1Ctrl) handleProbe(m *network.Message) bool {
 	}
 	// The copy may live in a pending writeback.
 	if w := validWb(c.wb[b]); w != nil {
-		c.Stats.ProbesServed++
 		c.respondData(m, w.data, w.dirty, 0)
 		if m.Kind == kProbeM {
 			w.valid = false // consumed; the Put will be cancelled

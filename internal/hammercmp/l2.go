@@ -19,14 +19,6 @@ type l2Line struct {
 	dirty bool
 }
 
-// L2Stats counts per-bank events.
-type L2Stats struct {
-	PutsIn       uint64
-	ProbesServed uint64
-	Writebacks   uint64
-	Deferred     uint64
-}
-
 // L2Ctrl is a HammerCMP L2 bank: an on-chip victim cache that answers
 // broadcast probes like any other cache and spills its own victims to
 // the home memory controller.
@@ -46,8 +38,6 @@ type L2Ctrl struct {
 	wb       map[mem.Block][]*wbEntry        // our writebacks to home
 	busy     map[mem.Block]bool              // an L1 Put is in its data window
 	deferred map[mem.Block][]network.Message // deferred behind busy, copied per the ownership contract
-
-	Stats L2Stats
 }
 
 func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
@@ -85,14 +75,12 @@ func (c *L2Ctrl) handle(m *network.Message) {
 	switch m.Kind {
 	case kProbeS, kProbeM:
 		if c.busy[m.Block] {
-			c.Stats.Deferred++
 			c.deferred[m.Block] = append(c.deferred[m.Block], *m)
 			return
 		}
 		c.handleProbe(m)
 	case kPut:
 		if c.busy[m.Block] {
-			c.Stats.Deferred++
 			c.deferred[m.Block] = append(c.deferred[m.Block], *m)
 			return
 		}
@@ -112,7 +100,6 @@ func (c *L2Ctrl) handleProbe(m *network.Message) {
 	b := m.Block
 	if l := c.cache.Lookup(b); l != nil {
 		s := &l.State
-		c.Stats.ProbesServed++
 		c.respondData(m, s.data, s.dirty)
 		if m.Kind == kProbeM {
 			c.cache.Invalidate(b)
@@ -122,7 +109,6 @@ func (c *L2Ctrl) handleProbe(m *network.Message) {
 		return
 	}
 	if w := validWb(c.wb[b]); w != nil {
-		c.Stats.ProbesServed++
 		c.respondData(m, w.data, w.dirty)
 		if m.Kind == kProbeM {
 			w.valid = false
@@ -163,7 +149,6 @@ func (c *L2Ctrl) respondAck(m *network.Message) {
 // handlePut opens an L1's writeback window: grant immediately and
 // defer probes until the data (or a cancel) arrives.
 func (c *L2Ctrl) handlePut(m *network.Message) {
-	c.Stats.PutsIn++
 	c.busy[m.Block] = true
 	c.sys.Net.SendNew(network.Message{
 		Src:   c.id,
@@ -200,7 +185,6 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 // spill writes an evicted victim back to its home memory controller
 // (three-phase, probeable from the buffer while in flight).
 func (c *L2Ctrl) spill(v mem.Block, st l2Line) {
-	c.Stats.Writebacks++
 	c.sys.ctr.l2Writeback.Inc()
 	c.wb[v] = append(c.wb[v], &wbEntry{data: st.data, dirty: st.dirty, excl: st.st == hM, valid: true})
 	c.sys.Net.SendNew(network.Message{

@@ -16,16 +16,6 @@ type memTxn struct {
 	kind int // kGetS, kGetM, or kPut
 }
 
-// MemStats counts per-home events.
-type MemStats struct {
-	GetS, GetM uint64
-	ProbesSent uint64
-	MemReads   uint64
-	MemWrites  uint64
-	Puts       uint64
-	Queued     uint64
-}
-
 // MemCtrl is a HammerCMP home memory controller. It holds no directory
 // state at all — only the backing memory image — and serializes
 // transactions per block: a request broadcasts probes to every cache
@@ -41,8 +31,6 @@ type MemCtrl struct {
 	mem   map[mem.Block]uint64
 	busy  map[mem.Block]*memTxn
 	queue map[mem.Block][]network.Message // deferred requests, copied per the ownership contract
-
-	Stats MemStats
 }
 
 func newMem(sys *System, id topo.NodeID, cmp int) *MemCtrl {
@@ -84,7 +72,6 @@ func (c *MemCtrl) handle(m *network.Message) {
 	case kDone:
 		c.close(m, kGetS, kGetM)
 	case kWbData:
-		c.Stats.MemWrites++
 		c.sys.ctr.memWrite.Inc()
 		c.mem[m.Block] = m.Data
 		c.close(m, kPut)
@@ -98,13 +85,11 @@ func (c *MemCtrl) handle(m *network.Message) {
 func (c *MemCtrl) admit(m *network.Message) {
 	b := m.Block
 	if c.busy[b] != nil {
-		c.Stats.Queued++
 		c.queue[b] = append(c.queue[b], *m)
 		return
 	}
 	c.busy[b] = &memTxn{kind: m.Kind}
 	if m.Kind == kPut {
-		c.Stats.Puts++
 		c.sys.Net.SendNew(network.Message{
 			Src:   c.id,
 			Dst:   m.Src,
@@ -123,16 +108,12 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 	b := m.Block
 	probe := kProbeS
 	if m.Kind == kGetM {
-		c.Stats.GetM++
 		probe = kProbeM
-	} else {
-		c.Stats.GetS++
 	}
 	for _, id := range c.sys.caches {
 		if id == m.Requestor {
 			continue
 		}
-		c.Stats.ProbesSent++
 		c.sys.ctr.probeSent.Inc()
 		c.sys.Net.SendNew(network.Message{
 			Src:       c.id,
@@ -146,7 +127,6 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 	// The speculative DRAM read: the value cannot change while the
 	// block is busy (writebacks serialize behind this transaction), so
 	// reading it after the array latency is exact.
-	c.Stats.MemReads++
 	c.sys.ctr.memRead.Inc()
 	requestor := m.Requestor
 	c.sys.Eng.Schedule(c.sys.Cfg.DRAMLatency, func() {

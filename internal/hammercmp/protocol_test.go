@@ -3,6 +3,7 @@ package hammercmp
 import (
 	"testing"
 
+	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -86,7 +87,9 @@ func TestQuiescence(t *testing.T) {
 
 // TestBroadcastFanIn asserts every miss pays the Hammer fan-in: one
 // response per cache plus the memory response, visible as probe
-// traffic proportional to misses.
+// traffic proportional to misses. startBroadcast is the only site of
+// both probe.sent and mem.read (one speculative read per GetS/GetM), so
+// mem.read counts the broadcast requests.
 func TestBroadcastFanIn(t *testing.T) {
 	g := topo.NewGeometry(2, 2, 1)
 	s := build(t, g)
@@ -95,14 +98,8 @@ func TestBroadcastFanIn(t *testing.T) {
 	progs, _ := workload.LockingPrograms(lc, g.TotalProcs(), 1)
 	runProgs(t, s, progs)
 
-	var probes uint64
-	for _, m := range s.Mems {
-		probes += m.Stats.ProbesSent
-	}
-	var gets uint64
-	for _, m := range s.Mems {
-		gets += m.Stats.GetS + m.Stats.GetM
-	}
+	probes := s.Ctrs.Value(counters.ProbeSent)
+	gets := s.Ctrs.Value(counters.MemRead)
 	wantPerMiss := uint64(len(s.caches) - 1)
 	if probes != gets*wantPerMiss {
 		t.Errorf("probes = %d, want %d (%d requests × %d peers)",

@@ -24,23 +24,17 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// Protocol is the least common denominator of the three system types.
+// Protocol is the least common denominator of the protocol stacks. Its
+// counter registry is the only event accounting a system keeps.
 type Protocol interface {
 	Ports(globalProc int) (data, inst cpu.MemPort)
 	Name() string
-	Misses() uint64
+	Counters() *counters.Set
 }
 
 // tokenAuditor is implemented by token-coherence systems.
 type tokenAuditor interface {
 	TokenAudit() error
-	PersistentRequests() uint64
-}
-
-// counterSource is implemented by every system that carries the uniform
-// event-counter registry (all four protocol stacks do).
-type counterSource interface {
-	Counters() *counters.Set
 }
 
 // Config selects and parameterizes a machine.
@@ -157,27 +151,13 @@ func (m *Machine) Traffic() stats.Traffic {
 }
 
 // Counters returns the machine-wide uniform event-counter snapshot,
-// with the interconnect's traffic counters derived from its Traffic
-// (nil if the protocol carries no registry).
+// with the interconnect's traffic counters derived from its Traffic.
 func (m *Machine) Counters() map[string]uint64 {
-	cs, ok := m.Proto.(counterSource)
-	if !ok {
-		return nil
-	}
-	snap := cs.Counters().Snapshot()
+	snap := m.Proto.Counters().Snapshot()
 	if m.net != nil {
 		m.net.TrafficCounters(snap)
 	}
 	return snap
-}
-
-// PersistentRequests reports substrate persistent requests (0 for
-// non-token protocols).
-func (m *Machine) PersistentRequests() uint64 {
-	if a, ok := m.Proto.(tokenAuditor); ok {
-		return a.PersistentRequests()
-	}
-	return 0
 }
 
 // port wraps a cpu.MemPort with the serial-view monitor: every load must
@@ -217,13 +197,15 @@ func (m *Machine) violate(format string, args ...interface{}) {
 
 // Result summarizes a run.
 type Result struct {
-	Runtime    sim.Time
-	Traffic    stats.Traffic
+	Runtime sim.Time
+	Traffic stats.Traffic
+	// Misses and Persistent are the l1.miss and req.persistent entries
+	// of Counters, lifted out for the figures.
 	Misses     uint64
 	Persistent uint64
 	Events     uint64
 	// Counters is the uniform event-counter snapshot at the end of the
-	// run (nil for protocols without a registry).
+	// run.
 	Counters map[string]uint64
 }
 
@@ -271,8 +253,9 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 	m.Eng.SetContext(ctx)
 	start := m.Eng.Executed
 	ok := m.Eng.RunUntil(allDone, limit)
-	res := Result{Runtime: m.Eng.Now(), Traffic: m.Traffic(), Misses: m.Proto.Misses(),
-		Persistent: m.PersistentRequests(), Events: m.Eng.Executed, Counters: m.Counters()}
+	snap := m.Counters()
+	res := Result{Runtime: m.Eng.Now(), Traffic: m.Traffic(), Misses: snap[counters.L1Miss],
+		Persistent: snap[counters.ReqPersistent], Events: m.Eng.Executed, Counters: snap}
 	if err := m.interrupted(); err != nil {
 		return res, err
 	}

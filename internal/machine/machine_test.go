@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tokencmp/internal/counters"
+	"tokencmp/internal/cpu"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
@@ -355,5 +356,68 @@ func TestNetCountersMatchTraffic(t *testing.T) {
 					msgIntra, hopIntra, inter)
 			}
 		})
+	}
+}
+
+// TestCounterRelations pins the counter registry's first declared
+// invariant on every protocol and paper workload: each completed
+// processor memory operation is exactly one L1 hit or one L1 miss, so
+// l1.hit + l1.miss equals the processors' summed MemOps. It also pins
+// that Result's Misses and Persistent are the registry's l1.miss and
+// req.persistent.
+func TestCounterRelations(t *testing.T) {
+	g := topo.NewGeometry(2, 2, 2)
+	workloads := []struct {
+		name  string
+		progs func() []cpu.Program
+	}{
+		{"locking", func() []cpu.Program {
+			lc := workload.DefaultLocking(4)
+			lc.Acquires = 8
+			progs, _ := workload.LockingPrograms(lc, g.TotalProcs(), 1)
+			return progs
+		}},
+		{"barrier", func() []cpu.Program {
+			bc := workload.DefaultBarrier(g.TotalProcs(), sim.NS(500))
+			bc.Iterations = 4
+			progs, _ := workload.BarrierPrograms(bc, 1)
+			return progs
+		}},
+		{"OLTP", func() []cpu.Program {
+			params := workload.OLTP()
+			params.TxnsPerProc = 3
+			progs, _ := workload.CommercialPrograms(params, g.TotalProcs(), 1)
+			return progs
+		}},
+	}
+	for _, proto := range Protocols() {
+		for _, wl := range workloads {
+			t.Run(proto+"/"+wl.name, func(t *testing.T) {
+				cfg := smallCfg(proto)
+				cfg.Geom = g
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := m.Run(wl.progs(), 60_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ops uint64
+				for _, p := range m.Procs {
+					ops += p.Stats.MemOps
+				}
+				c := res.Counters
+				if hit, miss := c[counters.L1Hit], c[counters.L1Miss]; hit+miss != ops || ops == 0 {
+					t.Errorf("l1.hit %d + l1.miss %d = %d, want %d memory operations", hit, miss, hit+miss, ops)
+				}
+				if res.Misses != c[counters.L1Miss] {
+					t.Errorf("Result.Misses = %d, want l1.miss %d", res.Misses, c[counters.L1Miss])
+				}
+				if res.Persistent != c[counters.ReqPersistent] {
+					t.Errorf("Result.Persistent = %d, want req.persistent %d", res.Persistent, c[counters.ReqPersistent])
+				}
+			})
+		}
 	}
 }

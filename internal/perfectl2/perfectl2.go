@@ -38,9 +38,7 @@ type System struct {
 	touched map[l1Key]uint64
 	epoch   map[mem.Block]uint64
 
-	ports      []*port
-	Hits       uint64
-	MissesToL2 uint64
+	ports []*port
 
 	Ctrs            *counters.Set
 	ctrHit, ctrMiss *counters.Counter
@@ -81,9 +79,6 @@ func (s *System) Ports(globalProc int) (data, inst cpu.MemPort) {
 // Name reports the protocol name.
 func (s *System) Name() string { return "PerfectL2" }
 
-// Misses reports accesses that left the L1.
-func (s *System) Misses() uint64 { return s.MissesToL2 }
-
 // Counters exposes the machine-wide uniform event-counter registry.
 func (s *System) Counters() *counters.Set { return s.Ctrs }
 
@@ -103,11 +98,9 @@ func (p *port) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done fun
 	lat := s.Cfg.L1Latency
 	if s.touched[key] < s.epoch[b]+1 {
 		// Not L1-resident: shared-L2 hit.
-		s.MissesToL2++
 		s.ctrMiss.Inc()
 		lat += 2*s.Cfg.LinkLat + s.Cfg.L2Latency
 	} else {
-		s.Hits++
 		s.ctrHit.Inc()
 	}
 	s.Eng.Schedule(lat, func() {

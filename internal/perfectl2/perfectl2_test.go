@@ -3,6 +3,7 @@ package perfectl2
 import (
 	"testing"
 
+	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/topo"
@@ -37,8 +38,9 @@ func TestL1HitTracking(t *testing.T) {
 	eng.RunUntil(func() bool { return n == 1 }, 0)
 	p0.Access(cpu.Load, 0x200, 0, done) // L1 hit
 	eng.RunUntil(func() bool { return n == 2 }, 0)
-	if sys.Hits != 1 || sys.MissesToL2 != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", sys.Hits, sys.MissesToL2)
+	hits, misses := sys.Ctrs.Value(counters.L1Hit), sys.Ctrs.Value(counters.L1Miss)
+	if hits != 1 || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	// A store by another processor invalidates p0's copy.
 	p1, _ := sys.Ports(1)
@@ -46,8 +48,8 @@ func TestL1HitTracking(t *testing.T) {
 	eng.RunUntil(func() bool { return n == 3 }, 0)
 	p0.Access(cpu.Load, 0x200, 0, done)
 	eng.RunUntil(func() bool { return n == 4 }, 0)
-	if sys.MissesToL2 != 3 { // p1's store missed too
-		t.Errorf("misses = %d, want 3 (invalidation forced a refetch)", sys.MissesToL2)
+	if misses := sys.Ctrs.Value(counters.L1Miss); misses != 3 { // p1's store missed too
+		t.Errorf("misses = %d, want 3 (invalidation forced a refetch)", misses)
 	}
 }
 

@@ -3,7 +3,6 @@ package tokencmp
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"tokencmp/internal/cache"
 	"tokencmp/internal/cpu"
@@ -18,17 +17,6 @@ import (
 // debugTimeout, when set (tests only), observes every transient-request
 // timeout for diagnosis.
 var debugTimeout func(c *L1Ctrl, b mem.Block, txn *l1Txn)
-
-// L1Stats counts per-L1 protocol events.
-type L1Stats struct {
-	Hits, Misses     uint64
-	TransientsSent   uint64
-	Retries          uint64
-	Timeouts         uint64
-	PersistentReqs   uint64
-	MigratoryGrants  uint64
-	WritebacksIssued uint64
-}
 
 // l1Txn is an outstanding miss transaction. Each L1 serves one processor
 // port, so at most one transaction is in flight per L1.
@@ -53,16 +41,15 @@ type L1Ctrl struct {
 	cmp, proc  int
 	globalProc int
 
-	cache *cache.Array[token.State]
-	txns  map[mem.Block]*l1Txn
-	banks []*L2Ctrl // local L2 banks, for token-presence notes
-	est   *token.TimeoutEstimator
-	pred  *predictor
-	rng   *rand.Rand
+	cache    *cache.Array[token.State]
+	txn      *l1Txn    // the outstanding miss, if any
+	txnBlock mem.Block // the block txn is for
+	banks    []*L2Ctrl // local L2 banks, for token-presence notes
+	est      *token.TimeoutEstimator
+	pred     *predictor
+	rng      *rand.Rand
 
 	pend cpu.PendingAccess // access parked across the tag-access delay
-
-	Stats L1Stats
 }
 
 // l1AttemptCall is the closure-free ScheduleCall target for the
@@ -80,7 +67,6 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		proc:       proc,
 		globalProc: sys.Geom.GlobalProc(cmp, proc),
 		cache:      cache.New[token.State](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
-		txns:       make(map[mem.Block]*l1Txn),
 		est:        token.NewTimeoutEstimator(cfg.InitialTimeout),
 		rng:        rand.New(rand.NewSource(cfg.Seed*1000003 + int64(id))),
 	}
@@ -98,6 +84,14 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		c.pred = newPredictor(cfg.Seed*7919 + int64(id))
 	}
 	return c
+}
+
+// txnFor returns the outstanding miss for b, or nil.
+func (c *L1Ctrl) txnFor(b mem.Block) *l1Txn {
+	if c.txnBlock != b {
+		return nil
+	}
+	return c.txn
 }
 
 // bankFor returns this CMP's L2 bank controller serving b.
@@ -124,8 +118,8 @@ func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done f
 		panic("tokencmp: data access routed to L1I")
 	}
 	b := mem.BlockOf(addr)
-	if _, busy := c.txns[b]; busy {
-		panic(fmt.Sprintf("tokencmp: L1 %v already has outstanding transaction for %v", c.id, b))
+	if c.txn != nil {
+		panic(fmt.Sprintf("tokencmp: L1 %v already has outstanding transaction for %v", c.id, c.txnBlock))
 	}
 	// Tag access latency, then hit check / miss handling.
 	c.pend.Park("tokencmp: L1", kind, b, store, done)
@@ -147,13 +141,11 @@ func sufficient(s *token.State, kind cpu.AccessKind, t int) bool {
 func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done func(uint64)) {
 	s := c.lookup(b)
 	if sufficient(s, kind, c.sys.Cfg.T) {
-		c.Stats.Hits++
 		c.sys.ctr.l1Hit.Inc()
 		c.cache.Touch(b)
 		done(c.apply(kind, s, store))
 		return
 	}
-	c.Stats.Misses++
 	c.sys.ctr.l1Miss.Inc()
 	txn := &l1Txn{kind: kind, store: store, done: done, issuedAt: c.sys.Eng.Now()}
 	if kind == cpu.Load || kind == cpu.IFetch {
@@ -161,7 +153,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	} else {
 		txn.reqKind = token.ReqWrite
 	}
-	c.txns[b] = txn
+	c.txn, c.txnBlock = txn, b
 
 	v := c.sys.Cfg.Variant
 	switch {
@@ -214,10 +206,8 @@ func (c *L1Ctrl) hold(s *token.State) {
 
 func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 	txn.transientsSent++
-	c.Stats.TransientsSent++
 	c.sys.ctr.reqTransient.Inc()
 	if txn.transientsSent > 1 {
-		c.Stats.Retries++
 		c.sys.ctr.reqRetry.Inc()
 	}
 	tmpl := &network.Message{
@@ -240,11 +230,10 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 }
 
 func (c *L1Ctrl) onTimeout(b mem.Block, seq int) {
-	txn := c.txns[b]
+	txn := c.txnFor(b)
 	if txn == nil || txn.seq != seq || txn.persistent {
 		return
 	}
-	c.Stats.Timeouts++
 	c.sys.ctr.reqTimeout.Inc()
 	if debugTimeout != nil {
 		debugTimeout(c, b, txn)
@@ -258,7 +247,7 @@ func (c *L1Ctrl) onTimeout(b mem.Block, seq int) {
 		txn.seq++
 		seq := txn.seq
 		c.sys.Eng.Schedule(backoff, func() {
-			if t := c.txns[b]; t != nil && t.seq == seq && !t.persistent {
+			if t := c.txnFor(b); t != nil && t.seq == seq && !t.persistent {
 				c.sendTransient(b, t)
 			}
 		})
@@ -277,7 +266,6 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 		}
 		txn.waitingMark = false
 		txn.persistentIssued = true
-		c.Stats.PersistentReqs++
 		c.sys.ctr.reqPersistent.Inc()
 		c.dtable.Insert(c.globalProc, b, txn.reqKind, c.id)
 		tmpl := &network.Message{
@@ -295,7 +283,6 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 	}
 	// Arbiter-based activation: ask the block's home memory controller.
 	txn.persistentIssued = true
-	c.Stats.PersistentReqs++
 	c.sys.ctr.reqPersistent.Inc()
 	c.sys.Net.SendNew(network.Message{
 		Src:       c.id,
@@ -312,7 +299,7 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 // tryComplete finishes the outstanding transaction for b if permissions
 // now suffice.
 func (c *L1Ctrl) tryComplete(b mem.Block) {
-	txn := c.txns[b]
+	txn := c.txnFor(b)
 	if txn == nil {
 		return
 	}
@@ -320,7 +307,7 @@ func (c *L1Ctrl) tryComplete(b mem.Block) {
 	if !sufficient(s, txn.kind, c.sys.Cfg.T) {
 		return
 	}
-	delete(c.txns, b)
+	c.txn = nil
 	txn.seq++ // kill pending timeouts
 	c.cache.Touch(b)
 	val := c.apply(txn.kind, s, txn.store)
@@ -357,24 +344,11 @@ func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
 	})
 }
 
-// recheckMarked re-attempts persistent issue for transactions gated by
-// the marking mechanism (called when deactivations arrive). Candidates
-// are issued in block order: issuing sends arbiter requests, so map
-// iteration order must not reach the wire (simlint: simdet).
+// recheckMarked re-attempts persistent issue for a transaction gated by
+// the marking mechanism (called when deactivations arrive).
 func (c *L1Ctrl) recheckMarked() {
-	var blocks []mem.Block
-	for b, txn := range c.txns {
-		if txn.waitingMark && !c.dtable.HasMarked(b) {
-			blocks = append(blocks, b)
-		}
-	}
-	slices.Sort(blocks)
-	for _, b := range blocks {
-		// Re-check under the sorted order: an earlier issue may have
-		// changed the marking state.
-		if txn := c.txns[b]; txn != nil && txn.waitingMark && !c.dtable.HasMarked(b) {
-			c.issuePersistent(b, txn)
-		}
+	if txn := c.txn; txn != nil && txn.waitingMark && !c.dtable.HasMarked(c.txnBlock) {
+		c.issuePersistent(c.txnBlock, txn)
 	}
 }
 
@@ -441,7 +415,7 @@ func (c *L1Ctrl) handleResponse(m *network.Message) {
 	// and only data-carrying responses: token-only responses skip the
 	// DRAM access and would drag the threshold below the real miss
 	// latency, triggering spurious retries.
-	if txn := c.txns[b]; txn != nil && g.KindOf(m.Src) == topo.Mem && m.HasData {
+	if txn := c.txnFor(b); txn != nil && g.KindOf(m.Src) == topo.Mem && m.HasData {
 		c.est.Observe(c.sys.Eng.Now() - txn.issuedAt)
 	}
 
@@ -453,7 +427,6 @@ func (c *L1Ctrl) writebackVictim(victim mem.Block, st token.State) {
 	if st.Tokens == 0 {
 		return
 	}
-	c.Stats.WritebacksIssued++
 	c.sys.ctr.l1Writeback.Inc()
 	dst := c.sys.Geom.L2BankFor(c.cmp, victim)
 	cls := stats.WritebackControl
@@ -513,7 +486,6 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 		emptied = true
 	case s.Owner && s.Tokens == T && s.Dirty && !c.sys.Cfg.DisableMigratory:
 		// Migratory sharing: hand everything to the reader.
-		c.Stats.MigratoryGrants++
 		c.sys.ctr.migratory.Inc()
 		tk, own, _, data, dirty := s.TakeAll()
 		resp = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}

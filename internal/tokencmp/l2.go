@@ -11,16 +11,6 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// L2Stats counts per-bank protocol events.
-type L2Stats struct {
-	LocalRequests      uint64
-	ExternalRequests   uint64
-	ExternalBroadcasts uint64
-	FwdToL1s           uint64
-	FilteredFwds       uint64
-	Writebacks         uint64
-}
-
 // presence tracks the L2 bank's view of tokens held by its CMP's L1
 // caches (including L1-to-L1 transfers in flight on the on-chip
 // interconnect, which the bank observes). This is what lets the policy
@@ -39,8 +29,6 @@ type L2Ctrl struct {
 	cache   *cache.Array[token.State]
 	onChip  map[mem.Block]*presence
 	sharers map[mem.Block]uint64 // approximate L1-sharer bits (filter variant)
-
-	Stats L2Stats
 }
 
 func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
@@ -235,7 +223,6 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 // whether the request must also be broadcast off-chip (the L2-miss path
 // of the hierarchical policy).
 func (c *L2Ctrl) handleLocal(m *network.Message) {
-	c.Stats.LocalRequests++
 	b := m.Block
 	rk := token.ReqKind(m.Aux)
 
@@ -262,7 +249,6 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 	if !goExternal {
 		return
 	}
-	c.Stats.ExternalBroadcasts++
 	g := c.sys.Geom
 	var dsts []topo.NodeID
 	for cmp := 0; cmp < g.CMPs; cmp++ {
@@ -289,7 +275,6 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 // to local L1s (all of them, or — with the filter — only the approximate
 // sharer set; persistent requests are never filtered).
 func (c *L2Ctrl) handleExternal(m *network.Message) {
-	c.Stats.ExternalRequests++
 	b := m.Block
 	rk := token.ReqKind(m.Aux)
 
@@ -332,10 +317,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 			if mask&c.l1Bit(l1) != 0 {
 				fwd.Dst = l1
 				c.sys.Net.SendNew(fwd)
-				c.Stats.FwdToL1s++
 				c.sys.ctr.fwdSent.Inc()
-			} else {
-				c.Stats.FilteredFwds++
 			}
 		}
 		return
@@ -343,7 +325,6 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 	for _, l1 := range l1s {
 		fwd.Dst = l1
 		c.sys.Net.SendNew(fwd)
-		c.Stats.FwdToL1s++
 		c.sys.ctr.fwdSent.Inc()
 	}
 }
@@ -351,7 +332,6 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 // handleWriteback merges tokens arriving from local L1 writebacks (or
 // stray responses), evicting to the home memory if the set is full.
 func (c *L2Ctrl) handleWriteback(m *network.Message) {
-	c.Stats.Writebacks++
 	c.sys.ctr.l2Writeback.Inc()
 	b := m.Block
 	line, victim, vstate, evicted := c.cache.Install(b)

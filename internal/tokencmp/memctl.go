@@ -12,14 +12,6 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// MemStats counts per-memory-controller events.
-type MemStats struct {
-	Requests   uint64
-	DataResps  uint64
-	Writebacks uint64
-	ArbQueued  uint64
-}
-
 // MemCtrl is a TokenCMP memory controller. Memory is just another token
 // holder in the flat substrate: per block it stores a token count (all T
 // initially, with the owner token and the backing data) and, in the
@@ -30,8 +22,6 @@ type MemCtrl struct {
 	cmp   int
 	store map[mem.Block]*token.State
 	arb   *token.Arbiter
-
-	Stats MemStats
 }
 
 func newMem(sys *System, id topo.NodeID, cmp int) *MemCtrl {
@@ -129,7 +119,6 @@ func (c *MemCtrl) Recv(m *network.Message) {
 }
 
 func (c *MemCtrl) handleRequest(m *network.Message) {
-	c.Stats.Requests++
 	b := m.Block
 	if c.transientBlocked(b, m.Requestor) {
 		return
@@ -171,7 +160,6 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 	if tmpl.HasData {
 		tmpl.Class = stats.ResponseData
 		delay = c.sys.Cfg.DRAMLatency
-		c.Stats.DataResps++
 		c.sys.ctr.memRead.Inc()
 	} else {
 		tmpl.Class = stats.InvFwdAckTokens
@@ -182,7 +170,6 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 }
 
 func (c *MemCtrl) handleWriteback(m *network.Message) {
-	c.Stats.Writebacks++
 	c.sys.ctr.memWrite.Inc()
 	s := c.store[m.Block]
 	if s == nil {
@@ -205,8 +192,6 @@ func (c *MemCtrl) handleArbRequest(m *network.Message) {
 	rk := token.ReqKind(m.Aux)
 	if c.arb.Request(m.Block, m.Proc, rk, m.Requestor) {
 		c.broadcastActivate(m.Block, rk, m.Requestor, m.Proc)
-	} else {
-		c.Stats.ArbQueued++
 	}
 }
 

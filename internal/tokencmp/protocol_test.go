@@ -3,6 +3,7 @@ package tokencmp
 import (
 	"testing"
 
+	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -52,10 +53,12 @@ func TestMigratorySharingGrantsAllTokens(t *testing.T) {
 	if s == nil || s.Tokens != sys.Cfg.T || !s.Owner {
 		t.Fatalf("reader state = %+v, want all %d tokens (migratory)", s, sys.Cfg.T)
 	}
-	// Its store must therefore hit without any further miss.
-	misses := sys.L1Ds[c][p].Stats.Misses
+	// Its store must therefore hit without any further miss. One
+	// operation is in flight, so the system-wide l1.miss delta is this
+	// L1's.
+	misses := sys.Ctrs.Value(counters.L1Miss)
 	doOp(t, eng, p5, cpu.Store, addr, 10)
-	if sys.L1Ds[c][p].Stats.Misses != misses {
+	if sys.Ctrs.Value(counters.L1Miss) != misses {
 		t.Error("store after migratory grant missed")
 	}
 }
@@ -220,13 +223,7 @@ func TestTimeoutEscalatesToPersistent(t *testing.T) {
 	if got := doOp(t, eng, p5, cpu.Load, 0x11000, 0); got != 5 {
 		t.Fatalf("read %d, want 5", got)
 	}
-	var persists uint64
-	for ci := range sys.L1Ds {
-		for pi := range sys.L1Ds[ci] {
-			persists += sys.L1Ds[ci][pi].Stats.PersistentReqs
-		}
-	}
-	if persists == 0 {
+	if persists := sys.Ctrs.Value(counters.ReqPersistent); persists == 0 {
 		t.Error("tiny timeout never escalated to a persistent request")
 	}
 	if err := sys.TokenAudit(); err != nil {
@@ -271,12 +268,13 @@ func TestTimeoutEscalationLossSweep(t *testing.T) {
 		if err := sys.TokenAudit(); err != nil {
 			t.Fatalf("drop=%.2f: %v", d, err)
 		}
-		persists[di] = sys.PersistentRequests()
-		if m := sys.Misses(); m > 0 {
-			fractions[di] = float64(persists[di]) / float64(m)
+		persists[di] = sys.Ctrs.Value(counters.ReqPersistent)
+		misses := sys.Ctrs.Value(counters.L1Miss)
+		if misses > 0 {
+			fractions[di] = float64(persists[di]) / float64(misses)
 		}
 		t.Logf("drop=%.2f: %d persistent requests (%.1f%% of %d misses)",
-			d, persists[di], 100*fractions[di], sys.Misses())
+			d, persists[di], 100*fractions[di], misses)
 	}
 	for i := 1; i < len(drops); i++ {
 		if persists[i] < persists[i-1] {

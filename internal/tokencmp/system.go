@@ -170,25 +170,3 @@ func (s *System) TokenAudit() error {
 	}
 	return nil
 }
-
-// PersistentRequests totals persistent requests issued by all L1s.
-func (s *System) PersistentRequests() uint64 {
-	var n uint64
-	for c := range s.L1Ds {
-		for p := range s.L1Ds[c] {
-			n += s.L1Ds[c][p].Stats.PersistentReqs + s.L1Is[c][p].Stats.PersistentReqs
-		}
-	}
-	return n
-}
-
-// Misses totals L1 misses.
-func (s *System) Misses() uint64 {
-	var n uint64
-	for c := range s.L1Ds {
-		for p := range s.L1Ds[c] {
-			n += s.L1Ds[c][p].Stats.Misses + s.L1Is[c][p].Stats.Misses
-		}
-	}
-	return n
-}
