@@ -13,6 +13,7 @@ import (
 
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/experiments"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/machine"
 	"tokencmp/internal/mc"
 	"tokencmp/internal/mc/models"
@@ -325,11 +326,10 @@ func BenchmarkAblationMigratory(b *testing.B) {
 	run := func(disable bool) float64 {
 		eng := simNewEngine()
 		g := topo.NewGeometry(4, 4, 4)
-		cfg := tokencmp.DefaultConfig(g, tokencmp.Dst1)
+		h := hier.Config{Geom: g, L1Size: 16 << 10, L2BankSize: 64 << 10}
+		cfg := tokencmp.DefaultConfig(tokencmp.Dst1)
 		cfg.DisableMigratory = disable
-		cfg.L1Size = 16 << 10
-		cfg.L2BankSize = 64 << 10
-		sys := tokencmp.NewSystem(eng, cfg, network.Default())
+		sys := tokencmp.NewSystem(eng, h, cfg, network.Default())
 		params := workload.OLTP()
 		params.TxnsPerProc = 8
 		progs, _ := workload.CommercialPrograms(params, g.TotalProcs(), 1)

@@ -20,6 +20,10 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validate(*seeds); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	opt := experiments.DefaultOptions()
 	opt.Barriers = *barriers
@@ -41,4 +45,12 @@ func main() {
 	if *ctrs {
 		table.RenderCounters(os.Stdout)
 	}
+}
+
+// validate rejects flag values that cannot produce a table.
+func validate(seeds int) error {
+	if seeds < 1 {
+		return fmt.Errorf("barrierbench: -seeds must be >= 1")
+	}
+	return nil
 }

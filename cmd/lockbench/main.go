@@ -27,7 +27,7 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
-	fig2, fig3, err := figures(*mode)
+	fig2, fig3, err := figures(*mode, *seeds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -69,8 +69,12 @@ func main() {
 	}
 }
 
-// figures reports which of Figures 2 and 3 a -mode value selects.
-func figures(mode string) (fig2, fig3 bool, err error) {
+// figures reports which of Figures 2 and 3 a -mode value selects, or
+// an error for an unknown mode or fewer than one seed.
+func figures(mode string, seeds int) (fig2, fig3 bool, err error) {
+	if seeds < 1 {
+		return false, false, fmt.Errorf("lockbench: -seeds must be >= 1")
+	}
 	switch mode {
 	case "persistent":
 		return true, false, nil

@@ -33,7 +33,7 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
-	fig6, fig7a, fig7b, err := figures(*what)
+	fig6, fig7a, fig7b, err := figures(*what, *seeds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -84,8 +84,12 @@ func main() {
 	}
 }
 
-// figures reports which of Figures 6, 7a and 7b a -what value selects.
-func figures(what string) (fig6, fig7a, fig7b bool, err error) {
+// figures reports which of Figures 6, 7a and 7b a -what value selects,
+// or an error for an unknown value or fewer than one seed.
+func figures(what string, seeds int) (fig6, fig7a, fig7b bool, err error) {
+	if seeds < 1 {
+		return false, false, false, fmt.Errorf("workloadbench: -seeds must be >= 1")
+	}
 	switch what {
 	case "runtime":
 		return true, false, false, nil

@@ -9,8 +9,8 @@ import (
 // dumpBlock prints all protocol state for b, for test debugging.
 func (s *System) dumpBlock(b mem.Block) string {
 	out := ""
-	for c := range s.Homes {
-		h := s.Homes[c]
+	for c := range s.Mems {
+		h := s.Mems[c]
 		if hl, ok := h.dir[b]; ok {
 			out += fmt.Sprintf("home%d: owner=%d sharers=%b val=%d busy=%v queue=%d\n",
 				c, hl.owner, hl.sharers, hl.value, h.busy[b] != nil, len(h.queue[b]))
@@ -33,8 +33,8 @@ func (s *System) dumpBlock(b mem.Block) string {
 		for p := range s.L1Ds[c] {
 			for _, l1 := range []*L1Ctrl{s.L1Ds[c][p], s.L1Is[c][p]} {
 				if l := l1.cache.Lookup(b); l != nil {
-					out += fmt.Sprintf("L1[%v]: st=%d data=%d dirty=%v pinned=%v\n",
-						l1.id, l.State.st, l.State.data, l.State.dirty, l.State.pinned)
+					out += fmt.Sprintf("L1[%v]: st=%d data=%d dirty=%v txn=%v\n",
+						l1.id, l.State.st, l.State.data, l.State.dirty, l1.txnFor(b) != nil)
 				}
 				if w := l1.wb[b]; w != nil {
 					out += fmt.Sprintf("L1[%v]: wb valid=%v data=%d\n", l1.id, w.valid, w.data)

@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -38,7 +39,7 @@ type HomeCtrl struct {
 	queue map[mem.Block][]network.Message // deferred requests, copied per the ownership contract
 }
 
-func newHome(sys *System, id topo.NodeID, cmp int) *HomeCtrl {
+func (sys *System) newHome(id topo.NodeID, cmp int) *HomeCtrl {
 	return &HomeCtrl{
 		id:    id,
 		sys:   sys,
@@ -52,11 +53,7 @@ func newHome(sys *System, id topo.NodeID, cmp int) *HomeCtrl {
 // dataDelay is the DRAM data-fetch time not hidden under the directory
 // lookup.
 func (c *HomeCtrl) dataDelay() sim.Time {
-	d := c.sys.Cfg.DRAMLatency - c.sys.Cfg.DirLatency
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return hier.DRAMLatency - c.sys.dirLatency()
 }
 
 func (c *HomeCtrl) lineFor(b mem.Block) *homeLine {
@@ -91,7 +88,7 @@ func homeHandle(ctx, arg any) {
 // controller latency plus the directory lookup (80 ns for the DRAM
 // directory, 0 for DirectoryCMP-zero).
 func (c *HomeCtrl) Recv(m *network.Message) {
-	d := c.sys.Cfg.MemLatency + c.sys.Cfg.DirLatency
+	d := hier.MemLatency + c.sys.dirLatency()
 	c.sys.Eng.ScheduleCall(d, homeHandle, c, c.sys.Net.CopyOf(m))
 }
 

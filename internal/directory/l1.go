@@ -5,6 +5,7 @@ import (
 
 	"tokencmp/internal/cache"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -28,7 +29,6 @@ type l1Line struct {
 	st        l1State
 	data      uint64
 	dirty     bool
-	pinned    bool     // line reserved by the outstanding transaction
 	holdUntil sim.Time // response-delay mechanism
 }
 
@@ -68,17 +68,24 @@ func l1AttemptCall(ctx, _ any) {
 	c.attempt(c.pend.Take())
 }
 
-func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
-	cfg := sys.Cfg
+func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 	return &L1Ctrl{
 		id:      id,
 		sys:     sys,
 		isInstr: instr,
 		cmp:     cmp,
 		proc:    proc,
-		cache:   cache.New[l1Line](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
+		cache:   cache.New[l1Line](sys.L1Params()),
 		wb:      make(map[mem.Block]*wbEntry),
 	}
+}
+
+// txnFor returns the outstanding miss for b, or nil.
+func (c *L1Ctrl) txnFor(b mem.Block) *l1Txn {
+	if c.txnBlock != b {
+		return nil
+	}
+	return c.txn
 }
 
 func (c *L1Ctrl) bank(b mem.Block) topo.NodeID {
@@ -95,7 +102,7 @@ func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done f
 		panic(fmt.Sprintf("directory: L1 %v already busy on %v", c.id, c.txnBlock))
 	}
 	c.pend.Park("directory: L1", kind, b, store, done)
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1AttemptCall, c, nil)
+	c.sys.Eng.ScheduleCall(hier.L1Latency, l1AttemptCall, c, nil)
 }
 
 func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done func(uint64)) {
@@ -115,7 +122,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 				old := s.data
 				s.data = store
 				s.dirty = true
-				s.holdUntil = c.sys.Eng.Now() + c.sys.Cfg.ResponseDelay
+				s.holdUntil = c.sys.Eng.Now() + hier.ResponseDelay
 				if kind == cpu.Atomic {
 					done(old)
 				} else {
@@ -128,14 +135,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	// Miss (or S-upgrade). Reserve the line now so the victim's writeback
 	// overlaps the request.
 	c.sys.ctr.l1Miss.Inc()
-	line, ok := c.reserve(b)
-	if !ok {
-		// All ways pinned (cannot happen with one outstanding txn, but be
-		// safe): retry shortly.
-		c.sys.Eng.Schedule(c.sys.Cfg.L1Latency, func() { c.attempt(kind, b, store, done) })
-		return
-	}
-	line.pinned = true
+	c.reserve(b)
 	c.txn, c.txnBlock = &l1Txn{kind: kind, store: store, done: done}, b
 	req := kGetS
 	if kind == cpu.Store || kind == cpu.Atomic {
@@ -153,19 +153,16 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 
 // reserve installs a placeholder line for b, writing back any displaced
 // owner line. It preserves existing state if b is already resident (an
-// S-line upgrading to M keeps its data).
-func (c *L1Ctrl) reserve(b mem.Block) (*l1Line, bool) {
-	if l := c.cache.Lookup(b); l != nil {
-		return &l.State, true
+// S-line upgrading to M keeps its data). It runs only with no miss
+// outstanding, so no line is reserved by a transaction and any way may
+// be the victim.
+func (c *L1Ctrl) reserve(b mem.Block) {
+	if c.cache.Lookup(b) != nil {
+		return
 	}
-	line, victim, vstate, wasEvicted, ok := c.cache.InstallAvoiding(b, func(st *l1Line) bool { return st.pinned })
-	if !ok {
-		return nil, false
-	}
-	if wasEvicted {
+	if _, victim, vstate, wasEvicted := c.cache.Install(b); wasEvicted {
 		c.evict(victim, vstate)
 	}
-	return &line.State, true
 }
 
 // evict handles a displaced line: E and M lines start a three-phase
@@ -198,7 +195,7 @@ func dirL1Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, dirL1Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L1Latency, dirL1Handle, c, c.sys.Net.CopyOf(m))
 }
 
 // handle reports whether it is done with m — false means a
@@ -233,7 +230,6 @@ func (c *L1Ctrl) handleGrant(m *network.Message) {
 		panic(fmt.Sprintf("directory: L1 %v grant for unreserved line %v", c.id, b))
 	}
 	s := &l.State
-	s.pinned = false
 	gst, _, _ := unpackAux(m.Aux)
 	if m.HasData {
 		s.data = m.Data
@@ -256,12 +252,12 @@ func (c *L1Ctrl) handleGrant(m *network.Message) {
 	case cpu.Store:
 		s.data = txn.store
 		s.dirty = true
-		s.holdUntil = c.sys.Eng.Now() + c.sys.Cfg.ResponseDelay
+		s.holdUntil = c.sys.Eng.Now() + hier.ResponseDelay
 	case cpu.Atomic:
 		val = s.data
 		s.data = txn.store
 		s.dirty = true
-		s.holdUntil = c.sys.Eng.Now() + c.sys.Cfg.ResponseDelay
+		s.holdUntil = c.sys.Eng.Now() + hier.ResponseDelay
 	}
 	// Close the intra-CMP directory transaction.
 	c.sys.Net.SendNew(network.Message{
@@ -363,7 +359,7 @@ func (c *L1Ctrl) handleFwdGetM(m *network.Message) bool {
 // collector named in Requestor.
 func (c *L1Ctrl) handleInv(m *network.Message) bool {
 	b := m.Block
-	if l := c.cache.Lookup(b); l != nil && !l.State.pinned {
+	if l := c.cache.Lookup(b); l != nil && c.txnFor(b) == nil {
 		if l.State.holdUntil > c.sys.Eng.Now() {
 			c.sys.Eng.ScheduleCallAt(l.State.holdUntil, dirL1Handle, c, m)
 			return false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tokencmp/internal/cache"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/stats"
@@ -111,14 +112,13 @@ type L2Ctrl struct {
 	wb    map[mem.Block]*wbEntry          // our three-phase PUTs to home
 }
 
-func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
-	cfg := sys.Cfg
+func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	return &L2Ctrl{
 		id:    id,
 		sys:   sys,
 		cmp:   cmp,
 		bank:  bank,
-		cache: cache.New[l2Line](cache.Params{SizeBytes: cfg.L2BankSize, Ways: cfg.L2Ways, BlockSize: mem.BlockSize}),
+		cache: cache.New[l2Line](sys.L2BankParams()),
 		busy:  make(map[mem.Block]*l2Txn),
 		ext:   make(map[mem.Block]*extSrv),
 		queue: make(map[mem.Block][]network.Message),
@@ -165,7 +165,7 @@ func dirL2Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L2Latency, dirL2Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L2Latency, dirL2Handle, c, c.sys.Net.CopyOf(m))
 }
 
 func (c *L2Ctrl) handle(m *network.Message) {
@@ -348,7 +348,7 @@ func (c *L2Ctrl) grantLocal(b mem.Block, txn *l2Txn) {
 func (c *L2Ctrl) goInter(b mem.Block, txn *l2Txn) {
 	if !c.reserve(b) {
 		// Set conflict with unfinishable eviction right now; retry.
-		c.sys.Eng.Schedule(c.sys.Cfg.L2Latency, func() {
+		c.sys.Eng.Schedule(hier.L2Latency, func() {
 			if c.busy[b] == txn {
 				c.goInter(b, txn)
 			}

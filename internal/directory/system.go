@@ -2,76 +2,56 @@ package directory
 
 import (
 	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/topo"
 )
 
 // System is a complete DirectoryCMP machine.
 type System struct {
-	Eng  *sim.Engine
-	Net  *network.Network
-	Cfg  Config
-	Geom topo.Geometry
+	Eng *sim.Engine
+	Net *network.Network
+	hier.Grid[*L1Ctrl, *L2Ctrl, *HomeCtrl]
+
+	// zeroDir selects the unrealistic zero-cycle directory
+	// (DirectoryCMP-zero) in place of the DRAM directory.
+	zeroDir bool
 
 	Ctrs *counters.Set
 	ctr  *ctrs
-
-	L1Ds  [][]*L1Ctrl
-	L1Is  [][]*L1Ctrl
-	L2s   [][]*L2Ctrl
-	Homes []*HomeCtrl
 }
 
-// NewSystem wires a DirectoryCMP machine.
-func NewSystem(eng *sim.Engine, cfg Config, netCfg network.Config) *System {
-	g := cfg.Geom
+// NewSystem wires a DirectoryCMP machine, with a zero-cycle directory
+// if zeroDir is set.
+func NewSystem(eng *sim.Engine, h hier.Config, zeroDir bool, netCfg network.Config) *System {
 	s := &System{
-		Eng:  eng,
-		Cfg:  cfg,
-		Geom: g,
-		Net:  network.New(eng, g, netCfg),
+		Eng:     eng,
+		Net:     network.New(eng, h.Geom, netCfg),
+		zeroDir: zeroDir,
+		Ctrs:    counters.NewSet(),
 	}
-	s.Ctrs = counters.NewSet()
 	s.ctr = newCtrs(s.Ctrs)
 	s.Net.WireCounters(s.Ctrs)
-	s.L1Ds = make([][]*L1Ctrl, g.CMPs)
-	s.L1Is = make([][]*L1Ctrl, g.CMPs)
-	s.L2s = make([][]*L2Ctrl, g.CMPs)
-	s.Homes = make([]*HomeCtrl, g.CMPs)
-	for c := 0; c < g.CMPs; c++ {
-		s.L1Ds[c] = make([]*L1Ctrl, g.ProcsPerCMP)
-		s.L1Is[c] = make([]*L1Ctrl, g.ProcsPerCMP)
-		s.L2s[c] = make([]*L2Ctrl, g.L2Banks)
-		for b := 0; b < g.L2Banks; b++ {
-			l2 := newL2(s, g.L2Node(c, b), c, b)
-			s.L2s[c][b] = l2
-			s.Net.Attach(l2.id, l2)
-		}
-		for p := 0; p < g.ProcsPerCMP; p++ {
-			d := newL1(s, g.L1DNode(c, p), c, p, false)
-			i := newL1(s, g.L1INode(c, p), c, p, true)
-			s.L1Ds[c][p] = d
-			s.L1Is[c][p] = i
-			s.Net.Attach(d.id, d)
-			s.Net.Attach(i.id, i)
-		}
-		h := newHome(s, g.MemNode(c), c)
-		s.Homes[c] = h
-		s.Net.Attach(h.id, h)
-	}
+	s.Wire(h, s.Net, s.newL2, s.newL1, s.newHome)
 	return s
 }
 
-// Ports returns the data and instruction ports of a global processor.
-func (s *System) Ports(globalProc int) (data, inst cpu.MemPort) {
-	c, p := s.Geom.ProcOf(globalProc)
-	return s.L1Ds[c][p], s.L1Is[c][p]
+// dirLatency is the inter-CMP directory access time: the DRAM latency
+// for the DRAM directory, 0 for DirectoryCMP-zero.
+func (s *System) dirLatency() sim.Time {
+	if s.zeroDir {
+		return 0
+	}
+	return hier.DRAMLatency
 }
 
 // Name reports the protocol name.
-func (s *System) Name() string { return s.Cfg.Name() }
+func (s *System) Name() string {
+	if s.zeroDir {
+		return "DirectoryCMP-zero"
+	}
+	return "DirectoryCMP"
+}
 
 // Counters exposes the machine-wide uniform event-counter registry.
 func (s *System) Counters() *counters.Set { return s.Ctrs }

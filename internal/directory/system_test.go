@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -13,14 +14,8 @@ import (
 func testSystem(t *testing.T, zero bool) (*sim.Engine, *System) {
 	t.Helper()
 	eng := sim.NewEngine()
-	g := topo.NewGeometry(2, 2, 1)
-	cfg := DefaultConfig(g)
-	if zero {
-		cfg = ZeroDirConfig(g)
-	}
-	cfg.L1Size = 4 << 10
-	cfg.L2BankSize = 32 << 10
-	return eng, NewSystem(eng, cfg, network.Default())
+	h := hier.Config{Geom: topo.NewGeometry(2, 2, 1), L1Size: 4 << 10, L2BankSize: 32 << 10}
+	return eng, NewSystem(eng, h, zero, network.Default())
 }
 
 func run(t *testing.T, eng *sim.Engine, cond func() bool, what string) {

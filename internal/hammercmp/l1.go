@@ -5,6 +5,7 @@ import (
 
 	"tokencmp/internal/cache"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -36,7 +37,6 @@ type l1Line struct {
 	st        lineState
 	data      uint64
 	dirty     bool
-	pinned    bool     // line reserved by the outstanding transaction
 	holdUntil sim.Time // response-delay mechanism
 }
 
@@ -151,8 +151,7 @@ func l1AttemptCall(ctx, _ any) {
 	c.attempt(c.pend.Take())
 }
 
-func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
-	cfg := sys.Cfg
+func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 	return &L1Ctrl{
 		id:      id,
 		sys:     sys,
@@ -160,7 +159,7 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		cmp:     cmp,
 		proc:    proc,
 		peers:   len(sys.caches) - 1,
-		cache:   cache.New[l1Line](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
+		cache:   cache.New[l1Line](sys.L1Params()),
 		wb:      make(map[mem.Block][]*wbEntry),
 	}
 }
@@ -193,7 +192,7 @@ func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done f
 		panic(fmt.Sprintf("hammercmp: L1 %v already busy on %v", c.id, c.txnBlock))
 	}
 	c.pend.Park("hammercmp: L1", kind, b, store, done)
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1AttemptCall, c, nil)
+	c.sys.Eng.ScheduleCall(hier.L1Latency, l1AttemptCall, c, nil)
 }
 
 func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done func(uint64)) {
@@ -213,7 +212,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 				old := s.data
 				s.data = store
 				s.dirty = true
-				s.holdUntil = c.sys.Eng.Now() + c.sys.Cfg.ResponseDelay
+				s.holdUntil = c.sys.Eng.Now() + hier.ResponseDelay
 				if kind == cpu.Atomic {
 					done(old)
 				} else {
@@ -227,14 +226,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	// Miss (or upgrade). Reserve the line now so the victim's writeback
 	// overlaps the broadcast.
 	c.sys.ctr.l1Miss.Inc()
-	line, ok := c.reserve(b)
-	if !ok {
-		// All ways pinned (cannot happen with one outstanding txn, but
-		// be safe): retry shortly.
-		c.sys.Eng.Schedule(c.sys.Cfg.L1Latency, func() { c.attempt(kind, b, store, done) })
-		return
-	}
-	line.pinned = true
+	c.reserve(b)
 	c.txn, c.txnBlock = &l1Txn{kind: kind, store: store, done: done}, b
 	req := kGetS
 	if kind == cpu.Store || kind == cpu.Atomic {
@@ -252,19 +244,16 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 
 // reserve installs a line for b, writing back any displaced owner
 // line. It preserves existing state if b is already resident (an S or
-// O line upgrading keeps its data).
-func (c *L1Ctrl) reserve(b mem.Block) (*l1Line, bool) {
-	if l := c.cache.Lookup(b); l != nil {
-		return &l.State, true
+// O line upgrading keeps its data). It runs only with no miss
+// outstanding, so no line is reserved by a transaction and any way may
+// be the victim.
+func (c *L1Ctrl) reserve(b mem.Block) {
+	if c.cache.Lookup(b) != nil {
+		return
 	}
-	line, victim, vstate, wasEvicted, ok := c.cache.InstallAvoiding(b, func(st *l1Line) bool { return st.pinned })
-	if !ok {
-		return nil, false
-	}
-	if wasEvicted {
+	if _, victim, vstate, wasEvicted := c.cache.Install(b); wasEvicted {
 		c.evict(victim, vstate)
 	}
-	return &line.State, true
 }
 
 // evict handles a displaced line: M and O lines start a three-phase
@@ -298,7 +287,7 @@ func hammerL1Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, hammerL1Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L1Latency, hammerL1Handle, c, c.sys.Net.CopyOf(m))
 }
 
 // handle reports whether it is done with m — false means a
@@ -415,9 +404,8 @@ func (c *L1Ctrl) maybeComplete(b mem.Block, txn *l1Txn) {
 		s.st = hM
 		s.data = txn.store
 		s.dirty = true
-		s.holdUntil = c.sys.Eng.Now() + c.sys.Cfg.ResponseDelay
+		s.holdUntil = c.sys.Eng.Now() + hier.ResponseDelay
 	}
-	s.pinned = false
 	c.cache.TouchLine(l)
 
 	// Release the home's per-block serialization.
@@ -490,10 +478,10 @@ func (c *L1Ctrl) handleProbe(m *network.Message) bool {
 	return true
 }
 
-// invalidate drops our copy, preserving a pinned placeholder when a
+// invalidate drops our copy, preserving a placeholder line when a
 // transaction is outstanding on the block.
 func (c *L1Ctrl) invalidate(b mem.Block, l *cache.Line[l1Line]) {
-	if l.State.pinned {
+	if c.txnFor(b) != nil {
 		l.State.st = hI
 		l.State.dirty = false
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tokencmp/internal/cache"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/stats"
@@ -40,14 +41,13 @@ type L2Ctrl struct {
 	deferred map[mem.Block][]network.Message // deferred behind busy, copied per the ownership contract
 }
 
-func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
-	cfg := sys.Cfg
+func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	return &L2Ctrl{
 		id:       id,
 		sys:      sys,
 		cmp:      cmp,
 		bank:     bank,
-		cache:    cache.New[l2Line](cache.Params{SizeBytes: cfg.L2BankSize, Ways: cfg.L2Ways, BlockSize: mem.BlockSize}),
+		cache:    cache.New[l2Line](sys.L2BankParams()),
 		wb:       make(map[mem.Block][]*wbEntry),
 		busy:     make(map[mem.Block]bool),
 		deferred: make(map[mem.Block][]network.Message),
@@ -68,7 +68,7 @@ func hammerL2Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L2Latency, hammerL2Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L2Latency, hammerL2Handle, c, c.sys.Net.CopyOf(m))
 }
 
 func (c *L2Ctrl) handle(m *network.Message) {

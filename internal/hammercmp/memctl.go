@@ -3,6 +3,7 @@ package hammercmp
 import (
 	"fmt"
 
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/stats"
@@ -33,7 +34,7 @@ type MemCtrl struct {
 	queue map[mem.Block][]network.Message // deferred requests, copied per the ownership contract
 }
 
-func newMem(sys *System, id topo.NodeID, cmp int) *MemCtrl {
+func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
 	return &MemCtrl{
 		id:    id,
 		sys:   sys,
@@ -62,7 +63,7 @@ func hammerMemHandle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *MemCtrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.MemLatency, hammerMemHandle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.MemLatency, hammerMemHandle, c, c.sys.Net.CopyOf(m))
 }
 
 func (c *MemCtrl) handle(m *network.Message) {
@@ -129,7 +130,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 	// reading it after the array latency is exact.
 	c.sys.ctr.memRead.Inc()
 	requestor := m.Requestor
-	c.sys.Eng.Schedule(c.sys.Cfg.DRAMLatency, func() {
+	c.sys.Eng.Schedule(hier.DRAMLatency, func() {
 		c.sys.Net.SendNew(network.Message{
 			Src:     c.id,
 			Dst:     requestor,

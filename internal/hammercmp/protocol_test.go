@@ -5,6 +5,7 @@ import (
 
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/topo"
@@ -16,10 +17,8 @@ import (
 func build(t *testing.T, g topo.Geometry) *System {
 	t.Helper()
 	eng := sim.NewEngine()
-	cfg := DefaultConfig(g)
-	cfg.L1Size = 4 << 10
-	cfg.L2BankSize = 16 << 10
-	return NewSystem(eng, cfg, network.Default())
+	h := hier.Config{Geom: g, L1Size: 4 << 10, L2BankSize: 16 << 10}
+	return NewSystem(eng, h, network.Default())
 }
 
 // runProgs drives one program per processor to completion.

@@ -1,0 +1,124 @@
+package hier
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"tokencmp/internal/cache"
+	"tokencmp/internal/cpu"
+	"tokencmp/internal/mem"
+	"tokencmp/internal/network"
+	"tokencmp/internal/sim"
+	"tokencmp/internal/stats"
+	"tokencmp/internal/topo"
+)
+
+func TestParamsResolveTable3Sizes(t *testing.T) {
+	g := topo.NewGeometry(2, 2, 1)
+	for _, tc := range []struct {
+		cfg    Config
+		l1, l2 cache.Params
+	}{
+		{Config{Geom: g},
+			cache.Params{SizeBytes: 128 << 10, Ways: 4, BlockSize: mem.BlockSize},
+			cache.Params{SizeBytes: 2 << 20, Ways: 4, BlockSize: mem.BlockSize}},
+		{Config{Geom: g, L1Size: 4 << 10},
+			cache.Params{SizeBytes: 4 << 10, Ways: 4, BlockSize: mem.BlockSize},
+			cache.Params{SizeBytes: 2 << 20, Ways: 4, BlockSize: mem.BlockSize}},
+		{Config{Geom: g, L1Size: 8 << 10, L2BankSize: 64 << 10},
+			cache.Params{SizeBytes: 8 << 10, Ways: 4, BlockSize: mem.BlockSize},
+			cache.Params{SizeBytes: 64 << 10, Ways: 4, BlockSize: mem.BlockSize}},
+	} {
+		if got := tc.cfg.L1Params(); got != tc.l1 {
+			t.Errorf("%+v L1Params = %+v, want %+v", tc.cfg, got, tc.l1)
+		}
+		if got := tc.cfg.L2BankParams(); got != tc.l2 {
+			t.Errorf("%+v L2BankParams = %+v, want %+v", tc.cfg, got, tc.l2)
+		}
+	}
+}
+
+// node is a stand-in controller that logs its construction and counts
+// delivered messages.
+type node struct {
+	name string
+	got  int
+}
+
+func (n *node) Recv(*network.Message) { n.got++ }
+
+func (n *node) Access(cpu.AccessKind, mem.Addr, uint64, func(uint64)) {}
+
+// TestWireOrderAndAttach pins the construction order every stack
+// depends on (per CMP: banks, then L1D and L1I per processor, then
+// memory), that an L1 constructor sees its CMP's banks, and that every
+// controller receives the messages addressed to its node.
+func TestWireOrderAndAttach(t *testing.T) {
+	eng := sim.NewEngine()
+	h := Config{Geom: topo.NewGeometry(2, 2, 2)}
+	net := network.New(eng, h.Geom, network.Default())
+	var g Grid[*node, *node, *node]
+	var order []string
+	mk := func(format string, args ...any) *node {
+		n := &node{name: fmt.Sprintf(format, args...)}
+		order = append(order, n.name)
+		return n
+	}
+	g.Wire(h, net,
+		func(_ topo.NodeID, c, b int) *node { return mk("L2 %d.%d", c, b) },
+		func(_ topo.NodeID, c, p int, instr bool) *node {
+			if len(g.L2s[c]) != h.Geom.L2Banks || g.L2s[c][h.Geom.L2Banks-1] == nil {
+				t.Errorf("L1 %d.%d built before its CMP's banks", c, p)
+			}
+			if instr {
+				return mk("L1I %d.%d", c, p)
+			}
+			return mk("L1D %d.%d", c, p)
+		},
+		func(_ topo.NodeID, c int) *node { return mk("Mem %d", c) })
+
+	want := []string{
+		"L2 0.0", "L2 0.1", "L1D 0.0", "L1I 0.0", "L1D 0.1", "L1I 0.1", "Mem 0",
+		"L2 1.0", "L2 1.1", "L1D 1.0", "L1I 1.0", "L1D 1.1", "L1I 1.1", "Mem 1",
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("build order = %q, want %q", order, want)
+	}
+	if g.Geom != h.Geom {
+		t.Errorf("grid geometry = %+v, want %+v", g.Geom, h.Geom)
+	}
+	for proc := 0; proc < h.Geom.TotalProcs(); proc++ {
+		c, p := h.Geom.ProcOf(proc)
+		d, i := g.Ports(proc)
+		if d != g.L1Ds[c][p] || i != g.L1Is[c][p] {
+			t.Errorf("Ports(%d) are not CMP %d processor %d's L1s", proc, c, p)
+		}
+	}
+
+	ids := h.Geom.AllNodes()
+	src := h.Geom.MemNode(0)
+	for _, id := range ids {
+		net.SendNew(network.Message{Src: src, Dst: id, Class: stats.Request})
+	}
+	eng.Run(1_000_000)
+	all := map[topo.NodeID]*node{}
+	for c := 0; c < h.Geom.CMPs; c++ {
+		for b, n := range g.L2s[c] {
+			all[h.Geom.L2Node(c, b)] = n
+		}
+		for p := range g.L1Ds[c] {
+			all[h.Geom.L1DNode(c, p)] = g.L1Ds[c][p]
+			all[h.Geom.L1INode(c, p)] = g.L1Is[c][p]
+		}
+		all[h.Geom.MemNode(c)] = g.Mems[c]
+	}
+	if len(all) != len(ids) {
+		t.Fatalf("grid holds %d controllers, geometry has %d nodes", len(all), len(ids))
+	}
+	for _, id := range ids {
+		if n := all[id]; n == nil || n.got != 1 {
+			t.Errorf("node %v: controller %v received the wrong messages", id, n)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/directory"
 	"tokencmp/internal/hammercmp"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/perfectl2"
@@ -93,51 +94,25 @@ func New(cfg Config) (*Machine, error) {
 	netCfg := network.Default()
 	netCfg.Faults = cfg.Faults
 
+	h := hier.Config{Geom: cfg.Geom, L1Size: cfg.L1Size, L2BankSize: cfg.L2BankSize}
 	switch cfg.Protocol {
 	case "DirectoryCMP", "DirectoryCMP-zero":
-		dcfg := directory.DefaultConfig(cfg.Geom)
-		if cfg.Protocol == "DirectoryCMP-zero" {
-			dcfg = directory.ZeroDirConfig(cfg.Geom)
-		}
-		if cfg.L1Size > 0 {
-			dcfg.L1Size = cfg.L1Size
-		}
-		if cfg.L2BankSize > 0 {
-			dcfg.L2BankSize = cfg.L2BankSize
-		}
-		sys := directory.NewSystem(eng, dcfg, netCfg)
-		m.Proto = sys
-		m.net = sys.Net
+		sys := directory.NewSystem(eng, h, cfg.Protocol == "DirectoryCMP-zero", netCfg)
+		m.Proto, m.net = sys, sys.Net
 	case "HammerCMP":
-		hcfg := hammercmp.DefaultConfig(cfg.Geom)
-		if cfg.L1Size > 0 {
-			hcfg.L1Size = cfg.L1Size
-		}
-		if cfg.L2BankSize > 0 {
-			hcfg.L2BankSize = cfg.L2BankSize
-		}
-		sys := hammercmp.NewSystem(eng, hcfg, netCfg)
-		m.Proto = sys
-		m.net = sys.Net
+		sys := hammercmp.NewSystem(eng, h, netCfg)
+		m.Proto, m.net = sys, sys.Net
 	case "PerfectL2":
-		sys := perfectl2.NewSystem(eng, perfectl2.DefaultConfig(cfg.Geom))
-		m.Proto = sys
+		m.Proto = perfectl2.NewSystem(eng, h)
 	default:
 		v, err := tokencmp.VariantByName(cfg.Protocol)
 		if err != nil {
 			return nil, err
 		}
-		tcfg := tokencmp.DefaultConfig(cfg.Geom, v)
+		tcfg := tokencmp.DefaultConfig(v)
 		tcfg.Seed = cfg.Seed
-		if cfg.L1Size > 0 {
-			tcfg.L1Size = cfg.L1Size
-		}
-		if cfg.L2BankSize > 0 {
-			tcfg.L2BankSize = cfg.L2BankSize
-		}
-		sys := tokencmp.NewSystem(eng, tcfg, netCfg)
-		m.Proto = sys
-		m.net = sys.Net
+		sys := tokencmp.NewSystem(eng, h, tcfg, netCfg)
+		m.Proto, m.net = sys, sys.Net
 	}
 	return m, nil
 }

@@ -9,6 +9,8 @@ import (
 
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
+	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
@@ -55,6 +57,36 @@ func TestLockingAllProtocols(t *testing.T) {
 			}
 			if res.Runtime <= 0 {
 				t.Error("runtime not positive")
+			}
+		})
+	}
+}
+
+// TestL1HitCostsTable3Latency checks that every stack charges the one
+// Table 3 L1 latency: a load that hits advances simulated time by
+// exactly hier.L1Latency, and the first load, which misses, by more.
+func TestL1HitCostsTable3Latency(t *testing.T) {
+	for _, proto := range Protocols() {
+		t.Run(proto, func(t *testing.T) {
+			m, err := New(smallCfg(proto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := m.Proto.Ports(0)
+			load := func() sim.Time {
+				start, done := m.Eng.Now(), false
+				var at sim.Time
+				data.Access(cpu.Load, mem.Addr(0x4000), 0, func(uint64) { at, done = m.Eng.Now(), true })
+				if !m.Eng.RunUntil(func() bool { return done }, 1_000_000) {
+					t.Fatalf("load did not complete (now=%v)", m.Eng.Now())
+				}
+				return at - start
+			}
+			if miss := load(); miss <= hier.L1Latency {
+				t.Errorf("missing load took %v, want more than %v", miss, hier.L1Latency)
+			}
+			if hit := load(); hit != hier.L1Latency {
+				t.Errorf("hitting load took %v, want %v", hit, hier.L1Latency)
 			}
 		})
 	}

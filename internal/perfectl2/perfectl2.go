@@ -8,28 +8,19 @@ package perfectl2
 import (
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
+	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/topo"
 )
-
-// Config holds PerfectL2 timing parameters.
-type Config struct {
-	Geom      topo.Geometry
-	L1Latency sim.Time
-	L2Latency sim.Time
-	LinkLat   sim.Time // one-way on-chip hop
-}
-
-// DefaultConfig mirrors the Table 3 latencies.
-func DefaultConfig(g topo.Geometry) Config {
-	return Config{Geom: g, L1Latency: sim.NS(2), L2Latency: sim.NS(7), LinkLat: sim.NS(2)}
-}
 
 // System is the magic shared-L2 machine.
 type System struct {
 	Eng *sim.Engine
-	Cfg Config
+
+	// missLat is what leaving the L1 adds: the on-chip round trip and
+	// the L2 access.
+	missLat sim.Time
 
 	// values is the globally coherent store.
 	values map[mem.Block]uint64
@@ -50,11 +41,12 @@ type l1Key struct {
 	instr bool
 }
 
-// NewSystem builds a PerfectL2 machine.
-func NewSystem(eng *sim.Engine, cfg Config) *System {
+// NewSystem builds a PerfectL2 machine. Only the geometry of h matters:
+// the shared L2 is infinite and the L1s never evict.
+func NewSystem(eng *sim.Engine, h hier.Config) *System {
 	s := &System{
 		Eng:     eng,
-		Cfg:     cfg,
+		missLat: 2*network.Default().OnChip.Latency + hier.L2Latency,
 		values:  make(map[mem.Block]uint64),
 		touched: make(map[l1Key]uint64),
 		epoch:   make(map[mem.Block]uint64),
@@ -62,7 +54,7 @@ func NewSystem(eng *sim.Engine, cfg Config) *System {
 	}
 	s.ctrHit = s.Ctrs.Counter(counters.L1Hit)
 	s.ctrMiss = s.Ctrs.Counter(counters.L1Miss)
-	n := cfg.Geom.TotalProcs()
+	n := h.Geom.TotalProcs()
 	s.ports = make([]*port, 2*n)
 	for p := 0; p < n; p++ {
 		s.ports[2*p] = &port{sys: s, proc: p, instr: false}
@@ -95,11 +87,11 @@ func (p *port) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done fun
 	s := p.sys
 	b := mem.BlockOf(addr)
 	key := l1Key{proc: p.proc, block: b, instr: p.instr}
-	lat := s.Cfg.L1Latency
+	lat := hier.L1Latency
 	if s.touched[key] < s.epoch[b]+1 {
 		// Not L1-resident: shared-L2 hit.
 		s.ctrMiss.Inc()
-		lat += 2*s.Cfg.LinkLat + s.Cfg.L2Latency
+		lat += s.missLat
 	} else {
 		s.ctrHit.Inc()
 	}

@@ -5,13 +5,14 @@ import (
 
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/topo"
 )
 
 func newSys() (*sim.Engine, *System) {
 	eng := sim.NewEngine()
-	return eng, NewSystem(eng, DefaultConfig(topo.NewGeometry(2, 2, 1)))
+	return eng, NewSystem(eng, hier.Config{Geom: topo.NewGeometry(2, 2, 1)})
 }
 
 func TestPerfectCoherence(t *testing.T) {

@@ -1,41 +1,19 @@
 package tokencmp
 
-import (
-	"tokencmp/internal/sim"
-	"tokencmp/internal/token"
-	"tokencmp/internal/topo"
-)
+import "tokencmp/internal/sim"
 
-// Config holds the structural and timing parameters of a TokenCMP system
-// (Table 3 defaults via DefaultConfig).
+// Config holds what a TokenCMP system adds to the Table 3 hierarchy
+// (package hier).
 type Config struct {
-	Geom    topo.Geometry
 	Variant Variant
-
-	// Latencies.
-	L1Latency   sim.Time // L1 tag/data access
-	L2Latency   sim.Time // L2 bank access
-	MemLatency  sim.Time // memory controller decision latency
-	DRAMLatency sim.Time // DRAM array access for data
-
-	// ResponseDelay is the bounded hold applied after a cache acquires
-	// permission, long enough to finish a short critical section (§3.2).
-	ResponseDelay sim.Time
-
-	// InitialTimeout seeds the per-L1 timeout estimator before any
-	// memory response has been observed.
-	InitialTimeout sim.Time
-
-	// CacheParams. Sizes are per structure (per L1, per L2 bank).
-	L1Size, L1Ways     int
-	L2BankSize, L2Ways int
-
-	// Tokens per block; zero means token.TokenCountFor(#caches).
-	T int
 
 	// Seed perturbs pseudo-random choices (retry backoff, predictor
 	// reset), implementing the Alameldeen-Wood perturbation methodology.
 	Seed int64
+
+	// InitialTimeout seeds the per-L1 timeout estimator before any
+	// memory response has been observed.
+	InitialTimeout sim.Time
 
 	// DisableMigratory turns off the migratory-sharing optimization.
 	// Exactly as the paper argues (§5), this is a pure performance-policy
@@ -44,24 +22,7 @@ type Config struct {
 	DisableMigratory bool
 }
 
-// DefaultConfig returns the Table 3 target-system parameters for the
-// given geometry and variant.
-func DefaultConfig(g topo.Geometry, v Variant) Config {
-	cfg := Config{
-		Geom:           g,
-		Variant:        v,
-		L1Latency:      sim.NS(2),
-		L2Latency:      sim.NS(7),
-		MemLatency:     sim.NS(6),
-		DRAMLatency:    sim.NS(80),
-		ResponseDelay:  sim.NS(30),
-		InitialTimeout: sim.NS(400),
-		L1Size:         128 << 10,
-		L1Ways:         4,
-		L2BankSize:     (8 << 20) / 4,
-		L2Ways:         4,
-		Seed:           1,
-	}
-	cfg.T = token.TokenCountFor(len(g.AllCaches()))
-	return cfg
+// DefaultConfig returns the target-system settings for a variant.
+func DefaultConfig(v Variant) Config {
+	return Config{Variant: v, Seed: 1, InitialTimeout: 400 * sim.Nanosecond}
 }

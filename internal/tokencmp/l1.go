@@ -6,6 +6,7 @@ import (
 
 	"tokencmp/internal/cache"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -59,19 +60,20 @@ func l1AttemptCall(ctx, _ any) {
 	c.attempt(c.pend.Take())
 }
 
-func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
+func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 	cfg := sys.Cfg
 	c := &L1Ctrl{
 		isInstr:    instr,
 		cmp:        cmp,
 		proc:       proc,
 		globalProc: sys.Geom.GlobalProc(cmp, proc),
-		cache:      cache.New[token.State](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
+		cache:      cache.New[token.State](sys.L1Params()),
+		banks:      sys.L2s[cmp],
 		est:        token.NewTimeoutEstimator(cfg.InitialTimeout),
 		rng:        rand.New(rand.NewSource(cfg.Seed*1000003 + int64(id))),
 	}
 	c.initTables(sys, id)
-	c.accessLatency = cfg.L1Latency
+	c.accessLatency = hier.L1Latency
 	c.lookup = func(b mem.Block) *token.State {
 		if l := c.cache.Lookup(b); l != nil {
 			return &l.State
@@ -123,7 +125,7 @@ func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done f
 	}
 	// Tag access latency, then hit check / miss handling.
 	c.pend.Park("tokencmp: L1", kind, b, store, done)
-	c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1AttemptCall, c, nil)
+	c.sys.Eng.ScheduleCall(hier.L1Latency, l1AttemptCall, c, nil)
 }
 
 func sufficient(s *token.State, kind cpu.AccessKind, t int) bool {
@@ -140,7 +142,7 @@ func sufficient(s *token.State, kind cpu.AccessKind, t int) bool {
 
 func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done func(uint64)) {
 	s := c.lookup(b)
-	if sufficient(s, kind, c.sys.Cfg.T) {
+	if sufficient(s, kind, c.sys.T) {
 		c.sys.ctr.l1Hit.Inc()
 		c.cache.Touch(b)
 		done(c.apply(kind, s, store))
@@ -200,7 +202,7 @@ func (c *L1Ctrl) apply(kind cpu.AccessKind, s *token.State, store uint64) uint64
 func (c *L1Ctrl) hold(s *token.State) {
 	now := c.sys.Eng.Now()
 	if s.HoldUntil < now {
-		s.HoldUntil = now + c.sys.Cfg.ResponseDelay
+		s.HoldUntil = now + hier.ResponseDelay
 	}
 }
 
@@ -304,7 +306,7 @@ func (c *L1Ctrl) tryComplete(b mem.Block) {
 		return
 	}
 	s := c.lookup(b)
-	if !sufficient(s, txn.kind, c.sys.Cfg.T) {
+	if !sufficient(s, txn.kind, c.sys.T) {
 		return
 	}
 	c.txn = nil
@@ -373,9 +375,9 @@ func l1ExtReq(ctx, arg any) {
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1LocalReq, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.L1Latency, l1LocalReq, c, c.sys.Net.CopyOf(m))
 	case kFwdExternal:
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.L1Latency, l1ExtReq, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.L1Latency, l1ExtReq, c, c.sys.Net.CopyOf(m))
 	case kResponse:
 		c.handleResponse(m)
 	case kPersistentDone:
@@ -475,7 +477,7 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 		return false
 	}
 	rk := token.ReqKind(m.Aux)
-	T := c.sys.Cfg.T
+	T := c.sys.T
 
 	var resp network.Message
 	emptied := false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tokencmp/internal/cache"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/stats"
@@ -31,17 +32,16 @@ type L2Ctrl struct {
 	sharers map[mem.Block]uint64 // approximate L1-sharer bits (filter variant)
 }
 
-func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
-	cfg := sys.Cfg
+func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	c := &L2Ctrl{
 		cmp:     cmp,
 		bank:    bank,
-		cache:   cache.New[token.State](cache.Params{SizeBytes: cfg.L2BankSize, Ways: cfg.L2Ways, BlockSize: mem.BlockSize}),
+		cache:   cache.New[token.State](sys.L2BankParams()),
 		onChip:  make(map[mem.Block]*presence),
 		sharers: make(map[mem.Block]uint64),
 	}
 	c.initTables(sys, id)
-	c.accessLatency = cfg.L2Latency
+	c.accessLatency = hier.L2Latency
 	c.lookup = func(b mem.Block) *token.State {
 		if l := c.cache.Lookup(b); l != nil {
 			return &l.State
@@ -137,14 +137,14 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
 		if c.sys.Geom.CMPOf(m.Src) == c.cmp {
-			c.sys.Eng.ScheduleCall(c.sys.Cfg.L2Latency, l2Local, c, c.sys.Net.CopyOf(m))
+			c.sys.Eng.ScheduleCall(hier.L2Latency, l2Local, c, c.sys.Net.CopyOf(m))
 		} else {
-			c.sys.Eng.ScheduleCall(c.sys.Cfg.L2Latency, l2External, c, c.sys.Net.CopyOf(m))
+			c.sys.Eng.ScheduleCall(hier.L2Latency, l2External, c, c.sys.Net.CopyOf(m))
 		}
 	case kWriteback, kResponse:
 		// Stray kResponse tokens routed to the bank (e.g. returned by
 		// memory) merge like a writeback.
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.L2Latency, l2Writeback, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.L2Latency, l2Writeback, c, c.sys.Net.CopyOf(m))
 	default:
 		if c.handlePersistentMsg(m) {
 			return
@@ -167,7 +167,7 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 		return false, false
 	}
 	rk := token.ReqKind(m.Aux)
-	T := c.sys.Cfg.T
+	T := c.sys.T
 
 	var resp network.Message
 	emptied := false
@@ -242,7 +242,7 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 
 	goExternal := false
 	if rk == token.ReqWrite {
-		goExternal = own+onTokens < c.sys.Cfg.T
+		goExternal = own+onTokens < c.sys.T
 	} else {
 		goExternal = !respondedWithData && !onOwner
 	}

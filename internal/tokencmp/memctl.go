@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -24,15 +25,15 @@ type MemCtrl struct {
 	arb   *token.Arbiter
 }
 
-func newMem(sys *System, id topo.NodeID, cmp int) *MemCtrl {
+func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
 	c := &MemCtrl{
 		cmp:   cmp,
 		store: make(map[mem.Block]*token.State),
 		arb:   token.NewArbiter(),
 	}
 	c.initTables(sys, id)
-	c.accessLatency = sys.Cfg.MemLatency
-	c.dataDelay = sys.Cfg.DRAMLatency
+	c.accessLatency = hier.MemLatency
+	c.dataDelay = hier.DRAMLatency
 	c.isMem = true
 	c.lookup = func(b mem.Block) *token.State { return c.stateFor(b) }
 	return c
@@ -50,7 +51,7 @@ func (c *MemCtrl) isHome(b mem.Block) bool {
 func (c *MemCtrl) stateFor(b mem.Block) *token.State {
 	s := c.store[b]
 	if s == nil && c.isHome(b) {
-		s = &token.State{Tokens: c.sys.Cfg.T, Owner: true, HasData: true}
+		s = &token.State{Tokens: c.sys.T, Owner: true, HasData: true}
 		c.store[b] = s
 	}
 	return s
@@ -103,13 +104,13 @@ func memArbDone(ctx, arg any) {
 func (c *MemCtrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.MemLatency, memRequest, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memRequest, c, c.sys.Net.CopyOf(m))
 	case kWriteback, kResponse:
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.MemLatency, memWriteback, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memWriteback, c, c.sys.Net.CopyOf(m))
 	case kArbRequest:
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.MemLatency, memArbRequest, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbRequest, c, c.sys.Net.CopyOf(m))
 	case kArbDone:
-		c.sys.Eng.ScheduleCall(c.sys.Cfg.MemLatency, memArbDone, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbDone, c, c.sys.Net.CopyOf(m))
 	default:
 		if c.handlePersistentMsg(m) {
 			return
@@ -140,7 +141,7 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 		// a write silently (§4's "respond to a read request with all T
 		// tokens"). Otherwise send data plus up to C tokens so future
 		// requests in the reader's CMP hit locally.
-		if s.Tokens == c.sys.Cfg.T || s.Tokens < 2 {
+		if s.Tokens == c.sys.T || s.Tokens < 2 {
 			tk, own, _, data, dirty := s.TakeAll()
 			tmpl = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}
 		} else {
@@ -159,7 +160,7 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 	delay := sim.Time(0)
 	if tmpl.HasData {
 		tmpl.Class = stats.ResponseData
-		delay = c.sys.Cfg.DRAMLatency
+		delay = hier.DRAMLatency
 		c.sys.ctr.memRead.Inc()
 	} else {
 		tmpl.Class = stats.InvFwdAckTokens

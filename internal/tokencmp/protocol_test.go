@@ -5,6 +5,7 @@ import (
 
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -16,12 +17,12 @@ import (
 func fullSystem(t *testing.T, v Variant, mutate func(*Config)) (*sim.Engine, *System) {
 	t.Helper()
 	eng := sim.NewEngine()
-	g := topo.NewGeometry(4, 4, 4)
-	cfg := DefaultConfig(g, v)
+	h := hier.Config{Geom: topo.NewGeometry(4, 4, 4)}
+	cfg := DefaultConfig(v)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return eng, NewSystem(eng, cfg, network.Default())
+	return eng, NewSystem(eng, h, cfg, network.Default())
 }
 
 // doOp runs a single access to completion and returns the value.
@@ -50,8 +51,8 @@ func TestMigratorySharingGrantsAllTokens(t *testing.T) {
 	// The reader's L1 must now hold all T tokens (migratory transfer).
 	c, p := sys.Geom.ProcOf(5)
 	s := sys.L1Ds[c][p].lookup(mem.BlockOf(addr))
-	if s == nil || s.Tokens != sys.Cfg.T || !s.Owner {
-		t.Fatalf("reader state = %+v, want all %d tokens (migratory)", s, sys.Cfg.T)
+	if s == nil || s.Tokens != sys.T || !s.Owner {
+		t.Fatalf("reader state = %+v, want all %d tokens (migratory)", s, sys.T)
 	}
 	// Its store must therefore hit without any further miss. One
 	// operation is in flight, so the system-wide l1.miss delta is this
@@ -77,7 +78,7 @@ func TestMigratoryDisableIsPolicyOnly(t *testing.T) {
 	}
 	c, p := sys.Geom.ProcOf(5)
 	s := sys.L1Ds[c][p].lookup(mem.BlockOf(addr))
-	if s == nil || s.Tokens == sys.Cfg.T {
+	if s == nil || s.Tokens == sys.T {
 		t.Fatalf("reader got all tokens despite DisableMigratory (state %+v)", s)
 	}
 	if err := sys.TokenAudit(); err != nil {
@@ -96,7 +97,7 @@ func TestCTokenExternalReadResponse(t *testing.T) {
 	doOp(t, eng, p0, cpu.Load, addr, 0)
 	c, p := sys.Geom.ProcOf(0)
 	s := sys.L1Ds[c][p].lookup(mem.BlockOf(addr))
-	if s == nil || s.Tokens != sys.Cfg.T {
+	if s == nil || s.Tokens != sys.T {
 		t.Fatalf("cold read got %+v, want all tokens (E analog)", s)
 	}
 }
@@ -146,7 +147,7 @@ func TestMarkingPreventsImmediateReissue(t *testing.T) {
 			if round < 6 {
 				// Space the rounds beyond the bounded response-delay hold
 				// so each one is a fresh persistent request.
-				eng.Schedule(2*sys.Cfg.ResponseDelay, func() { again(round + 1) })
+				eng.Schedule(2*hier.ResponseDelay, func() { again(round + 1) })
 			}
 		})
 	}
@@ -184,7 +185,9 @@ func TestFilterNeverFiltersPersistent(t *testing.T) {
 // and tokens to the L2 without any grant round trip (§5's writeback
 // simplicity claim) and conserves tokens.
 func TestWritebackCarriesOwnerData(t *testing.T) {
-	eng, sys := fullSystem(t, Dst1, func(c *Config) { c.L1Size = 4 << 10 })
+	eng := sim.NewEngine()
+	h := hier.Config{Geom: topo.NewGeometry(4, 4, 4), L1Size: 4 << 10}
+	sys := NewSystem(eng, h, DefaultConfig(Dst1), network.Default())
 	p0, _ := sys.Ports(0)
 	// Two blocks mapping to one set beyond L1 associativity force an
 	// eviction: 4KB/4-way/64B = 16 sets.
@@ -246,7 +249,7 @@ func TestTimeoutEscalationLossSweep(t *testing.T) {
 		g := topo.NewGeometry(4, 4, 4)
 		netCfg := network.Default()
 		netCfg.Faults = network.UniformFaults(1, d, 0, 0, 0)
-		sys := NewSystem(eng, DefaultConfig(g, Dst1), netCfg)
+		sys := NewSystem(eng, hier.Config{Geom: g}, DefaultConfig(Dst1), netCfg)
 
 		// Sequential migratory ping-pong: each processor in turn stores
 		// and re-loads a small shared block set, migrating tokens across
@@ -298,10 +301,10 @@ func TestTimeoutEscalationLossSweep(t *testing.T) {
 func TestTokenCountMatchesGeometry(t *testing.T) {
 	_, sys := fullSystem(t, Dst1, nil)
 	caches := len(sys.Geom.AllCaches())
-	if sys.Cfg.T <= caches {
-		t.Fatalf("T = %d with %d caches; persistent reads not guaranteed", sys.Cfg.T, caches)
+	if sys.T <= caches {
+		t.Fatalf("T = %d with %d caches; persistent reads not guaranteed", sys.T, caches)
 	}
-	if sys.Cfg.T != token.TokenCountFor(caches) {
-		t.Errorf("T = %d, want %d", sys.Cfg.T, token.TokenCountFor(caches))
+	if sys.T != token.TokenCountFor(caches) {
+		t.Errorf("T = %d, want %d", sys.T, token.TokenCountFor(caches))
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"tokencmp/internal/counters"
-	"tokencmp/internal/cpu"
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -15,79 +15,40 @@ import (
 // System is a complete TokenCMP machine: caches, memory controllers, and
 // the two-level interconnect, for one Table 1 variant.
 type System struct {
-	Eng  *sim.Engine
-	Net  *network.Network
-	Cfg  Config
-	Geom topo.Geometry
+	Eng *sim.Engine
+	Net *network.Network
+	Cfg Config
+	hier.Grid[*L1Ctrl, *L2Ctrl, *MemCtrl]
+
+	// T is the number of tokens per block, token.TokenCountFor(#caches).
+	T int
 
 	Ctrs *counters.Set
 	ctr  *ctrs
-
-	L1Ds [][]*L1Ctrl // [cmp][proc]
-	L1Is [][]*L1Ctrl
-	L2s  [][]*L2Ctrl // [cmp][bank]
-	Mems []*MemCtrl
 
 	allEndpoints []topo.NodeID
 }
 
 // NewSystem wires a TokenCMP machine on the given engine and network
 // configuration.
-func NewSystem(eng *sim.Engine, cfg Config, netCfg network.Config) *System {
-	g := cfg.Geom
-	if cfg.T == 0 {
-		cfg.T = token.TokenCountFor(len(g.AllCaches()))
-	}
+func NewSystem(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config) *System {
+	g := h.Geom
 	s := &System{
-		Eng:  eng,
-		Cfg:  cfg,
-		Geom: g,
-		Net:  network.New(eng, g, netCfg),
+		Eng:          eng,
+		Cfg:          cfg,
+		T:            token.TokenCountFor(len(g.AllCaches())),
+		Net:          network.New(eng, g, netCfg),
+		allEndpoints: g.AllNodes(),
+		Ctrs:         counters.NewSet(),
 	}
-	s.allEndpoints = g.AllNodes()
-	s.Ctrs = counters.NewSet()
 	s.ctr = newCtrs(s.Ctrs)
 	s.Net.WireCounters(s.Ctrs)
 	// Token coherence claims survival of an ill-behaved interconnect, so
 	// it opts its transient traffic into fault injection (see
 	// classifyFault for the per-kind policy).
 	s.Net.Classify = classifyFault
-
-	s.L1Ds = make([][]*L1Ctrl, g.CMPs)
-	s.L1Is = make([][]*L1Ctrl, g.CMPs)
-	s.L2s = make([][]*L2Ctrl, g.CMPs)
-	s.Mems = make([]*MemCtrl, g.CMPs)
-	for c := 0; c < g.CMPs; c++ {
-		s.L1Ds[c] = make([]*L1Ctrl, g.ProcsPerCMP)
-		s.L1Is[c] = make([]*L1Ctrl, g.ProcsPerCMP)
-		s.L2s[c] = make([]*L2Ctrl, g.L2Banks)
-		for b := 0; b < g.L2Banks; b++ {
-			l2 := newL2(s, g.L2Node(c, b), c, b)
-			s.L2s[c][b] = l2
-			s.Net.Attach(l2.id, l2)
-		}
-		for p := 0; p < g.ProcsPerCMP; p++ {
-			d := newL1(s, g.L1DNode(c, p), c, p, false)
-			i := newL1(s, g.L1INode(c, p), c, p, true)
-			d.banks = s.L2s[c]
-			i.banks = s.L2s[c]
-			s.L1Ds[c][p] = d
-			s.L1Is[c][p] = i
-			s.Net.Attach(d.id, d)
-			s.Net.Attach(i.id, i)
-		}
-		m := newMem(s, g.MemNode(c), c)
-		s.Mems[c] = m
-		s.Net.Attach(m.id, m)
-	}
+	s.Wire(h, s.Net, s.newL2, s.newL1, s.newMem)
 	return s
-}
-
-// Ports returns the data and instruction memory ports of a global
-// processor index.
-func (s *System) Ports(globalProc int) (data, inst cpu.MemPort) {
-	c, p := s.Geom.ProcOf(globalProc)
-	return s.L1Ds[c][p], s.L1Is[c][p]
 }
 
 // Name reports the variant name.
@@ -137,7 +98,7 @@ func (s *System) TokenAudit() error {
 		if st.Owner {
 			t.owners++
 		}
-		if st.Tokens == s.Cfg.T {
+		if st.Tokens == s.T {
 			t.writers++
 		}
 	})
@@ -158,8 +119,8 @@ func (s *System) TokenAudit() error {
 	})
 
 	for b, t := range tallies {
-		if t.tokens != s.Cfg.T {
-			return fmt.Errorf("token conservation violated for %v: have %d tokens, want %d", b, t.tokens, s.Cfg.T)
+		if t.tokens != s.T {
+			return fmt.Errorf("token conservation violated for %v: have %d tokens, want %d", b, t.tokens, s.T)
 		}
 		if t.owners != 1 {
 			return fmt.Errorf("owner-token invariant violated for %v: %d owners", b, t.owners)
