@@ -17,12 +17,19 @@ type Line[S any] struct {
 	lru uint64
 }
 
-// Array is a set-associative cache with true-LRU replacement.
+// Array is a set-associative cache with true-LRU replacement. Its sets
+// are stored in pages of pageSets consecutive sets, each page one flat
+// slice. A page is allocated on the first install into it, so a Table 3
+// L2 bank that a run touches in a few hundred blocks never zeroes its
+// other 32k lines. Pages never move, so a returned *Line stays valid.
 type Array[S any] struct {
 	sets, ways int
-	lines      [][]Line[S]
+	pages      [][]Line[S]
 	tick       uint64
 }
+
+// pageSets is the number of sets one page holds.
+const pageSets = 64
 
 // Params sizes an array.
 type Params struct {
@@ -43,13 +50,7 @@ func (p Params) Sets() int {
 // New builds an array with the given geometry.
 func New[S any](p Params) *Array[S] {
 	sets := p.Sets()
-	a := &Array[S]{sets: sets, ways: p.Ways}
-	a.lines = make([][]Line[S], sets)
-	backing := make([]Line[S], sets*p.Ways)
-	for i := range a.lines {
-		a.lines[i], backing = backing[:p.Ways], backing[p.Ways:]
-	}
-	return a
+	return &Array[S]{sets: sets, ways: p.Ways, pages: make([][]Line[S], (sets+pageSets-1)/pageSets)}
 }
 
 // Sets reports the number of sets.
@@ -58,14 +59,26 @@ func (a *Array[S]) Sets() int { return a.sets }
 // Ways reports the associativity.
 func (a *Array[S]) Ways() int { return a.ways }
 
-func (a *Array[S]) set(b mem.Block) []Line[S] {
-	return a.lines[uint64(b)%uint64(a.sets)]
+// set returns b's set, or nil if its page is absent. With alloc set it
+// first allocates an absent page; the last page holds only the sets
+// that remain.
+func (a *Array[S]) set(b mem.Block, alloc bool) []Line[S] {
+	s := int(uint64(b) % uint64(a.sets))
+	pg := &a.pages[s/pageSets]
+	if *pg == nil {
+		if !alloc {
+			return nil
+		}
+		*pg = make([]Line[S], min(pageSets, a.sets-s/pageSets*pageSets)*a.ways)
+	}
+	i := s % pageSets * a.ways
+	return (*pg)[i : i+a.ways]
 }
 
 // Lookup returns the line holding b, or nil. It does not touch LRU state;
 // call Touch on a hit that should refresh recency.
 func (a *Array[S]) Lookup(b mem.Block) *Line[S] {
-	set := a.set(b)
+	set := a.set(b, false)
 	for i := range set {
 		if set[i].Valid && set[i].Block == b {
 			return &set[i]
@@ -88,59 +101,13 @@ func (a *Array[S]) TouchLine(l *Line[S]) {
 	l.lru = a.tick
 }
 
-// Victim returns the line that would be replaced to make room for b: an
-// invalid way if one exists, otherwise the LRU line of b's set. The
-// returned line may hold live state the caller must write back before
-// calling Install.
-func (a *Array[S]) Victim(b mem.Block) *Line[S] {
-	set := a.set(b)
-	var victim *Line[S]
-	for i := range set {
-		if !set[i].Valid {
-			return &set[i]
-		}
-		if victim == nil || set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	return victim
-}
-
-// Install claims a line for b, evicting per Victim. It returns the new
-// line plus, if a live line was displaced, its block and former state so
-// the caller can write it back. The new line's State is the zero value.
-// The hit line, an invalid way, and the LRU victim are all found in one
-// scan of the set (the old Lookup+Touch+Victim sequence scanned it three
-// times).
+// Install claims a line for b, displacing an invalid way if one exists,
+// otherwise the LRU line of b's set. It returns the new line plus, if a
+// live line was displaced, its block and former state so the caller can
+// write it back. The new line's State is the zero value.
 func (a *Array[S]) Install(b mem.Block) (line *Line[S], evicted mem.Block, victimState S, wasEvicted bool) {
-	var zero S
-	set := a.set(b)
-	var victim *Line[S]
-	for i := range set {
-		l := &set[i]
-		if !l.Valid {
-			if victim == nil || victim.Valid {
-				victim = l // first invalid way wins over any LRU choice
-			}
-			continue
-		}
-		if l.Block == b {
-			a.TouchLine(l)
-			return l, 0, zero, false
-		}
-		if victim == nil || (victim.Valid && l.lru < victim.lru) {
-			victim = l
-		}
-	}
-	if victim.Valid {
-		evicted, victimState, wasEvicted = victim.Block, victim.State, true
-	}
-	victim.Block = b
-	victim.Valid = true
-	victim.State = zero
-	a.tick++
-	victim.lru = a.tick
-	return victim, evicted, victimState, wasEvicted
+	line, evicted, victimState, wasEvicted, _ = a.InstallAvoiding(b, nil)
+	return line, evicted, victimState, wasEvicted
 }
 
 // InstallAvoiding is Install with a victim predicate: lines for which
@@ -149,10 +116,9 @@ func (a *Array[S]) Install(b mem.Block) (line *Line[S], evicted mem.Block, victi
 // of b's set is unavailable.
 func (a *Array[S]) InstallAvoiding(b mem.Block, avoid func(st *S) bool) (line *Line[S], evicted mem.Block, victimState S, wasEvicted, ok bool) {
 	var zero S
-	set := a.set(b)
+	set := a.set(b, true)
 	// One scan finds the hit line, the first invalid way, and the LRU
-	// victim together (the old Lookup-then-victim-scan walked the set
-	// twice).
+	// victim together.
 	var victim *Line[S]
 	for i := range set {
 		l := &set[i]
@@ -199,12 +165,11 @@ func (a *Array[S]) Invalidate(b mem.Block) (S, bool) {
 	return zero, false
 }
 
-// ForEach visits every valid line.
+// ForEach visits every valid line in set order, skipping absent pages.
 func (a *Array[S]) ForEach(fn func(b mem.Block, s *S)) {
-	for si := range a.lines {
-		for wi := range a.lines[si] {
-			l := &a.lines[si][wi]
-			if l.Valid {
+	for _, pg := range a.pages {
+		for i := range pg {
+			if l := &pg[i]; l.Valid {
 				fn(l.Block, &l.State)
 			}
 		}

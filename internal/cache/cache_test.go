@@ -160,3 +160,40 @@ func TestPropertyInstallThenHit(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReadsOfAbsentPagesDoNotAllocate pins the lazy paging: on a fresh
+// Table 3 L2 bank (2 MB, 4 ways), nothing but an install allocates, and
+// only the page it lands in.
+func TestReadsOfAbsentPagesDoNotAllocate(t *testing.T) {
+	a := New[lineState](Params{SizeBytes: (8 << 20) / 4, Ways: 4, BlockSize: mem.BlockSize})
+	if a.Sets() != 8192 {
+		t.Fatalf("sets = %d, want 8192", a.Sets())
+	}
+	var b mem.Block
+	allocs := testing.AllocsPerRun(100, func() {
+		b += 4099
+		if a.Lookup(b) != nil {
+			t.Fatal("hit in an empty array")
+		}
+		a.Touch(b)
+		if _, ok := a.Invalidate(b); ok {
+			t.Fatal("invalidated a line of an empty array")
+		}
+		a.ForEach(func(mem.Block, *lineState) { t.Fatal("ForEach visited a line of an empty array") })
+		if n := a.Count(); n != 0 {
+			t.Fatalf("Count = %d, want 0", n)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reads of an empty array allocate %v times per run, want 0", allocs)
+	}
+	a.Install(5)
+	if n := len(a.pages[0]); n != pageSets*4 {
+		t.Errorf("first page holds %d lines, want %d", n, pageSets*4)
+	}
+	for i, pg := range a.pages[1:] {
+		if pg != nil {
+			t.Fatalf("page %d allocated by an install into page 0", i+1)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -450,6 +451,30 @@ func TestCounterRelations(t *testing.T) {
 					t.Errorf("Result.Persistent = %d, want req.persistent %d", res.Persistent, c[counters.ReqPersistent])
 				}
 			})
+		}
+	}
+}
+
+// TestTable3NewAllocatesLittle pins the lazy cache arrays: building a
+// 4-CMP × 4-proc × 4-bank machine at the Table 3 sizes (128 KB L1s,
+// 2 MB L2 banks) allocates no cache lines until the run installs some,
+// so construction stays under 2 MB on every protocol. Zeroing every
+// line up front cost 31–47 MB per machine.
+func TestTable3NewAllocatesLittle(t *testing.T) {
+	const limit = 2 << 20
+	for _, proto := range Protocols() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := New(Config{Protocol: proto, Geom: topo.NewGeometry(4, 4, 4), Seed: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s: machine.New allocated %d bytes, want < %d", proto, got, limit)
+		} else {
+			t.Logf("%s: %d bytes", proto, got)
 		}
 	}
 }
