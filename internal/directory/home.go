@@ -20,7 +20,7 @@ type homeLine struct {
 
 // homeTxn is one blocking transaction at the home directory.
 type homeTxn struct {
-	kind     int
+	kind     int32
 	oldOwner int
 }
 

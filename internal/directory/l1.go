@@ -137,7 +137,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	c.sys.ctr.l1Miss.Inc()
 	c.reserve(b)
 	c.txn, c.txnBlock = &l1Txn{kind: kind, store: store, done: done}, b
-	req := kGetS
+	var req int32 = kGetS
 	if kind == cpu.Store || kind == cpu.Atomic {
 		req = kGetM
 	}

@@ -50,7 +50,7 @@ type l2Line struct {
 // l2Txn is one local transaction (GetS/GetM from a local L1).
 type l2Txn struct {
 	requestor topo.NodeID // the requesting L1 (from the GetS/GetM)
-	kind      int
+	kind      int32
 
 	fwdPending   bool
 	interPending bool
@@ -74,7 +74,7 @@ type l2Txn struct {
 // eviction recall, which runs concurrently with inter-pending local
 // transactions but serializes with purely-local ones.
 type extSrv struct {
-	kind    int // kFwdGetS, kFwdGetM, kInv, or -1 for eviction recall
+	kind    int32 // kFwdGetS, kFwdGetM, kInv, or -1 for eviction recall
 	replyTo topo.NodeID
 	acks    int // local invalidation acks outstanding
 	fwdWait bool
@@ -248,7 +248,7 @@ func (c *L2Ctrl) startLocal(m *network.Message) {
 	}
 }
 
-func (c *L2Ctrl) sendToL1(dst topo.NodeID, b mem.Block, kind, tag, aux int) {
+func (c *L2Ctrl) sendToL1(dst topo.NodeID, b mem.Block, kind, tag, aux int32) {
 	c.sys.Net.SendNew(network.Message{
 		Src:       c.id,
 		Dst:       dst,

@@ -49,10 +49,10 @@ const (
 	kWbCancel
 )
 
-func kindName(k int) string {
+func kindName(k int32) string {
 	names := []string{"GetS", "GetM", "FwdGetS", "FwdGetM", "FwdResp", "Inv",
 		"InvAck", "Data", "Grant", "Unblock", "Put", "WbGrant", "WbData", "WbCancel"}
-	if k >= 0 && k < len(names) {
+	if k >= 0 && int(k) < len(names) {
 		return names[k]
 	}
 	return fmt.Sprintf("kind(%d)", k)
@@ -68,15 +68,16 @@ const (
 )
 
 // packAux encodes grant state, pending-ack count, and the migratory flag
-// into a message Aux field.
-func packAux(st grantState, acks int, migratory bool) int {
-	v := int(st) | acks<<2
+// into a message Aux field: bits 0-1 the state, 2-25 the count, 30 the
+// flag, so the value stays within the field's 31 non-sign bits.
+func packAux(st grantState, acks int, migratory bool) int32 {
+	v := int32(st) | int32(acks)<<2
 	if migratory {
 		v |= 1 << 30
 	}
 	return v
 }
 
-func unpackAux(v int) (st grantState, acks int, migratory bool) {
-	return grantState(v & 3), (v >> 2) & 0xFFFFFF, v&(1<<30) != 0
+func unpackAux(v int32) (st grantState, acks int, migratory bool) {
+	return grantState(v & 3), int(v>>2) & 0xFFFFFF, v&(1<<30) != 0
 }

@@ -109,7 +109,7 @@ func popWbAndReply(sys *System, src topo.NodeID, wb map[mem.Block][]*wbEntry, gm
 		})
 		return
 	}
-	aux := 0
+	var aux int32
 	if w.excl {
 		aux = auxExcl
 	}
@@ -228,7 +228,7 @@ func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done fu
 	c.sys.ctr.l1Miss.Inc()
 	c.reserve(b)
 	c.txn, c.txnBlock = &l1Txn{kind: kind, store: store, done: done}, b
-	req := kGetS
+	var req int32 = kGetS
 	if kind == cpu.Store || kind == cpu.Atomic {
 		req = kGetM
 	}
@@ -489,7 +489,7 @@ func (c *L1Ctrl) invalidate(b mem.Block, l *cache.Line[l1Line]) {
 	c.cache.Invalidate(b)
 }
 
-func (c *L1Ctrl) respondData(m *network.Message, data uint64, dirty bool, aux int) {
+func (c *L1Ctrl) respondData(m *network.Message, data uint64, dirty bool, aux int32) {
 	c.sys.ctr.probeData.Inc()
 	c.sys.Net.SendNew(network.Message{
 		Src:     c.id,
@@ -504,7 +504,7 @@ func (c *L1Ctrl) respondData(m *network.Message, data uint64, dirty bool, aux in
 	})
 }
 
-func (c *L1Ctrl) respondAck(m *network.Message, aux int) {
+func (c *L1Ctrl) respondAck(m *network.Message, aux int32) {
 	c.sys.ctr.probeAck.Inc()
 	c.sys.Net.SendNew(network.Message{
 		Src:   c.id,

@@ -14,7 +14,7 @@ import (
 // flight (closed by the requester's Done) or a writeback in its data
 // window.
 type memTxn struct {
-	kind int // kGetS, kGetM, or kPut
+	kind int32 // kGetS, kGetM, or kPut
 }
 
 // MemCtrl is a HammerCMP home memory controller. It holds no directory
@@ -107,45 +107,46 @@ func (c *MemCtrl) admit(m *network.Message) {
 // speculatively reads DRAM for the requester.
 func (c *MemCtrl) startBroadcast(m *network.Message) {
 	b := m.Block
-	probe := kProbeS
+	probe := network.Message{
+		Src:       c.id,
+		Block:     b,
+		Kind:      kProbeS,
+		Class:     stats.Request,
+		Requestor: m.Requestor,
+	}
 	if m.Kind == kGetM {
-		probe = kProbeM
+		probe.Kind = kProbeM
 	}
 	for _, id := range c.sys.caches {
 		if id == m.Requestor {
 			continue
 		}
 		c.sys.ctr.probeSent.Inc()
-		c.sys.Net.SendNew(network.Message{
-			Src:       c.id,
-			Dst:       id,
-			Block:     b,
-			Kind:      probe,
-			Class:     stats.Request,
-			Requestor: m.Requestor,
-		})
+		cp := c.sys.Net.CopyOf(&probe)
+		cp.Dst = id
+		c.sys.Net.Send(cp)
 	}
 	// The speculative DRAM read: the value cannot change while the
 	// block is busy (writebacks serialize behind this transaction), so
-	// reading it after the array latency is exact.
+	// reading it now and injecting the reply after the array latency is
+	// exact.
 	c.sys.ctr.memRead.Inc()
-	requestor := m.Requestor
-	c.sys.Eng.Schedule(hier.DRAMLatency, func() {
-		c.sys.Net.SendNew(network.Message{
-			Src:     c.id,
-			Dst:     requestor,
-			Block:   b,
-			Kind:    kMemData,
-			Class:   stats.ResponseData,
-			HasData: true,
-			Data:    c.mem[b],
-		})
-	})
+	reply := c.sys.Net.NewMessage()
+	*reply = network.Message{
+		Src:     c.id,
+		Dst:     m.Requestor,
+		Block:   b,
+		Kind:    kMemData,
+		Class:   stats.ResponseData,
+		HasData: true,
+		Data:    c.mem[b],
+	}
+	c.sys.Net.SendAfter(hier.DRAMLatency, reply)
 }
 
 // close ends the block's current transaction (whose kind must be one
 // of wants) and admits the next queued message.
-func (c *MemCtrl) close(m *network.Message, wants ...int) {
+func (c *MemCtrl) close(m *network.Message, wants ...int32) {
 	b := m.Block
 	txn := c.busy[b]
 	ok := false

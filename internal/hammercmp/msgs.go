@@ -51,10 +51,10 @@ const (
 	kWbCancel
 )
 
-func kindName(k int) string {
+func kindName(k int32) string {
 	names := []string{"GetS", "GetM", "ProbeS", "ProbeM", "Ack", "Data",
 		"MemData", "Done", "Put", "WbGrant", "WbData", "WbCancel"}
-	if k >= 0 && k < len(names) {
+	if k >= 0 && int(k) < len(names) {
 		return names[k]
 	}
 	return fmt.Sprintf("kind(%d)", k)

@@ -136,3 +136,35 @@ func TestSingleCMP(t *testing.T) {
 		t.Fatalf("mutual exclusion violated: %v", mon.Violations[0])
 	}
 }
+
+// absorb drops every delivered message.
+type absorb struct{}
+
+func (absorb) Recv(*network.Message) {}
+
+// TestBroadcastMissDoesNotAllocate pins the home's half of a
+// steady-state miss — 47 probes copied from one template plus the
+// speculative DRAM reply, all delivered — at zero allocations on the
+// Table 3 machine.
+func TestBroadcastMissDoesNotAllocate(t *testing.T) {
+	g := topo.NewGeometry(4, 4, 4)
+	s := NewSystem(sim.NewEngine(), hier.Config{Geom: g}, network.Default())
+	for _, id := range s.caches {
+		s.Net.Attach(id, absorb{})
+	}
+	home := s.Mems[0]
+	req := &network.Message{Src: home.id, Block: 64, Kind: kGetM, Requestor: g.L1DNode(1, 2)}
+	home.startBroadcast(req)
+	s.Eng.Run(0)
+	avg := testing.AllocsPerRun(100, func() {
+		home.startBroadcast(req)
+		s.Eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("broadcast miss allocates %.2f per miss, want 0", avg)
+	}
+	// One warm-up miss, AllocsPerRun's own warm-up, then 100 measured.
+	if got, want := s.Ctrs.Value(counters.ProbeSent), uint64(102*(len(s.caches)-1)); got != want {
+		t.Errorf("probe.sent = %d, want %d", got, want)
+	}
+}

@@ -118,7 +118,8 @@ func UniformFaults(seed int64, drop, dup, reorder float64, jitter sim.Time) Faul
 	return FaultConfig{Seed: seed, OnChip: p, OffChip: p}
 }
 
-// plan returns the fault plan for the link class lp belongs to.
+// plan returns the fault plan for links with parameters lp: the plans
+// follow the network level, like the Figure 7 accounting.
 func (n *Network) plan(lp LinkParams) *FaultPlan {
 	if lp.Level == stats.IntraCMP {
 		return &n.Cfg.Faults.OnChip
@@ -148,7 +149,7 @@ func (n *Network) drop(m *Message) {
 	n.InFlight--
 	if m.Tokens > 0 || m.Owner {
 		c := n.inFlightCount(m.Block)
-		c.tokens -= int32(m.Tokens)
+		c.tokens -= m.Tokens
 		if m.Owner {
 			c.owners--
 		}
@@ -162,7 +163,8 @@ func (n *Network) drop(m *Message) {
 		}
 		d := n.Cfg.Faults.RetxTimeout
 		if d == 0 {
-			d = 4 * n.link(m.Src, m.Dst).Latency
+			_, lc := n.link(m.Src, m.Dst)
+			d = 4 * lc.Latency
 		}
 		// Retransmit: the same message re-enters the send path after
 		// the shim's timeout, paying serialization and latency again

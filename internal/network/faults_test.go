@@ -36,7 +36,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 	engA, nA, g, sinksA := testNet(t)
 	engB, nB, _, sinksB, _ := faultNet(t, FaultConfig{Seed: 99}, FaultDroppable)
 	for i := 0; i < 6; i++ {
-		mA := Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: i, Size: 64}
+		mA := Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i), Size: 64}
 		mB := mA
 		nA.SendNew(mA)
 		nB.SendNew(mB)
@@ -93,7 +93,7 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 	for eng.Step() {
 		held := 0
 		for _, m := range sinks[dst].got {
-			held += m.Tokens
+			held += int(m.Tokens)
 		}
 		if total := held + n.TokensInFlight(7); total != 5 {
 			t.Fatalf("at %v: delivered %d + in-flight %d tokens != 5 (audit gap)",
@@ -162,7 +162,7 @@ func TestReorderViolatesPerLinkFIFO(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, fc, FaultDroppable)
 	dst := g.L2Node(0, 0)
 	for i := 0; i < 8; i++ {
-		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: i})
+		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 8 {
@@ -170,7 +170,7 @@ func TestReorderViolatesPerLinkFIFO(t *testing.T) {
 	}
 	inOrder := true
 	for i, m := range sinks[dst].got {
-		if m.Aux != i {
+		if int(m.Aux) != i {
 			inOrder = false
 		}
 	}
@@ -189,14 +189,14 @@ func TestJitterPreservesPerLinkFIFO(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 0, 0, 0, sim.NS(100)), FaultProtected)
 	dst := g.L2Node(0, 0)
 	for i := 0; i < 10; i++ {
-		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: i})
+		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 10 {
 		t.Fatalf("delivered %d messages, want 10", got)
 	}
 	for i, m := range sinks[dst].got {
-		if m.Aux != i {
+		if int(m.Aux) != i {
 			t.Fatalf("jitter reordered a link: %d delivered at position %d", m.Aux, i)
 		}
 	}
@@ -213,7 +213,7 @@ func TestProtectedClassIsExempt(t *testing.T) {
 	n.Classify = nil
 	dst := g.L1DNode(0, 1)
 	for i := 0; i < 5; i++ {
-		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: i})
+		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 5 {
@@ -232,13 +232,13 @@ func TestFaultDeterminism(t *testing.T) {
 		fc := UniformFaults(seed, 0.3, 0.2, 0.2, sim.NS(25))
 		eng, n, g, sinks, _ := faultNet(t, fc, FaultDroppable)
 		for i := 0; i < 20; i++ {
-			n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: i})
+			n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i)})
 		}
 		eng.Run(0)
 		s := sinks[g.L1DNode(1, 0)]
 		order := make([]int, len(s.got))
 		for i, m := range s.got {
-			order[i] = m.Aux
+			order[i] = int(m.Aux)
 		}
 		return s.at, order
 	}

@@ -39,25 +39,28 @@ const (
 // the token-coherence payload fields (Tokens, Owner, HasData, Data) are
 // inline because the substrate's conservation monitor must see them on
 // every message regardless of protocol.
+//
+// The layout fills exactly one 64-byte cache line: the three 64-bit
+// fields first, then the 32-bit fields, then the byte-wide fields and
+// flags. Every pooled copy (SendNew, CopyOf, Broadcast) moves one line.
 type Message struct {
-	Src, Dst topo.NodeID
-	Block    mem.Block
-	Kind     int
-	Class    stats.TrafficClass
-	Size     int
+	Block  mem.Block
+	Data   uint64   // modeled block value, for serial-view checking
+	SentAt sim.Time // stamped by the network on send
 
-	// Token-coherence payload.
-	Tokens  int    // tokens carried (0 for directory protocols)
-	Owner   bool   // carries the owner token
-	HasData bool   // carries a data payload
-	Dirty   bool   // data is modified relative to memory
-	Data    uint64 // modeled block value, for serial-view checking
-
-	// Small protocol scratch fields.
+	Src, Dst  topo.NodeID
 	Requestor topo.NodeID // original requesting cache, for forwards
-	Proc      int         // global processor index (persistent requests)
-	Aux       int         // protocol-specific
-	SentAt    sim.Time    // stamped by the network on send
+	Kind      int32
+	Tokens    int32 // tokens carried (0 for directory protocols)
+	Proc      int32 // global processor index (persistent requests)
+	Aux       int32 // protocol-specific
+
+	Class stats.TrafficClass
+	Size  uint8 // bytes on the wire; 0 means ControlSize or DataSize
+
+	Owner   bool // carries the owner token
+	HasData bool // carries a data payload
+	Dirty   bool // data is modified relative to memory
 
 	// pooled marks a message currently sitting in the freelist; Send and
 	// Free check it to catch use-after-free and double-free early.
@@ -102,15 +105,16 @@ func Default() Config {
 
 // Network delivers messages between endpoints.
 type Network struct {
-	Eng  *sim.Engine
-	Geom topo.Geometry
-	Cfg  Config
+	Eng *sim.Engine
+	Cfg Config
 
-	// Dense routing state, indexed by NodeID and src*numNodes+dst. The
-	// old map lookups were the hottest line of Send/deliver profiles.
+	// Dense routing state, indexed by NodeID and src*numNodes+dst: the
+	// topology is resolved once in New, so a send reads one link record
+	// and never divides a NodeID by the CMP size.
 	numNodes  int
 	endpoints []Endpoint
-	nextFree  []sim.Time
+	links     []link
+	classes   [2]linkClass // indexed by link.class
 
 	// free is the message pool. Messages are recycled after delivery,
 	// so the steady-state send path allocates nothing.
@@ -131,12 +135,9 @@ type Network struct {
 	// its fault class; protocols with recovery machinery install it at
 	// system construction. frng is the single seeded fault PRNG — nil
 	// unless Cfg.Faults enables a knob, so fault-free runs never draw.
-	// lastArrive clamps per-link delivery order under jitter: only the
-	// explicit reorder knob may violate same-link FIFO.
-	Classify   func(m *Message) FaultClass
-	frng       *rand.Rand
-	faultsOn   bool
-	lastArrive []sim.Time
+	Classify func(m *Message) FaultClass
+	frng     *rand.Rand
+	faultsOn bool
 
 	// InFlight counts undelivered messages; the coherence monitor uses it
 	// and tests use it to detect quiescence.
@@ -158,6 +159,37 @@ type Network struct {
 	inFlight [](*[inFlightPageSize]blockCount)
 }
 
+// link is one directed link's routing record and serialization state.
+// It is 24 bytes, so a Table 3 machine's 52² links fill 64 KB.
+type link struct {
+	// nextFree is when the link's serializer frees up. lastArrive is
+	// the latest arrival scheduled on it: it clamps per-link delivery
+	// order under jitter, so only the explicit reorder knob may violate
+	// same-link FIFO.
+	nextFree, lastArrive sim.Time
+
+	class uint8 // onChip or offChip: which Config link class carries it
+
+	// intraHops is the number of intra-CMP traversals one message on
+	// this link is charged in Figure 7: 1 on chip; off chip, one per
+	// endpoint that is a cache (memory controllers hang off the global
+	// side).
+	intraHops uint8
+}
+
+// Link classes, indexing Network.classes.
+const (
+	onChip uint8 = iota
+	offChip
+)
+
+// linkClass is one Config link class with the fault plan its level
+// selects.
+type linkClass struct {
+	LinkParams
+	plan *FaultPlan
+}
+
 // blockCount tallies one block's undelivered tokens and owner tokens.
 type blockCount struct{ tokens, owners int32 }
 
@@ -176,19 +208,59 @@ const (
 func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 	n := g.NumNodes()
 	nw := &Network{
-		Eng:        eng,
-		Geom:       g,
-		Cfg:        cfg,
-		numNodes:   n,
-		endpoints:  make([]Endpoint, n),
-		nextFree:   make([]sim.Time, n*n),
-		lastArrive: make([]sim.Time, n*n),
+		Eng:       eng,
+		Cfg:       cfg,
+		numNodes:  n,
+		endpoints: make([]Endpoint, n),
+		links:     make([]link, n*n),
+	}
+	nw.classes[onChip] = linkClass{LinkParams: cfg.OnChip, plan: nw.plan(cfg.OnChip)}
+	nw.classes[offChip] = linkClass{LinkParams: cfg.OffChip, plan: nw.plan(cfg.OffChip)}
+
+	isMem := make([]bool, n)
+	for id := range isMem {
+		isMem[id] = g.KindOf(topo.NodeID(id)) == topo.Mem
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			l := &nw.links[src*n+dst]
+			// Memory controllers sit off-chip behind the CMP's memory
+			// interface (Table 3: "latency to mem controller 20ns
+			// (off-chip)"), so any link touching one uses off-chip
+			// parameters even within a CMP.
+			l.class = offChip
+			if !isMem[src] && !isMem[dst] && g.SameCMP(topo.NodeID(src), topo.NodeID(dst)) {
+				l.class = onChip
+			}
+			// Figure 7 accounting mirrors the physical path: a message
+			// between caches on one chip uses that chip's interconnect
+			// once; a message that leaves a chip also uses the source
+			// and destination chips' interconnects when those ends are
+			// caches.
+			if nw.classes[l.class].Level == stats.IntraCMP {
+				l.intraHops = 1
+				continue
+			}
+			if !isMem[src] {
+				l.intraHops++
+			}
+			if !isMem[dst] {
+				l.intraHops++
+			}
+		}
 	}
 	if cfg.Faults.Enabled() {
 		nw.faultsOn = true
 		nw.frng = rand.New(rand.NewSource(cfg.Faults.Seed))
 	}
 	return nw
+}
+
+// link returns the routing record of the directed link src→dst and the
+// link class that carries it.
+func (n *Network) link(src, dst topo.NodeID) (*link, *linkClass) {
+	l := &n.links[int(src)*n.numNodes+int(dst)]
+	return l, &n.classes[l.class]
 }
 
 // inFlightCount returns the counter cell for block b, growing the page
@@ -270,14 +342,21 @@ func (n *Network) Attach(id topo.NodeID, e Endpoint) { n.endpoints[id] = e }
 // it and hands it to Send (or SendAfter), transferring ownership back
 // to the network.
 func (n *Network) NewMessage() *Message {
+	m := n.alloc()
+	*m = Message{}
+	return m
+}
+
+// alloc pops a message from the pool without clearing it, for callers
+// that overwrite every field.
+func (n *Network) alloc() *Message {
 	if k := len(n.free); k > 0 {
 		m := n.free[k-1]
 		n.free[k-1] = nil
 		n.free = n.free[:k-1]
-		*m = Message{}
 		return m
 	}
-	return &Message{}
+	return new(Message)
 }
 
 // CopyOf returns a pooled copy of m owned by the caller — the escape
@@ -285,7 +364,7 @@ func (n *Network) NewMessage() *Message {
 // (e.g. to model an array-access delay before processing). Return it
 // with Free, or hand it to Send.
 func (n *Network) CopyOf(m *Message) *Message {
-	cp := n.NewMessage()
+	cp := n.alloc()
 	*cp = *m
 	cp.pooled = false
 	return cp
@@ -306,7 +385,7 @@ func (n *Network) Free(m *Message) {
 // the wire copy comes from the pool, so steady-state sends allocate
 // nothing.
 func (n *Network) SendNew(tmpl Message) {
-	m := n.NewMessage()
+	m := n.alloc()
 	*m = tmpl
 	n.Send(m)
 }
@@ -319,20 +398,6 @@ func sendCall(ctx, arg any) { ctx.(*Network).Send(arg.(*Message)) }
 // allocates nothing.
 func (n *Network) SendAfter(d sim.Time, m *Message) {
 	n.Eng.ScheduleCall(d, sendCall, n, m)
-}
-
-// link picks the parameters for src→dst. Memory controllers sit off-chip
-// behind the CMP's memory interface (Table 3: "latency to mem controller
-// 20ns (off-chip)"), so any link touching a memory controller uses
-// off-chip parameters even within a CMP.
-func (n *Network) link(src, dst topo.NodeID) LinkParams {
-	if n.Geom.KindOf(src) == topo.Mem || n.Geom.KindOf(dst) == topo.Mem {
-		return n.Cfg.OffChip
-	}
-	if n.Geom.SameCMP(src, dst) {
-		return n.Cfg.OnChip
-	}
-	return n.Cfg.OffChip
 }
 
 // deliverCall is the closure-free ScheduleCall target for Send.
@@ -366,29 +431,22 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	if n.OnSend != nil {
 		n.OnSend(m)
 	}
-	lp := n.link(m.Src, m.Dst)
-	// Traffic accounting mirrors the physical path (Figure 7): a message
-	// between caches on one chip uses that chip's interconnect once; a
-	// message that leaves a chip uses the source chip's interconnect, the
-	// global interconnect, and — if the destination is a cache — the
-	// destination chip's interconnect. Memory controllers hang off the
-	// global side, so their hops add no on-chip traffic.
-	if lp.Level == stats.IntraCMP {
-		n.Traffic.Add(stats.IntraCMP, m.Class, m.Size)
+	// Figure 7 accounting: one entry per interconnect the message
+	// traverses (see link.intraHops).
+	l, lc := n.link(m.Src, m.Dst)
+	size := int(m.Size)
+	if lc.Level == stats.IntraCMP {
 		n.onChipMsgs++
 	} else {
-		n.Traffic.Add(stats.InterCMP, m.Class, m.Size)
-		if n.Geom.KindOf(m.Src) != topo.Mem {
-			n.Traffic.Add(stats.IntraCMP, m.Class, m.Size)
-		}
-		if n.Geom.KindOf(m.Dst) != topo.Mem {
-			n.Traffic.Add(stats.IntraCMP, m.Class, m.Size)
-		}
+		n.Traffic.Add(stats.InterCMP, m.Class, size)
+	}
+	for h := l.intraHops; h > 0; h-- {
+		n.Traffic.Add(stats.IntraCMP, m.Class, size)
 	}
 	n.InFlight++
 	if m.Tokens > 0 || m.Owner {
 		c := n.inFlightCount(m.Block)
-		c.tokens += int32(m.Tokens)
+		c.tokens += m.Tokens
 		if m.Owner {
 			c.owners++
 		}
@@ -402,7 +460,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	reordered := false
 	dropped := false
 	if n.faultsOn {
-		plan := n.plan(lp)
+		plan := lc.plan
 		cls := n.classOf(m)
 		if plan.Jitter > 0 {
 			hold += sim.Time(n.frng.Int63n(int64(plan.Jitter) + 1))
@@ -412,7 +470,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 				reordered = true
 				w := plan.ReorderWindow
 				if w == 0 {
-					w = 4 * lp.Latency
+					w = 4 * lc.Latency
 				}
 				hold += sim.Time(n.frng.Int63n(int64(w) + 1))
 				if n.ctrReordered != nil {
@@ -439,28 +497,27 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	}
 
 	ser := sim.Time(0)
-	if lp.BytesPerNS > 0 {
-		ser = sim.Time(int64(m.Size) * int64(sim.Nanosecond) / int64(lp.BytesPerNS))
+	if lc.BytesPerNS > 0 {
+		ser = sim.Time(int64(size) * int64(sim.Nanosecond) / int64(lc.BytesPerNS))
 	}
-	key := int(m.Src)*n.numNodes + int(m.Dst)
 	depart := n.Eng.Now()
-	if free := n.nextFree[key]; free > depart {
-		depart = free
+	if l.nextFree > depart {
+		depart = l.nextFree
 	}
 	depart += ser
-	n.nextFree[key] = depart
+	l.nextFree = depart
 
-	arrive := depart + lp.Latency + hold
+	arrive := depart + lc.Latency + hold
 	if !reordered {
 		// Per-link FIFO clamp: jitter (and retransmit delay) may not
 		// reorder messages within one directed link — protocols without
 		// recovery machinery rely on that order. Without faults this is
 		// a no-op (arrivals are already monotone per link); only the
 		// explicit reorder knob above bypasses it.
-		if last := n.lastArrive[key]; arrive < last {
-			arrive = last
+		if arrive < l.lastArrive {
+			arrive = l.lastArrive
 		}
-		n.lastArrive[key] = arrive
+		l.lastArrive = arrive
 	}
 	if dropped {
 		n.Eng.ScheduleCallAt(arrive, dropCall, n, m)
@@ -473,7 +530,7 @@ func (n *Network) deliver(m *Message) {
 	n.InFlight--
 	if m.Tokens > 0 || m.Owner {
 		c := n.inFlightCount(m.Block)
-		c.tokens -= int32(m.Tokens)
+		c.tokens -= m.Tokens
 		if m.Owner {
 			c.owners--
 		}
@@ -498,9 +555,7 @@ func (n *Network) Broadcast(template *Message, dsts []topo.NodeID) {
 		if d == template.Src {
 			continue
 		}
-		cp := n.NewMessage()
-		*cp = *template
-		cp.pooled = false
+		cp := n.CopyOf(template)
 		cp.Dst = d
 		n.Send(cp)
 	}

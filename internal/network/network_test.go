@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"tokencmp/internal/mem"
 	"tokencmp/internal/sim"
@@ -86,11 +87,11 @@ func TestPerLinkFIFO(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L2Node(0, 0)
 	for i := 0; i < 5; i++ {
-		n.Send(&Message{Src: src, Dst: dst, Aux: i})
+		n.Send(&Message{Src: src, Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	for i, m := range sinks[dst].got {
-		if m.Aux != i {
+		if int(m.Aux) != i {
 			t.Fatalf("link reordered messages: %d at position %d", m.Aux, i)
 		}
 	}
@@ -186,5 +187,51 @@ func TestTokenInFlightAccounting(t *testing.T) {
 	eng.Run(0)
 	if n.TokensInFlight(far) != 0 {
 		t.Error("far-block counter not cleared after delivery")
+	}
+}
+
+// TestLinkTableMatchesGeometry checks every directed link record built
+// by New against the per-message rule it replaces: a link touching a
+// memory controller, or joining two chips, is off-chip; Figure 7
+// charges an off-chip message one intra-CMP hop per cache endpoint and
+// an on-chip message one. The fault plan follows the link's level.
+func TestLinkTableMatchesGeometry(t *testing.T) {
+	if sz := unsafe.Sizeof(link{}); sz > 24 {
+		t.Errorf("link record is %d bytes, want at most 24", sz)
+	}
+	cfg := Default()
+	cfg.Faults = FaultConfig{
+		OnChip:  FaultPlan{Drop: 0.1},
+		OffChip: FaultPlan{Drop: 0.2},
+	}
+	for _, g := range []topo.Geometry{
+		topo.NewGeometry(1, 1, 1),
+		topo.NewGeometry(2, 2, 1),
+		topo.NewGeometry(4, 4, 4),
+		topo.NewGeometry(3, 2, 5),
+	} {
+		n := New(sim.NewEngine(), g, cfg)
+		isMem := func(id topo.NodeID) bool { return g.KindOf(id) == topo.Mem }
+		for _, src := range g.AllNodes() {
+			for _, dst := range g.AllNodes() {
+				want, wantPlan, wantHops := cfg.OffChip, cfg.Faults.OffChip, 0
+				if !isMem(src) && !isMem(dst) && g.SameCMP(src, dst) {
+					want, wantPlan, wantHops = cfg.OnChip, cfg.Faults.OnChip, 1
+				} else {
+					if !isMem(src) {
+						wantHops++
+					}
+					if !isMem(dst) {
+						wantHops++
+					}
+				}
+				l, lc := n.link(src, dst)
+				if lc.LinkParams != want || *lc.plan != wantPlan || int(l.intraHops) != wantHops {
+					t.Errorf("%dx%dx%d link %v(%v)->%v(%v): params %+v plan %+v hops %d, want %+v %+v %d",
+						g.CMPs, g.ProcsPerCMP, g.L2Banks, src, g.KindOf(src), dst, g.KindOf(dst),
+						lc.LinkParams, *lc.plan, l.intraHops, want, wantPlan, wantHops)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"tokencmp/internal/sim"
 	"tokencmp/internal/topo"
@@ -117,5 +118,13 @@ func TestBroadcastDrawsFromPool(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("broadcast wave allocates %.2f, want 0", avg)
+	}
+}
+
+// TestMessageFitsOneCacheLine pins the Message layout at one 64-byte
+// cache line: every pooled copy on the send path moves exactly one line.
+func TestMessageFitsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 64", got)
 	}
 }

@@ -6,8 +6,9 @@ package stats
 
 import "fmt"
 
-// TrafficClass is the Figure 7 message-type breakdown.
-type TrafficClass int
+// TrafficClass is the Figure 7 message-type breakdown. One byte wide, it
+// shares a network.Message word with the flag fields.
+type TrafficClass uint8
 
 // Traffic classes, in the paper's legend order.
 const (
@@ -32,7 +33,7 @@ var trafficClassNames = [NumTrafficClasses]string{
 }
 
 func (c TrafficClass) String() string {
-	if c < 0 || c >= NumTrafficClasses {
+	if c >= NumTrafficClasses {
 		return fmt.Sprintf("TrafficClass(%d)", int(c))
 	}
 	return trafficClassNames[c]

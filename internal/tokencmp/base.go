@@ -84,7 +84,7 @@ func (c *base) reeval(b mem.Block) {
 		// persistent reads (it needs no read permission and holds the
 		// data the reader must receive).
 		tk, own, hasData, data, dirty := s.TakeAll()
-		tmpl = network.Message{Tokens: tk, Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
+		tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
 	case s.Owner:
 		// Persistent read: the owner keeps one plain token (retaining a
 		// readable copy when it has data) and sends the owner token with
@@ -93,7 +93,7 @@ func (c *base) reeval(b mem.Block) {
 		if give < 1 {
 			give = s.Tokens // owner-only: must surrender the owner token
 		}
-		tmpl = network.Message{Tokens: give, Owner: true, HasData: true, Data: s.Data, Dirty: s.Dirty}
+		tmpl = network.Message{Tokens: int32(give), Owner: true, HasData: true, Data: s.Data, Dirty: s.Dirty}
 		s.Tokens -= give
 		s.Owner = false
 		s.Dirty = false
@@ -108,7 +108,7 @@ func (c *base) reeval(b mem.Block) {
 		}
 		give := s.Tokens - 1
 		s.Tokens = 1
-		tmpl = network.Message{Tokens: give}
+		tmpl = network.Message{Tokens: int32(give)}
 	}
 	if tmpl.Tokens == 0 && !tmpl.Owner {
 		return
@@ -124,7 +124,7 @@ func (c *base) reeval(b mem.Block) {
 		tmpl.Class = stats.InvFwdAckTokens
 	}
 	if c.noteLoss != nil {
-		c.noteLoss(b, tmpl.Tokens, tmpl.Owner, tmpl.Dst, emptied)
+		c.noteLoss(b, int(tmpl.Tokens), tmpl.Owner, tmpl.Dst, emptied)
 	}
 	delay := c.accessLatency
 	if tmpl.HasData {
@@ -157,17 +157,17 @@ func (c *base) transientBlocked(b mem.Block, requestor topo.NodeID) bool {
 func (c *base) handlePersistentMsg(m *network.Message) bool {
 	switch m.Kind {
 	case kPersistent:
-		c.dtable.Insert(m.Proc, m.Block, token.ReqKind(m.Aux), m.Requestor)
+		c.dtable.Insert(int(m.Proc), m.Block, token.ReqKind(m.Aux), m.Requestor)
 		c.reeval(m.Block)
 	case kPersistentDone:
-		if blk, ok := c.dtable.Deactivate(m.Proc); ok {
+		if blk, ok := c.dtable.Deactivate(int(m.Proc)); ok {
 			c.reeval(blk)
 		}
 	case kArbActivate:
-		c.atable.Activate(m.Block, token.ReqKind(m.Aux), m.Requestor, m.Proc)
+		c.atable.Activate(m.Block, token.ReqKind(m.Aux), m.Requestor, int(m.Proc))
 		c.reeval(m.Block)
 	case kArbDeactivate:
-		c.atable.Deactivate(m.Block, m.Proc)
+		c.atable.Deactivate(m.Block, int(m.Proc))
 		c.reeval(m.Block)
 	default:
 		return false

@@ -217,14 +217,13 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 		Block:     b,
 		Kind:      kTransient,
 		Class:     stats.Request,
-		Aux:       int(txn.reqKind),
+		Aux:       int32(txn.reqKind),
 		Requestor: c.id,
-		Proc:      c.globalProc,
+		Proc:      int32(c.globalProc),
 	}
-	g := c.sys.Geom
-	dsts := append([]topo.NodeID{}, g.L1sInCMP(c.cmp)...)
-	dsts = append(dsts, g.L2BankFor(c.cmp, b))
-	c.sys.Net.Broadcast(tmpl, dsts)
+	c.sys.Net.Broadcast(tmpl, c.sys.l1sInCMP[c.cmp])
+	tmpl.Dst = c.sys.Geom.L2BankFor(c.cmp, b)
+	c.sys.Net.Send(c.sys.Net.CopyOf(tmpl))
 
 	txn.seq++
 	seq := txn.seq
@@ -275,8 +274,8 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 			Block:     b,
 			Kind:      kPersistent,
 			Class:     stats.Persistent,
-			Aux:       int(txn.reqKind),
-			Proc:      c.globalProc,
+			Aux:       int32(txn.reqKind),
+			Proc:      int32(c.globalProc),
 			Requestor: c.id,
 		}
 		c.sys.Net.Broadcast(tmpl, c.sys.allEndpoints)
@@ -292,8 +291,8 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 		Block:     b,
 		Kind:      kArbRequest,
 		Class:     stats.Persistent,
-		Aux:       int(txn.reqKind),
-		Proc:      c.globalProc,
+		Aux:       int32(txn.reqKind),
+		Proc:      int32(c.globalProc),
 		Requestor: c.id,
 	})
 }
@@ -328,7 +327,7 @@ func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
 			Block: b,
 			Kind:  kPersistentDone,
 			Class: stats.Persistent,
-			Proc:  c.globalProc,
+			Proc:  int32(c.globalProc),
 		}
 		c.sys.Net.Broadcast(tmpl, c.sys.allEndpoints)
 		// Direct handoff: if another persistent request is now active for
@@ -342,7 +341,7 @@ func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
 		Block: b,
 		Kind:  kArbDone,
 		Class: stats.Persistent,
-		Proc:  c.globalProc,
+		Proc:  int32(c.globalProc),
 	})
 }
 
@@ -381,7 +380,7 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 	case kResponse:
 		c.handleResponse(m)
 	case kPersistentDone:
-		if blk, ok := c.dtable.Deactivate(m.Proc); ok {
+		if blk, ok := c.dtable.Deactivate(int(m.Proc)); ok {
 			c.reeval(blk)
 		}
 		c.recheckMarked()
@@ -404,13 +403,13 @@ func (c *L1Ctrl) handleResponse(m *network.Message) {
 	if evicted {
 		c.writebackVictim(victim, vstate)
 	}
-	line.State.Merge(m.Tokens, m.Owner, m.HasData, m.Data, m.Dirty)
+	line.State.Merge(int(m.Tokens), m.Owner, m.HasData, m.Data, m.Dirty)
 
 	// On-chip presence: gains from outside the chip are noted; gains from
 	// local endpoints were accounted at their send.
 	g := c.sys.Geom
 	if g.CMPOf(m.Src) != c.cmp || g.KindOf(m.Src) == topo.Mem {
-		c.bankFor(b).noteL1Gain(b, m.Tokens, m.Owner, c.id)
+		c.bankFor(b).noteL1Gain(b, int(m.Tokens), m.Owner, c.id)
 	}
 
 	// The timeout threshold tracks memory response latency only (§4) —
@@ -443,7 +442,7 @@ func (c *L1Ctrl) writebackVictim(victim mem.Block, st token.State) {
 		Block:   victim,
 		Kind:    kWriteback,
 		Class:   cls,
-		Tokens:  st.Tokens,
+		Tokens:  int32(st.Tokens),
 		Owner:   st.Owner,
 		HasData: hasData,
 		Data:    st.Data,
@@ -484,13 +483,13 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 	switch {
 	case rk == token.ReqWrite:
 		tk, own, hasData, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: tk, Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
+		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
 		emptied = true
 	case s.Owner && s.Tokens == T && s.Dirty && !c.sys.Cfg.DisableMigratory:
 		// Migratory sharing: hand everything to the reader.
 		c.sys.ctr.migratory.Inc()
 		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}
+		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
 		emptied = true
 	case s.Owner && s.Tokens >= 2:
 		n := 1
@@ -500,12 +499,12 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 			n = minInt(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
 		}
 		s.Tokens -= n
-		resp = network.Message{Tokens: n, HasData: true, Data: s.Data}
+		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
 	case s.Owner:
 		// Owner-only: transfer ownership with data rather than starve the
 		// reader.
 		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}
+		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
 		emptied = true
 	case !external && s.Tokens >= 2 && s.HasData:
 		// Local read served by a non-owner sharer with spare tokens.
@@ -524,7 +523,7 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 	} else {
 		resp.Class = stats.InvFwdAckTokens
 	}
-	c.notifyLoss(b, resp.Tokens, resp.Owner, resp.Dst, emptied)
+	c.notifyLoss(b, int(resp.Tokens), resp.Owner, resp.Dst, emptied)
 	c.sys.Net.SendNew(resp)
 	if emptied {
 		c.cache.Invalidate(b)

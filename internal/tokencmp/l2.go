@@ -174,11 +174,11 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 	switch {
 	case rk == token.ReqWrite:
 		tk, own, hasData, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: tk, Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
+		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
 		emptied = true
 	case s.Owner && s.Tokens == T && s.Dirty && !c.sys.Cfg.DisableMigratory:
 		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}
+		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
 		emptied = true
 	case s.Owner && s.Tokens >= 2:
 		n := 1
@@ -186,10 +186,10 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 			n = minInt(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
 		}
 		s.Tokens -= n
-		resp = network.Message{Tokens: n, HasData: true, Data: s.Data}
+		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
 	case s.Owner:
 		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}
+		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
 		emptied = true
 	case !external && s.Tokens >= 2 && s.HasData:
 		s.Tokens--
@@ -210,7 +210,7 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 	// Tokens sent to a local L1 stay on chip.
 	g := c.sys.Geom
 	if g.IsCache(resp.Dst) && g.CMPOf(resp.Dst) == c.cmp {
-		c.noteL1Gain(b, resp.Tokens, resp.Owner, resp.Dst)
+		c.noteL1Gain(b, int(resp.Tokens), resp.Owner, resp.Dst)
 	}
 	c.sys.Net.SendNew(resp)
 	if emptied {
@@ -300,8 +300,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 	if token.ReqKind(m.Aux) == token.ReqRead && !p.owner {
 		return // external reads are answered only by the owner
 	}
-	g := c.sys.Geom
-	l1s := g.L1sInCMP(c.cmp)
+	l1s := c.sys.l1sInCMP[c.cmp]
 	fwd := network.Message{
 		Src:       c.id,
 		Block:     b,
@@ -338,7 +337,7 @@ func (c *L2Ctrl) handleWriteback(m *network.Message) {
 	if evicted {
 		c.writebackVictim(victim, vstate)
 	}
-	line.State.Merge(m.Tokens, m.Owner, m.HasData, m.Data, m.Dirty)
+	line.State.Merge(int(m.Tokens), m.Owner, m.HasData, m.Data, m.Dirty)
 	c.reeval(b)
 }
 
@@ -357,7 +356,7 @@ func (c *L2Ctrl) writebackVictim(victim mem.Block, st token.State) {
 		Block:   victim,
 		Kind:    kWriteback,
 		Class:   cls,
-		Tokens:  st.Tokens,
+		Tokens:  int32(st.Tokens),
 		Owner:   st.Owner,
 		HasData: hasData,
 		Data:    st.Data,

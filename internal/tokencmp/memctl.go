@@ -134,7 +134,7 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 	switch {
 	case rk == token.ReqWrite:
 		tk, own, hasData, data, dirty := s.TakeAll()
-		tmpl = network.Message{Tokens: tk, Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
+		tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
 	case s.Owner:
 		// Read: when memory holds every token, hand them all over — the
 		// exclusive-clean (E state) analog, letting the reader upgrade to
@@ -143,11 +143,11 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 		// requests in the reader's CMP hit locally.
 		if s.Tokens == c.sys.T || s.Tokens < 2 {
 			tk, own, _, data, dirty := s.TakeAll()
-			tmpl = network.Message{Tokens: tk, Owner: own, HasData: true, Data: data, Dirty: dirty}
+			tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
 		} else {
 			n := minInt(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
 			s.Tokens -= n
-			tmpl = network.Message{Tokens: n, HasData: true, Data: s.Data}
+			tmpl = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
 		}
 	default:
 		return // token-only memory stays silent on reads; the owner cache responds
@@ -179,7 +179,7 @@ func (c *MemCtrl) handleWriteback(m *network.Message) {
 		s = &token.State{}
 		c.store[m.Block] = s
 	}
-	s.Merge(m.Tokens, m.Owner, m.HasData, m.Data, m.Dirty)
+	s.Merge(int(m.Tokens), m.Owner, m.HasData, m.Data, m.Dirty)
 	if s.Owner {
 		s.Dirty = false // memory is the backing store
 	}
@@ -191,14 +191,14 @@ func (c *MemCtrl) handleWriteback(m *network.Message) {
 // time, activation and deactivation broadcast to every endpoint.
 func (c *MemCtrl) handleArbRequest(m *network.Message) {
 	rk := token.ReqKind(m.Aux)
-	if c.arb.Request(m.Block, m.Proc, rk, m.Requestor) {
-		c.broadcastActivate(m.Block, rk, m.Requestor, m.Proc)
+	if c.arb.Request(m.Block, int(m.Proc), rk, m.Requestor) {
+		c.broadcastActivate(m.Block, rk, m.Requestor, int(m.Proc))
 	}
 }
 
 func (c *MemCtrl) handleArbDone(m *network.Message) {
 	// Deactivate everywhere, then activate the next queued request.
-	_, _, wasActive, hasNext := c.arb.Cancel(m.Block, m.Proc)
+	_, _, wasActive, hasNext := c.arb.Cancel(m.Block, int(m.Proc))
 	if wasActive {
 		tmpl := &network.Message{
 			Src:   c.id,
@@ -208,7 +208,7 @@ func (c *MemCtrl) handleArbDone(m *network.Message) {
 			Proc:  m.Proc,
 		}
 		c.sys.Net.Broadcast(tmpl, c.sys.allEndpoints)
-		c.atable.Deactivate(m.Block, m.Proc)
+		c.atable.Deactivate(m.Block, int(m.Proc))
 	}
 	if hasNext {
 		if e, proc, ok := c.arb.ActiveFor(m.Block); ok {
@@ -223,9 +223,9 @@ func (c *MemCtrl) broadcastActivate(b mem.Block, rk token.ReqKind, dest topo.Nod
 		Block:     b,
 		Kind:      kArbActivate,
 		Class:     stats.Persistent,
-		Aux:       int(rk),
+		Aux:       int32(rk),
 		Requestor: dest,
-		Proc:      proc,
+		Proc:      int32(proc),
 	}
 	c.sys.Net.Broadcast(tmpl, c.sys.allEndpoints)
 	// Activate locally too (Broadcast skips the source).

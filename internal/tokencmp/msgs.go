@@ -73,7 +73,7 @@ func classifyFault(m *network.Message) network.FaultClass {
 	}
 }
 
-func kindName(k int) string {
+func kindName(k int32) string {
 	switch k {
 	case kTransient:
 		return "Transient"

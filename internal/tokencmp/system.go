@@ -27,6 +27,7 @@ type System struct {
 	ctr  *ctrs
 
 	allEndpoints []topo.NodeID
+	l1sInCMP     [][]topo.NodeID // [cmp]: the chip's L1s, in Geometry.L1sInCMP order
 }
 
 // NewSystem wires a TokenCMP machine on the given engine and network
@@ -40,6 +41,10 @@ func NewSystem(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config
 		Net:          network.New(eng, g, netCfg),
 		allEndpoints: g.AllNodes(),
 		Ctrs:         counters.NewSet(),
+	}
+	s.l1sInCMP = make([][]topo.NodeID, g.CMPs)
+	for c := range s.l1sInCMP {
+		s.l1sInCMP[c] = g.L1sInCMP(c)
 	}
 	s.ctr = newCtrs(s.Ctrs)
 	s.Net.WireCounters(s.Ctrs)

@@ -14,8 +14,10 @@ import (
 	"tokencmp/internal/mem"
 )
 
-// NodeID identifies one coherence endpoint in the system.
-type NodeID int
+// NodeID identifies one coherence endpoint in the system. It is 32
+// bits wide so the two endpoints of a network.Message pack into one
+// word.
+type NodeID int32
 
 // None is the invalid NodeID.
 const None NodeID = -1
