@@ -13,17 +13,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
+	"time"
 
 	"tokencmp/internal/mc"
 	"tokencmp/internal/mc/models"
 	"tokencmp/internal/prof"
 )
 
-func modelLoC(path string) int {
+// modelLoC counts the non-comment lines of a model source file, given
+// relative to the repository root. Run from anywhere else, the file is
+// not found and the count reads "n/a".
+func modelLoC(path string) string {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0
+		return "n/a"
 	}
 	n := 0
 	for _, line := range strings.Split(string(data), "\n") {
@@ -32,7 +37,39 @@ func modelLoC(path string) int {
 			n++
 		}
 	}
-	return n
+	return strconv.Itoa(n)
+}
+
+// config holds the flags validate checks.
+type config struct {
+	protocol                          string
+	caches, tokens, msgs, limit, jobs int
+	timeout                           time.Duration
+}
+
+// validate rejects flag values the checker cannot run. The packed
+// encodings store caches, tokens, and message slots in single bytes
+// (sharers in 30 bits), so configurations the layouts cannot carry are
+// refused before a model constructor panics; a negative -limit, -jobs
+// or -timeout is refused rather than read as its default.
+func validate(c config) error {
+	switch {
+	case c.protocol != "all" && c.protocol != "token" && c.protocol != "directory" && c.protocol != "hammer":
+		return fmt.Errorf("modelcheck: unknown -protocol %q (want all, token, directory, or hammer)", c.protocol)
+	case c.caches < 2 || c.caches > 30:
+		return fmt.Errorf("modelcheck: -caches must be in [2, 30]")
+	case c.tokens < 1 || c.tokens > 254:
+		return fmt.Errorf("modelcheck: -tokens must be in [1, 254]")
+	case c.msgs < 0 || c.msgs > 60:
+		return fmt.Errorf("modelcheck: -msgs must be in [0, 60]")
+	case c.limit < 0:
+		return fmt.Errorf("modelcheck: -limit must be >= 0")
+	case c.jobs < 0:
+		return fmt.Errorf("modelcheck: -jobs must be >= 0")
+	case c.timeout < 0:
+		return fmt.Errorf("modelcheck: -timeout must be >= 0")
+	}
+	return nil
 }
 
 func main() {
@@ -40,8 +77,8 @@ func main() {
 		caches   = flag.Int("caches", 3, "caches in every model (the paper's Section 5 scale is 3)")
 		tokens   = flag.Int("tokens", 4, "tokens per block in the token models")
 		msgs     = flag.Int("msgs", 0, "in-flight message bound (0 = per-model default: 2 token, 3 directory, 5 hammer)")
-		limit    = flag.Int("limit", 0, "exact state-count cap (0 = the 5,000,000 default)")
-		jobs     = flag.Int("jobs", 0, "concurrent frontier-expansion workers (0 = one per CPU)")
+		limit    = flag.Int("limit", 0, "exact state-count cap (0 = the 5,000,000 default; must be >= 0)")
+		jobs     = flag.Int("jobs", 0, "concurrent frontier-expansion workers (0 = one per CPU; must be >= 0)")
 		symmetry = flag.Bool("symmetry", true, "canonicalize states under cache permutation (Ip&Dill scalarset-style reduction, up to caches! fewer states)")
 		loss     = flag.Bool("loss", false, "token models: enable interconnect message loss with token recreation (verifies conservation modulo recreation)")
 		protocol = flag.String("protocol", "all", "which models to check: all, token, directory, or hammer")
@@ -51,25 +88,8 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *protocol {
-	case "all", "token", "directory", "hammer":
-	default:
-		fmt.Fprintf(os.Stderr, "modelcheck: unknown -protocol %q (want all, token, directory, or hammer)\n", *protocol)
-		os.Exit(2)
-	}
-	// The packed encodings store caches, tokens, and message slots in
-	// single bytes (sharers in 30 bits); reject configurations the
-	// layouts cannot carry before a model constructor panics.
-	if *caches < 2 || *caches > 30 {
-		fmt.Fprintln(os.Stderr, "modelcheck: -caches must be in [2, 30]")
-		os.Exit(2)
-	}
-	if *tokens < 1 || *tokens > 254 {
-		fmt.Fprintln(os.Stderr, "modelcheck: -tokens must be in [1, 254]")
-		os.Exit(2)
-	}
-	if *msgs < 0 || *msgs > 60 {
-		fmt.Fprintln(os.Stderr, "modelcheck: -msgs must be in [0, 60]")
+	if err := validate(config{*protocol, *caches, *tokens, *msgs, *limit, *jobs, *timeout}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	bound := func(def int) int {
@@ -166,13 +186,13 @@ func main() {
 	fmt.Println("Model source size (non-comment lines; the paper reports 383/396 lines")
 	fmt.Println("of TLA+ for TokenCMP-arb/dst vs 1025 for the simplified DirectoryCMP):")
 	if want("token") {
-		fmt.Printf("  token substrate models:   %d\n", modelLoC("internal/mc/models/token.go"))
+		fmt.Printf("  token substrate models:   %s\n", modelLoC("internal/mc/models/token.go"))
 	}
 	if want("directory") {
-		fmt.Printf("  flat directory model:     %d\n", modelLoC("internal/mc/models/directory.go"))
+		fmt.Printf("  flat directory model:     %s\n", modelLoC("internal/mc/models/directory.go"))
 	}
 	if want("hammer") {
-		fmt.Printf("  flat hammer (broadcast):  %d\n", modelLoC("internal/mc/models/hammer.go"))
+		fmt.Printf("  flat hammer (broadcast):  %s\n", modelLoC("internal/mc/models/hammer.go"))
 	}
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "modelcheck: wall-clock budget %v exhausted; PARTIAL results above cover the explored prefix only\n", *timeout)

@@ -22,7 +22,7 @@
 // bounds how big a configuration can be verified, so the hot path is
 // allocation-free: workers expand frontiers into reusable SuccBufs,
 // keys are hashed and deduplicated as raw byte views, and only the
-// first discovery of a state materializes an interned string.
+// first discovery of a state copies the key into a shared string chunk.
 //
 // Models whose caches are fully interchangeable additionally declare
 // their layout's symmetry (see symmetry.go); with Options.Symmetry the
@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -172,21 +173,30 @@ func (r *Result) String() string {
 		r.Model, status, states, r.Transitions, r.Diameter, r.Elapsed, detail)
 }
 
-// expansion is one frontier state's parallel-computed outputs. The
-// successor keys live in the worker-filled SuccBuf and their hashes are
-// computed in the worker, so the serial merge never hashes a key; mult
-// folds within-expansion duplicate successors into their first
+// expandChunk is the number of consecutive frontier states one worker
+// task expands. The split depends only on the frontier, never on the
+// worker count, and a chunk's buffers amortize their growth over all
+// its states.
+const expandChunk = 32
+
+// expansion is one frontier chunk's parallel-computed outputs. The
+// successor keys of all its states live, in order, in the worker-filled
+// SuccBuf, and ends[k] is the key count after its k-th state. Their
+// hashes are computed in the worker, so the serial merge never hashes a
+// key; mult folds duplicate successors of one state into their first
 // occurrence (mult[j] < 0 marks a duplicate, otherwise it is the
-// occurrence count folded into j). All three buffers are reused across
-// BFS levels: a worker's allocations stop once it has seen the widest
+// occurrence count folded into j). The buffers are reused across BFS
+// levels: allocations stop once the chunks have seen the widest
 // expansion.
 type expansion struct {
-	sb       SuccBuf
-	hashes   []uint64
-	orbits   []int32 // orbit size per successor (symmetry runs only)
-	mult     []int32
-	err      error // safety violation, if any
-	deadlock bool
+	sb     SuccBuf
+	ends   []int32
+	hashes []uint64
+	orbits []int32 // orbit size per successor (symmetry runs only)
+	mult   []int32
+	err    error // first safety violation in the chunk, if any
+	errAt  int   // chunk offset of the violating state
+	deadAt int   // chunk offset of the first deadlocked state, or -1
 }
 
 // stateTable is an open-addressed hash set over the discovered-state
@@ -194,29 +204,33 @@ type expansion struct {
 // discovered state exactly once (in a worker, off the serial path),
 // probes with raw byte views (the string(b) == s comparison below does
 // not allocate), and growth rehashes from the stored hash words without
-// touching the keys.
+// touching the keys. A slot keeps its hash beside its index, so a probe
+// reads one cache line.
 type stateTable struct {
-	hashes []uint64
-	idx    []int32 // state index + 1; 0 marks an empty slot
-	used   int
+	slots []tableSlot
+	used  int
+}
+
+type tableSlot struct {
+	hash uint64
+	idx  int32 // state index + 1; 0 marks an empty slot
 }
 
 func newStateTable() *stateTable {
-	const initial = 1 << 10
-	return &stateTable{hashes: make([]uint64, initial), idx: make([]int32, initial)}
+	return &stateTable{slots: make([]tableSlot, 1<<10)}
 }
 
 // lookup returns the index stored for (h, b), or -1, plus the slot
 // where b belongs.
 func (t *stateTable) lookup(h uint64, b []byte, states []string) (int32, int) {
-	mask := uint64(len(t.idx) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for slot := h & mask; ; slot = (slot + 1) & mask {
-		stored := t.idx[slot]
-		if stored == 0 {
+		e := t.slots[slot]
+		if e.idx == 0 {
 			return -1, int(slot)
 		}
-		if t.hashes[slot] == h && states[stored-1] == string(b) {
-			return stored - 1, int(slot)
+		if e.hash == h && states[e.idx-1] == string(b) {
+			return e.idx - 1, int(slot)
 		}
 	}
 }
@@ -224,32 +238,32 @@ func (t *stateTable) lookup(h uint64, b []byte, states []string) (int32, int) {
 // insert records index at the slot lookup reported, growing at 3/4
 // load.
 func (t *stateTable) insert(slot int, h uint64, index int32) {
-	t.hashes[slot] = h
-	t.idx[slot] = index + 1
+	t.slots[slot] = tableSlot{hash: h, idx: index + 1}
 	t.used++
-	if t.used*4 >= len(t.idx)*3 {
+	if t.used*4 >= len(t.slots)*3 {
 		t.grow()
 	}
 }
 
 func (t *stateTable) grow() {
-	oldHashes, oldIdx := t.hashes, t.idx
-	t.hashes = make([]uint64, 2*len(oldIdx))
-	t.idx = make([]int32, 2*len(oldIdx))
-	mask := uint64(len(t.idx) - 1)
-	for i, stored := range oldIdx {
-		if stored == 0 {
+	old := t.slots
+	t.slots = make([]tableSlot, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, e := range old {
+		if e.idx == 0 {
 			continue
 		}
-		h := oldHashes[i]
-		slot := h & mask
-		for t.idx[slot] != 0 {
+		slot := e.hash & mask
+		for t.slots[slot].idx != 0 {
 			slot = (slot + 1) & mask
 		}
-		t.hashes[slot] = h
-		t.idx[slot] = stored
+		t.slots[slot] = e
 	}
 }
+
+// internChunk is the size of the string chunks discovered keys are
+// copied into: one allocation per chunk rather than one per state.
+const internChunk = 64 << 10
 
 // CheckOpt explores m under opt.
 //
@@ -261,8 +275,8 @@ func (t *stateTable) grow() {
 //
 // With opt.Symmetry and a model that declares its cache symmetry,
 // every emitted successor key is canonicalized in place (in the
-// worker, before hashing) to the lexicographically minimal key over
-// all cache permutations, so the BFS explores the quotient graph: one
+// worker, before hashing) to its orbit's canonical representative
+// (see Canonicalize), so the BFS explores the quotient graph: one
 // representative per orbit. The orbit sizes are summed into
 // FullStates, which exactly reproduces the unreduced state count.
 // Canonicalization is sound here because a Symmetric model's
@@ -313,17 +327,19 @@ func CheckOpt(m Model, opt Options) *Result {
 	seed := maphash.MakeSeed()
 	table := newStateTable()
 	var states []string
-	var depths []int32
-	// Unique predecessor edges, recorded flat during the BFS and
-	// compacted into a CSR adjacency afterwards for the backward
-	// starvation pass: two int32 words per edge instead of a boxed
-	// []int32 per state.
-	var edgeFrom, edgeTo []int32
+	// Unique successor edges, recorded as a forward CSR adjacency: BFS
+	// expands states in index order, so state i's edges are
+	// edgeTo[edgeEnd[i-1]:edgeEnd[i]] and no source word is stored.
+	var edgeTo, edgeEnd []int32
+	// A key's interned string is a substring of the current chunk, which
+	// never rewrites bytes it has handed out; a key that does not fit
+	// starts a new chunk.
+	var chunk *strings.Builder
 
 	// push records a newly discovered state (with its precomputed hash)
 	// unless the cap has been reached, returning its index (-1 if
 	// dropped) and whether it was new. The key bytes are interned
-	// (copied into an owned string) only on first discovery.
+	// (copied into the current string chunk) only on first discovery.
 	push := func(b []byte, h uint64, depth int32) (int, bool) {
 		if idx, slot := table.lookup(h, b, states); idx >= 0 {
 			return int(idx), false
@@ -333,8 +349,13 @@ func CheckOpt(m Model, opt Options) *Result {
 			table.insert(slot, h, int32(len(states)))
 		}
 		idx := len(states)
-		states = append(states, string(b))
-		depths = append(depths, depth)
+		if chunk == nil || chunk.Cap()-chunk.Len() < len(b) {
+			chunk = new(strings.Builder)
+			chunk.Grow(max(internChunk, len(b)))
+		}
+		start := chunk.Len()
+		chunk.Write(b)
+		states = append(states, chunk.String()[start:])
 		if int(depth) > res.Diameter {
 			res.Diameter = int(depth)
 		}
@@ -356,29 +377,40 @@ func CheckOpt(m Model, opt Options) *Result {
 	// BFS appends discoveries to states in level order, so the slice
 	// doubles as the queue: states[lo:hi] is the current level, walked
 	// with a cursor instead of a frontier[1:] pop that would pin the
-	// whole backing array for the life of the run.
+	// whole backing array for the life of the run. The states it
+	// discovers lie at depth.
 	var exps []expansion // reused across levels
-	for lo := 0; lo < len(states); {
+	for lo, depth := 0, int32(1); lo < len(states); depth++ {
 		hi := len(states)
 		batch := states[lo:hi]
-		if cap(exps) < len(batch) {
-			next := make([]expansion, len(batch))
+		chunks := (len(batch) + expandChunk - 1) / expandChunk
+		if cap(exps) < chunks {
+			next := make([]expansion, chunks)
 			copy(next, exps[:cap(exps)]) // keep every parked worker buffer, truncated tail included
 			exps = next
 		} else {
-			exps = exps[:len(batch)]
+			exps = exps[:chunks]
 		}
-		pool.Run(len(batch), func(i int) error {
-			s := batch[i]
-			e := &exps[i]
+		pool.Run(chunks, func(ci int) error {
+			e := &exps[ci]
 			e.sb.Reset()
-			m.Successors(s, &e.sb)
+			e.ends = e.ends[:0]
+			e.err, e.deadAt = nil, -1
+			for k, s := range batch[ci*expandChunk : min((ci+1)*expandChunk, len(batch))] {
+				before := e.sb.Len()
+				m.Successors(s, &e.sb)
+				if err := m.Check(s); err != nil && e.err == nil {
+					e.err, e.errAt = err, k
+				}
+				if e.sb.Len() == before && e.deadAt < 0 && !m.Quiescent(s) {
+					e.deadAt = k
+				}
+				e.ends = append(e.ends, int32(e.sb.Len()))
+			}
 			n := e.sb.Len()
 			e.hashes = slices.Grow(e.hashes[:0], n)[:n]
 			e.mult = slices.Grow(e.mult[:0], n)[:n]
 			clear(e.mult) // the fold below needs a zeroed multiplicity map
-			e.err = m.Check(s)
-			e.deadlock = n == 0 && !m.Quiescent(s)
 			if sym != nil {
 				// Canonicalize before hashing and deduplication, so two
 				// successors in the same orbit fold like any other
@@ -394,22 +426,27 @@ func CheckOpt(m Model, opt Options) *Result {
 			for j := 0; j < n; j++ {
 				e.hashes[j] = maphash.Bytes(seed, e.sb.Key(j))
 			}
-			// Fold duplicate successors into their first occurrence so the
-			// serial merge probes the state table once per unique successor
-			// (the occurrence count keeps Transitions exactly as if each
-			// duplicate were merged separately).
-			for j := 0; j < n; j++ {
-				if e.mult[j] < 0 {
-					continue
-				}
-				e.mult[j] = 1
-				kj := e.sb.Key(j)
-				for k := j + 1; k < n; k++ {
-					if e.hashes[k] == e.hashes[j] && e.mult[k] == 0 && bytes.Equal(e.sb.Key(k), kj) {
-						e.mult[j]++
-						e.mult[k] = -1
+			// Fold each state's duplicate successors into their first
+			// occurrence so the serial merge probes the state table once
+			// per unique successor (the occurrence count keeps
+			// Transitions exactly as if each duplicate were merged
+			// separately).
+			first := 0
+			for _, end := range e.ends {
+				for j := first; j < int(end); j++ {
+					if e.mult[j] < 0 {
+						continue
+					}
+					e.mult[j] = 1
+					kj := e.sb.Key(j)
+					for k := j + 1; k < int(end); k++ {
+						if e.hashes[k] == e.hashes[j] && e.mult[k] == 0 && bytes.Equal(e.sb.Key(k), kj) {
+							e.mult[j]++
+							e.mult[k] = -1
+						}
 					}
 				}
+				first = int(end)
 			}
 			return nil
 		})
@@ -423,32 +460,34 @@ func CheckOpt(m Model, opt Options) *Result {
 			total = room
 		}
 		states = slices.Grow(states, total)
-		depths = slices.Grow(depths, total)
-		for i := range exps {
-			e := &exps[i]
+		for ci := range exps {
+			e := &exps[ci]
+			base := lo + ci*expandChunk
 			if e.err != nil && res.Violation == nil {
 				res.Violation = e.err
-				res.BadState = batch[i]
+				res.BadState = states[base+e.errAt]
 			}
-			if e.deadlock && res.Deadlock == "" {
-				res.Deadlock = batch[i]
+			if e.deadAt >= 0 && res.Deadlock == "" {
+				res.Deadlock = states[base+e.deadAt]
 			}
-			depth := depths[lo+i] + 1
-			for j := 0; j < e.sb.Len(); j++ {
-				k := e.mult[j]
-				if k < 0 {
-					continue // duplicate folded into an earlier occurrence
+			j := 0
+			for _, end := range e.ends {
+				for ; j < int(end); j++ {
+					mult := e.mult[j]
+					if mult < 0 {
+						continue // duplicate folded into an earlier occurrence
+					}
+					ti, isNew := push(e.sb.Key(j), e.hashes[j], depth)
+					if ti < 0 {
+						continue // dropped by the exact state cap
+					}
+					if isNew && sym != nil {
+						res.FullStates += int(e.orbits[j])
+					}
+					res.Transitions += int(mult)
+					edgeTo = append(edgeTo, int32(ti))
 				}
-				ti, isNew := push(e.sb.Key(j), e.hashes[j], depth)
-				if ti < 0 {
-					continue // dropped by the exact state cap
-				}
-				if isNew && sym != nil {
-					res.FullStates += int(e.orbits[j])
-				}
-				res.Transitions += int(k)
-				edgeFrom = append(edgeFrom, int32(lo+i))
-				edgeTo = append(edgeTo, int32(ti))
+				edgeEnd = append(edgeEnd, int32(len(edgeTo)))
 			}
 		}
 		lo = hi
@@ -474,8 +513,8 @@ func CheckOpt(m Model, opt Options) *Result {
 
 	// Starvation check: backward reachability from satisfying states
 	// over a CSR predecessor adjacency (offsets + one flat edge array)
-	// built from the edge list. The per-state predicates decode in
-	// parallel; the propagation itself is a cheap serial pass.
+	// transposed from the forward one. The per-state predicates decode
+	// in parallel; the propagation itself is a cheap serial pass.
 	offs := make([]int32, len(states)+1)
 	for _, t := range edgeTo {
 		offs[t+1]++
@@ -486,11 +525,15 @@ func CheckOpt(m Model, opt Options) *Result {
 	preds := make([]int32, len(edgeTo))
 	cursor := make([]int32, len(states))
 	copy(cursor, offs[:len(states)])
-	for e, t := range edgeTo {
-		preds[cursor[t]] = edgeFrom[e]
-		cursor[t]++
+	var first int32
+	for from, end := range edgeEnd {
+		for _, t := range edgeTo[first:end] {
+			preds[cursor[t]] = int32(from)
+			cursor[t]++
+		}
+		first = end
 	}
-	edgeFrom, edgeTo = nil, nil
+	edgeTo, edgeEnd = nil, nil
 
 	satisfying := make([]bool, len(states))
 	pending := make([]bool, len(states))

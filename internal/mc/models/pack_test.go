@@ -2,7 +2,9 @@ package models
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 
 	"tokencmp/internal/mc"
@@ -191,16 +193,33 @@ func TestHammerCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestSortSlots pins the slot sorter itself: ascending lexicographic
-// byte order, duplicates preserved, bytes outside the record area
-// untouched.
+// TestSortSlots pins the slot sorter against a sort.Slice reference:
+// ascending lexicographic byte order, duplicates preserved, and the
+// guard bytes after the record area untouched. It covers the record
+// widths 1, 2, 3 and 8 and every record count up to the most slots a
+// hammer key can hold (its count byte caps them at 255), with records
+// drawn from a small alphabet so duplicates are common.
 func TestSortSlots(t *testing.T) {
-	b := []byte{9, 9, 3, 1, 3, 0, 9, 9, 0, 7, 0xAA}
-	// 5 two-byte records, one trailing guard byte.
-	mc.SortSlots(b, 5, 2)
-	want := []byte{0, 7, 3, 0, 3, 1, 9, 9, 9, 9, 0xAA}
-	if !bytes.Equal(b, want) {
-		t.Fatalf("sortSlots = %v, want %v", b, want)
+	rng := rand.New(rand.NewPCG(1, 2))
+	guard := []byte{0xAA, 0x55, 0x00, 0xFF}
+	for _, w := range []int{1, 2, 3, 8} {
+		for n := 0; n <= 255; n++ {
+			b := make([]byte, n*w, n*w+len(guard))
+			for i := range b {
+				b[i] = byte(rng.IntN(3)) * 0x7F // 0x00, 0x7F or 0xFE
+			}
+			recs := make([][]byte, n)
+			for i := range recs {
+				recs[i] = bytes.Clone(b[i*w : (i+1)*w])
+			}
+			sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i], recs[j]) < 0 })
+			want := append(bytes.Join(recs, nil), guard...)
+			b = append(b, guard...)
+			mc.SortSlots(b, n, w)
+			if !bytes.Equal(b, want) {
+				t.Fatalf("w=%d n=%d: SortSlots = %x, want %x", w, n, b, want)
+			}
+		}
 	}
 }
 

@@ -242,3 +242,39 @@ func TestOrbitSizesSumToFullSpace(t *testing.T) {
 			total, len(corpus), len(reps))
 	}
 }
+
+// TestCanonicalizeCyclicTie pins the canonicalizer on a state whose
+// tied caches are not pairwise interchangeable: three idle hammer
+// caches with identical records, each probed on behalf of the next
+// (0←1, 1←2, 2←0). Every cache has the same records and the same
+// reference signature, so only trying the arrangements finds the
+// representative; the stabilizer is the two rotations plus the
+// identity, not all six permutations, so the orbit has two keys.
+func TestCanonicalizeCyclicTie(t *testing.T) {
+	m := DefaultHammerModel()
+	s := m.newState()
+	s.Busy, s.BusyWB = -1, -1
+	for q := 0; q < 3; q++ {
+		s.Msgs = append(s.Msgs, hmsg{Kind: hmProbeS, To: q, P: (q + 1) % 3})
+	}
+	key := make([]byte, m.width)
+	m.encode(&s, key)
+	canon := m.Symmetry().NewCanonicalizer(m.width)
+	rep := bytes.Clone(key)
+	orbit := canon.Canonicalize(rep)
+	members := map[string]bool{}
+	for _, p := range permutations(3) {
+		pk := make([]byte, m.width)
+		m.encode(permuteHammerState(m, &s, p), pk)
+		members[string(pk)] = true
+		if o := canon.Canonicalize(pk); !bytes.Equal(pk, rep) || o != orbit {
+			t.Fatalf("not invariant under %v: got %x (orbit %d), want %x (orbit %d)", p, pk, o, rep, orbit)
+		}
+	}
+	if !members[string(rep)] {
+		t.Fatalf("representative %x is not in the orbit", rep)
+	}
+	if orbit != 2 || len(members) != 2 {
+		t.Fatalf("orbit size %d, distinct renamings %d; want 2 and 2", orbit, len(members))
+	}
+}

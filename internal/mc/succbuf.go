@@ -4,8 +4,9 @@ package mc
 // flat byte buffer. Models emit each successor with Emit, which copies
 // the packed key into the buffer — no string allocation per successor.
 // The checker hashes and deduplicates the raw byte views and interns a
-// key (one string copy) only when it is first discovered; everything
-// emitted for an already-known state costs no allocation at all.
+// key (one copy into a shared string chunk) only when it is first
+// discovered; everything emitted for an already-known state costs no
+// allocation at all.
 //
 // A SuccBuf is owned by one checker worker and reused across BFS
 // levels, so its buffers stop growing once they have seen the largest
