@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"time"
 
 	"tokencmp/internal/counters"
 	"tokencmp/internal/experiments"
@@ -28,6 +29,45 @@ import (
 	"tokencmp/internal/tokencmp"
 	"tokencmp/internal/topo"
 )
+
+// flagValues are the numeric flags validate checks.
+type flagValues struct {
+	cmps, procs, banks              int
+	locks, acquires, barriers, txns int
+	seeds, jobs                     int
+	workJitter                      int64
+	timeout                         time.Duration
+}
+
+// validate rejects flag values no run can use, with simd.Request's lower
+// bounds: a geometry needs at least one CMP, processor and bank; a zero
+// workload knob keeps the workload's default; and seeds, jitter, jobs
+// and timeout may not be negative.
+func validate(f flagValues) error {
+	for _, b := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"cmps", int64(f.cmps), 1},
+		{"procs", int64(f.procs), 1},
+		{"banks", int64(f.banks), 1},
+		{"locks", int64(f.locks), 0},
+		{"acquires", int64(f.acquires), 0},
+		{"barriers", int64(f.barriers), 0},
+		{"txns", int64(f.txns), 0},
+		{"seeds", int64(f.seeds), 1},
+		{"jobs", int64(f.jobs), 0},
+		{"workjitter", f.workJitter, 0},
+	} {
+		if b.v < b.min {
+			return fmt.Errorf("mcsim: -%s must be >= %d, got %d", b.name, b.min, b.v)
+		}
+	}
+	if f.timeout < 0 {
+		return fmt.Errorf("mcsim: -timeout must be >= 0, got %v", f.timeout)
+	}
+	return nil
+}
 
 func main() {
 	d := experiments.DefaultSpec()
@@ -68,8 +108,14 @@ func main() {
 		return
 	}
 
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "mcsim: -seeds must be >= 1")
+	if err := validate(flagValues{
+		cmps: *cmps, procs: *procs, banks: *banks,
+		locks: *locks, acquires: *acquires, barriers: *barriers, txns: *txns,
+		seeds: *seeds, jobs: *jobs,
+		workJitter: *wjitter,
+		timeout:    *timeout,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

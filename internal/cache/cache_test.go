@@ -188,11 +188,11 @@ func TestReadsOfAbsentPagesDoNotAllocate(t *testing.T) {
 		t.Errorf("reads of an empty array allocate %v times per run, want 0", allocs)
 	}
 	a.Install(5)
-	if n := len(a.pages[0]); n != pageSets*4 {
-		t.Errorf("first page holds %d lines, want %d", n, pageSets*4)
+	if pg := a.pages[0]; len(pg.lines) != pageSets*4 || len(pg.tags) != pageSets*4 {
+		t.Errorf("first page holds %d lines and %d tags, want %d", len(pg.lines), len(pg.tags), pageSets*4)
 	}
 	for i, pg := range a.pages[1:] {
-		if pg != nil {
+		if pg.tags != nil || pg.lines != nil {
 			t.Fatalf("page %d allocated by an install into page 0", i+1)
 		}
 	}

@@ -75,9 +75,9 @@ func (c *HomeCtrl) DirValue(b mem.Block) (uint64, bool) {
 }
 
 // homeHandle is the closure-free deferred-handling thunk: the home
-// holds a pooled copy of the message across its directory-access delay
-// and frees it afterwards (deferred requests are copied into the queue
-// by value, so the pooled copy never outlives the handler).
+// holds the delivered message across its directory-access delay and
+// frees it afterwards (deferred requests are copied into the queue by
+// value, so the held message never outlives the handler).
 func homeHandle(ctx, arg any) {
 	c, m := ctx.(*HomeCtrl), arg.(*network.Message)
 	c.handle(m)
@@ -89,7 +89,7 @@ func homeHandle(ctx, arg any) {
 // directory, 0 for DirectoryCMP-zero).
 func (c *HomeCtrl) Recv(m *network.Message) {
 	d := hier.MemLatency + c.sys.dirLatency()
-	c.sys.Eng.ScheduleCall(d, homeHandle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(d, homeHandle, c, c.sys.Net.Hold(m))
 }
 
 func (c *HomeCtrl) handle(m *network.Message) {

@@ -184,7 +184,7 @@ func (c *L1Ctrl) evict(b mem.Block, st l1Line) {
 }
 
 // dirL1Handle is the closure-free deferred-handling thunk: the L1
-// holds a pooled copy of the message across its tag-access delay (and
+// holds the delivered message across its tag-access delay (and
 // any response-delay hold) and frees it when handling completes.
 func dirL1Handle(ctx, arg any) {
 	c, m := ctx.(*L1Ctrl), arg.(*network.Message)
@@ -195,7 +195,7 @@ func dirL1Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L1Latency, dirL1Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L1Latency, dirL1Handle, c, c.sys.Net.Hold(m))
 }
 
 // handle reports whether it is done with m — false means a

@@ -154,9 +154,9 @@ func (c *L2Ctrl) l1FromBit(bit int) topo.NodeID {
 }
 
 // dirL2Handle is the closure-free deferred-handling thunk: the bank
-// holds a pooled copy of the message across its tag-access delay and
-// frees it afterwards (deferred messages are copied into the queues by
-// value, so the pooled copy never outlives the handler).
+// holds the delivered message across its tag-access delay and frees it
+// afterwards (deferred messages are copied into the queues by value, so
+// the held message never outlives the handler).
 func dirL2Handle(ctx, arg any) {
 	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
 	c.handle(m)
@@ -165,7 +165,7 @@ func dirL2Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L2Latency, dirL2Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L2Latency, dirL2Handle, c, c.sys.Net.Hold(m))
 }
 
 func (c *L2Ctrl) handle(m *network.Message) {

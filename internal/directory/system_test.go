@@ -8,6 +8,7 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
+	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -151,5 +152,34 @@ func TestDirEvictionWriteback(t *testing.T) {
 	run(t, eng, func() bool { return done }, "readback")
 	if val != 100 {
 		t.Errorf("readback = %d, want 100", val)
+	}
+}
+
+// countSink counts deliveries without retaining the message.
+type countSink struct{ n *int }
+
+func (s countSink) Recv(*network.Message) { *s.n++ }
+
+// TestInvDeliveryDoesNotAllocate pins one invalidation forwarded to an
+// L1 at zero allocations: the L1 holds the delivered message across its
+// tag access, finds no copy, and acks the requester.
+func TestInvDeliveryDoesNotAllocate(t *testing.T) {
+	eng, sys := testSystem(t, false)
+	g := topo.NewGeometry(2, 2, 1)
+	req, acks := g.L2Node(1, 0), 0
+	sys.Net.Attach(req, countSink{&acks})
+	inv := network.Message{Src: req, Dst: g.L1DNode(1, 1), Block: 64, Kind: kInv, Class: stats.InvFwdAckTokens, Requestor: req}
+	sys.Net.SendNew(inv)
+	eng.Run(0)
+	avg := testing.AllocsPerRun(100, func() {
+		sys.Net.SendNew(inv)
+		eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("invalidation delivery allocates %.2f per message, want 0", avg)
+	}
+	// One warm-up message, AllocsPerRun's own warm-up, then 100 measured.
+	if acks != 102 {
+		t.Errorf("requester got %d acks, want 102", acks)
 	}
 }

@@ -57,7 +57,7 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
 // hammerL2Handle is the closure-free deferred-handling thunk: the bank
-// holds a pooled copy of the message across its tag-access delay and
+// holds the delivered message across its tag-access delay and
 // frees it afterwards (messages deferred behind a writeback window are
 // copied into the deferred queue by value).
 func hammerL2Handle(ctx, arg any) {
@@ -68,7 +68,7 @@ func hammerL2Handle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L2Latency, hammerL2Handle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.L2Latency, hammerL2Handle, c, c.sys.Net.Hold(m))
 }
 
 func (c *L2Ctrl) handle(m *network.Message) {

@@ -52,7 +52,7 @@ func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
 }
 
 // hammerMemHandle is the closure-free deferred-handling thunk: the
-// home holds a pooled copy of the message across its controller delay
+// home holds the delivered message across its controller delay
 // and frees it afterwards (deferred requests are copied into the queue
 // by value).
 func hammerMemHandle(ctx, arg any) {
@@ -63,7 +63,7 @@ func hammerMemHandle(ctx, arg any) {
 
 // Recv implements network.Endpoint.
 func (c *MemCtrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.MemLatency, hammerMemHandle, c, c.sys.Net.CopyOf(m))
+	c.sys.Eng.ScheduleCall(hier.MemLatency, hammerMemHandle, c, c.sys.Net.Hold(m))
 }
 
 func (c *MemCtrl) handle(m *network.Message) {

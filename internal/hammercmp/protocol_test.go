@@ -8,6 +8,7 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
+	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 	"tokencmp/internal/workload"
 )
@@ -166,5 +167,29 @@ func TestBroadcastMissDoesNotAllocate(t *testing.T) {
 	// One warm-up miss, AllocsPerRun's own warm-up, then 100 measured.
 	if got, want := s.Ctrs.Value(counters.ProbeSent), uint64(102*(len(s.caches)-1)); got != want {
 		t.Errorf("probe.sent = %d, want %d", got, want)
+	}
+}
+
+// TestProbeDeliveryDoesNotAllocate pins one probe delivered to an L1 at
+// zero allocations: the L1 holds the delivered message across its tag
+// access, misses, and acks the requester.
+func TestProbeDeliveryDoesNotAllocate(t *testing.T) {
+	g := topo.NewGeometry(2, 2, 1)
+	s := build(t, g)
+	req := g.L1DNode(1, 0)
+	s.Net.Attach(req, absorb{})
+	probe := network.Message{Src: g.HomeMem(64), Dst: g.L1DNode(0, 0), Block: 64, Kind: kProbeS, Class: stats.Request, Requestor: req}
+	s.Net.SendNew(probe)
+	s.Eng.Run(0)
+	avg := testing.AllocsPerRun(100, func() {
+		s.Net.SendNew(probe)
+		s.Eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("probe delivery allocates %.2f per probe, want 0", avg)
+	}
+	// One warm-up probe, AllocsPerRun's own warm-up, then 100 measured.
+	if got := s.Ctrs.Value(counters.ProbeAck); got != 102 {
+		t.Errorf("probe.ack = %d, want 102", got)
 	}
 }

@@ -4,10 +4,11 @@
 // The contract (see tokencmp/internal/network): the network owns every
 // message it delivers — after an Endpoint's Recv returns, the message
 // is reclaimed and its memory reused. A handler that must hold a
-// message past Recv takes a pooled copy with CopyOf and later returns
-// it with Free (or hands it to Send). Conversely, Send, SendAfter and
-// Free all transfer a caller-owned message back to the network, so the
-// caller must not touch it afterwards.
+// message past Recv takes it over with Hold during Recv (or takes a
+// pooled copy with CopyOf) and later returns it with Free (or hands it
+// to Send). Conversely, Send, SendAfter and Free all transfer a
+// caller-owned message back to the network, so the caller must not
+// touch it afterwards.
 //
 // The analyzer is flow-sensitive over each function body and tracks
 // three ownership classes for *network.Message values:
@@ -19,15 +20,19 @@
 //     of Engine.ScheduleCall — all of these retain the pointer past
 //     Recv, which is exactly what the -tags simdebug poison mode
 //     scrambles at runtime.
-//   - owned: the result of Network.NewMessage or Network.CopyOf. May be
-//     retained freely; flagged only when used again after Send,
-//     SendAfter or Free transferred it away (including double frees and
-//     send-after-free, which panic at runtime).
+//   - owned: the result of Network.NewMessage or Network.CopyOf, and a
+//     borrowed message once Recv has called Hold on it (Hold returns its
+//     argument, so the result is owned too). May be retained freely;
+//     flagged only when used again after Send, SendAfter or Free
+//     transferred it away (including double frees and send-after-free,
+//     which panic at runtime). Hold itself is flagged outside Recv and
+//     on anything but the borrowed delivery, since it panics at runtime
+//     for any other message.
 //   - unknown: any other *network.Message value (helper parameters,
 //     fields, type assertions). Only the use-after-transfer check
 //     applies; in particular Free of an unknown-origin message is
 //     accepted, because the deferred-thunk idiom legitimately frees a
-//     pooled copy it received through a ScheduleCall argument.
+//     held message it received through a ScheduleCall argument.
 //
 // Branches merge conservatively: a message transferred on any path
 // that falls through is treated as transferred afterwards, while
@@ -73,7 +78,7 @@ type origin int
 const (
 	originUnknown  origin = iota // helper params, asserts, field loads
 	originBorrowed               // delivered to Recv; network-owned
-	originOwned                  // NewMessage/CopyOf result; caller-owned
+	originOwned                  // NewMessage/CopyOf/Hold result; caller-owned
 )
 
 // varState is the per-variable ownership state at one program point.
@@ -111,12 +116,14 @@ func (st state) merge(branch state) {
 }
 
 type funcAnalysis struct {
-	pass *analysis.Pass
+	pass   *analysis.Pass
+	inRecv bool // the function is a Recv method, where Hold is legal
 }
 
 func (a *funcAnalysis) analyze(fd *ast.FuncDecl) {
 	st := make(state)
 	borrowed := fd.Name.Name == "Recv" && fd.Recv != nil
+	a.inRecv = borrowed
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
@@ -273,7 +280,7 @@ func (a *funcAnalysis) walkStmt(s ast.Stmt, st state) (terminated bool) {
 		a.checkExpr(s.Chan, st)
 		a.checkExpr(s.Value, st)
 		if v := a.trackedBorrowed(s.Value, st); v != nil {
-			a.pass.Reportf(s.Value.Pos(), "network-owned message %s sent on a channel; it is reclaimed when Recv returns — keep a CopyOf instead", v.Name())
+			a.pass.Reportf(s.Value.Pos(), "network-owned message %s sent on a channel; it is reclaimed when Recv returns — Hold it or keep a CopyOf", v.Name())
 		}
 		return false
 
@@ -390,11 +397,11 @@ func (a *funcAnalysis) walkAssign(s *ast.AssignStmt, st state) {
 			if v := a.trackedBorrowed(rhs, st); v != nil {
 				switch ast.Unparen(lhs).(type) {
 				case *ast.SelectorExpr:
-					a.pass.Reportf(rhs.Pos(), "network-owned message %s stored in a field; it is reclaimed when Recv returns — keep a CopyOf instead", v.Name())
+					a.pass.Reportf(rhs.Pos(), "network-owned message %s stored in a field; it is reclaimed when Recv returns — Hold it or keep a CopyOf", v.Name())
 				case *ast.IndexExpr:
-					a.pass.Reportf(rhs.Pos(), "network-owned message %s stored in a slice or map; it is reclaimed when Recv returns — keep a CopyOf instead", v.Name())
+					a.pass.Reportf(rhs.Pos(), "network-owned message %s stored in a slice or map; it is reclaimed when Recv returns — Hold it or keep a CopyOf", v.Name())
 				case *ast.StarExpr:
-					a.pass.Reportf(rhs.Pos(), "network-owned message %s stored through a pointer; it is reclaimed when Recv returns — keep a CopyOf instead", v.Name())
+					a.pass.Reportf(rhs.Pos(), "network-owned message %s stored through a pointer; it is reclaimed when Recv returns — Hold it or keep a CopyOf", v.Name())
 				}
 			}
 			if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok {
@@ -430,7 +437,8 @@ func (a *funcAnalysis) originOf(rhs ast.Expr, st state) varState {
 	case *ast.CallExpr:
 		fn := lintutil.Callee(a.pass.TypesInfo, rhs)
 		if lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "NewMessage") ||
-			lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "CopyOf") {
+			lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "CopyOf") ||
+			lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "Hold") {
 			return varState{origin: originOwned}
 		}
 	case *ast.Ident:
@@ -465,7 +473,7 @@ func (a *funcAnalysis) checkExpr(e ast.Expr, st state) {
 					val = kv.Value
 				}
 				if v := a.trackedBorrowed(val, st); v != nil {
-					a.pass.Reportf(val.Pos(), "network-owned message %s stored in a composite literal; it is reclaimed when Recv returns — keep a CopyOf instead", v.Name())
+					a.pass.Reportf(val.Pos(), "network-owned message %s stored in a composite literal; it is reclaimed when Recv returns — Hold it or keep a CopyOf", v.Name())
 				}
 				if lit, ok := ast.Unparen(val).(*ast.FuncLit); ok {
 					a.checkClosureCapture(lit, st, "stored in a composite literal")
@@ -536,7 +544,7 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 			}
 			for _, arg := range call.Args[1:] {
 				if v := a.trackedBorrowed(arg, st); v != nil {
-					a.pass.Reportf(arg.Pos(), "network-owned message %s appended to a slice; it is reclaimed when Recv returns — keep a CopyOf instead", v.Name())
+					a.pass.Reportf(arg.Pos(), "network-owned message %s appended to a slice; it is reclaimed when Recv returns — Hold it or keep a CopyOf", v.Name())
 				}
 			}
 			return
@@ -545,7 +553,7 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 
 	transfer := func(arg ast.Expr, by string) {
 		a.checkExpr(arg, st) // nested calls, dead uses
-		v := a.tracked(arg, st)
+		v := a.tracked(a.unhold(arg), st)
 		if v == nil {
 			return
 		}
@@ -555,10 +563,10 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 		}
 		if s.origin == originBorrowed {
 			verb := "sends"
-			hint := "copy it with CopyOf (or build a fresh message and SendNew)"
+			hint := "Hold it, copy it with CopyOf, or build a fresh message and SendNew"
 			if by == "Free" {
 				verb = "frees"
-				hint = "only messages from NewMessage/CopyOf may be freed"
+				hint = "only messages from NewMessage, CopyOf or Hold may be freed"
 			}
 			a.pass.Reportf(arg.Pos(), "%s %s a network-owned message delivered to Recv; the network reclaims it after Recv returns — %s", by, verb, hint)
 		}
@@ -579,6 +587,9 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 	case lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "Free") && len(call.Args) == 1:
 		transfer(call.Args[0], "Free")
 		return
+	case lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "Hold") && len(call.Args) == 1:
+		a.hold(call, st)
+		return
 
 	case lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleCall") && len(call.Args) == 4,
 		lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleCallAt") && len(call.Args) == 4:
@@ -590,7 +601,7 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 		}
 		for _, arg := range call.Args[2:] {
 			if v := a.trackedBorrowed(arg, st); v != nil {
-				a.pass.Reportf(arg.Pos(), "network-owned message %s passed to %s; the thunk runs after Recv returns and the pool reclaims it — pass a CopyOf", v.Name(), fn.Name())
+				a.pass.Reportf(arg.Pos(), "network-owned message %s passed to %s; the thunk runs after Recv returns and the pool reclaims it — pass Hold(m) or a CopyOf", v.Name(), fn.Name())
 			}
 		}
 		if len(call.Args) >= 2 {
@@ -618,6 +629,38 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 	a.checkCallArgs(call, st)
 }
 
+// hold applies Network.Hold: only Recv may call it, and only on the
+// borrowed delivery, which the caller then owns.
+func (a *funcAnalysis) hold(call *ast.CallExpr, st state) {
+	arg := call.Args[0]
+	a.checkExpr(arg, st)
+	if !a.inRecv {
+		a.pass.Reportf(call.Pos(), "Hold outside Recv; Hold panics unless its argument is the message being delivered — hold it in Recv and pass the result on")
+		return
+	}
+	v := a.tracked(a.unhold(arg), st)
+	if v != nil && st[v].dead {
+		return // checkExpr already reported the dead use
+	}
+	if v == nil || st[v].origin != originBorrowed {
+		a.pass.Reportf(arg.Pos(), "Hold of a message other than the borrowed delivery; Hold panics unless its argument is the message being delivered and not yet held")
+		return
+	}
+	st[v] = varState{origin: originOwned}
+}
+
+// unhold strips Network.Hold calls from e: Hold returns its argument.
+func (a *funcAnalysis) unhold(e ast.Expr) ast.Expr {
+	for {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 ||
+			!lintutil.IsMethod(lintutil.Callee(a.pass.TypesInfo, call), lintutil.NetworkPath, "Network", "Hold") {
+			return e
+		}
+		e = call.Args[0]
+	}
+}
+
 // checkCallArgs checks a call's function expression and arguments
 // without applying ownership transfers.
 func (a *funcAnalysis) checkCallArgs(call *ast.CallExpr, st state) {
@@ -639,7 +682,7 @@ func (a *funcAnalysis) walkGoCall(call *ast.CallExpr, st state) {
 	for _, arg := range call.Args {
 		a.checkExpr(arg, st)
 		if v := a.trackedBorrowed(arg, st); v != nil {
-			a.pass.Reportf(arg.Pos(), "network-owned message %s passed to a goroutine; it is reclaimed when Recv returns — pass a CopyOf", v.Name())
+			a.pass.Reportf(arg.Pos(), "network-owned message %s passed to a goroutine; it is reclaimed when Recv returns — pass Hold(m) or a CopyOf", v.Name())
 		}
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
@@ -652,7 +695,7 @@ func (a *funcAnalysis) walkGoCall(call *ast.CallExpr, st state) {
 func (a *funcAnalysis) checkClosureCapture(lit *ast.FuncLit, st state, how string) {
 	for _, v := range lintutil.FreeVars(a.pass.TypesInfo, lit) {
 		if s, ok := st[v]; ok && s.origin == originBorrowed && !s.dead {
-			a.pass.Reportf(lit.Pos(), "closure %s captures network-owned message %s; it runs after Recv returns and the pool reclaims the message — capture a CopyOf", how, v.Name())
+			a.pass.Reportf(lit.Pos(), "closure %s captures network-owned message %s; it runs after Recv returns and the pool reclaims the message — capture Hold(m) or a CopyOf", how, v.Name())
 		}
 	}
 	a.checkDeadUsesIn(lit, st)

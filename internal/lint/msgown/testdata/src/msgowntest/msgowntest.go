@@ -109,6 +109,41 @@ func (r *ConditionalTransfer) Recv(m *network.Message) {
 	_ = cp.Owner // want `use of message cp after Send on line \d+`
 }
 
+// HoldMisuse breaks the Hold rules: a held message is owned, so it is
+// dead after Send like any other, and Hold accepts only the delivery.
+type HoldMisuse struct{ Retainer }
+
+func (r *HoldMisuse) Recv(m *network.Message) {
+	h := r.net.Hold(m)
+	r.net.Send(h)
+	_ = h.Kind // want `use of message h after Send on line \d+`
+
+	cp := r.net.CopyOf(m)
+	r.net.Hold(cp) // want `Hold of a message other than the borrowed delivery`
+	r.net.Free(cp)
+}
+
+type HoldSendMisuse struct{ Retainer }
+
+func (r *HoldSendMisuse) Recv(m *network.Message) {
+	r.net.Send(r.net.Hold(m))
+	_ = m.Block   // want `use of message m after Send on line \d+`
+	r.net.Hold(m) // want `use of message m after Send on line \d+`
+}
+
+type HoldTwice struct{ Retainer }
+
+func (r *HoldTwice) Recv(m *network.Message) {
+	h := r.net.Hold(m)
+	r.net.Hold(m) // want `Hold of a message other than the borrowed delivery`
+	r.net.Free(h)
+}
+
+// holdLater calls Hold outside Recv, where no delivery is running.
+func (r *HoldMisuse) holdLater(m *network.Message) {
+	r.eng.ScheduleCall(sim.NS(1), retainThunk, r, r.net.Hold(m)) // want `Hold outside Recv`
+}
+
 // --- Legal idioms below: the analyzer must stay silent. ---
 
 // CleanHandler is the production Recv idiom: defer a pooled copy, free
@@ -174,4 +209,28 @@ func (r *CleanTransfers) Recv(m *network.Message) {
 	held := r.net.CopyOf(m)
 	defer r.net.Free(held) // deferred free runs last: later uses are fine
 	held.Aux = 3
+}
+
+// HoldHandler is the production Recv idiom: hold the delivered message
+// across the access delay and free it in the thunk.
+type HoldHandler struct{ Retainer }
+
+func holdThunk(ctx, arg any) { ctx.(*network.Network).Free(arg.(*network.Message)) }
+
+func (c *HoldHandler) Recv(m *network.Message) {
+	c.eng.ScheduleCall(sim.NS(1), holdThunk, c.net, c.net.Hold(m))
+}
+
+// HoldRedefer holds the delivery, then re-defers or stores the held
+// message: once held it is owned, so retaining it is legal.
+type HoldRedefer struct{ Retainer }
+
+func (r *HoldRedefer) Recv(m *network.Message) {
+	m = r.net.Hold(m)
+	if m.Aux != 0 {
+		r.eng.ScheduleCallAt(sim.NS(10), holdThunk, r.net, m)
+		return
+	}
+	r.last = m
+	r.net.SendAfter(sim.NS(2), r.last)
 }

@@ -255,7 +255,7 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 // drain fires the events still pending when the last processor
 // finished, at most limit of them. The token audit counts tokens in
 // caches, memories and messages on the wire, so it holds only once no
-// token waits in a scheduled event (a CopyOf'd carrier held across a
+// token waits in a scheduled event (a carrier held across a
 // tag or memory access). Result is snapshotted before the drain, so
 // draining moves no figure.
 func (m *Machine) drain(limit uint64) error {

@@ -10,9 +10,11 @@
 //
 // Messages are pooled. The network owns every message it delivers: after
 // an Endpoint's Recv returns, the message is reclaimed and its memory
-// reused for a future send. Handlers that need a message beyond Recv
-// must either copy the fields they keep or take an explicit pooled copy
-// with CopyOf (returned later with Free). Building with -tags simdebug
+// reused for a future send. A handler that needs the message beyond Recv
+// takes it over with Hold during Recv, which hands it the delivered
+// message itself and skips the reclaim; it returns the message later
+// with Free or hands it to Send. Handlers may also copy the fields they
+// keep, or take a pooled copy with CopyOf. Building with -tags simdebug
 // scrambles every reclaimed message, so a handler that breaks the
 // contract corrupts its own figures instead of failing silently.
 package network
@@ -73,8 +75,8 @@ func (m *Message) String() string {
 }
 
 // Endpoint receives delivered messages. The delivered message belongs
-// to the network: it is reclaimed as soon as Recv returns (see the
-// package ownership contract).
+// to the network: it is reclaimed as soon as Recv returns unless Recv
+// took it over with Hold (see the package ownership contract).
 type Endpoint interface {
 	Recv(m *Message)
 }
@@ -119,6 +121,10 @@ type Network struct {
 	// free is the message pool. Messages are recycled after delivery,
 	// so the steady-state send path allocates nothing.
 	free []*Message
+
+	// delivering is the message whose Recv is running, the only one Hold
+	// accepts; Hold clears it, so deliver skips the reclaim.
+	delivering *Message
 
 	// Traffic accumulates the Figure 7 byte and hop counts; onChipMsgs
 	// counts the messages sent over an on-chip link. TrafficCounters
@@ -184,10 +190,29 @@ const (
 )
 
 // linkClass is one Config link class with the fault plan its level
-// selects.
+// selects and the serialization times of the two protocol message
+// sizes, so a send of either divides nothing.
 type linkClass struct {
 	LinkParams
-	plan *FaultPlan
+	plan             *FaultPlan
+	ctrlSer, dataSer sim.Time
+}
+
+func (n *Network) newLinkClass(p LinkParams) linkClass {
+	return linkClass{
+		LinkParams: p,
+		plan:       n.plan(p),
+		ctrlSer:    p.serialization(ControlSize),
+		dataSer:    p.serialization(DataSize),
+	}
+}
+
+// serialization is how long size bytes occupy a link with parameters p.
+func (p LinkParams) serialization(size int) sim.Time {
+	if p.BytesPerNS <= 0 {
+		return 0
+	}
+	return sim.Time(int64(size) * int64(sim.Nanosecond) / int64(p.BytesPerNS))
 }
 
 // blockCount tallies one block's undelivered tokens and owner tokens.
@@ -214,8 +239,8 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 		endpoints: make([]Endpoint, n),
 		links:     make([]link, n*n),
 	}
-	nw.classes[onChip] = linkClass{LinkParams: cfg.OnChip, plan: nw.plan(cfg.OnChip)}
-	nw.classes[offChip] = linkClass{LinkParams: cfg.OffChip, plan: nw.plan(cfg.OffChip)}
+	nw.classes[onChip] = nw.newLinkClass(cfg.OnChip)
+	nw.classes[offChip] = nw.newLinkClass(cfg.OffChip)
 
 	isMem := make([]bool, n)
 	for id := range isMem {
@@ -359,10 +384,29 @@ func (n *Network) alloc() *Message {
 	return new(Message)
 }
 
-// CopyOf returns a pooled copy of m owned by the caller — the escape
-// hatch for handlers that must hold a delivered message past Recv
-// (e.g. to model an array-access delay before processing). Return it
-// with Free, or hand it to Send.
+// Hold takes ownership of m, the message whose Recv is running, so a
+// handler can keep it past Recv (e.g. to model an array-access delay
+// before processing) without copying it. The network then does not
+// reclaim m when Recv returns; return it with Free, or hand it to Send.
+// Hold panics for any other message, including one already held.
+func (n *Network) Hold(m *Message) *Message {
+	if m == nil || m != n.delivering {
+		panic(notDelivering(m))
+	}
+	n.delivering = nil
+	return m
+}
+
+// notDelivering is Hold's panic message, kept out of line so Hold
+// itself inlines.
+//
+//go:noinline
+func notDelivering(m *Message) string {
+	return fmt.Sprintf("network: Hold of %v, which is not the message being delivered", m)
+}
+
+// CopyOf returns a pooled copy of m owned by the caller. Return it with
+// Free, or hand it to Send.
 func (n *Network) CopyOf(m *Message) *Message {
 	cp := n.alloc()
 	*cp = *m
@@ -404,7 +448,8 @@ func (n *Network) SendAfter(d sim.Time, m *Message) {
 func deliverCall(ctx, arg any) { ctx.(*Network).deliver(arg.(*Message)) }
 
 // Send queues m for delivery and takes ownership of it: after the
-// receiving endpoint's Recv returns, m is reclaimed into the pool.
+// receiving endpoint's Recv returns, m is reclaimed into the pool unless
+// the endpoint held it.
 // Messages on the same directed link serialize through its bandwidth;
 // messages on different links are independent and may be reordered
 // relative to each other.
@@ -496,15 +541,18 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 		}
 	}
 
-	ser := sim.Time(0)
-	if lc.BytesPerNS > 0 {
-		ser = sim.Time(int64(size) * int64(sim.Nanosecond) / int64(lc.BytesPerNS))
-	}
 	depart := n.Eng.Now()
 	if l.nextFree > depart {
 		depart = l.nextFree
 	}
-	depart += ser
+	switch size {
+	case ControlSize:
+		depart += lc.ctrlSer
+	case DataSize:
+		depart += lc.dataSer
+	default:
+		depart += lc.serialization(size)
+	}
 	l.nextFree = depart
 
 	arrive := depart + lc.Latency + hold
@@ -542,10 +590,14 @@ func (n *Network) deliver(m *Message) {
 	if ep == nil {
 		panic(fmt.Sprintf("network: no endpoint attached for %v (message %v)", m.Dst, m))
 	}
+	n.delivering = m
 	ep.Recv(m)
-	// The ownership contract: the endpoint is done with m once Recv
-	// returns; reclaim it for the next send.
-	n.Free(m)
+	// The ownership contract: unless the endpoint held m, it is done
+	// with m once Recv returns; reclaim it for the next send.
+	if n.delivering == m {
+		n.delivering = nil
+		n.Free(m)
+	}
 }
 
 // Broadcast sends a pooled copy of template to each destination in

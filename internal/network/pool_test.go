@@ -128,3 +128,104 @@ func TestMessageFitsOneCacheLine(t *testing.T) {
 		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 64", got)
 	}
 }
+
+// holdSink takes over every delivered message with Hold and frees it
+// one cycle later from a scheduled thunk, the protocol handlers' idiom.
+type holdSink struct {
+	n    *Network
+	held *Message
+}
+
+func holdSinkFree(ctx, arg any) { ctx.(*holdSink).n.Free(arg.(*Message)) }
+
+func (s *holdSink) Recv(m *Message) {
+	s.held = s.n.Hold(m)
+	s.n.Eng.ScheduleCall(sim.NS(1), holdSinkFree, s, s.held)
+}
+
+// TestHeldMessageIsNotReclaimed asserts deliver reclaims an unheld
+// message when Recv returns, but leaves a held one alone until its
+// holder frees it.
+func TestHeldMessageIsNotReclaimed(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	n.SendNew(Message{Src: src, Dst: dst})
+	eng.Run(0)
+	if len(n.free) != 1 {
+		t.Fatalf("freelist has %d messages after an unheld delivery, want 1", len(n.free))
+	}
+
+	h := &holdSink{n: n}
+	n.Attach(dst, h)
+	n.SendNew(Message{Src: src, Dst: dst, Data: 7})
+	if !eng.Step() {
+		t.Fatal("no delivery event")
+	}
+	if h.held == nil || h.held.pooled || h.held.Data != 7 {
+		t.Fatalf("held message = %v, want the delivered message, not reclaimed", h.held)
+	}
+	if len(n.free) != 0 {
+		t.Fatalf("freelist has %d messages while the delivery is held, want 0", len(n.free))
+	}
+	eng.Run(0)
+	if len(n.free) != 1 || n.free[0] != h.held {
+		t.Fatalf("freelist = %v after the holder freed the message, want [%p]", n.free, h.held)
+	}
+}
+
+// TestSteadyStateHoldDoesNotAllocate pins the Hold → ScheduleCall → Free
+// handler path at zero allocations.
+func TestSteadyStateHoldDoesNotAllocate(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	n.Attach(dst, &holdSink{n: n})
+	for i := 0; i < 8; i++ {
+		n.SendNew(Message{Src: src, Dst: dst})
+	}
+	eng.Run(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		n.SendNew(Message{Src: src, Dst: dst})
+		eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("send→hold→free allocates %.2f per message, want 0", avg)
+	}
+}
+
+// doubleHolder holds each delivery twice.
+type doubleHolder struct{ n *Network }
+
+func (s doubleHolder) Recv(m *Message) { s.n.Free(s.n.Hold(s.n.Hold(m))) }
+
+// TestHoldOfUndeliveredPanics asserts Hold accepts only the message
+// whose Recv is running: not one outside delivery, not a copy, and not
+// one already held.
+func TestHoldOfUndeliveredPanics(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Hold outside Recv", func() { n.Hold(n.NewMessage()) })
+	mustPanic("Hold of nil", func() { n.Hold(nil) })
+
+	n.Attach(dst, copyHolder{n})
+	n.SendNew(Message{Src: src, Dst: dst})
+	mustPanic("Hold of a copy of the delivered message", func() { eng.Run(0) })
+
+	eng, n, _ = poolNet()
+	n.Attach(dst, doubleHolder{n})
+	n.SendNew(Message{Src: src, Dst: dst})
+	mustPanic("second Hold of the delivered message", func() { eng.Run(0) })
+}
+
+// copyHolder holds a copy instead of the delivered message.
+type copyHolder struct{ n *Network }
+
+func (s copyHolder) Recv(m *Message) { s.n.Hold(s.n.CopyOf(m)) }

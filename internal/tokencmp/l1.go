@@ -354,7 +354,7 @@ func (c *L1Ctrl) recheckMarked() {
 }
 
 // l1LocalReq and l1ExtReq are the closure-free deferred-request thunks:
-// the L1 holds a pooled copy of the request across its tag-access delay
+// the L1 holds the delivered request across its tag-access delay
 // (and any response-delay hold) and frees it when handling completes.
 func l1LocalReq(ctx, arg any) {
 	c, m := ctx.(*L1Ctrl), arg.(*network.Message)
@@ -374,9 +374,9 @@ func l1ExtReq(ctx, arg any) {
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
-		c.sys.Eng.ScheduleCall(hier.L1Latency, l1LocalReq, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.L1Latency, l1LocalReq, c, c.sys.Net.Hold(m))
 	case kFwdExternal:
-		c.sys.Eng.ScheduleCall(hier.L1Latency, l1ExtReq, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.L1Latency, l1ExtReq, c, c.sys.Net.Hold(m))
 	case kResponse:
 		c.handleResponse(m)
 	case kPersistentDone:

@@ -112,8 +112,8 @@ func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied b
 	c.sharers[b] |= c.l1Bit(to)
 }
 
-// Closure-free deferred-handling thunks: the bank holds a pooled copy
-// of the message across its tag-access delay and frees it afterwards.
+// Closure-free deferred-handling thunks: the bank holds the delivered
+// message across its tag-access delay and frees it afterwards.
 func l2Local(ctx, arg any) {
 	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
 	c.handleLocal(m)
@@ -137,14 +137,14 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
 		if c.sys.Geom.CMPOf(m.Src) == c.cmp {
-			c.sys.Eng.ScheduleCall(hier.L2Latency, l2Local, c, c.sys.Net.CopyOf(m))
+			c.sys.Eng.ScheduleCall(hier.L2Latency, l2Local, c, c.sys.Net.Hold(m))
 		} else {
-			c.sys.Eng.ScheduleCall(hier.L2Latency, l2External, c, c.sys.Net.CopyOf(m))
+			c.sys.Eng.ScheduleCall(hier.L2Latency, l2External, c, c.sys.Net.Hold(m))
 		}
 	case kWriteback, kResponse:
 		// Stray kResponse tokens routed to the bank (e.g. returned by
 		// memory) merge like a writeback.
-		c.sys.Eng.ScheduleCall(hier.L2Latency, l2Writeback, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.L2Latency, l2Writeback, c, c.sys.Net.Hold(m))
 	default:
 		if c.handlePersistentMsg(m) {
 			return

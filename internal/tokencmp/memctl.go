@@ -74,8 +74,8 @@ func (c *MemCtrl) StateOf(b mem.Block) (*token.State, bool) {
 	return s, ok
 }
 
-// Closure-free deferred-handling thunks: the controller holds a pooled
-// copy of the message across its array-access delay and frees it after.
+// Closure-free deferred-handling thunks: the controller holds the
+// delivered message across its array-access delay and frees it after.
 func memRequest(ctx, arg any) {
 	c, m := ctx.(*MemCtrl), arg.(*network.Message)
 	c.handleRequest(m)
@@ -104,13 +104,13 @@ func memArbDone(ctx, arg any) {
 func (c *MemCtrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memRequest, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memRequest, c, c.sys.Net.Hold(m))
 	case kWriteback, kResponse:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memWriteback, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memWriteback, c, c.sys.Net.Hold(m))
 	case kArbRequest:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbRequest, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbRequest, c, c.sys.Net.Hold(m))
 	case kArbDone:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbDone, c, c.sys.Net.CopyOf(m))
+		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbDone, c, c.sys.Net.Hold(m))
 	default:
 		if c.handlePersistentMsg(m) {
 			return

@@ -9,6 +9,7 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
+	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
 	"tokencmp/internal/topo"
 )
@@ -306,5 +307,30 @@ func TestTokenCountMatchesGeometry(t *testing.T) {
 	}
 	if sys.T != token.TokenCountFor(caches) {
 		t.Errorf("T = %d, want %d", sys.T, token.TokenCountFor(caches))
+	}
+}
+
+// TestTransientDeliveryDoesNotAllocate pins one transient request
+// delivered to an L1 at zero allocations: the L1 holds the delivered
+// message across its tag access and, holding no tokens, drops it.
+func TestTransientDeliveryDoesNotAllocate(t *testing.T) {
+	eng, sys := testSystem(t, Dst1)
+	g := topo.NewGeometry(2, 2, 1)
+	req := g.L1DNode(0, 0)
+	transient := network.Message{Src: req, Dst: g.L1DNode(0, 1), Block: 64, Kind: kTransient, Class: stats.Request, Aux: int32(token.ReqRead), Requestor: req}
+	sys.Net.SendNew(transient)
+	eng.Run(0)
+	before := eng.Executed
+	avg := testing.AllocsPerRun(100, func() {
+		sys.Net.SendNew(transient)
+		eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("transient delivery allocates %.2f per request, want 0", avg)
+	}
+	// AllocsPerRun's warm-up plus 100 measured runs, each a delivery and
+	// the L1's deferred handling.
+	if got := eng.Executed - before; got != 2*101 {
+		t.Errorf("engine executed %d events, want %d", got, 2*101)
 	}
 }

@@ -150,8 +150,11 @@ type CommercialProgram struct {
 	rng  *rand.Rand
 	mon  *LockMonitor
 
+	// queue holds the current transaction's steps and next indexes the
+	// first one not yet issued; genTxn refills the same backing array.
 	txns  int
 	queue []step
+	next  int
 
 	// lock-acquire sub-machine
 	lockState lockingState
@@ -272,15 +275,16 @@ func (c *CommercialProgram) Next(now sim.Time, last uint64) cpu.Action {
 	}
 
 	for {
-		if len(c.queue) == 0 {
+		if c.next == len(c.queue) {
 			if c.txns >= c.p.TxnsPerProc {
 				return cpu.Done()
 			}
 			c.txns++
+			c.queue, c.next = c.queue[:0], 0
 			c.genTxn()
 		}
-		s := c.queue[0]
-		c.queue = c.queue[1:]
+		s := c.queue[c.next]
+		c.next++
 		switch s.kind {
 		case stThink:
 			return cpu.Think(s.dur)

@@ -176,6 +176,25 @@ func TestCommercialProgramCompletes(t *testing.T) {
 	}
 }
 
+// TestCommercialNextDoesNotAllocate pins steady-state Next at zero
+// allocations: each transaction's steps reuse the queue's backing array.
+// One measured run issues steps until the next transaction is compiled.
+func TestCommercialNextDoesNotAllocate(t *testing.T) {
+	for _, params := range []CommercialParams{OLTP(), Apache(), SPECjbb()} {
+		params.TxnsPerProc = 1 << 30
+		p := NewCommercialProgram(params, 1, 1, nil)
+		nextTxn := func() {
+			for n := p.Transactions(); p.Transactions() == n; {
+				p.Next(0, 0)
+			}
+		}
+		nextTxn()
+		if avg := testing.AllocsPerRun(20, nextTxn); avg != 0 {
+			t.Errorf("%s: a transaction's Next calls allocate %.1f times, want 0", params.Name, avg)
+		}
+	}
+}
+
 func TestCommercialDeterministicPerSeed(t *testing.T) {
 	gen := func(seed int64) []cpu.Action {
 		p := NewCommercialProgram(OLTP(), 2, seed, nil)
