@@ -20,7 +20,7 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
-	if err := validate(*seeds); err != nil {
+	if err := validate(*seeds, *barriers, *jobs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -47,10 +47,16 @@ func main() {
 	}
 }
 
-// validate rejects flag values that cannot produce a table.
-func validate(seeds int) error {
-	if seeds < 1 {
+// validate rejects flag values that cannot produce a table: fewer than
+// one seed, or a negative -barriers or -jobs (0 keeps their defaults).
+func validate(seeds, barriers, jobs int) error {
+	switch {
+	case seeds < 1:
 		return fmt.Errorf("barrierbench: -seeds must be >= 1")
+	case barriers < 0:
+		return fmt.Errorf("barrierbench: -barriers must be >= 0, got %d", barriers)
+	case jobs < 0:
+		return fmt.Errorf("barrierbench: -jobs must be >= 0, got %d", jobs)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
-	fig2, fig3, err := figures(*mode, *seeds)
+	fig2, fig3, err := figures(*mode, *seeds, *acquires, *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -70,10 +70,16 @@ func main() {
 }
 
 // figures reports which of Figures 2 and 3 a -mode value selects, or
-// an error for an unknown mode or fewer than one seed.
-func figures(mode string, seeds int) (fig2, fig3 bool, err error) {
-	if seeds < 1 {
+// an error for an unknown mode, fewer than one seed, or a negative
+// -acquires or -jobs (0 keeps their defaults).
+func figures(mode string, seeds, acquires, jobs int) (fig2, fig3 bool, err error) {
+	switch {
+	case seeds < 1:
 		return false, false, fmt.Errorf("lockbench: -seeds must be >= 1")
+	case acquires < 0:
+		return false, false, fmt.Errorf("lockbench: -acquires must be >= 0, got %d", acquires)
+	case jobs < 0:
+		return false, false, fmt.Errorf("lockbench: -jobs must be >= 0, got %d", jobs)
 	}
 	switch mode {
 	case "persistent":

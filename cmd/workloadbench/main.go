@@ -33,7 +33,7 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
-	fig6, fig7a, fig7b, err := figures(*what, *seeds)
+	fig6, fig7a, fig7b, err := figures(*what, *seeds, *txns, *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -85,10 +85,16 @@ func main() {
 }
 
 // figures reports which of Figures 6, 7a and 7b a -what value selects,
-// or an error for an unknown value or fewer than one seed.
-func figures(what string, seeds int) (fig6, fig7a, fig7b bool, err error) {
-	if seeds < 1 {
+// or an error for an unknown value, fewer than one seed, or a negative
+// -txns or -jobs (0 keeps their defaults).
+func figures(what string, seeds, txns, jobs int) (fig6, fig7a, fig7b bool, err error) {
+	switch {
+	case seeds < 1:
 		return false, false, false, fmt.Errorf("workloadbench: -seeds must be >= 1")
+	case txns < 0:
+		return false, false, false, fmt.Errorf("workloadbench: -txns must be >= 0, got %d", txns)
+	case jobs < 0:
+		return false, false, false, fmt.Errorf("workloadbench: -jobs must be >= 0, got %d", jobs)
 	}
 	switch what {
 	case "runtime":

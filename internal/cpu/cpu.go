@@ -45,34 +45,6 @@ type MemPort interface {
 	Access(kind AccessKind, addr mem.Addr, store uint64, done func(value uint64))
 }
 
-// PendingAccess parks the parameters of one processor access across an
-// L1 tag-access delay. A processor blocks on each memory operation and
-// each L1 serves one processor port, so one slot per controller
-// suffices and MemPort implementations need no per-call closure (those
-// closures were the simulator's top allocation sites).
-type PendingAccess struct {
-	kind  AccessKind
-	block mem.Block
-	store uint64
-	done  func(uint64)
-}
-
-// Park stores an access, panicking (who names the controller) if one
-// is already parked — that would mean a port wiring bug.
-func (p *PendingAccess) Park(who string, kind AccessKind, block mem.Block, store uint64, done func(uint64)) {
-	if p.done != nil {
-		panic(who + ": access parked while one is already pending")
-	}
-	p.kind, p.block, p.store, p.done = kind, block, store, done
-}
-
-// Take returns the parked access and clears the slot.
-func (p *PendingAccess) Take() (AccessKind, mem.Block, uint64, func(uint64)) {
-	kind, block, store, done := p.kind, p.block, p.store, p.done
-	p.done = nil
-	return kind, block, store, done
-}
-
 // ActionKind tells the processor what to do next.
 type ActionKind int
 

@@ -12,32 +12,33 @@ func (s *System) dumpBlock(b mem.Block) string {
 	for c := range s.Mems {
 		h := s.Mems[c]
 		if hl, ok := h.dir[b]; ok {
-			out += fmt.Sprintf("home%d: owner=%d sharers=%b val=%d busy=%v queue=%d\n",
-				c, hl.owner, hl.sharers, hl.value, h.busy[b] != nil, len(h.queue[b]))
+			_, busy := h.ser.Busy(b)
+			out += fmt.Sprintf("home%d: owner=%d sharers=%b val=%d busy=%v\n",
+				c, hl.owner, hl.sharers, hl.value, busy)
 		}
 	}
 	for c := range s.L2s {
 		for bk := range s.L2s[c] {
 			l2 := s.L2s[c][bk]
 			if l := l2.lookup(b); l != nil {
-				out += fmt.Sprintf("L2[%d][%d]: cs=%v hasData=%v data=%d dirty=%v owner=%v sharers=%b pinned=%v busy=%v ext=%v queue=%d\n",
+				out += fmt.Sprintf("L2[%d][%d]: cs=%v hasData=%v data=%d dirty=%v owner=%v sharers=%b pinned=%v busy=%v ext=%v\n",
 					c, bk, l.cs, l.hasData, l.data, l.dirty, l.ownerL1, l.sharers, l.pinned,
-					l2.busy[b] != nil, l2.ext[b] != nil, len(l2.queue[b]))
+					l2.busy(b) != nil, l2.ext[b] != nil)
 			}
-			if w := l2.wb[b]; w != nil {
-				out += fmt.Sprintf("L2[%d][%d]: wb valid=%v data=%d\n", c, bk, w.valid, w.data)
+			if w := l2.wb.Valid(b); w != nil {
+				out += fmt.Sprintf("L2[%d][%d]: wb data=%d\n", c, bk, w.Data)
 			}
 		}
 	}
 	for c := range s.L1Ds {
 		for p := range s.L1Ds[c] {
 			for _, l1 := range []*L1Ctrl{s.L1Ds[c][p], s.L1Is[c][p]} {
-				if l := l1.cache.Lookup(b); l != nil {
+				if l := l1.Cache.Lookup(b); l != nil {
 					out += fmt.Sprintf("L1[%v]: st=%d data=%d dirty=%v txn=%v\n",
-						l1.id, l.State.st, l.State.data, l.State.dirty, l1.txnFor(b) != nil)
+						l1.id, l.State.St, l.State.Data, l.State.Dirty, l1.For(b) != nil)
 				}
-				if w := l1.wb[b]; w != nil {
-					out += fmt.Sprintf("L1[%v]: wb valid=%v data=%d\n", l1.id, w.valid, w.data)
+				if w := l1.wb.Valid(b); w != nil {
+					out += fmt.Sprintf("L1[%v]: wb data=%d\n", l1.id, w.Data)
 				}
 			}
 		}

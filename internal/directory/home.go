@@ -18,12 +18,6 @@ type homeLine struct {
 	value   uint64 // backing memory value
 }
 
-// homeTxn is one blocking transaction at the home directory.
-type homeTxn struct {
-	kind     int32
-	oldOwner int
-}
-
 // HomeCtrl is a memory controller running the inter-CMP directory: it
 // tracks which CMPs cache each of its home blocks (but not which caches
 // within a CMP — that is the L2 banks' job), defers conflicting requests
@@ -34,19 +28,16 @@ type HomeCtrl struct {
 	sys *System
 	cmp int
 
-	dir   map[mem.Block]*homeLine
-	busy  map[mem.Block]*homeTxn
-	queue map[mem.Block][]network.Message // deferred requests, copied per the ownership contract
+	dir map[mem.Block]*homeLine
+	ser hier.Serializer[int32] // busy record: the request kind
 }
 
 func (sys *System) newHome(id topo.NodeID, cmp int) *HomeCtrl {
 	return &HomeCtrl{
-		id:    id,
-		sys:   sys,
-		cmp:   cmp,
-		dir:   make(map[mem.Block]*homeLine),
-		busy:  make(map[mem.Block]*homeTxn),
-		queue: make(map[mem.Block][]network.Message),
+		id:  id,
+		sys: sys,
+		cmp: cmp,
+		dir: make(map[mem.Block]*homeLine),
 	}
 }
 
@@ -76,7 +67,7 @@ func (c *HomeCtrl) DirValue(b mem.Block) (uint64, bool) {
 
 // homeHandle is the closure-free deferred-handling thunk: the home
 // holds the delivered message across its directory-access delay and
-// frees it afterwards (deferred requests are copied into the queue by
+// frees it afterwards (the serializer copies deferred requests by
 // value, so the held message never outlives the handler).
 func homeHandle(ctx, arg any) {
 	c, m := ctx.(*HomeCtrl), arg.(*network.Message)
@@ -107,8 +98,8 @@ func (c *HomeCtrl) handle(m *network.Message) {
 
 func (c *HomeCtrl) admit(m *network.Message) {
 	b := m.Block
-	if c.busy[b] != nil {
-		c.queue[b] = append(c.queue[b], *m)
+	if _, busy := c.ser.Busy(b); busy {
+		c.ser.Defer(m)
 		return
 	}
 	switch m.Kind {
@@ -127,7 +118,7 @@ func (c *HomeCtrl) cmpOf(id topo.NodeID) int { return c.sys.Geom.CMPOf(id) }
 func (c *HomeCtrl) startGetS(m *network.Message) {
 	b := m.Block
 	hl := c.lineFor(b)
-	c.busy[b] = &homeTxn{kind: kGetS, oldOwner: hl.owner}
+	c.ser.Start(b, kGetS)
 
 	if hl.owner == -1 {
 		// Memory owns the block: read DRAM and grant (E when unshared).
@@ -172,7 +163,7 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 	b := m.Block
 	hl := c.lineFor(b)
 	reqCMP := c.cmpOf(m.Requestor)
-	c.busy[b] = &homeTxn{kind: kGetM, oldOwner: hl.owner}
+	c.ser.Start(b, kGetM)
 
 	// Invalidate every sharer chip except the requester.
 	acks := 0
@@ -244,7 +235,7 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 
 func (c *HomeCtrl) startPut(m *network.Message) {
 	b := m.Block
-	c.busy[b] = &homeTxn{kind: kPut}
+	c.ser.Start(b, kPut)
 	c.sys.Net.SendNew(network.Message{
 		Src:   c.id,
 		Dst:   m.Src,
@@ -258,8 +249,7 @@ func (c *HomeCtrl) startPut(m *network.Message) {
 // reported result state to the directory.
 func (c *HomeCtrl) handleUnblock(m *network.Message) {
 	b := m.Block
-	txn := c.busy[b]
-	if txn == nil {
+	if _, busy := c.ser.Busy(b); !busy {
 		panic(fmt.Sprintf("directory: home %v unblock without transaction for %v", c.id, b))
 	}
 	hl := c.lineFor(b)
@@ -272,18 +262,17 @@ func (c *HomeCtrl) handleUnblock(m *network.Message) {
 		hl.owner = reqCMP
 		hl.sharers = 0
 	}
-	delete(c.busy, b)
+	c.ser.End(b)
 	c.drain(b)
 }
 
 // handleWbData completes a chip's three-phase writeback.
 func (c *HomeCtrl) handleWbData(m *network.Message) {
 	b := m.Block
-	txn := c.busy[b]
-	if txn == nil || txn.kind != kPut {
+	if kind, busy := c.ser.Busy(b); !busy || kind != kPut {
 		panic(fmt.Sprintf("directory: home %v %s without PUT for %v", c.id, kindName(m.Kind), b))
 	}
-	delete(c.busy, b)
+	c.ser.End(b)
 	hl := c.lineFor(b)
 	evictor := c.cmpOf(m.Src)
 	if m.Kind == kWbData {
@@ -306,24 +295,15 @@ func (c *HomeCtrl) handleWbData(m *network.Message) {
 }
 
 func (c *HomeCtrl) drain(b mem.Block) {
-	if c.busy[b] != nil {
+	q, ok := c.ser.Pop(b)
+	if !ok {
 		return
-	}
-	q := c.queue[b]
-	if len(q) == 0 {
-		delete(c.queue, b)
-		return
-	}
-	m := c.sys.Net.NewMessage()
-	*m = q[0]
-	if len(q) == 1 {
-		delete(c.queue, b)
-	} else {
-		c.queue[b] = q[1:]
 	}
 	// The deferred request's directory latency was paid at arrival;
 	// re-admit on the next event (through a pooled copy the admit thunk
 	// frees, mirroring the arrival path).
+	m := c.sys.Net.NewMessage()
+	*m = q
 	c.sys.Eng.ScheduleCall(0, homeAdmit, c, m)
 }
 

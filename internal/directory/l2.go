@@ -106,10 +106,9 @@ type L2Ctrl struct {
 	cmp, bank int
 
 	cache *cache.Array[l2Line]
-	busy  map[mem.Block]*l2Txn
+	ser   hier.Serializer[*l2Txn] // local transactions and the messages deferred behind them
 	ext   map[mem.Block]*extSrv
-	queue map[mem.Block][]network.Message // deferred messages, copied per the ownership contract
-	wb    map[mem.Block]*wbEntry          // our three-phase PUTs to home
+	wb    hier.WbBuffer // our three-phase PUTs to home
 }
 
 func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
@@ -119,11 +118,15 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 		cmp:   cmp,
 		bank:  bank,
 		cache: cache.New[l2Line](sys.L2BankParams()),
-		busy:  make(map[mem.Block]*l2Txn),
 		ext:   make(map[mem.Block]*extSrv),
-		queue: make(map[mem.Block][]network.Message),
-		wb:    make(map[mem.Block]*wbEntry),
+		wb:    hier.NewWbBuffer(id, sys.Net, &sys.wbr),
 	}
+}
+
+// busy returns the local transaction on b, or nil.
+func (c *L2Ctrl) busy(b mem.Block) *l2Txn {
+	txn, _ := c.ser.Busy(b)
+	return txn
 }
 
 func (c *L2Ctrl) lookup(b mem.Block) *l2Line {
@@ -155,8 +158,8 @@ func (c *L2Ctrl) l1FromBit(bit int) topo.NodeID {
 
 // dirL2Handle is the closure-free deferred-handling thunk: the bank
 // holds the delivered message across its tag-access delay and frees it
-// afterwards (deferred messages are copied into the queues by value, so
-// the held message never outlives the handler).
+// afterwards (deferred messages are copied by value, so the held
+// message never outlives the handler).
 func dirL2Handle(ctx, arg any) {
 	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
 	c.handle(m)
@@ -187,7 +190,7 @@ func (c *L2Ctrl) handle(m *network.Message) {
 	case kPut:
 		c.handlePut(m)
 	case kWbGrant:
-		c.handleWbGrant(m)
+		c.wb.Grant(m)
 	case kWbData, kWbCancel:
 		c.handleWbData(m)
 	default:
@@ -199,8 +202,8 @@ func (c *L2Ctrl) handle(m *network.Message) {
 // current activity.
 func (c *L2Ctrl) admitLocal(m *network.Message) {
 	b := m.Block
-	if c.busy[b] != nil || c.ext[b] != nil {
-		c.queue[b] = append(c.queue[b], *m)
+	if c.busy(b) != nil || c.ext[b] != nil {
+		c.ser.Defer(m)
 		return
 	}
 	c.startLocal(m)
@@ -209,7 +212,7 @@ func (c *L2Ctrl) admitLocal(m *network.Message) {
 func (c *L2Ctrl) startLocal(m *network.Message) {
 	b := m.Block
 	txn := &l2Txn{requestor: m.Requestor, kind: m.Kind}
-	c.busy[b] = txn
+	c.ser.Start(b, txn)
 	line := c.lookup(b)
 	if line != nil {
 		line.pinned = true
@@ -349,7 +352,7 @@ func (c *L2Ctrl) goInter(b mem.Block, txn *l2Txn) {
 	if !c.reserve(b) {
 		// Set conflict with unfinishable eviction right now; retry.
 		c.sys.Eng.Schedule(hier.L2Latency, func() {
-			if c.busy[b] == txn {
+			if c.busy(b) == txn {
 				c.goInter(b, txn)
 			}
 		})
@@ -415,7 +418,7 @@ func (c *L2Ctrl) finishRecallIfDone(v mem.Block, srv *extSrv) {
 	owned := st.cs == csM || st.cs == csE || st.cs == csO
 	if owned {
 		c.sys.ctr.l2Writeback.Inc()
-		c.wb[v] = &wbEntry{data: srv.data, dirty: srv.dirty, valid: true}
+		c.wb.Push(v, srv.data, srv.dirty, false)
 		c.sys.Net.SendNew(network.Message{
 			Src:   c.id,
 			Dst:   c.home(v),
@@ -440,7 +443,7 @@ func (c *L2Ctrl) handleFwdResp(m *network.Message) {
 	_, _, migr := unpackAux(m.Aux)
 	switch m.Proc {
 	case tagTxn:
-		txn := c.busy[b]
+		txn := c.busy(b)
 		if txn == nil || !txn.fwdPending {
 			panic(fmt.Sprintf("directory: L2 %v stray FwdResp for %v", c.id, b))
 		}
@@ -494,7 +497,7 @@ func (c *L2Ctrl) handleInvAck(m *network.Message) {
 	b := m.Block
 	switch m.Proc {
 	case tagTxn:
-		txn := c.busy[b]
+		txn := c.busy(b)
 		if txn == nil {
 			panic(fmt.Sprintf("directory: L2 %v stray local InvAck for %v", c.id, b))
 		}
@@ -517,7 +520,7 @@ func (c *L2Ctrl) handleInvAck(m *network.Message) {
 		srv.acks--
 		c.finishRecallIfDone(b, srv)
 	case tagInter:
-		txn := c.busy[b]
+		txn := c.busy(b)
 		if txn == nil || !txn.interPending {
 			panic(fmt.Sprintf("directory: L2 %v stray inter InvAck for %v", c.id, b))
 		}
@@ -532,7 +535,7 @@ func (c *L2Ctrl) handleInvAck(m *network.Message) {
 // inter-CMP request.
 func (c *L2Ctrl) handleInterGrant(m *network.Message) {
 	b := m.Block
-	txn := c.busy[b]
+	txn := c.busy(b)
 	if txn == nil || !txn.interPending {
 		panic(fmt.Sprintf("directory: L2 %v stray inter grant for %v", c.id, b))
 	}
@@ -600,10 +603,10 @@ func (c *L2Ctrl) finishInterIfDone(b mem.Block, txn *l2Txn) {
 // handleUnblock closes a local transaction.
 func (c *L2Ctrl) handleUnblock(m *network.Message) {
 	b := m.Block
-	if c.busy[b] == nil {
+	if c.busy(b) == nil {
 		panic(fmt.Sprintf("directory: L2 %v unblock without transaction for %v", c.id, b))
 	}
-	delete(c.busy, b)
+	c.ser.End(b)
 	if line := c.lookup(b); line != nil {
 		line.pinned = c.ext[b] != nil
 	}
@@ -612,17 +615,10 @@ func (c *L2Ctrl) handleUnblock(m *network.Message) {
 
 // drain admits the next deferred message for b, if the block is idle.
 func (c *L2Ctrl) drain(b mem.Block) {
-	for c.busy[b] == nil && c.ext[b] == nil {
-		q := c.queue[b]
-		if len(q) == 0 {
-			delete(c.queue, b)
+	for c.busy(b) == nil && c.ext[b] == nil {
+		m, ok := c.ser.Pop(b)
+		if !ok {
 			return
-		}
-		m := q[0]
-		if len(q) == 1 {
-			delete(c.queue, b)
-		} else {
-			c.queue[b] = q[1:]
 		}
 		c.handle(&m)
 	}
@@ -640,8 +636,8 @@ func (c *L2Ctrl) admitHomeFwd(m *network.Message) {
 		}
 		panic(fmt.Sprintf("directory: L2 %v overlapping home services for %v", c.id, b))
 	}
-	if txn := c.busy[b]; txn != nil && !txn.interPending {
-		c.queue[b] = append(c.queue[b], *m)
+	if txn := c.busy(b); txn != nil && !txn.interPending {
+		c.ser.Defer(m)
 		return
 	}
 	c.startHomeFwd(m)
@@ -653,7 +649,7 @@ func (c *L2Ctrl) startHomeFwd(m *network.Message) {
 
 	// Data may live in our writeback buffer (PUT racing with the fwd).
 	if line == nil || !(line.cs == csM || line.cs == csE || line.cs == csO) || (!line.hasData && line.ownerL1 == topo.None) {
-		if w := c.wb[b]; w != nil && w.valid {
+		if w := c.wb.Valid(b); w != nil {
 			c.serveFwdFromWb(m, w)
 			return
 		}
@@ -794,7 +790,7 @@ func (c *L2Ctrl) finishExtIfDone(b mem.Block, srv *extSrv) {
 	}
 	delete(c.ext, b)
 	if line := c.lookup(b); line != nil {
-		line.pinned = c.busy[b] != nil
+		line.pinned = c.busy(b) != nil
 	}
 	c.drain(b)
 }
@@ -804,7 +800,7 @@ func (c *L2Ctrl) dropLine(b mem.Block, line *l2Line) {
 	if line == nil {
 		return
 	}
-	if c.busy[b] != nil {
+	if c.busy(b) != nil {
 		// A local transaction is inter-pending on this very block; keep
 		// the reserved (now invalid) line for its grant.
 		line.cs = csI
@@ -818,13 +814,13 @@ func (c *L2Ctrl) dropLine(b mem.Block, line *l2Line) {
 
 // serveFwdFromWb answers a home forward from the writeback buffer (the
 // PUT will be cancelled when its grant arrives).
-func (c *L2Ctrl) serveFwdFromWb(m *network.Message, w *wbEntry) {
+func (c *L2Ctrl) serveFwdFromWb(m *network.Message, w *hier.WbEntry) {
 	b := m.Block
 	_, acks, _ := unpackAux(m.Aux)
 	gst := grantS
 	if m.Kind == kFwdGetM {
 		gst = grantM
-		w.valid = false
+		w.Valid = false
 	}
 	c.sys.Net.SendNew(network.Message{
 		Src:       c.id,
@@ -833,8 +829,8 @@ func (c *L2Ctrl) serveFwdFromWb(m *network.Message, w *wbEntry) {
 		Kind:      kData,
 		Class:     stats.ResponseData,
 		HasData:   true,
-		Data:      w.data,
-		Dirty:     w.dirty,
+		Data:      w.Data,
+		Dirty:     w.Dirty,
 		Aux:       packAux(gst, acks, false),
 		Requestor: m.Requestor,
 	})
@@ -851,16 +847,16 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 		}
 		panic(fmt.Sprintf("directory: L2 %v overlapping home inv for %v", c.id, b))
 	}
-	if txn := c.busy[b]; txn != nil && !txn.interPending {
-		c.queue[b] = append(c.queue[b], *m)
+	if txn := c.busy(b); txn != nil && !txn.interPending {
+		c.ser.Defer(m)
 		return
 	}
 	line := c.lookup(b)
 	if line == nil {
 		// Stale sharer entry (we dropped an S line silently, or the copy
 		// left in a writeback): ack immediately.
-		if w := c.wb[b]; w != nil {
-			w.valid = false
+		if w := c.wb.Valid(b); w != nil {
+			w.Valid = false
 		}
 		c.sys.Net.SendNew(network.Message{
 			Src:   c.id,
@@ -896,13 +892,13 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 // handlePut runs the L2 side of an L1's three-phase writeback.
 func (c *L2Ctrl) handlePut(m *network.Message) {
 	b := m.Block
-	if c.busy[b] != nil || c.ext[b] != nil {
-		c.queue[b] = append(c.queue[b], *m)
+	if c.busy(b) != nil || c.ext[b] != nil {
+		c.ser.Defer(m)
 		return
 	}
 	// Grant immediately; the transaction completes on WbData/WbCancel.
 	// Mark busy so conflicting requests defer.
-	c.busy[b] = &l2Txn{requestor: m.Requestor, kind: kPut}
+	c.ser.Start(b, &l2Txn{requestor: m.Requestor, kind: kPut})
 	if line := c.lookup(b); line != nil {
 		line.pinned = true
 	}
@@ -915,45 +911,14 @@ func (c *L2Ctrl) handlePut(m *network.Message) {
 	})
 }
 
-// handleWbGrant: the home granted OUR put; answer with data or cancel.
-func (c *L2Ctrl) handleWbGrant(m *network.Message) {
-	b := m.Block
-	w := c.wb[b]
-	if w == nil {
-		panic(fmt.Sprintf("directory: L2 %v WbGrant without PUT for %v", c.id, b))
-	}
-	delete(c.wb, b)
-	if !w.valid {
-		c.sys.ctr.wbRace.Inc()
-		c.sys.Net.SendNew(network.Message{
-			Src:   c.id,
-			Dst:   m.Src,
-			Block: b,
-			Kind:  kWbCancel,
-			Class: stats.WritebackControl,
-		})
-		return
-	}
-	c.sys.Net.SendNew(network.Message{
-		Src:     c.id,
-		Dst:     m.Src,
-		Block:   b,
-		Kind:    kWbData,
-		Class:   stats.WritebackData,
-		HasData: true,
-		Data:    w.data,
-		Dirty:   w.dirty,
-	})
-}
-
 // handleWbData completes a local L1's three-phase writeback at this bank.
 func (c *L2Ctrl) handleWbData(m *network.Message) {
 	b := m.Block
-	txn := c.busy[b]
+	txn := c.busy(b)
 	if txn == nil || txn.kind != kPut {
 		panic(fmt.Sprintf("directory: L2 %v %s without PUT transaction for %v", c.id, kindName(m.Kind), b))
 	}
-	delete(c.busy, b)
+	c.ser.End(b)
 	evictorBit := c.l1Bit(m.Src)
 	if m.Kind == kWbData {
 		// Accept the data; the evictor was the local owner (E/M).
@@ -963,7 +928,7 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 				Src: c.id, Dst: c.home(b), Block: b, Kind: kPut,
 				Class: stats.WritebackControl,
 			})
-			c.wb[b] = &wbEntry{data: m.Data, dirty: m.Dirty, valid: true}
+			c.wb.Push(b, m.Data, m.Dirty, false)
 		} else {
 			line := c.lookup(b)
 			line.hasData = true

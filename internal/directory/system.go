@@ -19,6 +19,7 @@ type System struct {
 
 	Ctrs *counters.Set
 	ctr  *ctrs
+	wbr  hier.WbReplies
 }
 
 // NewSystem wires a DirectoryCMP machine, with a zero-cycle directory
@@ -31,6 +32,7 @@ func NewSystem(eng *sim.Engine, h hier.Config, zeroDir bool, netCfg network.Conf
 		Ctrs:    counters.NewSet(),
 	}
 	s.ctr = newCtrs(s.Ctrs)
+	s.wbr = hier.WbReplies{Data: kWbData, Cancel: kWbCancel, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
 	s.Wire(h, s.Net, s.newL2, s.newL1, s.newHome)
 	return s

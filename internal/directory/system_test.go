@@ -183,3 +183,27 @@ func TestInvDeliveryDoesNotAllocate(t *testing.T) {
 		t.Errorf("requester got %d acks, want 102", acks)
 	}
 }
+
+// TestL1MissDoesNotAllocate pins the L1 side of a steady-state miss at
+// zero allocations: the access waits out the tag access, misses,
+// reserves its line and sends the request, which the bank absorbs.
+func TestL1MissDoesNotAllocate(t *testing.T) {
+	eng, sys := testSystem(t, false)
+	g := topo.NewGeometry(2, 2, 1)
+	l1, addr, reqs := sys.L1Ds[0][1], mem.Addr(0x4000), 0
+	sys.Net.Attach(g.L2BankFor(0, mem.BlockOf(addr)), countSink{&reqs})
+	done := func(uint64) {}
+	miss := func() {
+		l1.Access(cpu.Load, addr, 0, done)
+		eng.Run(0)
+		l1.Finish() // drop the miss the absorbed request left outstanding
+	}
+	miss()
+	if avg := testing.AllocsPerRun(100, miss); avg != 0 {
+		t.Errorf("L1 miss allocates %.2f per miss, want 0", avg)
+	}
+	// One warm-up miss, AllocsPerRun's own warm-up, then 100 measured.
+	if reqs != 102 {
+		t.Errorf("bank got %d requests, want 102", reqs)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // arrive only through L1 owner writebacks, so they are always hM or
 // hO.
 type l2Line struct {
-	st    lineState
+	st    hier.State
 	data  uint64
 	dirty bool
 }
@@ -35,22 +35,19 @@ type L2Ctrl struct {
 	sys       *System
 	cmp, bank int
 
-	cache    *cache.Array[l2Line]
-	wb       map[mem.Block][]*wbEntry        // our writebacks to home
-	busy     map[mem.Block]bool              // an L1 Put is in its data window
-	deferred map[mem.Block][]network.Message // deferred behind busy, copied per the ownership contract
+	cache *cache.Array[l2Line]
+	wb    hier.WbBuffer         // our writebacks to home
+	ser   hier.Serializer[bool] // busy while an L1 Put is in its data window
 }
 
 func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	return &L2Ctrl{
-		id:       id,
-		sys:      sys,
-		cmp:      cmp,
-		bank:     bank,
-		cache:    cache.New[l2Line](sys.L2BankParams()),
-		wb:       make(map[mem.Block][]*wbEntry),
-		busy:     make(map[mem.Block]bool),
-		deferred: make(map[mem.Block][]network.Message),
+		id:    id,
+		sys:   sys,
+		cmp:   cmp,
+		bank:  bank,
+		cache: cache.New[l2Line](sys.L2BankParams()),
+		wb:    hier.NewWbBuffer(id, sys.Net, &sys.wbr),
 	}
 }
 
@@ -59,7 +56,7 @@ func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 // hammerL2Handle is the closure-free deferred-handling thunk: the bank
 // holds the delivered message across its tag-access delay and
 // frees it afterwards (messages deferred behind a writeback window are
-// copied into the deferred queue by value).
+// copied by value).
 func hammerL2Handle(ctx, arg any) {
 	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
 	c.handle(m)
@@ -73,22 +70,18 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 
 func (c *L2Ctrl) handle(m *network.Message) {
 	switch m.Kind {
-	case kProbeS, kProbeM:
-		if c.busy[m.Block] {
-			c.deferred[m.Block] = append(c.deferred[m.Block], *m)
-			return
+	case kProbeS, kProbeM, kPut:
+		if _, busy := c.ser.Busy(m.Block); busy {
+			c.ser.Defer(m)
+		} else if m.Kind == kPut {
+			c.handlePut(m)
+		} else {
+			c.handleProbe(m)
 		}
-		c.handleProbe(m)
-	case kPut:
-		if c.busy[m.Block] {
-			c.deferred[m.Block] = append(c.deferred[m.Block], *m)
-			return
-		}
-		c.handlePut(m)
 	case kWbData, kWbCancel:
 		c.handleWbData(m)
 	case kWbGrant:
-		c.handleWbGrant(m)
+		c.wb.Grant(m)
 	default:
 		panic(fmt.Sprintf("hammercmp: L2 %v cannot handle %s", c.id, kindName(m.Kind)))
 	}
@@ -103,17 +96,17 @@ func (c *L2Ctrl) handleProbe(m *network.Message) {
 		c.respondData(m, s.data, s.dirty)
 		if m.Kind == kProbeM {
 			c.cache.Invalidate(b)
-		} else if s.st == hM {
-			s.st = hO // a reader exists now; no silent upgrades here anyway
+		} else if s.st == hier.M {
+			s.st = hier.O // a reader exists now; no silent upgrades here anyway
 		}
 		return
 	}
-	if w := validWb(c.wb[b]); w != nil {
-		c.respondData(m, w.data, w.dirty)
+	if w := c.wb.Valid(b); w != nil {
+		c.respondData(m, w.Data, w.Dirty)
 		if m.Kind == kProbeM {
-			w.valid = false
+			w.Valid = false
 		} else {
-			w.excl = false // a shared copy now exists
+			w.Excl = false // a shared copy now exists
 		}
 		return
 	}
@@ -149,7 +142,7 @@ func (c *L2Ctrl) respondAck(m *network.Message) {
 // handlePut opens an L1's writeback window: grant immediately and
 // defer probes until the data (or a cancel) arrives.
 func (c *L2Ctrl) handlePut(m *network.Message) {
-	c.busy[m.Block] = true
+	c.ser.Start(m.Block, true)
 	c.sys.Net.SendNew(network.Message{
 		Src:   c.id,
 		Dst:   m.Src,
@@ -164,7 +157,7 @@ func (c *L2Ctrl) handlePut(m *network.Message) {
 // messages.
 func (c *L2Ctrl) handleWbData(m *network.Message) {
 	b := m.Block
-	if !c.busy[b] {
+	if _, busy := c.ser.Busy(b); !busy {
 		panic(fmt.Sprintf("hammercmp: L2 %v %s without Put window for %v", c.id, kindName(m.Kind), b))
 	}
 	if m.Kind == kWbData {
@@ -172,13 +165,13 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 		if wasEvicted {
 			c.spill(victim, vstate)
 		}
-		st := hO
+		st := hier.O
 		if m.Aux&auxExcl != 0 {
-			st = hM
+			st = hier.M
 		}
 		line.State = l2Line{st: st, data: m.Data, dirty: m.Dirty}
 	}
-	delete(c.busy, b)
+	c.ser.End(b)
 	c.drain(b)
 }
 
@@ -186,7 +179,7 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 // (three-phase, probeable from the buffer while in flight).
 func (c *L2Ctrl) spill(v mem.Block, st l2Line) {
 	c.sys.ctr.l2Writeback.Inc()
-	c.wb[v] = append(c.wb[v], &wbEntry{data: st.data, dirty: st.dirty, excl: st.st == hM, valid: true})
+	c.wb.Push(v, st.data, st.dirty, st.st == hier.M)
 	c.sys.Net.SendNew(network.Message{
 		Src:   c.id,
 		Dst:   c.home(v),
@@ -198,24 +191,14 @@ func (c *L2Ctrl) spill(v mem.Block, st l2Line) {
 
 // drain replays messages deferred behind a writeback window.
 func (c *L2Ctrl) drain(b mem.Block) {
-	for !c.busy[b] {
-		q := c.deferred[b]
-		if len(q) == 0 {
-			delete(c.deferred, b)
+	for {
+		if _, busy := c.ser.Busy(b); busy {
 			return
 		}
-		m := q[0]
-		if len(q) == 1 {
-			delete(c.deferred, b)
-		} else {
-			c.deferred[b] = q[1:]
+		m, ok := c.ser.Pop(b)
+		if !ok {
+			return
 		}
 		c.handle(&m)
 	}
-}
-
-// handleWbGrant answers the home's grant for our own spill with the
-// front entry of the block's writeback FIFO.
-func (c *L2Ctrl) handleWbGrant(m *network.Message) {
-	popWbAndReply(c.sys, c.id, c.wb, m)
 }

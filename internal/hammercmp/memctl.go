@@ -2,6 +2,7 @@ package hammercmp
 
 import (
 	"fmt"
+	"slices"
 
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
@@ -9,13 +10,6 @@ import (
 	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
-
-// memTxn is the home's per-block serialization token: a broadcast in
-// flight (closed by the requester's Done) or a writeback in its data
-// window.
-type memTxn struct {
-	kind int32 // kGetS, kGetM, or kPut
-}
 
 // MemCtrl is a HammerCMP home memory controller. It holds no directory
 // state at all — only the backing memory image — and serializes
@@ -29,19 +23,19 @@ type MemCtrl struct {
 	sys *System
 	cmp int
 
-	mem   map[mem.Block]uint64
-	busy  map[mem.Block]*memTxn
-	queue map[mem.Block][]network.Message // deferred requests, copied per the ownership contract
+	mem map[mem.Block]uint64
+	// ser's busy record is the kind of the block's transaction: a
+	// broadcast in flight (kGetS or kGetM, closed by the requester's
+	// Done) or a writeback in its data window (kPut).
+	ser hier.Serializer[int32]
 }
 
 func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
 	return &MemCtrl{
-		id:    id,
-		sys:   sys,
-		cmp:   cmp,
-		mem:   make(map[mem.Block]uint64),
-		busy:  make(map[mem.Block]*memTxn),
-		queue: make(map[mem.Block][]network.Message),
+		id:  id,
+		sys: sys,
+		cmp: cmp,
+		mem: make(map[mem.Block]uint64),
 	}
 }
 
@@ -53,8 +47,7 @@ func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
 
 // hammerMemHandle is the closure-free deferred-handling thunk: the
 // home holds the delivered message across its controller delay
-// and frees it afterwards (deferred requests are copied into the queue
-// by value).
+// and frees it afterwards (deferred requests are copied by value).
 func hammerMemHandle(ctx, arg any) {
 	c, m := ctx.(*MemCtrl), arg.(*network.Message)
 	c.handle(m)
@@ -85,11 +78,11 @@ func (c *MemCtrl) handle(m *network.Message) {
 
 func (c *MemCtrl) admit(m *network.Message) {
 	b := m.Block
-	if c.busy[b] != nil {
-		c.queue[b] = append(c.queue[b], *m)
+	if _, busy := c.ser.Busy(b); busy {
+		c.ser.Defer(m)
 		return
 	}
-	c.busy[b] = &memTxn{kind: m.Kind}
+	c.ser.Start(b, m.Kind)
 	if m.Kind == kPut {
 		c.sys.Net.SendNew(network.Message{
 			Src:   c.id,
@@ -148,36 +141,24 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 // of wants) and admits the next queued message.
 func (c *MemCtrl) close(m *network.Message, wants ...int32) {
 	b := m.Block
-	txn := c.busy[b]
-	ok := false
-	for _, w := range wants {
-		if txn != nil && txn.kind == w {
-			ok = true
-		}
-	}
-	if !ok {
+	kind, ok := c.ser.Busy(b)
+	if !ok || !slices.Contains(wants, kind) {
 		panic(fmt.Sprintf("hammercmp: home %v stray %s for %v", c.id, kindName(m.Kind), b))
 	}
-	delete(c.busy, b)
+	c.ser.End(b)
 	c.drain(b)
 }
 
 func (c *MemCtrl) drain(b mem.Block) {
-	q := c.queue[b]
-	if len(q) == 0 {
-		delete(c.queue, b)
+	q, ok := c.ser.Pop(b)
+	if !ok {
 		return
-	}
-	m := c.sys.Net.NewMessage()
-	*m = q[0]
-	if len(q) == 1 {
-		delete(c.queue, b)
-	} else {
-		c.queue[b] = q[1:]
 	}
 	// The controller decision latency was already paid at arrival;
 	// re-admit on the next event (through a pooled copy the admit thunk
 	// frees, mirroring the arrival path).
+	m := c.sys.Net.NewMessage()
+	*m = q
 	c.sys.Eng.ScheduleCall(0, hammerMemAdmit, c, m)
 }
 

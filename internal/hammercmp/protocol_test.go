@@ -6,6 +6,7 @@ import (
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/hier"
+	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
@@ -74,13 +75,8 @@ func TestQuiescence(t *testing.T) {
 		t.Errorf("network not quiescent: %d messages in flight", s.Net.InFlight)
 	}
 	for _, m := range s.Mems {
-		for b, q := range m.queue {
-			if len(q) > 0 {
-				t.Errorf("home %v left %d queued messages for %v", m.id, len(q), b)
-			}
-		}
-		if len(m.busy) != 0 {
-			t.Errorf("home %v left busy blocks: %v", m.id, m.busy)
+		if !m.ser.Idle() {
+			t.Errorf("home %v left busy blocks or queued messages", m.id)
 		}
 	}
 }
@@ -191,5 +187,29 @@ func TestProbeDeliveryDoesNotAllocate(t *testing.T) {
 	// One warm-up probe, AllocsPerRun's own warm-up, then 100 measured.
 	if got := s.Ctrs.Value(counters.ProbeAck); got != 102 {
 		t.Errorf("probe.ack = %d, want 102", got)
+	}
+}
+
+// TestL1MissDoesNotAllocate pins the L1 side of a steady-state miss at
+// zero allocations: the access waits out the tag access, misses,
+// reserves its line and sends the request, which the home absorbs.
+func TestL1MissDoesNotAllocate(t *testing.T) {
+	g := topo.NewGeometry(2, 2, 1)
+	s := build(t, g)
+	l1, addr := s.L1Ds[0][1], mem.Addr(0x4000)
+	s.Net.Attach(g.HomeMem(mem.BlockOf(addr)), absorb{})
+	done := func(uint64) {}
+	miss := func() {
+		l1.Access(cpu.Store, addr, 1, done)
+		s.Eng.Run(0)
+		l1.Finish() // drop the miss the absorbed request left outstanding
+	}
+	miss()
+	if avg := testing.AllocsPerRun(100, miss); avg != 0 {
+		t.Errorf("L1 miss allocates %.2f per miss, want 0", avg)
+	}
+	// One warm-up miss, AllocsPerRun's own warm-up, then 100 measured.
+	if got := s.Ctrs.Value(counters.L1Miss); got != 102 {
+		t.Errorf("l1.miss = %d, want 102", got)
 	}
 }

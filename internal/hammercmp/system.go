@@ -19,6 +19,7 @@ type System struct {
 
 	Ctrs *counters.Set
 	ctr  *ctrs
+	wbr  hier.WbReplies
 
 	// caches lists every cache endpoint; a requester expects
 	// len(caches)-1 probe responses plus the memory response.
@@ -34,6 +35,7 @@ func NewSystem(eng *sim.Engine, h hier.Config, netCfg network.Config) *System {
 		Ctrs:   counters.NewSet(),
 	}
 	s.ctr = newCtrs(s.Ctrs)
+	s.wbr = hier.WbReplies{Data: kWbData, Cancel: kWbCancel, ExclAux: auxExcl, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
 	s.Wire(h, s.Net, s.newL2, s.newL1, s.newMem)
 	return s

@@ -1,7 +1,9 @@
 // Package hier describes the paper's Table 3 target system once for all
 // protocol stacks: the cache geometry and latencies every protocol runs
-// with, and the grid of L1, L2-bank and memory controllers each stack
-// wires onto its interconnect.
+// with, the grid of L1, L2-bank and memory controllers each stack wires
+// onto its interconnect, and the controller parts the stacks share: the
+// L1 front end, the MOESI hit path, the writeback buffer and the
+// busy-block serializer.
 package hier
 
 import (

@@ -1,0 +1,106 @@
+package hier
+
+import (
+	"fmt"
+
+	"tokencmp/internal/counters"
+	"tokencmp/internal/mem"
+	"tokencmp/internal/network"
+	"tokencmp/internal/stats"
+	"tokencmp/internal/topo"
+)
+
+// WbEntry is one buffered three-phase writeback.
+type WbEntry struct {
+	Data  uint64
+	Dirty bool
+	Excl  bool // the copy is exclusive (hammercmp: the line was M, not O)
+	Valid bool // cleared when a forward or probe consumed the copy
+}
+
+// WbReplies is how a stack answers a writeback grant: its WbData and
+// WbCancel message kinds, the Aux flag marking an exclusive copy (0 if
+// the stack has none), and the wb.race counter.
+type WbReplies struct {
+	Data, Cancel int32
+	ExclAux      int32
+	Race         *counters.Counter
+}
+
+// WbBuffer holds one controller's three-phase writebacks awaiting their
+// grants, as a FIFO per block: a line can be re-acquired and evicted
+// again before the first grant arrives, and per-link delivery order
+// hands out grants front-first. A newer writeback supersedes the older
+// ones, so at most the newest entry is valid.
+type WbBuffer struct {
+	id  topo.NodeID
+	net *network.Network
+	r   *WbReplies
+	q   map[mem.Block][]WbEntry
+}
+
+// NewWbBuffer returns the writeback buffer of controller id.
+func NewWbBuffer(id topo.NodeID, net *network.Network, r *WbReplies) WbBuffer {
+	return WbBuffer{id: id, net: net, r: r, q: make(map[mem.Block][]WbEntry)}
+}
+
+// Push buffers a valid copy of b.
+func (w *WbBuffer) Push(b mem.Block, data uint64, dirty, excl bool) {
+	q := w.q[b]
+	for i := range q {
+		q[i].Valid = false
+	}
+	w.q[b] = append(q, WbEntry{Data: data, Dirty: dirty, Excl: excl, Valid: true})
+}
+
+// Valid returns the buffered valid copy of b, or nil.
+func (w *WbBuffer) Valid(b mem.Block) *WbEntry {
+	q := w.q[b]
+	if len(q) == 0 || !q[len(q)-1].Valid {
+		return nil
+	}
+	return &q[len(q)-1]
+}
+
+// Grant answers the writeback grant gm: it pops the front entry of
+// gm.Block and sends the grantor the data, or a cancel (a writeback
+// race) if a forward or probe consumed the copy.
+func (w *WbBuffer) Grant(gm *network.Message) {
+	b := gm.Block
+	q := w.q[b]
+	if len(q) == 0 {
+		panic(fmt.Sprintf("hier: %v WbGrant without a buffered writeback for %v", w.id, b))
+	}
+	e := q[0]
+	if len(q) == 1 {
+		delete(w.q, b)
+	} else {
+		w.q[b] = q[1:]
+	}
+	if !e.Valid {
+		w.r.Race.Inc()
+		w.net.SendNew(network.Message{
+			Src:   w.id,
+			Dst:   gm.Src,
+			Block: b,
+			Kind:  w.r.Cancel,
+			Class: stats.WritebackControl,
+		})
+		return
+	}
+	var aux int32
+	if e.Excl {
+		aux = w.r.ExclAux
+	}
+	w.net.SendNew(network.Message{
+		Src:     w.id,
+		Dst:     gm.Src,
+		Block:   b,
+		Kind:    w.r.Data,
+		Class:   stats.WritebackData,
+		HasData: true,
+		Data:    e.Data,
+		Dirty:   e.Dirty,
+		Aux:     aux,
+	})
+}

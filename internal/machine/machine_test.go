@@ -3,6 +3,7 @@ package machine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -89,6 +90,32 @@ func TestL1HitCostsTable3Latency(t *testing.T) {
 			if hit := load(); hit != hier.L1Latency {
 				t.Errorf("hitting load took %v, want %v", hit, hier.L1Latency)
 			}
+		})
+	}
+}
+
+// TestSecondAccessDuringMissPanics checks the shared L1 front end's
+// one-access-at-a-time contract on each stack that uses it: an Access
+// while the port's miss is outstanding is a wiring bug and panics.
+func TestSecondAccessDuringMissPanics(t *testing.T) {
+	for _, proto := range []string{"DirectoryCMP", "HammerCMP", "TokenCMP-dst1"} {
+		t.Run(proto, func(t *testing.T) {
+			m, err := New(smallCfg(proto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := m.Proto.Ports(0)
+			misses := m.Proto.Counters().Counter(counters.L1Miss)
+			data.Access(cpu.Load, mem.Addr(0x4000), 0, func(uint64) { t.Error("first access completed") })
+			if !m.Eng.RunUntil(func() bool { return misses.Value() == 1 }, 1_000_000) {
+				t.Fatal("first access never missed")
+			}
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "already busy") {
+					t.Errorf("second access: recovered %v, want an \"already busy\" panic", r)
+				}
+			}()
+			data.Access(cpu.Load, mem.Addr(0x8000), 0, func(uint64) {})
 		})
 	}
 }

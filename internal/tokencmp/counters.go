@@ -6,19 +6,16 @@ import "tokencmp/internal/counters"
 // controller of one machine), pre-resolved once at construction so the
 // protocol hot paths pay plain word increments.
 type ctrs struct {
-	l1Hit, l1Miss, l1Writeback *counters.Counter
-	l2Writeback                *counters.Counter
-	reqTransient, reqRetry     *counters.Counter
-	reqTimeout, reqPersistent  *counters.Counter
-	fwdSent                    *counters.Counter
-	memRead, memWrite          *counters.Counter
-	migratory                  *counters.Counter
+	l1Writeback, l2Writeback  *counters.Counter
+	reqTransient, reqRetry    *counters.Counter
+	reqTimeout, reqPersistent *counters.Counter
+	fwdSent                   *counters.Counter
+	memRead, memWrite         *counters.Counter
+	migratory                 *counters.Counter
 }
 
 func newCtrs(cs *counters.Set) *ctrs {
 	return &ctrs{
-		l1Hit:         cs.Counter(counters.L1Hit),
-		l1Miss:        cs.Counter(counters.L1Miss),
 		l1Writeback:   cs.Counter(counters.L1Writeback),
 		l2Writeback:   cs.Counter(counters.L2Writeback),
 		reqTransient:  cs.Counter(counters.ReqTransient),

@@ -15,17 +15,9 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// debugTimeout, when set (tests only), observes every transient-request
-// timeout for diagnosis.
-var debugTimeout func(c *L1Ctrl, b mem.Block, txn *l1Txn)
-
-// l1Txn is an outstanding miss transaction. Each L1 serves one processor
-// port, so at most one transaction is in flight per L1.
+// l1Txn is the request state of the outstanding miss.
 type l1Txn struct {
-	kind             cpu.AccessKind
 	reqKind          token.ReqKind
-	store            uint64
-	done             func(uint64)
 	issuedAt         sim.Time
 	transientsSent   int
 	persistent       bool // escalation decided
@@ -38,34 +30,21 @@ type l1Txn struct {
 // both a cpu.MemPort for its processor and a substrate endpoint.
 type L1Ctrl struct {
 	base
-	isInstr    bool
-	cmp, proc  int
+	hier.L1[l1Txn]
+	cmp        int
 	globalProc int
 
-	cache    *cache.Array[token.State]
-	txn      *l1Txn    // the outstanding miss, if any
-	txnBlock mem.Block // the block txn is for
-	banks    []*L2Ctrl // local L2 banks, for token-presence notes
-	est      *token.TimeoutEstimator
-	pred     *predictor
-	rng      *rand.Rand
-
-	pend cpu.PendingAccess // access parked across the tag-access delay
-}
-
-// l1AttemptCall is the closure-free ScheduleCall target for the
-// tag-access delay.
-func l1AttemptCall(ctx, _ any) {
-	c := ctx.(*L1Ctrl)
-	c.attempt(c.pend.Take())
+	cache *cache.Array[token.State]
+	banks []*L2Ctrl // local L2 banks, for token-presence notes
+	est   *token.TimeoutEstimator
+	pred  *predictor
+	rng   *rand.Rand
 }
 
 func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 	cfg := sys.Cfg
 	c := &L1Ctrl{
-		isInstr:    instr,
 		cmp:        cmp,
-		proc:       proc,
 		globalProc: sys.Geom.GlobalProc(cmp, proc),
 		cache:      cache.New[token.State](sys.L1Params()),
 		banks:      sys.L2s[cmp],
@@ -73,6 +52,7 @@ func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		rng:        rand.New(rand.NewSource(cfg.Seed*1000003 + int64(id))),
 	}
 	c.initTables(sys, id)
+	c.Init(sys.Eng, sys.Ctrs, id, instr, c.attempt)
 	c.accessLatency = hier.L1Latency
 	c.lookup = func(b mem.Block) *token.State {
 		if l := c.cache.Lookup(b); l != nil {
@@ -86,14 +66,6 @@ func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		c.pred = newPredictor(cfg.Seed*7919 + int64(id))
 	}
 	return c
-}
-
-// txnFor returns the outstanding miss for b, or nil.
-func (c *L1Ctrl) txnFor(b mem.Block) *l1Txn {
-	if c.txnBlock != b {
-		return nil
-	}
-	return c.txn
 }
 
 // bankFor returns this CMP's L2 bank controller serving b.
@@ -114,20 +86,6 @@ func (c *L1Ctrl) notifyLoss(b mem.Block, tokens int, owner bool, dst topo.NodeID
 	c.bankFor(b).noteL1Loss(b, tokens, owner, c.id, emptied)
 }
 
-// Access implements cpu.MemPort.
-func (c *L1Ctrl) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done func(uint64)) {
-	if c.isInstr && kind != cpu.IFetch {
-		panic("tokencmp: data access routed to L1I")
-	}
-	b := mem.BlockOf(addr)
-	if c.txn != nil {
-		panic(fmt.Sprintf("tokencmp: L1 %v already has outstanding transaction for %v", c.id, c.txnBlock))
-	}
-	// Tag access latency, then hit check / miss handling.
-	c.pend.Park("tokencmp: L1", kind, b, store, done)
-	c.sys.Eng.ScheduleCall(hier.L1Latency, l1AttemptCall, c, nil)
-}
-
 func sufficient(s *token.State, kind cpu.AccessKind, t int) bool {
 	if s == nil {
 		return false
@@ -140,22 +98,23 @@ func sufficient(s *token.State, kind cpu.AccessKind, t int) bool {
 	}
 }
 
-func (c *L1Ctrl) attempt(kind cpu.AccessKind, b mem.Block, store uint64, done func(uint64)) {
+func (c *L1Ctrl) attempt() {
+	m := &c.Miss
+	b := m.Block
 	s := c.lookup(b)
-	if sufficient(s, kind, c.sys.T) {
-		c.sys.ctr.l1Hit.Inc()
+	if sufficient(s, m.Kind, c.sys.T) {
 		c.cache.Touch(b)
-		done(c.apply(kind, s, store))
+		c.Hit(c.apply(m.Kind, s, m.Store))
 		return
 	}
-	c.sys.ctr.l1Miss.Inc()
-	txn := &l1Txn{kind: kind, store: store, done: done, issuedAt: c.sys.Eng.Now()}
-	if kind == cpu.Load || kind == cpu.IFetch {
+	c.Missed()
+	txn := &m.Txn // zeroed by Access: seq restarts at 0, so an old miss's timeout can alias this one (ROADMAP)
+	txn.issuedAt = c.sys.Eng.Now()
+	if m.Kind == cpu.Load || m.Kind == cpu.IFetch {
 		txn.reqKind = token.ReqRead
 	} else {
 		txn.reqKind = token.ReqWrite
 	}
-	c.txn, c.txnBlock = txn, b
 
 	v := c.sys.Cfg.Variant
 	switch {
@@ -231,14 +190,12 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 }
 
 func (c *L1Ctrl) onTimeout(b mem.Block, seq int) {
-	txn := c.txnFor(b)
-	if txn == nil || txn.seq != seq || txn.persistent {
+	m := c.For(b)
+	if m == nil || m.Txn.seq != seq || m.Txn.persistent {
 		return
 	}
+	txn := &m.Txn
 	c.sys.ctr.reqTimeout.Inc()
-	if debugTimeout != nil {
-		debugTimeout(c, b, txn)
-	}
 	if c.pred != nil {
 		c.pred.NoteTimeout(b)
 	}
@@ -248,8 +205,8 @@ func (c *L1Ctrl) onTimeout(b mem.Block, seq int) {
 		txn.seq++
 		seq := txn.seq
 		c.sys.Eng.Schedule(backoff, func() {
-			if t := c.txnFor(b); t != nil && t.seq == seq && !t.persistent {
-				c.sendTransient(b, t)
+			if m := c.For(b); m != nil && m.Txn.seq == seq && !m.Txn.persistent {
+				c.sendTransient(b, &m.Txn)
 			}
 		})
 		return
@@ -300,22 +257,21 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 // tryComplete finishes the outstanding transaction for b if permissions
 // now suffice.
 func (c *L1Ctrl) tryComplete(b mem.Block) {
-	txn := c.txnFor(b)
-	if txn == nil {
+	m := c.For(b)
+	if m == nil {
 		return
 	}
 	s := c.lookup(b)
-	if !sufficient(s, txn.kind, c.sys.T) {
+	if !sufficient(s, m.Kind, c.sys.T) {
 		return
 	}
-	c.txn = nil
-	txn.seq++ // kill pending timeouts
+	done := c.Finish() // pending timeouts now find no miss for b
 	c.cache.Touch(b)
-	val := c.apply(txn.kind, s, txn.store)
-	if txn.persistentIssued {
+	val := c.apply(m.Kind, s, m.Store)
+	if m.Txn.persistentIssued {
 		c.deactivatePersistent(b)
 	}
-	txn.done(val)
+	done(val)
 }
 
 func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
@@ -348,8 +304,9 @@ func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
 // recheckMarked re-attempts persistent issue for a transaction gated by
 // the marking mechanism (called when deactivations arrive).
 func (c *L1Ctrl) recheckMarked() {
-	if txn := c.txn; txn != nil && txn.waitingMark && !c.dtable.HasMarked(c.txnBlock) {
-		c.issuePersistent(c.txnBlock, txn)
+	b := c.Miss.Block
+	if m := c.For(b); m != nil && m.Txn.waitingMark && !c.dtable.HasMarked(b) {
+		c.issuePersistent(b, &m.Txn)
 	}
 }
 
@@ -416,8 +373,8 @@ func (c *L1Ctrl) handleResponse(m *network.Message) {
 	// and only data-carrying responses: token-only responses skip the
 	// DRAM access and would drag the threshold below the real miss
 	// latency, triggering spurious retries.
-	if txn := c.txnFor(b); txn != nil && g.KindOf(m.Src) == topo.Mem && m.HasData {
-		c.est.Observe(c.sys.Eng.Now() - txn.issuedAt)
+	if miss := c.For(b); miss != nil && g.KindOf(m.Src) == topo.Mem && m.HasData {
+		c.est.Observe(c.sys.Eng.Now() - miss.Txn.issuedAt)
 	}
 
 	c.reeval(b)
