@@ -11,8 +11,8 @@ func (s *System) dumpBlock(b mem.Block) string {
 	out := ""
 	for c := range s.Mems {
 		h := s.Mems[c]
-		if hl, ok := h.dir[b]; ok {
-			_, busy := h.ser.Busy(b)
+		if hl := h.dir.Peek(b); hl != nil {
+			busy := h.ser.Busy(b) != nil
 			out += fmt.Sprintf("home%d: owner=%d sharers=%b val=%d busy=%v\n",
 				c, hl.owner, hl.sharers, hl.value, busy)
 		}
@@ -23,7 +23,7 @@ func (s *System) dumpBlock(b mem.Block) string {
 			if l := l2.lookup(b); l != nil {
 				out += fmt.Sprintf("L2[%d][%d]: cs=%v hasData=%v data=%d dirty=%v owner=%v sharers=%b pinned=%v busy=%v ext=%v\n",
 					c, bk, l.cs, l.hasData, l.data, l.dirty, l.ownerL1, l.sharers, l.pinned,
-					l2.busy(b) != nil, l2.ext[b] != nil)
+					l2.busy(b) != nil, l2.ext.Peek(b) != nil)
 			}
 			if w := l2.wb.Valid(b); w != nil {
 				out += fmt.Sprintf("L2[%d][%d]: wb data=%d\n", c, bk, w.Data)

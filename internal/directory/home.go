@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -28,17 +29,12 @@ type HomeCtrl struct {
 	sys *System
 	cmp int
 
-	dir map[mem.Block]*homeLine
+	dir blocktab.Table[homeLine]
 	ser hier.Serializer[int32] // busy record: the request kind
 }
 
 func (sys *System) newHome(id topo.NodeID, cmp int) *HomeCtrl {
-	return &HomeCtrl{
-		id:  id,
-		sys: sys,
-		cmp: cmp,
-		dir: make(map[mem.Block]*homeLine),
-	}
+	return &HomeCtrl{id: id, sys: sys, cmp: cmp}
 }
 
 // dataDelay is the DRAM data-fetch time not hidden under the directory
@@ -47,22 +43,41 @@ func (c *HomeCtrl) dataDelay() sim.Time {
 	return hier.DRAMLatency - c.sys.dirLatency()
 }
 
+// lineFor returns b's directory entry, materializing it on first touch
+// with memory as the owner.
 func (c *HomeCtrl) lineFor(b mem.Block) *homeLine {
-	l := c.dir[b]
-	if l == nil {
-		l = &homeLine{owner: -1}
-		c.dir[b] = l
+	l, fresh := c.dir.Insert(b)
+	if fresh {
+		l.owner = -1
 	}
 	return l
 }
 
 // DirValue exposes the memory image for audits.
 func (c *HomeCtrl) DirValue(b mem.Block) (uint64, bool) {
-	l, ok := c.dir[b]
-	if !ok {
-		return 0, false
+	if l := c.dir.Peek(b); l != nil {
+		return l.value, true
 	}
-	return l.value, true
+	return 0, false
+}
+
+// sendData sends requester req b's memory data with grant aux after the
+// DRAM fetch. The block stays busy until req unblocks, so its memory
+// value cannot change before the send.
+func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int32) {
+	m := c.sys.Net.NewMessage()
+	*m = network.Message{
+		Src:       c.id,
+		Dst:       req,
+		Block:     b,
+		Kind:      kData,
+		Class:     stats.ResponseData,
+		HasData:   true,
+		Data:      value,
+		Aux:       aux,
+		Requestor: req,
+	}
+	c.sys.Net.SendAfter(c.dataDelay(), m)
 }
 
 // homeHandle is the closure-free deferred-handling thunk: the home
@@ -98,7 +113,7 @@ func (c *HomeCtrl) handle(m *network.Message) {
 
 func (c *HomeCtrl) admit(m *network.Message) {
 	b := m.Block
-	if _, busy := c.ser.Busy(b); busy {
+	if c.ser.Busy(b) != nil {
 		c.ser.Defer(m)
 		return
 	}
@@ -129,20 +144,7 @@ func (c *HomeCtrl) startGetS(m *network.Message) {
 			gst = grantE
 		}
 		c.sys.ctr.memRead.Inc()
-		req := m.Requestor
-		c.sys.Eng.Schedule(c.dataDelay(), func() {
-			c.sys.Net.SendNew(network.Message{
-				Src:       c.id,
-				Dst:       req,
-				Block:     b,
-				Kind:      kData,
-				Class:     stats.ResponseData,
-				HasData:   true,
-				Data:      hl.value,
-				Aux:       packAux(gst, 0, false),
-				Requestor: req,
-			})
-		})
+		c.sendData(b, m.Requestor, hl.value, packAux(gst, 0, false))
 		return
 	}
 	// A CMP owns the block: forward (possibly to the requester's own
@@ -193,20 +195,7 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 		// Memory data (possibly redundant if the requester was a sharer,
 		// but always current); the fetch overlaps the directory lookup.
 		c.sys.ctr.memRead.Inc()
-		req := m.Requestor
-		c.sys.Eng.Schedule(c.dataDelay(), func() {
-			c.sys.Net.SendNew(network.Message{
-				Src:       c.id,
-				Dst:       req,
-				Block:     b,
-				Kind:      kData,
-				Class:     stats.ResponseData,
-				HasData:   true,
-				Data:      hl.value,
-				Aux:       packAux(grantM, acks, false),
-				Requestor: req,
-			})
-		})
+		c.sendData(b, m.Requestor, hl.value, packAux(grantM, acks, false))
 	case hl.owner == reqCMP:
 		// Ownership upgrade: the requester chip already holds the data.
 		c.sys.Net.SendNew(network.Message{
@@ -249,7 +238,7 @@ func (c *HomeCtrl) startPut(m *network.Message) {
 // reported result state to the directory.
 func (c *HomeCtrl) handleUnblock(m *network.Message) {
 	b := m.Block
-	if _, busy := c.ser.Busy(b); !busy {
+	if c.ser.Busy(b) == nil {
 		panic(fmt.Sprintf("directory: home %v unblock without transaction for %v", c.id, b))
 	}
 	hl := c.lineFor(b)
@@ -269,7 +258,7 @@ func (c *HomeCtrl) handleUnblock(m *network.Message) {
 // handleWbData completes a chip's three-phase writeback.
 func (c *HomeCtrl) handleWbData(m *network.Message) {
 	b := m.Block
-	if kind, busy := c.ser.Busy(b); !busy || kind != kPut {
+	if kind := c.ser.Busy(b); kind == nil || *kind != kPut {
 		panic(fmt.Sprintf("directory: home %v %s without PUT for %v", c.id, kindName(m.Kind), b))
 	}
 	c.ser.End(b)

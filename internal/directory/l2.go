@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/cache"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
@@ -47,10 +48,13 @@ type l2Line struct {
 	pinned  bool        // part of an in-flight transaction; not evictable
 }
 
-// l2Txn is one local transaction (GetS/GetM from a local L1).
+// l2Txn is one local transaction (GetS/GetM from a local L1, or the
+// data window of an L1's PUT), held by value in the serializer's busy
+// record.
 type l2Txn struct {
 	requestor topo.NodeID // the requesting L1 (from the GetS/GetM)
 	kind      int32
+	seq       uint64 // this transaction's number at the bank
 
 	fwdPending   bool
 	interPending bool
@@ -106,9 +110,12 @@ type L2Ctrl struct {
 	cmp, bank int
 
 	cache *cache.Array[l2Line]
-	ser   hier.Serializer[*l2Txn] // local transactions and the messages deferred behind them
-	ext   map[mem.Block]*extSrv
+	ser   hier.Serializer[l2Txn] // local transactions and the messages deferred behind them
+	ext   blocktab.Table[extSrv]
 	wb    hier.WbBuffer // our three-phase PUTs to home
+
+	txns    uint64         // local transactions started, numbering them
+	retries hier.BlockArgs // payloads of pending goInter retries
 }
 
 func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
@@ -118,15 +125,17 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 		cmp:   cmp,
 		bank:  bank,
 		cache: cache.New[l2Line](sys.L2BankParams()),
-		ext:   make(map[mem.Block]*extSrv),
 		wb:    hier.NewWbBuffer(id, sys.Net, &sys.wbr),
 	}
 }
 
 // busy returns the local transaction on b, or nil.
-func (c *L2Ctrl) busy(b mem.Block) *l2Txn {
-	txn, _ := c.ser.Busy(b)
-	return txn
+func (c *L2Ctrl) busy(b mem.Block) *l2Txn { return c.ser.Busy(b) }
+
+// start begins a local transaction of kind on b for requestor.
+func (c *L2Ctrl) start(b mem.Block, requestor topo.NodeID, kind int32) *l2Txn {
+	c.txns++
+	return c.ser.Start(b, l2Txn{requestor: requestor, kind: kind, seq: c.txns})
 }
 
 func (c *L2Ctrl) lookup(b mem.Block) *l2Line {
@@ -202,7 +211,7 @@ func (c *L2Ctrl) handle(m *network.Message) {
 // current activity.
 func (c *L2Ctrl) admitLocal(m *network.Message) {
 	b := m.Block
-	if c.busy(b) != nil || c.ext[b] != nil {
+	if c.busy(b) != nil || c.ext.Peek(b) != nil {
 		c.ser.Defer(m)
 		return
 	}
@@ -211,8 +220,7 @@ func (c *L2Ctrl) admitLocal(m *network.Message) {
 
 func (c *L2Ctrl) startLocal(m *network.Message) {
 	b := m.Block
-	txn := &l2Txn{requestor: m.Requestor, kind: m.Kind}
-	c.ser.Start(b, txn)
+	txn := c.start(b, m.Requestor, m.Kind)
 	line := c.lookup(b)
 	if line != nil {
 		line.pinned = true
@@ -351,11 +359,7 @@ func (c *L2Ctrl) grantLocal(b mem.Block, txn *l2Txn) {
 func (c *L2Ctrl) goInter(b mem.Block, txn *l2Txn) {
 	if !c.reserve(b) {
 		// Set conflict with unfinishable eviction right now; retry.
-		c.sys.Eng.Schedule(hier.L2Latency, func() {
-			if c.busy(b) == txn {
-				c.goInter(b, txn)
-			}
-		})
+		c.sys.Eng.ScheduleCall(hier.L2Latency, dirL2Retry, c, c.retries.New(b, txn.seq))
 		return
 	}
 	txn.interPending = true
@@ -367,6 +371,16 @@ func (c *L2Ctrl) goInter(b mem.Block, txn *l2Txn) {
 		Class:     stats.Request,
 		Requestor: c.id,
 	})
+}
+
+// dirL2Retry is goInter's closure-free retry thunk: it retries only if
+// the transaction that failed to reserve a line is still the block's.
+func dirL2Retry(ctx, arg any) {
+	c := ctx.(*L2Ctrl)
+	b, seq := c.retries.Take(arg.(*hier.BlockArg))
+	if txn := c.busy(b); txn != nil && txn.seq == seq {
+		c.goInter(b, txn)
+	}
 }
 
 // reserve pins a line for b, evicting a victim (with recall) if needed.
@@ -392,8 +406,8 @@ func (c *L2Ctrl) reserve(b mem.Block) bool {
 // data from a local owner), then write owned data back to the home via a
 // three-phase PUT.
 func (c *L2Ctrl) recall(v mem.Block, st l2Line) {
-	srv := &extSrv{kind: -1, evState: st, hasData: st.hasData, data: st.data, dirty: st.dirty}
-	c.ext[v] = srv
+	srv := c.ext.At(v)
+	*srv = extSrv{kind: -1, evState: st, hasData: st.hasData, data: st.data, dirty: st.dirty}
 	if st.ownerL1 != topo.None {
 		srv.fwdWait = true
 		c.sendToL1(st.ownerL1, v, kFwdGetM, tagEvict, 0)
@@ -427,11 +441,12 @@ func (c *L2Ctrl) finishRecallIfDone(v mem.Block, srv *extSrv) {
 			Class: stats.WritebackControl,
 		})
 	}
-	delete(c.ext, v)
+	pending := srv.pendingHome
+	c.ext.Delete(v)
 	// Home forwards that arrived mid-recall are served now (from the
 	// writeback buffer) — re-admit them.
-	for i := range srv.pendingHome {
-		hm := srv.pendingHome[i]
+	for i := range pending {
+		hm := pending[i]
 		c.handle(&hm)
 	}
 	c.drain(v)
@@ -467,7 +482,7 @@ func (c *L2Ctrl) handleFwdResp(m *network.Message) {
 		}
 		c.grantLocal(b, txn)
 	case tagExt:
-		srv := c.ext[b]
+		srv := c.ext.Peek(b)
 		if srv == nil {
 			panic(fmt.Sprintf("directory: L2 %v FwdResp with no ext service for %v", c.id, b))
 		}
@@ -478,7 +493,7 @@ func (c *L2Ctrl) handleFwdResp(m *network.Message) {
 		srv.migr = migr
 		c.finishExtIfDone(b, srv)
 	case tagEvict:
-		srv := c.ext[b]
+		srv := c.ext.Peek(b)
 		if srv == nil {
 			panic(fmt.Sprintf("directory: L2 %v recall FwdResp with no service for %v", c.id, b))
 		}
@@ -506,14 +521,14 @@ func (c *L2Ctrl) handleInvAck(m *network.Message) {
 			c.grantLocal(b, txn)
 		}
 	case tagExt:
-		srv := c.ext[b]
+		srv := c.ext.Peek(b)
 		if srv == nil {
 			panic(fmt.Sprintf("directory: L2 %v stray ext InvAck for %v", c.id, b))
 		}
 		srv.acks--
 		c.finishExtIfDone(b, srv)
 	case tagEvict:
-		srv := c.ext[b]
+		srv := c.ext.Peek(b)
 		if srv == nil {
 			panic(fmt.Sprintf("directory: L2 %v stray recall InvAck for %v", c.id, b))
 		}
@@ -608,14 +623,14 @@ func (c *L2Ctrl) handleUnblock(m *network.Message) {
 	}
 	c.ser.End(b)
 	if line := c.lookup(b); line != nil {
-		line.pinned = c.ext[b] != nil
+		line.pinned = c.ext.Peek(b) != nil
 	}
 	c.drain(b)
 }
 
 // drain admits the next deferred message for b, if the block is idle.
 func (c *L2Ctrl) drain(b mem.Block) {
-	for c.busy(b) == nil && c.ext[b] == nil {
+	for c.busy(b) == nil && c.ext.Peek(b) == nil {
 		m, ok := c.ser.Pop(b)
 		if !ok {
 			return
@@ -629,7 +644,7 @@ func (c *L2Ctrl) drain(b mem.Block) {
 // an eviction recall holds the block.
 func (c *L2Ctrl) admitHomeFwd(m *network.Message) {
 	b := m.Block
-	if srv := c.ext[b]; srv != nil {
+	if srv := c.ext.Peek(b); srv != nil {
 		if srv.kind == -1 {
 			srv.pendingHome = append(srv.pendingHome, *m)
 			return
@@ -657,8 +672,8 @@ func (c *L2Ctrl) startHomeFwd(m *network.Message) {
 	}
 
 	_, acks, _ := unpackAux(m.Aux)
-	srv := &extSrv{kind: m.Kind, replyTo: m.Requestor, acksFor: acks}
-	c.ext[b] = srv
+	srv := c.ext.At(b)
+	*srv = extSrv{kind: m.Kind, replyTo: m.Requestor, acksFor: acks}
 	line.pinned = true
 
 	if m.Kind == kFwdGetM {
@@ -788,7 +803,7 @@ func (c *L2Ctrl) finishExtIfDone(b mem.Block, srv *extSrv) {
 		})
 		c.dropLine(b, line)
 	}
-	delete(c.ext, b)
+	c.ext.Delete(b)
 	if line := c.lookup(b); line != nil {
 		line.pinned = c.busy(b) != nil
 	}
@@ -840,7 +855,7 @@ func (c *L2Ctrl) serveFwdFromWb(m *network.Message, w *hier.WbEntry) {
 // writer, acking to the requesting chip.
 func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 	b := m.Block
-	if srv := c.ext[b]; srv != nil {
+	if srv := c.ext.Peek(b); srv != nil {
 		if srv.kind == -1 {
 			srv.pendingHome = append(srv.pendingHome, *m)
 			return
@@ -868,8 +883,8 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 		})
 		return
 	}
-	srv := &extSrv{kind: kInv, replyTo: m.Requestor}
-	c.ext[b] = srv
+	srv := c.ext.At(b)
+	*srv = extSrv{kind: kInv, replyTo: m.Requestor}
 	line.pinned = true
 	if line.ownerL1 != topo.None {
 		srv.acks++
@@ -892,13 +907,13 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 // handlePut runs the L2 side of an L1's three-phase writeback.
 func (c *L2Ctrl) handlePut(m *network.Message) {
 	b := m.Block
-	if c.busy(b) != nil || c.ext[b] != nil {
+	if c.busy(b) != nil || c.ext.Peek(b) != nil {
 		c.ser.Defer(m)
 		return
 	}
 	// Grant immediately; the transaction completes on WbData/WbCancel.
 	// Mark busy so conflicting requests defer.
-	c.ser.Start(b, &l2Txn{requestor: m.Requestor, kind: kPut})
+	c.start(b, m.Requestor, kPut)
 	if line := c.lookup(b); line != nil {
 		line.pinned = true
 	}
@@ -938,7 +953,7 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 				line.ownerL1 = topo.None
 			}
 			line.sharers &^= evictorBit
-			line.pinned = c.ext[b] != nil
+			line.pinned = c.ext.Peek(b) != nil
 		}
 	} else if line := c.lookup(b); line != nil {
 		// Cancelled: the copy was consumed by an earlier transaction.
@@ -946,7 +961,7 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 			line.ownerL1 = topo.None
 		}
 		line.sharers &^= evictorBit
-		line.pinned = c.ext[b] != nil
+		line.pinned = c.ext.Peek(b) != nil
 	}
 	c.drain(b)
 }

@@ -71,7 +71,7 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 func (c *L2Ctrl) handle(m *network.Message) {
 	switch m.Kind {
 	case kProbeS, kProbeM, kPut:
-		if _, busy := c.ser.Busy(m.Block); busy {
+		if c.ser.Busy(m.Block) != nil {
 			c.ser.Defer(m)
 		} else if m.Kind == kPut {
 			c.handlePut(m)
@@ -157,7 +157,7 @@ func (c *L2Ctrl) handlePut(m *network.Message) {
 // messages.
 func (c *L2Ctrl) handleWbData(m *network.Message) {
 	b := m.Block
-	if _, busy := c.ser.Busy(b); !busy {
+	if c.ser.Busy(b) == nil {
 		panic(fmt.Sprintf("hammercmp: L2 %v %s without Put window for %v", c.id, kindName(m.Kind), b))
 	}
 	if m.Kind == kWbData {
@@ -192,7 +192,7 @@ func (c *L2Ctrl) spill(v mem.Block, st l2Line) {
 // drain replays messages deferred behind a writeback window.
 func (c *L2Ctrl) drain(b mem.Block) {
 	for {
-		if _, busy := c.ser.Busy(b); busy {
+		if c.ser.Busy(b) != nil {
 			return
 		}
 		m, ok := c.ser.Pop(b)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -23,7 +24,7 @@ type MemCtrl struct {
 	sys *System
 	cmp int
 
-	mem map[mem.Block]uint64
+	mem blocktab.Table[uint64]
 	// ser's busy record is the kind of the block's transaction: a
 	// broadcast in flight (kGetS or kGetM, closed by the requester's
 	// Done) or a writeback in its data window (kPut).
@@ -31,18 +32,15 @@ type MemCtrl struct {
 }
 
 func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
-	return &MemCtrl{
-		id:  id,
-		sys: sys,
-		cmp: cmp,
-		mem: make(map[mem.Block]uint64),
-	}
+	return &MemCtrl{id: id, sys: sys, cmp: cmp}
 }
 
 // MemValue exposes the memory image for audits.
 func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
-	v, ok := c.mem[b]
-	return v, ok
+	if v := c.mem.Peek(b); v != nil {
+		return *v, true
+	}
+	return 0, false
 }
 
 // hammerMemHandle is the closure-free deferred-handling thunk: the
@@ -67,7 +65,7 @@ func (c *MemCtrl) handle(m *network.Message) {
 		c.close(m, kGetS, kGetM)
 	case kWbData:
 		c.sys.ctr.memWrite.Inc()
-		c.mem[m.Block] = m.Data
+		*c.mem.At(m.Block) = m.Data
 		c.close(m, kPut)
 	case kWbCancel:
 		c.close(m, kPut)
@@ -78,7 +76,7 @@ func (c *MemCtrl) handle(m *network.Message) {
 
 func (c *MemCtrl) admit(m *network.Message) {
 	b := m.Block
-	if _, busy := c.ser.Busy(b); busy {
+	if c.ser.Busy(b) != nil {
 		c.ser.Defer(m)
 		return
 	}
@@ -124,6 +122,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 	// reading it now and injecting the reply after the array latency is
 	// exact.
 	c.sys.ctr.memRead.Inc()
+	value, _ := c.MemValue(b) // a block never written holds zero
 	reply := c.sys.Net.NewMessage()
 	*reply = network.Message{
 		Src:     c.id,
@@ -132,7 +131,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 		Kind:    kMemData,
 		Class:   stats.ResponseData,
 		HasData: true,
-		Data:    c.mem[b],
+		Data:    value,
 	}
 	c.sys.Net.SendAfter(hier.DRAMLatency, reply)
 }
@@ -141,8 +140,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 // of wants) and admits the next queued message.
 func (c *MemCtrl) close(m *network.Message, wants ...int32) {
 	b := m.Block
-	kind, ok := c.ser.Busy(b)
-	if !ok || !slices.Contains(wants, kind) {
+	if kind := c.ser.Busy(b); kind == nil || !slices.Contains(wants, *kind) {
 		panic(fmt.Sprintf("hammercmp: home %v stray %s for %v", c.id, kindName(m.Kind), b))
 	}
 	c.ser.End(b)

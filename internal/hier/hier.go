@@ -2,8 +2,8 @@
 // protocol stacks: the cache geometry and latencies every protocol runs
 // with, the grid of L1, L2-bank and memory controllers each stack wires
 // onto its interconnect, and the controller parts the stacks share: the
-// L1 front end, the MOESI hit path, the writeback buffer and the
-// busy-block serializer.
+// L1 front end, the MOESI hit path, the writeback buffer, the
+// busy-block serializer and the payloads of delayed calls.
 package hier
 
 import (

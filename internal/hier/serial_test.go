@@ -19,10 +19,10 @@ func TestSerializerFIFOPerBlock(t *testing.T) {
 		s.Defer(&network.Message{Block: 1, Aux: i})
 		s.Defer(&network.Message{Block: 2, Aux: 100 + i})
 	}
-	if k, busy := s.Busy(1); !busy || k != 10 {
-		t.Errorf("Busy(1) = %d, %v; want 10, true", k, busy)
+	if k := s.Busy(1); k == nil || *k != 10 {
+		t.Errorf("Busy(1) = %v; want 10", k)
 	}
-	if _, busy := s.Busy(3); busy {
+	if s.Busy(3) != nil {
 		t.Error("Busy(3) for a block never started")
 	}
 
@@ -36,8 +36,8 @@ func TestSerializerFIFOPerBlock(t *testing.T) {
 		t.Errorf("block 1 popped %v past its queue", m)
 	}
 	// Block 2 is still busy with its whole queue.
-	if k, busy := s.Busy(2); !busy || k != 20 {
-		t.Errorf("Busy(2) = %d, %v after block 1 drained; want 20, true", k, busy)
+	if k := s.Busy(2); k == nil || *k != 20 {
+		t.Errorf("Busy(2) = %v after block 1 drained; want 20", k)
 	}
 	s.End(2)
 	for i := int32(0); i < 3; i++ {
@@ -45,8 +45,8 @@ func TestSerializerFIFOPerBlock(t *testing.T) {
 			t.Errorf("block 2 pop %d = %v, %v; want Aux %d", i, m, ok, 100+i)
 		}
 	}
-	if !s.Idle() || len(s.busy) != 0 || len(s.queue) != 0 {
-		t.Errorf("drained serializer keeps %d busy and %d queued blocks", len(s.busy), len(s.queue))
+	if !s.Idle() || s.busy.Len() != 0 || s.queue.Len() != 0 {
+		t.Errorf("drained serializer keeps %d busy blocks and %d queued messages", s.busy.Len(), s.queue.Len())
 	}
 }
 

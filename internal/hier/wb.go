@@ -3,6 +3,7 @@ package hier
 import (
 	"fmt"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/counters"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -31,51 +32,56 @@ type WbReplies struct {
 // grants, as a FIFO per block: a line can be re-acquired and evicted
 // again before the first grant arrives, and per-link delivery order
 // hands out grants front-first. A newer writeback supersedes the older
-// ones, so at most the newest entry is valid.
+// ones, so at most the newest entry is valid, and a block's FIFO is
+// kept as its length and its newest entry.
 type WbBuffer struct {
 	id  topo.NodeID
 	net *network.Network
 	r   *WbReplies
-	q   map[mem.Block][]WbEntry
+	q   blocktab.Table[wbQueue]
+}
+
+// wbQueue is one block's writebacks: n of them await grants, and every
+// one but the newest is superseded.
+type wbQueue struct {
+	n      int
+	newest WbEntry
 }
 
 // NewWbBuffer returns the writeback buffer of controller id.
 func NewWbBuffer(id topo.NodeID, net *network.Network, r *WbReplies) WbBuffer {
-	return WbBuffer{id: id, net: net, r: r, q: make(map[mem.Block][]WbEntry)}
+	return WbBuffer{id: id, net: net, r: r}
 }
 
 // Push buffers a valid copy of b.
 func (w *WbBuffer) Push(b mem.Block, data uint64, dirty, excl bool) {
-	q := w.q[b]
-	for i := range q {
-		q[i].Valid = false
-	}
-	w.q[b] = append(q, WbEntry{Data: data, Dirty: dirty, Excl: excl, Valid: true})
+	q := w.q.At(b)
+	q.n++
+	q.newest = WbEntry{Data: data, Dirty: dirty, Excl: excl, Valid: true}
 }
 
 // Valid returns the buffered valid copy of b, or nil.
 func (w *WbBuffer) Valid(b mem.Block) *WbEntry {
-	q := w.q[b]
-	if len(q) == 0 || !q[len(q)-1].Valid {
+	q := w.q.Peek(b)
+	if q == nil || !q.newest.Valid {
 		return nil
 	}
-	return &q[len(q)-1]
+	return &q.newest
 }
 
 // Grant answers the writeback grant gm: it pops the front entry of
 // gm.Block and sends the grantor the data, or a cancel (a writeback
-// race) if a forward or probe consumed the copy.
+// race) if a newer writeback, a forward or a probe consumed the copy.
 func (w *WbBuffer) Grant(gm *network.Message) {
 	b := gm.Block
-	q := w.q[b]
-	if len(q) == 0 {
+	q := w.q.Peek(b)
+	if q == nil {
 		panic(fmt.Sprintf("hier: %v WbGrant without a buffered writeback for %v", w.id, b))
 	}
-	e := q[0]
-	if len(q) == 1 {
-		delete(w.q, b)
-	} else {
-		w.q[b] = q[1:]
+	var e WbEntry // a superseded front entry is invalid
+	if q.n--; q.n == 0 {
+		e = q.newest
+		w.q.Delete(b)
 	}
 	if !e.Valid {
 		w.r.Race.Inc()

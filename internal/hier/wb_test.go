@@ -76,8 +76,8 @@ func TestWbBufferPopsFrontFirst(t *testing.T) {
 	if got := r.cs.Value(counters.WritebackRace); got != 1 {
 		t.Errorf("wb.race = %d, want 1", got)
 	}
-	if len(r.wb.q) != 0 {
-		t.Errorf("buffer keeps %d blocks after their grants, want 0", len(r.wb.q))
+	if r.wb.q.Len() != 0 {
+		t.Errorf("buffer keeps %d blocks after their grants, want 0", r.wb.q.Len())
 	}
 }
 

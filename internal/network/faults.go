@@ -147,13 +147,7 @@ func dropCall(ctx, arg any) { ctx.(*Network).drop(arg.(*Message)) }
 // before any other event can observe a gap.
 func (n *Network) drop(m *Message) {
 	n.InFlight--
-	if m.Tokens > 0 || m.Owner {
-		c := n.inFlightCount(m.Block)
-		c.tokens -= m.Tokens
-		if m.Owner {
-			c.owners--
-		}
-	}
+	n.landed(m)
 	if n.ctrDropped != nil {
 		n.ctrDropped.Inc()
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/counters"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/sim"
@@ -156,13 +157,11 @@ type Network struct {
 	// OnSend, if set, observes every message as it is sent.
 	OnSend func(m *Message)
 
-	// In-flight token accounting for the conservation monitor, dense
-	// by block: these counters are touched on every monitored message,
-	// so the old per-message map assigns and deletes are replaced by
-	// two array indexes into a paged table (see inFlightCount). Entries
-	// stay zero after their tokens drain; TokenAudit-style consumers
-	// skip them via EachInFlight.
-	inFlight [](*[inFlightPageSize]blockCount)
+	// inFlight tallies the undelivered tokens and owner tokens of each
+	// block for the conservation audit. A block leaves the table when
+	// its last carrier lands, so it holds only blocks with carriers on
+	// the wires.
+	inFlight blocktab.Table[blockCount]
 }
 
 // link is one directed link's routing record and serialization state.
@@ -217,17 +216,6 @@ func (p LinkParams) serialization(size int) sim.Time {
 
 // blockCount tallies one block's undelivered tokens and owner tokens.
 type blockCount struct{ tokens, owners int32 }
-
-// The in-flight table is a page directory over fixed-size dense pages
-// allocated on first touch: workload addresses cluster into a handful
-// of contiguous regions (locks at 0x100000; the commercial regions at
-// 0x04_0000_0000 steps), so each region lands in one or two 64K-block
-// pages and a single flat slice indexed by block — region bases reach
-// block ~2^31 — would be hopeless.
-const (
-	inFlightPageBits = 16
-	inFlightPageSize = 1 << inFlightPageBits
-)
 
 // New builds a network over geometry g.
 func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
@@ -288,53 +276,54 @@ func (n *Network) link(src, dst topo.NodeID) (*link, *linkClass) {
 	return l, &n.classes[l.class]
 }
 
-// inFlightCount returns the counter cell for block b, growing the page
-// directory and allocating b's page on first touch.
-func (n *Network) inFlightCount(b mem.Block) *blockCount {
-	page := uint64(b) >> inFlightPageBits
-	if page >= uint64(len(n.inFlight)) {
-		grown := make([](*[inFlightPageSize]blockCount), page+1)
-		copy(grown, n.inFlight)
-		n.inFlight = grown
+// launched adds m's tokens to the in-flight tally; landed takes them
+// off when m is delivered or dropped.
+func (n *Network) launched(m *Message) {
+	if m.Tokens > 0 || m.Owner {
+		c := n.inFlight.At(m.Block)
+		c.tokens += m.Tokens
+		if m.Owner {
+			c.owners++
+		}
 	}
-	p := n.inFlight[page]
-	if p == nil {
-		p = new([inFlightPageSize]blockCount)
-		n.inFlight[page] = p
+}
+
+func (n *Network) landed(m *Message) {
+	if m.Tokens > 0 || m.Owner {
+		c := n.inFlight.Peek(m.Block)
+		c.tokens -= m.Tokens
+		if m.Owner {
+			c.owners--
+		}
+		if c.tokens == 0 && c.owners == 0 {
+			n.inFlight.Delete(m.Block)
+		}
 	}
-	return &p[uint64(b)&(inFlightPageSize-1)]
 }
 
 // TokensInFlight reports the undelivered tokens for block b.
 func (n *Network) TokensInFlight(b mem.Block) int {
-	if page := uint64(b) >> inFlightPageBits; page < uint64(len(n.inFlight)) && n.inFlight[page] != nil {
-		return int(n.inFlight[page][uint64(b)&(inFlightPageSize-1)].tokens)
+	if c := n.inFlight.Peek(b); c != nil {
+		return int(c.tokens)
 	}
 	return 0
 }
 
 // OwnersInFlight reports the undelivered owner tokens for block b.
 func (n *Network) OwnersInFlight(b mem.Block) int {
-	if page := uint64(b) >> inFlightPageBits; page < uint64(len(n.inFlight)) && n.inFlight[page] != nil {
-		return int(n.inFlight[page][uint64(b)&(inFlightPageSize-1)].owners)
+	if c := n.inFlight.Peek(b); c != nil {
+		return int(c.owners)
 	}
 	return 0
 }
 
-// EachInFlight calls fn for every block with in-flight tokens or owner
-// tokens (the conservation auditor's view of the wires). It scans the
-// touched pages, so it is for auditors, not hot paths.
+// EachInFlight calls fn, in ascending block order, for every block with
+// in-flight tokens or owner tokens (the conservation auditor's view of
+// the wires). It is for auditors, not hot paths.
 func (n *Network) EachInFlight(fn func(b mem.Block, tokens, owners int)) {
-	for page, p := range n.inFlight {
-		if p == nil {
-			continue
-		}
-		for i := range p {
-			if c := p[i]; c.tokens != 0 || c.owners != 0 {
-				fn(mem.Block(uint64(page)<<inFlightPageBits|uint64(i)), int(c.tokens), int(c.owners))
-			}
-		}
-	}
+	n.inFlight.Each(func(b mem.Block, c *blockCount) {
+		fn(b, int(c.tokens), int(c.owners))
+	})
 }
 
 // WireCounters registers the network's fault-injection counters in cs
@@ -489,13 +478,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 		n.Traffic.Add(stats.IntraCMP, m.Class, size)
 	}
 	n.InFlight++
-	if m.Tokens > 0 || m.Owner {
-		c := n.inFlightCount(m.Block)
-		c.tokens += m.Tokens
-		if m.Owner {
-			c.owners++
-		}
-	}
+	n.launched(m)
 
 	// Fault draws, in fixed order (see send's contract). Protected
 	// messages only ever see jitter; droppable messages may additionally
@@ -576,13 +559,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 
 func (n *Network) deliver(m *Message) {
 	n.InFlight--
-	if m.Tokens > 0 || m.Owner {
-		c := n.inFlightCount(m.Block)
-		c.tokens -= m.Tokens
-		if m.Owner {
-			c.owners--
-		}
-	}
+	n.landed(m)
 	if n.Monitor != nil {
 		n.Monitor(m)
 	}

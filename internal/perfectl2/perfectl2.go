@@ -6,6 +6,7 @@
 package perfectl2
 
 import (
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/hier"
@@ -22,12 +23,9 @@ type System struct {
 	// the L2 access.
 	missLat sim.Time
 
-	// values is the globally coherent store.
-	values map[mem.Block]uint64
-	// l1 models per-processor L1 residency: the last epoch each (proc,
-	// block) pair was touched and the block's invalidation epoch.
-	touched map[l1Key]uint64
-	epoch   map[mem.Block]uint64
+	// blocks is the globally coherent store: each block's value and its
+	// invalidation epoch.
+	blocks blocktab.Table[block]
 
 	ports []*port
 
@@ -35,10 +33,10 @@ type System struct {
 	ctrHit, ctrMiss *counters.Counter
 }
 
-type l1Key struct {
-	proc  int
-	block mem.Block
-	instr bool
+// block is one block of the shared store. epoch counts the writes that
+// invalidated other L1 copies.
+type block struct {
+	value, epoch uint64
 }
 
 // NewSystem builds a PerfectL2 machine. Only the geometry of h matters:
@@ -47,9 +45,6 @@ func NewSystem(eng *sim.Engine, h hier.Config) *System {
 	s := &System{
 		Eng:     eng,
 		missLat: 2*network.Default().OnChip.Latency + hier.L2Latency,
-		values:  make(map[mem.Block]uint64),
-		touched: make(map[l1Key]uint64),
-		epoch:   make(map[mem.Block]uint64),
 		Ctrs:    counters.NewSet(),
 	}
 	s.ctrHit = s.Ctrs.Counter(counters.L1Hit)
@@ -57,8 +52,8 @@ func NewSystem(eng *sim.Engine, h hier.Config) *System {
 	n := h.Geom.TotalProcs()
 	s.ports = make([]*port, 2*n)
 	for p := 0; p < n; p++ {
-		s.ports[2*p] = &port{sys: s, proc: p, instr: false}
-		s.ports[2*p+1] = &port{sys: s, proc: p, instr: true}
+		s.ports[2*p] = &port{sys: s}
+		s.ports[2*p+1] = &port{sys: s}
 	}
 	return s
 }
@@ -74,10 +69,17 @@ func (s *System) Name() string { return "PerfectL2" }
 // Counters exposes the machine-wide uniform event-counter registry.
 func (s *System) Counters() *counters.Set { return s.Ctrs }
 
+// port is one processor port and its L1's residency: the store epoch
+// after its last touch of each block, plus one (zero: never touched).
+// A processor blocks on each access, so the parked access is one slot.
 type port struct {
-	sys   *System
-	proc  int
-	instr bool
+	sys     *System
+	touched blocktab.Table[uint64]
+
+	kind  cpu.AccessKind
+	block mem.Block
+	store uint64
+	done  func(uint64)
 }
 
 // Access implements cpu.MemPort. A block counts as an L1 hit if this
@@ -86,29 +88,42 @@ type port struct {
 func (p *port) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done func(uint64)) {
 	s := p.sys
 	b := mem.BlockOf(addr)
-	key := l1Key{proc: p.proc, block: b, instr: p.instr}
+	var epoch, touched uint64
+	if e := s.blocks.Peek(b); e != nil {
+		epoch = e.epoch
+	}
+	if t := p.touched.Peek(b); t != nil {
+		touched = *t
+	}
 	lat := hier.L1Latency
-	if s.touched[key] < s.epoch[b]+1 {
+	if touched < epoch+1 {
 		// Not L1-resident: shared-L2 hit.
 		s.ctrMiss.Inc()
 		lat += s.missLat
 	} else {
 		s.ctrHit.Inc()
 	}
-	s.Eng.Schedule(lat, func() {
-		var val uint64
-		switch kind {
-		case cpu.Load, cpu.IFetch:
-			val = s.values[b]
-		case cpu.Store:
-			s.values[b] = store
-			s.epoch[b]++ // invalidate other L1 copies
-		case cpu.Atomic:
-			val = s.values[b]
-			s.values[b] = store
-			s.epoch[b]++
-		}
-		s.touched[key] = s.epoch[b] + 1
-		done(val)
-	})
+	p.kind, p.block, p.store, p.done = kind, b, store, done
+	s.Eng.ScheduleCall(lat, portComplete, p, nil)
+}
+
+// portComplete is the closure-free thunk that performs a port's parked
+// access once its latency has elapsed.
+func portComplete(ctx, _ any) {
+	p := ctx.(*port)
+	e := p.sys.blocks.At(p.block)
+	var val uint64
+	switch p.kind {
+	case cpu.Load, cpu.IFetch:
+		val = e.value
+	case cpu.Store:
+		e.value = p.store
+		e.epoch++ // invalidate other L1 copies
+	case cpu.Atomic:
+		val = e.value
+		e.value = p.store
+		e.epoch++
+	}
+	*p.touched.At(p.block) = e.epoch + 1
+	p.done(val)
 }

@@ -148,12 +148,13 @@ func (q *eventQueue) pop() int32 {
 	return s
 }
 
-// release returns slot s to the free list, clearing its references so
-// the queue never pins callbacks or message pointers beyond their
-// firing.
+// release returns slot s to the free list. It leaves call, ctx and arg
+// in place: clearing them would pay a write barrier per event while the
+// GC marks, and a freed slot can only still point at a package-level
+// thunk, a controller, a pooled message or a pooled payload, which the
+// machine keeps alive anyway. The next push overwrites them.
 func (q *eventQueue) release(s int32) {
-	ev := &q.slab[s]
-	ev.call, ev.ctx, ev.arg, ev.next = nil, nil, nil, q.free
+	q.slab[s].next = q.free
 	q.free = s
 }
 

@@ -1,8 +1,7 @@
 package token
 
 import (
-	"slices"
-
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/topo"
 )
@@ -110,65 +109,42 @@ func (t *DistributedTable) HasMarked(b mem.Block) bool {
 	return false
 }
 
-// Blocks lists the distinct blocks with valid entries (used when
-// re-evaluating forwarding after token arrivals).
-func (t *DistributedTable) Blocks() []mem.Block {
-	seen := make(map[mem.Block]bool)
-	var out []mem.Block
-	for i := range t.entries {
-		if t.entries[i].Valid && !seen[t.entries[i].Block] {
-			seen[t.entries[i].Block] = true
-			out = append(out, t.entries[i].Block)
-		}
-	}
-	return out
-}
-
 // ArbTable is the per-endpoint table of the arbiter-based scheme: it
 // remembers the single activated persistent request per block, as
 // broadcast by the arbiter at the block's home memory controller.
 type ArbTable struct {
-	active map[mem.Block]Entry
+	active blocktab.Table[Entry]
 }
 
 // NewArbTable builds an empty arbiter-scheme table.
-func NewArbTable() *ArbTable { return &ArbTable{active: make(map[mem.Block]Entry)} }
+func NewArbTable() *ArbTable { return &ArbTable{} }
 
 // Activate records the activated request for b.
 func (t *ArbTable) Activate(b mem.Block, kind ReqKind, dest topo.NodeID, proc int) {
-	t.active[b] = Entry{Valid: true, Block: b, Kind: kind, Dest: dest, Proc: proc}
+	*t.active.At(b) = Entry{Valid: true, Block: b, Kind: kind, Dest: dest, Proc: proc}
 }
 
 // Deactivate clears the activated request for b if it belongs to proc
 // (guarding against activate/deactivate reordering on the interconnect).
 func (t *ArbTable) Deactivate(b mem.Block, proc int) {
-	if e, ok := t.active[b]; ok && e.Proc == proc {
-		delete(t.active, b)
+	if e := t.active.Peek(b); e != nil && e.Proc == proc {
+		t.active.Delete(b)
 	}
 }
 
 // Active returns the activated request for b, if any.
 func (t *ArbTable) Active(b mem.Block) (Entry, bool) {
-	e, ok := t.active[b]
-	return e, ok
-}
-
-// Blocks lists blocks with activated requests, in ascending block
-// order so audit passes visit them deterministically.
-func (t *ArbTable) Blocks() []mem.Block {
-	out := make([]mem.Block, 0, len(t.active))
-	for b := range t.active {
-		out = append(out, b)
+	if e := t.active.Peek(b); e != nil {
+		return *e, true
 	}
-	slices.Sort(out)
-	return out
+	return Entry{}, false
 }
 
 // Arbiter is the home-side queue of the arbiter-based scheme: fair FIFO
 // per block, at most one activated request per block (§3.2).
 type Arbiter struct {
-	queues map[mem.Block][]arbReq
-	active map[mem.Block]arbReq
+	queues blocktab.Queues[arbReq]
+	active blocktab.Table[arbReq]
 }
 
 type arbReq struct {
@@ -178,45 +154,33 @@ type arbReq struct {
 }
 
 // NewArbiter builds an empty arbiter.
-func NewArbiter() *Arbiter {
-	return &Arbiter{
-		queues: make(map[mem.Block][]arbReq),
-		active: make(map[mem.Block]arbReq),
-	}
-}
+func NewArbiter() *Arbiter { return &Arbiter{} }
 
 // Request enqueues a persistent request; it reports whether the request
 // became active immediately (no other active request for the block).
 func (a *Arbiter) Request(b mem.Block, proc int, kind ReqKind, dest topo.NodeID) bool {
 	r := arbReq{Proc: proc, Kind: kind, Dest: dest}
-	if _, busy := a.active[b]; !busy {
-		a.active[b] = r
+	if cur, fresh := a.active.Insert(b); fresh {
+		*cur = r
 		return true
 	}
-	a.queues[b] = append(a.queues[b], r)
+	a.queues.Push(b, r)
 	return false
 }
 
 // Done deactivates the active request for b (which must belong to proc)
 // and returns the next request to activate, if any.
 func (a *Arbiter) Done(b mem.Block, proc int) (next Entry, procID int, ok bool) {
-	cur, busy := a.active[b]
-	if !busy || cur.Proc != proc {
+	cur := a.active.Peek(b)
+	if cur == nil || cur.Proc != proc {
 		return Entry{}, 0, false
 	}
-	delete(a.active, b)
-	q := a.queues[b]
-	if len(q) == 0 {
-		delete(a.queues, b)
+	nxt, ok := a.queues.Pop(b)
+	if !ok {
+		a.active.Delete(b)
 		return Entry{}, 0, false
 	}
-	nxt := q[0]
-	if len(q) == 1 {
-		delete(a.queues, b)
-	} else {
-		a.queues[b] = q[1:]
-	}
-	a.active[b] = nxt
+	*cur = nxt
 	return Entry{Valid: true, Block: b, Kind: nxt.Kind, Dest: nxt.Dest, Proc: nxt.Proc}, nxt.Proc, true
 }
 
@@ -225,27 +189,18 @@ func (a *Arbiter) Done(b mem.Block, proc int) (next Entry, procID int, ok bool) 
 // activation uses this. If the active slot was freed and another request
 // was queued, the next activation is returned.
 func (a *Arbiter) Cancel(b mem.Block, proc int) (next Entry, procID int, wasActive, ok bool) {
-	if cur, busy := a.active[b]; busy && cur.Proc == proc {
+	if cur := a.active.Peek(b); cur != nil && cur.Proc == proc {
 		n, p, o := a.Done(b, proc)
 		return n, p, true, o
 	}
-	q := a.queues[b]
-	for i := range q {
-		if q[i].Proc == proc {
-			a.queues[b] = append(q[:i:i], q[i+1:]...)
-			if len(a.queues[b]) == 0 {
-				delete(a.queues, b)
-			}
-			break
-		}
-	}
+	a.queues.Remove(b, func(r *arbReq) bool { return r.Proc == proc })
 	return Entry{}, 0, false, false
 }
 
 // ActiveFor reports the active request for b, if any.
 func (a *Arbiter) ActiveFor(b mem.Block) (Entry, int, bool) {
-	r, ok := a.active[b]
-	if !ok {
+	r := a.active.Peek(b)
+	if r == nil {
 		return Entry{}, 0, false
 	}
 	return Entry{Valid: true, Block: b, Kind: r.Kind, Dest: r.Dest, Proc: r.Proc}, r.Proc, true

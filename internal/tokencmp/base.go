@@ -1,6 +1,7 @@
 package tokencmp
 
 import (
+	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -20,6 +21,10 @@ type base struct {
 
 	dtable *token.DistributedTable
 	atable *token.ArbTable
+
+	// args holds the payloads of the endpoint's delayed calls: held
+	// re-evaluations, and an L1's timeouts and retries.
+	args hier.BlockArgs
 
 	// lookup returns the endpoint's token state for b, or nil.
 	lookup func(b mem.Block) *token.State
@@ -73,7 +78,7 @@ func (c *base) reeval(b mem.Block) {
 	}
 	now := c.sys.Eng.Now()
 	if s.HoldUntil > now {
-		c.sys.Eng.ScheduleAt(s.HoldUntil, func() { c.reeval(b) })
+		c.sys.Eng.ScheduleCallAt(s.HoldUntil, reevalCall, c, c.args.New(b, 0))
 		return
 	}
 
@@ -136,6 +141,14 @@ func (c *base) reeval(b mem.Block) {
 	if emptied && c.onEmpty != nil {
 		c.onEmpty(b)
 	}
+}
+
+// reevalCall is reeval's closure-free thunk for a forward deferred by
+// the response-delay hold.
+func reevalCall(ctx, arg any) {
+	c := ctx.(*base)
+	b, _ := c.args.Take(arg.(*hier.BlockArg))
+	c.reeval(b)
 }
 
 // transientBlocked reports whether transient requests for b must be

@@ -20,10 +20,10 @@ type l1Txn struct {
 	reqKind          token.ReqKind
 	issuedAt         sim.Time
 	transientsSent   int
-	persistent       bool // escalation decided
-	persistentIssued bool // substrate request actually broadcast
-	waitingMark      bool // gated by the marking mechanism
-	seq              int  // invalidates stale timeout events
+	persistent       bool   // escalation decided
+	persistentIssued bool   // substrate request actually broadcast
+	waitingMark      bool   // gated by the marking mechanism
+	seq              uint64 // invalidates stale timeout events
 }
 
 // L1Ctrl is a TokenCMP L1 cache controller (data or instruction). It is
@@ -38,7 +38,11 @@ type L1Ctrl struct {
 	banks []*L2Ctrl // local L2 banks, for token-presence notes
 	est   *token.TimeoutEstimator
 	pred  *predictor
-	rng   *rand.Rand
+
+	// rng draws retry backoffs. Most L1s never retry, so it is built
+	// from seed on the first draw.
+	rng  *rand.Rand
+	seed int64
 }
 
 func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
@@ -49,7 +53,7 @@ func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		cache:      cache.New[token.State](sys.L1Params()),
 		banks:      sys.L2s[cmp],
 		est:        token.NewTimeoutEstimator(cfg.InitialTimeout),
-		rng:        rand.New(rand.NewSource(cfg.Seed*1000003 + int64(id))),
+		seed:       cfg.Seed*1000003 + int64(id),
 	}
 	c.initTables(sys, id)
 	c.Init(sys.Eng, sys.Ctrs, id, instr, c.attempt)
@@ -185,11 +189,27 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 	c.sys.Net.Send(c.sys.Net.CopyOf(tmpl))
 
 	txn.seq++
-	seq := txn.seq
-	c.sys.Eng.Schedule(c.est.Timeout(), func() { c.onTimeout(b, seq) })
+	c.sys.Eng.ScheduleCall(c.est.Timeout(), l1Timeout, c, c.args.New(b, txn.seq))
 }
 
-func (c *L1Ctrl) onTimeout(b mem.Block, seq int) {
+// l1Timeout and l1Backoff are the closure-free thunks of a transient
+// request's timeout and its retry after backoff. Each carries the
+// (block, seq) it was scheduled for and does nothing unless that is
+// still the outstanding miss's.
+func l1Timeout(ctx, arg any) {
+	c := ctx.(*L1Ctrl)
+	c.onTimeout(c.args.Take(arg.(*hier.BlockArg)))
+}
+
+func l1Backoff(ctx, arg any) {
+	c := ctx.(*L1Ctrl)
+	b, seq := c.args.Take(arg.(*hier.BlockArg))
+	if m := c.For(b); m != nil && m.Txn.seq == seq && !m.Txn.persistent {
+		c.sendTransient(b, &m.Txn)
+	}
+}
+
+func (c *L1Ctrl) onTimeout(b mem.Block, seq uint64) {
 	m := c.For(b)
 	if m == nil || m.Txn.seq != seq || m.Txn.persistent {
 		return
@@ -201,14 +221,12 @@ func (c *L1Ctrl) onTimeout(b mem.Block, seq int) {
 	}
 	if txn.transientsSent < c.sys.Cfg.Variant.MaxTransients {
 		// Retry with pseudo-random backoff to avoid lock-step retries.
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(c.seed))
+		}
 		backoff := sim.Time(c.rng.Int63n(int64(c.est.Timeout()/4) + 1))
 		txn.seq++
-		seq := txn.seq
-		c.sys.Eng.Schedule(backoff, func() {
-			if m := c.For(b); m != nil && m.Txn.seq == seq && !m.Txn.persistent {
-				c.sendTransient(b, &m.Txn)
-			}
-		})
+		c.sys.Eng.ScheduleCall(backoff, l1Backoff, c, c.args.New(b, txn.seq))
 		return
 	}
 	c.issuePersistent(b, txn)

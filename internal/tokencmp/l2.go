@@ -3,6 +3,7 @@ package tokencmp
 import (
 	"fmt"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/cache"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
@@ -28,17 +29,16 @@ type L2Ctrl struct {
 	cmp, bank int
 
 	cache   *cache.Array[token.State]
-	onChip  map[mem.Block]*presence
-	sharers map[mem.Block]uint64 // approximate L1-sharer bits (filter variant)
+	onChip  blocktab.Table[presence]
+	sharers blocktab.Table[uint64] // approximate L1-sharer bits (filter variant); absent means none
+	dsts    []topo.NodeID          // handleLocal's broadcast list, reused
 }
 
 func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	c := &L2Ctrl{
-		cmp:     cmp,
-		bank:    bank,
-		cache:   cache.New[token.State](sys.L2BankParams()),
-		onChip:  make(map[mem.Block]*presence),
-		sharers: make(map[mem.Block]uint64),
+		cmp:   cmp,
+		bank:  bank,
+		cache: cache.New[token.State](sys.L2BankParams()),
 	}
 	c.initTables(sys, id)
 	c.accessLatency = hier.L2Latency
@@ -52,13 +52,18 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	return c
 }
 
-func (c *L2Ctrl) presenceOf(b mem.Block) *presence {
-	p := c.onChip[b]
-	if p == nil {
-		p = &presence{}
-		c.onChip[b] = p
+func (c *L2Ctrl) presenceOf(b mem.Block) *presence { return c.onChip.At(b) }
+
+// addSharer and dropSharer edit b's sharer mask; a block whose mask
+// empties leaves the table.
+func (c *L2Ctrl) addSharer(b mem.Block, l1 topo.NodeID) { *c.sharers.At(b) |= c.l1Bit(l1) }
+
+func (c *L2Ctrl) dropSharer(b mem.Block, l1 topo.NodeID) {
+	if m := c.sharers.Peek(b); m != nil {
+		if *m &^= c.l1Bit(l1); *m == 0 {
+			c.sharers.Delete(b)
+		}
 	}
-	return p
 }
 
 // l1Bit returns the sharer-mask bit for a local L1 endpoint.
@@ -80,7 +85,7 @@ func (c *L2Ctrl) noteL1Gain(b mem.Block, tokens int, owner bool, l1 topo.NodeID)
 		p.owner = true
 	}
 	if tokens > 0 {
-		c.sharers[b] |= c.l1Bit(l1)
+		c.addSharer(b, l1)
 	}
 }
 
@@ -96,10 +101,10 @@ func (c *L2Ctrl) noteL1Loss(b mem.Block, tokens int, owner bool, l1 topo.NodeID,
 		p.owner = false
 	}
 	if emptied {
-		c.sharers[b] &^= c.l1Bit(l1)
+		c.dropSharer(b, l1)
 	}
 	if p.tokens == 0 && !p.owner {
-		delete(c.onChip, b)
+		c.onChip.Delete(b)
 	}
 }
 
@@ -107,9 +112,9 @@ func (c *L2Ctrl) noteL1Loss(b mem.Block, tokens int, owner bool, l1 topo.NodeID,
 // unchanged but the sharer mask moves.
 func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied bool) {
 	if fromEmptied {
-		c.sharers[b] &^= c.l1Bit(from)
+		c.dropSharer(b, from)
 	}
-	c.sharers[b] |= c.l1Bit(to)
+	c.addSharer(b, to)
 }
 
 // Closure-free deferred-handling thunks: the bank holds the delivered
@@ -234,7 +239,7 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 	if s := c.lookup(b); s != nil {
 		own = s.Tokens
 	}
-	p := c.onChip[b]
+	p := c.onChip.Peek(b)
 	onTokens, onOwner := 0, false
 	if p != nil {
 		onTokens, onOwner = p.tokens, p.owner
@@ -250,7 +255,7 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 		return
 	}
 	g := c.sys.Geom
-	var dsts []topo.NodeID
+	dsts := c.dsts[:0]
 	for cmp := 0; cmp < g.CMPs; cmp++ {
 		if cmp == c.cmp {
 			continue
@@ -258,7 +263,8 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 		dsts = append(dsts, g.L2BankFor(cmp, b))
 	}
 	dsts = append(dsts, g.HomeMem(b))
-	tmpl := &network.Message{
+	c.dsts = dsts
+	c.sys.Net.Broadcast(&network.Message{
 		Src:       c.id,
 		Block:     b,
 		Kind:      kTransient,
@@ -266,8 +272,7 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 		Aux:       m.Aux,
 		Requestor: m.Requestor,
 		Proc:      m.Proc,
-	}
-	c.sys.Net.Broadcast(tmpl, dsts)
+	}, dsts)
 }
 
 // handleExternal serves a transient request arriving from another CMP:
@@ -293,7 +298,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 	// No point disturbing the L1s when none of them holds a token (the
 	// bank observes all on-chip token movement); correctness never
 	// depends on this because persistent requests are never filtered.
-	p := c.onChip[b]
+	p := c.onChip.Peek(b)
 	if p == nil || p.tokens == 0 {
 		return
 	}
@@ -311,7 +316,10 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 		Proc:      m.Proc,
 	}
 	if c.sys.Cfg.Variant.Filter {
-		mask := c.sharers[b]
+		var mask uint64
+		if m := c.sharers.Peek(b); m != nil {
+			mask = *m
+		}
 		for _, l1 := range l1s {
 			if mask&c.l1Bit(l1) != 0 {
 				fwd.Dst = l1

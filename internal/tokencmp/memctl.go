@@ -2,8 +2,8 @@ package tokencmp
 
 import (
 	"fmt"
-	"slices"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -21,16 +21,12 @@ import (
 type MemCtrl struct {
 	base
 	cmp   int
-	store map[mem.Block]*token.State
+	store blocktab.Table[token.State] // a block is materialized once present
 	arb   *token.Arbiter
 }
 
 func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
-	c := &MemCtrl{
-		cmp:   cmp,
-		store: make(map[mem.Block]*token.State),
-		arb:   token.NewArbiter(),
-	}
+	c := &MemCtrl{cmp: cmp, arb: token.NewArbiter()}
 	c.initTables(sys, id)
 	c.accessLatency = hier.MemLatency
 	c.dataDelay = hier.DRAMLatency
@@ -49,29 +45,24 @@ func (c *MemCtrl) isHome(b mem.Block) bool {
 // have no state here (tokens exist in exactly one memory), so stateFor
 // returns nil for them unless tokens were explicitly delivered.
 func (c *MemCtrl) stateFor(b mem.Block) *token.State {
-	s := c.store[b]
-	if s == nil && c.isHome(b) {
-		s = &token.State{Tokens: c.sys.T, Owner: true, HasData: true}
-		c.store[b] = s
+	if !c.isHome(b) {
+		return c.store.Peek(b)
+	}
+	s, fresh := c.store.Insert(b)
+	if fresh {
+		*s = token.State{Tokens: c.sys.T, Owner: true, HasData: true}
 	}
 	return s
 }
 
 // Touched lists blocks that have materialized state, in ascending
 // block order so audit passes visit them deterministically.
-func (c *MemCtrl) Touched() []mem.Block {
-	out := make([]mem.Block, 0, len(c.store))
-	for b := range c.store {
-		out = append(out, b)
-	}
-	slices.Sort(out)
-	return out
-}
+func (c *MemCtrl) Touched() []mem.Block { return c.store.Blocks() }
 
 // StateOf returns the memory-side state for b without materializing.
 func (c *MemCtrl) StateOf(b mem.Block) (*token.State, bool) {
-	s, ok := c.store[b]
-	return s, ok
+	s := c.store.Peek(b)
+	return s, s != nil
 }
 
 // Closure-free deferred-handling thunks: the controller holds the
@@ -172,13 +163,9 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 
 func (c *MemCtrl) handleWriteback(m *network.Message) {
 	c.sys.ctr.memWrite.Inc()
-	s := c.store[m.Block]
-	if s == nil {
-		// Tokens delivered to a non-home controller (should not happen,
-		// but the substrate must never lose tokens).
-		s = &token.State{}
-		c.store[m.Block] = s
-	}
+	// A non-home controller materializes an empty state (tokens should
+	// not arrive there, but the substrate must never lose tokens).
+	s := c.store.At(m.Block)
 	s.Merge(int(m.Tokens), m.Owner, m.HasData, m.Data, m.Dirty)
 	if s.Owner {
 		s.Dirty = false // memory is the backing store

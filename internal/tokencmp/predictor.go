@@ -20,13 +20,17 @@ type predictor struct {
 	counter [][]uint8
 	lru     [][]uint64
 	tick    uint64
-	rng     *rand.Rand
+
+	// rng resets counters. It is built from seed on the first draw:
+	// most predictors never find a counter to reset.
+	rng  *rand.Rand
+	seed int64
 }
 
 func newPredictor(seed int64) *predictor {
 	const entries, ways = 256, 4
 	sets := entries / ways
-	p := &predictor{sets: sets, ways: ways, rng: rand.New(rand.NewSource(seed))}
+	p := &predictor{sets: sets, ways: ways, seed: seed}
 	p.tags = make([][]mem.Block, sets)
 	p.valid = make([][]bool, sets)
 	p.counter = make([][]uint8, sets)
@@ -89,6 +93,9 @@ func (p *predictor) Contended(b mem.Block) bool {
 	}
 	p.tick++
 	p.lru[set][way] = p.tick
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
 	if p.rng.Intn(64) == 0 {
 		p.counter[set][way] = 0
 		return false

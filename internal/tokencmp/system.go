@@ -3,6 +3,7 @@ package tokencmp
 import (
 	"fmt"
 
+	"tokencmp/internal/blocktab"
 	"tokencmp/internal/counters"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
@@ -87,15 +88,8 @@ func (s *System) TokenAudit() error {
 		tokens, owners int
 		writers        int
 	}
-	tallies := make(map[mem.Block]*tally)
-	get := func(b mem.Block) *tally {
-		t := tallies[b]
-		if t == nil {
-			t = &tally{}
-			tallies[b] = t
-		}
-		return t
-	}
+	var tallies blocktab.Table[tally]
+	get := tallies.At
 
 	s.eachCacheState(func(_ topo.NodeID, b mem.Block, st *token.State) {
 		t := get(b)
@@ -123,16 +117,19 @@ func (s *System) TokenAudit() error {
 		t.owners += owners
 	})
 
-	for b, t := range tallies {
-		if t.tokens != s.T {
-			return fmt.Errorf("token conservation violated for %v: have %d tokens, want %d", b, t.tokens, s.T)
+	// Report the lowest violating block, so a failing audit names the
+	// same block on every run.
+	var err error
+	tallies.Each(func(b mem.Block, t *tally) {
+		switch {
+		case err != nil:
+		case t.tokens != s.T:
+			err = fmt.Errorf("token conservation violated for %v: have %d tokens, want %d", b, t.tokens, s.T)
+		case t.owners != 1:
+			err = fmt.Errorf("owner-token invariant violated for %v: %d owners", b, t.owners)
+		case t.writers > 1:
+			err = fmt.Errorf("coherence invariant violated for %v: %d concurrent writers", b, t.writers)
 		}
-		if t.owners != 1 {
-			return fmt.Errorf("owner-token invariant violated for %v: %d owners", b, t.owners)
-		}
-		if t.writers > 1 {
-			return fmt.Errorf("coherence invariant violated for %v: %d concurrent writers", b, t.writers)
-		}
-	}
-	return nil
+	})
+	return err
 }
