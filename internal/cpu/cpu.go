@@ -108,6 +108,11 @@ type Processor struct {
 	Prog  Program
 	Stats Stats
 
+	// Running, if set, counts the unfinished processors of a machine:
+	// the processor decrements it when its program finishes, so a run
+	// tests for completion without visiting every processor.
+	Running *int
+
 	finished bool
 	doneAt   sim.Time
 	lastVal  uint64
@@ -166,6 +171,9 @@ func (p *Processor) step() {
 	case ActDone:
 		p.finished = true
 		p.doneAt = p.Eng.Now()
+		if p.Running != nil {
+			*p.Running--
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
+	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
+	"tokencmp/internal/tokencmp"
 	"tokencmp/internal/workload"
 )
 
@@ -16,15 +19,27 @@ const (
 )
 
 // fingerprint folds FNV-1a over every delivered message of a run, in
-// delivery order: two runs that deliver the same messages in a
-// different order hash differently, which the final-state pins
-// (goldens, counters, digests) cannot tell apart.
+// delivery order, and over every injected loss at the time it happens:
+// two runs that deliver or drop the same messages in a different order
+// hash differently, which the final-state pins (goldens, counters,
+// digests) cannot tell apart.
 type fingerprint struct {
 	eng *sim.Engine
 	h   uint64
 }
 
-func (f *fingerprint) observe(m *network.Message) {
+// dropMark precedes a dropped message's fields, so a drop never hashes
+// like the delivery of the same message.
+const dropMark = ^uint64(0)
+
+func (f *fingerprint) observe(m *network.Message) { f.fold(m) }
+
+func (f *fingerprint) observeDrop(m *network.Message) {
+	f.word(dropMark)
+	f.fold(m)
+}
+
+func (f *fingerprint) fold(m *network.Message) {
 	flag := func(b bool) uint64 {
 		if b {
 			return 1
@@ -36,11 +51,46 @@ func (f *fingerprint) observe(m *network.Message) {
 		uint64(m.Block), uint64(m.Tokens), flag(m.Owner), flag(m.HasData),
 		m.Data, flag(m.Dirty), uint64(m.Aux), uint64(m.Proc),
 	} {
-		for i := 0; i < 8; i++ {
-			f.h ^= w >> (8 * i) & 0xff
-			f.h *= fnvPrime
-		}
+		f.word(w)
 	}
+}
+
+func (f *fingerprint) word(w uint64) {
+	for i := 0; i < 8; i++ {
+		f.h ^= w >> (8 * i) & 0xff
+		f.h *= fnvPrime
+	}
+}
+
+// runFingerprint runs the named workload family on m and returns the
+// fingerprint of its delivery and drop stream.
+func runFingerprint(t *testing.T, m *Machine, name string) uint64 {
+	t.Helper()
+	procs := m.Cfg.Geom.TotalProcs()
+	var progs []cpu.Program
+	switch name {
+	case "locking":
+		lc := workload.DefaultLocking(4)
+		lc.Acquires = 12
+		progs, _ = workload.LockingPrograms(lc, procs, 1)
+	case "OLTP":
+		params := workload.OLTP()
+		params.TxnsPerProc = 4
+		progs, _ = workload.CommercialPrograms(params, procs, 1)
+	case "barrier":
+		bc := workload.DefaultBarrier(procs, sim.NS(500))
+		bc.Iterations = 5
+		progs, _ = workload.BarrierPrograms(bc, 1)
+	default:
+		t.Fatalf("unknown workload %q", name)
+	}
+	fp := &fingerprint{eng: m.Eng, h: fnvOffset}
+	m.net.Monitor = fp.observe
+	m.net.OnDrop = fp.observeDrop
+	if _, err := m.Run(progs, 30_000_000); err != nil {
+		t.Fatal(err)
+	}
+	return fp.h
 }
 
 // TestEventOrderFingerprint pins the delivery stream of every networked
@@ -70,29 +120,86 @@ func TestEventOrderFingerprint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				procs := m.Cfg.Geom.TotalProcs()
-				var progs []cpu.Program
-				switch name {
-				case "locking":
-					lc := workload.DefaultLocking(4)
-					lc.Acquires = 12
-					progs, _ = workload.LockingPrograms(lc, procs, 1)
-				case "OLTP":
-					params := workload.OLTP()
-					params.TxnsPerProc = 4
-					progs, _ = workload.CommercialPrograms(params, procs, 1)
-				case "barrier":
-					bc := workload.DefaultBarrier(procs, sim.NS(500))
-					bc.Iterations = 5
-					progs, _ = workload.BarrierPrograms(bc, 1)
+				h := runFingerprint(t, m, name)
+				if want := pins[proto][w]; h != want {
+					t.Errorf("fingerprint = %#016x, want %#016x", h, want)
 				}
-				fp := &fingerprint{eng: m.Eng, h: fnvOffset}
-				m.net.Monitor = fp.observe
-				if _, err := m.Run(progs, 30_000_000); err != nil {
+			})
+		}
+	}
+}
+
+// faultPlans are the fault configurations of the faulted fingerprint
+// pins. Each enables one knob on both link classes, so a pin failure
+// names the fault path that moved: jitter exercises the per-link FIFO
+// clamp, reorder the clamp's bypass, and drop the loss and retransmit
+// paths.
+var faultPlans = [...]struct {
+	name   string
+	cfg    network.FaultConfig
+	moved  string // counter the plan must move; "" for jitter
+	tokens bool   // only the TokenCMP stacks opt traffic into this knob
+}{
+	{"jitter", network.UniformFaults(7, 0, 0, 0, sim.NS(5)), "", false},
+	{"reorder", network.UniformFaults(7, 0, 0, 0.1, 0), counters.NetReordered, true},
+	{"drop", network.UniformFaults(7, 0.05, 0, 0, 0), counters.NetDropped, true},
+}
+
+// TestFaultedEventOrderFingerprint pins the delivery and drop stream of
+// the locking workload under each fault plan: jitter, reorder and drop
+// for the TokenCMP variants, and jitter for DirectoryCMP and HammerCMP,
+// which opt no traffic into reorder or drop. Without faults the
+// network's fault paths are never taken, so TestEventOrderFingerprint
+// alone cannot see a change to them.
+func TestFaultedEventOrderFingerprint(t *testing.T) {
+	pins := map[string]uint64{ // protocol/plan → fingerprint
+		"DirectoryCMP/jitter":        0x32b9993bafd688cb,
+		"DirectoryCMP-zero/jitter":   0x1537aac219d67a3f,
+		"HammerCMP/jitter":           0x6707ff6a516f018c,
+		"TokenCMP-arb0/jitter":       0xca641ec683a4694f,
+		"TokenCMP-arb0/reorder":      0xf01abf5ddd23107d,
+		"TokenCMP-arb0/drop":         0xd862c238bcc04a43,
+		"TokenCMP-dst0/jitter":       0x849e1d2aa3c4eede,
+		"TokenCMP-dst0/reorder":      0xa29f066d3d9fc1ea,
+		"TokenCMP-dst0/drop":         0xc66900fbf85ae83a,
+		"TokenCMP-dst4/jitter":       0x4bcc9e26411c861b,
+		"TokenCMP-dst4/reorder":      0xbeaaa92c54921658,
+		"TokenCMP-dst4/drop":         0x364eff06bfec2b2a,
+		"TokenCMP-dst1/jitter":       0x83380d812c4aed02,
+		"TokenCMP-dst1/reorder":      0xbaac9d64add011cb,
+		"TokenCMP-dst1/drop":         0x2e31c1486bbb1b01,
+		"TokenCMP-dst1-pred/jitter":  0x14d2696bf6eb54ee,
+		"TokenCMP-dst1-pred/reorder": 0xfd530c0953918193,
+		"TokenCMP-dst1-pred/drop":    0x689107828d61896a,
+		"TokenCMP-dst1-filt/jitter":  0x9471f4db869b7fdc,
+		"TokenCMP-dst1-filt/reorder": 0x1ccd3527a76094af,
+		"TokenCMP-dst1-filt/drop":    0x1f96e346e66a975b,
+	}
+	for _, proto := range Protocols() {
+		if proto == "PerfectL2" {
+			continue // no interconnect
+		}
+		token := strings.HasPrefix(proto, "TokenCMP")
+		for _, fp := range faultPlans {
+			if fp.tokens && !token {
+				continue
+			}
+			t.Run(proto+"/"+fp.name, func(t *testing.T) {
+				cfg := smallCfg(proto)
+				cfg.Faults = fp.cfg
+				m, err := New(cfg)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if want := pins[proto][w]; fp.h != want {
-					t.Errorf("fingerprint = %#016x, want %#016x", fp.h, want)
+				h := runFingerprint(t, m, "locking")
+				// arb0 and dst0 send no transient requests, so reorder,
+				// which only droppable transients take, is a no-op there.
+				v, _ := tokencmp.VariantByName(proto)
+				if fp.moved != "" && (fp.name != "reorder" || v.MaxTransients > 0) && m.Counters()[fp.moved] == 0 {
+					t.Fatalf("%s moved no %s", fp.name, fp.moved)
+				}
+				if want, ok := pins[proto+"/"+fp.name]; !ok || h != want {
+					t.Errorf("fingerprint = %#016x, want %#016x", h, want)
 				}
 			})
 		}

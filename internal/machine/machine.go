@@ -208,23 +208,17 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 		limit = 4_000_000_000
 	}
 	m.Procs = make([]*cpu.Processor, len(progs))
+	running := len(progs) // processors whose program has not finished
 	for i, prog := range progs {
 		data, inst := m.Proto.Ports(i)
 		if m.Cfg.CheckConsistency {
 			data = &port{m: m, inner: data, proc: i}
 			inst = &port{m: m, inner: inst, proc: i}
 		}
-		m.Procs[i] = &cpu.Processor{ID: i, Eng: m.Eng, Data: data, Inst: inst, Prog: prog}
+		m.Procs[i] = &cpu.Processor{ID: i, Eng: m.Eng, Data: data, Inst: inst, Prog: prog, Running: &running}
 		m.Procs[i].Start()
 	}
-	allDone := func() bool {
-		for _, p := range m.Procs {
-			if !p.Finished() {
-				return false
-			}
-		}
-		return true
-	}
+	allDone := func() bool { return running == 0 }
 	m.Eng.SetContext(ctx)
 	start := m.Eng.Executed
 	ok := m.Eng.RunUntil(allDone, limit)

@@ -298,6 +298,43 @@ func TestSeedPerturbsRuns(t *testing.T) {
 	}
 }
 
+// TestRunLimitIsExact pins where a run stops: as soon as the event that
+// finishes the last processor fires. A limit of exactly the events the
+// run needs succeeds with the unlimited run's Result, and one event
+// fewer reports that the run did not finish.
+func TestRunLimitIsExact(t *testing.T) {
+	for _, proto := range Protocols() {
+		t.Run(proto, func(t *testing.T) {
+			run := func(limit uint64) (Result, error) {
+				cfg := smallCfg(proto)
+				cfg.AuditTokens = false // the audit's drain fires events past the last finish
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lc := workload.DefaultLocking(4)
+				lc.Acquires = 6
+				progs, _ := workload.LockingPrograms(lc, m.Cfg.Geom.TotalProcs(), 1)
+				return m.Run(progs, limit)
+			}
+			want, err := run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := run(want.Events)
+			if err != nil {
+				t.Fatalf("limit = the %d events needed: %v", want.Events, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("limit = the %d events needed: Result %+v, want %+v", want.Events, got, want)
+			}
+			if _, err := run(want.Events - 1); err == nil || !strings.Contains(err.Error(), "did not finish") {
+				t.Errorf("limit one short of the %d events needed: err = %v, want did not finish", want.Events, err)
+			}
+		})
+	}
+}
+
 // TestRunCtxCancellationBound asserts a cancelled machine run stops
 // within the engine's documented event bound, returns an error matching
 // errors.Is(err, context.Canceled), and reports partial progress.

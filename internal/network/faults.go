@@ -148,6 +148,9 @@ func dropCall(ctx, arg any) { ctx.(*Network).drop(arg.(*Message)) }
 func (n *Network) drop(m *Message) {
 	n.InFlight--
 	n.landed(m)
+	if n.OnDrop != nil {
+		n.OnDrop(m)
+	}
 	if n.ctrDropped != nil {
 		n.ctrDropped.Inc()
 	}

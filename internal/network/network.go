@@ -146,6 +146,11 @@ type Network struct {
 	frng     *rand.Rand
 	faultsOn bool
 
+	// lastArrive is, per directed link (indexed like links), the latest
+	// arrival scheduled on it, for the per-link FIFO clamp. It is nil
+	// unless faults are on: without them the clamp is a no-op.
+	lastArrive []sim.Time
+
 	// InFlight counts undelivered messages; the coherence monitor uses it
 	// and tests use it to detect quiescence.
 	InFlight int
@@ -153,6 +158,11 @@ type Network struct {
 	// Monitor, if set, observes every message at delivery time (before
 	// the endpoint) — the token-conservation checker hooks here.
 	Monitor func(m *Message)
+
+	// OnDrop, if set, observes every injected loss at its would-be
+	// arrival time, before a retransmit re-sends it. Tests fold it into
+	// their event-order fingerprints.
+	OnDrop func(m *Message)
 
 	// OnSend, if set, observes every message as it is sent.
 	OnSend func(m *Message)
@@ -165,13 +175,17 @@ type Network struct {
 }
 
 // link is one directed link's routing record and serialization state.
-// It is 24 bytes, so a Table 3 machine's 52² links fill 64 KB.
+// It is 16 bytes, so a Table 3 machine's 52² links fill 43 KB.
+//
+// Without faults, arrivals on one link are already in send order: a
+// message departs no earlier than its predecessor and every message on
+// the link pays the same latency. Only jitter and retransmit delays can
+// invert that order, so the per-link FIFO clamp that undoes them, and
+// its record of each link's latest arrival (Network.lastArrive), exist
+// only when the fault injector is on.
 type link struct {
-	// nextFree is when the link's serializer frees up. lastArrive is
-	// the latest arrival scheduled on it: it clamps per-link delivery
-	// order under jitter, so only the explicit reorder knob may violate
-	// same-link FIFO.
-	nextFree, lastArrive sim.Time
+	// nextFree is when the link's serializer frees up.
+	nextFree sim.Time
 
 	class uint8 // onChip or offChip: which Config link class carries it
 
@@ -265,6 +279,7 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 	if cfg.Faults.Enabled() {
 		nw.faultsOn = true
 		nw.frng = rand.New(rand.NewSource(cfg.Faults.Seed))
+		nw.lastArrive = make([]sim.Time, n*n)
 	}
 	return nw
 }
@@ -467,7 +482,9 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	}
 	// Figure 7 accounting: one entry per interconnect the message
 	// traverses (see link.intraHops).
-	l, lc := n.link(m.Src, m.Dst)
+	li := int(m.Src)*n.numNodes + int(m.Dst)
+	l := &n.links[li]
+	lc := &n.classes[l.class]
 	size := int(m.Size)
 	if lc.Level == stats.IntraCMP {
 		n.onChipMsgs++
@@ -539,16 +556,18 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	l.nextFree = depart
 
 	arrive := depart + lc.Latency + hold
-	if !reordered {
+	if n.faultsOn && !reordered {
 		// Per-link FIFO clamp: jitter (and retransmit delay) may not
 		// reorder messages within one directed link — protocols without
-		// recovery machinery rely on that order. Without faults this is
-		// a no-op (arrivals are already monotone per link); only the
-		// explicit reorder knob above bypasses it.
-		if arrive < l.lastArrive {
-			arrive = l.lastArrive
+		// recovery machinery rely on that order. Without faults it would
+		// be a no-op (arrivals are already monotone per link; see link),
+		// so it runs only under faults; only the explicit reorder knob
+		// above bypasses it.
+		last := &n.lastArrive[li]
+		if arrive < *last {
+			arrive = *last
 		}
-		l.lastArrive = arrive
+		*last = arrive
 	}
 	if dropped {
 		n.Eng.ScheduleCallAt(arrive, dropCall, n, m)

@@ -196,8 +196,8 @@ func TestTokenInFlightAccounting(t *testing.T) {
 // charges an off-chip message one intra-CMP hop per cache endpoint and
 // an on-chip message one. The fault plan follows the link's level.
 func TestLinkTableMatchesGeometry(t *testing.T) {
-	if sz := unsafe.Sizeof(link{}); sz > 24 {
-		t.Errorf("link record is %d bytes, want at most 24", sz)
+	if sz := unsafe.Sizeof(link{}); sz > 16 {
+		t.Errorf("link record is %d bytes, want at most 16", sz)
 	}
 	cfg := Default()
 	cfg.Faults = FaultConfig{
@@ -211,6 +211,12 @@ func TestLinkTableMatchesGeometry(t *testing.T) {
 		topo.NewGeometry(3, 2, 5),
 	} {
 		n := New(sim.NewEngine(), g, cfg)
+		if nodes := g.NumNodes(); len(n.lastArrive) != nodes*nodes {
+			t.Errorf("%d FIFO clamp records under faults, want one per link (%d)", len(n.lastArrive), nodes*nodes)
+		}
+		if clean := New(sim.NewEngine(), g, Default()); clean.lastArrive != nil {
+			t.Error("fault-free network keeps FIFO clamp records")
+		}
 		isMem := func(id topo.NodeID) bool { return g.KindOf(id) == topo.Mem }
 		for _, src := range g.AllNodes() {
 			for _, dst := range g.AllNodes() {

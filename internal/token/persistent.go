@@ -1,6 +1,8 @@
 package token
 
 import (
+	"math/bits"
+
 	"tokencmp/internal/blocktab"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/topo"
@@ -24,27 +26,36 @@ func (k ReqKind) String() string {
 	return "write"
 }
 
-// Entry is one remembered persistent request.
+// Entry is one remembered persistent request. Its fields are ordered
+// widest first, so an entry fills 32 bytes.
 type Entry struct {
-	Valid  bool
 	Block  mem.Block
 	Kind   ReqKind
-	Dest   topo.NodeID // cache to which tokens must be forwarded
 	Proc   int         // issuing processor
-	Marked bool        // set by the marking mechanism (§3.2)
+	Dest   topo.NodeID // cache to which tokens must be forwarded
+	Valid  bool
+	Marked bool // set by the marking mechanism (§3.2)
 }
 
 // DistributedTable is the distributed-activation persistent request table
 // kept at every cache and memory controller: one entry per processor,
 // fixed priority by processor number (lower index wins), and a marking
 // bit per entry implementing FutureBus-style waves.
+//
+// A processor initiates at most one persistent request at a time (§3.2),
+// so the table is a dense array indexed by processor plus a bitset of
+// the valid entries. Lookups visit only the set bits, in ascending
+// processor order, so a table with no valid entry costs one word test
+// per 64 processors however large the machine.
 type DistributedTable struct {
 	entries []Entry
+	valid   []uint64 // bit p%64 of word p/64 is set when entries[p] is valid
 }
 
 // NewDistributedTable builds a table for a system with procs processors.
-func NewDistributedTable(procs int) *DistributedTable {
-	return &DistributedTable{entries: make([]Entry, procs)}
+// It returns the table by value, so an endpoint can hold it in place.
+func NewDistributedTable(procs int) DistributedTable {
+	return DistributedTable{entries: make([]Entry, procs), valid: make([]uint64, (procs+63)/64)}
 }
 
 // Insert records processor proc's persistent request. Inserting over an
@@ -52,57 +63,65 @@ func NewDistributedTable(procs int) *DistributedTable {
 // initiates at most one persistent request at a time).
 func (t *DistributedTable) Insert(proc int, b mem.Block, kind ReqKind, dest topo.NodeID) {
 	t.entries[proc] = Entry{Valid: true, Block: b, Kind: kind, Dest: dest, Proc: proc}
+	t.valid[proc/64] |= 1 << (proc % 64)
 }
 
 // Deactivate clears processor proc's entry and reports the block it was
 // requesting so the holder can re-evaluate forwarding for that block.
 func (t *DistributedTable) Deactivate(proc int) (mem.Block, bool) {
-	e := t.entries[proc]
-	t.entries[proc] = Entry{}
-	return e.Block, e.Valid
+	e := &t.entries[proc]
+	b, ok := e.Block, e.Valid
+	*e = Entry{}
+	t.valid[proc/64] &^= 1 << (proc % 64)
+	return b, ok
 }
 
-// Active returns the highest-priority valid entry for block b (the one
-// the table activates) and the processor owning it.
-func (t *DistributedTable) Active(b mem.Block) (proc int, e Entry, ok bool) {
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].Block == b {
-			return i, t.entries[i], true
+// Find returns processor proc's request, or nil if it has none.
+func (t *DistributedTable) Find(proc int) *Entry {
+	if t.valid[proc/64]&(1<<(proc%64)) == 0 {
+		return nil
+	}
+	return &t.entries[proc]
+}
+
+// next returns the lowest-numbered valid entry for block b at or after
+// processor from, or nil.
+func (t *DistributedTable) next(b mem.Block, from int) *Entry {
+	for w := from / 64; w < len(t.valid); w++ {
+		set := t.valid[w]
+		if w == from/64 {
+			set &^= 1<<(from%64) - 1
+		}
+		for set != 0 {
+			e := &t.entries[w*64+bits.TrailingZeros64(set)]
+			if e.Block == b {
+				return e
+			}
+			set &= set - 1
 		}
 	}
-	return 0, Entry{}, false
+	return nil
 }
 
-// IsActive reports whether processor proc's request is the active one for
-// its block.
-func (t *DistributedTable) IsActive(proc int) bool {
-	e := t.entries[proc]
-	if !e.Valid {
-		return false
-	}
-	p, _, ok := t.Active(e.Block)
-	return ok && p == proc
-}
-
-// Get returns processor proc's entry.
-func (t *DistributedTable) Get(proc int) Entry { return t.entries[proc] }
+// Active returns the highest-priority valid entry for block b, the one
+// the table activates, or nil. The entry's Proc names its processor.
+// The pointer is into the table: it is valid until the table changes.
+func (t *DistributedTable) Active(b mem.Block) *Entry { return t.next(b, 0) }
 
 // MarkAllFor sets the mark bit on every valid entry for block b. The
 // deactivating processor calls this on its own local table; it may not
 // issue a new persistent request for the block until the marked entries
 // deactivate.
 func (t *DistributedTable) MarkAllFor(b mem.Block) {
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].Block == b {
-			t.entries[i].Marked = true
-		}
+	for e := t.next(b, 0); e != nil; e = t.next(b, e.Proc+1) {
+		e.Marked = true
 	}
 }
 
 // HasMarked reports whether any marked entry for block b remains.
 func (t *DistributedTable) HasMarked(b mem.Block) bool {
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].Marked && t.entries[i].Block == b {
+	for e := t.next(b, 0); e != nil; e = t.next(b, e.Proc+1) {
+		if e.Marked {
 			return true
 		}
 	}
@@ -112,32 +131,49 @@ func (t *DistributedTable) HasMarked(b mem.Block) bool {
 // ArbTable is the per-endpoint table of the arbiter-based scheme: it
 // remembers the single activated persistent request per block, as
 // broadcast by the arbiter at the block's home memory controller.
+//
+// Each active request belongs to a distinct processor waiting on a
+// miss, so the table holds few entries at once: it is a short slice,
+// unique by block, scanned linearly. The zero value is an empty table.
 type ArbTable struct {
-	active blocktab.Table[Entry]
+	active []Entry
 }
 
-// NewArbTable builds an empty arbiter-scheme table.
-func NewArbTable() *ArbTable { return &ArbTable{} }
-
-// Activate records the activated request for b.
+// Activate records the activated request for b, replacing any earlier
+// one for b.
 func (t *ArbTable) Activate(b mem.Block, kind ReqKind, dest topo.NodeID, proc int) {
-	*t.active.At(b) = Entry{Valid: true, Block: b, Kind: kind, Dest: dest, Proc: proc}
+	e := Entry{Valid: true, Block: b, Kind: kind, Dest: dest, Proc: proc}
+	if cur := t.Active(b); cur != nil {
+		*cur = e
+		return
+	}
+	t.active = append(t.active, e)
 }
 
 // Deactivate clears the activated request for b if it belongs to proc
 // (guarding against activate/deactivate reordering on the interconnect).
 func (t *ArbTable) Deactivate(b mem.Block, proc int) {
-	if e := t.active.Peek(b); e != nil && e.Proc == proc {
-		t.active.Delete(b)
+	for i := range t.active {
+		if t.active[i].Block == b {
+			if t.active[i].Proc == proc {
+				last := len(t.active) - 1
+				t.active[i] = t.active[last]
+				t.active = t.active[:last]
+			}
+			return
+		}
 	}
 }
 
-// Active returns the activated request for b, if any.
-func (t *ArbTable) Active(b mem.Block) (Entry, bool) {
-	if e := t.active.Peek(b); e != nil {
-		return *e, true
+// Active returns the activated request for b, or nil. The pointer is
+// into the table: it is valid until the table changes.
+func (t *ArbTable) Active(b mem.Block) *Entry {
+	for i := range t.active {
+		if t.active[i].Block == b {
+			return &t.active[i]
+		}
 	}
-	return Entry{}, false
+	return nil
 }
 
 // Arbiter is the home-side queue of the arbiter-based scheme: fair FIFO

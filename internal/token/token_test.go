@@ -84,22 +84,32 @@ func TestDistributedTablePriority(t *testing.T) {
 	tb.Insert(2, 5, ReqWrite, 12)
 	tb.Insert(1, 5, ReqRead, 11)
 	tb.Insert(3, 6, ReqWrite, 13)
-	p, e, ok := tb.Active(5)
-	if !ok || p != 1 || e.Kind != ReqRead {
-		t.Errorf("active = proc %d (%v), want proc 1 read", p, ok)
+	e := tb.Active(5)
+	if e == nil || e.Proc != 1 || e.Kind != ReqRead {
+		t.Errorf("active = %+v, want proc 1 read", e)
 	}
-	if !tb.IsActive(1) || tb.IsActive(2) {
-		t.Error("IsActive priority wrong")
+	// Processor 1's request is the active one for its block; processor
+	// 2's is valid but loses to it.
+	if p1 := tb.Find(1); p1 == nil || tb.Active(p1.Block) != p1 {
+		t.Error("proc 1 not active for its block")
+	}
+	if p2 := tb.Find(2); p2 == nil || tb.Active(p2.Block) == p2 {
+		t.Error("proc 2 active over proc 1")
+	}
+	if tb.Find(0) != nil {
+		t.Error("proc 0 has a request")
 	}
 	// Deactivating the winner promotes the next.
 	tb.Deactivate(1)
-	p, _, ok = tb.Active(5)
-	if !ok || p != 2 {
-		t.Errorf("next active = %d, want 2", p)
+	if tb.Find(1) != nil {
+		t.Error("proc 1 still has a request after deactivation")
+	}
+	if e := tb.Active(5); e == nil || e.Proc != 2 {
+		t.Errorf("next active = %+v, want proc 2", e)
 	}
 	// Block 6 is independent.
-	if p, _, ok := tb.Active(6); !ok || p != 3 {
-		t.Errorf("block 6 active = %d (%v)", p, ok)
+	if e := tb.Active(6); e == nil || e.Proc != 3 {
+		t.Errorf("block 6 active = %+v, want proc 3", e)
 	}
 }
 

@@ -85,6 +85,49 @@ func TestArbiterActivationDoesNotAllocate(t *testing.T) {
 	if after := sys.Net.Traffic.TotalMessages(stats.InterCMP) + sys.Net.Traffic.TotalMessages(stats.IntraCMP); after-before < 101*2*51 {
 		t.Errorf("%d messages in 101 rounds, want at least two 51-endpoint broadcasts per round", after-before)
 	}
+	for _, e := range endpointBases(sys) {
+		if e.atable.Active(b) != nil {
+			t.Errorf("%v still holds an activation after the last done", e.id)
+		}
+	}
+}
+
+// TestDistributedActivationDoesNotAllocate is the distributed-activation
+// counterpart of TestArbiterActivationDoesNotAllocate: a TokenCMP-dst0
+// L1 on the Table 3 machine inserts its persistent request and
+// broadcasts it to all 51 other endpoints, each of which records it in
+// its table, then deactivates it everywhere with a second broadcast.
+func TestDistributedActivationDoesNotAllocate(t *testing.T) {
+	eng, sys := fullSystem(t, Dst0, nil)
+	const b = mem.Block(0x100)
+	req := sys.L1Ds[1][2]
+	round := func() {
+		txn := l1Txn{reqKind: token.ReqWrite}
+		req.issuePersistent(b, &txn)
+		eng.Run(0)
+		req.deactivatePersistent(b)
+		eng.Run(0)
+	}
+	round()
+	before := sys.Net.Traffic.TotalMessages(stats.InterCMP) + sys.Net.Traffic.TotalMessages(stats.IntraCMP)
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("distributed activation round allocates %.2f per round, want 0", avg)
+	}
+	if after := sys.Net.Traffic.TotalMessages(stats.InterCMP) + sys.Net.Traffic.TotalMessages(stats.IntraCMP); after-before < 101*2*51 {
+		t.Errorf("%d messages in 101 rounds, want at least two 51-endpoint broadcasts per round", after-before)
+	}
+	if got := sys.Ctrs.Value(counters.ReqPersistent); got != 102 {
+		t.Errorf("%s = %d, want one per round (102)", counters.ReqPersistent, got)
+	}
+	for _, e := range endpointBases(sys) {
+		if e.dtable.Active(b) != nil || e.dtable.Find(req.globalProc) != nil {
+			t.Errorf("%v still holds the request after the last deactivation", e.id)
+		}
+	}
+}
+
+// endpointBases returns the substrate state of every endpoint of sys.
+func endpointBases(sys *System) []*base {
 	var bases []*base
 	for c := range sys.L1Ds {
 		for p := range sys.L1Ds[c] {
@@ -95,9 +138,5 @@ func TestArbiterActivationDoesNotAllocate(t *testing.T) {
 		}
 		bases = append(bases, &sys.Mems[c].base)
 	}
-	for _, e := range bases {
-		if _, ok := e.atable.Active(b); ok {
-			t.Errorf("%v still holds an activation after the last done", e.id)
-		}
-	}
+	return bases
 }

@@ -19,8 +19,12 @@ type base struct {
 	id  topo.NodeID
 	sys *System
 
-	dtable *token.DistributedTable
-	atable *token.ArbTable
+	// distributed fixes the endpoint's activation scheme at
+	// construction: it keeps dtable under distributed activation and
+	// atable under arbiter activation, and leaves the other empty.
+	distributed bool
+	dtable      token.DistributedTable
+	atable      token.ArbTable
 
 	// args holds the payloads of the endpoint's delayed calls: held
 	// re-evaluations, and an L1's timeouts and retries.
@@ -48,16 +52,18 @@ type base struct {
 func (c *base) initTables(sys *System, id topo.NodeID) {
 	c.sys = sys
 	c.id = id
-	c.dtable = token.NewDistributedTable(sys.Geom.TotalProcs())
-	c.atable = token.NewArbTable()
+	c.distributed = sys.Cfg.Variant.Activation == Distributed
+	if c.distributed {
+		c.dtable = token.NewDistributedTable(sys.Geom.TotalProcs())
+	}
 }
 
 // activeEntry returns the persistent request this endpoint must currently
-// honor for b under the configured activation mechanism.
-func (c *base) activeEntry(b mem.Block) (token.Entry, bool) {
-	if c.sys.Cfg.Variant.Activation == Distributed {
-		_, e, ok := c.dtable.Active(b)
-		return e, ok
+// honor for b under the configured activation mechanism, or nil. The
+// entry lives in the table, so it is valid only until the table changes.
+func (c *base) activeEntry(b mem.Block) *token.Entry {
+	if c.distributed {
+		return c.dtable.Active(b)
 	}
 	return c.atable.Active(b)
 }
@@ -68,8 +74,8 @@ func (c *base) activeEntry(b mem.Block) (token.Entry, bool) {
 // present and received in the future". The response-delay hold defers,
 // never cancels, the forward.
 func (c *base) reeval(b mem.Block) {
-	e, ok := c.activeEntry(b)
-	if !ok || e.Dest == c.id {
+	e := c.activeEntry(b)
+	if e == nil || e.Dest == c.id {
 		return
 	}
 	s := c.lookup(b)
@@ -160,8 +166,8 @@ func reevalCall(ctx, arg any) {
 // behind spinner waves. The initiator's own transients are always
 // served.
 func (c *base) transientBlocked(b mem.Block, requestor topo.NodeID) bool {
-	e, ok := c.activeEntry(b)
-	return ok && e.Dest != requestor && e.Kind == token.ReqWrite
+	e := c.activeEntry(b)
+	return e != nil && e.Dest != requestor && e.Kind == token.ReqWrite
 }
 
 // handlePersistentMsg processes the substrate's table-maintenance

@@ -234,7 +234,7 @@ func (c *L1Ctrl) onTimeout(b mem.Block, seq uint64) {
 
 func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 	txn.persistent = true
-	if c.sys.Cfg.Variant.Activation == Distributed {
+	if c.distributed {
 		if c.dtable.HasMarked(b) {
 			// Marking mechanism: wait until the marked wave drains.
 			txn.waitingMark = true
@@ -293,7 +293,7 @@ func (c *L1Ctrl) tryComplete(b mem.Block) {
 }
 
 func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
-	if c.sys.Cfg.Variant.Activation == Distributed {
+	if c.distributed {
 		c.dtable.Deactivate(c.globalProc)
 		c.dtable.MarkAllFor(b)
 		tmpl := &network.Message{
