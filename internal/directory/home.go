@@ -80,25 +80,17 @@ func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int3
 	c.sys.Net.SendAfter(c.dataDelay(), m)
 }
 
-// homeHandle is the closure-free deferred-handling thunk: the home
-// holds the delivered message across its directory-access delay and
-// frees it afterwards (the serializer copies deferred requests by
-// value, so the held message never outlives the handler).
-func homeHandle(ctx, arg any) {
-	c, m := ctx.(*HomeCtrl), arg.(*network.Message)
-	c.handle(m)
-	c.sys.Net.Free(m)
-}
-
 // Recv implements network.Endpoint. Every directory access pays the
 // controller latency plus the directory lookup (80 ns for the DRAM
-// directory, 0 for DirectoryCMP-zero).
+// directory, 0 for DirectoryCMP-zero). The serializer copies deferred
+// requests by value, so the held message never outlives Handle.
 func (c *HomeCtrl) Recv(m *network.Message) {
 	d := hier.MemLatency + c.sys.dirLatency()
-	c.sys.Eng.ScheduleCall(d, homeHandle, c, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(d, c.sys.Net.Hold(m))
 }
 
-func (c *HomeCtrl) handle(m *network.Message) {
+// Handle implements network.Handler.
+func (c *HomeCtrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM, kPut:
 		c.admit(m)
@@ -289,17 +281,7 @@ func (c *HomeCtrl) drain(b mem.Block) {
 		return
 	}
 	// The deferred request's directory latency was paid at arrival;
-	// re-admit on the next event (through a pooled copy the admit thunk
-	// frees, mirroring the arrival path).
-	m := c.sys.Net.NewMessage()
-	*m = q
-	c.sys.Eng.ScheduleCall(0, homeAdmit, c, m)
-}
-
-// homeAdmit re-admits a drained request; admit copies it if it must
-// queue again, so the pooled message is always freed here.
-func homeAdmit(ctx, arg any) {
-	c, m := ctx.(*HomeCtrl), arg.(*network.Message)
-	c.admit(m)
-	c.sys.Net.Free(m)
+	// re-admit on the next event through a pooled copy, mirroring the
+	// arrival path.
+	c.sys.Net.HandleAfter(0, c.sys.Net.CopyOf(&q))
 }

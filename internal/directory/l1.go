@@ -67,39 +67,28 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 	})
 }
 
-// dirL1Handle is the closure-free deferred-handling thunk: the L1
-// holds the delivered message across its tag-access delay (and
-// any response-delay hold) and frees it when handling completes.
-func dirL1Handle(ctx, arg any) {
-	c, m := ctx.(*L1Ctrl), arg.(*network.Message)
-	if c.handle(m) {
-		c.sys.Net.Free(m)
-	}
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint: the L1 holds the delivered message
+// across its tag-access delay.
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L1Latency, dirL1Handle, c, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L1Latency, c.sys.Net.Hold(m))
 }
 
-// handle reports whether it is done with m — false means a
-// response-delay hold re-deferred the message, keeping ownership.
-func (c *L1Ctrl) handle(m *network.Message) bool {
+// Handle implements network.Handler.
+func (c *L1Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kData, kGrant:
 		c.handleGrant(m)
 	case kFwdGetS:
-		return c.handleFwdGetS(m)
+		c.handleFwdGetS(m)
 	case kFwdGetM:
-		return c.handleFwdGetM(m)
+		c.handleFwdGetM(m)
 	case kInv:
-		return c.handleInv(m)
+		c.handleInv(m)
 	case kWbGrant:
 		c.wb.Grant(m)
 	default:
 		panic(fmt.Sprintf("directory: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
 	}
-	return true
 }
 
 func (c *L1Ctrl) handleGrant(m *network.Message) {
@@ -154,12 +143,12 @@ func (c *L1Ctrl) stateOf(b mem.Block) (data uint64, dirty bool, w *hier.WbEntry,
 // response routes through the L2 bank (the paper's hierarchical
 // artifact). A modified line triggers the migratory optimization:
 // invalidate and pass ownership.
-func (c *L1Ctrl) handleFwdGetS(m *network.Message) bool {
+func (c *L1Ctrl) handleFwdGetS(m *network.Message) {
 	b := m.Block
 	data, dirty, w, l := c.stateOf(b)
 	if l != nil && l.HoldUntil > c.sys.Eng.Now() {
-		c.sys.Eng.ScheduleCallAt(l.HoldUntil, dirL1Handle, c, m)
-		return false
+		c.sys.Net.HandleAt(l.HoldUntil, m)
+		return
 	}
 	migratory := false
 	switch {
@@ -189,17 +178,16 @@ func (c *L1Ctrl) handleFwdGetS(m *network.Message) bool {
 		Aux:     packAux(grantS, 0, migratory),
 		Proc:    m.Proc,
 	})
-	return true
 }
 
 // handleFwdGetM serves a write forward: send data to the L2 bank and
 // invalidate.
-func (c *L1Ctrl) handleFwdGetM(m *network.Message) bool {
+func (c *L1Ctrl) handleFwdGetM(m *network.Message) {
 	b := m.Block
 	data, dirty, w, l := c.stateOf(b)
 	if l != nil && l.HoldUntil > c.sys.Eng.Now() {
-		c.sys.Eng.ScheduleCallAt(l.HoldUntil, dirL1Handle, c, m)
-		return false
+		c.sys.Net.HandleAt(l.HoldUntil, m)
+		return
 	}
 	switch {
 	case l != nil:
@@ -221,17 +209,16 @@ func (c *L1Ctrl) handleFwdGetM(m *network.Message) bool {
 		Aux:     packAux(grantM, 0, false),
 		Proc:    m.Proc,
 	})
-	return true
 }
 
 // handleInv invalidates a (possibly stale) sharer entry and acks to the
 // collector named in Requestor.
-func (c *L1Ctrl) handleInv(m *network.Message) bool {
+func (c *L1Ctrl) handleInv(m *network.Message) {
 	b := m.Block
 	if l := c.Cache.Lookup(b); l != nil && c.For(b) == nil {
 		if l.State.HoldUntil > c.sys.Eng.Now() {
-			c.sys.Eng.ScheduleCallAt(l.State.HoldUntil, dirL1Handle, c, m)
-			return false
+			c.sys.Net.HandleAt(l.State.HoldUntil, m)
+			return
 		}
 		c.Cache.Invalidate(b)
 	} else if w := c.wb.Valid(b); w != nil {
@@ -245,5 +232,4 @@ func (c *L1Ctrl) handleInv(m *network.Message) bool {
 		Class: stats.InvFwdAckTokens,
 		Proc:  m.Proc,
 	})
-	return true
 }

@@ -165,22 +165,15 @@ func (c *L2Ctrl) l1FromBit(bit int) topo.NodeID {
 	return g.L1INode(c.cmp, bit-g.ProcsPerCMP)
 }
 
-// dirL2Handle is the closure-free deferred-handling thunk: the bank
-// holds the delivered message across its tag-access delay and frees it
-// afterwards (deferred messages are copied by value, so the held
-// message never outlives the handler).
-func dirL2Handle(ctx, arg any) {
-	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
-	c.handle(m)
-	c.sys.Net.Free(m)
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint: the bank holds the delivered
+// message across its tag-access delay. Deferred messages are copied by
+// value, so the held message never outlives Handle.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L2Latency, dirL2Handle, c, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L2Latency, c.sys.Net.Hold(m))
 }
 
-func (c *L2Ctrl) handle(m *network.Message) {
+// Handle implements network.Handler.
+func (c *L2Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM:
 		c.admitLocal(m)
@@ -447,7 +440,7 @@ func (c *L2Ctrl) finishRecallIfDone(v mem.Block, srv *extSrv) {
 	// writeback buffer) — re-admit them.
 	for i := range pending {
 		hm := pending[i]
-		c.handle(&hm)
+		c.Handle(&hm)
 	}
 	c.drain(v)
 }
@@ -635,7 +628,7 @@ func (c *L2Ctrl) drain(b mem.Block) {
 		if !ok {
 			return
 		}
-		c.handle(&m)
+		c.Handle(&m)
 	}
 }
 

@@ -98,37 +98,26 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 	})
 }
 
-// hammerL1Handle is the closure-free deferred-handling thunk: the L1
-// holds the delivered message across its tag-access delay (and
-// any response-delay hold) and frees it when handling completes.
-func hammerL1Handle(ctx, arg any) {
-	c, m := ctx.(*L1Ctrl), arg.(*network.Message)
-	if c.handle(m) {
-		c.sys.Net.Free(m)
-	}
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint: the L1 holds the delivered message
+// across its tag-access delay.
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L1Latency, hammerL1Handle, c, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L1Latency, c.sys.Net.Hold(m))
 }
 
-// handle reports whether it is done with m — false means a
-// response-delay hold re-deferred the probe, keeping ownership.
-func (c *L1Ctrl) handle(m *network.Message) bool {
+// Handle implements network.Handler.
+func (c *L1Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kAck, kData:
 		c.handleResponse(m)
 	case kMemData:
 		c.handleMemData(m)
 	case kProbeS, kProbeM:
-		return c.handleProbe(m)
+		c.handleProbe(m)
 	case kWbGrant:
 		c.wb.Grant(m)
 	default:
 		panic(fmt.Sprintf("hammercmp: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
 	}
-	return true
 }
 
 // handleResponse folds one probe response into the broadcast
@@ -239,13 +228,13 @@ func (c *L1Ctrl) maybeComplete(b mem.Block, txn *l1Txn) {
 
 // handleProbe answers a broadcast probe: data if we own the block (in
 // the cache or in a pending writeback), an acknowledgment otherwise.
-func (c *L1Ctrl) handleProbe(m *network.Message) bool {
+func (c *L1Ctrl) handleProbe(m *network.Message) {
 	b := m.Block
 	if l := c.Cache.Lookup(b); l != nil && l.State.St != hier.I {
 		s := &l.State
 		if s.HoldUntil > c.sys.Eng.Now() {
-			c.sys.Eng.ScheduleCallAt(s.HoldUntil, hammerL1Handle, c, m)
-			return false
+			c.sys.Net.HandleAt(s.HoldUntil, m)
+			return
 		}
 		if m.Kind == kProbeS {
 			switch s.St {
@@ -262,7 +251,7 @@ func (c *L1Ctrl) handleProbe(m *network.Message) bool {
 			default: // hS
 				c.respondAck(m, auxShared)
 			}
-			return true
+			return
 		}
 		// ProbeM: surrender the copy; owners (E, M, O) supply the data.
 		if s.St != hier.S {
@@ -271,7 +260,7 @@ func (c *L1Ctrl) handleProbe(m *network.Message) bool {
 			c.respondAck(m, auxShared)
 		}
 		c.invalidate(b, l)
-		return true
+		return
 	}
 	// The copy may live in a pending writeback.
 	if w := c.wb.Valid(b); w != nil {
@@ -283,10 +272,9 @@ func (c *L1Ctrl) handleProbe(m *network.Message) bool {
 			// downstream as O, not M.
 			w.Excl = false
 		}
-		return true
+		return
 	}
 	c.respondAck(m, 0)
-	return true
 }
 
 // invalidate drops our copy, preserving a placeholder line when a

@@ -53,22 +53,16 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
-// hammerL2Handle is the closure-free deferred-handling thunk: the bank
-// holds the delivered message across its tag-access delay and
-// frees it afterwards (messages deferred behind a writeback window are
-// copied by value).
-func hammerL2Handle(ctx, arg any) {
-	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
-	c.handle(m)
-	c.sys.Net.Free(m)
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint: the bank holds the delivered
+// message across its tag-access delay. Messages deferred behind a
+// writeback window are copied by value, so the held message never
+// outlives Handle.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.L2Latency, hammerL2Handle, c, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L2Latency, c.sys.Net.Hold(m))
 }
 
-func (c *L2Ctrl) handle(m *network.Message) {
+// Handle implements network.Handler.
+func (c *L2Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kProbeS, kProbeM, kPut:
 		if c.ser.Busy(m.Block) != nil {
@@ -199,6 +193,6 @@ func (c *L2Ctrl) drain(b mem.Block) {
 		if !ok {
 			return
 		}
-		c.handle(&m)
+		c.Handle(&m)
 	}
 }

@@ -43,21 +43,15 @@ func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
 	return 0, false
 }
 
-// hammerMemHandle is the closure-free deferred-handling thunk: the
-// home holds the delivered message across its controller delay
-// and frees it afterwards (deferred requests are copied by value).
-func hammerMemHandle(ctx, arg any) {
-	c, m := ctx.(*MemCtrl), arg.(*network.Message)
-	c.handle(m)
-	c.sys.Net.Free(m)
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint: the home holds the delivered
+// message across its controller delay. Deferred requests are copied by
+// value, so the held message never outlives Handle.
 func (c *MemCtrl) Recv(m *network.Message) {
-	c.sys.Eng.ScheduleCall(hier.MemLatency, hammerMemHandle, c, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.MemLatency, c.sys.Net.Hold(m))
 }
 
-func (c *MemCtrl) handle(m *network.Message) {
+// Handle implements network.Handler.
+func (c *MemCtrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM, kPut:
 		c.admit(m)
@@ -153,17 +147,7 @@ func (c *MemCtrl) drain(b mem.Block) {
 		return
 	}
 	// The controller decision latency was already paid at arrival;
-	// re-admit on the next event (through a pooled copy the admit thunk
-	// frees, mirroring the arrival path).
-	m := c.sys.Net.NewMessage()
-	*m = q
-	c.sys.Eng.ScheduleCall(0, hammerMemAdmit, c, m)
-}
-
-// hammerMemAdmit re-admits a drained request; admit copies it if it
-// must queue again, so the pooled message is always freed here.
-func hammerMemAdmit(ctx, arg any) {
-	c, m := ctx.(*MemCtrl), arg.(*network.Message)
-	c.admit(m)
-	c.sys.Net.Free(m)
+	// re-admit on the next event through a pooled copy, mirroring the
+	// arrival path.
+	c.sys.Net.HandleAfter(0, c.sys.Net.CopyOf(&q))
 }

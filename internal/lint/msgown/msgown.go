@@ -5,34 +5,35 @@
 // message it delivers — after an Endpoint's Recv returns, the message
 // is reclaimed and its memory reused. A handler that must hold a
 // message past Recv takes it over with Hold during Recv (or takes a
-// pooled copy with CopyOf) and later returns it with Free (or hands it
-// to Send). Conversely, Send, SendAfter and Free all transfer a
-// caller-owned message back to the network, so the caller must not
-// touch it afterwards.
+// pooled copy with CopyOf) and hands it back to the network: to
+// HandleAfter, which defers its handling and frees it afterwards, or
+// to Send. Conversely, Send, SendAfter, HandleAfter, HandleAt and Free
+// all transfer a caller-owned message back to the network, so the
+// caller must not touch it afterwards.
 //
 // The analyzer is flow-sensitive over each function body and tracks
 // three ownership classes for *network.Message values:
 //
-//   - borrowed: the parameter of a Recv method. Flagged: Send, SendAfter
-//     or Free of it; storing it into a field, slice element, map entry
-//     or composite literal; capturing it in a closure that is scheduled,
-//     started as a goroutine, or stored; and passing it as the ctx/arg
-//     of Engine.ScheduleCall — all of these retain the pointer past
-//     Recv, which is exactly what the -tags simdebug poison mode
-//     scrambles at runtime.
+//   - borrowed: the parameter of a Recv method. Flagged: Send,
+//     SendAfter, HandleAfter, HandleAt or Free of it; storing it into a
+//     field, slice element, map entry or composite literal; capturing
+//     it in a closure that is scheduled, started as a goroutine, or
+//     stored; and passing it as the ctx/arg of Engine.ScheduleCall —
+//     all of these retain the pointer past Recv, which is exactly what
+//     the -tags simdebug poison mode scrambles at runtime.
 //   - owned: the result of Network.NewMessage or Network.CopyOf, and a
 //     borrowed message once Recv has called Hold on it (Hold returns its
 //     argument, so the result is owned too). May be retained freely;
-//     flagged only when used again after Send, SendAfter or Free
-//     transferred it away (including double frees and send-after-free,
-//     which panic at runtime). Hold itself is flagged outside Recv and
+//     flagged only when used again after a transfer took it away
+//     (including double frees and send-after-free, which panic at
+//     runtime). Hold itself is flagged outside Recv and
 //     on anything but the borrowed delivery, since it panics at runtime
 //     for any other message.
 //   - unknown: any other *network.Message value (helper parameters,
-//     fields, type assertions). Only the use-after-transfer check
-//     applies; in particular Free of an unknown-origin message is
-//     accepted, because the deferred-thunk idiom legitimately frees a
-//     held message it received through a ScheduleCall argument.
+//     fields, type assertions, the parameter of a Handle method). Only
+//     the use-after-transfer check applies; in particular HandleAt of
+//     an unknown-origin message is accepted, because a Handle method
+//     legitimately re-defers the message it is handling.
 //
 // Branches merge conservatively: a message transferred on any path
 // that falls through is treated as transferred afterwards, while
@@ -85,7 +86,7 @@ const (
 type varState struct {
 	origin   origin
 	dead     bool   // ownership transferred to the network
-	deadBy   string // Send, SendAfter or Free
+	deadBy   string // the transferring Network method
 	deadLine int
 }
 
@@ -564,9 +565,13 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 		if s.origin == originBorrowed {
 			verb := "sends"
 			hint := "Hold it, copy it with CopyOf, or build a fresh message and SendNew"
-			if by == "Free" {
+			switch by {
+			case "Free":
 				verb = "frees"
 				hint = "only messages from NewMessage, CopyOf or Hold may be freed"
+			case "HandleAfter", "HandleAt":
+				verb = "defers"
+				hint = "pass Hold(m) or a CopyOf"
 			}
 			a.pass.Reportf(arg.Pos(), "%s %s a network-owned message delivered to Recv; the network reclaims it after Recv returns — %s", by, verb, hint)
 		}
@@ -580,9 +585,11 @@ func (a *funcAnalysis) checkCall(call *ast.CallExpr, st state) {
 	case lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "Send") && len(call.Args) == 1:
 		transfer(call.Args[0], "Send")
 		return
-	case lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "SendAfter") && len(call.Args) == 2:
+	case lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "SendAfter") && len(call.Args) == 2,
+		lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "HandleAfter") && len(call.Args) == 2,
+		lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "HandleAt") && len(call.Args) == 2:
 		a.checkExpr(call.Args[0], st)
-		transfer(call.Args[1], "SendAfter")
+		transfer(call.Args[1], fn.Name())
 		return
 	case lintutil.IsMethod(fn, lintutil.NetworkPath, "Network", "Free") && len(call.Args) == 1:
 		transfer(call.Args[0], "Free")

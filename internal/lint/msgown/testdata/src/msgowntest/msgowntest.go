@@ -47,6 +47,18 @@ func (r *AfterRetainer) Recv(m *network.Message) {
 	r.net.SendAfter(sim.NS(1), m) // want `SendAfter sends a network-owned message delivered to Recv`
 }
 
+type HandleRetainer struct{ Retainer }
+
+func (r *HandleRetainer) Recv(m *network.Message) {
+	r.net.HandleAfter(sim.NS(1), m) // want `HandleAfter defers a network-owned message delivered to Recv`
+}
+
+type HandleAtRetainer struct{ Retainer }
+
+func (r *HandleAtRetainer) Recv(m *network.Message) {
+	r.net.HandleAt(sim.NS(1), m) // want `HandleAt defers a network-owned message delivered to Recv`
+}
+
 type StoreRetainer struct{ Retainer }
 
 func (r *StoreRetainer) Recv(m *network.Message) {
@@ -95,6 +107,10 @@ func (r *UseAfterTransfer) Recv(m *network.Message) {
 	r.eng.Schedule(sim.NS(1), func() { // want `closure captures message held after Send on line \d+`
 		r.use(held)
 	})
+
+	deferred := r.net.CopyOf(m)
+	r.net.HandleAt(sim.NS(3), deferred)
+	_ = deferred.Aux // want `use of message deferred after HandleAt on line \d+`
 }
 
 // ConditionalTransfer: a transfer on one falling-through branch kills
@@ -131,6 +147,13 @@ func (r *HoldSendMisuse) Recv(m *network.Message) {
 	r.net.Hold(m) // want `use of message m after Send on line \d+`
 }
 
+type HoldHandleMisuse struct{ Retainer }
+
+func (r *HoldHandleMisuse) Recv(m *network.Message) {
+	r.net.HandleAfter(sim.NS(1), r.net.Hold(m))
+	_ = m.Kind // want `use of message m after HandleAfter on line \d+`
+}
+
 type HoldTwice struct{ Retainer }
 
 func (r *HoldTwice) Recv(m *network.Message) {
@@ -146,8 +169,30 @@ func (r *HoldMisuse) holdLater(m *network.Message) {
 
 // --- Legal idioms below: the analyzer must stay silent. ---
 
-// CleanHandler is the production Recv idiom: defer a pooled copy, free
-// it in the thunk.
+// HandleHandler is the production Recv idiom: hold the delivered
+// message across the access delay with HandleAfter; the network calls
+// Handle and frees the message afterwards.
+type HandleHandler struct {
+	Retainer
+	queued network.Message
+}
+
+func (c *HandleHandler) Recv(m *network.Message) {
+	c.net.HandleAfter(sim.NS(1), c.net.Hold(m))
+}
+
+// Handle re-defers the message it is handling (the response-delay
+// idiom) and re-admits a queued request through a pooled copy.
+func (c *HandleHandler) Handle(m *network.Message) {
+	if m.Aux != 0 {
+		c.net.HandleAt(sim.NS(10), m)
+		return
+	}
+	c.net.HandleAfter(0, c.net.CopyOf(&c.queued))
+}
+
+// CleanHandler is the thunk form of the deferral idiom: defer a pooled
+// copy, free it in the thunk.
 type CleanHandler struct{ Retainer }
 
 func cleanThunk(ctx, arg any) {
@@ -211,8 +256,8 @@ func (r *CleanTransfers) Recv(m *network.Message) {
 	held.Aux = 3
 }
 
-// HoldHandler is the production Recv idiom: hold the delivered message
-// across the access delay and free it in the thunk.
+// HoldHandler holds the delivered message across the access delay and
+// frees it in a thunk.
 type HoldHandler struct{ Retainer }
 
 func holdThunk(ctx, arg any) { ctx.(*network.Network).Free(arg.(*network.Message)) }

@@ -186,6 +186,8 @@ func (a *pkgAnalysis) seedEffect(call *ast.CallExpr) string {
 		switch fn.Name() {
 		case "Send", "SendNew", "SendAfter", "Broadcast":
 			return "sends messages via Network." + fn.Name()
+		case "HandleAfter", "HandleAt":
+			return "schedules events via Network." + fn.Name()
 		}
 	case lintutil.IsMethod(fn, lintutil.StatsPath, "Sample", "Add"):
 		return "accumulates into stats.Sample (float rounding is order-dependent)"

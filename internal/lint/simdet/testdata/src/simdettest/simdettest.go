@@ -74,6 +74,14 @@ func (c *Ctrl) scheduleAll() {
 	}
 }
 
+func (c *Ctrl) handleAll() {
+	for b := range c.pending {
+		m := c.net.NewMessage()
+		m.Block = b
+		c.net.HandleAfter(0, m) // want `schedules events via Network\.HandleAfter inside range over map`
+	}
+}
+
 // issueOne transitively sends: ranging callers are flagged through the
 // package-local effect summary.
 func (c *Ctrl) issueOne(b mem.Block) {

@@ -12,9 +12,17 @@
 // an Endpoint's Recv returns, the message is reclaimed and its memory
 // reused for a future send. A handler that needs the message beyond Recv
 // takes it over with Hold during Recv, which hands it the delivered
-// message itself and skips the reclaim; it returns the message later
-// with Free or hands it to Send. Handlers may also copy the fields they
-// keep, or take a pooled copy with CopyOf. Building with -tags simdebug
+// message itself and skips the reclaim. Handlers may also copy the
+// fields they keep, or take a pooled copy with CopyOf.
+//
+// A held or copied message goes back to the network one of two ways:
+// Send (or SendAfter) puts it on the wire, and HandleAfter (or
+// HandleAt) defers its handling, the one path by which a controller
+// models an access latency before it acts. HandleAfter calls the
+// destination's Handler at the given time and frees the message when
+// Handle returns, unless Handle passed it back to HandleAt; so a
+// protocol never frees a message itself. Free is for the rare caller
+// that takes a copy and then drops it. Building with -tags simdebug
 // scrambles every reclaimed message, so a handler that breaks the
 // contract corrupts its own figures instead of failing silently.
 package network
@@ -82,6 +90,14 @@ type Endpoint interface {
 	Recv(m *Message)
 }
 
+// Handler is an Endpoint that defers handling through HandleAfter:
+// Handle runs when the deferral is due, and the network frees the
+// message when it returns unless Handle re-deferred it with HandleAt.
+type Handler interface {
+	Endpoint
+	Handle(m *Message)
+}
+
 // LinkParams describe one directed link.
 type LinkParams struct {
 	Latency    sim.Time
@@ -116,6 +132,7 @@ type Network struct {
 	// and never divides a NodeID by the CMP size.
 	numNodes  int
 	endpoints []Endpoint
+	handlers  []Handler // endpoints[id] if it is a Handler, else nil
 	links     []link
 	classes   [2]linkClass // indexed by link.class
 
@@ -126,6 +143,10 @@ type Network struct {
 	// delivering is the message whose Recv is running, the only one Hold
 	// accepts; Hold clears it, so deliver skips the reclaim.
 	delivering *Message
+
+	// handling is the message whose Handle is running; HandleAt clears
+	// it when Handle re-defers the message, so handle skips the free.
+	handling *Message
 
 	// Traffic accumulates the Figure 7 byte and hop counts; onChipMsgs
 	// counts the messages sent over an on-chip link. TrafficCounters
@@ -239,6 +260,7 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 		Cfg:       cfg,
 		numNodes:  n,
 		endpoints: make([]Endpoint, n),
+		handlers:  make([]Handler, n),
 		links:     make([]link, n*n),
 	}
 	nw.classes[onChip] = nw.newLinkClass(cfg.OnChip)
@@ -364,8 +386,13 @@ func (n *Network) TrafficCounters(snap map[string]uint64) {
 	snap[counters.NetHopInterCMP] = inter
 }
 
-// Attach registers the endpoint for id.
-func (n *Network) Attach(id topo.NodeID, e Endpoint) { n.endpoints[id] = e }
+// Attach registers the endpoint for id, and records it as id's Handler
+// if it implements one.
+func (n *Network) Attach(id topo.NodeID, e Endpoint) {
+	n.endpoints[id] = e
+	h, _ := e.(Handler)
+	n.handlers[id] = h
+}
 
 // NewMessage returns a zeroed message from the pool. The caller fills
 // it and hands it to Send (or SendAfter), transferring ownership back
@@ -446,6 +473,41 @@ func sendCall(ctx, arg any) { ctx.(*Network).Send(arg.(*Message)) }
 // allocates nothing.
 func (n *Network) SendAfter(d sim.Time, m *Message) {
 	n.Eng.ScheduleCall(d, sendCall, n, m)
+}
+
+// handleCall is the closure-free ScheduleCall target for HandleAt.
+func handleCall(ctx, arg any) { ctx.(*Network).handle(arg.(*Message)) }
+
+// HandleAfter takes ownership of m (held, or from NewMessage or CopyOf)
+// and calls the Handler attached at m.Dst with it after delay d,
+// modeling a controller's access latency before it acts. The network
+// frees m when Handle returns, unless Handle re-defers it with HandleAt.
+// It allocates nothing.
+func (n *Network) HandleAfter(d sim.Time, m *Message) {
+	n.HandleAt(n.Eng.Now()+d, m)
+}
+
+// HandleAt is HandleAfter at absolute time t. Called from Handle with
+// the message being handled, it re-defers that message instead of
+// letting the network free it.
+func (n *Network) HandleAt(t sim.Time, m *Message) {
+	if m == n.handling {
+		n.handling = nil
+	}
+	n.Eng.ScheduleCallAt(t, handleCall, n, m)
+}
+
+func (n *Network) handle(m *Message) {
+	h := n.handlers[m.Dst]
+	if h == nil {
+		panic(fmt.Sprintf("network: no Handler attached for %v (message %v)", m.Dst, m))
+	}
+	n.handling = m
+	h.Handle(m)
+	if n.handling == m {
+		n.handling = nil
+		n.Free(m)
+	}
 }
 
 // deliverCall is the closure-free ScheduleCall target for Send.

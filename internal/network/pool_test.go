@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -229,3 +230,117 @@ func TestHoldOfUndeliveredPanics(t *testing.T) {
 type copyHolder struct{ n *Network }
 
 func (s copyHolder) Recv(m *Message) { s.n.Hold(s.n.CopyOf(m)) }
+
+// handleSink defers every delivery through HandleAfter and records each
+// Handle call. If redefer is set, the first Handle of a message passes
+// it back to HandleAt redefer later.
+type handleSink struct {
+	n       *Network
+	delay   sim.Time
+	redefer sim.Time
+	at      []sim.Time
+	got     []*Message
+}
+
+func (s *handleSink) Recv(m *Message) { s.n.HandleAfter(s.delay, s.n.Hold(m)) }
+
+func (s *handleSink) Handle(m *Message) {
+	s.at = append(s.at, s.n.Eng.Now())
+	s.got = append(s.got, m)
+	if s.redefer > 0 && len(s.at) == 1 {
+		s.n.HandleAt(s.n.Eng.Now()+s.redefer, m)
+	}
+}
+
+// TestHandleAfterFreesOnce asserts a held delivery deferred with
+// HandleAfter reaches Handle d later and then returns to the pool
+// exactly once.
+func TestHandleAfterFreesOnce(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	h := &handleSink{n: n, delay: sim.NS(5)}
+	n.Attach(dst, h)
+	n.SendNew(Message{Src: src, Dst: dst, Data: 9})
+	if !eng.Step() {
+		t.Fatal("no delivery event")
+	}
+	arrived := eng.Now()
+	if len(n.free) != 0 {
+		t.Fatalf("freelist has %d messages while the handling is pending, want 0", len(n.free))
+	}
+	eng.Run(0)
+	if len(h.at) != 1 || h.at[0] != arrived+sim.NS(5) {
+		t.Fatalf("Handle ran at %v, want once at %v", h.at, arrived+sim.NS(5))
+	}
+	if len(n.free) != 1 || n.free[0] != h.got[0] || !h.got[0].pooled {
+		t.Fatalf("freelist = %v after Handle, want exactly the handled message", n.free)
+	}
+}
+
+// TestHandleAtRedeferFreesOnce asserts a Handle that passes its message
+// back to HandleAt is handled again at that time, and the message is
+// freed only after the second Handle.
+func TestHandleAtRedeferFreesOnce(t *testing.T) {
+	eng, n, g := poolNet()
+	dst := g.L1DNode(0, 1)
+	h := &handleSink{n: n, redefer: sim.NS(7)}
+	n.Attach(dst, h)
+	m := n.NewMessage()
+	m.Dst = dst
+	n.HandleAfter(sim.NS(3), m)
+	if !eng.Step() {
+		t.Fatal("no handling event")
+	}
+	if len(n.free) != 0 || m.pooled {
+		t.Fatalf("message freed after a Handle that re-deferred it (freelist %v)", n.free)
+	}
+	eng.Run(0)
+	if len(h.at) != 2 || h.at[0] != sim.NS(3) || h.at[1] != sim.NS(10) {
+		t.Fatalf("Handle ran at %v, want at [%v %v]", h.at, sim.NS(3), sim.NS(10))
+	}
+	if h.got[0] != m || h.got[1] != m {
+		t.Fatal("Handle saw a different message on re-deferral")
+	}
+	if len(n.free) != 1 || n.free[0] != m {
+		t.Fatalf("freelist = %v after the second Handle, want [%p]", n.free, m)
+	}
+}
+
+// TestHandleAfterWithoutHandlerPanics asserts a deferral to an endpoint
+// that does not implement Handler fails with a named message rather
+// than a nil dereference.
+func TestHandleAfterWithoutHandlerPanics(t *testing.T) {
+	eng, n, g := poolNet()
+	m := n.NewMessage()
+	m.Dst = g.L1DNode(0, 1) // a countSink: Recv only
+	n.HandleAfter(sim.NS(1), m)
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "no Handler attached") {
+			t.Errorf("panic = %v, want the no-Handler message", r)
+		}
+	}()
+	eng.Run(0)
+}
+
+// TestSteadyStateHandleAfterDoesNotAllocate pins the Hold → HandleAfter
+// → Handle → free path at zero allocations.
+func TestSteadyStateHandleAfterDoesNotAllocate(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	h := &handleSink{n: n, delay: sim.NS(2)}
+	n.Attach(dst, h)
+	for i := 0; i < 8; i++ {
+		n.SendNew(Message{Src: src, Dst: dst})
+	}
+	eng.Run(0)
+	h.at, h.got = make([]sim.Time, 0, 4096), make([]*Message, 0, 4096)
+	avg := testing.AllocsPerRun(1000, func() {
+		n.SendNew(Message{Src: src, Dst: dst})
+		eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("send→hold→HandleAfter→free allocates %.2f per message, want 0", avg)
+	}
+}

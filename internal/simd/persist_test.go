@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -90,6 +91,54 @@ func TestFrameTornDetection(t *testing.T) {
 			t.Fatalf("bit flip at %d decoded cleanly (key=%q body=%q)", i, key, body)
 		}
 	}
+}
+
+// FuzzFrame checks the persist frame decoder on two inputs. raw is
+// arbitrary bytes: decodeFrame must not panic, a frame it accepts must
+// re-encode to exactly raw, and no strict prefix of it may decode. key,
+// body and expNano build a valid frame, which must decode to the same
+// entry, reject every strict prefix, and reject any one corrupted body
+// byte (a single-byte burst is always caught by the CRC-32).
+func FuzzFrame(f *testing.F) {
+	f.Add(encodeFrame("some-key", []byte(`{"result":42}`), time.Unix(5000, 0)), "k", []byte("body"), int64(1234000005678))
+	f.Add([]byte("SCE0\x01\xff\xff\xff\xff"), "", []byte(nil), int64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, key string, body []byte, expNano int64) {
+		checkPrefixes := func(frame []byte) {
+			for n := 0; n < len(frame); n++ {
+				if _, _, _, err := decodeFrame(frame[:n]); err == nil {
+					t.Fatalf("prefix %d/%d of a valid frame decoded cleanly", n, len(frame))
+				}
+			}
+		}
+		if k, b, e, err := decodeFrame(raw); err == nil {
+			if re := encodeFrame(k, b, e); !bytes.Equal(re, raw) {
+				t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", re, raw)
+			}
+			checkPrefixes(raw)
+		}
+
+		var expires time.Time
+		if expNano != 0 {
+			expires = time.Unix(0, expNano)
+		}
+		frame := encodeFrame(key, body, expires)
+		k, b, e, err := decodeFrame(frame)
+		if err != nil {
+			t.Fatalf("valid frame rejected: %v", err)
+		}
+		if k != key || !bytes.Equal(b, body) || !e.Equal(expires) || e.IsZero() != expires.IsZero() {
+			t.Fatalf("frame decoded to (%q, %q, %v), want (%q, %q, %v)", k, b, e, key, body, expires)
+		}
+		checkPrefixes(frame)
+		bodyAt := len(frame) - 4 - len(body)
+		for i := bodyAt; i < bodyAt+len(body); i++ {
+			frame[i] ^= 0x5a
+			if _, _, _, err := decodeFrame(frame); err == nil {
+				t.Fatalf("frame with body byte %d corrupted decoded cleanly", i-bodyAt)
+			}
+			frame[i] ^= 0x5a
+		}
+	})
 }
 
 // TestStoreWriteRestore persists entries through the write-behind

@@ -328,30 +328,12 @@ func (c *L1Ctrl) recheckMarked() {
 	}
 }
 
-// l1LocalReq and l1ExtReq are the closure-free deferred-request thunks:
-// the L1 holds the delivered request across its tag-access delay
-// (and any response-delay hold) and frees it when handling completes.
-func l1LocalReq(ctx, arg any) {
-	c, m := ctx.(*L1Ctrl), arg.(*network.Message)
-	if c.handleRequest(m, false) {
-		c.sys.Net.Free(m)
-	}
-}
-
-func l1ExtReq(ctx, arg any) {
-	c, m := ctx.(*L1Ctrl), arg.(*network.Message)
-	if c.handleRequest(m, true) {
-		c.sys.Net.Free(m)
-	}
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint. Transient requests, local or
+// forwarded from another CMP, are held across the tag-access delay.
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
-	case kTransient:
-		c.sys.Eng.ScheduleCall(hier.L1Latency, l1LocalReq, c, c.sys.Net.Hold(m))
-	case kFwdExternal:
-		c.sys.Eng.ScheduleCall(hier.L1Latency, l1ExtReq, c, c.sys.Net.Hold(m))
+	case kTransient, kFwdExternal:
+		c.sys.Net.HandleAfter(hier.L1Latency, c.sys.Net.Hold(m))
 	case kResponse:
 		c.handleResponse(m)
 	case kPersistentDone:
@@ -367,6 +349,11 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 		}
 		panic(fmt.Sprintf("tokencmp: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
 	}
+}
+
+// Handle implements network.Handler for the held transient requests.
+func (c *L1Ctrl) Handle(m *network.Message) {
+	c.handleRequest(m, m.Kind == kFwdExternal)
 }
 
 // handleResponse merges arriving tokens/data, then lets the substrate
@@ -427,28 +414,21 @@ func (c *L1Ctrl) writebackVictim(victim mem.Block, st token.State) {
 
 // handleRequest applies the Section 4 response rules for transient
 // requests: local rules for sibling-L1 requests, external rules for
-// requests forwarded from other CMPs. The controller owns m (a pooled
-// copy); handleRequest reports whether it is done with it — false means
-// the hold re-deferral kept ownership.
-func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
+// requests forwarded from other CMPs.
+func (c *L1Ctrl) handleRequest(m *network.Message, external bool) {
 	b := m.Block
 	if c.transientBlocked(b, m.Requestor) {
-		return true
+		return
 	}
 	s := c.lookup(b)
 	if s == nil || s.Tokens == 0 {
-		return true
+		return
 	}
 	now := c.sys.Eng.Now()
 	if s.HoldUntil > now {
-		// Response-delay mechanism: re-handle once the hold expires,
-		// keeping ownership of m across the deferral.
-		fn := l1LocalReq
-		if external {
-			fn = l1ExtReq
-		}
-		c.sys.Eng.ScheduleCallAt(s.HoldUntil, fn, c, m)
-		return false
+		// Response-delay mechanism: re-handle once the hold expires.
+		c.sys.Net.HandleAt(s.HoldUntil, m)
+		return
 	}
 	rk := token.ReqKind(m.Aux)
 	T := c.sys.T
@@ -486,7 +466,7 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 		s.Tokens--
 		resp = network.Message{Tokens: 1, HasData: true, Data: s.Data}
 	default:
-		return true // externally, non-owners stay silent on reads
+		return // externally, non-owners stay silent on reads
 	}
 
 	resp.Src = c.id
@@ -503,7 +483,6 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) bool {
 	if emptied {
 		c.cache.Invalidate(b)
 	}
-	return true
 }
 
 func minInt(a, b int) int {

@@ -117,44 +117,31 @@ func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied b
 	c.addSharer(b, to)
 }
 
-// Closure-free deferred-handling thunks: the bank holds the delivered
-// message across its tag-access delay and frees it afterwards.
-func l2Local(ctx, arg any) {
-	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
-	c.handleLocal(m)
-	c.sys.Net.Free(m)
-}
-
-func l2External(ctx, arg any) {
-	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
-	c.handleExternal(m)
-	c.sys.Net.Free(m)
-}
-
-func l2Writeback(ctx, arg any) {
-	c, m := ctx.(*L2Ctrl), arg.(*network.Message)
-	c.handleWriteback(m)
-	c.sys.Net.Free(m)
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint. Transient requests, writebacks and
+// stray responses are held across the bank's tag-access delay.
 func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
-	case kTransient:
-		if c.sys.Geom.CMPOf(m.Src) == c.cmp {
-			c.sys.Eng.ScheduleCall(hier.L2Latency, l2Local, c, c.sys.Net.Hold(m))
-		} else {
-			c.sys.Eng.ScheduleCall(hier.L2Latency, l2External, c, c.sys.Net.Hold(m))
-		}
-	case kWriteback, kResponse:
-		// Stray kResponse tokens routed to the bank (e.g. returned by
-		// memory) merge like a writeback.
-		c.sys.Eng.ScheduleCall(hier.L2Latency, l2Writeback, c, c.sys.Net.Hold(m))
+	case kTransient, kWriteback, kResponse:
+		c.sys.Net.HandleAfter(hier.L2Latency, c.sys.Net.Hold(m))
 	default:
 		if c.handlePersistentMsg(m) {
 			return
 		}
 		panic(fmt.Sprintf("tokencmp: L2 %v cannot handle %s", c.id, kindName(m.Kind)))
+	}
+}
+
+// Handle implements network.Handler for the held messages.
+func (c *L2Ctrl) Handle(m *network.Message) {
+	switch {
+	case m.Kind == kWriteback, m.Kind == kResponse:
+		// Stray kResponse tokens routed to the bank (e.g. returned by
+		// memory) merge like a writeback.
+		c.handleWriteback(m)
+	case c.sys.Geom.CMPOf(m.Src) == c.cmp:
+		c.handleLocal(m)
+	default:
+		c.handleExternal(m)
 	}
 }
 

@@ -65,48 +65,31 @@ func (c *MemCtrl) StateOf(b mem.Block) (*token.State, bool) {
 	return s, s != nil
 }
 
-// Closure-free deferred-handling thunks: the controller holds the
-// delivered message across its array-access delay and frees it after.
-func memRequest(ctx, arg any) {
-	c, m := ctx.(*MemCtrl), arg.(*network.Message)
-	c.handleRequest(m)
-	c.sys.Net.Free(m)
-}
-
-func memWriteback(ctx, arg any) {
-	c, m := ctx.(*MemCtrl), arg.(*network.Message)
-	c.handleWriteback(m)
-	c.sys.Net.Free(m)
-}
-
-func memArbRequest(ctx, arg any) {
-	c, m := ctx.(*MemCtrl), arg.(*network.Message)
-	c.handleArbRequest(m)
-	c.sys.Net.Free(m)
-}
-
-func memArbDone(ctx, arg any) {
-	c, m := ctx.(*MemCtrl), arg.(*network.Message)
-	c.handleArbDone(m)
-	c.sys.Net.Free(m)
-}
-
-// Recv implements network.Endpoint.
+// Recv implements network.Endpoint. Requests, writebacks and arbiter
+// messages are held across the controller's array-access delay.
 func (c *MemCtrl) Recv(m *network.Message) {
 	switch m.Kind {
-	case kTransient:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memRequest, c, c.sys.Net.Hold(m))
-	case kWriteback, kResponse:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memWriteback, c, c.sys.Net.Hold(m))
-	case kArbRequest:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbRequest, c, c.sys.Net.Hold(m))
-	case kArbDone:
-		c.sys.Eng.ScheduleCall(hier.MemLatency, memArbDone, c, c.sys.Net.Hold(m))
+	case kTransient, kWriteback, kResponse, kArbRequest, kArbDone:
+		c.sys.Net.HandleAfter(hier.MemLatency, c.sys.Net.Hold(m))
 	default:
 		if c.handlePersistentMsg(m) {
 			return
 		}
 		panic(fmt.Sprintf("tokencmp: mem %v cannot handle %s", c.id, kindName(m.Kind)))
+	}
+}
+
+// Handle implements network.Handler for the held messages.
+func (c *MemCtrl) Handle(m *network.Message) {
+	switch m.Kind {
+	case kTransient:
+		c.handleRequest(m)
+	case kWriteback, kResponse:
+		c.handleWriteback(m)
+	case kArbRequest:
+		c.handleArbRequest(m)
+	case kArbDone:
+		c.handleArbDone(m)
 	}
 }
 
