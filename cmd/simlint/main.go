@@ -1,6 +1,6 @@
 // Command simlint is the project's static-analysis driver: it runs the
 // three analyzers that encode the simulator's load-bearing contracts —
-// msgown (the network.Message pool-ownership contract), simdet
+// msgown (the network.Message borrowing rule), simdet
 // (byte-identical determinism), schedalloc (allocation-free
 // scheduling) and ctrreg (constant event-counter names) — over
 // `go list` package patterns and exits non-zero if any finding

@@ -38,10 +38,10 @@ func TestFlagSpinInvalidation(t *testing.T) {
 	}
 
 	var trace []string
-	sys.Net.OnSend = func(m *network.Message) {
+	sys.Net.Monitor = func(m *network.Message) {
 		if m.Block == b && len(trace) < 400 {
-			trace = append(trace, fmt.Sprintf("%v %v->%v %s aux=%d data=%d hasData=%v proc=%d",
-				eng.Now(), m.Src, m.Dst, kindName(m.Kind), m.Aux, m.Data, m.HasData, m.Proc))
+			trace = append(trace, fmt.Sprintf("%v..%v %v->%v %s aux=%d data=%d hasData=%v proc=%d",
+				m.SentAt, eng.Now(), m.Src, m.Dst, kindName(m.Kind), m.Aux, m.Data, m.HasData, m.Proc))
 		}
 	}
 	defer func() {

@@ -53,20 +53,11 @@ func (c *HomeCtrl) lineFor(b mem.Block) *homeLine {
 	return l
 }
 
-// DirValue exposes the memory image for audits.
-func (c *HomeCtrl) DirValue(b mem.Block) (uint64, bool) {
-	if l := c.dir.Peek(b); l != nil {
-		return l.value, true
-	}
-	return 0, false
-}
-
 // sendData sends requester req b's memory data with grant aux after the
 // DRAM fetch. The block stays busy until req unblocks, so its memory
 // value cannot change before the send.
 func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int32) {
-	m := c.sys.Net.NewMessage()
-	*m = network.Message{
+	c.sys.Net.SendAfter(c.dataDelay(), network.Message{
 		Src:       c.id,
 		Dst:       req,
 		Block:     b,
@@ -76,17 +67,16 @@ func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int3
 		Data:      value,
 		Aux:       aux,
 		Requestor: req,
-	}
-	c.sys.Net.SendAfter(c.dataDelay(), m)
+	})
 }
 
 // Recv implements network.Endpoint. Every directory access pays the
 // controller latency plus the directory lookup (80 ns for the DRAM
-// directory, 0 for DirectoryCMP-zero). The serializer copies deferred
-// requests by value, so the held message never outlives Handle.
+// directory, 0 for DirectoryCMP-zero). The serializer copies queued
+// requests by value, so the borrowed message never outlives Handle.
 func (c *HomeCtrl) Recv(m *network.Message) {
 	d := hier.MemLatency + c.sys.dirLatency()
-	c.sys.Net.HandleAfter(d, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(d, m)
 }
 
 // Handle implements network.Handler.
@@ -281,7 +271,6 @@ func (c *HomeCtrl) drain(b mem.Block) {
 		return
 	}
 	// The deferred request's directory latency was paid at arrival;
-	// re-admit on the next event through a pooled copy, mirroring the
-	// arrival path.
-	c.sys.Net.HandleAfter(0, c.sys.Net.CopyOf(&q))
+	// re-admit it on the next event, mirroring the arrival path.
+	c.sys.Net.HandleAfter(0, &q)
 }

@@ -165,11 +165,11 @@ func (c *L2Ctrl) l1FromBit(bit int) topo.NodeID {
 	return g.L1INode(c.cmp, bit-g.ProcsPerCMP)
 }
 
-// Recv implements network.Endpoint: the bank holds the delivered
-// message across its tag-access delay. Deferred messages are copied by
-// value, so the held message never outlives Handle.
+// Recv implements network.Endpoint: the bank defers the delivered
+// message across its tag-access delay. Queued messages are copied by
+// value, so the borrowed message never outlives Handle.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.L2Latency, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L2Latency, m)
 }
 
 // Handle implements network.Handler.

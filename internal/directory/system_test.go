@@ -161,7 +161,7 @@ type countSink struct{ n *int }
 func (s countSink) Recv(*network.Message) { *s.n++ }
 
 // TestInvDeliveryDoesNotAllocate pins one invalidation forwarded to an
-// L1 at zero allocations: the L1 holds the delivered message across its
+// L1 at zero allocations: the L1 defers the delivered message across its
 // tag access, finds no copy, and acks the requester.
 func TestInvDeliveryDoesNotAllocate(t *testing.T) {
 	eng, sys := testSystem(t, false)

@@ -98,10 +98,10 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 	})
 }
 
-// Recv implements network.Endpoint: the L1 holds the delivered message
+// Recv implements network.Endpoint: the L1 defers the delivered message
 // across its tag-access delay.
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.L1Latency, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L1Latency, m)
 }
 
 // Handle implements network.Handler.

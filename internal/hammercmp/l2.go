@@ -53,12 +53,12 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
-// Recv implements network.Endpoint: the bank holds the delivered
+// Recv implements network.Endpoint: the bank defers the delivered
 // message across its tag-access delay. Messages deferred behind a
-// writeback window are copied by value, so the held message never
+// writeback window are copied by value, so the borrowed message never
 // outlives Handle.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.L2Latency, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.L2Latency, m)
 }
 
 // Handle implements network.Handler.

@@ -43,11 +43,11 @@ func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
 	return 0, false
 }
 
-// Recv implements network.Endpoint: the home holds the delivered
-// message across its controller delay. Deferred requests are copied by
-// value, so the held message never outlives Handle.
+// Recv implements network.Endpoint: the home defers the delivered
+// message across its controller delay. Queued requests are copied by
+// value, so the borrowed message never outlives Handle.
 func (c *MemCtrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.MemLatency, c.sys.Net.Hold(m))
+	c.sys.Net.HandleAfter(hier.MemLatency, m)
 }
 
 // Handle implements network.Handler.
@@ -107,9 +107,8 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 			continue
 		}
 		c.sys.ctr.probeSent.Inc()
-		cp := c.sys.Net.CopyOf(&probe)
-		cp.Dst = id
-		c.sys.Net.Send(cp)
+		probe.Dst = id
+		c.sys.Net.SendNew(probe)
 	}
 	// The speculative DRAM read: the value cannot change while the
 	// block is busy (writebacks serialize behind this transaction), so
@@ -117,8 +116,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 	// exact.
 	c.sys.ctr.memRead.Inc()
 	value, _ := c.MemValue(b) // a block never written holds zero
-	reply := c.sys.Net.NewMessage()
-	*reply = network.Message{
+	c.sys.Net.SendAfter(hier.DRAMLatency, network.Message{
 		Src:     c.id,
 		Dst:     m.Requestor,
 		Block:   b,
@@ -126,8 +124,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 		Class:   stats.ResponseData,
 		HasData: true,
 		Data:    value,
-	}
-	c.sys.Net.SendAfter(hier.DRAMLatency, reply)
+	})
 }
 
 // close ends the block's current transaction (whose kind must be one
@@ -147,7 +144,6 @@ func (c *MemCtrl) drain(b mem.Block) {
 		return
 	}
 	// The controller decision latency was already paid at arrival;
-	// re-admit on the next event through a pooled copy, mirroring the
-	// arrival path.
-	c.sys.Net.HandleAfter(0, c.sys.Net.CopyOf(&q))
+	// re-admit it on the next event, mirroring the arrival path.
+	c.sys.Net.HandleAfter(0, &q)
 }

@@ -167,7 +167,7 @@ func TestBroadcastMissDoesNotAllocate(t *testing.T) {
 }
 
 // TestProbeDeliveryDoesNotAllocate pins one probe delivered to an L1 at
-// zero allocations: the L1 holds the delivered message across its tag
+// zero allocations: the L1 defers the delivered message across its tag
 // access, misses, and acks the requester.
 func TestProbeDeliveryDoesNotAllocate(t *testing.T) {
 	g := topo.NewGeometry(2, 2, 1)

@@ -50,25 +50,38 @@ func TestSerializerFIFOPerBlock(t *testing.T) {
 	}
 }
 
-// TestSerializerCopiesDeferredMessage defers a pooled message, frees it
-// and reuses its slot; the deferred copy must be intact. Under
-// -tags simdebug the free also scrambles the original.
+// deferSink queues every delivered message in a Serializer, the way a
+// controller defers a request behind a busy block, and keeps the value
+// it was delivered with.
+type deferSink struct {
+	s    *Serializer[bool]
+	seen *network.Message
+}
+
+func (d *deferSink) Recv(m *network.Message) {
+	*d.seen = *m
+	d.s.Defer(m)
+}
+
+// TestSerializerCopiesDeferredMessage defers a delivered message, lets
+// the network reclaim it and reuses its slot for the next send; the
+// deferred copy must be intact. Under -tags simdebug the reclaim also
+// scrambles the original.
 func TestSerializerCopiesDeferredMessage(t *testing.T) {
 	g := topo.NewGeometry(1, 1, 1)
-	net := network.New(sim.NewEngine(), g, network.Default())
+	eng := sim.NewEngine()
+	net := network.New(eng, g, network.Default())
+	l1, l2 := g.L1DNode(0, 0), g.L2Node(0, 0)
 	var s Serializer[bool]
+	var want network.Message
+	net.Attach(l2, &deferSink{s: &s, seen: &want})
 	s.Start(7, true)
-	m := net.NewMessage()
-	*m = network.Message{Src: g.L1DNode(0, 0), Dst: g.L2Node(0, 0), Block: 7, Kind: 3, Data: 42, Requestor: g.L1DNode(0, 0)}
-	want := *m
-	s.Defer(m)
-	net.Free(m)
-	reused := net.NewMessage()
-	*reused = network.Message{Block: 8, Kind: 5, Data: 13}
+	net.SendNew(network.Message{Src: l1, Dst: l2, Block: 7, Kind: 3, Data: 42, Requestor: l1})
+	eng.Run(0)
+	net.SendNew(network.Message{Src: l2, Dst: l1, Block: 8, Kind: 5, Data: 13})
 	s.End(7)
 	got, ok := s.Pop(7)
-	if !ok || got != want {
+	if !ok || got != want || want.Data != 42 {
 		t.Errorf("popped %v, %v; want %v", got, ok, want)
 	}
-	net.Free(reused)
 }

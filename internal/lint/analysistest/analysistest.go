@@ -12,7 +12,7 @@
 //
 // An expectation is a comment on the offending line:
 //
-//	net.Free(m) // want `frees a network-owned message`
+//	c.last = m // want `borrowed message m stored in a field`
 //
 // Each string literal after `want` (quoted or backquoted) is a regular
 // expression that must match one diagnostic reported on that line;

@@ -63,16 +63,6 @@ func MethodOn(fn *types.Func, pkgPath, recvName string) bool {
 	return namedName(sig.Recv().Type()) == recvName
 }
 
-// ReceiverIn reports whether fn is a method whose receiver type is
-// defined in pkgPath.
-func ReceiverIn(fn *types.Func, pkgPath string) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
-}
-
 // IsFunc reports whether fn is the package-level function pkgPath.name.
 func IsFunc(fn *types.Func, pkgPath, name string) bool {
 	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {

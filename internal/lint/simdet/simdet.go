@@ -184,7 +184,7 @@ func (a *pkgAnalysis) seedEffect(call *ast.CallExpr) string {
 		}
 	case lintutil.MethodOn(fn, lintutil.NetworkPath, "Network"):
 		switch fn.Name() {
-		case "Send", "SendNew", "SendAfter", "Broadcast":
+		case "SendNew", "SendAfter", "Broadcast":
 			return "sends messages via Network." + fn.Name()
 		case "HandleAfter", "HandleAt":
 			return "schedules events via Network." + fn.Name()

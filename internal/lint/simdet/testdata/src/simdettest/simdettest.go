@@ -76,9 +76,8 @@ func (c *Ctrl) scheduleAll() {
 
 func (c *Ctrl) handleAll() {
 	for b := range c.pending {
-		m := c.net.NewMessage()
-		m.Block = b
-		c.net.HandleAfter(0, m) // want `schedules events via Network\.HandleAfter inside range over map`
+		m := network.Message{Block: b}
+		c.net.HandleAfter(0, &m) // want `schedules events via Network\.HandleAfter inside range over map`
 	}
 }
 

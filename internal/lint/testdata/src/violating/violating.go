@@ -23,17 +23,16 @@ type Ctrl struct {
 	cs      *counters.Set
 }
 
-// Recv violates msgown: it retains and then frees the network-owned
-// delivery.
+// Recv violates msgown: it keeps the borrowed delivery in a field.
 func (c *Ctrl) Recv(m *network.Message) {
 	c.last = m
-	c.net.Free(m)
+	c.net.HandleAfter(sim.NS(1), m)
 }
 
-// holdLater violates msgown: it calls Hold outside Recv, where no
-// delivery is running.
-func (c *Ctrl) holdLater(m *network.Message) {
-	c.net.Free(c.net.Hold(m))
+// Handle violates msgown a second way: it hands the borrowed message to
+// a thunk that runs after the network has reclaimed it.
+func (c *Ctrl) Handle(m *network.Message) {
+	c.eng.ScheduleCall(sim.NS(1), func(_, arg any) { _ = arg }, c, m)
 }
 
 // retryAll violates simdet: it sends in map-iteration order.

@@ -172,5 +172,5 @@ func (n *Network) drop(m *Message) {
 		n.send(m, d, false)
 		return
 	}
-	n.Free(m)
+	n.free(m)
 }

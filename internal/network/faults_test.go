@@ -62,7 +62,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 // on a wire that already lost them.
 func TestDroppableDropAccounting(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 1.0, 0, 0, 0), FaultDroppable)
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 7, Tokens: 3, Owner: true, HasData: true})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 7, Tokens: 3, Owner: true, HasData: true})
 	if n.TokensInFlight(7) != 3 || n.OwnersInFlight(7) != 1 {
 		t.Fatalf("pre-drop in-flight = %d/%d, want 3/1", n.TokensInFlight(7), n.OwnersInFlight(7))
 	}
@@ -89,7 +89,7 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 	fc.RetxTimeout = sim.NS(10)
 	eng, n, g, sinks, cs := faultNet(t, fc, FaultRetx)
 	dst := g.L1DNode(0, 1)
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 7, Tokens: 5, Owner: true, HasData: true})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 7, Tokens: 5, Owner: true, HasData: true})
 	for eng.Step() {
 		held := 0
 		for _, m := range sinks[dst].got {
@@ -123,7 +123,7 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 func TestDuplicationDeliversTwice(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 0, 1.0, 0, 0), FaultDroppable)
 	dst := g.L1DNode(0, 1)
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: 42})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: 42})
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 2 {
 		t.Fatalf("delivered %d times with dup=1.0, want 2", got)
@@ -145,7 +145,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 func TestDuplicationNeverCopiesTokens(t *testing.T) {
 	eng, n, g, sinks, _ := faultNet(t, UniformFaults(1, 0, 1.0, 0, 0), FaultDroppable)
 	dst := g.L1DNode(0, 1)
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 3, Tokens: 1})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 3, Tokens: 1})
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 1 {
 		t.Fatalf("token-carrying message delivered %d times, want 1", got)
@@ -162,7 +162,7 @@ func TestReorderViolatesPerLinkFIFO(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, fc, FaultDroppable)
 	dst := g.L2Node(0, 0)
 	for i := 0; i < 8; i++ {
-		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
+		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 8 {
@@ -189,7 +189,7 @@ func TestJitterPreservesPerLinkFIFO(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 0, 0, 0, sim.NS(100)), FaultProtected)
 	dst := g.L2Node(0, 0)
 	for i := 0; i < 10; i++ {
-		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
+		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 10 {
@@ -213,7 +213,7 @@ func TestProtectedClassIsExempt(t *testing.T) {
 	n.Classify = nil
 	dst := g.L1DNode(0, 1)
 	for i := 0; i < 5; i++ {
-		n.Send(&Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
+		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	if got := len(sinks[dst].got); got != 5 {
@@ -232,7 +232,7 @@ func TestFaultDeterminism(t *testing.T) {
 		fc := UniformFaults(seed, 0.3, 0.2, 0.2, sim.NS(25))
 		eng, n, g, sinks, _ := faultNet(t, fc, FaultDroppable)
 		for i := 0; i < 20; i++ {
-			n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i)})
+			n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i)})
 		}
 		eng.Run(0)
 		s := sinks[g.L1DNode(1, 0)]

@@ -8,23 +8,23 @@
 //
 // # Message ownership
 //
-// Messages are pooled. The network owns every message it delivers: after
-// an Endpoint's Recv returns, the message is reclaimed and its memory
-// reused for a future send. A handler that needs the message beyond Recv
-// takes it over with Hold during Recv, which hands it the delivered
-// message itself and skips the reclaim. Handlers may also copy the
-// fields they keep, or take a pooled copy with CopyOf.
+// Messages are pooled, and a protocol only ever borrows them. Sends take
+// values: SendNew and SendAfter copy their template into a pooled
+// message, and Broadcast copies its template once per destination. The
+// network owns every message it delivers: an Endpoint's Recv, or a
+// Handler's Handle, borrows the message for the length of the call, and
+// the message is reclaimed and its memory reused when the call returns.
 //
-// A held or copied message goes back to the network one of two ways:
-// Send (or SendAfter) puts it on the wire, and HandleAfter (or
-// HandleAt) defers its handling, the one path by which a controller
-// models an access latency before it acts. HandleAfter calls the
-// destination's Handler at the given time and frees the message when
-// Handle returns, unless Handle passed it back to HandleAt; so a
-// protocol never frees a message itself. Free is for the rare caller
-// that takes a copy and then drops it. Building with -tags simdebug
-// scrambles every reclaimed message, so a handler that breaks the
-// contract corrupts its own figures instead of failing silently.
+// A controller that models an access latency before it acts defers the
+// handling with HandleAfter (or HandleAt), which calls the destination's
+// Handle at the given time. Passed the message whose Recv or Handle is
+// running, HandleAfter takes that message over instead of reclaiming
+// it; passed any other message, it defers a pooled copy, so the
+// caller's value stays its own. Either way the network frees the
+// deferred message when Handle returns, and a protocol never frees one
+// itself. Building with -tags simdebug scrambles every reclaimed
+// message, so a handler that keeps a borrowed pointer past Recv or
+// Handle corrupts its own figures instead of failing silently.
 package network
 
 import (
@@ -53,7 +53,8 @@ const (
 //
 // The layout fills exactly one 64-byte cache line: the three 64-bit
 // fields first, then the 32-bit fields, then the byte-wide fields and
-// flags. Every pooled copy (SendNew, CopyOf, Broadcast) moves one line.
+// flags. Every pooled copy (SendNew, SendAfter, Broadcast, HandleAfter
+// of a non-live message) moves one line.
 type Message struct {
 	Block  mem.Block
 	Data   uint64   // modeled block value, for serial-view checking
@@ -73,8 +74,8 @@ type Message struct {
 	HasData bool // carries a data payload
 	Dirty   bool // data is modified relative to memory
 
-	// pooled marks a message currently sitting in the freelist; Send and
-	// Free check it to catch use-after-free and double-free early.
+	// pooled marks a message currently sitting in the freelist; send,
+	// free and HandleAt check it to catch use-after-free early.
 	pooled bool
 }
 
@@ -84,15 +85,16 @@ func (m *Message) String() string {
 }
 
 // Endpoint receives delivered messages. The delivered message belongs
-// to the network: it is reclaimed as soon as Recv returns unless Recv
-// took it over with Hold (see the package ownership contract).
+// to the network: Recv borrows it, and it is reclaimed as soon as Recv
+// returns unless Recv deferred it with HandleAfter (see the package
+// ownership contract).
 type Endpoint interface {
 	Recv(m *Message)
 }
 
 // Handler is an Endpoint that defers handling through HandleAfter:
-// Handle runs when the deferral is due, and the network frees the
-// message when it returns unless Handle re-deferred it with HandleAt.
+// Handle borrows the message when the deferral is due, and the network
+// frees it when Handle returns unless Handle re-deferred it.
 type Handler interface {
 	Endpoint
 	Handle(m *Message)
@@ -136,17 +138,14 @@ type Network struct {
 	links     []link
 	classes   [2]linkClass // indexed by link.class
 
-	// free is the message pool. Messages are recycled after delivery,
-	// so the steady-state send path allocates nothing.
-	free []*Message
+	// pool holds the free messages. Messages are recycled after
+	// delivery, so the steady-state send path allocates nothing.
+	pool []*Message
 
-	// delivering is the message whose Recv is running, the only one Hold
-	// accepts; Hold clears it, so deliver skips the reclaim.
-	delivering *Message
-
-	// handling is the message whose Handle is running; HandleAt clears
-	// it when Handle re-defers the message, so handle skips the free.
-	handling *Message
+	// live is the message whose Recv or Handle is running (the two never
+	// nest). HandleAt clears it when it takes the message over, so
+	// deliver or handle skips the free.
+	live *Message
 
 	// Traffic accumulates the Figure 7 byte and hop counts; onChipMsgs
 	// counts the messages sent over an on-chip link. TrafficCounters
@@ -176,17 +175,15 @@ type Network struct {
 	// and tests use it to detect quiescence.
 	InFlight int
 
-	// Monitor, if set, observes every message at delivery time (before
-	// the endpoint) — the token-conservation checker hooks here.
+	// Monitor, if set, observes every message at delivery time, before
+	// the endpoint. Tests use it for failure traces and event-order
+	// fingerprints; the conservation audit reads EachInFlight instead.
 	Monitor func(m *Message)
 
 	// OnDrop, if set, observes every injected loss at its would-be
 	// arrival time, before a retransmit re-sends it. Tests fold it into
 	// their event-order fingerprints.
 	OnDrop func(m *Message)
-
-	// OnSend, if set, observes every message as it is sent.
-	OnSend func(m *Message)
 
 	// inFlight tallies the undelivered tokens and owner tokens of each
 	// block for the conservation audit. A block leaves the table when
@@ -394,65 +391,34 @@ func (n *Network) Attach(id topo.NodeID, e Endpoint) {
 	n.handlers[id] = h
 }
 
-// NewMessage returns a zeroed message from the pool. The caller fills
-// it and hands it to Send (or SendAfter), transferring ownership back
-// to the network.
-func (n *Network) NewMessage() *Message {
-	m := n.alloc()
-	*m = Message{}
-	return m
-}
-
 // alloc pops a message from the pool without clearing it, for callers
 // that overwrite every field.
 func (n *Network) alloc() *Message {
-	if k := len(n.free); k > 0 {
-		m := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
+	if k := len(n.pool); k > 0 {
+		m := n.pool[k-1]
+		n.pool[k-1] = nil
+		n.pool = n.pool[:k-1]
 		return m
 	}
 	return new(Message)
 }
 
-// Hold takes ownership of m, the message whose Recv is running, so a
-// handler can keep it past Recv (e.g. to model an array-access delay
-// before processing) without copying it. The network then does not
-// reclaim m when Recv returns; return it with Free, or hand it to Send.
-// Hold panics for any other message, including one already held.
-func (n *Network) Hold(m *Message) *Message {
-	if m == nil || m != n.delivering {
-		panic(notDelivering(m))
-	}
-	n.delivering = nil
-	return m
-}
-
-// notDelivering is Hold's panic message, kept out of line so Hold
-// itself inlines.
-//
-//go:noinline
-func notDelivering(m *Message) string {
-	return fmt.Sprintf("network: Hold of %v, which is not the message being delivered", m)
-}
-
-// CopyOf returns a pooled copy of m owned by the caller. Return it with
-// Free, or hand it to Send.
-func (n *Network) CopyOf(m *Message) *Message {
+// copyOf returns a pooled copy of m.
+func (n *Network) copyOf(m *Message) *Message {
 	cp := n.alloc()
 	*cp = *m
 	cp.pooled = false
 	return cp
 }
 
-// Free returns a caller-owned message to the pool.
-func (n *Network) Free(m *Message) {
+// free returns a message to the pool.
+func (n *Network) free(m *Message) {
 	if m.pooled {
 		panic(fmt.Sprintf("network: double free of %v", m))
 	}
 	poison(m)
 	m.pooled = true
-	n.free = append(n.free, m)
+	n.pool = append(n.pool, m)
 }
 
 // SendNew copies tmpl into a pooled message and sends it. This is the
@@ -462,39 +428,50 @@ func (n *Network) Free(m *Message) {
 func (n *Network) SendNew(tmpl Message) {
 	m := n.alloc()
 	*m = tmpl
-	n.Send(m)
+	n.send(m, 0, false)
 }
 
 // sendCall is the closure-free ScheduleCall target for SendAfter.
-func sendCall(ctx, arg any) { ctx.(*Network).Send(arg.(*Message)) }
+func sendCall(ctx, arg any) { ctx.(*Network).send(arg.(*Message), 0, false) }
 
-// SendAfter sends m (pool-owned, from NewMessage or CopyOf) after delay
-// d, modeling controller work between decision and injection. It
-// allocates nothing.
-func (n *Network) SendAfter(d sim.Time, m *Message) {
+// SendAfter sends a pooled copy of tmpl after delay d, modeling
+// controller work between decision and injection. It allocates nothing.
+func (n *Network) SendAfter(d sim.Time, tmpl Message) {
+	m := n.alloc()
+	*m = tmpl
 	n.Eng.ScheduleCall(d, sendCall, n, m)
 }
 
 // handleCall is the closure-free ScheduleCall target for HandleAt.
 func handleCall(ctx, arg any) { ctx.(*Network).handle(arg.(*Message)) }
 
-// HandleAfter takes ownership of m (held, or from NewMessage or CopyOf)
-// and calls the Handler attached at m.Dst with it after delay d,
-// modeling a controller's access latency before it acts. The network
-// frees m when Handle returns, unless Handle re-defers it with HandleAt.
+// HandleAfter calls the Handler attached at m.Dst after delay d,
+// modeling a controller's access latency before it acts (see HandleAt).
 // It allocates nothing.
 func (n *Network) HandleAfter(d sim.Time, m *Message) {
 	n.HandleAt(n.Eng.Now()+d, m)
 }
 
-// HandleAt is HandleAfter at absolute time t. Called from Handle with
-// the message being handled, it re-defers that message instead of
-// letting the network free it.
+// HandleAt calls the Handler attached at m.Dst at absolute time t. If m
+// is the message whose Recv or Handle is running, the network takes it
+// over instead of freeing it when that call returns; any other m is
+// deferred as a pooled copy, so the caller's value stays its own. The
+// network frees the deferred message when Handle returns, unless Handle
+// re-defers it. HandleAt panics on a freed message.
+//
+// m does not escape: the live branch schedules the pointer it already
+// holds and the copy branch schedules the copy, so a caller deferring a
+// stack value allocates nothing.
 func (n *Network) HandleAt(t sim.Time, m *Message) {
-	if m == n.handling {
-		n.handling = nil
+	if m.pooled {
+		panic("network: HandleAt of a freed message")
 	}
-	n.Eng.ScheduleCallAt(t, handleCall, n, m)
+	if live := n.live; live == m {
+		n.live = nil
+		n.Eng.ScheduleCallAt(t, handleCall, n, live)
+		return
+	}
+	n.Eng.ScheduleCallAt(t, handleCall, n, n.copyOf(m))
 }
 
 func (n *Network) handle(m *Message) {
@@ -502,28 +479,24 @@ func (n *Network) handle(m *Message) {
 	if h == nil {
 		panic(fmt.Sprintf("network: no Handler attached for %v (message %v)", m.Dst, m))
 	}
-	n.handling = m
+	n.live = m
 	h.Handle(m)
-	if n.handling == m {
-		n.handling = nil
-		n.Free(m)
+	if n.live == m {
+		n.live = nil
+		n.free(m)
 	}
 }
 
-// deliverCall is the closure-free ScheduleCall target for Send.
+// deliverCall is the closure-free ScheduleCall target for send.
 func deliverCall(ctx, arg any) { ctx.(*Network).deliver(arg.(*Message)) }
 
-// Send queues m for delivery and takes ownership of it: after the
-// receiving endpoint's Recv returns, m is reclaimed into the pool unless
-// the endpoint held it.
-// Messages on the same directed link serialize through its bandwidth;
-// messages on different links are independent and may be reordered
-// relative to each other.
-func (n *Network) Send(m *Message) { n.send(m, 0, false) }
-
-// send is the full injection path. extra delays the message's departure
-// beyond the link's serialization point (the retransmit shim's timeout);
-// isDup marks an injected duplicate so a duplicate never re-duplicates.
+// send queues the pooled message m for delivery. Messages on the same
+// directed link serialize through its bandwidth; messages on different
+// links are independent and may be reordered relative to each other.
+//
+// extra delays the message's departure beyond the link's serialization
+// point (the retransmit shim's timeout); isDup marks an injected
+// duplicate so a duplicate never re-duplicates.
 // When fault injection is enabled the PRNG is consumed in a fixed order
 // per message — jitter, reorder, duplicate, drop — so a run is a pure
 // function of (fault seed, plans, workload).
@@ -539,9 +512,6 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 		}
 	}
 	m.SentAt = n.Eng.Now()
-	if n.OnSend != nil {
-		n.OnSend(m)
-	}
 	// Figure 7 accounting: one entry per interconnect the message
 	// traverses (see link.intraHops).
 	li := int(m.Src)*n.numNodes + int(m.Dst)
@@ -591,7 +561,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 			// the guard makes the invariant local.
 			if !isDup && plan.Dup > 0 && m.Tokens == 0 && !m.Owner && !m.HasData &&
 				n.frng.Float64() < plan.Dup {
-				cp := n.CopyOf(m)
+				cp := n.copyOf(m)
 				if n.ctrDup != nil {
 					n.ctrDup.Inc()
 				}
@@ -648,13 +618,13 @@ func (n *Network) deliver(m *Message) {
 	if ep == nil {
 		panic(fmt.Sprintf("network: no endpoint attached for %v (message %v)", m.Dst, m))
 	}
-	n.delivering = m
+	n.live = m
 	ep.Recv(m)
-	// The ownership contract: unless the endpoint held m, it is done
-	// with m once Recv returns; reclaim it for the next send.
-	if n.delivering == m {
-		n.delivering = nil
-		n.Free(m)
+	// The ownership contract: unless Recv deferred m, the endpoint is
+	// done with m once Recv returns; reclaim it for the next send.
+	if n.live == m {
+		n.live = nil
+		n.free(m)
 	}
 }
 
@@ -665,8 +635,8 @@ func (n *Network) Broadcast(template *Message, dsts []topo.NodeID) {
 		if d == template.Src {
 			continue
 		}
-		cp := n.CopyOf(template)
+		cp := n.copyOf(template)
 		cp.Dst = d
-		n.Send(cp)
+		n.send(cp, 0, false)
 	}
 }

@@ -38,7 +38,7 @@ func testNet(t *testing.T) (*sim.Engine, *Network, topo.Geometry, map[topo.NodeI
 func TestOnChipLatency(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.Send(&Message{Src: src, Dst: dst, Size: 8})
+	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
 	eng.Run(0)
 	// 8 bytes at 64 B/ns = 0.125ns serialization + 2ns latency.
 	want := sim.PS(125) + sim.NS(2)
@@ -50,7 +50,7 @@ func TestOnChipLatency(t *testing.T) {
 func TestOffChipLatency(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(1, 0)
-	n.Send(&Message{Src: src, Dst: dst, Size: 8})
+	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
 	eng.Run(0)
 	// 8 bytes at 16 B/ns = 0.5ns + 20ns latency.
 	want := sim.PS(500) + sim.NS(20)
@@ -62,7 +62,7 @@ func TestOffChipLatency(t *testing.T) {
 func TestMemoryLinksAreOffChip(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.MemNode(0) // same CMP, but memory is off-chip
-	n.Send(&Message{Src: src, Dst: dst, Size: 8})
+	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
 	eng.Run(0)
 	if sinks[dst].at[0] < sim.NS(20) {
 		t.Errorf("memory delivery at %v, want >= 20ns", sinks[dst].at[0])
@@ -74,8 +74,8 @@ func TestBandwidthSerialization(t *testing.T) {
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
 	// Two 64-byte messages on one link: the second serializes behind the
 	// first (1ns each at 64 B/ns).
-	n.Send(&Message{Src: src, Dst: dst, Size: 64})
-	n.Send(&Message{Src: src, Dst: dst, Size: 64})
+	n.SendNew(Message{Src: src, Dst: dst, Size: 64})
+	n.SendNew(Message{Src: src, Dst: dst, Size: 64})
 	eng.Run(0)
 	d := sinks[dst].at[1] - sinks[dst].at[0]
 	if d != sim.NS(1) {
@@ -87,7 +87,7 @@ func TestPerLinkFIFO(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L2Node(0, 0)
 	for i := 0; i < 5; i++ {
-		n.Send(&Message{Src: src, Dst: dst, Aux: int32(i)})
+		n.SendNew(Message{Src: src, Dst: dst, Aux: int32(i)})
 	}
 	eng.Run(0)
 	for i, m := range sinks[dst].got {
@@ -100,8 +100,8 @@ func TestPerLinkFIFO(t *testing.T) {
 func TestDefaultSizes(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.Send(&Message{Src: src, Dst: dst})                // control
-	n.Send(&Message{Src: src, Dst: dst, HasData: true}) // data
+	n.SendNew(Message{Src: src, Dst: dst})                // control
+	n.SendNew(Message{Src: src, Dst: dst, HasData: true}) // data
 	eng.Run(0)
 	if sinks[dst].got[0].Size != ControlSize || sinks[dst].got[1].Size != DataSize {
 		t.Errorf("sizes = %d, %d; want %d, %d",
@@ -112,11 +112,11 @@ func TestDefaultSizes(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	eng, n, g, _ := testNet(t)
 	// On-chip cache-to-cache: intra only.
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Size: 8, Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Size: 8, Class: stats.Request})
 	// Cross-chip cache-to-cache: inter once + intra on both chips.
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Size: 8, Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Size: 8, Class: stats.Request})
 	// Cache-to-memory: inter + source-chip intra only.
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.MemNode(0), Size: 8, Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.MemNode(0), Size: 8, Class: stats.Request})
 	eng.Run(0)
 	if got := n.Traffic.Bytes[stats.IntraCMP][stats.Request]; got != 8+16+8 {
 		t.Errorf("intra bytes = %d, want 32", got)
@@ -146,7 +146,7 @@ func TestBroadcastSkipsSource(t *testing.T) {
 
 func TestTokenInFlightAccounting(t *testing.T) {
 	eng, n, g, _ := testNet(t)
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 9, Tokens: 5, Owner: true, HasData: true})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 9, Tokens: 5, Owner: true, HasData: true})
 	if n.TokensInFlight(9) != 5 || n.OwnersInFlight(9) != 1 {
 		t.Fatalf("in-flight = %d/%d, want 5/1", n.TokensInFlight(9), n.OwnersInFlight(9))
 	}
@@ -170,7 +170,7 @@ func TestTokenInFlightAccounting(t *testing.T) {
 	// Commercial-workload regions sit at block ~2^31: the paged table
 	// must carry far-apart blocks without materializing the gap.
 	far := mem.BlockOf(0x1C_0000_0000)
-	n.Send(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: far, Tokens: 2, HasData: true})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: far, Tokens: 2, HasData: true})
 	if n.TokensInFlight(far) != 2 || n.TokensInFlight(far-1) != 0 {
 		t.Fatalf("far-block in-flight = %d (neighbor %d), want 2 (0)", n.TokensInFlight(far), n.TokensInFlight(far-1))
 	}

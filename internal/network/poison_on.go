@@ -15,10 +15,10 @@ const PoisonEnabled = true
 
 // poison scrambles every field of a reclaimed message with values no
 // legitimate message carries, so a handler that retained the pointer
-// past Recv (breaking the ownership contract) reads garbage — block
-// numbers, token counts, and node IDs that corrupt its figures or trip
-// its own panics — instead of silently seeing whatever the next send
-// happened to write.
+// past Recv or Handle (breaking the ownership contract) reads garbage —
+// block numbers, token counts, and node IDs that corrupt its figures or
+// trip its own panics — instead of silently seeing whatever the next
+// send happened to write.
 func poison(m *Message) {
 	*m = Message{
 		Src:       topo.NodeID(-0x7eadbeef),

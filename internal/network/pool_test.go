@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -25,61 +26,59 @@ func poolNet() (*sim.Engine, *Network, topo.Geometry) {
 }
 
 // TestPoolRecyclesMessages asserts a delivered message returns to the
-// freelist and is handed out again by the next send.
+// pool and is handed out again by the next send.
 func TestPoolRecyclesMessages(t *testing.T) {
 	eng, n, g := poolNet()
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1)})
 	eng.Run(0)
-	if len(n.free) != 1 {
-		t.Fatalf("freelist has %d messages after delivery, want 1", len(n.free))
+	if len(n.pool) != 1 {
+		t.Fatalf("pool has %d messages after delivery, want 1", len(n.pool))
 	}
-	recycled := n.free[0]
-	if m := n.NewMessage(); m != recycled {
-		t.Error("NewMessage did not reuse the recycled message")
-	} else if *m != (Message{}) {
-		t.Errorf("recycled message not zeroed: %v", m)
+	recycled := n.pool[0]
+	if m := n.alloc(); m != recycled {
+		t.Error("alloc did not reuse the recycled message")
 	}
 }
 
-// TestCopyOfFreeRoundTrip asserts the handler escape hatch: a pooled
-// copy is independent of the original and returns to the pool on Free.
+// TestCopyOfFreeRoundTrip asserts a pooled copy is independent of the
+// original and returns to the pool on free.
 func TestCopyOfFreeRoundTrip(t *testing.T) {
 	_, n, g := poolNet()
 	orig := &Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Data: 42, Tokens: 3}
-	cp := n.CopyOf(orig)
+	cp := n.copyOf(orig)
 	if cp == orig || cp.Data != 42 || cp.Tokens != 3 {
 		t.Fatalf("CopyOf = %v (same pointer: %v)", cp, cp == orig)
 	}
-	n.Free(cp)
-	if len(n.free) != 1 {
-		t.Fatalf("freelist has %d messages after Free, want 1", len(n.free))
+	n.free(cp)
+	if len(n.pool) != 1 {
+		t.Fatalf("pool has %d messages after free, want 1", len(n.pool))
 	}
 }
 
 // TestDoubleFreePanics asserts the pool catches double frees.
 func TestDoubleFreePanics(t *testing.T) {
 	_, n, _ := poolNet()
-	m := n.CopyOf(&Message{})
-	n.Free(m)
+	m := n.copyOf(&Message{})
+	n.free(m)
 	defer func() {
 		if recover() == nil {
-			t.Error("double Free did not panic")
+			t.Error("double free did not panic")
 		}
 	}()
-	n.Free(m)
+	n.free(m)
 }
 
 // TestSendOfFreedPanics asserts a freed message cannot be sent.
 func TestSendOfFreedPanics(t *testing.T) {
 	_, n, g := poolNet()
-	m := n.CopyOf(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1)})
-	n.Free(m)
+	m := n.copyOf(&Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1)})
+	n.free(m)
 	defer func() {
 		if recover() == nil {
-			t.Error("Send of freed message did not panic")
+			t.Error("send of freed message did not panic")
 		}
 	}()
-	n.Send(m)
+	n.send(m, 0, false)
 }
 
 // TestSteadyStateSendDoesNotAllocate pins the pooled send→deliver path
@@ -110,8 +109,8 @@ func TestBroadcastDrawsFromPool(t *testing.T) {
 	n.Broadcast(tmpl, dsts)
 	eng.Run(0)
 	want := g.NumNodes() - 1
-	if len(n.free) != want {
-		t.Fatalf("freelist has %d messages after broadcast, want %d", len(n.free), want)
+	if len(n.pool) != want {
+		t.Fatalf("pool has %d messages after broadcast, want %d", len(n.pool), want)
 	}
 	avg := testing.AllocsPerRun(100, func() {
 		n.Broadcast(tmpl, dsts)
@@ -130,107 +129,6 @@ func TestMessageFitsOneCacheLine(t *testing.T) {
 	}
 }
 
-// holdSink takes over every delivered message with Hold and frees it
-// one cycle later from a scheduled thunk, the protocol handlers' idiom.
-type holdSink struct {
-	n    *Network
-	held *Message
-}
-
-func holdSinkFree(ctx, arg any) { ctx.(*holdSink).n.Free(arg.(*Message)) }
-
-func (s *holdSink) Recv(m *Message) {
-	s.held = s.n.Hold(m)
-	s.n.Eng.ScheduleCall(sim.NS(1), holdSinkFree, s, s.held)
-}
-
-// TestHeldMessageIsNotReclaimed asserts deliver reclaims an unheld
-// message when Recv returns, but leaves a held one alone until its
-// holder frees it.
-func TestHeldMessageIsNotReclaimed(t *testing.T) {
-	eng, n, g := poolNet()
-	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.SendNew(Message{Src: src, Dst: dst})
-	eng.Run(0)
-	if len(n.free) != 1 {
-		t.Fatalf("freelist has %d messages after an unheld delivery, want 1", len(n.free))
-	}
-
-	h := &holdSink{n: n}
-	n.Attach(dst, h)
-	n.SendNew(Message{Src: src, Dst: dst, Data: 7})
-	if !eng.Step() {
-		t.Fatal("no delivery event")
-	}
-	if h.held == nil || h.held.pooled || h.held.Data != 7 {
-		t.Fatalf("held message = %v, want the delivered message, not reclaimed", h.held)
-	}
-	if len(n.free) != 0 {
-		t.Fatalf("freelist has %d messages while the delivery is held, want 0", len(n.free))
-	}
-	eng.Run(0)
-	if len(n.free) != 1 || n.free[0] != h.held {
-		t.Fatalf("freelist = %v after the holder freed the message, want [%p]", n.free, h.held)
-	}
-}
-
-// TestSteadyStateHoldDoesNotAllocate pins the Hold → ScheduleCall → Free
-// handler path at zero allocations.
-func TestSteadyStateHoldDoesNotAllocate(t *testing.T) {
-	eng, n, g := poolNet()
-	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.Attach(dst, &holdSink{n: n})
-	for i := 0; i < 8; i++ {
-		n.SendNew(Message{Src: src, Dst: dst})
-	}
-	eng.Run(0)
-	avg := testing.AllocsPerRun(1000, func() {
-		n.SendNew(Message{Src: src, Dst: dst})
-		eng.Run(0)
-	})
-	if avg != 0 {
-		t.Errorf("send→hold→free allocates %.2f per message, want 0", avg)
-	}
-}
-
-// doubleHolder holds each delivery twice.
-type doubleHolder struct{ n *Network }
-
-func (s doubleHolder) Recv(m *Message) { s.n.Free(s.n.Hold(s.n.Hold(m))) }
-
-// TestHoldOfUndeliveredPanics asserts Hold accepts only the message
-// whose Recv is running: not one outside delivery, not a copy, and not
-// one already held.
-func TestHoldOfUndeliveredPanics(t *testing.T) {
-	eng, n, g := poolNet()
-	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		f()
-	}
-	mustPanic("Hold outside Recv", func() { n.Hold(n.NewMessage()) })
-	mustPanic("Hold of nil", func() { n.Hold(nil) })
-
-	n.Attach(dst, copyHolder{n})
-	n.SendNew(Message{Src: src, Dst: dst})
-	mustPanic("Hold of a copy of the delivered message", func() { eng.Run(0) })
-
-	eng, n, _ = poolNet()
-	n.Attach(dst, doubleHolder{n})
-	n.SendNew(Message{Src: src, Dst: dst})
-	mustPanic("second Hold of the delivered message", func() { eng.Run(0) })
-}
-
-// copyHolder holds a copy instead of the delivered message.
-type copyHolder struct{ n *Network }
-
-func (s copyHolder) Recv(m *Message) { s.n.Hold(s.n.CopyOf(m)) }
-
 // handleSink defers every delivery through HandleAfter and records each
 // Handle call. If redefer is set, the first Handle of a message passes
 // it back to HandleAt redefer later.
@@ -238,23 +136,30 @@ type handleSink struct {
 	n       *Network
 	delay   sim.Time
 	redefer sim.Time
+	recv    []*Message
 	at      []sim.Time
 	got     []*Message
+	vals    []Message
 }
 
-func (s *handleSink) Recv(m *Message) { s.n.HandleAfter(s.delay, s.n.Hold(m)) }
+func (s *handleSink) Recv(m *Message) {
+	s.recv = append(s.recv, m)
+	s.n.HandleAfter(s.delay, m)
+}
 
 func (s *handleSink) Handle(m *Message) {
 	s.at = append(s.at, s.n.Eng.Now())
 	s.got = append(s.got, m)
+	s.vals = append(s.vals, *m)
 	if s.redefer > 0 && len(s.at) == 1 {
 		s.n.HandleAt(s.n.Eng.Now()+s.redefer, m)
 	}
 }
 
-// TestHandleAfterFreesOnce asserts a held delivery deferred with
-// HandleAfter reaches Handle d later and then returns to the pool
-// exactly once.
+// TestHandleAfterFreesOnce asserts HandleAfter in Recv takes over the
+// delivery itself: Handle runs d later on the delivered pointer, no
+// pooled copy exists while the handling is pending, and the message
+// returns to the pool exactly once.
 func TestHandleAfterFreesOnce(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
@@ -265,45 +170,85 @@ func TestHandleAfterFreesOnce(t *testing.T) {
 		t.Fatal("no delivery event")
 	}
 	arrived := eng.Now()
-	if len(n.free) != 0 {
-		t.Fatalf("freelist has %d messages while the handling is pending, want 0", len(n.free))
+	if len(n.pool) != 0 {
+		t.Fatalf("pool has %d messages while the handling is pending, want 0", len(n.pool))
 	}
 	eng.Run(0)
 	if len(h.at) != 1 || h.at[0] != arrived+sim.NS(5) {
 		t.Fatalf("Handle ran at %v, want once at %v", h.at, arrived+sim.NS(5))
 	}
-	if len(n.free) != 1 || n.free[0] != h.got[0] || !h.got[0].pooled {
-		t.Fatalf("freelist = %v after Handle, want exactly the handled message", n.free)
+	if h.got[0] != h.recv[0] || h.vals[0].Data != 9 {
+		t.Fatalf("Handle saw %p (%v), want the delivered message %p", h.got[0], h.vals[0], h.recv[0])
+	}
+	if len(n.pool) != 1 || n.pool[0] != h.got[0] || !h.got[0].pooled {
+		t.Fatalf("pool = %v after Handle, want exactly the handled message", n.pool)
 	}
 }
 
 // TestHandleAtRedeferFreesOnce asserts a Handle that passes its message
-// back to HandleAt is handled again at that time, and the message is
-// freed only after the second Handle.
+// back to HandleAt is handled again at that time on the same pointer,
+// and the message is freed only after the second Handle.
 func TestHandleAtRedeferFreesOnce(t *testing.T) {
 	eng, n, g := poolNet()
-	dst := g.L1DNode(0, 1)
-	h := &handleSink{n: n, redefer: sim.NS(7)}
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	h := &handleSink{n: n, delay: sim.NS(3), redefer: sim.NS(7)}
 	n.Attach(dst, h)
-	m := n.NewMessage()
-	m.Dst = dst
-	n.HandleAfter(sim.NS(3), m)
-	if !eng.Step() {
-		t.Fatal("no handling event")
-	}
-	if len(n.free) != 0 || m.pooled {
-		t.Fatalf("message freed after a Handle that re-deferred it (freelist %v)", n.free)
+	n.SendNew(Message{Src: src, Dst: dst})
+	eng.Step() // delivery
+	arrived := eng.Now()
+	eng.Step() // first Handle
+	m := h.recv[0]
+	if len(n.pool) != 0 || m.pooled {
+		t.Fatalf("message freed after a Handle that re-deferred it (pool %v)", n.pool)
 	}
 	eng.Run(0)
-	if len(h.at) != 2 || h.at[0] != sim.NS(3) || h.at[1] != sim.NS(10) {
-		t.Fatalf("Handle ran at %v, want at [%v %v]", h.at, sim.NS(3), sim.NS(10))
+	if want := []sim.Time{arrived + sim.NS(3), arrived + sim.NS(10)}; !slices.Equal(h.at, want) {
+		t.Fatalf("Handle ran at %v, want at %v", h.at, want)
 	}
 	if h.got[0] != m || h.got[1] != m {
 		t.Fatal("Handle saw a different message on re-deferral")
 	}
-	if len(n.free) != 1 || n.free[0] != m {
-		t.Fatalf("freelist = %v after the second Handle, want [%p]", n.free, m)
+	if len(n.pool) != 1 || n.pool[0] != m {
+		t.Fatalf("pool = %v after the second Handle, want [%p]", n.pool, m)
 	}
+}
+
+// TestHandleAfterOfNonLiveDefersCopy asserts HandleAfter of a message
+// that is not being delivered or handled defers a pooled copy: Handle
+// sees a different pointer with equal fields, the caller's value is
+// untouched, and the copy returns to the pool.
+func TestHandleAfterOfNonLiveDefersCopy(t *testing.T) {
+	eng, n, g := poolNet()
+	h := &handleSink{n: n}
+	dst := g.L1DNode(0, 1)
+	n.Attach(dst, h)
+	q := Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 4, Data: 11, Tokens: 2}
+	want := q
+	n.HandleAfter(sim.NS(1), &q)
+	eng.Run(0)
+	if len(h.got) != 1 || h.got[0] == &q || h.vals[0] != want {
+		t.Fatalf("Handle saw %v (same pointer: %v), want a copy of %v", h.vals, len(h.got) == 1 && h.got[0] == &q, want)
+	}
+	if q != want {
+		t.Errorf("caller's value changed to %v, want %v", q, want)
+	}
+	if len(n.pool) != 1 || n.pool[0] != h.got[0] {
+		t.Errorf("pool = %v after Handle, want exactly the deferred copy", n.pool)
+	}
+}
+
+// TestHandleAtOfFreedPanics asserts a message sitting in the pool cannot
+// be deferred.
+func TestHandleAtOfFreedPanics(t *testing.T) {
+	eng, n, g := poolNet()
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1)})
+	eng.Run(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("HandleAt of a freed message did not panic")
+		}
+	}()
+	n.HandleAt(sim.NS(1), n.pool[0])
 }
 
 // TestHandleAfterWithoutHandlerPanics asserts a deferral to an endpoint
@@ -311,9 +256,7 @@ func TestHandleAtRedeferFreesOnce(t *testing.T) {
 // than a nil dereference.
 func TestHandleAfterWithoutHandlerPanics(t *testing.T) {
 	eng, n, g := poolNet()
-	m := n.NewMessage()
-	m.Dst = g.L1DNode(0, 1) // a countSink: Recv only
-	n.HandleAfter(sim.NS(1), m)
+	n.HandleAfter(sim.NS(1), &Message{Dst: g.L1DNode(0, 1)}) // a countSink: Recv only
 	defer func() {
 		r := recover()
 		msg, _ := r.(string)
@@ -324,7 +267,7 @@ func TestHandleAfterWithoutHandlerPanics(t *testing.T) {
 	eng.Run(0)
 }
 
-// TestSteadyStateHandleAfterDoesNotAllocate pins the Hold → HandleAfter
+// TestSteadyStateHandleAfterDoesNotAllocate pins the Recv → HandleAfter
 // → Handle → free path at zero allocations.
 func TestSteadyStateHandleAfterDoesNotAllocate(t *testing.T) {
 	eng, n, g := poolNet()
@@ -341,6 +284,43 @@ func TestSteadyStateHandleAfterDoesNotAllocate(t *testing.T) {
 		eng.Run(0)
 	})
 	if avg != 0 {
-		t.Errorf("send→hold→HandleAfter→free allocates %.2f per message, want 0", avg)
+		t.Errorf("send→HandleAfter→free allocates %.2f per message, want 0", avg)
+	}
+}
+
+// drainSink models a controller's drain: each Handle of a message with
+// Aux > 0 re-admits a stack copy of it, one step down, through
+// HandleAfter(0, &q), the way the home and memory controllers re-admit
+// a request popped from their serializer.
+type drainSink struct{ n *Network }
+
+func (s drainSink) Recv(m *Message) { s.n.HandleAfter(0, m) }
+
+func (s drainSink) Handle(m *Message) {
+	if m.Aux > 0 {
+		q := *m
+		q.Aux--
+		s.n.HandleAfter(0, &q)
+	}
+}
+
+// TestSteadyStateDrainDoesNotAllocate pins HandleAfter(0, &q) of a
+// stack value from inside Handle at zero allocations: HandleAt's
+// pointer parameter must not escape, or every drain would move q to the
+// heap.
+func TestSteadyStateDrainDoesNotAllocate(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	n.Attach(dst, drainSink{n})
+	for i := 0; i < 8; i++ {
+		n.SendNew(Message{Src: src, Dst: dst, Aux: 4})
+	}
+	eng.Run(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		n.SendNew(Message{Src: src, Dst: dst, Aux: 4})
+		eng.Run(0)
+	})
+	if avg != 0 {
+		t.Errorf("send→Handle→4 drains allocates %.2f per message, want 0", avg)
 	}
 }

@@ -50,6 +50,3 @@ func (t *TimeoutEstimator) Timeout() sim.Time {
 	}
 	return th
 }
-
-// Samples reports the number of observations.
-func (t *TimeoutEstimator) Samples() int { return t.n }

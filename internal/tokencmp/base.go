@@ -141,9 +141,7 @@ func (c *base) reeval(b mem.Block) {
 	if tmpl.HasData {
 		delay += c.dataDelay
 	}
-	m := c.sys.Net.NewMessage()
-	*m = tmpl
-	c.sys.Net.SendAfter(delay, m)
+	c.sys.Net.SendAfter(delay, tmpl)
 	if emptied && c.onEmpty != nil {
 		c.onEmpty(b)
 	}

@@ -186,7 +186,7 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 	}
 	c.sys.Net.Broadcast(tmpl, c.sys.l1sInCMP[c.cmp])
 	tmpl.Dst = c.sys.Geom.L2BankFor(c.cmp, b)
-	c.sys.Net.Send(c.sys.Net.CopyOf(tmpl))
+	c.sys.Net.SendNew(*tmpl)
 
 	txn.seq++
 	c.sys.Eng.ScheduleCall(c.est.Timeout(), l1Timeout, c, c.args.New(b, txn.seq))
@@ -329,11 +329,11 @@ func (c *L1Ctrl) recheckMarked() {
 }
 
 // Recv implements network.Endpoint. Transient requests, local or
-// forwarded from another CMP, are held across the tag-access delay.
+// forwarded from another CMP, are deferred across the tag-access delay.
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient, kFwdExternal:
-		c.sys.Net.HandleAfter(hier.L1Latency, c.sys.Net.Hold(m))
+		c.sys.Net.HandleAfter(hier.L1Latency, m)
 	case kResponse:
 		c.handleResponse(m)
 	case kPersistentDone:
@@ -351,7 +351,7 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 	}
 }
 
-// Handle implements network.Handler for the held transient requests.
+// Handle implements network.Handler for the deferred transient requests.
 func (c *L1Ctrl) Handle(m *network.Message) {
 	c.handleRequest(m, m.Kind == kFwdExternal)
 }
@@ -451,7 +451,7 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) {
 		if external {
 			// Inter-CMP read responses carry up to C tokens so future
 			// intra-CMP requests hit locally (§4).
-			n = minInt(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
+			n = min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
 		}
 		s.Tokens -= n
 		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
@@ -483,11 +483,4 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) {
 	if emptied {
 		c.cache.Invalidate(b)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

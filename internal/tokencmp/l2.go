@@ -118,11 +118,11 @@ func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied b
 }
 
 // Recv implements network.Endpoint. Transient requests, writebacks and
-// stray responses are held across the bank's tag-access delay.
+// stray responses are deferred across the bank's tag-access delay.
 func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient, kWriteback, kResponse:
-		c.sys.Net.HandleAfter(hier.L2Latency, c.sys.Net.Hold(m))
+		c.sys.Net.HandleAfter(hier.L2Latency, m)
 	default:
 		if c.handlePersistentMsg(m) {
 			return
@@ -131,7 +131,7 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 	}
 }
 
-// Handle implements network.Handler for the held messages.
+// Handle implements network.Handler for the deferred messages.
 func (c *L2Ctrl) Handle(m *network.Message) {
 	switch {
 	case m.Kind == kWriteback, m.Kind == kResponse:
@@ -175,7 +175,7 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 	case s.Owner && s.Tokens >= 2:
 		n := 1
 		if external {
-			n = minInt(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
+			n = min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
 		}
 		s.Tokens -= n
 		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}

@@ -66,11 +66,11 @@ func (c *MemCtrl) StateOf(b mem.Block) (*token.State, bool) {
 }
 
 // Recv implements network.Endpoint. Requests, writebacks and arbiter
-// messages are held across the controller's array-access delay.
+// messages are deferred across the controller's array-access delay.
 func (c *MemCtrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient, kWriteback, kResponse, kArbRequest, kArbDone:
-		c.sys.Net.HandleAfter(hier.MemLatency, c.sys.Net.Hold(m))
+		c.sys.Net.HandleAfter(hier.MemLatency, m)
 	default:
 		if c.handlePersistentMsg(m) {
 			return
@@ -79,7 +79,7 @@ func (c *MemCtrl) Recv(m *network.Message) {
 	}
 }
 
-// Handle implements network.Handler for the held messages.
+// Handle implements network.Handler for the deferred messages.
 func (c *MemCtrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
@@ -119,7 +119,7 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 			tk, own, _, data, dirty := s.TakeAll()
 			tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
 		} else {
-			n := minInt(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
+			n := min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
 			s.Tokens -= n
 			tmpl = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
 		}
@@ -139,9 +139,7 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 	} else {
 		tmpl.Class = stats.InvFwdAckTokens
 	}
-	resp := c.sys.Net.NewMessage()
-	*resp = tmpl
-	c.sys.Net.SendAfter(delay, resp)
+	c.sys.Net.SendAfter(delay, tmpl)
 }
 
 func (c *MemCtrl) handleWriteback(m *network.Message) {

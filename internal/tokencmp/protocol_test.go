@@ -311,7 +311,7 @@ func TestTokenCountMatchesGeometry(t *testing.T) {
 }
 
 // TestTransientDeliveryDoesNotAllocate pins one transient request
-// delivered to an L1 at zero allocations: the L1 holds the delivered
+// delivered to an L1 at zero allocations: the L1 defers the delivered
 // message across its tag access and, holding no tokens, drops it.
 func TestTransientDeliveryDoesNotAllocate(t *testing.T) {
 	eng, sys := testSystem(t, Dst1)

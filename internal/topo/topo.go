@@ -166,18 +166,6 @@ func (g Geometry) AllCaches() []NodeID {
 	return out
 }
 
-// CachesInCMP lists the caches on CMP c.
-func (g Geometry) CachesInCMP(c int) []NodeID {
-	var out []NodeID
-	for p := 0; p < g.ProcsPerCMP; p++ {
-		out = append(out, g.L1DNode(c, p), g.L1INode(c, p))
-	}
-	for b := 0; b < g.L2Banks; b++ {
-		out = append(out, g.L2Node(c, b))
-	}
-	return out
-}
-
 // L1sInCMP lists the L1 caches (data and instruction) on CMP c.
 func (g Geometry) L1sInCMP(c int) []NodeID {
 	var out []NodeID
