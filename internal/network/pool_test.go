@@ -185,6 +185,36 @@ func TestHandleAfterFreesOnce(t *testing.T) {
 	}
 }
 
+// TestHeldMessageIsNotReclaimed asserts deliver reclaims a message when
+// Recv returns without deferring it, but leaves one that Recv passed to
+// HandleAfter alone until its Handle returns.
+func TestHeldMessageIsNotReclaimed(t *testing.T) {
+	eng, n, g := poolNet()
+	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+	n.SendNew(Message{Src: src, Dst: dst})
+	eng.Run(0)
+	if len(n.pool) != 1 {
+		t.Fatalf("pool has %d messages after an undeferred delivery, want 1", len(n.pool))
+	}
+
+	h := &handleSink{n: n, delay: sim.NS(1)}
+	n.Attach(dst, h)
+	n.SendNew(Message{Src: src, Dst: dst, Data: 7})
+	if !eng.Step() {
+		t.Fatal("no delivery event")
+	}
+	if len(h.recv) != 1 || h.recv[0].pooled || h.recv[0].Data != 7 {
+		t.Fatalf("deferred message = %v, want the delivered message, not reclaimed", h.recv)
+	}
+	if len(n.pool) != 0 {
+		t.Fatalf("pool has %d messages while the delivery is deferred, want 0", len(n.pool))
+	}
+	eng.Run(0)
+	if len(n.pool) != 1 || n.pool[0] != h.recv[0] {
+		t.Fatalf("pool = %v after Handle, want [%p]", n.pool, h.recv[0])
+	}
+}
+
 // TestHandleAtRedeferFreesOnce asserts a Handle that passes its message
 // back to HandleAt is handled again at that time on the same pointer,
 // and the message is freed only after the second Handle.
