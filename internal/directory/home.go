@@ -105,7 +105,8 @@ func (c *HomeCtrl) admit(m *network.Message) {
 	case kGetM:
 		c.startGetM(m)
 	case kPut:
-		c.startPut(m)
+		c.ser.Start(b, kPut)
+		c.sys.wbr.GrantPut(c.sys.Net, c.id, m)
 	}
 }
 
@@ -202,18 +203,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 			Requestor: m.Requestor,
 		})
 	}
-}
-
-func (c *HomeCtrl) startPut(m *network.Message) {
-	b := m.Block
-	c.ser.Start(b, kPut)
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   m.Src,
-		Block: b,
-		Kind:  kWbGrant,
-		Class: stats.WritebackControl,
-	})
 }
 
 // handleUnblock closes a GetS/GetM transaction, applying the requester's

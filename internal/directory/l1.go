@@ -57,14 +57,7 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 		return
 	}
 	c.sys.ctr.l1Writeback.Inc()
-	c.wb.Push(b, st.Data, st.Dirty, false)
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   c.bank(b),
-		Block: b,
-		Kind:  kPut,
-		Class: stats.WritebackControl,
-	})
+	c.wb.Put(c.bank(b), b, st.Data, st.Dirty, false)
 }
 
 // Recv implements network.Endpoint: the L1 defers the delivered message

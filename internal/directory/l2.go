@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tokencmp/internal/blocktab"
 	"tokencmp/internal/cache"
@@ -147,24 +148,6 @@ func (c *L2Ctrl) lookup(b mem.Block) *l2Line {
 
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
-// l1Bit maps a local L1 endpoint to its sharer-mask bit.
-func (c *L2Ctrl) l1Bit(id topo.NodeID) uint64 {
-	g := c.sys.Geom
-	idx := g.IndexOf(id)
-	if g.KindOf(id) == topo.L1I {
-		idx += g.ProcsPerCMP
-	}
-	return 1 << uint(idx)
-}
-
-func (c *L2Ctrl) l1FromBit(bit int) topo.NodeID {
-	g := c.sys.Geom
-	if bit < g.ProcsPerCMP {
-		return g.L1DNode(c.cmp, bit)
-	}
-	return g.L1INode(c.cmp, bit-g.ProcsPerCMP)
-}
-
 // Recv implements network.Endpoint: the bank defers the delivered
 // message across its tag-access delay. Queued messages are copied by
 // value, so the borrowed message never outlives Handle.
@@ -243,7 +226,7 @@ func (c *L2Ctrl) startLocal(m *network.Message) {
 			c.sendToL1(line.ownerL1, b, kFwdGetM, tagTxn, 0)
 			return
 		}
-		c.invalidateLocalSharers(b, txn, m.Requestor)
+		c.invalidateLocalSharers(b, txn)
 		if txn.localAcks == 0 {
 			c.grantLocal(b, txn)
 		}
@@ -265,30 +248,26 @@ func (c *L2Ctrl) sendToL1(dst topo.NodeID, b mem.Block, kind, tag, aux int32) {
 	})
 }
 
+// invalidateL1s sends an invalidation of b for collector tag to every
+// local L1 in the sharer mask, lowest bit first, and returns how many
+// it sent.
+func (c *L2Ctrl) invalidateL1s(b mem.Block, mask uint64, tag int32) int {
+	for m := mask; m != 0; m &= m - 1 {
+		c.sendToL1(c.sys.Geom.L1FromBit(c.cmp, bits.TrailingZeros64(m)), b, kInv, tag, 0)
+	}
+	return bits.OnesCount64(mask)
+}
+
 // invalidateLocalSharers sends txn-tagged invalidations to every local
 // sharer except the requester.
-func (c *L2Ctrl) invalidateLocalSharers(b mem.Block, txn *l2Txn, except topo.NodeID) {
+func (c *L2Ctrl) invalidateLocalSharers(b mem.Block, txn *l2Txn) {
 	line := c.lookup(b)
 	if line == nil {
 		return
 	}
-	mask := line.sharers
-	if except != topo.None {
-		mask &^= c.l1Bit(except)
-	}
-	for bit := 0; mask != 0; bit++ {
-		if mask&(1<<uint(bit)) == 0 {
-			continue
-		}
-		mask &^= 1 << uint(bit)
-		txn.localAcks++
-		c.sendToL1(c.l1FromBit(bit), b, kInv, tagTxn, 0)
-	}
-	if except != topo.None {
-		line.sharers &= c.l1Bit(except)
-	} else {
-		line.sharers = 0
-	}
+	mask := line.sharers &^ c.sys.Geom.L1Bit(txn.requestor)
+	txn.localAcks += c.invalidateL1s(b, mask, tagTxn)
+	line.sharers &^= mask
 }
 
 // grantLocal completes a local transaction by granting the requester.
@@ -298,7 +277,7 @@ func (c *L2Ctrl) grantLocal(b mem.Block, txn *l2Txn) {
 		panic(fmt.Sprintf("directory: L2 %v grantLocal without line for %v", c.id, b))
 	}
 	req := txn.requestor
-	reqBit := c.l1Bit(req)
+	reqBit := c.sys.Geom.L1Bit(req)
 
 	var gst grantState
 	withData := true
@@ -405,15 +384,7 @@ func (c *L2Ctrl) recall(v mem.Block, st l2Line) {
 		srv.fwdWait = true
 		c.sendToL1(st.ownerL1, v, kFwdGetM, tagEvict, 0)
 	}
-	mask := st.sharers
-	for bit := 0; mask != 0; bit++ {
-		if mask&(1<<uint(bit)) == 0 {
-			continue
-		}
-		mask &^= 1 << uint(bit)
-		srv.acks++
-		c.sendToL1(c.l1FromBit(bit), v, kInv, tagEvict, 0)
-	}
+	srv.acks += c.invalidateL1s(v, st.sharers, tagEvict)
 	c.finishRecallIfDone(v, srv)
 }
 
@@ -425,14 +396,7 @@ func (c *L2Ctrl) finishRecallIfDone(v mem.Block, srv *extSrv) {
 	owned := st.cs == csM || st.cs == csE || st.cs == csO
 	if owned {
 		c.sys.ctr.l2Writeback.Inc()
-		c.wb.Push(v, srv.data, srv.dirty, false)
-		c.sys.Net.SendNew(network.Message{
-			Src:   c.id,
-			Dst:   c.home(v),
-			Block: v,
-			Kind:  kPut,
-			Class: stats.WritebackControl,
-		})
+		c.wb.Put(c.home(v), v, srv.data, srv.dirty, false)
 	}
 	pending := srv.pendingHome
 	c.ext.Delete(v)
@@ -464,39 +428,46 @@ func (c *L2Ctrl) handleFwdResp(m *network.Message) {
 		prevOwner := line.ownerL1
 		line.ownerL1 = topo.None
 		if txn.kind == kGetS && !migr && prevOwner != topo.None {
-			line.sharers |= c.l1Bit(prevOwner) // owner degraded to S
+			line.sharers |= c.sys.Geom.L1Bit(prevOwner) // owner degraded to S
 		}
 		if txn.kind == kGetM {
 			// Remaining local sharers must go before the grant.
-			c.invalidateLocalSharers(b, txn, txn.requestor)
+			c.invalidateLocalSharers(b, txn)
 			if txn.localAcks > 0 {
 				return
 			}
 		}
 		c.grantLocal(b, txn)
-	case tagExt:
-		srv := c.ext.Peek(b)
-		if srv == nil {
-			panic(fmt.Sprintf("directory: L2 %v FwdResp with no ext service for %v", c.id, b))
-		}
+	case tagExt, tagEvict:
+		srv := c.service(m)
 		srv.fwdWait = false
 		srv.hasData = true
 		srv.data = m.Data
 		srv.dirty = m.Dirty
-		srv.migr = migr
-		c.finishExtIfDone(b, srv)
-	case tagEvict:
-		srv := c.ext.Peek(b)
-		if srv == nil {
-			panic(fmt.Sprintf("directory: L2 %v recall FwdResp with no service for %v", c.id, b))
-		}
-		srv.fwdWait = false
-		srv.hasData = true
-		srv.data = m.Data
-		srv.dirty = m.Dirty
-		c.finishRecallIfDone(b, srv)
+		srv.migr = migr // a recall's FwdGetM response is never migratory
+		c.finishServiceIfDone(m, srv)
 	default:
 		panic("directory: bad FwdResp tag")
+	}
+}
+
+// service returns the home service (tagExt) or eviction recall
+// (tagEvict) collecting m, a forward response or an invalidation ack.
+func (c *L2Ctrl) service(m *network.Message) *extSrv {
+	srv := c.ext.Peek(m.Block)
+	if srv == nil {
+		panic(fmt.Sprintf("directory: L2 %v stray %s (tag %d) for %v", c.id, kindName(m.Kind), m.Proc, m.Block))
+	}
+	return srv
+}
+
+// finishServiceIfDone completes the service collecting m once it has
+// collected everything.
+func (c *L2Ctrl) finishServiceIfDone(m *network.Message, srv *extSrv) {
+	if m.Proc == tagEvict {
+		c.finishRecallIfDone(m.Block, srv)
+	} else {
+		c.finishExtIfDone(m.Block, srv)
 	}
 }
 
@@ -513,20 +484,10 @@ func (c *L2Ctrl) handleInvAck(m *network.Message) {
 		if txn.localAcks == 0 && !txn.fwdPending {
 			c.grantLocal(b, txn)
 		}
-	case tagExt:
-		srv := c.ext.Peek(b)
-		if srv == nil {
-			panic(fmt.Sprintf("directory: L2 %v stray ext InvAck for %v", c.id, b))
-		}
+	case tagExt, tagEvict:
+		srv := c.service(m)
 		srv.acks--
-		c.finishExtIfDone(b, srv)
-	case tagEvict:
-		srv := c.ext.Peek(b)
-		if srv == nil {
-			panic(fmt.Sprintf("directory: L2 %v stray recall InvAck for %v", c.id, b))
-		}
-		srv.acks--
-		c.finishRecallIfDone(b, srv)
+		c.finishServiceIfDone(m, srv)
 	case tagInter:
 		txn := c.busy(b)
 		if txn == nil || !txn.interPending {
@@ -600,7 +561,7 @@ func (c *L2Ctrl) finishInterIfDone(b mem.Block, txn *l2Txn) {
 	})
 
 	if txn.kind == kGetM {
-		c.invalidateLocalSharers(b, txn, txn.requestor)
+		c.invalidateLocalSharers(b, txn)
 		if txn.localAcks > 0 {
 			return
 		}
@@ -678,15 +639,7 @@ func (c *L2Ctrl) startHomeFwd(m *network.Message) {
 			srv.data = line.data
 			srv.dirty = line.dirty
 		}
-		mask := line.sharers
-		for bit := 0; mask != 0; bit++ {
-			if mask&(1<<uint(bit)) == 0 {
-				continue
-			}
-			mask &^= 1 << uint(bit)
-			srv.acks++
-			c.sendToL1(c.l1FromBit(bit), b, kInv, tagExt, 0)
-		}
+		srv.acks += c.invalidateL1s(b, line.sharers, tagExt)
 		line.sharers = 0
 		c.finishExtIfDone(b, srv)
 		return
@@ -726,36 +679,14 @@ func (c *L2Ctrl) finishExtIfDone(b mem.Block, srv *extSrv) {
 	line := c.lookup(b)
 	switch srv.kind {
 	case kFwdGetM:
-		c.sys.Net.SendNew(network.Message{
-			Src:       c.id,
-			Dst:       srv.replyTo,
-			Block:     b,
-			Kind:      kData,
-			Class:     stats.ResponseData,
-			HasData:   true,
-			Data:      srv.data,
-			Dirty:     srv.dirty,
-			Aux:       packAux(grantM, srv.acksFor, false),
-			Requestor: srv.replyTo,
-		})
+		c.sendData(srv.replyTo, b, srv.data, srv.dirty, packAux(grantM, srv.acksFor, false))
 		c.dropLine(b, line)
 	case kFwdGetS:
 		if srv.migr {
 			// Migratory chip-to-chip transfer: requester gets M; we
 			// invalidate entirely.
 			c.sys.ctr.migratory.Inc()
-			c.sys.Net.SendNew(network.Message{
-				Src:       c.id,
-				Dst:       srv.replyTo,
-				Block:     b,
-				Kind:      kData,
-				Class:     stats.ResponseData,
-				HasData:   true,
-				Data:      srv.data,
-				Dirty:     srv.dirty,
-				Aux:       packAux(grantM, 0, true),
-				Requestor: srv.replyTo,
-			})
+			c.sendData(srv.replyTo, b, srv.data, srv.dirty, packAux(grantM, 0, true))
 			c.dropLine(b, line)
 		} else {
 			// We keep the data and stay owner (chip state O).
@@ -768,32 +699,14 @@ func (c *L2Ctrl) finishExtIfDone(b mem.Block, srv *extSrv) {
 			if srv.prevOwner != topo.None {
 				// The owning L1 degraded itself to S; it is a sharer now
 				// and must be invalidated by future writers.
-				line.sharers |= c.l1Bit(srv.prevOwner)
+				line.sharers |= c.sys.Geom.L1Bit(srv.prevOwner)
 				line.ownerL1 = topo.None
 			}
 			line.cs = csO
-			c.sys.Net.SendNew(network.Message{
-				Src:       c.id,
-				Dst:       srv.replyTo,
-				Block:     b,
-				Kind:      kData,
-				Class:     stats.ResponseData,
-				HasData:   true,
-				Data:      srv.data,
-				Dirty:     srv.dirty,
-				Aux:       packAux(grantS, 0, false),
-				Requestor: srv.replyTo,
-			})
+			c.sendData(srv.replyTo, b, srv.data, srv.dirty, packAux(grantS, 0, false))
 		}
 	case kInv:
-		c.sys.Net.SendNew(network.Message{
-			Src:   c.id,
-			Dst:   srv.replyTo,
-			Block: b,
-			Kind:  kInvAck,
-			Class: stats.InvFwdAckTokens,
-			Proc:  tagInter,
-		})
+		c.ackInter(srv.replyTo, b)
 		c.dropLine(b, line)
 	}
 	c.ext.Delete(b)
@@ -801,6 +714,19 @@ func (c *L2Ctrl) finishExtIfDone(b mem.Block, srv *extSrv) {
 		line.pinned = c.busy(b) != nil
 	}
 	c.drain(b)
+}
+
+// ackInter acknowledges to the requesting chip dst that this chip's
+// copy of b is gone.
+func (c *L2Ctrl) ackInter(dst topo.NodeID, b mem.Block) {
+	c.sys.Net.SendNew(network.Message{
+		Src:   c.id,
+		Dst:   dst,
+		Block: b,
+		Kind:  kInvAck,
+		Class: stats.InvFwdAckTokens,
+		Proc:  tagInter,
+	})
 }
 
 // dropLine invalidates our copy of b (chip lost all permission).
@@ -830,17 +756,23 @@ func (c *L2Ctrl) serveFwdFromWb(m *network.Message, w *hier.WbEntry) {
 		gst = grantM
 		w.Valid = false
 	}
+	c.sendData(m.Requestor, b, w.Data, w.Dirty, packAux(gst, acks, false))
+}
+
+// sendData sends this chip's copy of b, with grant aux, to the
+// requesting chip dst.
+func (c *L2Ctrl) sendData(dst topo.NodeID, b mem.Block, data uint64, dirty bool, aux int32) {
 	c.sys.Net.SendNew(network.Message{
 		Src:       c.id,
-		Dst:       m.Requestor,
+		Dst:       dst,
 		Block:     b,
 		Kind:      kData,
 		Class:     stats.ResponseData,
 		HasData:   true,
-		Data:      w.Data,
-		Dirty:     w.Dirty,
-		Aux:       packAux(gst, acks, false),
-		Requestor: m.Requestor,
+		Data:      data,
+		Dirty:     dirty,
+		Aux:       aux,
+		Requestor: dst,
 	})
 }
 
@@ -866,14 +798,7 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 		if w := c.wb.Valid(b); w != nil {
 			w.Valid = false
 		}
-		c.sys.Net.SendNew(network.Message{
-			Src:   c.id,
-			Dst:   m.Requestor,
-			Block: b,
-			Kind:  kInvAck,
-			Class: stats.InvFwdAckTokens,
-			Proc:  tagInter,
-		})
+		c.ackInter(m.Requestor, b)
 		return
 	}
 	srv := c.ext.At(b)
@@ -884,15 +809,7 @@ func (c *L2Ctrl) admitHomeInv(m *network.Message) {
 		c.sendToL1(line.ownerL1, b, kInv, tagExt, 0)
 		line.ownerL1 = topo.None
 	}
-	mask := line.sharers
-	for bit := 0; mask != 0; bit++ {
-		if mask&(1<<uint(bit)) == 0 {
-			continue
-		}
-		mask &^= 1 << uint(bit)
-		srv.acks++
-		c.sendToL1(c.l1FromBit(bit), b, kInv, tagExt, 0)
-	}
+	srv.acks += c.invalidateL1s(b, line.sharers, tagExt)
 	line.sharers = 0
 	c.finishExtIfDone(b, srv)
 }
@@ -910,13 +827,7 @@ func (c *L2Ctrl) handlePut(m *network.Message) {
 	if line := c.lookup(b); line != nil {
 		line.pinned = true
 	}
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   m.Src,
-		Block: b,
-		Kind:  kWbGrant,
-		Class: stats.WritebackControl,
-	})
+	c.sys.wbr.GrantPut(c.sys.Net, c.id, m)
 }
 
 // handleWbData completes a local L1's three-phase writeback at this bank.
@@ -927,16 +838,12 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 		panic(fmt.Sprintf("directory: L2 %v %s without PUT transaction for %v", c.id, kindName(m.Kind), b))
 	}
 	c.ser.End(b)
-	evictorBit := c.l1Bit(m.Src)
+	evictorBit := c.sys.Geom.L1Bit(m.Src)
 	if m.Kind == kWbData {
 		// Accept the data; the evictor was the local owner (E/M).
 		if !c.reserve(b) {
 			// Extremely unlikely; absorb by writing through to home.
-			c.sys.Net.SendNew(network.Message{
-				Src: c.id, Dst: c.home(b), Block: b, Kind: kPut,
-				Class: stats.WritebackControl,
-			})
-			c.wb.Push(b, m.Data, m.Dirty, false)
+			c.wb.Put(c.home(b), b, m.Data, m.Dirty, false)
 		} else {
 			line := c.lookup(b)
 			line.hasData = true

@@ -32,7 +32,7 @@ func NewSystem(eng *sim.Engine, h hier.Config, zeroDir bool, netCfg network.Conf
 		Ctrs:    counters.NewSet(),
 	}
 	s.ctr = newCtrs(s.Ctrs)
-	s.wbr = hier.WbReplies{Data: kWbData, Cancel: kWbCancel, Race: s.ctr.wbRace}
+	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
 	s.Wire(h, s.Net, s.newL2, s.newL1, s.newHome)
 	return s

@@ -88,14 +88,7 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 		return
 	}
 	c.sys.ctr.l1Writeback.Inc()
-	c.wb.Push(b, st.Data, st.Dirty, st.St == hier.M)
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   c.bank(b),
-		Block: b,
-		Kind:  kPut,
-		Class: stats.WritebackControl,
-	})
+	c.wb.Put(c.bank(b), b, st.Data, st.Dirty, st.St == hier.M)
 }
 
 // Recv implements network.Endpoint: the L1 defers the delivered message
@@ -241,40 +234,31 @@ func (c *L1Ctrl) handleProbe(m *network.Message) {
 			case hier.M:
 				// Migratory sharing: invalidate and pass write
 				// permission with the dirty data.
-				c.respondData(m, s.Data, true, auxMigr)
+				c.sys.respondData(c.id, m, s.Data, true, auxMigr)
 				c.invalidate(b, l)
 			case hier.O:
-				c.respondData(m, s.Data, s.Dirty, 0)
+				c.sys.respondData(c.id, m, s.Data, s.Dirty, 0)
 			case hier.E:
-				c.respondData(m, s.Data, false, 0)
+				c.sys.respondData(c.id, m, s.Data, false, 0)
 				s.St = hier.S
 			default: // hS
-				c.respondAck(m, auxShared)
+				c.sys.respondAck(c.id, m, auxShared)
 			}
 			return
 		}
 		// ProbeM: surrender the copy; owners (E, M, O) supply the data.
 		if s.St != hier.S {
-			c.respondData(m, s.Data, s.Dirty, 0)
+			c.sys.respondData(c.id, m, s.Data, s.Dirty, 0)
 		} else {
-			c.respondAck(m, auxShared)
+			c.sys.respondAck(c.id, m, auxShared)
 		}
 		c.invalidate(b, l)
 		return
 	}
 	// The copy may live in a pending writeback.
-	if w := c.wb.Valid(b); w != nil {
-		c.respondData(m, w.Data, w.Dirty, 0)
-		if m.Kind == kProbeM {
-			w.Valid = false // consumed; the Put will be cancelled
-		} else {
-			// A shared copy now exists: the buffered line must install
-			// downstream as O, not M.
-			w.Excl = false
-		}
-		return
+	if !c.sys.probeWb(c.id, &c.wb, m) {
+		c.sys.respondAck(c.id, m, 0)
 	}
-	c.respondAck(m, 0)
 }
 
 // invalidate drops our copy, preserving a placeholder line when a
@@ -286,31 +270,4 @@ func (c *L1Ctrl) invalidate(b mem.Block, l *cache.Line[hier.Line]) {
 		return
 	}
 	c.Cache.Invalidate(b)
-}
-
-func (c *L1Ctrl) respondData(m *network.Message, data uint64, dirty bool, aux int32) {
-	c.sys.ctr.probeData.Inc()
-	c.sys.Net.SendNew(network.Message{
-		Src:     c.id,
-		Dst:     m.Requestor,
-		Block:   m.Block,
-		Kind:    kData,
-		Class:   stats.ResponseData,
-		HasData: true,
-		Data:    data,
-		Dirty:   dirty,
-		Aux:     aux | auxShared,
-	})
-}
-
-func (c *L1Ctrl) respondAck(m *network.Message, aux int32) {
-	c.sys.ctr.probeAck.Inc()
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   m.Requestor,
-		Block: m.Block,
-		Kind:  kAck,
-		Class: stats.InvFwdAckTokens,
-		Aux:   aux,
-	})
 }

@@ -7,7 +7,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -87,7 +86,7 @@ func (c *L2Ctrl) handleProbe(m *network.Message) {
 	b := m.Block
 	if l := c.cache.Lookup(b); l != nil {
 		s := &l.State
-		c.respondData(m, s.data, s.dirty)
+		c.sys.respondData(c.id, m, s.data, s.dirty, 0)
 		if m.Kind == kProbeM {
 			c.cache.Invalidate(b)
 		} else if s.st == hier.M {
@@ -95,55 +94,16 @@ func (c *L2Ctrl) handleProbe(m *network.Message) {
 		}
 		return
 	}
-	if w := c.wb.Valid(b); w != nil {
-		c.respondData(m, w.Data, w.Dirty)
-		if m.Kind == kProbeM {
-			w.Valid = false
-		} else {
-			w.Excl = false // a shared copy now exists
-		}
-		return
+	if !c.sys.probeWb(c.id, &c.wb, m) {
+		c.sys.respondAck(c.id, m, 0)
 	}
-	c.respondAck(m)
-}
-
-func (c *L2Ctrl) respondData(m *network.Message, data uint64, dirty bool) {
-	c.sys.ctr.probeData.Inc()
-	c.sys.Net.SendNew(network.Message{
-		Src:     c.id,
-		Dst:     m.Requestor,
-		Block:   m.Block,
-		Kind:    kData,
-		Class:   stats.ResponseData,
-		HasData: true,
-		Data:    data,
-		Dirty:   dirty,
-		Aux:     auxShared,
-	})
-}
-
-func (c *L2Ctrl) respondAck(m *network.Message) {
-	c.sys.ctr.probeAck.Inc()
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   m.Requestor,
-		Block: m.Block,
-		Kind:  kAck,
-		Class: stats.InvFwdAckTokens,
-	})
 }
 
 // handlePut opens an L1's writeback window: grant immediately and
 // defer probes until the data (or a cancel) arrives.
 func (c *L2Ctrl) handlePut(m *network.Message) {
 	c.ser.Start(m.Block, true)
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   m.Src,
-		Block: m.Block,
-		Kind:  kWbGrant,
-		Class: stats.WritebackControl,
-	})
+	c.sys.wbr.GrantPut(c.sys.Net, c.id, m)
 }
 
 // handleWbData closes an L1's writeback window, installing the line
@@ -173,14 +133,7 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 // (three-phase, probeable from the buffer while in flight).
 func (c *L2Ctrl) spill(v mem.Block, st l2Line) {
 	c.sys.ctr.l2Writeback.Inc()
-	c.wb.Push(v, st.data, st.dirty, st.st == hier.M)
-	c.sys.Net.SendNew(network.Message{
-		Src:   c.id,
-		Dst:   c.home(v),
-		Block: v,
-		Kind:  kPut,
-		Class: stats.WritebackControl,
-	})
+	c.wb.Put(c.home(v), v, st.data, st.dirty, st.st == hier.M)
 }
 
 // drain replays messages deferred behind a writeback window.

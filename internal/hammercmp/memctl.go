@@ -76,13 +76,7 @@ func (c *MemCtrl) admit(m *network.Message) {
 	}
 	c.ser.Start(b, m.Kind)
 	if m.Kind == kPut {
-		c.sys.Net.SendNew(network.Message{
-			Src:   c.id,
-			Dst:   m.Src,
-			Block: b,
-			Kind:  kWbGrant,
-			Class: stats.WritebackControl,
-		})
+		c.sys.wbr.GrantPut(c.sys.Net, c.id, m)
 		return
 	}
 	c.startBroadcast(m)

@@ -5,6 +5,7 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
+	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -35,7 +36,7 @@ func NewSystem(eng *sim.Engine, h hier.Config, netCfg network.Config) *System {
 		Ctrs:   counters.NewSet(),
 	}
 	s.ctr = newCtrs(s.Ctrs)
-	s.wbr = hier.WbReplies{Data: kWbData, Cancel: kWbCancel, ExclAux: auxExcl, Race: s.ctr.wbRace}
+	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, ExclAux: auxExcl, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
 	s.Wire(h, s.Net, s.newL2, s.newL1, s.newMem)
 	return s
@@ -46,3 +47,51 @@ func (s *System) Name() string { return "HammerCMP" }
 
 // Counters exposes the machine-wide uniform event-counter registry.
 func (s *System) Counters() *counters.Set { return s.Ctrs }
+
+// respondData answers probe m from cache id with a copy of the block;
+// aux adds flags to the shared flag every data response carries.
+func (s *System) respondData(id topo.NodeID, m *network.Message, data uint64, dirty bool, aux int32) {
+	s.ctr.probeData.Inc()
+	s.Net.SendNew(network.Message{
+		Src:     id,
+		Dst:     m.Requestor,
+		Block:   m.Block,
+		Kind:    kData,
+		Class:   stats.ResponseData,
+		HasData: true,
+		Data:    data,
+		Dirty:   dirty,
+		Aux:     aux | auxShared,
+	})
+}
+
+// respondAck answers probe m from cache id without data.
+func (s *System) respondAck(id topo.NodeID, m *network.Message, aux int32) {
+	s.ctr.probeAck.Inc()
+	s.Net.SendNew(network.Message{
+		Src:   id,
+		Dst:   m.Requestor,
+		Block: m.Block,
+		Kind:  kAck,
+		Class: stats.InvFwdAckTokens,
+		Aux:   aux,
+	})
+}
+
+// probeWb answers probe m from the pending writebacks wb of cache id
+// and reports whether one held a valid copy. A ProbeM consumes the
+// copy, so its Put will be cancelled. After a ProbeS a shared copy
+// exists, so the buffered line must install downstream as O, not M.
+func (s *System) probeWb(id topo.NodeID, wb *hier.WbBuffer, m *network.Message) bool {
+	w := wb.Valid(m.Block)
+	if w == nil {
+		return false
+	}
+	s.respondData(id, m, w.Data, w.Dirty, 0)
+	if m.Kind == kProbeM {
+		w.Valid = false
+	} else {
+		w.Excl = false
+	}
+	return true
+}

@@ -2,8 +2,10 @@
 // protocol stacks: the cache geometry and latencies every protocol runs
 // with, the grid of L1, L2-bank and memory controllers each stack wires
 // onto its interconnect, and the controller parts the stacks share: the
-// L1 front end, the MOESI hit path, the writeback buffer, the
-// busy-block serializer and the payloads of delayed calls.
+// L1 front end, the MOESI hit path, the three-phase writeback (the
+// evictor's WbBuffer sends the Put and answers the grant, and
+// WbReplies.GrantPut is every grantor's WbGrant), the busy-block
+// serializer and the payloads of delayed calls.
 package hier
 
 import (

@@ -19,13 +19,25 @@ type WbEntry struct {
 	Valid bool // cleared when a forward or probe consumed the copy
 }
 
-// WbReplies is how a stack answers a writeback grant: its WbData and
-// WbCancel message kinds, the Aux flag marking an exclusive copy (0 if
-// the stack has none), and the wb.race counter.
+// WbReplies names a stack's three-phase writeback messages: its Put,
+// WbGrant, WbData and WbCancel kinds, the Aux flag marking an exclusive
+// copy (0 if the stack has none), and the wb.race counter.
 type WbReplies struct {
-	Data, Cancel int32
-	ExclAux      int32
-	Race         *counters.Counter
+	Put, Grant, Data, Cancel int32
+	ExclAux                  int32
+	Race                     *counters.Counter
+}
+
+// GrantPut answers the Put message put at controller id: it grants the
+// evictor permission to send its data.
+func (r *WbReplies) GrantPut(net *network.Network, id topo.NodeID, put *network.Message) {
+	net.SendNew(network.Message{
+		Src:   id,
+		Dst:   put.Src,
+		Block: put.Block,
+		Kind:  r.Grant,
+		Class: stats.WritebackControl,
+	})
 }
 
 // WbBuffer holds one controller's three-phase writebacks awaiting their
@@ -53,11 +65,19 @@ func NewWbBuffer(id topo.NodeID, net *network.Network, r *WbReplies) WbBuffer {
 	return WbBuffer{id: id, net: net, r: r}
 }
 
-// Push buffers a valid copy of b.
-func (w *WbBuffer) Push(b mem.Block, data uint64, dirty, excl bool) {
+// Put starts a three-phase writeback of b to dst: it buffers a valid
+// copy until the grant arrives and sends dst the Put.
+func (w *WbBuffer) Put(dst topo.NodeID, b mem.Block, data uint64, dirty, excl bool) {
 	q := w.q.At(b)
 	q.n++
 	q.newest = WbEntry{Data: data, Dirty: dirty, Excl: excl, Valid: true}
+	w.net.SendNew(network.Message{
+		Src:   w.id,
+		Dst:   dst,
+		Block: b,
+		Kind:  w.r.Put,
+		Class: stats.WritebackControl,
+	})
 }
 
 // Valid returns the buffered valid copy of b, or nil.

@@ -31,10 +31,7 @@ func New(jobs int) *Pool {
 	return &Pool{jobs: jobs}
 }
 
-// Jobs reports the pool width.
-func (p *Pool) Jobs() int { return p.jobs }
-
-// Run invokes fn(i) for every i in [0, n), at most Jobs() at a time.
+// Run invokes fn(i) for every i in [0, n), at most jobs at a time.
 // Indices are dispatched in ascending order from a shared counter, so
 // load imbalance between items self-corrects. If any fn fails, Run stops
 // dispatching new items, waits for in-flight ones, and returns the error
@@ -144,29 +141,4 @@ func (p *Pool) Stripe(n int, fn func(i int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// Map runs fn for every index in [0, n) through the pool and returns
-// the results in index order, or the lowest-index error.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(nil, p, n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation (see RunCtx): a cancelled
-// ctx stops dispatch and the call returns ctx.Err() unless a real fn
-// failure happened at a lower index first.
-func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := p.RunCtx(ctx, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -67,10 +67,10 @@ func TestRunEmptyAndDefaults(t *testing.T) {
 	if err := New(0).Run(0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0 ran fn: %v", err)
 	}
-	if j := New(0).Jobs(); j < 1 {
+	if j := New(0).jobs; j < 1 {
 		t.Fatalf("default jobs = %d, want >= 1", j)
 	}
-	if j := New(-3).Jobs(); j != DefaultJobs() {
+	if j := New(-3).jobs; j != DefaultJobs() {
 		t.Fatalf("jobs(-3) = %d, want DefaultJobs()=%d", j, DefaultJobs())
 	}
 }
@@ -85,28 +85,6 @@ func TestStripeCoversEveryIndex(t *testing.T) {
 				t.Fatalf("jobs=%d: index %d visited %d times", jobs, i, v)
 			}
 		}
-	}
-}
-
-func TestMapOrdersResults(t *testing.T) {
-	out, err := Map(New(4), 20, func(i int) (string, error) {
-		return fmt.Sprintf("r%d", i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != fmt.Sprintf("r%d", i) {
-			t.Fatalf("out[%d] = %q", i, v)
-		}
-	}
-	if _, err := Map(New(4), 5, func(i int) (int, error) {
-		if i == 2 {
-			return 0, errors.New("boom")
-		}
-		return i, nil
-	}); err == nil {
-		t.Fatal("Map swallowed the error")
 	}
 }
 
@@ -161,15 +139,5 @@ func TestRunCtxNilAndBackgroundMatchRun(t *testing.T) {
 		if ran.Load() != 50 {
 			t.Errorf("ctx=%v: ran %d items, want 50", ctx, ran.Load())
 		}
-	}
-}
-
-// TestMapCtxCancelled asserts MapCtx surfaces ctx.Err() once cancelled.
-func TestMapCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := MapCtx(ctx, New(2), 8, func(i int) (int, error) { return i, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -93,11 +93,3 @@ func tMultiplier(df int) float64 {
 func (s *Sample) String() string {
 	return fmt.Sprintf("%.4g ± %.2g", s.Mean(), s.CI95())
 }
-
-// Overlaps reports whether the 95% confidence intervals of s and other
-// overlap; per the paper, differences are significant when they do not.
-func (s *Sample) Overlaps(other *Sample) bool {
-	loA, hiA := s.Mean()-s.CI95(), s.Mean()+s.CI95()
-	loB, hiB := other.Mean()-other.CI95(), other.Mean()+other.CI95()
-	return loA <= hiB && loB <= hiA
-}

@@ -35,26 +35,6 @@ func TestSampleDegenerate(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	var a, b Sample
-	for _, x := range []float64{10, 11, 12} {
-		a.Add(x)
-	}
-	for _, x := range []float64{100, 101, 102} {
-		b.Add(x)
-	}
-	if a.Overlaps(&b) {
-		t.Error("distant samples should not overlap")
-	}
-	var c Sample
-	for _, x := range []float64{9, 12, 15} {
-		c.Add(x)
-	}
-	if !a.Overlaps(&c) {
-		t.Error("close samples should overlap")
-	}
-}
-
 // Property: the mean lies within [min, max] of the observations.
 func TestPropertyMeanBounded(t *testing.T) {
 	f := func(xs []float64) bool {

@@ -67,29 +67,6 @@ func (s *State) TakeAll() (tokens int, owner, hasData bool, data uint64, dirty b
 	return
 }
 
-// TakeTokens removes up to n non-owner tokens, never taking the owner
-// token or the last token backing valid data unless the state would
-// remain consistent. It returns the number actually taken.
-func (s *State) TakeTokens(n int) int {
-	avail := s.Tokens
-	if s.Owner {
-		avail-- // never give the owner token away via TakeTokens
-	}
-	if n > avail {
-		n = avail
-	}
-	if n < 0 {
-		n = 0
-	}
-	s.Tokens -= n
-	if s.Tokens == 0 {
-		// No tokens left: data may no longer be read.
-		s.HasData = false
-		s.Dirty = false
-	}
-	return n
-}
-
 // TokenCountFor returns the system-wide token count T for a system with
 // the given number of caches: the smallest power of two strictly greater
 // than the cache count, so that (1) all caches can share a block and (2)

@@ -34,16 +34,6 @@ func TestTakeAllEmpties(t *testing.T) {
 	}
 }
 
-func TestTakeTokensNeverTakesOwner(t *testing.T) {
-	s := &State{Tokens: 3, Owner: true, HasData: true}
-	if got := s.TakeTokens(5); got != 2 {
-		t.Errorf("took %d, want 2 (owner kept)", got)
-	}
-	if !s.Owner || s.Tokens != 1 {
-		t.Errorf("state after = %+v", s)
-	}
-}
-
 func TestTokenCountFor(t *testing.T) {
 	cases := map[int]int{1: 2, 3: 4, 4: 8, 47: 64, 48: 64, 63: 64, 64: 128}
 	for caches, want := range cases {

@@ -94,8 +94,7 @@ func (c *base) reeval(b mem.Block) {
 		// Persistent writes collect everything; memory also cedes all on
 		// persistent reads (it needs no read permission and holds the
 		// data the reader must receive).
-		tk, own, hasData, data, dirty := s.TakeAll()
-		tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
+		tmpl = takeAll(s)
 	case s.Owner:
 		// Persistent read: the owner keeps one plain token (retaining a
 		// readable copy when it has data) and sends the owner token with
@@ -125,15 +124,7 @@ func (c *base) reeval(b mem.Block) {
 		return
 	}
 	emptied := s.Tokens == 0
-	tmpl.Src = c.id
-	tmpl.Dst = e.Dest
-	tmpl.Block = b
-	tmpl.Kind = kResponse
-	if tmpl.HasData {
-		tmpl.Class = stats.ResponseData
-	} else {
-		tmpl.Class = stats.InvFwdAckTokens
-	}
+	c.address(&tmpl, e.Dest, b)
 	if c.noteLoss != nil {
 		c.noteLoss(b, int(tmpl.Tokens), tmpl.Owner, tmpl.Dst, emptied)
 	}
@@ -145,6 +136,86 @@ func (c *base) reeval(b mem.Block) {
 	if emptied && c.onEmpty != nil {
 		c.onEmpty(b)
 	}
+}
+
+// takeAll empties s into a carrier message. Data travels with the
+// owner token, and an owner always holds data, so the carrier has data
+// exactly when it has the owner token.
+func takeAll(s *token.State) network.Message {
+	tk, own, hasData, data, dirty := s.TakeAll()
+	return network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
+}
+
+// address makes m a response from this endpoint to dst about b, sized
+// as data or as a token-only message.
+func (c *base) address(m *network.Message, dst topo.NodeID, b mem.Block) {
+	m.Src = c.id
+	m.Dst = dst
+	m.Block = b
+	m.Kind = kResponse
+	if m.HasData {
+		m.Class = stats.ResponseData
+	} else {
+		m.Class = stats.InvFwdAckTokens
+	}
+}
+
+// respond applies the Section 4 response rules of a cache holding s
+// to the transient request m: local rules for sibling-L1 requests,
+// external rules for requests from other CMPs. It takes the response's
+// tokens and data out of s and returns them unaddressed; a response
+// without tokens means stay silent. emptied reports that s gave up
+// everything, migratory that it was a migratory handoff.
+func (c *base) respond(m *network.Message, s *token.State, external bool) (resp network.Message, emptied, migratory bool) {
+	switch {
+	case token.ReqKind(m.Aux) == token.ReqWrite:
+		return takeAll(s), true, false
+	case s.Owner && s.Tokens == c.sys.T && s.Dirty && !c.sys.Cfg.DisableMigratory:
+		// Migratory sharing: hand everything to the reader.
+		return takeAll(s), true, true
+	case s.Owner && s.Tokens >= 2:
+		n := 1
+		if external {
+			// Inter-CMP read responses carry up to C tokens so future
+			// intra-CMP requests hit locally (§4).
+			n = min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
+		}
+		s.Tokens -= n
+		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
+	case s.Owner:
+		// Owner-only: transfer ownership with data rather than starve the
+		// reader.
+		return takeAll(s), true, false
+	case !external && s.Tokens >= 2 && s.HasData:
+		// Local read served by a non-owner sharer with spare tokens.
+		s.Tokens--
+		resp = network.Message{Tokens: 1, HasData: true, Data: s.Data}
+	}
+	// Otherwise stay silent: externally a non-owner never answers a
+	// read, and locally a sharer answers only with data and a spare
+	// token.
+	return resp, false, false
+}
+
+// writeback sends the evicted state st of b to dst; the owner token
+// carries the data.
+func (c *base) writeback(dst topo.NodeID, b mem.Block, st token.State) {
+	m := network.Message{
+		Src:     c.id,
+		Dst:     dst,
+		Block:   b,
+		Kind:    kWriteback,
+		Class:   stats.WritebackControl,
+		Tokens:  int32(st.Tokens),
+		Owner:   st.Owner,
+		HasData: st.Owner,
+		Data:    st.Data,
+		Dirty:   st.Dirty,
+	}
+	if st.Owner {
+		m.Class = stats.WritebackData
+	}
+	c.sys.Net.SendNew(m)
 }
 
 // reevalCall is reeval's closure-free thunk for a forward deferred by

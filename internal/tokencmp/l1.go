@@ -391,30 +391,13 @@ func (c *L1Ctrl) writebackVictim(victim mem.Block, st token.State) {
 		return
 	}
 	c.sys.ctr.l1Writeback.Inc()
-	dst := c.sys.Geom.L2BankFor(c.cmp, victim)
-	cls := stats.WritebackControl
-	hasData := st.Owner
-	if hasData {
-		cls = stats.WritebackData
-	}
 	c.bankFor(victim).noteL1Loss(victim, st.Tokens, st.Owner, c.id, true)
-	c.sys.Net.SendNew(network.Message{
-		Src:     c.id,
-		Dst:     dst,
-		Block:   victim,
-		Kind:    kWriteback,
-		Class:   cls,
-		Tokens:  int32(st.Tokens),
-		Owner:   st.Owner,
-		HasData: hasData,
-		Data:    st.Data,
-		Dirty:   st.Dirty,
-	})
+	c.writeback(c.sys.Geom.L2BankFor(c.cmp, victim), victim, st)
 }
 
-// handleRequest applies the Section 4 response rules for transient
-// requests: local rules for sibling-L1 requests, external rules for
-// requests forwarded from other CMPs.
+// handleRequest answers a transient request, local or forwarded from
+// another CMP, by the Section 4 response rules once the response-delay
+// hold allows.
 func (c *L1Ctrl) handleRequest(m *network.Message, external bool) {
 	b := m.Block
 	if c.transientBlocked(b, m.Requestor) {
@@ -424,60 +407,19 @@ func (c *L1Ctrl) handleRequest(m *network.Message, external bool) {
 	if s == nil || s.Tokens == 0 {
 		return
 	}
-	now := c.sys.Eng.Now()
-	if s.HoldUntil > now {
+	if s.HoldUntil > c.sys.Eng.Now() {
 		// Response-delay mechanism: re-handle once the hold expires.
 		c.sys.Net.HandleAt(s.HoldUntil, m)
 		return
 	}
-	rk := token.ReqKind(m.Aux)
-	T := c.sys.T
-
-	var resp network.Message
-	emptied := false
-	switch {
-	case rk == token.ReqWrite:
-		tk, own, hasData, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
-		emptied = true
-	case s.Owner && s.Tokens == T && s.Dirty && !c.sys.Cfg.DisableMigratory:
-		// Migratory sharing: hand everything to the reader.
+	resp, emptied, migratory := c.respond(m, s, external)
+	if resp.Tokens == 0 {
+		return
+	}
+	if migratory {
 		c.sys.ctr.migratory.Inc()
-		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
-		emptied = true
-	case s.Owner && s.Tokens >= 2:
-		n := 1
-		if external {
-			// Inter-CMP read responses carry up to C tokens so future
-			// intra-CMP requests hit locally (§4).
-			n = min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
-		}
-		s.Tokens -= n
-		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
-	case s.Owner:
-		// Owner-only: transfer ownership with data rather than starve the
-		// reader.
-		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
-		emptied = true
-	case !external && s.Tokens >= 2 && s.HasData:
-		// Local read served by a non-owner sharer with spare tokens.
-		s.Tokens--
-		resp = network.Message{Tokens: 1, HasData: true, Data: s.Data}
-	default:
-		return // externally, non-owners stay silent on reads
 	}
-
-	resp.Src = c.id
-	resp.Dst = m.Requestor
-	resp.Block = b
-	resp.Kind = kResponse
-	if resp.HasData {
-		resp.Class = stats.ResponseData
-	} else {
-		resp.Class = stats.InvFwdAckTokens
-	}
+	c.address(&resp, m.Requestor, b)
 	c.notifyLoss(b, int(resp.Tokens), resp.Owner, resp.Dst, emptied)
 	c.sys.Net.SendNew(resp)
 	if emptied {

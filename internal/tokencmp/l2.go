@@ -56,24 +56,14 @@ func (c *L2Ctrl) presenceOf(b mem.Block) *presence { return c.onChip.At(b) }
 
 // addSharer and dropSharer edit b's sharer mask; a block whose mask
 // empties leaves the table.
-func (c *L2Ctrl) addSharer(b mem.Block, l1 topo.NodeID) { *c.sharers.At(b) |= c.l1Bit(l1) }
+func (c *L2Ctrl) addSharer(b mem.Block, l1 topo.NodeID) { *c.sharers.At(b) |= c.sys.Geom.L1Bit(l1) }
 
 func (c *L2Ctrl) dropSharer(b mem.Block, l1 topo.NodeID) {
 	if m := c.sharers.Peek(b); m != nil {
-		if *m &^= c.l1Bit(l1); *m == 0 {
+		if *m &^= c.sys.Geom.L1Bit(l1); *m == 0 {
 			c.sharers.Delete(b)
 		}
 	}
-}
-
-// l1Bit returns the sharer-mask bit for a local L1 endpoint.
-func (c *L2Ctrl) l1Bit(id topo.NodeID) uint64 {
-	g := c.sys.Geom
-	idx := g.IndexOf(id)
-	if g.KindOf(id) == topo.L1I {
-		idx += g.ProcsPerCMP
-	}
-	return 1 << uint(idx)
 }
 
 // noteL1Gain records tokens arriving at a local L1 from off-chip or from
@@ -145,11 +135,10 @@ func (c *L2Ctrl) Handle(m *network.Message) {
 	}
 }
 
-// respond sends tokens/data from the bank's own state to a requester,
-// applying the Section 4 response rules. external selects the inter-CMP
-// rules (respond to reads only as owner; include up to C tokens). It
+// serve answers a transient request from the bank's own tokens by the
+// Section 4 response rules; external selects the inter-CMP rules. It
 // reports whether a response was sent and whether it carried data.
-func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData bool) {
+func (c *L2Ctrl) serve(m *network.Message, external bool) (responded, withData bool) {
 	b := m.Block
 	if c.transientBlocked(b, m.Requestor) {
 		return false, false
@@ -158,47 +147,14 @@ func (c *L2Ctrl) respond(m *network.Message, external bool) (responded, withData
 	if s == nil || s.Tokens == 0 {
 		return false, false
 	}
-	rk := token.ReqKind(m.Aux)
-	T := c.sys.T
-
-	var resp network.Message
-	emptied := false
-	switch {
-	case rk == token.ReqWrite:
-		tk, own, hasData, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
-		emptied = true
-	case s.Owner && s.Tokens == T && s.Dirty && !c.sys.Cfg.DisableMigratory:
-		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
-		emptied = true
-	case s.Owner && s.Tokens >= 2:
-		n := 1
-		if external {
-			n = min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
-		}
-		s.Tokens -= n
-		resp = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
-	case s.Owner:
-		tk, own, _, data, dirty := s.TakeAll()
-		resp = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
-		emptied = true
-	case !external && s.Tokens >= 2 && s.HasData:
-		s.Tokens--
-		resp = network.Message{Tokens: 1, HasData: true, Data: s.Data}
-	default:
+	// Unlike the L1, the bank leaves its migratory handoffs out of
+	// grant.migratory (ROADMAP); counting them would move the pinned
+	// counter totals.
+	resp, emptied, _ := c.respond(m, s, external)
+	if resp.Tokens == 0 {
 		return false, false
 	}
-
-	resp.Src = c.id
-	resp.Dst = m.Requestor
-	resp.Block = b
-	resp.Kind = kResponse
-	if resp.HasData {
-		resp.Class = stats.ResponseData
-	} else {
-		resp.Class = stats.InvFwdAckTokens
-	}
+	c.address(&resp, m.Requestor, b)
 	// Tokens sent to a local L1 stay on chip.
 	g := c.sys.Geom
 	if g.IsCache(resp.Dst) && g.CMPOf(resp.Dst) == c.cmp {
@@ -218,7 +174,7 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 	b := m.Block
 	rk := token.ReqKind(m.Aux)
 
-	_, respondedWithData := c.respond(m, false)
+	_, respondedWithData := c.serve(m, false)
 
 	// External decision based on the bank's own remaining tokens plus its
 	// view of tokens held by local L1s.
@@ -272,9 +228,9 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 
 	respondedAsOwner := false
 	if s := c.lookup(b); rk == token.ReqRead && s != nil && s.Tokens > 0 && s.Owner {
-		respondedAsOwner, _ = c.respond(m, true)
+		respondedAsOwner, _ = c.serve(m, true)
 	} else if rk == token.ReqWrite {
-		c.respond(m, true)
+		c.serve(m, true)
 	}
 
 	// Reads satisfied by this bank as owner need no L1 involvement.
@@ -308,7 +264,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 			mask = *m
 		}
 		for _, l1 := range l1s {
-			if mask&c.l1Bit(l1) != 0 {
+			if mask&c.sys.Geom.L1Bit(l1) != 0 {
 				fwd.Dst = l1
 				c.sys.Net.SendNew(fwd)
 				c.sys.ctr.fwdSent.Inc()
@@ -329,32 +285,9 @@ func (c *L2Ctrl) handleWriteback(m *network.Message) {
 	c.sys.ctr.l2Writeback.Inc()
 	b := m.Block
 	line, victim, vstate, evicted := c.cache.Install(b)
-	if evicted {
-		c.writebackVictim(victim, vstate)
+	if evicted && vstate.Tokens > 0 {
+		c.writeback(c.sys.Geom.HomeMem(victim), victim, vstate)
 	}
 	line.State.Merge(int(m.Tokens), m.Owner, m.HasData, m.Data, m.Dirty)
 	c.reeval(b)
-}
-
-func (c *L2Ctrl) writebackVictim(victim mem.Block, st token.State) {
-	if st.Tokens == 0 {
-		return
-	}
-	cls := stats.WritebackControl
-	hasData := st.Owner
-	if hasData {
-		cls = stats.WritebackData
-	}
-	c.sys.Net.SendNew(network.Message{
-		Src:     c.id,
-		Dst:     c.sys.Geom.HomeMem(victim),
-		Block:   victim,
-		Kind:    kWriteback,
-		Class:   cls,
-		Tokens:  int32(st.Tokens),
-		Owner:   st.Owner,
-		HasData: hasData,
-		Data:    st.Data,
-		Dirty:   st.Dirty,
-	})
 }

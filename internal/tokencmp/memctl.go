@@ -102,42 +102,30 @@ func (c *MemCtrl) handleRequest(m *network.Message) {
 	if s == nil || s.Tokens == 0 {
 		return
 	}
-	rk := token.ReqKind(m.Aux)
-
 	var tmpl network.Message
 	switch {
-	case rk == token.ReqWrite:
-		tk, own, hasData, data, dirty := s.TakeAll()
-		tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
-	case s.Owner:
+	case token.ReqKind(m.Aux) == token.ReqWrite:
+		tmpl = takeAll(s)
+	case s.Owner && (s.Tokens == c.sys.T || s.Tokens < 2):
 		// Read: when memory holds every token, hand them all over — the
 		// exclusive-clean (E state) analog, letting the reader upgrade to
 		// a write silently (§4's "respond to a read request with all T
-		// tokens"). Otherwise send data plus up to C tokens so future
-		// requests in the reader's CMP hit locally.
-		if s.Tokens == c.sys.T || s.Tokens < 2 {
-			tk, own, _, data, dirty := s.TakeAll()
-			tmpl = network.Message{Tokens: int32(tk), Owner: own, HasData: true, Data: data, Dirty: dirty}
-		} else {
-			n := min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
-			s.Tokens -= n
-			tmpl = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
-		}
+		// tokens"). An owner-only memory hands over ownership.
+		tmpl = takeAll(s)
+	case s.Owner:
+		// Otherwise send data plus up to C tokens so future requests in
+		// the reader's CMP hit locally.
+		n := min(c.sys.Geom.CachesPerCMP(), s.Tokens-1)
+		s.Tokens -= n
+		tmpl = network.Message{Tokens: int32(n), HasData: true, Data: s.Data}
 	default:
 		return // token-only memory stays silent on reads; the owner cache responds
 	}
-
-	tmpl.Src = c.id
-	tmpl.Dst = m.Requestor
-	tmpl.Block = b
-	tmpl.Kind = kResponse
+	c.address(&tmpl, m.Requestor, b)
 	delay := sim.Time(0)
 	if tmpl.HasData {
-		tmpl.Class = stats.ResponseData
 		delay = hier.DRAMLatency
 		c.sys.ctr.memRead.Inc()
-	} else {
-		tmpl.Class = stats.InvFwdAckTokens
 	}
 	c.sys.Net.SendAfter(delay, tmpl)
 }

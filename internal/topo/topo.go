@@ -95,6 +95,13 @@ func (g Geometry) MemNode(c int) NodeID {
 	return NodeID(c*g.nodesPerCMP() + 2*g.ProcsPerCMP + g.L2Banks)
 }
 
+// L1Bit returns L1 cache id's bit in its CMP's sharer mask: the L1Ds
+// take the low ProcsPerCMP bits and the L1Is the next ProcsPerCMP.
+func (g Geometry) L1Bit(id NodeID) uint64 { return 1 << uint(int(id)%g.nodesPerCMP()) }
+
+// L1FromBit inverts L1Bit for the L1 caches of CMP c.
+func (g Geometry) L1FromBit(c, bit int) NodeID { return NodeID(c*g.nodesPerCMP() + bit) }
+
 // CMPOf reports which CMP an endpoint belongs to.
 func (g Geometry) CMPOf(id NodeID) int { return int(id) / g.nodesPerCMP() }
 
@@ -188,12 +195,10 @@ func (g Geometry) Mems() []NodeID {
 // TokenCMP read-response optimization returns C tokens when possible.
 func (g Geometry) CachesPerCMP() int { return 2*g.ProcsPerCMP + g.L2Banks }
 
-// ProcPriority returns the fixed persistent-request priority of processor
-// p on CMP c: lower is higher priority, and least-significant bits vary
-// within a CMP so that contended handoffs favor on-chip neighbors (§3.2).
-func (g Geometry) ProcPriority(c, p int) int { return c*g.ProcsPerCMP + p }
-
 // GlobalProc returns the global processor index of processor p on CMP c.
+// It is also the processor's fixed persistent-request priority (lower
+// wins), so priorities within a CMP are consecutive and contended
+// handoffs favor on-chip neighbors (§3.2).
 func (g Geometry) GlobalProc(c, p int) int { return c*g.ProcsPerCMP + p }
 
 // ProcOf inverts GlobalProc.

@@ -74,8 +74,27 @@ func TestPriorityLocality(t *testing.T) {
 	// favor on-chip neighbors (§3.2).
 	for c := 0; c < 4; c++ {
 		for p := 0; p < 3; p++ {
-			if g.ProcPriority(c, p+1)-g.ProcPriority(c, p) != 1 {
+			if g.GlobalProc(c, p+1)-g.GlobalProc(c, p) != 1 {
 				t.Fatal("priorities not consecutive within a CMP")
+			}
+		}
+	}
+}
+
+// TestL1Bits checks that each L1 of a CMP owns one sharer-mask bit, the
+// L1Ds the low ProcsPerCMP bits by processor and the L1Is the next, and
+// that L1FromBit inverts L1Bit.
+func TestL1Bits(t *testing.T) {
+	g := NewGeometry(3, 4, 2)
+	for c := 0; c < g.CMPs; c++ {
+		for p := 0; p < g.ProcsPerCMP; p++ {
+			for bit, id := range map[int]NodeID{p: g.L1DNode(c, p), g.ProcsPerCMP + p: g.L1INode(c, p)} {
+				if got := g.L1Bit(id); got != 1<<uint(bit) {
+					t.Errorf("L1Bit(%v) = %#x, want bit %d", id, got, bit)
+				}
+				if got := g.L1FromBit(c, bit); got != id {
+					t.Errorf("L1FromBit(%d, %d) = %v, want %v", c, bit, got, id)
+				}
 			}
 		}
 	}
