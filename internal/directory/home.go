@@ -70,17 +70,11 @@ func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int3
 	})
 }
 
-// Recv implements network.Endpoint. Every directory access pays the
-// controller latency plus the directory lookup (80 ns for the DRAM
-// directory, 0 for DirectoryCMP-zero). The serializer copies queued
-// requests by value, so the borrowed message never outlives Handle.
+// Recv implements network.Endpoint. The network calls it after the
+// controller latency plus the directory lookup (see NewSystem). The
+// serializer copies queued requests by value, so the borrowed message
+// never outlives Recv.
 func (c *HomeCtrl) Recv(m *network.Message) {
-	d := hier.MemLatency + c.sys.dirLatency()
-	c.sys.Net.HandleAfter(d, m)
-}
-
-// Handle implements network.Handler.
-func (c *HomeCtrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM, kPut:
 		c.admit(m)

@@ -60,14 +60,9 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 	c.wb.Put(c.bank(b), b, st.Data, st.Dirty, false)
 }
 
-// Recv implements network.Endpoint: the L1 defers the delivered message
-// across its tag-access delay.
+// Recv implements network.Endpoint. The network calls it after the
+// L1's tag-access delay (see NewSystem).
 func (c *L1Ctrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.L1Latency, m)
-}
-
-// Handle implements network.Handler.
-func (c *L1Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kData, kGrant:
 		c.handleGrant(m)

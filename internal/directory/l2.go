@@ -148,15 +148,10 @@ func (c *L2Ctrl) lookup(b mem.Block) *l2Line {
 
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
-// Recv implements network.Endpoint: the bank defers the delivered
-// message across its tag-access delay. Queued messages are copied by
-// value, so the borrowed message never outlives Handle.
+// Recv implements network.Endpoint. The network calls it after the
+// bank's tag-access delay (see NewSystem). Queued messages are copied
+// by value, so the borrowed message never outlives Recv.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.L2Latency, m)
-}
-
-// Handle implements network.Handler.
-func (c *L2Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM:
 		c.admitLocal(m)
@@ -404,7 +399,7 @@ func (c *L2Ctrl) finishRecallIfDone(v mem.Block, srv *extSrv) {
 	// writeback buffer) — re-admit them.
 	for i := range pending {
 		hm := pending[i]
-		c.Handle(&hm)
+		c.Recv(&hm)
 	}
 	c.drain(v)
 }
@@ -589,7 +584,7 @@ func (c *L2Ctrl) drain(b mem.Block) {
 		if !ok {
 			return
 		}
-		c.Handle(&m)
+		c.Recv(&m)
 	}
 }
 

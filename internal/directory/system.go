@@ -34,7 +34,14 @@ func NewSystem(eng *sim.Engine, h hier.Config, zeroDir bool, netCfg network.Conf
 	s.ctr = newCtrs(s.Ctrs)
 	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
-	s.Wire(h, s.Net, s.newL2, s.newL1, s.newHome)
+	// Every directory controller acts only after its access latency;
+	// the home's includes the directory lookup (80 ns for the DRAM
+	// directory, 0 for DirectoryCMP-zero).
+	s.Wire(h, s.Net, hier.Delays{
+		L1:  network.Delay{Latency: hier.L1Latency, Kinds: network.AllKinds},
+		L2:  network.Delay{Latency: hier.L2Latency, Kinds: network.AllKinds},
+		Mem: network.Delay{Latency: hier.MemLatency + s.dirLatency(), Kinds: network.AllKinds},
+	}, s.newL2, s.newL1, s.newHome)
 	return s
 }
 

@@ -52,16 +52,11 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
-// Recv implements network.Endpoint: the bank defers the delivered
-// message across its tag-access delay. Messages deferred behind a
+// Recv implements network.Endpoint. The network calls it after the
+// bank's tag-access delay (see NewSystem). Messages deferred behind a
 // writeback window are copied by value, so the borrowed message never
-// outlives Handle.
+// outlives Recv.
 func (c *L2Ctrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.L2Latency, m)
-}
-
-// Handle implements network.Handler.
-func (c *L2Ctrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kProbeS, kProbeM, kPut:
 		if c.ser.Busy(m.Block) != nil {
@@ -146,6 +141,6 @@ func (c *L2Ctrl) drain(b mem.Block) {
 		if !ok {
 			return
 		}
-		c.Handle(&m)
+		c.Recv(&m)
 	}
 }

@@ -43,15 +43,10 @@ func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
 	return 0, false
 }
 
-// Recv implements network.Endpoint: the home defers the delivered
-// message across its controller delay. Queued requests are copied by
-// value, so the borrowed message never outlives Handle.
+// Recv implements network.Endpoint. The network calls it after the
+// home's controller delay (see NewSystem). Queued requests are copied
+// by value, so the borrowed message never outlives Recv.
 func (c *MemCtrl) Recv(m *network.Message) {
-	c.sys.Net.HandleAfter(hier.MemLatency, m)
-}
-
-// Handle implements network.Handler.
-func (c *MemCtrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM, kPut:
 		c.admit(m)

@@ -1,6 +1,7 @@
 package hammercmp
 
 import (
+	"fmt"
 	"testing"
 
 	"tokencmp/internal/counters"
@@ -21,6 +22,19 @@ func build(t *testing.T, g topo.Geometry) *System {
 	eng := sim.NewEngine()
 	h := hier.Config{Geom: g, L1Size: 4 << 10, L2BankSize: 16 << 10}
 	return NewSystem(eng, h, network.Default())
+}
+
+// TestKindsFitDelay asserts the highest message kind is below 32, so
+// every kind has its bit in network.Delay.Kinds: Go shifts a uint32 by
+// 32 or more to 0, so a kind there would silently skip its access
+// latency.
+func TestKindsFitDelay(t *testing.T) {
+	if name := kindName(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
+		t.Fatalf("kind %s follows kWbCancel; assert on the highest kind", name)
+	}
+	if kWbCancel >= 32 {
+		t.Errorf("highest message kind %s is %d, want below 32", kindName(kWbCancel), kWbCancel)
+	}
 }
 
 // runProgs drives one program per processor to completion.
@@ -62,10 +76,18 @@ func TestLockingMutualExclusion(t *testing.T) {
 }
 
 // TestQuiescence asserts every message has drained (writeback chains
-// included) once programs finish and the engine runs dry.
+// included) once programs finish and the engine runs dry, and that no
+// home is left with a busy block or a queued request for any block it
+// was sent.
 func TestQuiescence(t *testing.T) {
 	g := topo.NewGeometry(2, 2, 1)
 	s := build(t, g)
+	homed := map[mem.Block]bool{}
+	s.Net.Monitor = func(m *network.Message) {
+		if g.KindOf(m.Dst) == topo.Mem {
+			homed[m.Block] = true
+		}
+	}
 	lc := workload.DefaultLocking(2)
 	lc.Acquires = 8
 	progs, _ := workload.LockingPrograms(lc, g.TotalProcs(), 3)
@@ -74,9 +96,16 @@ func TestQuiescence(t *testing.T) {
 	if s.Net.InFlight != 0 {
 		t.Errorf("network not quiescent: %d messages in flight", s.Net.InFlight)
 	}
-	for _, m := range s.Mems {
-		if !m.ser.Idle() {
-			t.Errorf("home %v left busy blocks or queued messages", m.id)
+	if len(homed) == 0 {
+		t.Fatal("no message reached a home")
+	}
+	for b := range homed {
+		m := s.Mems[g.CMPOf(g.HomeMem(b))]
+		if m.ser.Busy(b) != nil {
+			t.Errorf("home %v left %v busy", m.id, b)
+		}
+		if q, ok := m.ser.Pop(b); ok {
+			t.Errorf("home %v left %v queued for %v", m.id, &q, b)
 		}
 	}
 }

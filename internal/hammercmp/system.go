@@ -38,7 +38,12 @@ func NewSystem(eng *sim.Engine, h hier.Config, netCfg network.Config) *System {
 	s.ctr = newCtrs(s.Ctrs)
 	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, ExclAux: auxExcl, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
-	s.Wire(h, s.Net, s.newL2, s.newL1, s.newMem)
+	// Every HammerCMP controller acts only after its access latency.
+	s.Wire(h, s.Net, hier.Delays{
+		L1:  network.Delay{Latency: hier.L1Latency, Kinds: network.AllKinds},
+		L2:  network.Delay{Latency: hier.L2Latency, Kinds: network.AllKinds},
+		Mem: network.Delay{Latency: hier.MemLatency, Kinds: network.AllKinds},
+	}, s.newL2, s.newL1, s.newMem)
 	return s
 }
 

@@ -76,11 +76,19 @@ type Grid[L1 L1Port, L2, M network.Endpoint] struct {
 	Mems       []M    // [cmp]
 }
 
+// Delays are a stack's access latencies, one per controller class:
+// which message kinds each class handles only after its Table 3 access
+// time.
+type Delays struct {
+	L1, L2, Mem network.Delay
+}
+
 // Wire builds every controller of cfg's geometry and attaches it to
-// net. Per CMP it builds the L2 banks, then each processor's L1D and
-// L1I, then the memory controller. The grid fills in as it goes, so a
-// constructor may read cfg from g and an L1 its CMP's banks from g.L2s.
-func (g *Grid[L1, L2, M]) Wire(cfg Config, net *network.Network,
+// net with its class's delay. Per CMP it builds the L2 banks, then each
+// processor's L1D and L1I, then the memory controller. The grid fills
+// in as it goes, so a constructor may read cfg from g and an L1 its
+// CMP's banks from g.L2s.
+func (g *Grid[L1, L2, M]) Wire(cfg Config, net *network.Network, d Delays,
 	newL2 func(id topo.NodeID, cmp, bank int) L2,
 	newL1 func(id topo.NodeID, cmp, proc int, instr bool) L1,
 	newMem func(id topo.NodeID, cmp int) M) {
@@ -97,18 +105,18 @@ func (g *Grid[L1, L2, M]) Wire(cfg Config, net *network.Network,
 		for b := 0; b < geom.L2Banks; b++ {
 			id := geom.L2Node(c, b)
 			g.L2s[c][b] = newL2(id, c, b)
-			net.Attach(id, g.L2s[c][b])
+			net.AttachDelay(id, g.L2s[c][b], d.L2)
 		}
 		for p := 0; p < geom.ProcsPerCMP; p++ {
 			did, iid := geom.L1DNode(c, p), geom.L1INode(c, p)
 			g.L1Ds[c][p] = newL1(did, c, p, false)
 			g.L1Is[c][p] = newL1(iid, c, p, true)
-			net.Attach(did, g.L1Ds[c][p])
-			net.Attach(iid, g.L1Is[c][p])
+			net.AttachDelay(did, g.L1Ds[c][p], d.L1)
+			net.AttachDelay(iid, g.L1Is[c][p], d.L1)
 		}
 		id := geom.MemNode(c)
 		g.Mems[c] = newMem(id, c)
-		net.Attach(id, g.Mems[c])
+		net.AttachDelay(id, g.Mems[c], d.Mem)
 	}
 }
 

@@ -39,21 +39,24 @@ func TestParamsResolveTable3Sizes(t *testing.T) {
 	}
 }
 
-// node is a stand-in controller that logs its construction and counts
-// delivered messages.
+// node is a stand-in controller that logs its construction, counts
+// delivered messages and records when the last one reached Recv.
 type node struct {
 	name string
 	got  int
+	eng  *sim.Engine
+	at   sim.Time
 }
 
-func (n *node) Recv(*network.Message) { n.got++ }
+func (n *node) Recv(*network.Message) { n.got++; n.at = n.eng.Now() }
 
 func (n *node) Access(cpu.AccessKind, mem.Addr, uint64, func(uint64)) {}
 
 // TestWireOrderAndAttach pins the construction order every stack
 // depends on (per CMP: banks, then L1D and L1I per processor, then
 // memory), that an L1 constructor sees its CMP's banks, and that every
-// controller receives the messages addressed to its node.
+// controller receives the messages addressed to its node after its
+// class's delay.
 func TestWireOrderAndAttach(t *testing.T) {
 	eng := sim.NewEngine()
 	h := Config{Geom: topo.NewGeometry(2, 2, 2)}
@@ -61,11 +64,16 @@ func TestWireOrderAndAttach(t *testing.T) {
 	var g Grid[*node, *node, *node]
 	var order []string
 	mk := func(format string, args ...any) *node {
-		n := &node{name: fmt.Sprintf(format, args...)}
+		n := &node{name: fmt.Sprintf(format, args...), eng: eng}
 		order = append(order, n.name)
 		return n
 	}
-	g.Wire(h, net,
+	delays := Delays{
+		L1:  network.Delay{Latency: sim.NS(1), Kinds: network.AllKinds},
+		L2:  network.Delay{Latency: sim.NS(2), Kinds: network.AllKinds},
+		Mem: network.Delay{Latency: sim.NS(3), Kinds: network.AllKinds},
+	}
+	g.Wire(h, net, delays,
 		func(_ topo.NodeID, c, b int) *node { return mk("L2 %d.%d", c, b) },
 		func(_ topo.NodeID, c, p int, instr bool) *node {
 			if len(g.L2s[c]) != h.Geom.L2Banks || g.L2s[c][h.Geom.L2Banks-1] == nil {
@@ -98,20 +106,27 @@ func TestWireOrderAndAttach(t *testing.T) {
 
 	ids := h.Geom.AllNodes()
 	src := h.Geom.MemNode(0)
+	arrived := map[topo.NodeID]sim.Time{}
+	net.Monitor = func(m *network.Message) { arrived[m.Dst] = eng.Now() }
 	for _, id := range ids {
 		net.SendNew(network.Message{Src: src, Dst: id, Class: stats.Request})
 	}
 	eng.Run(1_000_000)
 	all := map[topo.NodeID]*node{}
+	delay := map[topo.NodeID]sim.Time{}
 	for c := 0; c < h.Geom.CMPs; c++ {
 		for b, n := range g.L2s[c] {
 			all[h.Geom.L2Node(c, b)] = n
+			delay[h.Geom.L2Node(c, b)] = delays.L2.Latency
 		}
 		for p := range g.L1Ds[c] {
 			all[h.Geom.L1DNode(c, p)] = g.L1Ds[c][p]
 			all[h.Geom.L1INode(c, p)] = g.L1Is[c][p]
+			delay[h.Geom.L1DNode(c, p)] = delays.L1.Latency
+			delay[h.Geom.L1INode(c, p)] = delays.L1.Latency
 		}
 		all[h.Geom.MemNode(c)] = g.Mems[c]
+		delay[h.Geom.MemNode(c)] = delays.Mem.Latency
 	}
 	if len(all) != len(ids) {
 		t.Fatalf("grid holds %d controllers, geometry has %d nodes", len(all), len(ids))
@@ -119,6 +134,8 @@ func TestWireOrderAndAttach(t *testing.T) {
 	for _, id := range ids {
 		if n := all[id]; n == nil || n.got != 1 {
 			t.Errorf("node %v: controller %v received the wrong messages", id, n)
+		} else if n.at != arrived[id]+delay[id] {
+			t.Errorf("node %v: Recv ran at %v, want arrival %v + delay %v", id, n.at, arrived[id], delay[id])
 		}
 	}
 }

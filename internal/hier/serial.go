@@ -37,6 +37,3 @@ func (s *Serializer[T]) Defer(m *network.Message) { s.queue.Push(m.Block, *m) }
 
 // Pop removes and returns b's oldest deferred message, if any.
 func (s *Serializer[T]) Pop(b mem.Block) (network.Message, bool) { return s.queue.Pop(b) }
-
-// Idle reports whether no block is busy or has deferred messages.
-func (s *Serializer[T]) Idle() bool { return s.busy.Len() == 0 && s.queue.Len() == 0 }

@@ -2,11 +2,12 @@
 // network.Message borrowing rule at compile time.
 //
 // The rule (see tokencmp/internal/network): a protocol only ever
-// borrows a message. The *network.Message parameter of a Recv or Handle
-// method is valid for the length of that call, and the network reclaims
-// the message when the call returns unless the method deferred it with
-// HandleAfter or HandleAt, which the network tracks itself. Sends take
-// values, so protocol code never obtains a message it owns.
+// borrows a message. The *network.Message parameter of a Recv method,
+// an endpoint's one entry point, is valid for the length of that call,
+// and the network reclaims the message when the call returns unless
+// Recv deferred it with HandleAfter or HandleAt, which the network
+// tracks itself. Sends take values, so protocol code never obtains a
+// message it owns.
 //
 // A value is borrowed if it is that parameter, or a local assigned from
 // a borrowed value. The analyzer reports every way a borrowed pointer
@@ -36,7 +37,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "msgown",
-	Doc:  "enforce the network.Message borrowing rule (no retention past Recv or Handle)",
+	Doc:  "enforce the network.Message borrowing rule (no retention past Recv)",
 	Run:  run,
 }
 
@@ -47,7 +48,7 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Recv != nil && fd.Body != nil && (fd.Name.Name == "Recv" || fd.Name.Name == "Handle") {
+			if ok && fd.Recv != nil && fd.Body != nil && fd.Name.Name == "Recv" {
 				check(pass, fd)
 			}
 		}
@@ -55,8 +56,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// check reports every retention of a borrowed message in the Recv or
-// Handle method fd.
+// check reports every retention of a borrowed message in the Recv
+// method fd.
 func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	borrowed := make(map[*types.Var]bool)
@@ -120,10 +121,9 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 		})
 	}
 
-	method := fd.Name.Name
 	report := func(e ast.Expr, how string) {
 		if v := borrowedIn(e); v != nil {
-			pass.Reportf(e.Pos(), "borrowed message %s %s; the network reclaims it when %s returns", v.Name(), how, method)
+			pass.Reportf(e.Pos(), "borrowed message %s %s; the network reclaims it when Recv returns", v.Name(), how)
 		}
 	}
 	captures := func(e ast.Expr, how string) {
@@ -133,7 +133,7 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		for _, v := range lintutil.FreeVars(info, lit) {
 			if borrowed[v] {
-				pass.Reportf(lit.Pos(), "closure %s captures borrowed message %s; it runs after %s returns and the network reclaims the message", how, v.Name(), method)
+				pass.Reportf(lit.Pos(), "closure %s captures borrowed message %s; it runs after Recv returns and the network reclaims the message", how, v.Name())
 			}
 		}
 	}

@@ -66,25 +66,23 @@ func (r *ClosureRetainer) Recv(m *network.Message) {
 
 func retainThunk(_, arg any) { _ = arg.(*network.Message) }
 
-// HandleRetainer defers its delivery correctly, then keeps the message
-// past Handle, which the network frees as soon as Handle returns.
+// HandleRetainer re-defers its delivery correctly, then keeps the
+// message anyway: the network frees it as soon as the re-deferred Recv
+// returns.
 type HandleRetainer struct{ Retainer }
 
 func (r *HandleRetainer) Recv(m *network.Message) {
 	r.net.HandleAfter(sim.NS(1), m)
-}
-
-func (r *HandleRetainer) Handle(m *network.Message) {
-	r.last = m                                         // want `borrowed message m stored in a field; the network reclaims it when Handle returns`
+	r.last = m                                         // want `borrowed message m stored in a field; the network reclaims it when Recv returns`
 	r.eng.ScheduleCallAt(sim.NS(2), retainThunk, r, m) // want `borrowed message m passed to ScheduleCallAt`
 	r.eng.ScheduleAt(sim.NS(3), func() { r.use(m) })   // want `closure scheduled with ScheduleAt captures borrowed message m`
 }
 
 // --- Legal idioms below: the analyzer must stay silent. ---
 
-// CleanHandler is the production idiom: Recv defers the delivery across
-// the access delay, and Handle re-defers it, re-admits a queued request
-// and replies with values.
+// CleanHandler is the production idiom: the network calls Recv after
+// the endpoint's access delay, and Recv re-defers the message, re-admits
+// a queued request and replies with values.
 type CleanHandler struct {
 	Retainer
 	queued network.Message
@@ -99,10 +97,6 @@ func (c *CleanHandler) Recv(m *network.Message) {
 	c.net.Broadcast(m, []topo.NodeID{0, 1})
 	// SendNew takes a value: building it from m's fields is legal.
 	c.net.SendNew(network.Message{Src: m.Dst, Dst: m.Src, Block: m.Block})
-	c.net.HandleAfter(sim.NS(1), m)
-}
-
-func (c *CleanHandler) Handle(m *network.Message) {
 	if m.Aux != 0 {
 		// The response-delay idiom: the network takes the live message
 		// over again.
@@ -116,7 +110,7 @@ func (c *CleanHandler) Handle(m *network.Message) {
 	c.queued = *m
 	c.net.SendNew(*m)
 	c.net.SendAfter(sim.NS(2), *m)
-	// An immediately-invoked closure runs before Handle returns.
+	// An immediately-invoked closure runs before Recv returns.
 	func() { c.use(m) }()
 	// A thunk that gets only the handler, not the message.
 	c.eng.ScheduleCall(sim.NS(1), cleanThunk, c, nil)

@@ -23,15 +23,11 @@ type Ctrl struct {
 	cs      *counters.Set
 }
 
-// Recv violates msgown: it keeps the borrowed delivery in a field.
+// Recv violates msgown twice: it keeps the borrowed delivery in a
+// field, and it hands the message to a thunk that runs after the
+// network has reclaimed it.
 func (c *Ctrl) Recv(m *network.Message) {
 	c.last = m
-	c.net.HandleAfter(sim.NS(1), m)
-}
-
-// Handle violates msgown a second way: it hands the borrowed message to
-// a thunk that runs after the network has reclaimed it.
-func (c *Ctrl) Handle(m *network.Message) {
 	c.eng.ScheduleCall(sim.NS(1), func(_, arg any) { _ = arg }, c, m)
 }
 

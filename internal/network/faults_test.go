@@ -63,16 +63,16 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 func TestDroppableDropAccounting(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 1.0, 0, 0, 0), FaultDroppable)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 7, Tokens: 3, Owner: true, HasData: true})
-	if n.TokensInFlight(7) != 3 || n.OwnersInFlight(7) != 1 {
-		t.Fatalf("pre-drop in-flight = %d/%d, want 3/1", n.TokensInFlight(7), n.OwnersInFlight(7))
+	if c := inFlight(n, 7); c != (blockCount{3, 1}) {
+		t.Fatalf("pre-drop in-flight = %d/%d, want 3/1", c.tokens, c.owners)
 	}
 	eng.Run(0)
 	if got := len(sinks[g.L1DNode(0, 1)].got); got != 0 {
 		t.Errorf("delivered %d messages with drop=1.0, want 0", got)
 	}
-	if n.InFlight != 0 || n.TokensInFlight(7) != 0 || n.OwnersInFlight(7) != 0 {
+	if c := inFlight(n, 7); n.InFlight != 0 || c != (blockCount{}) {
 		t.Errorf("post-drop accounting: InFlight=%d tokens=%d owners=%d, want all 0",
-			n.InFlight, n.TokensInFlight(7), n.OwnersInFlight(7))
+			n.InFlight, c.tokens, c.owners)
 	}
 	if cs.Value(counters.NetDropped) != 1 {
 		t.Errorf("net.dropped = %d, want 1", cs.Value(counters.NetDropped))
@@ -95,9 +95,9 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 		for _, m := range sinks[dst].got {
 			held += int(m.Tokens)
 		}
-		if total := held + n.TokensInFlight(7); total != 5 {
+		if wire := int(inFlight(n, 7).tokens); held+wire != 5 {
 			t.Fatalf("at %v: delivered %d + in-flight %d tokens != 5 (audit gap)",
-				eng.Now(), held, n.TokensInFlight(7))
+				eng.Now(), held, wire)
 		}
 	}
 	if got := len(sinks[dst].got); got != 1 {
@@ -111,9 +111,9 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 		t.Errorf("dropped=%d != retx=%d: every retx-class drop must retransmit",
 			cs.Value(counters.NetDropped), cs.Value(counters.NetRetx))
 	}
-	if n.InFlight != 0 || n.TokensInFlight(7) != 0 || n.OwnersInFlight(7) != 0 {
+	if c := inFlight(n, 7); n.InFlight != 0 || c != (blockCount{}) {
 		t.Errorf("post-run accounting: InFlight=%d tokens=%d owners=%d, want all 0",
-			n.InFlight, n.TokensInFlight(7), n.OwnersInFlight(7))
+			n.InFlight, c.tokens, c.owners)
 	}
 }
 

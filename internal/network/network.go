@@ -11,20 +11,23 @@
 // Messages are pooled, and a protocol only ever borrows them. Sends take
 // values: SendNew and SendAfter copy their template into a pooled
 // message, and Broadcast copies its template once per destination. The
-// network owns every message it delivers: an Endpoint's Recv, or a
-// Handler's Handle, borrows the message for the length of the call, and
-// the message is reclaimed and its memory reused when the call returns.
+// network owns every message it delivers: an Endpoint's Recv borrows
+// the message for the length of the call, and the message is reclaimed
+// and its memory reused when the call returns.
 //
-// A controller that models an access latency before it acts defers the
-// handling with HandleAfter (or HandleAt), which calls the destination's
-// Handle at the given time. Passed the message whose Recv or Handle is
-// running, HandleAfter takes that message over instead of reclaiming
-// it; passed any other message, it defers a pooled copy, so the
-// caller's value stays its own. Either way the network frees the
-// deferred message when Handle returns, and a protocol never frees one
-// itself. Building with -tags simdebug scrambles every reclaimed
-// message, so a handler that keeps a borrowed pointer past Recv or
-// Handle corrupts its own figures instead of failing silently.
+// A controller's access latency is data, not code: AttachDelay records
+// a Delay with the endpoint, and the network calls Recv that Latency
+// after arrival for each kind the Delay names, or at arrival for any
+// other kind. A Recv that must act later again (a response-delay hold,
+// a request re-admitted from a queue) defers with HandleAfter or
+// HandleAt, which call Recv at the given time. Passed the message whose
+// Recv is running, HandleAt takes that message over instead of
+// reclaiming it; passed any other message, it defers a pooled copy, so
+// the caller's value stays its own. Either way the network frees the
+// deferred message when that Recv returns, and a protocol never frees
+// one itself. Building with -tags simdebug scrambles every reclaimed
+// message, so a controller that keeps a borrowed pointer past Recv
+// corrupts its own figures instead of failing silently.
 package network
 
 import (
@@ -84,20 +87,30 @@ func (m *Message) String() string {
 		m.Src, m.Dst, m.Block, m.Kind, m.Tokens, m.Owner, m.HasData)
 }
 
-// Endpoint receives delivered messages. The delivered message belongs
-// to the network: Recv borrows it, and it is reclaimed as soon as Recv
-// returns unless Recv deferred it with HandleAfter (see the package
-// ownership contract).
+// Endpoint receives messages when they are due: on arrival, after the
+// endpoint's Delay, or at a HandleAfter's time. Recv borrows the message,
+// which is reclaimed as soon as Recv returns unless Recv deferred it
+// (see the package ownership contract).
 type Endpoint interface {
 	Recv(m *Message)
 }
 
-// Handler is an Endpoint that defers handling through HandleAfter:
-// Handle borrows the message when the deferral is due, and the network
-// frees it when Handle returns unless Handle re-deferred it.
-type Handler interface {
-	Endpoint
-	Handle(m *Message)
+// Delay is an endpoint's access latency: a message whose Kind k has bit
+// k set in Kinds reaches Recv Latency after it arrives, and any other
+// message reaches Recv on arrival. The zero Delay delivers every kind
+// at once. Kinds at or above 32 always act at once.
+type Delay struct {
+	Latency sim.Time
+	Kinds   uint32
+}
+
+// AllKinds is a Delay.Kinds that defers every kind below 32.
+const AllKinds = ^uint32(0)
+
+// node is one attached endpoint and its access latency.
+type node struct {
+	e Endpoint
+	Delay
 }
 
 // LinkParams describe one directed link.
@@ -132,19 +145,17 @@ type Network struct {
 	// Dense routing state, indexed by NodeID and src*numNodes+dst: the
 	// topology is resolved once in New, so a send reads one link record
 	// and never divides a NodeID by the CMP size.
-	numNodes  int
-	endpoints []Endpoint
-	handlers  []Handler // endpoints[id] if it is a Handler, else nil
-	links     []link
-	classes   [2]linkClass // indexed by link.class
+	numNodes int
+	nodes    []node
+	links    []link
+	classes  [2]linkClass // indexed by link.class
 
 	// pool holds the free messages. Messages are recycled after
 	// delivery, so the steady-state send path allocates nothing.
 	pool []*Message
 
-	// live is the message whose Recv or Handle is running (the two never
-	// nest). HandleAt clears it when it takes the message over, so
-	// deliver or handle skips the free.
+	// live is the message whose Recv is running. HandleAt clears it
+	// when it takes the message over, so handle skips the free.
 	live *Message
 
 	// Traffic accumulates the Figure 7 byte and hop counts; onChipMsgs
@@ -253,12 +264,11 @@ type blockCount struct{ tokens, owners int32 }
 func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 	n := g.NumNodes()
 	nw := &Network{
-		Eng:       eng,
-		Cfg:       cfg,
-		numNodes:  n,
-		endpoints: make([]Endpoint, n),
-		handlers:  make([]Handler, n),
-		links:     make([]link, n*n),
+		Eng:      eng,
+		Cfg:      cfg,
+		numNodes: n,
+		nodes:    make([]node, n),
+		links:    make([]link, n*n),
 	}
 	nw.classes[onChip] = nw.newLinkClass(cfg.OnChip)
 	nw.classes[offChip] = nw.newLinkClass(cfg.OffChip)
@@ -335,22 +345,6 @@ func (n *Network) landed(m *Message) {
 	}
 }
 
-// TokensInFlight reports the undelivered tokens for block b.
-func (n *Network) TokensInFlight(b mem.Block) int {
-	if c := n.inFlight.Peek(b); c != nil {
-		return int(c.tokens)
-	}
-	return 0
-}
-
-// OwnersInFlight reports the undelivered owner tokens for block b.
-func (n *Network) OwnersInFlight(b mem.Block) int {
-	if c := n.inFlight.Peek(b); c != nil {
-		return int(c.owners)
-	}
-	return 0
-}
-
 // EachInFlight calls fn, in ascending block order, for every block with
 // in-flight tokens or owner tokens (the conservation auditor's view of
 // the wires). It is for auditors, not hot paths.
@@ -383,12 +377,13 @@ func (n *Network) TrafficCounters(snap map[string]uint64) {
 	snap[counters.NetHopInterCMP] = inter
 }
 
-// Attach registers the endpoint for id, and records it as id's Handler
-// if it implements one.
-func (n *Network) Attach(id topo.NodeID, e Endpoint) {
-	n.endpoints[id] = e
-	h, _ := e.(Handler)
-	n.handlers[id] = h
+// Attach registers the endpoint for id with the zero Delay: it
+// receives every message on arrival.
+func (n *Network) Attach(id topo.NodeID, e Endpoint) { n.AttachDelay(id, e, Delay{}) }
+
+// AttachDelay registers the endpoint for id with its access latency d.
+func (n *Network) AttachDelay(id topo.NodeID, e Endpoint, d Delay) {
+	n.nodes[id] = node{e, d}
 }
 
 // alloc pops a message from the pool without clearing it, for callers
@@ -442,22 +437,23 @@ func (n *Network) SendAfter(d sim.Time, tmpl Message) {
 	n.Eng.ScheduleCall(d, sendCall, n, m)
 }
 
-// handleCall is the closure-free ScheduleCall target for HandleAt.
+// handleCall is the closure-free ScheduleCall target for a deferred
+// delivery and for HandleAt.
 func handleCall(ctx, arg any) { ctx.(*Network).handle(arg.(*Message)) }
 
-// HandleAfter calls the Handler attached at m.Dst after delay d,
-// modeling a controller's access latency before it acts (see HandleAt).
-// It allocates nothing.
+// HandleAfter calls the Recv of the endpoint attached at m.Dst again
+// after delay d (see HandleAt). It allocates nothing.
 func (n *Network) HandleAfter(d sim.Time, m *Message) {
 	n.HandleAt(n.Eng.Now()+d, m)
 }
 
-// HandleAt calls the Handler attached at m.Dst at absolute time t. If m
-// is the message whose Recv or Handle is running, the network takes it
-// over instead of freeing it when that call returns; any other m is
-// deferred as a pooled copy, so the caller's value stays its own. The
-// network frees the deferred message when Handle returns, unless Handle
-// re-defers it. HandleAt panics on a freed message.
+// HandleAt calls the Recv of the endpoint attached at m.Dst at absolute
+// time t, whatever its Delay. If m is the message whose Recv is
+// running, the network takes it over instead of freeing it when that
+// call returns; any other m is deferred as a pooled copy, so the
+// caller's value stays its own. The network frees the deferred message
+// when Recv returns, unless Recv defers it again. HandleAt panics on a
+// freed message.
 //
 // m does not escape: the live branch schedules the pointer it already
 // holds and the copy branch schedules the copy, so a caller deferring a
@@ -474,13 +470,15 @@ func (n *Network) HandleAt(t sim.Time, m *Message) {
 	n.Eng.ScheduleCallAt(t, handleCall, n, n.copyOf(m))
 }
 
+// handle calls m's endpoint's Recv and, unless Recv deferred m again,
+// reclaims m for the next send.
 func (n *Network) handle(m *Message) {
-	h := n.handlers[m.Dst]
-	if h == nil {
-		panic(fmt.Sprintf("network: no Handler attached for %v (message %v)", m.Dst, m))
+	e := n.nodes[m.Dst].e
+	if e == nil {
+		panic(fmt.Sprintf("network: no endpoint attached for %v (message %v)", m.Dst, m))
 	}
 	n.live = m
-	h.Handle(m)
+	e.Recv(m)
 	if n.live == m {
 		n.live = nil
 		n.free(m)
@@ -614,18 +612,11 @@ func (n *Network) deliver(m *Message) {
 	if n.Monitor != nil {
 		n.Monitor(m)
 	}
-	ep := n.endpoints[m.Dst]
-	if ep == nil {
-		panic(fmt.Sprintf("network: no endpoint attached for %v (message %v)", m.Dst, m))
+	if d := n.nodes[m.Dst].Delay; d.Kinds>>uint32(m.Kind)&1 != 0 {
+		n.Eng.ScheduleCallAt(n.Eng.Now()+d.Latency, handleCall, n, m)
+		return
 	}
-	n.live = m
-	ep.Recv(m)
-	// The ownership contract: unless Recv deferred m, the endpoint is
-	// done with m once Recv returns; reclaim it for the next send.
-	if n.live == m {
-		n.live = nil
-		n.free(m)
-	}
+	n.handle(m)
 }
 
 // Broadcast sends a pooled copy of template to each destination in

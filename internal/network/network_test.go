@@ -144,11 +144,22 @@ func TestBroadcastSkipsSource(t *testing.T) {
 	}
 }
 
+// inFlight reads block b's undelivered tokens and owner tokens the way
+// the conservation audit does, through EachInFlight.
+func inFlight(n *Network, b mem.Block) (c blockCount) {
+	n.EachInFlight(func(x mem.Block, tokens, owners int) {
+		if x == b {
+			c = blockCount{int32(tokens), int32(owners)}
+		}
+	})
+	return c
+}
+
 func TestTokenInFlightAccounting(t *testing.T) {
 	eng, n, g, _ := testNet(t)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 9, Tokens: 5, Owner: true, HasData: true})
-	if n.TokensInFlight(9) != 5 || n.OwnersInFlight(9) != 1 {
-		t.Fatalf("in-flight = %d/%d, want 5/1", n.TokensInFlight(9), n.OwnersInFlight(9))
+	if c := inFlight(n, 9); c != (blockCount{5, 1}) {
+		t.Fatalf("in-flight = %d/%d, want 5/1", c.tokens, c.owners)
 	}
 	blocks := 0
 	n.EachInFlight(func(b mem.Block, tokens, owners int) {
@@ -161,7 +172,7 @@ func TestTokenInFlightAccounting(t *testing.T) {
 		t.Errorf("EachInFlight visited %d blocks, want 1", blocks)
 	}
 	eng.Run(0)
-	if n.TokensInFlight(9) != 0 || n.OwnersInFlight(9) != 0 {
+	if inFlight(n, 9) != (blockCount{}) {
 		t.Error("in-flight counters not cleared after delivery")
 	}
 	n.EachInFlight(func(b mem.Block, tokens, owners int) {
@@ -171,8 +182,8 @@ func TestTokenInFlightAccounting(t *testing.T) {
 	// must carry far-apart blocks without materializing the gap.
 	far := mem.BlockOf(0x1C_0000_0000)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: far, Tokens: 2, HasData: true})
-	if n.TokensInFlight(far) != 2 || n.TokensInFlight(far-1) != 0 {
-		t.Fatalf("far-block in-flight = %d (neighbor %d), want 2 (0)", n.TokensInFlight(far), n.TokensInFlight(far-1))
+	if inFlight(n, far).tokens != 2 || inFlight(n, far-1).tokens != 0 {
+		t.Fatalf("far-block in-flight = %d (neighbor %d), want 2 (0)", inFlight(n, far).tokens, inFlight(n, far-1).tokens)
 	}
 	blocks = 0
 	n.EachInFlight(func(b mem.Block, tokens, owners int) {
@@ -185,7 +196,7 @@ func TestTokenInFlightAccounting(t *testing.T) {
 		t.Errorf("EachInFlight visited %d blocks, want 1", blocks)
 	}
 	eng.Run(0)
-	if n.TokensInFlight(far) != 0 {
+	if inFlight(n, far).tokens != 0 {
 		t.Error("far-block counter not cleared after delivery")
 	}
 }

@@ -15,7 +15,7 @@ const PoisonEnabled = true
 
 // poison scrambles every field of a reclaimed message with values no
 // legitimate message carries, so a handler that retained the pointer
-// past Recv or Handle (breaking the ownership contract) reads garbage —
+// past Recv (breaking the ownership contract) reads garbage —
 // block numbers, token counts, and node IDs that corrupt its figures or
 // trip its own panics — instead of silently seeing whatever the next
 // send happened to write.

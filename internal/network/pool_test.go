@@ -129,42 +129,49 @@ func TestMessageFitsOneCacheLine(t *testing.T) {
 	}
 }
 
-// handleSink defers every delivery through HandleAfter and records each
-// Handle call. If redefer is set, the first Handle of a message passes
-// it back to HandleAt redefer later.
+// handleSink records each Recv: when it ran, the pointer and a copy of
+// the message. If redefer is set, Recv passes each message back to
+// HandleAfter once, redefer later, marking it with Aux 1.
 type handleSink struct {
 	n       *Network
-	delay   sim.Time
 	redefer sim.Time
-	recv    []*Message
 	at      []sim.Time
 	got     []*Message
 	vals    []Message
 }
 
 func (s *handleSink) Recv(m *Message) {
-	s.recv = append(s.recv, m)
-	s.n.HandleAfter(s.delay, m)
-}
-
-func (s *handleSink) Handle(m *Message) {
 	s.at = append(s.at, s.n.Eng.Now())
 	s.got = append(s.got, m)
 	s.vals = append(s.vals, *m)
-	if s.redefer > 0 && len(s.at) == 1 {
-		s.n.HandleAt(s.n.Eng.Now()+s.redefer, m)
+	if s.redefer > 0 && m.Aux == 0 {
+		m.Aux = 1
+		s.n.HandleAfter(s.redefer, m)
 	}
 }
 
+// reserve pre-sizes the sink's records for an allocation count.
+func (s *handleSink) reserve() {
+	s.at, s.got, s.vals = make([]sim.Time, 0, 4096), make([]*Message, 0, 4096), make([]Message, 0, 4096)
+}
+
+// delivered records the pointer of each message the network delivers.
+func delivered(n *Network) *[]*Message {
+	var got []*Message
+	n.Monitor = func(m *Message) { got = append(got, m) }
+	return &got
+}
+
 // TestHandleAfterFreesOnce asserts HandleAfter in Recv takes over the
-// delivery itself: Handle runs d later on the delivered pointer, no
+// delivery itself: Recv runs again d later on the delivered pointer, no
 // pooled copy exists while the handling is pending, and the message
 // returns to the pool exactly once.
 func TestHandleAfterFreesOnce(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	h := &handleSink{n: n, delay: sim.NS(5)}
+	h := &handleSink{n: n, redefer: sim.NS(5)}
 	n.Attach(dst, h)
+	sent := delivered(n)
 	n.SendNew(Message{Src: src, Dst: dst, Data: 9})
 	if !eng.Step() {
 		t.Fatal("no delivery event")
@@ -174,20 +181,21 @@ func TestHandleAfterFreesOnce(t *testing.T) {
 		t.Fatalf("pool has %d messages while the handling is pending, want 0", len(n.pool))
 	}
 	eng.Run(0)
-	if len(h.at) != 1 || h.at[0] != arrived+sim.NS(5) {
-		t.Fatalf("Handle ran at %v, want once at %v", h.at, arrived+sim.NS(5))
+	if want := []sim.Time{arrived, arrived + sim.NS(5)}; !slices.Equal(h.at, want) {
+		t.Fatalf("Recv ran at %v, want at %v", h.at, want)
 	}
-	if h.got[0] != h.recv[0] || h.vals[0].Data != 9 {
-		t.Fatalf("Handle saw %p (%v), want the delivered message %p", h.got[0], h.vals[0], h.recv[0])
+	m := (*sent)[0]
+	if h.got[0] != m || h.got[1] != m || h.vals[1].Data != 9 {
+		t.Fatalf("Recv saw %p, %p (%v), want the delivered message %p", h.got[0], h.got[1], h.vals[1], m)
 	}
-	if len(n.pool) != 1 || n.pool[0] != h.got[0] || !h.got[0].pooled {
-		t.Fatalf("pool = %v after Handle, want exactly the handled message", n.pool)
+	if len(n.pool) != 1 || n.pool[0] != m || !m.pooled {
+		t.Fatalf("pool = %v after Recv, want exactly the handled message", n.pool)
 	}
 }
 
 // TestHeldMessageIsNotReclaimed asserts deliver reclaims a message when
-// Recv returns without deferring it, but leaves one that Recv passed to
-// HandleAfter alone until its Handle returns.
+// Recv returns without deferring it, but leaves one whose kind its
+// endpoint's Delay defers alone until its Recv returns.
 func TestHeldMessageIsNotReclaimed(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
@@ -197,54 +205,57 @@ func TestHeldMessageIsNotReclaimed(t *testing.T) {
 		t.Fatalf("pool has %d messages after an undeferred delivery, want 1", len(n.pool))
 	}
 
-	h := &handleSink{n: n, delay: sim.NS(1)}
-	n.Attach(dst, h)
+	h := &handleSink{n: n}
+	n.AttachDelay(dst, h, Delay{Latency: sim.NS(1), Kinds: AllKinds})
+	sent := delivered(n)
 	n.SendNew(Message{Src: src, Dst: dst, Data: 7})
 	if !eng.Step() {
 		t.Fatal("no delivery event")
 	}
-	if len(h.recv) != 1 || h.recv[0].pooled || h.recv[0].Data != 7 {
-		t.Fatalf("deferred message = %v, want the delivered message, not reclaimed", h.recv)
+	m := (*sent)[0]
+	if len(h.at) != 0 || m.pooled || m.Data != 7 {
+		t.Fatalf("deferred message = %v (Recv ran %d times), want the delivered message, not reclaimed", m, len(h.at))
 	}
 	if len(n.pool) != 0 {
 		t.Fatalf("pool has %d messages while the delivery is deferred, want 0", len(n.pool))
 	}
 	eng.Run(0)
-	if len(n.pool) != 1 || n.pool[0] != h.recv[0] {
-		t.Fatalf("pool = %v after Handle, want [%p]", n.pool, h.recv[0])
+	if len(n.pool) != 1 || n.pool[0] != m {
+		t.Fatalf("pool = %v after Recv, want [%p]", n.pool, m)
 	}
 }
 
-// TestHandleAtRedeferFreesOnce asserts a Handle that passes its message
-// back to HandleAt is handled again at that time on the same pointer,
-// and the message is freed only after the second Handle.
+// TestHandleAtRedeferFreesOnce asserts a deferred Recv that passes its
+// message back to HandleAt is handled again at that time on the same
+// pointer, and the message is freed only after the second Recv.
 func TestHandleAtRedeferFreesOnce(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	h := &handleSink{n: n, delay: sim.NS(3), redefer: sim.NS(7)}
-	n.Attach(dst, h)
+	h := &handleSink{n: n, redefer: sim.NS(7)}
+	n.AttachDelay(dst, h, Delay{Latency: sim.NS(3), Kinds: AllKinds})
+	sent := delivered(n)
 	n.SendNew(Message{Src: src, Dst: dst})
 	eng.Step() // delivery
 	arrived := eng.Now()
-	eng.Step() // first Handle
-	m := h.recv[0]
+	eng.Step() // first Recv
+	m := (*sent)[0]
 	if len(n.pool) != 0 || m.pooled {
-		t.Fatalf("message freed after a Handle that re-deferred it (pool %v)", n.pool)
+		t.Fatalf("message freed after a Recv that re-deferred it (pool %v)", n.pool)
 	}
 	eng.Run(0)
 	if want := []sim.Time{arrived + sim.NS(3), arrived + sim.NS(10)}; !slices.Equal(h.at, want) {
-		t.Fatalf("Handle ran at %v, want at %v", h.at, want)
+		t.Fatalf("Recv ran at %v, want at %v", h.at, want)
 	}
 	if h.got[0] != m || h.got[1] != m {
-		t.Fatal("Handle saw a different message on re-deferral")
+		t.Fatal("Recv saw a different message on re-deferral")
 	}
 	if len(n.pool) != 1 || n.pool[0] != m {
-		t.Fatalf("pool = %v after the second Handle, want [%p]", n.pool, m)
+		t.Fatalf("pool = %v after the second Recv, want [%p]", n.pool, m)
 	}
 }
 
 // TestHandleAfterOfNonLiveDefersCopy asserts HandleAfter of a message
-// that is not being delivered or handled defers a pooled copy: Handle
+// that is not being delivered or handled defers a pooled copy: Recv
 // sees a different pointer with equal fields, the caller's value is
 // untouched, and the copy returns to the pool.
 func TestHandleAfterOfNonLiveDefersCopy(t *testing.T) {
@@ -257,13 +268,13 @@ func TestHandleAfterOfNonLiveDefersCopy(t *testing.T) {
 	n.HandleAfter(sim.NS(1), &q)
 	eng.Run(0)
 	if len(h.got) != 1 || h.got[0] == &q || h.vals[0] != want {
-		t.Fatalf("Handle saw %v (same pointer: %v), want a copy of %v", h.vals, len(h.got) == 1 && h.got[0] == &q, want)
+		t.Fatalf("Recv saw %v (same pointer: %v), want a copy of %v", h.vals, len(h.got) == 1 && h.got[0] == &q, want)
 	}
 	if q != want {
 		t.Errorf("caller's value changed to %v, want %v", q, want)
 	}
 	if len(n.pool) != 1 || n.pool[0] != h.got[0] {
-		t.Errorf("pool = %v after Handle, want exactly the deferred copy", n.pool)
+		t.Errorf("pool = %v after Recv, want exactly the deferred copy", n.pool)
 	}
 }
 
@@ -281,52 +292,122 @@ func TestHandleAtOfFreedPanics(t *testing.T) {
 	n.HandleAt(sim.NS(1), n.pool[0])
 }
 
-// TestHandleAfterWithoutHandlerPanics asserts a deferral to an endpoint
-// that does not implement Handler fails with a named message rather
-// than a nil dereference.
+// TestHandleAfterWithoutHandlerPanics asserts a deferral to a node with
+// no endpoint attached fails with a named message rather than a nil
+// dereference.
 func TestHandleAfterWithoutHandlerPanics(t *testing.T) {
-	eng, n, g := poolNet()
-	n.HandleAfter(sim.NS(1), &Message{Dst: g.L1DNode(0, 1)}) // a countSink: Recv only
+	eng := sim.NewEngine()
+	g := topo.NewGeometry(2, 2, 1)
+	n := New(eng, g, Default())
+	n.HandleAfter(sim.NS(1), &Message{Dst: g.L1DNode(0, 1)})
 	defer func() {
 		r := recover()
 		msg, _ := r.(string)
-		if !strings.Contains(msg, "no Handler attached") {
-			t.Errorf("panic = %v, want the no-Handler message", r)
+		if !strings.Contains(msg, "no endpoint attached") {
+			t.Errorf("panic = %v, want the no-endpoint message", r)
 		}
 	}()
 	eng.Run(0)
 }
 
-// TestSteadyStateHandleAfterDoesNotAllocate pins the Recv → HandleAfter
-// → Handle → free path at zero allocations.
+// TestSteadyStateHandleAfterDoesNotAllocate pins the deferred delivery
+// → Recv → HandleAfter → Recv → free path at zero allocations.
 func TestSteadyStateHandleAfterDoesNotAllocate(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	h := &handleSink{n: n, delay: sim.NS(2)}
-	n.Attach(dst, h)
+	h := &handleSink{n: n, redefer: sim.NS(3)}
+	n.AttachDelay(dst, h, Delay{Latency: sim.NS(2), Kinds: AllKinds})
 	for i := 0; i < 8; i++ {
 		n.SendNew(Message{Src: src, Dst: dst})
 	}
 	eng.Run(0)
-	h.at, h.got = make([]sim.Time, 0, 4096), make([]*Message, 0, 4096)
+	h.reserve()
 	avg := testing.AllocsPerRun(1000, func() {
 		n.SendNew(Message{Src: src, Dst: dst})
 		eng.Run(0)
 	})
 	if avg != 0 {
-		t.Errorf("send→HandleAfter→free allocates %.2f per message, want 0", avg)
+		t.Errorf("send→delay→HandleAfter→free allocates %.2f per message, want 0", avg)
+	}
+	if len(h.at) != 2*1001 {
+		t.Errorf("Recv ran %d times, want twice per message (%d)", len(h.at), 2*1001)
 	}
 }
 
-// drainSink models a controller's drain: each Handle of a message with
+// TestDelayKinds asserts an endpoint's Delay: a kind in Kinds reaches
+// Recv Latency after arrival on the delivered pointer and is freed
+// once; any other kind, a kind of 32 or more, and every kind under the
+// zero Delay that Attach records reach Recv inside their delivery
+// event. No case allocates.
+func TestDelayKinds(t *testing.T) {
+	const lat = 4 * sim.Nanosecond
+	some := Delay{Latency: lat, Kinds: 1<<3 | 1<<31}
+	for _, tc := range []struct {
+		name     string
+		d        Delay
+		kind     int32
+		deferred bool
+	}{
+		{"kind 3 in Kinds", some, 3, true},
+		{"kind 31 in Kinds", some, 31, true},
+		{"kind 2 outside Kinds", some, 2, false},
+		{"kind 32 under AllKinds", Delay{Latency: lat, Kinds: AllKinds}, 32, false},
+		{"zero Delay kind 3", Delay{}, 3, false},
+		{"zero Delay kind 31", Delay{}, 31, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, n, g := poolNet()
+			src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+			h := &handleSink{n: n}
+			if tc.d == (Delay{}) {
+				n.Attach(dst, h) // the two-argument path
+			} else {
+				n.AttachDelay(dst, h, tc.d)
+			}
+			sent := delivered(n)
+			n.SendNew(Message{Src: src, Dst: dst, Kind: tc.kind, Data: 5})
+			if !eng.Step() {
+				t.Fatal("no delivery event")
+			}
+			arrived, m := eng.Now(), (*sent)[0]
+			want := arrived
+			if tc.deferred {
+				want += lat
+				if len(h.at) != 0 || m.pooled || len(n.pool) != 0 {
+					t.Fatalf("deferred kind reached Recv %d times or was freed at delivery", len(h.at))
+				}
+				eng.Run(0)
+			}
+			if len(h.at) != 1 || h.at[0] != want || h.got[0] != m || h.vals[0].Kind != tc.kind || h.vals[0].Data != 5 {
+				t.Fatalf("Recv ran at %v on %p (%v), want once at %v on the delivered %p", h.at, h.got, h.vals, want, m)
+			}
+			if eng.Pending() != 0 {
+				t.Errorf("%d events pending after Recv", eng.Pending())
+			}
+			if len(n.pool) != 1 || n.pool[0] != m || !m.pooled {
+				t.Errorf("pool = %v after Recv, want exactly the delivered message", n.pool)
+			}
+
+			n.Monitor = nil
+			h.reserve()
+			avg := testing.AllocsPerRun(1000, func() {
+				n.SendNew(Message{Src: src, Dst: dst, Kind: tc.kind})
+				eng.Run(0)
+			})
+			if avg != 0 {
+				t.Errorf("send→deliver→Recv allocates %.2f per message, want 0", avg)
+			}
+		})
+	}
+}
+
+// drainSink models a controller's drain: each Recv of a message with
 // Aux > 0 re-admits a stack copy of it, one step down, through
 // HandleAfter(0, &q), the way the home and memory controllers re-admit
 // a request popped from their serializer.
 type drainSink struct{ n *Network }
 
-func (s drainSink) Recv(m *Message) { s.n.HandleAfter(0, m) }
-
-func (s drainSink) Handle(m *Message) {
+func (s drainSink) Recv(m *Message) {
 	if m.Aux > 0 {
 		q := *m
 		q.Aux--
@@ -335,13 +416,12 @@ func (s drainSink) Handle(m *Message) {
 }
 
 // TestSteadyStateDrainDoesNotAllocate pins HandleAfter(0, &q) of a
-// stack value from inside Handle at zero allocations: HandleAt's
-// pointer parameter must not escape, or every drain would move q to the
-// heap.
+// stack value from inside Recv at zero allocations: HandleAt's pointer
+// parameter must not escape, or every drain would move q to the heap.
 func TestSteadyStateDrainDoesNotAllocate(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.Attach(dst, drainSink{n})
+	n.AttachDelay(dst, drainSink{n}, Delay{Kinds: AllKinds})
 	for i := 0; i < 8; i++ {
 		n.SendNew(Message{Src: src, Dst: dst, Aux: 4})
 	}
@@ -351,6 +431,6 @@ func TestSteadyStateDrainDoesNotAllocate(t *testing.T) {
 		eng.Run(0)
 	})
 	if avg != 0 {
-		t.Errorf("send→Handle→4 drains allocates %.2f per message, want 0", avg)
+		t.Errorf("send→Recv→4 drains allocates %.2f per message, want 0", avg)
 	}
 }

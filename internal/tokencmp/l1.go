@@ -329,11 +329,12 @@ func (c *L1Ctrl) recheckMarked() {
 }
 
 // Recv implements network.Endpoint. Transient requests, local or
-// forwarded from another CMP, are deferred across the tag-access delay.
+// forwarded from another CMP, arrive after the tag-access delay; the
+// rest act on arrival (see NewSystem).
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient, kFwdExternal:
-		c.sys.Net.HandleAfter(hier.L1Latency, m)
+		c.handleRequest(m, m.Kind == kFwdExternal)
 	case kResponse:
 		c.handleResponse(m)
 	case kPersistentDone:
@@ -349,11 +350,6 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 		}
 		panic(fmt.Sprintf("tokencmp: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
 	}
-}
-
-// Handle implements network.Handler for the deferred transient requests.
-func (c *L1Ctrl) Handle(m *network.Message) {
-	c.handleRequest(m, m.Kind == kFwdExternal)
 }
 
 // handleResponse merges arriving tokens/data, then lets the substrate

@@ -108,30 +108,25 @@ func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied b
 }
 
 // Recv implements network.Endpoint. Transient requests, writebacks and
-// stray responses are deferred across the bank's tag-access delay.
+// stray responses arrive after the bank's tag-access delay; the
+// persistent-request messages act on arrival (see NewSystem).
 func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
-	case kTransient, kWriteback, kResponse:
-		c.sys.Net.HandleAfter(hier.L2Latency, m)
+	case kWriteback, kResponse:
+		// Stray kResponse tokens routed to the bank (e.g. returned by
+		// memory) merge like a writeback.
+		c.handleWriteback(m)
+	case kTransient:
+		if c.sys.Geom.CMPOf(m.Src) == c.cmp {
+			c.handleLocal(m)
+		} else {
+			c.handleExternal(m)
+		}
 	default:
 		if c.handlePersistentMsg(m) {
 			return
 		}
 		panic(fmt.Sprintf("tokencmp: L2 %v cannot handle %s", c.id, kindName(m.Kind)))
-	}
-}
-
-// Handle implements network.Handler for the deferred messages.
-func (c *L2Ctrl) Handle(m *network.Message) {
-	switch {
-	case m.Kind == kWriteback, m.Kind == kResponse:
-		// Stray kResponse tokens routed to the bank (e.g. returned by
-		// memory) merge like a writeback.
-		c.handleWriteback(m)
-	case c.sys.Geom.CMPOf(m.Src) == c.cmp:
-		c.handleLocal(m)
-	default:
-		c.handleExternal(m)
 	}
 }
 

@@ -66,21 +66,9 @@ func (c *MemCtrl) StateOf(b mem.Block) (*token.State, bool) {
 }
 
 // Recv implements network.Endpoint. Requests, writebacks and arbiter
-// messages are deferred across the controller's array-access delay.
+// messages arrive after the controller's array-access delay; the
+// persistent-table messages act on arrival (see NewSystem).
 func (c *MemCtrl) Recv(m *network.Message) {
-	switch m.Kind {
-	case kTransient, kWriteback, kResponse, kArbRequest, kArbDone:
-		c.sys.Net.HandleAfter(hier.MemLatency, m)
-	default:
-		if c.handlePersistentMsg(m) {
-			return
-		}
-		panic(fmt.Sprintf("tokencmp: mem %v cannot handle %s", c.id, kindName(m.Kind)))
-	}
-}
-
-// Handle implements network.Handler for the deferred messages.
-func (c *MemCtrl) Handle(m *network.Message) {
 	switch m.Kind {
 	case kTransient:
 		c.handleRequest(m)
@@ -90,6 +78,11 @@ func (c *MemCtrl) Handle(m *network.Message) {
 		c.handleArbRequest(m)
 	case kArbDone:
 		c.handleArbDone(m)
+	default:
+		if c.handlePersistentMsg(m) {
+			return
+		}
+		panic(fmt.Sprintf("tokencmp: mem %v cannot handle %s", c.id, kindName(m.Kind)))
 	}
 }
 

@@ -53,7 +53,17 @@ func NewSystem(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config
 	// it opts its transient traffic into fault injection (see
 	// classifyFault for the per-kind policy).
 	s.Net.Classify = classifyFault
-	s.Wire(h, s.Net, s.newL2, s.newL1, s.newMem)
+	// The performance policy's messages (transient requests, writebacks
+	// and responses, plus the arbiter's queue traffic at memory) pay
+	// each controller's access latency; the correctness substrate's
+	// persistent-table messages, and an L1's incoming responses, act on
+	// arrival.
+	const policy = 1<<kTransient | 1<<kWriteback | 1<<kResponse
+	s.Wire(h, s.Net, hier.Delays{
+		L1:  network.Delay{Latency: hier.L1Latency, Kinds: 1<<kTransient | 1<<kFwdExternal},
+		L2:  network.Delay{Latency: hier.L2Latency, Kinds: policy},
+		Mem: network.Delay{Latency: hier.MemLatency, Kinds: policy | 1<<kArbRequest | 1<<kArbDone},
+	}, s.newL2, s.newL1, s.newMem)
 	return s
 }
 

@@ -18,6 +18,19 @@ func testSystem(t *testing.T, v Variant) (*sim.Engine, *System) {
 	return eng, NewSystem(eng, h, DefaultConfig(v), network.Default())
 }
 
+// TestKindsFitDelay asserts the highest message kind is below 32, so
+// every kind has its bit in network.Delay.Kinds: Go shifts a uint32 by
+// 32 or more to 0, so a kind there would silently skip its access
+// latency.
+func TestKindsFitDelay(t *testing.T) {
+	if name := kindName(kArbDeactivate + 1); name != "?" {
+		t.Fatalf("kind %s follows kArbDeactivate; assert on the highest kind", name)
+	}
+	if kArbDeactivate >= 32 {
+		t.Errorf("highest message kind %s is %d, want below 32", kindName(kArbDeactivate), kArbDeactivate)
+	}
+}
+
 // run drives the engine until cond or failure.
 func run(t *testing.T, eng *sim.Engine, cond func() bool, what string) {
 	t.Helper()
