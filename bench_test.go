@@ -207,8 +207,8 @@ func BenchmarkSec5ModelCheck(b *testing.B) {
 		opt := mc.Options{Jobs: runner.DefaultJobs(), Symmetry: true}
 		cfg := models.DefaultTokenConfig(models.SafetyOnly)
 		safety := mc.CheckOpt(models.NewTokenModel(cfg), opt)
-		dir := mc.CheckOpt(models.DefaultDirModel(), opt)
-		hammer := mc.CheckOpt(models.DefaultHammerModel(), opt)
+		dir := mc.CheckOpt(models.NewDirModel(3, 3), opt)
+		hammer := mc.CheckOpt(models.NewHammerModel(3, 5), opt)
 		if !safety.OK() || !dir.OK() || !hammer.OK() {
 			b.Fatal("model checking failed")
 		}
@@ -333,20 +333,13 @@ func BenchmarkAblationMigratory(b *testing.B) {
 		params := workload.OLTP()
 		params.TxnsPerProc = 8
 		progs, _ := workload.CommercialPrograms(params, g.TotalProcs(), 1)
-		procs := make([]*cpu.Processor, len(progs))
+		running := len(progs)
 		for i := range progs {
 			d, in := sys.Ports(i)
-			procs[i] = &cpu.Processor{ID: i, Eng: eng, Data: d, Inst: in, Prog: progs[i]}
-			procs[i].Start()
+			p := &cpu.Processor{ID: i, Eng: eng, Data: d, Inst: in, Prog: progs[i], Running: &running}
+			p.Start()
 		}
-		eng.RunUntil(func() bool {
-			for _, p := range procs {
-				if !p.Finished() {
-					return false
-				}
-			}
-			return true
-		}, 0)
+		eng.RunUntil(func() bool { return running == 0 }, 0)
 		return float64(eng.Now())
 	}
 	for i := 0; i < b.N; i++ {

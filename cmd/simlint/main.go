@@ -1,5 +1,5 @@
 // Command simlint is the project's static-analysis driver: it runs the
-// three analyzers that encode the simulator's load-bearing contracts —
+// four analyzers that encode the simulator's load-bearing contracts —
 // msgown (the network.Message borrowing rule), simdet
 // (byte-identical determinism), schedalloc (allocation-free
 // scheduling) and ctrreg (constant event-counter names) — over

@@ -216,10 +216,3 @@ func (a *Array[S]) ForEach(fn func(b mem.Block, s *S)) {
 		}
 	}
 }
-
-// Count reports the number of valid lines.
-func (a *Array[S]) Count() int {
-	n := 0
-	a.ForEach(func(mem.Block, *S) { n++ })
-	return n
-}

@@ -162,9 +162,8 @@ const maxFuzzOps = 128
 
 // FuzzArray drives Array and the eager reference with the same sequence
 // of Install, InstallAvoiding, Lookup, Touch, TouchLine and Invalidate
-// calls and requires identical results, the same ForEach sequence and
-// Count after every step, and a *Line that stays put while its block is
-// resident. The input's first byte picks a geometry; each following
+// calls and requires identical results, the same ForEach sequence after
+// every step, and a *Line that stays put while its block is resident. The input's first byte picks a geometry; each following
 // 4-byte record is (op, block hi, block lo, arg), where arg is the state
 // stored into an installed line and, for InstallAvoiding, the mask of
 // the avoid predicate (0 passes nil).
@@ -272,8 +271,8 @@ type visit struct {
 	s lineState
 }
 
-// checkContents compares the two arrays' ForEach sequences and Counts,
-// collecting got's lines into seen, which it returns for reuse.
+// checkContents compares the two arrays' ForEach sequences, collecting
+// got's lines into seen, which it returns for reuse.
 func checkContents(t *testing.T, step fuzzStep, got *Array[lineState], want *eagerArray[lineState], seen []visit) []visit {
 	t.Helper()
 	seen = seen[:0]
@@ -285,8 +284,8 @@ func checkContents(t *testing.T, step fuzzStep, got *Array[lineState], want *eag
 		}
 		n++
 	})
-	if n != len(seen) || got.Count() != n {
-		t.Fatalf("%s: ForEach visited %d and Count = %d, want %d", step, len(seen), got.Count(), n)
+	if n != len(seen) {
+		t.Fatalf("%s: ForEach visited %d lines, want %d", step, len(seen), n)
 	}
 	return seen
 }

@@ -114,7 +114,6 @@ type Processor struct {
 	Running *int
 
 	finished bool
-	doneAt   sim.Time
 	lastVal  uint64
 	accStart sim.Time     // issue time of the in-flight memory op
 	accDone  func(uint64) // prebound completion callback, built once
@@ -140,12 +139,6 @@ func (p *Processor) Start() {
 	p.Eng.ScheduleCall(0, procStep, p, nil)
 }
 
-// Finished reports whether the program has completed.
-func (p *Processor) Finished() bool { return p.finished }
-
-// FinishTime reports when the program completed (valid once Finished).
-func (p *Processor) FinishTime() sim.Time { return p.doneAt }
-
 func (p *Processor) step() {
 	if p.finished {
 		return
@@ -170,7 +163,6 @@ func (p *Processor) step() {
 		p.access(p.Inst, IFetch, act)
 	case ActDone:
 		p.finished = true
-		p.doneAt = p.Eng.Now()
 		if p.Running != nil {
 			*p.Running--
 		}

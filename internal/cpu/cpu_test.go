@@ -34,7 +34,7 @@ type flatPort struct {
 
 func (f *flatPort) Access(kind AccessKind, addr mem.Addr, store uint64, done func(uint64)) {
 	f.counts[kind]++
-	f.eng.Schedule(f.lat, func() {
+	f.eng.ScheduleCall(f.lat, func(_, _ any) {
 		b := mem.BlockOf(addr)
 		var v uint64
 		switch kind {
@@ -47,7 +47,7 @@ func (f *flatPort) Access(kind AccessKind, addr mem.Addr, store uint64, done fun
 			f.vals[b] = store
 		}
 		done(v)
-	})
+	}, nil, nil)
 }
 
 func newFlat(eng *sim.Engine) *flatPort {
@@ -68,7 +68,7 @@ func TestProcessorRunsScript(t *testing.T) {
 	p := &Processor{ID: 0, Eng: eng, Data: port, Inst: port, Prog: prog}
 	p.Start()
 	eng.Run(0)
-	if !p.Finished() {
+	if !p.finished {
 		t.Fatal("processor did not finish")
 	}
 	// seen: [0(start), 0(think), 0(store), 7(load), 7(swap-old), 9(load), 0(ifetch)]
@@ -96,8 +96,8 @@ func TestProcessorTiming(t *testing.T) {
 	p := &Processor{Eng: eng, Data: port, Inst: port, Prog: prog}
 	p.Start()
 	eng.Run(0)
-	if p.FinishTime() != sim.NS(105) {
-		t.Errorf("finish = %v, want 105ns", p.FinishTime())
+	if !p.finished || eng.Now() != sim.NS(105) {
+		t.Errorf("finished %v at %v, want at 105ns", p.finished, eng.Now())
 	}
 	if p.Stats.MemLatency != sim.NS(5) || p.Stats.MemOps != 1 {
 		t.Errorf("mem stats = %+v", p.Stats)

@@ -58,9 +58,9 @@ func TestFlagSpinInvalidation(t *testing.T) {
 		if v > rounds {
 			return
 		}
-		eng.Schedule(sim.NS(3000), func() {
+		eng.ScheduleCall(sim.NS(3000), func(_, _ any) {
 			writer.Access(cpu.Store, flag, v, func(uint64) { flip(v + 1) })
-		})
+		}, nil, nil)
 	}
 	flip(1)
 

@@ -40,14 +40,13 @@ func (p *counterProg) Next(now sim.Time, last uint64) cpu.Action {
 	}
 }
 
-// crossProtos is the consistency-comparison set: the new broadcast
-// protocol, the directory baseline, and a token variant.
-var crossProtos = []string{"HammerCMP", "DirectoryCMP", "TokenCMP-dst1"}
+// crossProtos is the consistency-comparison set: every protocol the
+// machine builds.
+var crossProtos = machine.Protocols()
 
-// TestHammerCrossProtocolLocking runs the same locking program on
-// HammerCMP, DirectoryCMP, and TokenCMP-dst1 with every coherence
-// monitor enabled and asserts all of them stay clean and agree on the
-// work performed.
+// TestHammerCrossProtocolLocking runs the same locking program on every
+// protocol with every coherence monitor enabled and asserts all of them
+// stay clean and agree on the work performed.
 func TestHammerCrossProtocolLocking(t *testing.T) {
 	g := topo.NewGeometry(2, 2, 1)
 	for _, proto := range crossProtos {
@@ -82,7 +81,7 @@ func TestHammerCrossProtocolLocking(t *testing.T) {
 }
 
 // TestHammerCrossProtocolFinalValues runs a single-writer-per-slot
-// counter program on all three protocols under the serial-view monitor
+// counter program on every protocol under the serial-view monitor
 // and asserts the final memory contents, read back through the real
 // ports, agree exactly across protocols.
 func TestHammerCrossProtocolFinalValues(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 
+	"tokencmp/internal/counters"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
@@ -375,4 +376,49 @@ func (c *Commercial) PersistentFraction(wl, proto string) float64 {
 		return 0
 	}
 	return float64(cell.Persist) / float64(cell.Misses)
+}
+
+// renderCounterBlocks prints one sorted counter table per protocol, in
+// the given order — the rendering behind the cmds' -counters flag.
+func renderCounterBlocks(w io.Writer, protocols []string, merged func(proto string) map[string]uint64) {
+	fmt.Fprintln(w, "\nEvent counters (summed over all runs of each protocol):")
+	for _, p := range protocols {
+		fmt.Fprintf(w, "%s:\n", p)
+		counters.Fprint(w, merged(p))
+	}
+}
+
+// RenderCounters prints the per-protocol event-counter totals of the
+// sweep, summed over lock counts and seeds.
+func (s *LockSweep) RenderCounters(w io.Writer) {
+	renderCounterBlocks(w, s.Protocols, func(p string) map[string]uint64 {
+		acc := map[string]uint64{}
+		for _, c := range s.Cells[p] {
+			counters.MergeInto(acc, c.Counters)
+		}
+		return acc
+	})
+}
+
+// RenderCounters prints the per-protocol event-counter totals of the
+// barrier study, summed over both jitter settings and all seeds.
+func (t *BarrierTable) RenderCounters(w io.Writer) {
+	renderCounterBlocks(w, t.Protocols, func(p string) map[string]uint64 {
+		acc := map[string]uint64{}
+		counters.MergeInto(acc, t.Fixed[p].Counters)
+		counters.MergeInto(acc, t.Jittered[p].Counters)
+		return acc
+	})
+}
+
+// RenderCounters prints the per-protocol event-counter totals of the
+// commercial study, summed over workloads and seeds.
+func (c *Commercial) RenderCounters(w io.Writer) {
+	renderCounterBlocks(w, c.Protocols, func(p string) map[string]uint64 {
+		acc := map[string]uint64{}
+		for _, wl := range c.Workloads {
+			counters.MergeInto(acc, c.Cells[wl][p].Counters)
+		}
+		return acc
+	})
 }

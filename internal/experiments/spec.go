@@ -37,7 +37,7 @@ type Spec struct {
 	L1Size, L2BankSize int
 
 	// Seed perturbs the workload (and TokenCMP's policies). Seeds is the
-	// number of perturbed runs RunCells and RunSeeds make (at least
+	// number of perturbed runs RunCells makes of the spec (at least
 	// one): run k (k = 0..Seeds-1) uses seed Seed+k and fault seed
 	// Faults.Seed+k, so every run sees an independent workload and fault
 	// pattern. Run itself makes exactly one run at Seed.

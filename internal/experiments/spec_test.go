@@ -29,7 +29,7 @@ func faultedSpec() Spec {
 // exactly the one-seed Spec with Seed=k and Faults.Seed=F+k-1.
 func TestSpecReproducesSweepRun(t *testing.T) {
 	spec := faultedSpec()
-	swept, err := RunSeeds(context.Background(), spec, 2)
+	swept, err := runSeeds(context.Background(), spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

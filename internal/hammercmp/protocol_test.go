@@ -40,20 +40,13 @@ func TestKindsFitDelay(t *testing.T) {
 // runProgs drives one program per processor to completion.
 func runProgs(t *testing.T, s *System, progs []cpu.Program) {
 	t.Helper()
-	procs := make([]*cpu.Processor, len(progs))
+	running := len(progs)
 	for i := range progs {
 		d, in := s.Ports(i)
-		procs[i] = &cpu.Processor{ID: i, Eng: s.Eng, Data: d, Inst: in, Prog: progs[i]}
-		procs[i].Start()
+		p := &cpu.Processor{ID: i, Eng: s.Eng, Data: d, Inst: in, Prog: progs[i], Running: &running}
+		p.Start()
 	}
-	ok := s.Eng.RunUntil(func() bool {
-		for _, p := range procs {
-			if !p.Finished() {
-				return false
-			}
-		}
-		return true
-	}, 50_000_000)
+	ok := s.Eng.RunUntil(func() bool { return running == 0 }, 50_000_000)
 	if !ok {
 		t.Fatalf("system did not finish: events=%d pending=%d now=%v",
 			s.Eng.Executed, s.Eng.Pending(), s.Eng.Now())

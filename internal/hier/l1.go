@@ -55,8 +55,12 @@ func (f *L1[T]) Access(kind cpu.AccessKind, addr mem.Addr, store uint64, done fu
 	}
 	f.busy = true
 	f.Miss = Miss[T]{Kind: kind, Block: mem.BlockOf(addr), Store: store, done: done}
-	f.eng.Schedule(L1Latency, f.attempt) // bound once in Init: no allocation
+	f.eng.ScheduleCall(L1Latency, runAttempt, f.attempt, nil)
 }
+
+// runAttempt is Access's ScheduleCall target: attempt, bound once in
+// Init, is pointer-shaped, so it rides in ctx without allocating.
+func runAttempt(attempt, _ any) { attempt.(func())() }
 
 // Hit completes the parked access as a hit returning v.
 func (f *L1[T]) Hit(v uint64) {

@@ -1,12 +1,13 @@
 // Package lint runs the simlint analyzers over loaded packages and
 // applies simlint:ignore suppression directives.
 //
-// The three analyzers encode the simulator's two load-bearing contracts
-// as compile-time checks (see the package docs of msgown, simdet and
-// schedalloc). This package is the thin shared layer between the
-// cmd/simlint driver and the analysistest harness: it applies a list of
-// analyzers to a list of packages, collects diagnostics in positional
-// order, and drops any diagnostic suppressed by a directive comment.
+// The four analyzers encode the simulator's load-bearing contracts as
+// compile-time checks (see the package docs of msgown, simdet,
+// schedalloc and ctrreg). This package is the thin shared layer between
+// the cmd/simlint driver and the analysistest harness: it applies a
+// list of analyzers to a list of packages, collects diagnostics in
+// positional order, and drops any diagnostic suppressed by a directive
+// comment.
 //
 // # Suppression directives
 //

@@ -187,17 +187,15 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 				break
 			}
 			fn := lintutil.Callee(info, n)
-			for _, name := range [...]string{"Schedule", "ScheduleAt", "ScheduleCall", "ScheduleCallAt"} {
-				if !lintutil.IsMethod(fn, lintutil.SimPath, "Engine", name) || len(n.Args) < 2 {
+			for _, name := range [...]string{"ScheduleCall", "ScheduleCallAt"} {
+				if !lintutil.IsMethod(fn, lintutil.SimPath, "Engine", name) || len(n.Args) != 4 {
 					continue
 				}
 				captures(n.Args[1], "scheduled with "+name)
-				if len(n.Args) == 4 {
-					// ScheduleCall(d, call, ctx, arg): the thunk sees ctx
-					// and arg after the method has returned.
-					report(n.Args[2], "passed to "+name)
-					report(n.Args[3], "passed to "+name)
-				}
+				// ScheduleCall(d, call, ctx, arg): the thunk sees ctx and
+				// arg after the method has returned.
+				report(n.Args[2], "passed to "+name)
+				report(n.Args[3], "passed to "+name)
 			}
 		}
 		return true

@@ -55,9 +55,9 @@ func (r *AliasRetainer) Recv(m *network.Message) {
 type ClosureRetainer struct{ Retainer }
 
 func (r *ClosureRetainer) Recv(m *network.Message) {
-	r.eng.Schedule(sim.NS(1), func() { // want `closure scheduled with Schedule captures borrowed message m`
+	r.eng.ScheduleCall(sim.NS(1), func(_, _ any) { // want `closure scheduled with ScheduleCall captures borrowed message m`
 		r.use(m)
-	})
+	}, r, nil)
 	r.eng.ScheduleCall(sim.NS(1), retainThunk, r, m) // want `borrowed message m passed to ScheduleCall`
 	r.fn = func() { r.use(m) }                       // want `closure stored in a variable captures borrowed message m`
 	go func() { r.use(m) }()                         // want `closure started as a goroutine captures borrowed message m`
@@ -73,9 +73,9 @@ type HandleRetainer struct{ Retainer }
 
 func (r *HandleRetainer) Recv(m *network.Message) {
 	r.net.HandleAfter(sim.NS(1), m)
-	r.last = m                                         // want `borrowed message m stored in a field; the network reclaims it when Recv returns`
-	r.eng.ScheduleCallAt(sim.NS(2), retainThunk, r, m) // want `borrowed message m passed to ScheduleCallAt`
-	r.eng.ScheduleAt(sim.NS(3), func() { r.use(m) })   // want `closure scheduled with ScheduleAt captures borrowed message m`
+	r.last = m                                                           // want `borrowed message m stored in a field; the network reclaims it when Recv returns`
+	r.eng.ScheduleCallAt(sim.NS(2), retainThunk, r, m)                   // want `borrowed message m passed to ScheduleCallAt`
+	r.eng.ScheduleCallAt(sim.NS(3), func(_, _ any) { r.use(m) }, r, nil) // want `closure scheduled with ScheduleCallAt captures borrowed message m`
 }
 
 // --- Legal idioms below: the analyzer must stay silent. ---

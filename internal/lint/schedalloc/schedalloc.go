@@ -1,33 +1,25 @@
 // Package schedalloc implements the simlint analyzer guarding the
 // allocation-free scheduling discipline of sim.Engine.
 //
-// PR 3/4 profiling showed per-event closure allocations dominating the
+// Profiling showed per-event closure allocations dominating the
 // simulator's hot paths (BenchmarkTable4Barrier went from 2.22M to 49k
 // allocs/op by converting per-access closures to prebound callbacks and
-// ScheduleCall thunks). This analyzer pins that regression class:
+// ScheduleCall thunks). Engine.ScheduleCall/ScheduleCallAt, the
+// engine's only scheduling API, take a call function plus
+// pointer-shaped ctx and arg so that scheduling allocates nothing. A
+// capturing closure passed as the call argument defeats that: it
+// allocates on every call. The analyzer reports each one, wherever it
+// appears.
 //
-//   - A closure passed to Engine.Schedule/ScheduleAt that captures a
-//     loop variable of an enclosing for/range statement allocates a
-//     fresh closure every iteration.
-//   - Any capturing closure passed to Schedule/ScheduleAt from inside a
-//     loop allocates per iteration even when it only captures
-//     loop-invariant state.
-//   - A capturing closure passed as the call argument of
-//     Engine.ScheduleCall/ScheduleCallAt defeats the closure-free fast
-//     path that API exists to provide — the closure allocates exactly
-//     like Schedule's would.
-//
-// The fix in all three cases is the repo-wide thunk idiom: a
-// package-level func(ctx, arg any) plus pointer-shaped context passed
-// through ScheduleCall (see network.sendCall or cpu.Processor.accDone).
-// Capturing closures scheduled outside loops (miss paths, timeout
-// paths) are deliberately not flagged: they are cold and the closure is
-// the clearer idiom there.
+// The fix is the repo-wide thunk idiom: a package-level
+// func(ctx, arg any) plus pointer-shaped state passed through ctx and
+// arg (see network.sendCall or cpu.procStep). Like every simlint
+// analyzer it reads non-test files only, so a test may pass a
+// capturing thunk.
 package schedalloc
 
 import (
 	"go/ast"
-	"go/types"
 
 	"tokencmp/internal/lint/analysis"
 	"tokencmp/internal/lint/lintutil"
@@ -35,124 +27,34 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "schedalloc",
-	Doc:  "flag per-event closure allocations in sim.Engine scheduling calls (loop-variable captures, capturing ScheduleCall thunks)",
+	Doc:  "flag capturing closures passed as the call argument of sim.Engine.ScheduleCall/ScheduleCallAt (one allocation per scheduled event)",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				walk(pass, fd.Body, &ctx{})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkCall(pass, call)
 			}
-		}
+			return true
+		})
 	}
 	return nil, nil
 }
 
-// ctx tracks the enclosing loops of the current traversal point.
-type ctx struct {
-	inLoop   bool
-	loopVars map[*types.Var]bool
-}
-
-func (c *ctx) withLoop(vars []*types.Var) *ctx {
-	nc := &ctx{inLoop: true, loopVars: make(map[*types.Var]bool, len(c.loopVars)+len(vars))}
-	for v := range c.loopVars {
-		nc.loopVars[v] = true
-	}
-	for _, v := range vars {
-		nc.loopVars[v] = true
-	}
-	return nc
-}
-
-// walk traverses n, maintaining loop context, and checks scheduling
-// calls as they appear.
-func walk(pass *analysis.Pass, n ast.Node, c *ctx) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			inner := c.withLoop(defsOf(pass, n.Init))
-			if n.Init != nil {
-				walk(pass, n.Init, c)
-			}
-			if n.Cond != nil {
-				walk(pass, n.Cond, c)
-			}
-			if n.Post != nil {
-				walk(pass, n.Post, inner)
-			}
-			walk(pass, n.Body, inner)
-			return false
-		case *ast.RangeStmt:
-			walk(pass, n.X, c)
-			var vars []*types.Var
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-						vars = append(vars, v)
-					}
-				}
-			}
-			walk(pass, n.Body, c.withLoop(vars))
-			return false
-		case *ast.CallExpr:
-			checkCall(pass, n, c)
-			return true
-		}
-		return true
-	})
-}
-
-// defsOf collects the variables defined by a for-init statement.
-func defsOf(pass *analysis.Pass, init ast.Stmt) []*types.Var {
-	as, ok := init.(*ast.AssignStmt)
-	if !ok {
-		return nil
-	}
-	var vars []*types.Var
-	for _, lhs := range as.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-				vars = append(vars, v)
-			}
-		}
-	}
-	return vars
-}
-
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, c *ctx) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	fn := lintutil.Callee(pass.TypesInfo, call)
-	if fn == nil {
+	if fn == nil || len(call.Args) != 4 ||
+		!lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleCall") &&
+			!lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleCallAt") {
 		return
 	}
-	switch {
-	case (lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "Schedule") ||
-		lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleAt")) && len(call.Args) == 2:
-		lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit)
-		if !ok {
-			return
-		}
-		free := lintutil.FreeVars(pass.TypesInfo, lit)
-		for _, v := range free {
-			if c.loopVars[v] {
-				pass.Reportf(lit.Pos(), "closure passed to Engine.%s captures loop variable %s — a fresh closure allocates every iteration; use ScheduleCall with a package-level thunk", fn.Name(), v.Name())
-				return
-			}
-		}
-		if c.inLoop && len(free) > 0 {
-			pass.Reportf(lit.Pos(), "capturing closure passed to Engine.%s inside a loop allocates per iteration — use ScheduleCall with a package-level thunk", fn.Name())
-		}
-
-	case (lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleCall") ||
-		lintutil.IsMethod(fn, lintutil.SimPath, "Engine", "ScheduleCallAt")) && len(call.Args) == 4:
-		lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit)
-		if !ok {
-			return
-		}
-		if free := lintutil.FreeVars(pass.TypesInfo, lit); len(free) > 0 {
-			pass.Reportf(lit.Pos(), "capturing closure passed to Engine.%s defeats the closure-free fast path — use a package-level func(ctx, arg any) and pass state through ctx/arg", fn.Name())
-		}
+	lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit)
+	if !ok {
+		return
+	}
+	if free := lintutil.FreeVars(pass.TypesInfo, lit); len(free) > 0 {
+		pass.Reportf(lit.Pos(), "capturing closure passed to Engine.%s defeats the closure-free fast path — use a package-level func(ctx, arg any) and pass state through ctx/arg", fn.Name())
 	}
 }

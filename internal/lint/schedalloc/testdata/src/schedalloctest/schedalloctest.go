@@ -1,7 +1,7 @@
 // Package schedalloctest is the schedalloc analysistest corpus: the
-// per-event closure-allocation patterns PR 4 profiled out of the
-// simulator hot paths, plus the idioms that replaced them (which must
-// stay clean). Compiles against the real sim.Engine; never linked.
+// per-event closure allocations the analyzer reports, plus the idioms
+// that replaced them (which must stay clean). Compiles against the real
+// sim.Engine; never linked.
 package schedalloctest
 
 import (
@@ -12,42 +12,6 @@ type Proc struct {
 	eng  *sim.Engine
 	accs []int
 	done func(int)
-}
-
-// --- Per-iteration closure allocations: flagged. ---
-
-func (p *Proc) startAllRange() {
-	for i, a := range p.accs {
-		p.eng.Schedule(sim.NS(int64(i)), func() { // want `captures loop variable a`
-			p.done(a)
-		})
-	}
-}
-
-func (p *Proc) startAllFor() {
-	for i := 0; i < len(p.accs); i++ {
-		p.eng.ScheduleAt(sim.NS(int64(i)), func() { // want `captures loop variable i`
-			p.done(i)
-		})
-	}
-}
-
-func (p *Proc) startAllInvariant(v int) {
-	for range p.accs {
-		p.eng.Schedule(sim.NS(1), func() { // want `capturing closure passed to Engine\.Schedule inside a loop`
-			p.done(v)
-		})
-	}
-}
-
-func (p *Proc) nestedLoopCapture() {
-	for _, a := range p.accs {
-		if a > 0 {
-			p.eng.Schedule(sim.NS(2), func() { // want `captures loop variable a`
-				p.done(a)
-			})
-		}
-	}
 }
 
 // --- Capturing thunks defeat ScheduleCall: flagged anywhere. ---
@@ -64,30 +28,36 @@ func (p *Proc) captureThunkAt(v int) {
 	}, nil, nil)
 }
 
+func (p *Proc) captureLoopVar() {
+	for i, a := range p.accs {
+		p.eng.ScheduleCall(sim.NS(int64(i)), (func(_, _ any) { // want `capturing closure passed to Engine\.ScheduleCall defeats`
+			p.done(a)
+		}), nil, nil)
+	}
+}
+
+var deferred = func(p *Proc) {
+	p.eng.ScheduleCall(0, func(_, _ any) { p.done(0) }, nil, nil) // want `capturing closure passed to Engine\.ScheduleCall defeats`
+}
+
 // --- Clean idioms. ---
 
-// procDone is the package-level thunk idiom (cpu.Processor.accDone).
+// procDone is the package-level thunk idiom (cpu.procStep).
 func procDone(ctx, arg any) {
 	p := ctx.(*Proc)
-	p.done(arg.(int))
+	p.done(*arg.(*int))
 }
 
 func (p *Proc) startAllThunk() {
 	for i := range p.accs {
-		p.eng.ScheduleCall(sim.NS(int64(i)), procDone, p, i)
+		p.eng.ScheduleCall(sim.NS(int64(i)), procDone, p, &p.accs[i])
 	}
-}
-
-// coldPathClosure: a capturing closure outside any loop is the clearer
-// idiom on miss/timeout paths and is deliberately not flagged.
-func (p *Proc) coldPathClosure(v int) {
-	p.eng.Schedule(sim.NS(1), func() { p.done(v) })
 }
 
 // nonCapturing literals are static function values: no allocation.
 func (p *Proc) nonCapturing() {
 	for range p.accs {
-		p.eng.Schedule(sim.NS(1), func() {})
+		p.eng.ScheduleCall(sim.NS(1), func(ctx, arg any) {}, p, nil)
 	}
-	p.eng.ScheduleCall(sim.NS(1), func(ctx, arg any) {}, p, 0)
+	p.eng.ScheduleCallAt(sim.NS(1), func(ctx, _ any) { ctx.(*Proc).done(0) }, p, nil)
 }

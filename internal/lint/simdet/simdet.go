@@ -179,7 +179,7 @@ func (a *pkgAnalysis) seedEffect(call *ast.CallExpr) string {
 	switch {
 	case lintutil.MethodOn(fn, lintutil.SimPath, "Engine"):
 		switch fn.Name() {
-		case "Schedule", "ScheduleAt", "ScheduleCall", "ScheduleCallAt", "Stop":
+		case "ScheduleCall", "ScheduleCallAt", "Stop":
 			return "schedules events via Engine." + fn.Name()
 		}
 	case lintutil.MethodOn(fn, lintutil.NetworkPath, "Network"):

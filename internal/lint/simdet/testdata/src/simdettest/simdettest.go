@@ -70,7 +70,7 @@ func (c *Ctrl) retryAll() {
 func (c *Ctrl) scheduleAll() {
 	for b, n := range c.pending {
 		_ = b
-		c.eng.Schedule(sim.NS(int64(n)), func() {}) // want `schedules events via Engine\.Schedule inside range over map`
+		c.eng.ScheduleCall(sim.NS(int64(n)), func(_, _ any) {}, c, nil) // want `schedules events via Engine\.ScheduleCall inside range over map`
 	}
 }
 

@@ -55,12 +55,12 @@ func (c *Ctrl) registerFault(link string) {
 	c.cs.Counter(counters.NetDropped + "." + link).Inc()
 }
 
-// startAll violates schedalloc: a per-iteration closure capturing the
-// loop variable.
+// startAll violates schedalloc: a ScheduleCall thunk capturing the loop
+// variable allocates a fresh closure every iteration.
 func (c *Ctrl) startAll(blocks []mem.Block) {
 	for _, b := range blocks {
-		c.eng.Schedule(sim.NS(1), func() {
+		c.eng.ScheduleCall(sim.NS(1), func(_, _ any) {
 			c.pending[b]++
-		})
+		}, nil, nil)
 	}
 }

@@ -349,17 +349,15 @@ func TestRunCtxCancellationBound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const cancelAfter = 5000
 	// Cancel from inside the simulation once it is clearly in flight.
-	m.Eng.Schedule(0, func() {
-		var tick func()
-		tick = func() {
-			if m.Eng.Executed >= cancelAfter {
-				cancel()
-				return
-			}
-			m.Eng.Schedule(sim.NS(10), tick)
+	var tick func(_, _ any)
+	tick = func(_, _ any) {
+		if m.Eng.Executed >= cancelAfter {
+			cancel()
+			return
 		}
-		tick()
-	})
+		m.Eng.ScheduleCall(sim.NS(10), tick, nil, nil)
+	}
+	m.Eng.ScheduleCall(0, tick, nil, nil)
 	res, err := m.RunCtx(ctx, progs, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -404,64 +402,8 @@ func TestRunCtxBackgroundIdentical(t *testing.T) {
 	}
 }
 
-// TestNetCountersMatchTraffic asserts, on one seed per protocol, that
-// the interconnect's net.* counters agree with the run's Traffic: bytes
-// and hops are the per-level traffic totals, an inter-CMP message is
-// one inter-CMP hop, and each adds at most two intra-CMP hops (one per
-// cache-side endpoint). PerfectL2 has no interconnect and no net.*
-// traffic counters.
-func TestNetCountersMatchTraffic(t *testing.T) {
-	for _, proto := range Protocols() {
-		t.Run(proto, func(t *testing.T) {
-			m, err := New(smallCfg(proto))
-			if err != nil {
-				t.Fatal(err)
-			}
-			params := workload.OLTP()
-			params.TxnsPerProc = 4
-			progs, _ := workload.CommercialPrograms(params, m.Cfg.Geom.TotalProcs(), 1)
-			res, err := m.Run(progs, 60_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, tr := res.Counters, &res.Traffic
-			if proto == "PerfectL2" {
-				for name := range c {
-					if strings.HasPrefix(name, "net.") {
-						t.Errorf("PerfectL2 reports interconnect counter %s", name)
-					}
-				}
-				return
-			}
-			for _, rel := range []struct {
-				name      string
-				got, want uint64
-			}{
-				{counters.NetBytesIntraCMP, c[counters.NetBytesIntraCMP], tr.TotalBytes(stats.IntraCMP)},
-				{counters.NetBytesInterCMP, c[counters.NetBytesInterCMP], tr.TotalBytes(stats.InterCMP)},
-				{counters.NetHopIntraCMP, c[counters.NetHopIntraCMP], tr.TotalMessages(stats.IntraCMP)},
-				{counters.NetHopInterCMP, c[counters.NetHopInterCMP], tr.TotalMessages(stats.InterCMP)},
-				{counters.NetMsgInterCMP, c[counters.NetMsgInterCMP], c[counters.NetHopInterCMP]},
-			} {
-				if rel.got != rel.want {
-					t.Errorf("%s = %d, want %d", rel.name, rel.got, rel.want)
-				}
-			}
-			msgIntra, hopIntra, inter := c[counters.NetMsgIntraCMP], c[counters.NetHopIntraCMP], c[counters.NetMsgInterCMP]
-			if msgIntra == 0 || inter == 0 || msgIntra > hopIntra || hopIntra-msgIntra > 2*inter {
-				t.Errorf("intra msgs %d, intra hops %d, inter msgs %d: want 0 < msgs <= hops <= msgs + 2*inter",
-					msgIntra, hopIntra, inter)
-			}
-		})
-	}
-}
-
-// TestCounterRelations pins the counter registry's first declared
-// invariant on every protocol and paper workload: each completed
-// processor memory operation is exactly one L1 hit or one L1 miss, so
-// l1.hit + l1.miss equals the processors' summed MemOps. It also pins
-// that Result's Misses and Persistent are the registry's l1.miss and
-// req.persistent.
+// TestCounterRelations pins the counter registry's relations on every
+// protocol and paper workload at 2×2×2 (see checkCounterRelations).
 func TestCounterRelations(t *testing.T) {
 	g := topo.NewGeometry(2, 2, 2)
 	workloads := []struct {
@@ -480,42 +422,104 @@ func TestCounterRelations(t *testing.T) {
 			progs, _ := workload.BarrierPrograms(bc, 1)
 			return progs
 		}},
-		{"OLTP", func() []cpu.Program {
-			params := workload.OLTP()
-			params.TxnsPerProc = 3
-			progs, _ := workload.CommercialPrograms(params, g.TotalProcs(), 1)
-			return progs
-		}},
+		{"OLTP", func() []cpu.Program { return oltpPrograms(g, 3) }},
 	}
 	for _, proto := range Protocols() {
 		for _, wl := range workloads {
 			t.Run(proto+"/"+wl.name, func(t *testing.T) {
 				cfg := smallCfg(proto)
 				cfg.Geom = g
-				m, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := m.Run(wl.progs(), 60_000_000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var ops uint64
-				for _, p := range m.Procs {
-					ops += p.Stats.MemOps
-				}
-				c := res.Counters
-				if hit, miss := c[counters.L1Hit], c[counters.L1Miss]; hit+miss != ops || ops == 0 {
-					t.Errorf("l1.hit %d + l1.miss %d = %d, want %d memory operations", hit, miss, hit+miss, ops)
-				}
-				if res.Misses != c[counters.L1Miss] {
-					t.Errorf("Result.Misses = %d, want l1.miss %d", res.Misses, c[counters.L1Miss])
-				}
-				if res.Persistent != c[counters.ReqPersistent] {
-					t.Errorf("Result.Persistent = %d, want req.persistent %d", res.Persistent, c[counters.ReqPersistent])
-				}
+				checkCounterRelations(t, cfg, wl.progs())
 			})
 		}
+	}
+}
+
+// TestNetCountersMatchTraffic checks the same relations on one more
+// row: every protocol on the 2×2×1 machine running 4 OLTP transactions
+// per processor.
+func TestNetCountersMatchTraffic(t *testing.T) {
+	for _, proto := range Protocols() {
+		t.Run(proto, func(t *testing.T) {
+			checkCounterRelations(t, smallCfg(proto), oltpPrograms(smallGeom(), 4))
+		})
+	}
+}
+
+func oltpPrograms(g topo.Geometry, txns int) []cpu.Program {
+	params := workload.OLTP()
+	params.TxnsPerProc = txns
+	progs, _ := workload.CommercialPrograms(params, g.TotalProcs(), 1)
+	return progs
+}
+
+// checkCounterRelations runs progs on a machine built from cfg and
+// checks the relations its counters must satisfy:
+//   - each completed processor memory operation is exactly one L1 hit
+//     or one L1 miss, so l1.hit + l1.miss equals the summed MemOps;
+//   - Result's Misses and Persistent are l1.miss and req.persistent;
+//   - the interconnect's net.* counters agree with the run's Traffic:
+//     bytes and hops are the per-level traffic totals, an inter-CMP
+//     message is one inter-CMP hop, and each adds at most two intra-CMP
+//     hops (one per cache-side endpoint). PerfectL2 has no interconnect
+//     and reports no net.* counter;
+//   - HammerCMP answers every probe once, with data from the owner or
+//     a dataless ack, so probe.sent = probe.ack + probe.data.
+func checkCounterRelations(t *testing.T, cfg Config, progs []cpu.Program) {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(progs, 60_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops uint64
+	for _, p := range m.Procs {
+		ops += p.Stats.MemOps
+	}
+	c, tr := res.Counters, &res.Traffic
+	if hit, miss := c[counters.L1Hit], c[counters.L1Miss]; hit+miss != ops || ops == 0 {
+		t.Errorf("l1.hit %d + l1.miss %d = %d, want %d memory operations", hit, miss, hit+miss, ops)
+	}
+	if res.Misses != c[counters.L1Miss] {
+		t.Errorf("Result.Misses = %d, want l1.miss %d", res.Misses, c[counters.L1Miss])
+	}
+	if res.Persistent != c[counters.ReqPersistent] {
+		t.Errorf("Result.Persistent = %d, want req.persistent %d", res.Persistent, c[counters.ReqPersistent])
+	}
+	if cfg.Protocol == "HammerCMP" {
+		if sent, ack, data := c[counters.ProbeSent], c[counters.ProbeAck], c[counters.ProbeData]; sent != ack+data {
+			t.Errorf("probe.sent %d, want probe.ack %d + probe.data %d", sent, ack, data)
+		}
+	}
+	if cfg.Protocol == "PerfectL2" {
+		for name := range c {
+			if strings.HasPrefix(name, "net.") {
+				t.Errorf("PerfectL2 reports interconnect counter %s", name)
+			}
+		}
+		return
+	}
+	for _, rel := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{counters.NetBytesIntraCMP, c[counters.NetBytesIntraCMP], tr.TotalBytes(stats.IntraCMP)},
+		{counters.NetBytesInterCMP, c[counters.NetBytesInterCMP], tr.TotalBytes(stats.InterCMP)},
+		{counters.NetHopIntraCMP, c[counters.NetHopIntraCMP], tr.TotalMessages(stats.IntraCMP)},
+		{counters.NetHopInterCMP, c[counters.NetHopInterCMP], tr.TotalMessages(stats.InterCMP)},
+		{counters.NetMsgInterCMP, c[counters.NetMsgInterCMP], c[counters.NetHopInterCMP]},
+	} {
+		if rel.got != rel.want {
+			t.Errorf("%s = %d, want %d", rel.name, rel.got, rel.want)
+		}
+	}
+	msgIntra, hopIntra, inter := c[counters.NetMsgIntraCMP], c[counters.NetHopIntraCMP], c[counters.NetMsgInterCMP]
+	if msgIntra == 0 || inter == 0 || msgIntra > hopIntra || hopIntra-msgIntra > 2*inter {
+		t.Errorf("intra msgs %d, intra hops %d, inter msgs %d: want 0 < msgs <= hops <= msgs + 2*inter",
+			msgIntra, hopIntra, inter)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestPackedEquivalence(t *testing.T) {
 			return models.NewTokenModel(cfg)
 		}, 44280, 365063, 17},
 		{"DirectoryCMP-flat", func() mc.Model {
-			return models.DefaultDirModel()
+			return models.NewDirModel(3, 3)
 		}, 4985, 13539, 28},
 		{"HammerCMP-flat-2c", func() mc.Model {
 			return models.NewHammerModel(2, 5)
@@ -75,7 +75,7 @@ func TestPackedEquivalenceFullScale(t *testing.T) {
 			return models.NewTokenModel(models.DefaultTokenConfig(models.DistributedAct))
 		}, 212400, 1753337, 22},
 		{"HammerCMP-flat-3c", func() mc.Model {
-			return models.DefaultHammerModel()
+			return models.NewHammerModel(3, 5)
 		}, 233339, 913287, 63},
 	}
 	for _, tc := range cases {
@@ -144,7 +144,7 @@ func TestPackedEquivalenceReduced(t *testing.T) {
 			return models.NewTokenModel(cfg)
 		}, false, 44280, 365063, 17, 44280},
 		{"DirectoryCMP-flat", func() mc.Model {
-			return models.DefaultDirModel()
+			return models.NewDirModel(3, 3)
 		}, true, 922, 2531, 28, 4985},
 		{"HammerCMP-flat-2c", func() mc.Model {
 			return models.NewHammerModel(2, 5)
@@ -174,7 +174,7 @@ func TestPackedEquivalenceReducedFullScale(t *testing.T) {
 			return models.NewTokenModel(models.DefaultTokenConfig(models.DistributedAct))
 		}, false, 212400, 1753337, 22, 212400},
 		{"HammerCMP-flat-3c", func() mc.Model {
-			return models.DefaultHammerModel()
+			return models.NewHammerModel(3, 5)
 		}, true, 40549, 158519, 63, 233339},
 		{"DirectoryCMP-4c-4m", func() mc.Model {
 			return models.NewDirModel(4, 4)
@@ -215,7 +215,7 @@ func TestSymmetryCrossCheck(t *testing.T) {
 			cfg.T = 2
 			return models.NewTokenModel(cfg)
 		}},
-		{"directory", func() mc.Model { return models.DefaultDirModel() }},
+		{"directory", func() mc.Model { return models.NewDirModel(3, 3) }},
 		{"hammer-2c", func() mc.Model { return models.NewHammerModel(2, 5) }},
 	}
 	for _, tc := range cases {

@@ -14,7 +14,7 @@ import (
 // with two owners, a readable stale copy, or a lost latest value, and
 // must stay deadlock- and starvation-free.
 func TestHammerFlat(t *testing.T) {
-	m := models.DefaultHammerModel()
+	m := models.NewHammerModel(3, 5)
 	if testing.Short() {
 		m = models.NewHammerModel(2, 5)
 	}

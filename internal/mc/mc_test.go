@@ -40,7 +40,7 @@ func TestTokenArbiter(t *testing.T) {
 }
 
 func TestDirectoryFlat(t *testing.T) {
-	res := mc.CheckOpt(models.DefaultDirModel(), mc.Options{})
+	res := mc.CheckOpt(models.NewDirModel(3, 3), mc.Options{})
 	t.Log(res)
 	if !res.OK() {
 		t.Fatalf("flat directory model failed: %v", res)

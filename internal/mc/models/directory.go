@@ -141,9 +141,6 @@ func (m *DirModel) newState() dstate {
 	}
 }
 
-// DefaultDirModel mirrors the token models' scale.
-func DefaultDirModel() *DirModel { return NewDirModel(3, 3) }
-
 // Name implements mc.Model.
 func (m *DirModel) Name() string { return "DirectoryCMP-flat" }
 

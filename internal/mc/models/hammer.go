@@ -172,10 +172,6 @@ func (m *HammerModel) newState() hstate {
 	}
 }
 
-// DefaultHammerModel mirrors the other models' scale: three caches and
-// enough message slots for one full broadcast plus a writeback window.
-func DefaultHammerModel() *HammerModel { return NewHammerModel(3, 5) }
-
 // Name implements mc.Model.
 func (m *HammerModel) Name() string { return "HammerCMP-flat" }
 

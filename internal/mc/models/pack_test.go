@@ -58,7 +58,7 @@ func TestTokenRoundTrip(t *testing.T) {
 
 // TestDirRoundTrip is the directory-model round-trip property.
 func TestDirRoundTrip(t *testing.T) {
-	m := DefaultDirModel()
+	m := NewDirModel(3, 3)
 	st := m.newState()
 	key := make([]byte, m.width)
 	for _, s := range explore(t, m, 3000) {
@@ -72,7 +72,7 @@ func TestDirRoundTrip(t *testing.T) {
 
 // TestHammerRoundTrip is the hammer-model round-trip property.
 func TestHammerRoundTrip(t *testing.T) {
-	m := DefaultHammerModel()
+	m := NewHammerModel(3, 5)
 	st := m.newState()
 	key := make([]byte, m.width)
 	for _, s := range explore(t, m, 3000) {
@@ -138,7 +138,7 @@ func TestTokenCanonicalOrder(t *testing.T) {
 // TestDirCanonicalOrder is the directory-model permutation-invariance
 // property.
 func TestDirCanonicalOrder(t *testing.T) {
-	m := DefaultDirModel()
+	m := NewDirModel(3, 3)
 	st := m.newState()
 	key := make([]byte, m.width)
 	checked := 0

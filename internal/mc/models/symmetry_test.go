@@ -174,7 +174,7 @@ func TestTokenCanonPermutationInvariant(t *testing.T) {
 
 // TestDirCanonPermutationInvariant is the directory-model property.
 func TestDirCanonPermutationInvariant(t *testing.T) {
-	m := DefaultDirModel()
+	m := NewDirModel(3, 3)
 	corpus := sample(explore(t, m, 3000), 7)
 	st := m.newState()
 	checkCanonProperties(t, m.Symmetry(), corpus, func(s string, p []int) []byte {
@@ -188,7 +188,7 @@ func TestDirCanonPermutationInvariant(t *testing.T) {
 // TestHammerCanonPermutationInvariant is the hammer-model property, at
 // three caches so non-trivial stabilizers arise.
 func TestHammerCanonPermutationInvariant(t *testing.T) {
-	m := DefaultHammerModel()
+	m := NewHammerModel(3, 5)
 	corpus := sample(explore(t, m, 2000), 7)
 	st := m.newState()
 	checkCanonProperties(t, m.Symmetry(), corpus, func(s string, p []int) []byte {
@@ -251,7 +251,7 @@ func TestOrbitSizesSumToFullSpace(t *testing.T) {
 // representative; the stabilizer is the two rotations plus the
 // identity, not all six permutations, so the orbit has two keys.
 func TestCanonicalizeCyclicTie(t *testing.T) {
-	m := DefaultHammerModel()
+	m := NewHammerModel(3, 5)
 	s := m.newState()
 	s.Busy, s.BusyWB = -1, -1
 	for q := 0; q < 3; q++ {

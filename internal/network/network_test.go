@@ -41,7 +41,7 @@ func TestOnChipLatency(t *testing.T) {
 	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
 	eng.Run(0)
 	// 8 bytes at 64 B/ns = 0.125ns serialization + 2ns latency.
-	want := sim.PS(125) + sim.NS(2)
+	want := 125*sim.Picosecond + sim.NS(2)
 	if sinks[dst].at[0] != want {
 		t.Errorf("delivery at %v, want %v", sinks[dst].at[0], want)
 	}
@@ -53,7 +53,7 @@ func TestOffChipLatency(t *testing.T) {
 	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
 	eng.Run(0)
 	// 8 bytes at 16 B/ns = 0.5ns + 20ns latency.
-	want := sim.PS(500) + sim.NS(20)
+	want := 500*sim.Picosecond + sim.NS(20)
 	if sinks[dst].at[0] != want {
 		t.Errorf("delivery at %v, want %v", sinks[dst].at[0], want)
 	}

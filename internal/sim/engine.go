@@ -7,10 +7,9 @@ import (
 
 // event is one scheduled callback, call(ctx, arg). Pointer-shaped ctx
 // and arg values store into the interface words without allocating, so
-// the network can schedule a delivery without materializing a closure;
-// Schedule's func() rides in ctx (see callFn). Events live in the
-// engine's slot slab and link into their bucket's list through next, a
-// slab index (0 ends a list).
+// the network can schedule a delivery without materializing a closure.
+// Events live in the engine's slot slab and link into their bucket's
+// list through next, a slab index (0 ends a list).
 type event struct {
 	at   Time
 	call func(ctx, arg any)
@@ -236,10 +235,6 @@ func (a overflowKey) less(b overflowKey) bool {
 	return a.seq < b.seq
 }
 
-// callFn is Schedule's call form: a func() is pointer-shaped, so it
-// rides in the ctx interface word without allocating.
-func callFn(fn, _ any) { fn.(func())() }
-
 // CancelCheckEvery is the amortized cancellation polling interval: Run
 // and RunUntil poll the installed context (see SetContext) once per
 // this many fired events, so after the context is cancelled the engine
@@ -312,22 +307,10 @@ func (e *Engine) pollCancel() bool {
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule runs fn after delay d (>= 0). Events scheduled for the same
-// instant fire in the order they were scheduled.
-func (e *Engine) Schedule(d Time, fn func()) {
-	e.ScheduleCall(d, callFn, fn, nil)
-}
-
-// ScheduleAt runs fn at absolute time t (clamped to now).
-func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.ScheduleCallAt(t, callFn, fn, nil)
-}
-
-// ScheduleCall runs call(ctx, arg) after delay d (>= 0). It is the
-// closure-free fast path: a package-level call function plus
-// pointer-shaped ctx/arg schedules without any heap allocation, unlike
-// Schedule, whose closure argument almost always escapes. Ordering
-// relative to Schedule'd events is the shared (time, sequence) order.
+// ScheduleCall runs call(ctx, arg) after delay d (>= 0; a negative
+// delay clamps to 0). Events scheduled for the same instant fire in the
+// order they were scheduled. A package-level call function plus
+// pointer-shaped ctx and arg schedules without any heap allocation.
 func (e *Engine) ScheduleCall(d Time, call func(ctx, arg any), ctx, arg any) {
 	if d < 0 {
 		d = 0

@@ -9,12 +9,18 @@ import (
 	"testing/quick"
 )
 
+// runFn is the tests' ScheduleCall target for a func() carried in ctx.
+func runFn(fn, _ any) { fn.(func())() }
+
+// after schedules fn on e after delay d.
+func after(e *Engine, d Time, fn func()) { e.ScheduleCall(d, runFn, fn, nil) }
+
 func TestScheduleOrdersByTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(NS(30), func() { got = append(got, 3) })
-	e.Schedule(NS(10), func() { got = append(got, 1) })
-	e.Schedule(NS(20), func() { got = append(got, 2) })
+	after(e, NS(30), func() { got = append(got, 3) })
+	after(e, NS(10), func() { got = append(got, 1) })
+	after(e, NS(20), func() { got = append(got, 2) })
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("order = %v, want [1 2 3]", got)
@@ -29,7 +35,7 @@ func TestTiesFireInScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(NS(5), func() { got = append(got, i) })
+		after(e, NS(5), func() { got = append(got, i) })
 	}
 	e.Run(0)
 	for i, v := range got {
@@ -46,10 +52,10 @@ func TestNestedScheduling(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			e.Schedule(NS(1), recurse)
+			after(e, NS(1), recurse)
 		}
 	}
-	e.Schedule(0, recurse)
+	after(e, 0, recurse)
 	e.Run(0)
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
@@ -62,8 +68,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(NS(10), func() {
-		e.Schedule(-NS(5), func() { fired = true })
+	after(e, NS(10), func() {
+		after(e, -NS(5), func() { fired = true })
 	})
 	e.Run(0)
 	if !fired {
@@ -77,12 +83,12 @@ func TestNegativeDelayClamped(t *testing.T) {
 func TestScheduleAtClampsToNow(t *testing.T) {
 	e := NewEngine()
 	at := Time(-1)
-	e.Schedule(NS(10), func() {
-		e.ScheduleAt(NS(3), func() { at = e.Now() })
+	after(e, NS(10), func() {
+		e.ScheduleCallAt(NS(3), runFn, func() { at = e.Now() }, nil)
 	})
 	e.Run(0)
 	if at != NS(10) {
-		t.Errorf("past ScheduleAt fired at %v, want 10ns", at)
+		t.Errorf("past ScheduleCallAt fired at %v, want 10ns", at)
 	}
 }
 
@@ -90,7 +96,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	n := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(NS(int64(i)), func() { n++ })
+		after(e, NS(int64(i)), func() { n++ })
 	}
 	if !e.RunUntil(func() bool { return n == 5 }, 0) {
 		t.Fatal("condition not reached")
@@ -106,8 +112,8 @@ func TestRunUntil(t *testing.T) {
 func TestRunEventLimit(t *testing.T) {
 	e := NewEngine()
 	var tick func()
-	tick = func() { e.Schedule(NS(1), tick) }
-	e.Schedule(0, tick)
+	tick = func() { after(e, NS(1), tick) }
+	after(e, 0, tick)
 	e.Run(1000)
 	if e.Executed != 1000 {
 		t.Errorf("executed = %d, want 1000", e.Executed)
@@ -117,8 +123,8 @@ func TestRunEventLimit(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.Schedule(NS(1), func() { n++; e.Stop() })
-	e.Schedule(NS(2), func() { n++ })
+	after(e, NS(1), func() { n++; e.Stop() })
+	after(e, NS(2), func() { n++ })
 	e.Run(0)
 	if n != 1 {
 		t.Errorf("n = %d, want 1 (stopped)", n)
@@ -133,7 +139,7 @@ func TestPropertyMonotonicTime(t *testing.T) {
 		last := Time(-1)
 		ok := true
 		for _, d := range delays {
-			e.Schedule(Time(d)*Nanosecond, func() {
+			after(e, Time(d)*Nanosecond, func() {
 				if e.Now() < last {
 					ok = false
 				}
@@ -154,7 +160,7 @@ func TestPropertyAllEventsFire(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		for i := 0; i < int(n); i++ {
-			e.Schedule(Time(rng.Intn(1000))*Nanosecond, func() {})
+			after(e, Time(rng.Intn(1000))*Nanosecond, func() {})
 		}
 		e.Run(0)
 		return e.Executed == uint64(n) && e.Pending() == 0
@@ -166,7 +172,7 @@ func TestPropertyAllEventsFire(t *testing.T) {
 
 func TestTimeString(t *testing.T) {
 	cases := map[Time]string{
-		PS(500):          "500ps",
+		500 * Picosecond: "500ps",
 		NS(3):            "3.000ns",
 		Microsecond * 2:  "2.000us",
 		Millisecond * 10: "10.000ms",
@@ -178,17 +184,17 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-// TestScheduleCallInterleavesWithSchedule asserts the closure-free form
-// shares the (time, sequence) order with plain closures.
+// TestScheduleCallInterleavesWithSchedule asserts the relative and
+// absolute forms share one (time, sequence) order.
 func TestScheduleCallInterleavesWithSchedule(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	record := func(_, arg any) { got = append(got, *arg.(*int)) }
-	one, three := 1, 3
-	e.Schedule(NS(5), func() { got = append(got, 0) })
-	e.ScheduleCall(NS(5), record, nil, &one)
-	e.Schedule(NS(5), func() { got = append(got, 2) })
-	e.ScheduleCallAt(NS(5), record, nil, &three)
+	v := []int{0, 1, 2, 3}
+	e.ScheduleCall(NS(5), record, nil, &v[0])
+	e.ScheduleCallAt(NS(5), record, nil, &v[1])
+	e.ScheduleCall(NS(5), record, nil, &v[2])
+	e.ScheduleCallAt(NS(5), record, nil, &v[3])
 	e.Run(0)
 	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
 		t.Errorf("order = %v, want [0 1 2 3]", got)
@@ -290,16 +296,10 @@ func (r *orderRun) schedule() {
 	at := r.target(class, v)
 	seq := len(r.stamps)
 	r.stamps = append(r.stamps, stamp{at: max(at, now), seq: seq})
-	fire := func() { r.fire(seq) }
 	call := func(ctx, _ any) { ctx.(*orderRun).fire(seq) }
-	switch class / 10 % 4 {
-	case 0:
-		r.e.Schedule(at-now, fire)
-	case 1:
-		r.e.ScheduleAt(at, fire)
-	case 2:
+	if class/10%2 == 0 {
 		r.e.ScheduleCall(at-now, call, r, nil)
-	default:
+	} else {
 		r.e.ScheduleCallAt(at, call, r, nil)
 	}
 }
@@ -425,11 +425,11 @@ func TestCancelStopsWithinBound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e.SetContext(ctx)
 	var reschedule func()
-	reschedule = func() { e.Schedule(NS(1), reschedule) }
+	reschedule = func() { after(e, NS(1), reschedule) }
 	reschedule()
 	const cancelAt = 100
 	var cancelled uint64
-	e.Schedule(NS(1), func() {
+	after(e, NS(1), func() {
 		// Fires as the second event at t=1ns; keep rescheduling until
 		// the cancel point, then cancel from inside the run.
 		var tick func()
@@ -439,7 +439,7 @@ func TestCancelStopsWithinBound(t *testing.T) {
 				cancel()
 				return
 			}
-			e.Schedule(NS(1), tick)
+			after(e, NS(1), tick)
 		}
 		tick()
 	})
@@ -467,7 +467,7 @@ func TestRunUntilCancelDistinguishable(t *testing.T) {
 	cancel() // cancelled before the run even starts
 	e.SetContext(ctx)
 	var chain func()
-	chain = func() { e.Schedule(NS(1), chain) }
+	chain = func() { after(e, NS(1), chain) }
 	chain()
 	ok := e.RunUntil(func() bool { return false }, 0)
 	if ok {
@@ -483,7 +483,7 @@ func TestRunUntilCancelDistinguishable(t *testing.T) {
 	e2 := NewEngine()
 	e2.SetContext(context.Background())
 	var chain2 func()
-	chain2 = func() { e2.Schedule(NS(1), chain2) }
+	chain2 = func() { after(e2, NS(1), chain2) }
 	chain2()
 	if e2.RunUntil(func() bool { return false }, 10) {
 		t.Fatal("RunUntil satisfied an always-false cond")
@@ -503,7 +503,7 @@ func TestSetContextBackgroundIsFree(t *testing.T) {
 		var fired []Time
 		for i := 0; i < 3000; i++ {
 			d := Time(i%7) * Nanosecond
-			e.Schedule(d, func() { fired = append(fired, e.Now()) })
+			after(e, d, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run(0)
 		return fired

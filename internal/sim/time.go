@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// Components schedule closures at future simulated times on a single
+// Components schedule callbacks at future simulated times on a single
 // Engine. Events at equal times fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), so a run is bit-reproducible
 // for a given input, which the experiment harness relies on for the
@@ -24,9 +24,6 @@ const (
 
 // NS returns n nanoseconds as a Time.
 func NS(n int64) Time { return Time(n) * Nanosecond }
-
-// PS returns n picoseconds as a Time.
-func PS(n int64) Time { return Time(n) * Picosecond }
 
 // Nanoseconds reports t in (possibly fractional, truncated) nanoseconds.
 func (t Time) Nanoseconds() int64 { return int64(t / Nanosecond) }

@@ -57,13 +57,6 @@ func (s *Sample) CI95() float64 {
 	return tMultiplier(s.n-1) * s.StdDev() / math.Sqrt(float64(s.n))
 }
 
-// Interval95 reports the 95% confidence interval [lo, hi] around the
-// mean — the form claim assertions bound.
-func (s *Sample) Interval95() (lo, hi float64) {
-	ci := s.CI95()
-	return s.Mean() - ci, s.Mean() + ci
-}
-
 // tMultiplier approximates the two-sided 95% Student-t critical value for
 // the given degrees of freedom.
 func tMultiplier(df int) float64 {

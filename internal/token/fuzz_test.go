@@ -107,7 +107,7 @@ func FuzzPersistentTables(f *testing.F) {
 				}
 			}
 			for p, want := range dref {
-				if got := dt.Find(p); (got != nil) != want.Valid || want.Valid && *got != want {
+				if got := find(&dt, p); (got != nil) != want.Valid || want.Valid && *got != want {
 					t.Fatalf("op %d: Find(%d) = %+v, want %+v", k, p, got, want)
 				}
 			}

@@ -76,14 +76,6 @@ func (t *DistributedTable) Deactivate(proc int) (mem.Block, bool) {
 	return b, ok
 }
 
-// Find returns processor proc's request, or nil if it has none.
-func (t *DistributedTable) Find(proc int) *Entry {
-	if t.valid[proc/64]&(1<<(proc%64)) == 0 {
-		return nil
-	}
-	return &t.entries[proc]
-}
-
 // next returns the lowest-numbered valid entry for block b at or after
 // processor from, or nil.
 func (t *DistributedTable) next(b mem.Block, from int) *Entry {

@@ -41,9 +41,6 @@ func (s *State) CanRead() bool { return s.Tokens >= 1 && s.HasData }
 // given the system-wide token count t.
 func (s *State) CanWrite(t int) bool { return s.Tokens == t && s.HasData }
 
-// Empty reports whether the state holds nothing that must be preserved.
-func (s *State) Empty() bool { return s.Tokens == 0 }
-
 // Merge folds an arriving message payload (tokens, owner, data) into s.
 func (s *State) Merge(tokens int, owner bool, hasData bool, data uint64, dirty bool) {
 	s.Tokens += tokens

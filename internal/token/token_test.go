@@ -29,7 +29,7 @@ func TestTakeAllEmpties(t *testing.T) {
 	if tk != 4 || !own || !hasData || data != 11 || !dirty {
 		t.Errorf("TakeAll = (%d,%v,%v,%d,%v)", tk, own, hasData, data, dirty)
 	}
-	if !s.Empty() || s.Owner || s.HasData {
+	if s.Tokens != 0 || s.Owner || s.HasData {
 		t.Error("state not empty after TakeAll")
 	}
 }
@@ -69,6 +69,14 @@ func TestPropertyMergeTakeConserves(t *testing.T) {
 	}
 }
 
+// find returns processor proc's request in t, or nil if it has none.
+func find(t *DistributedTable, proc int) *Entry {
+	if t.valid[proc/64]&(1<<(proc%64)) == 0 {
+		return nil
+	}
+	return &t.entries[proc]
+}
+
 func TestDistributedTablePriority(t *testing.T) {
 	tb := NewDistributedTable(4)
 	tb.Insert(2, 5, ReqWrite, 12)
@@ -80,18 +88,18 @@ func TestDistributedTablePriority(t *testing.T) {
 	}
 	// Processor 1's request is the active one for its block; processor
 	// 2's is valid but loses to it.
-	if p1 := tb.Find(1); p1 == nil || tb.Active(p1.Block) != p1 {
+	if p1 := find(&tb, 1); p1 == nil || tb.Active(p1.Block) != p1 {
 		t.Error("proc 1 not active for its block")
 	}
-	if p2 := tb.Find(2); p2 == nil || tb.Active(p2.Block) == p2 {
+	if p2 := find(&tb, 2); p2 == nil || tb.Active(p2.Block) == p2 {
 		t.Error("proc 2 active over proc 1")
 	}
-	if tb.Find(0) != nil {
+	if find(&tb, 0) != nil {
 		t.Error("proc 0 has a request")
 	}
 	// Deactivating the winner promotes the next.
 	tb.Deactivate(1)
-	if tb.Find(1) != nil {
+	if find(&tb, 1) != nil {
 		t.Error("proc 1 still has a request after deactivation")
 	}
 	if e := tb.Active(5); e == nil || e.Proc != 2 {

@@ -148,7 +148,7 @@ func TestMarkingPreventsImmediateReissue(t *testing.T) {
 			if round < 6 {
 				// Space the rounds beyond the bounded response-delay hold
 				// so each one is a fresh persistent request.
-				eng.Schedule(2*hier.ResponseDelay, func() { again(round + 1) })
+				eng.ScheduleCall(2*hier.ResponseDelay, func(_, _ any) { again(round + 1) }, nil, nil)
 			}
 		})
 	}
@@ -213,12 +213,12 @@ func TestWritebackCarriesOwnerData(t *testing.T) {
 // performance policy can be arbitrarily wrong without harming safety or
 // liveness).
 func TestTimeoutEscalatesToPersistent(t *testing.T) {
-	eng, sys := fullSystem(t, Dst1, func(c *Config) { c.InitialTimeout = sim.PS(1) })
+	eng, sys := fullSystem(t, Dst1, func(c *Config) { c.InitialTimeout = sim.Picosecond })
 	// Shrink the estimator floor so timeouts genuinely fire early.
 	for ci := range sys.L1Ds {
 		for pi := range sys.L1Ds[ci] {
-			sys.L1Ds[ci][pi].est.Floor = sim.PS(1)
-			sys.L1Is[ci][pi].est.Floor = sim.PS(1)
+			sys.L1Ds[ci][pi].est.Floor = sim.Picosecond
+			sys.L1Is[ci][pi].est.Floor = sim.Picosecond
 		}
 	}
 	p0, _ := sys.Ports(0)

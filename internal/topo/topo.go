@@ -120,22 +120,6 @@ func (g Geometry) KindOf(id NodeID) Kind {
 	}
 }
 
-// IndexOf reports an endpoint's index within its kind on its CMP (the
-// processor number for L1s, the bank number for L2s, 0 for memory).
-func (g Geometry) IndexOf(id NodeID) int {
-	off := int(id) % g.nodesPerCMP()
-	switch {
-	case off < g.ProcsPerCMP:
-		return off
-	case off < 2*g.ProcsPerCMP:
-		return off - g.ProcsPerCMP
-	case off < 2*g.ProcsPerCMP+g.L2Banks:
-		return off - 2*g.ProcsPerCMP
-	default:
-		return 0
-	}
-}
-
 // IsCache reports whether id is a cache (anything but a memory
 // controller).
 func (g Geometry) IsCache(id NodeID) bool { return g.KindOf(id) != Mem }

@@ -7,6 +7,22 @@ import (
 	"tokencmp/internal/mem"
 )
 
+// indexOf reports an endpoint's index within its kind on its CMP (the
+// processor number for L1s, the bank number for L2s, 0 for memory).
+func indexOf(g Geometry, id NodeID) int {
+	off := int(id) % g.nodesPerCMP()
+	switch {
+	case off < g.ProcsPerCMP:
+		return off
+	case off < 2*g.ProcsPerCMP:
+		return off - g.ProcsPerCMP
+	case off < 2*g.ProcsPerCMP+g.L2Banks:
+		return off - 2*g.ProcsPerCMP
+	default:
+		return 0
+	}
+}
+
 func TestGeometryRoundTrip(t *testing.T) {
 	g := NewGeometry(4, 4, 4)
 	if g.NumNodes() != 4*(2*4+4+1) {
@@ -24,9 +40,9 @@ func TestGeometryRoundTrip(t *testing.T) {
 				if g.KindOf(pair.id) != pair.kind {
 					t.Errorf("KindOf(%v) = %v, want %v", pair.id, g.KindOf(pair.id), pair.kind)
 				}
-				if g.CMPOf(pair.id) != c || g.IndexOf(pair.id) != p {
+				if g.CMPOf(pair.id) != c || indexOf(g, pair.id) != p {
 					t.Errorf("CMP/Index of %v = %d/%d, want %d/%d",
-						pair.id, g.CMPOf(pair.id), g.IndexOf(pair.id), c, p)
+						pair.id, g.CMPOf(pair.id), indexOf(g, pair.id), c, p)
 				}
 			}
 		}
@@ -35,7 +51,7 @@ func TestGeometryRoundTrip(t *testing.T) {
 		}
 		for b := 0; b < 4; b++ {
 			id := g.L2Node(c, b)
-			if g.KindOf(id) != L2 || g.IndexOf(id) != b {
+			if g.KindOf(id) != L2 || indexOf(g, id) != b {
 				t.Errorf("L2 node (%d,%d) misclassified", c, b)
 			}
 		}
@@ -122,11 +138,11 @@ func TestPropertyKindPartition(t *testing.T) {
 		c := g.CMPOf(id)
 		switch g.KindOf(id) {
 		case L1D:
-			return g.L1DNode(c, g.IndexOf(id)) == id
+			return g.L1DNode(c, indexOf(g, id)) == id
 		case L1I:
-			return g.L1INode(c, g.IndexOf(id)) == id
+			return g.L1INode(c, indexOf(g, id)) == id
 		case L2:
-			return g.L2Node(c, g.IndexOf(id)) == id
+			return g.L2Node(c, indexOf(g, id)) == id
 		default:
 			return g.MemNode(c) == id
 		}

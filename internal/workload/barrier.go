@@ -76,9 +76,6 @@ func NewBarrierProgram(cfg BarrierConfig, proc int, seed int64, mon *LockMonitor
 	}
 }
 
-// Rounds reports completed barrier rounds.
-func (p *BarrierProgram) Rounds() int { return p.round }
-
 func (p *BarrierProgram) work() sim.Time {
 	w := p.cfg.Work
 	if p.cfg.Jitter > 0 {

@@ -194,9 +194,6 @@ func NewCommercialProgram(p CommercialParams, proc int, seed int64, mon *LockMon
 	}
 }
 
-// Transactions reports completed transactions.
-func (c *CommercialProgram) Transactions() int { return c.txns }
-
 // genTxn compiles one transaction into steps.
 func (c *CommercialProgram) genTxn() {
 	p := c.p

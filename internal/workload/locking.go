@@ -114,9 +114,6 @@ func NewLockingProgram(cfg LockingConfig, proc int, seed int64, mon *LockMonitor
 	}
 }
 
-// Acquired reports completed acquire/release cycles.
-func (p *LockingProgram) Acquired() int { return p.acquired }
-
 // pickLock chooses a random lock different from the last one acquired.
 func (p *LockingProgram) pickLock() {
 	n := p.cfg.Locks

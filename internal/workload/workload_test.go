@@ -53,8 +53,8 @@ func TestLockingProgramCompletes(t *testing.T) {
 	if !runProgram(t, p, fm, 100000) {
 		t.Fatal("program did not finish")
 	}
-	if p.Acquired() != 10 {
-		t.Errorf("acquired = %d, want 10", p.Acquired())
+	if p.acquired != 10 {
+		t.Errorf("acquired = %d, want 10", p.acquired)
 	}
 	if mon.Acquires != 10 || len(mon.Violations) != 0 {
 		t.Errorf("monitor: %d acquires, %d violations", mon.Acquires, len(mon.Violations))
@@ -97,8 +97,8 @@ func TestBarrierProgramSoloCompletes(t *testing.T) {
 	if !runProgram(t, p, fm, 100000) {
 		t.Fatal("single-processor barrier did not finish")
 	}
-	if p.Rounds() != 5 {
-		t.Errorf("rounds = %d, want 5", p.Rounds())
+	if p.round != 5 {
+		t.Errorf("rounds = %d, want 5", p.round)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestBarrierProgramsInterleaved(t *testing.T) {
 		step(p1, &last1, &done1)
 	}
 	if !done0 || !done1 {
-		t.Fatalf("barrier threads stuck (rounds %d/%d)", p0.Rounds(), p1.Rounds())
+		t.Fatalf("barrier threads stuck (rounds %d/%d)", p0.round, p1.round)
 	}
 	if len(mon.Violations) != 0 {
 		t.Errorf("violations: %v", mon.Violations)
@@ -164,8 +164,8 @@ func TestCommercialProgramCompletes(t *testing.T) {
 		if !runProgram(t, p, fm, 1000000) {
 			t.Fatalf("%s program did not finish", params.Name)
 		}
-		if p.Transactions() != 3 {
-			t.Errorf("%s transactions = %d, want 3", params.Name, p.Transactions())
+		if p.txns != 3 {
+			t.Errorf("%s transactions = %d, want 3", params.Name, p.txns)
 		}
 		if len(mon.Violations) != 0 {
 			t.Errorf("%s violations: %v", params.Name, mon.Violations)
@@ -184,7 +184,7 @@ func TestCommercialNextDoesNotAllocate(t *testing.T) {
 		params.TxnsPerProc = 1 << 30
 		p := NewCommercialProgram(params, 1, 1, nil)
 		nextTxn := func() {
-			for n := p.Transactions(); p.Transactions() == n; {
+			for n := p.txns; p.txns == n; {
 				p.Next(0, 0)
 			}
 		}
