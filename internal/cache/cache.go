@@ -2,9 +2,16 @@
 // true-LRU replacement. Protocol controllers embed their per-line
 // coherence state as the type parameter, so the same array implements
 // MOESI L1s, token-counting L1s, and banked L2s.
+//
+// An array allocates a set's lines on the first install into that set.
+// A directory of 64-set groups maps each touched set to a place in a
+// slab of pages that double in size, so a Table 3 L2 bank that a run
+// touches in a few hundred blocks holds a few hundred sets, not 8192.
 package cache
 
 import (
+	"math/bits"
+
 	"tokencmp/internal/mem"
 )
 
@@ -18,24 +25,55 @@ type Line[S any] struct {
 	lru uint64
 }
 
-// Array is a set-associative cache with true-LRU replacement. Its sets
-// are stored in pages of pageSets consecutive sets. A page is allocated
-// on the first install into it, so a Table 3 L2 bank that a run touches
-// in a few hundred blocks never zeroes its other 32k lines. Pages never
+// Array is a set-associative cache with true-LRU replacement. Sets are
+// allocated one at a time, on the first install into each: dir maps a
+// set to its place in a slab of pages that hold whole sets. Pages never
 // move, so a returned *Line stays valid.
 type Array[S any] struct {
-	sets, ways int
-	mask       uint64 // sets-1; a set index when pow2
-	pow2       bool   // sets is a power of two
-	pages      []page[S]
-	tick       uint64
+	// Every lookup reads the fields up to pow2. They fill the first 64
+	// bytes, and the padding puts Array in a 128-byte size class, whose
+	// objects start on a cache line, so a lookup touches one line here.
+	dir   []*[groupSets]uint32
+	pages []page[S]
+	mask  uint64 // sets-1; a set index when pow2
+	ways  int32
+	pow2  bool // sets is a power of two
+
+	sets int
+	used int // sets allocated; the next one takes slab slot used
+	tick uint64
+	_    [40]byte
 }
 
-// page holds pageSets sets (the last page only the sets that remain).
-// tags is the page's tag store, one word per way: tagOf(block) for a
-// valid line, 0 for an invalid one. It sits apart from lines, so a
-// lookup that misses a 4-way set reads 32 contiguous bytes instead of
-// every line of the set.
+// groupSets is the number of sets one directory group maps. A group is
+// allocated on the first install into any of its sets.
+const groupSets = 64
+
+// A directory entry locates an allocated set: entryPresent, its slab
+// page from bit pageShift up, and below that the offset of the set's
+// first line in the page. The zero entry marks an absent set. So an
+// array holds at most 1<<pageShift lines.
+const (
+	pageShift    = 26
+	pageMask     = 1<<(31-pageShift) - 1
+	offsetMask   = 1<<pageShift - 1
+	entryPresent = 1 << 31
+)
+
+// firstPage is the slab's first page size in sets; page k > 0 holds
+// firstPage<<(k-1) sets, so slots [0, firstPage<<k) fill pages 0..k.
+// The last page holds only the sets that remain, so a dense array's
+// slab is exactly its sets.
+const (
+	firstPageBits = 2
+	firstPage     = 1 << firstPageBits
+)
+
+// page holds consecutive slab slots, each one set of ways lines. tags
+// is the page's tag store, one word per way: tagOf(block) for a valid
+// line, 0 for an invalid one. It sits apart from lines, so a lookup
+// that misses a 4-way set reads 32 contiguous bytes instead of every
+// line of the set.
 type page[S any] struct {
 	tags  []uint64
 	lines []Line[S]
@@ -44,9 +82,6 @@ type page[S any] struct {
 // tagOf is b's tag-store word. Block numbers are addresses shifted by
 // mem.BlockBits, so b+1 never wraps to the invalid tag 0.
 func tagOf(b mem.Block) uint64 { return uint64(b) + 1 }
-
-// pageSets is the number of sets one page holds.
-const pageSets = 64
 
 // Params sizes an array.
 type Params struct {
@@ -64,15 +99,19 @@ func (p Params) Sets() int {
 	return s
 }
 
-// New builds an array with the given geometry.
+// New builds an array with the given geometry. It panics if the array
+// would hold more than 1<<pageShift lines.
 func New[S any](p Params) *Array[S] {
 	sets := p.Sets()
+	if sets*p.Ways > 1<<pageShift {
+		panic("cache: more than 1<<26 lines in one array")
+	}
 	return &Array[S]{
-		sets:  sets,
-		ways:  p.Ways,
-		mask:  uint64(sets - 1),
-		pow2:  sets&(sets-1) == 0,
-		pages: make([]page[S], (sets+pageSets-1)/pageSets),
+		sets: sets,
+		ways: int32(p.Ways),
+		mask: uint64(sets - 1),
+		pow2: sets&(sets-1) == 0,
+		dir:  make([]*[groupSets]uint32, (sets+groupSets-1)/groupSets),
 	}
 }
 
@@ -80,7 +119,7 @@ func New[S any](p Params) *Array[S] {
 func (a *Array[S]) Sets() int { return a.sets }
 
 // Ways reports the associativity.
-func (a *Array[S]) Ways() int { return a.ways }
+func (a *Array[S]) Ways() int { return int(a.ways) }
 
 // setOf returns b's set index. Every Table 3 and scaled size has a
 // power-of-two set count, which masks instead of dividing.
@@ -91,21 +130,54 @@ func (a *Array[S]) setOf(b mem.Block) uint64 {
 	return uint64(b) % uint64(a.sets)
 }
 
-// slot returns b's page and the offset of b's set in it.
-func (a *Array[S]) slot(b mem.Block) (*page[S], int) {
+// entry returns the directory entry of b's set, 0 if the set was never
+// installed into.
+func (a *Array[S]) entry(b mem.Block) uint32 {
 	s := a.setOf(b)
-	return &a.pages[s/pageSets], int(s%pageSets) * a.ways
+	g := a.dir[s/groupSets]
+	if g == nil {
+		return 0
+	}
+	return g[s%groupSets]
+}
+
+// place returns the page and first-line offset that entry e locates.
+func (a *Array[S]) place(e uint32) (*page[S], int) {
+	return &a.pages[e>>pageShift&pageMask], int(e & offsetMask)
+}
+
+// alloc gives set s the next slab slot, adding a page when the slab is
+// full, and returns s's new directory entry.
+func (a *Array[S]) alloc(s uint64) uint32 {
+	g := a.dir[s/groupSets]
+	if g == nil {
+		g = new([groupSets]uint32)
+		a.dir[s/groupSets] = g
+	}
+	slot := a.used
+	a.used++
+	k := bits.Len32(uint32(slot) >> firstPageBits)
+	lo := (firstPage / 2 << k) &^ (firstPage - 1) // page k's first slot
+	if k == len(a.pages) {
+		// slot opens page k, which stops at the array's last set.
+		n := min(firstPage<<k-lo, a.sets-slot) * int(a.ways)
+		a.pages = append(a.pages, page[S]{make([]uint64, n), make([]Line[S], n)})
+	}
+	e := entryPresent | uint32(k)<<pageShift | uint32((slot-lo)*int(a.ways))
+	g[s%groupSets] = e
+	return e
 }
 
 // Lookup returns the line holding b, or nil. It does not touch LRU state;
 // call Touch on a hit that should refresh recency.
 func (a *Array[S]) Lookup(b mem.Block) *Line[S] {
-	pg, i := a.slot(b)
-	if pg.tags == nil {
+	e := a.entry(b)
+	if e == 0 {
 		return nil
 	}
+	pg, i := a.place(e)
 	t := tagOf(b)
-	for w, tag := range pg.tags[i : i+a.ways] {
+	for w, tag := range pg.tags[i : i+int(a.ways)] {
 		if tag == t {
 			return &pg.lines[i+w]
 		}
@@ -142,14 +214,12 @@ func (a *Array[S]) Install(b mem.Block) (line *Line[S], evicted mem.Block, victi
 // of b's set is unavailable.
 func (a *Array[S]) InstallAvoiding(b mem.Block, avoid func(st *S) bool) (line *Line[S], evicted mem.Block, victimState S, wasEvicted, ok bool) {
 	var zero S
-	s := a.setOf(b)
-	pg := &a.pages[s/pageSets]
-	if pg.tags == nil {
-		n := min(pageSets, a.sets-int(s/pageSets)*pageSets) * a.ways
-		pg.tags, pg.lines = make([]uint64, n), make([]Line[S], n)
+	e := a.entry(b)
+	if e == 0 {
+		e = a.alloc(a.setOf(b))
 	}
-	i := int(s%pageSets) * a.ways
-	tags, set := pg.tags[i:i+a.ways], pg.lines[i:i+a.ways]
+	pg, i := a.place(e)
+	tags, set := pg.tags[i:i+int(a.ways)], pg.lines[i:i+int(a.ways)]
 	// One scan finds the hit way, the first invalid way, and the LRU
 	// victim together.
 	t := tagOf(b)
@@ -190,12 +260,13 @@ func (a *Array[S]) InstallAvoiding(b mem.Block, avoid func(st *S) bool) (line *L
 // Invalidate drops b if present, returning its former state.
 func (a *Array[S]) Invalidate(b mem.Block) (S, bool) {
 	var zero S
-	pg, i := a.slot(b)
-	if pg.tags == nil {
+	e := a.entry(b)
+	if e == 0 {
 		return zero, false
 	}
+	pg, i := a.place(e)
 	t := tagOf(b)
-	for w := i; w < i+a.ways; w++ {
+	for w := i; w < i+int(a.ways); w++ {
 		if pg.tags[w] == t {
 			st := pg.lines[w].State
 			pg.tags[w] = 0
@@ -206,12 +277,21 @@ func (a *Array[S]) Invalidate(b mem.Block) (S, bool) {
 	return zero, false
 }
 
-// ForEach visits every valid line in set order, skipping absent pages.
+// ForEach visits every valid line in set order, skipping absent sets.
 func (a *Array[S]) ForEach(fn func(b mem.Block, s *S)) {
-	for _, pg := range a.pages {
-		for i, tag := range pg.tags {
-			if tag != 0 {
-				fn(pg.lines[i].Block, &pg.lines[i].State)
+	for _, g := range a.dir {
+		if g == nil {
+			continue
+		}
+		for _, e := range g {
+			if e == 0 {
+				continue
+			}
+			pg, i := a.place(e)
+			for w, tag := range pg.tags[i : i+int(a.ways)] {
+				if tag != 0 {
+					fn(pg.lines[i+w].Block, &pg.lines[i+w].State)
+				}
 			}
 		}
 	}

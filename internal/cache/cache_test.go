@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tokencmp/internal/mem"
 )
@@ -168,9 +170,10 @@ func TestPropertyInstallThenHit(t *testing.T) {
 	}
 }
 
-// TestReadsOfAbsentPagesDoNotAllocate pins the lazy paging: on a fresh
+// TestReadsOfAbsentPagesDoNotAllocate pins the lazy sets: on a fresh
 // Table 3 L2 bank (2 MB, 4 ways), nothing but an install allocates, and
-// only the page it lands in.
+// one install allocates only its set's directory group and first slab
+// page, not a 64-set page of about 14 KB.
 func TestReadsOfAbsentPagesDoNotAllocate(t *testing.T) {
 	a := New[lineState](Params{SizeBytes: (8 << 20) / 4, Ways: 4, BlockSize: mem.BlockSize})
 	if a.Sets() != 8192 {
@@ -191,13 +194,25 @@ func TestReadsOfAbsentPagesDoNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("reads of an empty array allocate %v times per run, want 0", allocs)
 	}
+	const limit = 1 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	a.Install(5)
-	if pg := a.pages[0]; len(pg.lines) != pageSets*4 || len(pg.tags) != pageSets*4 {
-		t.Errorf("first page holds %d lines and %d tags, want %d", len(pg.lines), len(pg.tags), pageSets*4)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("first install allocated %d bytes, want < %d", got, limit)
 	}
-	for i, pg := range a.pages[1:] {
-		if pg.tags != nil || pg.lines != nil {
-			t.Fatalf("page %d allocated by an install into page 0", i+1)
-		}
+}
+
+// TestArrayLayout pins the layout the lookup path relies on: an Array
+// is 128 bytes, a size class whose objects start on a 64-byte cache
+// line, and the fields every lookup reads end within its first 64.
+func TestArrayLayout(t *testing.T) {
+	var a Array[lineState]
+	if size := unsafe.Sizeof(a); size != 128 {
+		t.Errorf("Array is %d bytes, want 128", size)
+	}
+	if end := unsafe.Offsetof(a.pow2) + unsafe.Sizeof(a.pow2); end > 64 {
+		t.Errorf("lookup fields end at byte %d, want <= 64", end)
 	}
 }

@@ -153,8 +153,15 @@ func (a *eagerArray[S]) ForEach(fn func(b mem.Block, s *S)) {
 }
 
 // fuzzGeoms are (sets, ways) shapes with set counts below, equal to,
-// and not a multiple of pageSets, so the partial last page is covered.
-var fuzzGeoms = [][2]int{{1, 4}, {7, 2}, {pageSets, 4}, {pageSets + 36, 2}, {2*pageSets + 1, 1}}
+// and not a multiple of groupSets, so a partial last group is covered.
+// The 1000-set shape spans 16 groups and, filled, every doubling slab
+// page up to the capped last one (slots 512-999), and its set count
+// takes the % set index.
+var fuzzGeoms = [][2]int{{1, 4}, {7, 2}, {groupSets, 4}, {groupSets + 36, 2}, {2*groupSets + 1, 1}, {1000, 4}}
+
+// fillStep is the number of installs that precede the operations per
+// unit of the input's first byte above the geometry choice.
+const fillStep = 25
 
 // maxFuzzOps caps an input's length so each execution, and the
 // minimization of each new input, stays fast.
@@ -163,7 +170,11 @@ const maxFuzzOps = 128
 // FuzzArray drives Array and the eager reference with the same sequence
 // of Install, InstallAvoiding, Lookup, Touch, TouchLine and Invalidate
 // calls and requires identical results, the same ForEach sequence after
-// every step, and a *Line that stays put while its block is resident. The input's first byte picks a geometry; each following
+// every step, and a *Line that stays put while its block is resident.
+// The input's first byte picks a geometry (byte % len(fuzzGeoms)) and a
+// fill: byte / len(fuzzGeoms) * fillStep installs of blocks that stride
+// through the sets in scrambled order, so one input can allocate sets
+// in every slab page of the largest geometry. Each following
 // 4-byte record is (op, block hi, block lo, arg), where arg is the state
 // stored into an installed line and, for InstallAvoiding, the mask of
 // the avoid predicate (0 passes nil).
@@ -184,6 +195,21 @@ func FuzzArray(f *testing.F) {
 		span := 3 * g[0] * g[1]
 		where := map[mem.Block]*Line[lineState]{}
 		var seen []visit
+		// Fill installs are steps -1, -2, ...; the check after them is
+		// the step past the last.
+		fill := int(data[0]) / len(fuzzGeoms) * fillStep
+		for i := range fill {
+			b := mem.Block(i * 7919 % span)
+			gl, ge, gs, gw := got.Install(b)
+			wl, we, ws, ww := want.Install(b)
+			step := fuzzStep{-1 - i, 0, b, 0}
+			if ge != we || gs != ws || gw != ww {
+				t.Fatalf("%s: fill install = (%v %v %v), want (%v %v %v)", step, ge, gs, gw, we, ws, ww)
+			}
+			checkLine(t, step, gl, wl)
+			where[b] = gl
+		}
+		seen = checkContents(t, fuzzStep{-1 - fill, 0, 0, 0}, got, want, seen)
 		for i, ops := 0, data[1:]; len(ops) >= 4; i, ops = i+1, ops[4:] {
 			op, arg := int(ops[0]%6), int(ops[3])
 			b := mem.Block((int(ops[1])<<8 | int(ops[2])) % span)

@@ -546,3 +546,34 @@ func TestTable3NewAllocatesLittle(t *testing.T) {
 		}
 	}
 }
+
+// TestTable3RunAllocatesLittle pins the set-granular cache arrays over
+// a whole short run: a 4-CMP × 4-proc × 4-bank Table 3 machine running
+// the locking benchmark (512 locks, 8 acquires) allocates under 1 MB on
+// every protocol, counting machine.New, program generation and RunCtx.
+// The run installs a few hundred blocks; allocating 64-set pages for
+// them cost 0.55–3.0 MB.
+func TestTable3RunAllocatesLittle(t *testing.T) {
+	const limit = 1 << 20
+	for _, proto := range Protocols() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := New(Config{Protocol: proto, Geom: topo.NewGeometry(4, 4, 4), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := workload.DefaultLocking(512)
+		lc.Acquires = 8
+		progs, _ := workload.LockingPrograms(lc, m.Cfg.Geom.TotalProcs(), 1)
+		if _, err := m.RunCtx(context.Background(), progs, 0); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s: New, programs and run allocated %d bytes, want < %d", proto, got, limit)
+		} else {
+			t.Logf("%s: %d bytes", proto, got)
+		}
+	}
+}
