@@ -136,7 +136,8 @@ func (f *MOESIL1[T]) Init(eng *sim.Engine, cs *counters.Set, id topo.NodeID, ins
 // request.
 func (f *MOESIL1[T]) serve() {
 	m := &f.Miss
-	if l := f.Cache.Lookup(m.Block); l != nil && l.State.St != I {
+	l := f.Cache.Lookup(m.Block)
+	if l != nil && l.State.St != I {
 		s := &l.State
 		if m.Kind == cpu.Load || m.Kind == cpu.IFetch || s.St == M || s.St == E {
 			f.Cache.TouchLine(l)
@@ -146,17 +147,16 @@ func (f *MOESIL1[T]) serve() {
 		// S or O: write permission needs an upgrade.
 	}
 	f.Missed()
-	f.reserve(m.Block)
+	if l == nil { // a resident line keeps its state: an upgrade keeps its data
+		f.reserve(m.Block)
+	}
 	f.request()
 }
 
-// reserve installs a line for b, handing a displaced line to evict. A
-// resident line keeps its state (an upgrade keeps its data). It runs
-// only with no miss outstanding, so any way may be the victim.
+// reserve installs a line for b, which is not resident, handing a
+// displaced line to evict. It runs only with no miss outstanding, so any
+// way may be the victim.
 func (f *MOESIL1[T]) reserve(b mem.Block) {
-	if f.Cache.Lookup(b) != nil {
-		return
-	}
 	if _, victim, vstate, wasEvicted := f.Cache.Install(b); wasEvicted {
 		f.evict(victim, vstate)
 	}

@@ -160,7 +160,7 @@ func (n *Network) drop(m *Message) {
 		}
 		d := n.Cfg.Faults.RetxTimeout
 		if d == 0 {
-			_, lc := n.link(m.Src, m.Dst)
+			lc, _ := n.route(m.Src, m.Dst)
 			d = 4 * lc.Latency
 		}
 		// Retransmit: the same message re-enters the send path after

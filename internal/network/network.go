@@ -107,10 +107,14 @@ type Delay struct {
 // AllKinds is a Delay.Kinds that defers every kind below 32.
 const AllKinds = ^uint32(0)
 
-// node is one attached endpoint and its access latency.
+// node is one attached endpoint, its access latency and its place in
+// the topology, which picks the link class of every message it sends
+// or receives.
 type node struct {
 	e Endpoint
 	Delay
+	cmp   int32 // the CMP the node sits in
+	isMem bool  // a memory controller, off-chip behind its CMP
 }
 
 // LinkParams describe one directed link.
@@ -142,13 +146,14 @@ type Network struct {
 	Eng *sim.Engine
 	Cfg Config
 
-	// Dense routing state, indexed by NodeID and src*numNodes+dst: the
-	// topology is resolved once in New, so a send reads one link record
-	// and never divides a NodeID by the CMP size.
+	// Dense routing state, indexed by NodeID: the topology is resolved
+	// once in New, so a send never divides a NodeID by the CMP size.
+	// nextFree is, per directed link (indexed src*numNodes+dst), when
+	// the link's serializer frees up.
 	numNodes int
 	nodes    []node
-	links    []link
-	classes  [2]linkClass // indexed by link.class
+	nextFree []sim.Time
+	classes  [2]linkClass // indexed by onChip, offChip
 
 	// pool holds the free messages. Messages are recycled after
 	// delivery, so the steady-state send path allocates nothing.
@@ -177,9 +182,10 @@ type Network struct {
 	frng     *rand.Rand
 	faultsOn bool
 
-	// lastArrive is, per directed link (indexed like links), the latest
-	// arrival scheduled on it, for the per-link FIFO clamp. It is nil
-	// unless faults are on: without them the clamp is a no-op.
+	// lastArrive is, per directed link (indexed like nextFree), the
+	// latest arrival scheduled on it, for the per-link FIFO clamp. It is
+	// nil unless faults are on: without them the clamp is a no-op (see
+	// linkClass).
 	lastArrive []sim.Time
 
 	// InFlight counts undelivered messages; the coherence monitor uses it
@@ -203,28 +209,6 @@ type Network struct {
 	inFlight blocktab.Table[blockCount]
 }
 
-// link is one directed link's routing record and serialization state.
-// It is 16 bytes, so a Table 3 machine's 52² links fill 43 KB.
-//
-// Without faults, arrivals on one link are already in send order: a
-// message departs no earlier than its predecessor and every message on
-// the link pays the same latency. Only jitter and retransmit delays can
-// invert that order, so the per-link FIFO clamp that undoes them, and
-// its record of each link's latest arrival (Network.lastArrive), exist
-// only when the fault injector is on.
-type link struct {
-	// nextFree is when the link's serializer frees up.
-	nextFree sim.Time
-
-	class uint8 // onChip or offChip: which Config link class carries it
-
-	// intraHops is the number of intra-CMP traversals one message on
-	// this link is charged in Figure 7: 1 on chip; off chip, one per
-	// endpoint that is a cache (memory controllers hang off the global
-	// side).
-	intraHops uint8
-}
-
 // Link classes, indexing Network.classes.
 const (
 	onChip uint8 = iota
@@ -234,6 +218,13 @@ const (
 // linkClass is one Config link class with the fault plan its level
 // selects and the serialization times of the two protocol message
 // sizes, so a send of either divides nothing.
+//
+// Without faults, arrivals on one link are already in send order: a
+// message departs no earlier than its predecessor and every message on
+// the link pays its class's latency. Only jitter and retransmit delays
+// can invert that order, so the per-link FIFO clamp that undoes them,
+// and its record of each link's latest arrival (Network.lastArrive),
+// exist only when the fault injector is on.
 type linkClass struct {
 	LinkParams
 	plan             *FaultPlan
@@ -268,42 +259,14 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 		Cfg:      cfg,
 		numNodes: n,
 		nodes:    make([]node, n),
-		links:    make([]link, n*n),
+		nextFree: make([]sim.Time, n*n),
 	}
 	nw.classes[onChip] = nw.newLinkClass(cfg.OnChip)
 	nw.classes[offChip] = nw.newLinkClass(cfg.OffChip)
-
-	isMem := make([]bool, n)
-	for id := range isMem {
-		isMem[id] = g.KindOf(topo.NodeID(id)) == topo.Mem
-	}
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			l := &nw.links[src*n+dst]
-			// Memory controllers sit off-chip behind the CMP's memory
-			// interface (Table 3: "latency to mem controller 20ns
-			// (off-chip)"), so any link touching one uses off-chip
-			// parameters even within a CMP.
-			l.class = offChip
-			if !isMem[src] && !isMem[dst] && g.SameCMP(topo.NodeID(src), topo.NodeID(dst)) {
-				l.class = onChip
-			}
-			// Figure 7 accounting mirrors the physical path: a message
-			// between caches on one chip uses that chip's interconnect
-			// once; a message that leaves a chip also uses the source
-			// and destination chips' interconnects when those ends are
-			// caches.
-			if nw.classes[l.class].Level == stats.IntraCMP {
-				l.intraHops = 1
-				continue
-			}
-			if !isMem[src] {
-				l.intraHops++
-			}
-			if !isMem[dst] {
-				l.intraHops++
-			}
-		}
+	for id := range nw.nodes {
+		nd := &nw.nodes[id]
+		nd.cmp = int32(g.CMPOf(topo.NodeID(id)))
+		nd.isMem = g.KindOf(topo.NodeID(id)) == topo.Mem
 	}
 	if cfg.Faults.Enabled() {
 		nw.faultsOn = true
@@ -313,11 +276,32 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 	return nw
 }
 
-// link returns the routing record of the directed link src→dst and the
-// link class that carries it.
-func (n *Network) link(src, dst topo.NodeID) (*link, *linkClass) {
-	l := &n.links[int(src)*n.numNodes+int(dst)]
-	return l, &n.classes[l.class]
+// route returns the class of the link from src to dst and the number
+// of intra-CMP traversals one message on it is charged in Figure 7.
+//
+// Memory controllers sit off-chip behind the CMP's memory interface
+// (Table 3: "latency to mem controller 20ns (off-chip)"), so any link
+// touching one uses off-chip parameters even within a CMP. Figure 7
+// accounting mirrors the physical path: a message between caches on one
+// chip uses that chip's interconnect once; a message that leaves a chip
+// also uses the source and destination chips' interconnects when those
+// ends are caches.
+func (n *Network) route(srcID, dstID topo.NodeID) (lc *linkClass, intraHops int) {
+	src, dst := &n.nodes[srcID], &n.nodes[dstID]
+	lc = &n.classes[offChip]
+	if !src.isMem && !dst.isMem && src.cmp == dst.cmp {
+		lc = &n.classes[onChip]
+	}
+	if lc.Level == stats.IntraCMP {
+		return lc, 1
+	}
+	if !src.isMem {
+		intraHops++
+	}
+	if !dst.isMem {
+		intraHops++
+	}
+	return lc, intraHops
 }
 
 // launched adds m's tokens to the in-flight tally; landed takes them
@@ -383,7 +367,7 @@ func (n *Network) Attach(id topo.NodeID, e Endpoint) { n.AttachDelay(id, e, Dela
 
 // AttachDelay registers the endpoint for id with its access latency d.
 func (n *Network) AttachDelay(id topo.NodeID, e Endpoint, d Delay) {
-	n.nodes[id] = node{e, d}
+	n.nodes[id].e, n.nodes[id].Delay = e, d
 }
 
 // alloc pops a message from the pool without clearing it, for callers
@@ -511,17 +495,15 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	}
 	m.SentAt = n.Eng.Now()
 	// Figure 7 accounting: one entry per interconnect the message
-	// traverses (see link.intraHops).
-	li := int(m.Src)*n.numNodes + int(m.Dst)
-	l := &n.links[li]
-	lc := &n.classes[l.class]
+	// traverses (see route).
+	lc, hops := n.route(m.Src, m.Dst)
 	size := int(m.Size)
 	if lc.Level == stats.IntraCMP {
 		n.onChipMsgs++
 	} else {
 		n.Traffic.Add(stats.InterCMP, m.Class, size)
 	}
-	for h := l.intraHops; h > 0; h-- {
+	for h := hops; h > 0; h-- {
 		n.Traffic.Add(stats.IntraCMP, m.Class, size)
 	}
 	n.InFlight++
@@ -571,10 +553,8 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 		}
 	}
 
-	depart := n.Eng.Now()
-	if l.nextFree > depart {
-		depart = l.nextFree
-	}
+	li := int(m.Src)*n.numNodes + int(m.Dst)
+	depart := max(n.Eng.Now(), n.nextFree[li])
 	switch size {
 	case ControlSize:
 		depart += lc.ctrlSer
@@ -583,14 +563,15 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	default:
 		depart += lc.serialization(size)
 	}
-	l.nextFree = depart
+	n.nextFree[li] = depart
 
 	arrive := depart + lc.Latency + hold
 	if n.faultsOn && !reordered {
 		// Per-link FIFO clamp: jitter (and retransmit delay) may not
 		// reorder messages within one directed link — protocols without
 		// recovery machinery rely on that order. Without faults it would
-		// be a no-op (arrivals are already monotone per link; see link),
+		// be a no-op (arrivals are already monotone per link; see
+		// linkClass),
 		// so it runs only under faults; only the explicit reorder knob
 		// above bypasses it.
 		last := &n.lastArrive[li]

@@ -2,7 +2,6 @@ package network
 
 import (
 	"testing"
-	"unsafe"
 
 	"tokencmp/internal/mem"
 	"tokencmp/internal/sim"
@@ -201,15 +200,13 @@ func TestTokenInFlightAccounting(t *testing.T) {
 	}
 }
 
-// TestLinkTableMatchesGeometry checks every directed link record built
-// by New against the per-message rule it replaces: a link touching a
-// memory controller, or joining two chips, is off-chip; Figure 7
-// charges an off-chip message one intra-CMP hop per cache endpoint and
-// an on-chip message one. The fault plan follows the link's level.
+// TestLinkTableMatchesGeometry checks the route of every directed link,
+// derived from New's per-node records, against the geometry: a link
+// touching a memory controller, or joining two chips, is off-chip;
+// Figure 7 charges an off-chip message one intra-CMP hop per cache
+// endpoint and an on-chip message one. The fault plan follows the
+// link's level. Each link keeps one serializer time.
 func TestLinkTableMatchesGeometry(t *testing.T) {
-	if sz := unsafe.Sizeof(link{}); sz > 16 {
-		t.Errorf("link record is %d bytes, want at most 16", sz)
-	}
 	cfg := Default()
 	cfg.Faults = FaultConfig{
 		OnChip:  FaultPlan{Drop: 0.1},
@@ -222,6 +219,9 @@ func TestLinkTableMatchesGeometry(t *testing.T) {
 		topo.NewGeometry(3, 2, 5),
 	} {
 		n := New(sim.NewEngine(), g, cfg)
+		if nodes := g.NumNodes(); len(n.nextFree) != nodes*nodes {
+			t.Errorf("%d serializer times, want one per link (%d)", len(n.nextFree), nodes*nodes)
+		}
 		if nodes := g.NumNodes(); len(n.lastArrive) != nodes*nodes {
 			t.Errorf("%d FIFO clamp records under faults, want one per link (%d)", len(n.lastArrive), nodes*nodes)
 		}
@@ -242,11 +242,11 @@ func TestLinkTableMatchesGeometry(t *testing.T) {
 						wantHops++
 					}
 				}
-				l, lc := n.link(src, dst)
-				if lc.LinkParams != want || *lc.plan != wantPlan || int(l.intraHops) != wantHops {
+				lc, hops := n.route(src, dst)
+				if lc.LinkParams != want || *lc.plan != wantPlan || hops != wantHops {
 					t.Errorf("%dx%dx%d link %v(%v)->%v(%v): params %+v plan %+v hops %d, want %+v %+v %d",
 						g.CMPs, g.ProcsPerCMP, g.L2Banks, src, g.KindOf(src), dst, g.KindOf(dst),
-						lc.LinkParams, *lc.plan, l.intraHops, want, wantPlan, wantHops)
+						lc.LinkParams, *lc.plan, hops, want, wantPlan, wantHops)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/bits"
+	"runtime"
 )
 
 // event is one scheduled callback, call(ctx, arg). Pointer-shaped ctx
@@ -235,11 +236,12 @@ func (a overflowKey) less(b overflowKey) bool {
 	return a.seq < b.seq
 }
 
-// CancelCheckEvery is the amortized cancellation polling interval: Run
-// and RunUntil poll the installed context (see SetContext) once per
-// this many fired events, so after the context is cancelled the engine
-// stops within at most CancelCheckEvery further events — the documented
-// cancellation bound. A power of two keeps the poll gate a single AND.
+// CancelCheckEvery is the amortized polling interval: Run and RunUntil
+// yield the processor and poll the installed context (see SetContext)
+// once per this many fired events, so after the context is cancelled
+// the engine stops within at most CancelCheckEvery further events — the
+// documented cancellation bound. A power of two keeps the poll gate a
+// single AND.
 const CancelCheckEvery = 1024
 
 // Engine is a deterministic discrete-event scheduler.
@@ -289,15 +291,19 @@ func (e *Engine) Err() error {
 	return e.ctx.Err()
 }
 
-// pollCancel is the amortized cancellation check shared by Run and
-// RunUntil. It reports true — and latches Interrupted — when the
-// installed context has been cancelled, polling only once every
-// CancelCheckEvery executed events.
-func (e *Engine) pollCancel() bool {
-	if e.ctx == nil || e.Executed%CancelCheckEvery != 0 {
+// poll is the amortized check shared by Run and RunUntil, made once
+// every CancelCheckEvery executed events. It yields the processor, so
+// a garbage collector's mark worker waiting to run gets in within about
+// 100 µs instead of at the 10 ms preemption tick: while a mark phase
+// stays open every pointer store in the event queue pays a write
+// barrier. It then reports true — and latches Interrupted — when the
+// installed context has been cancelled.
+func (e *Engine) poll() bool {
+	if e.Executed%CancelCheckEvery != 0 {
 		return false
 	}
-	if e.ctx.Err() == nil {
+	runtime.Gosched()
+	if e.ctx == nil || e.ctx.Err() == nil {
 		return false
 	}
 	e.interrupted = true
@@ -350,7 +356,8 @@ func (e *Engine) Step() bool {
 
 // Run fires events until the queue is empty, Stop is called, the
 // event-count limit is exceeded (limit <= 0 means no limit), or the
-// installed context is cancelled (see SetContext). It returns the
+// installed context is cancelled (see SetContext). It yields the
+// processor every CancelCheckEvery events (see poll). It returns the
 // final simulated time.
 func (e *Engine) Run(limit uint64) Time {
 	e.stopped = false
@@ -360,7 +367,7 @@ func (e *Engine) Run(limit uint64) Time {
 		if limit > 0 && e.Executed-start >= limit {
 			break
 		}
-		if e.pollCancel() {
+		if e.poll() {
 			break
 		}
 	}
@@ -370,7 +377,7 @@ func (e *Engine) Run(limit uint64) Time {
 // RunUntil fires events until cond() is true (checked after every event),
 // the queue drains, the event-count limit is exceeded, or the installed
 // context is cancelled (distinguish the last case with Interrupted). It
-// reports whether cond was satisfied.
+// yields as Run does and reports whether cond was satisfied.
 func (e *Engine) RunUntil(cond func() bool, limit uint64) bool {
 	e.stopped = false
 	e.interrupted = false
@@ -385,7 +392,7 @@ func (e *Engine) RunUntil(cond func() bool, limit uint64) bool {
 		if limit > 0 && e.Executed-start >= limit {
 			return false
 		}
-		if e.pollCancel() {
+		if e.poll() {
 			return false
 		}
 	}

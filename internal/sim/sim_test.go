@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -520,5 +522,30 @@ func TestSetContextBackgroundIsFree(t *testing.T) {
 		if plain[i] != bg[i] || plain[i] != withLive[i] {
 			t.Fatalf("event %d fired at %v/%v/%v across context variants", i, plain[i], bg[i], withLive[i])
 		}
+	}
+}
+
+// TestRunYields pins the yield at each poll: with one P, a goroutine
+// made runnable before a 4096-event Run gets the processor at the poll
+// after event 1024, or at the latest after event 2048, so an event
+// handler sees it has run before event 2049. Without the yield it waits
+// for the 10 ms preemption tick, long after this run has ended.
+func TestRunYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := NewEngine()
+	var ran atomic.Bool
+	var seenAt uint64
+	check := func() {
+		if seenAt == 0 && ran.Load() {
+			seenAt = e.Executed
+		}
+	}
+	for i := range 4096 {
+		after(e, Time(i), check)
+	}
+	go ran.Store(true)
+	e.Run(0)
+	if seenAt == 0 || seenAt > 2*CancelCheckEvery+1 {
+		t.Fatalf("goroutine first seen at event %d of %d, want by event %d", seenAt, e.Executed, 2*CancelCheckEvery+1)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"tokencmp/internal/network"
 	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
+	"tokencmp/internal/topo"
 )
 
 // absorb drops every delivered message.
@@ -139,4 +140,23 @@ func endpointBases(sys *System) []*base {
 		bases = append(bases, &sys.Mems[c].base)
 	}
 	return bases
+}
+
+// predictorSink keeps a measured predictor on the heap.
+var predictorSink *predictor
+
+// TestPredictorAllocatesOnce pins the predictor's table inside its
+// struct: a TokenCMP-dst1-pred machine makes exactly one allocation per
+// L1D more than TokenCMP-dst1, one predictor each.
+func TestPredictorAllocatesOnce(t *testing.T) {
+	if avg := testing.AllocsPerRun(10, func() { predictorSink = newPredictor(1) }); avg != 1 {
+		t.Errorf("newPredictor allocates %.0f times, want 1", avg)
+	}
+	build := func(v Variant) float64 {
+		return testing.AllocsPerRun(3, func() { fullSystem(t, v, nil) })
+	}
+	g := topo.NewGeometry(4, 4, 4)
+	if got, want := build(Dst1Pred)-build(Dst1), float64(g.TotalProcs()); got != want {
+		t.Errorf("TokenCMP-dst1-pred builds %.0f objects more than TokenCMP-dst1, want %.0f (one predictor per L1D)", got, want)
+	}
 }

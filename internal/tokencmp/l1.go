@@ -59,10 +59,8 @@ func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 	c.Init(sys.Eng, sys.Ctrs, id, instr, c.attempt)
 	c.accessLatency = hier.L1Latency
 	c.lookup = func(b mem.Block) *token.State {
-		if l := c.cache.Lookup(b); l != nil {
-			return &l.State
-		}
-		return nil
+		_, s := c.find(b)
+		return s
 	}
 	c.onEmpty = func(b mem.Block) { c.cache.Invalidate(b) }
 	c.noteLoss = c.notifyLoss
@@ -70,6 +68,14 @@ func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		c.pred = newPredictor(cfg.Seed*7919 + int64(id))
 	}
 	return c
+}
+
+// find returns b's line and its token state, or two nils.
+func (c *L1Ctrl) find(b mem.Block) (*cache.Line[token.State], *token.State) {
+	if l := c.cache.Lookup(b); l != nil {
+		return l, &l.State
+	}
+	return nil, nil
 }
 
 // bankFor returns this CMP's L2 bank controller serving b.
@@ -105,9 +111,9 @@ func sufficient(s *token.State, kind cpu.AccessKind, t int) bool {
 func (c *L1Ctrl) attempt() {
 	m := &c.Miss
 	b := m.Block
-	s := c.lookup(b)
+	l, s := c.find(b)
 	if sufficient(s, m.Kind, c.sys.T) {
-		c.cache.Touch(b)
+		c.cache.TouchLine(l)
 		c.Hit(c.apply(m.Kind, s, m.Store))
 		return
 	}
@@ -279,12 +285,12 @@ func (c *L1Ctrl) tryComplete(b mem.Block) {
 	if m == nil {
 		return
 	}
-	s := c.lookup(b)
+	l, s := c.find(b)
 	if !sufficient(s, m.Kind, c.sys.T) {
 		return
 	}
 	done := c.Finish() // pending timeouts now find no miss for b
-	c.cache.Touch(b)
+	c.cache.TouchLine(l)
 	val := c.apply(m.Kind, s, m.Store)
 	if m.Txn.persistentIssued {
 		c.deactivatePersistent(b)

@@ -6,19 +6,26 @@ import (
 	"tokencmp/internal/mem"
 )
 
+// Predictor geometry: 256 entries, four ways.
+const (
+	predWays = 4
+	predSets = 256 / predWays
+)
+
 // predictor is TokenCMP-dst1-pred's contended-block detector: a four-way
 // set-associative, 256-entry table of 2-bit saturating counters. A
 // counter is allocated and incremented when a transient request times
 // out; a saturated counter predicts contention and the L1 issues a
 // persistent request immediately, skipping the transient. Counters reset
 // pseudo-randomly to adapt to phase changes (Section 4).
+//
+// The table lives in fixed arrays inside the struct, so building a
+// predictor is one allocation.
 type predictor struct {
-	sets    int
-	ways    int
-	tags    [][]mem.Block
-	valid   [][]bool
-	counter [][]uint8
-	lru     [][]uint64
+	tags    [predSets][predWays]mem.Block
+	valid   [predSets][predWays]bool
+	counter [predSets][predWays]uint8
+	lru     [predSets][predWays]uint64
 	tick    uint64
 
 	// rng resets counters. It is built from seed on the first draw:
@@ -27,28 +34,13 @@ type predictor struct {
 	seed int64
 }
 
-func newPredictor(seed int64) *predictor {
-	const entries, ways = 256, 4
-	sets := entries / ways
-	p := &predictor{sets: sets, ways: ways, seed: seed}
-	p.tags = make([][]mem.Block, sets)
-	p.valid = make([][]bool, sets)
-	p.counter = make([][]uint8, sets)
-	p.lru = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		p.tags[i] = make([]mem.Block, ways)
-		p.valid[i] = make([]bool, ways)
-		p.counter[i] = make([]uint8, ways)
-		p.lru[i] = make([]uint64, ways)
-	}
-	return p
-}
+func newPredictor(seed int64) *predictor { return &predictor{seed: seed} }
 
-func (p *predictor) setOf(b mem.Block) int { return int(uint64(b) % uint64(p.sets)) }
+func (p *predictor) setOf(b mem.Block) int { return int(uint64(b) % predSets) }
 
 func (p *predictor) find(b mem.Block) (set, way int, ok bool) {
 	set = p.setOf(b)
-	for w := 0; w < p.ways; w++ {
+	for w := range predWays {
 		if p.valid[set][w] && p.tags[set][w] == b {
 			return set, w, true
 		}
@@ -63,7 +55,7 @@ func (p *predictor) NoteTimeout(b mem.Block) {
 	if !ok {
 		// Allocate the LRU (or first invalid) way.
 		way = 0
-		for w := 0; w < p.ways; w++ {
+		for w := range predWays {
 			if !p.valid[set][w] {
 				way = w
 				break

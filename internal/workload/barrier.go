@@ -55,9 +55,12 @@ const (
 
 // BarrierProgram is one processor's barrier thread.
 type BarrierProgram struct {
-	cfg   BarrierConfig
-	proc  int
+	cfg  BarrierConfig
+	proc int
+	// rng draws the work jitter. It is built from seed on the first
+	// draw, so a run without jitter builds none.
 	rng   *rand.Rand
+	seed  int64
 	state barrierState
 	round int
 	sense uint64
@@ -70,7 +73,7 @@ func NewBarrierProgram(cfg BarrierConfig, proc int, seed int64, mon *LockMonitor
 	return &BarrierProgram{
 		cfg:   cfg,
 		proc:  proc,
-		rng:   rand.New(rand.NewSource(seed*2_000_003 + int64(proc) + 11)),
+		seed:  seed*2_000_003 + int64(proc) + 11,
 		sense: 1,
 		mon:   mon,
 	}
@@ -79,6 +82,9 @@ func NewBarrierProgram(cfg BarrierConfig, proc int, seed int64, mon *LockMonitor
 func (p *BarrierProgram) work() sim.Time {
 	w := p.cfg.Work
 	if p.cfg.Jitter > 0 {
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(p.seed))
+		}
 		w += sim.Time(p.rng.Int63n(int64(2*p.cfg.Jitter)+1)) - p.cfg.Jitter
 	}
 	if w < 0 {

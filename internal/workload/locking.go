@@ -93,36 +93,48 @@ const (
 type LockingProgram struct {
 	cfg      LockingConfig
 	proc     int
-	rng      *rand.Rand
+	picks    []int32 // lock indices of the acquisitions still to come
 	mon      *LockMonitor
 	state    lockingState
 	lock     mem.Addr
-	lastLock int
 	acquired int
 }
 
 // NewLockingProgram builds the thread for processor proc. All threads
 // must share mon.
 func NewLockingProgram(cfg LockingConfig, proc int, seed int64, mon *LockMonitor) *LockingProgram {
-	return &LockingProgram{
-		cfg:      cfg,
-		proc:     proc,
-		rng:      rand.New(rand.NewSource(seed*1_000_003 + int64(proc) + 7)),
-		mon:      mon,
-		lastLock: -1,
-		state:    lsStart,
-	}
+	rng := rand.New(rand.NewSource(lockSeed(seed, proc)))
+	picks := appendPicks(make([]int32, 0, cfg.picksPerProc()), rng, cfg)
+	return &LockingProgram{cfg: cfg, proc: proc, picks: picks, mon: mon}
 }
 
-// pickLock chooses a random lock different from the last one acquired.
-func (p *LockingProgram) pickLock() {
-	n := p.cfg.Locks
-	i := p.rng.Intn(n)
-	if n > 1 && i == p.lastLock {
-		i = (i + 1 + p.rng.Intn(n-1)) % n
+// picksPerProc is the number of locks a processor picks: one per
+// acquisition, and at least one, since the first is picked before the
+// Acquires check.
+func (c LockingConfig) picksPerProc() int { return max(c.Acquires, 1) }
+
+// lockSeed seeds processor proc's stream of lock picks.
+func lockSeed(seed int64, proc int) int64 { return seed*1_000_003 + int64(proc) + 7 }
+
+// appendPicks appends one processor's cfg.picksPerProc() lock picks,
+// drawn from rng, each a uniform lock different from the one before.
+func appendPicks(dst []int32, rng *rand.Rand, cfg LockingConfig) []int32 {
+	n, last := cfg.Locks, -1
+	for range cfg.picksPerProc() {
+		i := rng.Intn(n)
+		if n > 1 && i == last {
+			i = (i + 1 + rng.Intn(n-1)) % n
+		}
+		dst = append(dst, int32(i))
+		last = i
 	}
-	p.lastLock = i
-	p.lock = p.cfg.LockAddr(i)
+	return dst
+}
+
+// pickLock takes the next acquisition's lock.
+func (p *LockingProgram) pickLock() {
+	p.lock = p.cfg.LockAddr(int(p.picks[0]))
+	p.picks = p.picks[1:]
 }
 
 // Next implements cpu.Program.
@@ -174,11 +186,21 @@ func (p *LockingProgram) Next(now sim.Time, last uint64) cpu.Action {
 }
 
 // LockingPrograms builds one thread per processor, sharing a monitor.
+// One PRNG, reseeded with each processor's seed in turn, draws every
+// processor's picks into one shared slice: the same picks as a source
+// per processor, without a 5 KB source for each.
 func LockingPrograms(cfg LockingConfig, procs int, seed int64) ([]cpu.Program, *LockMonitor) {
 	mon := NewLockMonitor()
+	per := cfg.picksPerProc()
+	picks := make([]int32, 0, procs*per)
+	rng := rand.New(rand.NewSource(0))
+	progs := make([]LockingProgram, procs)
 	out := make([]cpu.Program, procs)
 	for i := range out {
-		out[i] = NewLockingProgram(cfg, i, seed, mon)
+		rng.Seed(lockSeed(seed, i))
+		picks = appendPicks(picks, rng, cfg)
+		progs[i] = LockingProgram{cfg: cfg, proc: i, picks: picks[i*per : (i+1)*per], mon: mon}
+		out[i] = &progs[i]
 	}
 	return out, mon
 }

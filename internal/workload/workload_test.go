@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"tokencmp/internal/cpu"
@@ -80,6 +81,72 @@ func TestLockingAvoidsLastLock(t *testing.T) {
 	}
 }
 
+// refPicker is the lazy pick generator the locking threads used to
+// carry: a source per processor, drawing each pick as the thread
+// reaches it.
+type refPicker struct {
+	rng         *rand.Rand
+	locks, last int
+}
+
+func newRefPicker(locks, proc int, seed int64) *refPicker {
+	return &refPicker{rng: rand.New(rand.NewSource(seed*1_000_003 + int64(proc) + 7)), locks: locks, last: -1}
+}
+
+func (r *refPicker) next() int {
+	i := r.rng.Intn(r.locks)
+	if r.locks > 1 && i == r.last {
+		i = (i + 1 + r.rng.Intn(r.locks-1)) % r.locks
+	}
+	r.last = i
+	return i
+}
+
+// acquiredLocks runs a locking thread that wins every test-and-set and
+// returns the lock of each acquisition, in order.
+func acquiredLocks(t *testing.T, p cpu.Program) []mem.Addr {
+	t.Helper()
+	var got []mem.Addr
+	for range 1 << 20 {
+		act := p.Next(0, 0)
+		switch act.Kind {
+		case cpu.ActAtomic:
+			got = append(got, act.Addr)
+		case cpu.ActDone:
+			return got
+		}
+	}
+	t.Fatal("locking thread did not finish")
+	return nil
+}
+
+// FuzzLockingPicks checks the picks LockingPrograms and
+// NewLockingProgram draw up front against the lazy reference generator:
+// every processor acquires the same locks in the same order.
+func FuzzLockingPicks(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, locks uint16, acquires, procs uint8) {
+		cfg := DefaultLocking(1 + int(locks)%1024)
+		cfg.Acquires = int(acquires) % 80 // 0 still acquires once
+		n := 1 + int(procs)%32
+		progs, _ := LockingPrograms(cfg, n, seed)
+		for proc, p := range progs {
+			got := acquiredLocks(t, p)
+			alone := acquiredLocks(t, NewLockingProgram(cfg, proc, seed, nil))
+			ref := newRefPicker(cfg.Locks, proc, seed)
+			if want := max(cfg.Acquires, 1); len(got) != want || len(alone) != want {
+				t.Fatalf("proc %d: %d and %d acquisitions, want %d", proc, len(got), len(alone), want)
+			}
+			for i := range got {
+				want := cfg.LockAddr(ref.next())
+				if got[i] != want || alone[i] != want {
+					t.Fatalf("proc %d acquisition %d: lock %#x (alone %#x), want %#x",
+						proc, i, uint64(got[i]), uint64(alone[i]), uint64(want))
+				}
+			}
+		}
+	})
+}
+
 func TestLockMonitorDetectsViolation(t *testing.T) {
 	mon := NewLockMonitor()
 	mon.Enter(0x100, 0)
@@ -151,6 +218,32 @@ func TestBarrierJitterBounded(t *testing.T) {
 		w := p.work()
 		if w < sim.NS(2000) || w > sim.NS(4000) {
 			t.Fatalf("work %v outside 3000±1000 ns", w)
+		}
+	}
+}
+
+// TestBarrierJitterBuiltLazily pins the lazily built jitter source: a
+// barrier thread without jitter builds none over a whole run, and one
+// with jitter draws the stream of a source seeded up front.
+func TestBarrierJitterBuiltLazily(t *testing.T) {
+	cfg := DefaultBarrier(1, 0)
+	cfg.Iterations = 5
+	p := NewBarrierProgram(cfg, 0, 1, nil)
+	if !runProgram(t, p, &fakeMemory{}, 100000) {
+		t.Fatal("single-processor barrier did not finish")
+	}
+	if p.rng != nil {
+		t.Error("a barrier run without jitter built a jitter source")
+	}
+
+	cfg.Jitter = sim.NS(1000)
+	const proc, seed = 3, 5
+	p = NewBarrierProgram(cfg, proc, seed, nil)
+	ref := rand.New(rand.NewSource(seed*2_000_003 + proc + 11))
+	for i := range 100 {
+		want := cfg.Work + sim.Time(ref.Int63n(int64(2*cfg.Jitter)+1)) - cfg.Jitter
+		if got := p.work(); got != want {
+			t.Fatalf("draw %d: work %v, want %v", i, got, want)
 		}
 	}
 }
