@@ -24,12 +24,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	faults, err := faultFlags()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "barrierbench:", err)
+		os.Exit(2)
+	}
 
 	opt := experiments.DefaultOptions()
 	opt.Barriers = *barriers
 	opt.Seeds = *seeds
 	opt.Jobs = *jobs
-	opt.Faults = faultFlags()
+	opt.Faults = faults
 
 	protos := []string{
 		"TokenCMP-arb0", "TokenCMP-dst0",

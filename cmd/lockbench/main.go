@@ -32,12 +32,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	faults, err := faultFlags()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lockbench:", err)
+		os.Exit(2)
+	}
 
 	opt := experiments.DefaultOptions()
 	opt.Acquires = *acquires
 	opt.Seeds = *seeds
 	opt.Jobs = *jobs
-	opt.Faults = faultFlags()
+	opt.Faults = faults
 	lockCounts := []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 	if fig2 {

@@ -118,6 +118,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	faults, err := faultFlags()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mcsim:", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -146,7 +151,7 @@ func main() {
 		Txns:       *txns,
 		Seed:       *seed,
 		Seeds:      *seeds,
-		Faults:     faultFlags(),
+		Faults:     faults,
 		Check:      *check,
 	}
 	// The cell folds every run that completed, so when the wall-clock

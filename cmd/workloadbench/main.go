@@ -38,6 +38,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	faults, err := faultFlags()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "workloadbench:", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -50,7 +55,7 @@ func main() {
 	opt.TxnsPerProc = *txns
 	opt.Seeds = *seeds
 	opt.Jobs = *jobs
-	opt.Faults = faultFlags()
+	opt.Faults = faults
 
 	protos := []string{
 		"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP",

@@ -169,7 +169,7 @@ func (a *Array[S]) alloc(s uint64) uint32 {
 }
 
 // Lookup returns the line holding b, or nil. It does not touch LRU state;
-// call Touch on a hit that should refresh recency.
+// call TouchLine on a hit that should refresh recency.
 func (a *Array[S]) Lookup(b mem.Block) *Line[S] {
 	e := a.entry(b)
 	if e == 0 {
@@ -185,15 +185,7 @@ func (a *Array[S]) Lookup(b mem.Block) *Line[S] {
 	return nil
 }
 
-// Touch marks b most recently used.
-func (a *Array[S]) Touch(b mem.Block) {
-	if l := a.Lookup(b); l != nil {
-		a.TouchLine(l)
-	}
-}
-
-// TouchLine marks an already-found line most recently used, skipping
-// Touch's set rescan.
+// TouchLine marks a line Lookup found most recently used.
 func (a *Array[S]) TouchLine(l *Line[S]) {
 	a.tick++
 	l.lru = a.tick

@@ -46,7 +46,7 @@ func TestLRUEviction(t *testing.T) {
 	for b := mem.Block(0); b < 4; b++ {
 		a.Install(b)
 	}
-	a.Touch(0) // 0 most recent; 1 is LRU
+	a.TouchLine(a.Lookup(0)) // 0 most recent; 1 is LRU
 	_, victim, _, evicted := a.Install(10)
 	if !evicted || victim != 1 {
 		t.Errorf("victim = %v (evicted=%v), want block 1", victim, evicted)
@@ -185,7 +185,6 @@ func TestReadsOfAbsentPagesDoNotAllocate(t *testing.T) {
 		if a.Lookup(b) != nil {
 			t.Fatal("hit in an empty array")
 		}
-		a.Touch(b)
 		if _, ok := a.Invalidate(b); ok {
 			t.Fatal("invalidated a line of an empty array")
 		}

@@ -51,12 +51,6 @@ func (a *eagerArray[S]) Lookup(b mem.Block) *refLine[S] {
 	return nil
 }
 
-func (a *eagerArray[S]) Touch(b mem.Block) {
-	if l := a.Lookup(b); l != nil {
-		a.TouchLine(l)
-	}
-}
-
 func (a *eagerArray[S]) TouchLine(l *refLine[S]) {
 	a.tick++
 	l.lru = a.tick
@@ -168,7 +162,7 @@ const fillStep = 25
 const maxFuzzOps = 128
 
 // FuzzArray drives Array and the eager reference with the same sequence
-// of Install, InstallAvoiding, Lookup, Touch, TouchLine and Invalidate
+// of Install, InstallAvoiding, Lookup, TouchLine and Invalidate
 // calls and requires identical results, the same ForEach sequence after
 // every step, and a *Line that stays put while its block is resident.
 // The input's first byte picks a geometry (byte % len(fuzzGeoms)) and a
@@ -251,11 +245,10 @@ func FuzzArray(f *testing.F) {
 				if gl != nil && where[b] != gl {
 					t.Fatalf("%s: lookup returned a different *Line than install", step)
 				}
-			case 3:
-				got.Touch(b)
-				want.Touch(b)
-			case 4:
-				if gl, wl := got.Lookup(b), want.Lookup(b); gl != nil && wl != nil {
+			case 3, 4:
+				gl, wl := got.Lookup(b), want.Lookup(b)
+				checkLine(t, step, gl, wl)
+				if gl != nil {
 					got.TouchLine(gl)
 					want.TouchLine(wl)
 				}

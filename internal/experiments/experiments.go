@@ -23,8 +23,7 @@ import (
 // Options configures an experiment run.
 type Options struct {
 	Geom  topo.Geometry
-	Seeds int    // perturbed runs per configuration
-	Limit uint64 // event cap per run (0 = default)
+	Seeds int // perturbed runs per configuration
 
 	// Jobs bounds how many simulation runs execute concurrently
 	// (0 = one per CPU). Every (protocol, configuration, seed) run is
@@ -47,18 +46,11 @@ type Options struct {
 	Barriers    int // barrier: rounds
 	TxnsPerProc int // commercial: transactions per processor
 
-	// Check enables the runtime coherence monitors (slower).
-	Check bool
-
 	// Faults configures the network's seeded fault injector for every
 	// run of the experiment (zero value: reliable network). Seed k of
 	// every cell (k = 1..Seeds) uses fault seed Faults.Seed+k-1, so each
 	// seeded repetition sees an independent fault pattern.
 	Faults network.FaultConfig
-
-	// Baseline names the protocol every figure and table normalizes
-	// to. Empty selects automatically (see resolveBaseline).
-	Baseline string
 
 	// Commercial runs use scaled-down caches so the surrogates' working
 	// sets exert the same capacity pressure the full-size workloads put
@@ -91,8 +83,8 @@ func (o *Options) ctx() context.Context {
 }
 
 // spec returns the template every run of the experiment starts from:
-// seeds 1..Seeds of proto with the options' knobs, fault plan, monitors,
-// and event cap. The caller fills in the workload.
+// seeds 1..Seeds of proto with the options' knobs and fault plan. The
+// caller fills in the workload.
 func (o *Options) spec(proto string) Spec {
 	return Spec{
 		Protocol: proto,
@@ -103,8 +95,6 @@ func (o *Options) spec(proto string) Spec {
 		Seed:     1,
 		Seeds:    o.Seeds,
 		Faults:   o.Faults,
-		Check:    o.Check,
-		Limit:    o.Limit,
 	}
 }
 
@@ -149,7 +139,7 @@ func RunLockSweep(protocols []string, lockCounts []int, opt Options) (*LockSweep
 		return nil, err
 	}
 	out := &LockSweep{LockCounts: lockCounts, Protocols: protocols,
-		BaselineProto: resolveBaseline(opt.Baseline, protocols), Cells: map[string][]*Cell{}}
+		BaselineProto: resolveBaseline(protocols), Cells: map[string][]*Cell{}}
 	for pi, proto := range protocols {
 		out.Cells[proto] = cells[pi*len(lockCounts) : (pi+1)*len(lockCounts)]
 	}
@@ -157,18 +147,14 @@ func RunLockSweep(protocols []string, lockCounts []int, opt Options) (*LockSweep
 }
 
 // resolveBaseline picks the protocol every figure and table normalizes
-// to. The explicit choice wins when it was actually measured; otherwise
-// the first measured entry of a fixed priority order — DirectoryCMP,
+// to: the first measured entry of a fixed priority order — DirectoryCMP,
 // DirectoryCMP-zero, HammerCMP, any non-idealized protocol — and only
 // as a last resort the first protocol listed (PerfectL2 included). The
 // result is recorded on the experiment at run time, so rendering is
 // deterministic for arbitrary protocol subsets (e.g. HammerCMP +
 // PerfectL2 normalizes to HammerCMP regardless of list order).
-func resolveBaseline(explicit string, protocols []string) string {
-	for _, want := range []string{explicit, "DirectoryCMP", "DirectoryCMP-zero", "HammerCMP"} {
-		if want == "" {
-			continue
-		}
+func resolveBaseline(protocols []string) string {
+	for _, want := range []string{"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP"} {
 		for _, p := range protocols {
 			if p == want {
 				return p
@@ -234,7 +220,7 @@ func RunBarrierTable(protocols []string, opt Options) (*BarrierTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &BarrierTable{Protocols: protocols, BaselineProto: resolveBaseline(opt.Baseline, protocols),
+	out := &BarrierTable{Protocols: protocols, BaselineProto: resolveBaseline(protocols),
 		Fixed: map[string]*Cell{}, Jittered: map[string]*Cell{}}
 	for pi, proto := range protocols {
 		out.Fixed[proto] = cells[pi*len(jitters)]
@@ -297,7 +283,7 @@ func RunCommercial(workloads, protocols []string, opt Options) (*Commercial, err
 		return nil, err
 	}
 	out := &Commercial{Workloads: workloads, Protocols: protocols,
-		BaselineProto: resolveBaseline(opt.Baseline, protocols), Cells: map[string]map[string]*Cell{}}
+		BaselineProto: resolveBaseline(protocols), Cells: map[string]map[string]*Cell{}}
 	for wi, wl := range workloads {
 		out.Cells[wl] = map[string]*Cell{}
 		for pi, proto := range protocols {

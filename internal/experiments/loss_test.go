@@ -37,7 +37,7 @@ func TestLossSweepSurvivalClaim(t *testing.T) {
 
 	fracs := make([]stats.Sample, len(lossSweepDrops))
 	for i, drop := range lossSweepDrops {
-		spec.Faults = network.UniformFaults(1, drop, 0, 0, 0)
+		spec.Faults = network.FaultConfig{Seed: 1, Drop: drop}
 		// runSeeds fails on any non-completing run or token-audit
 		// violation, which is the survival half of the claim.
 		res, err := runSeeds(context.Background(), spec, 0)

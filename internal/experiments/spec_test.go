@@ -20,7 +20,7 @@ func faultedSpec() Spec {
 	spec.Locks, spec.Acquires = 4, 8
 	spec.Seeds = 3
 	spec.Check = true
-	spec.Faults = network.UniformFaults(7, 0.1, 0.02, 0.05, sim.NS(3))
+	spec.Faults = network.FaultConfig{Seed: 7, Drop: 0.1, Dup: 0.02, Reorder: 0.05, Jitter: sim.NS(3)}
 	return spec
 }
 
@@ -80,30 +80,31 @@ func TestRunCellsFoldsMonitor(t *testing.T) {
 func TestSpecKeyCoversEveryField(t *testing.T) {
 	base := faultedSpec()
 	mutations := map[string]func(s *Spec){
-		"Protocol":            func(s *Spec) { s.Protocol = "HammerCMP" },
-		"Geom":                func(s *Spec) { s.Geom = topo.NewGeometry(2, 2, 1) },
-		"Workload":            func(s *Spec) { s.Workload = "barrier" },
-		"Locks":               func(s *Spec) { s.Locks++ },
-		"Acquires":            func(s *Spec) { s.Acquires++ },
-		"Barriers":            func(s *Spec) { s.Barriers++ },
-		"WorkJitter":          func(s *Spec) { s.WorkJitter++ },
-		"Txns":                func(s *Spec) { s.Txns++ },
-		"L1Size":              func(s *Spec) { s.L1Size++ },
-		"L2BankSize":          func(s *Spec) { s.L2BankSize++ },
-		"Seed":                func(s *Spec) { s.Seed++ },
-		"Seeds":               func(s *Spec) { s.Seeds++ },
-		"Check":               func(s *Spec) { s.Check = !s.Check },
-		"Limit":               func(s *Spec) { s.Limit++ },
-		"Faults.Seed":         func(s *Spec) { s.Faults.Seed++ },
-		"Faults.RetxTimeout":  func(s *Spec) { s.Faults.RetxTimeout++ },
-		"Faults.OnChip.Drop":  func(s *Spec) { s.Faults.OnChip.Drop /= 2 },
-		"Faults.OnChip.Dup":   func(s *Spec) { s.Faults.OnChip.Dup /= 2 },
-		"Faults.OffChip.Reor": func(s *Spec) { s.Faults.OffChip.Reorder /= 2 },
-		"Faults.OffChip.Win":  func(s *Spec) { s.Faults.OffChip.ReorderWindow++ },
-		"Faults.OffChip.Jit":  func(s *Spec) { s.Faults.OffChip.Jitter++ },
+		"Protocol":       func(s *Spec) { s.Protocol = "HammerCMP" },
+		"Geom":           func(s *Spec) { s.Geom = topo.NewGeometry(2, 2, 1) },
+		"Workload":       func(s *Spec) { s.Workload = "barrier" },
+		"Locks":          func(s *Spec) { s.Locks++ },
+		"Acquires":       func(s *Spec) { s.Acquires++ },
+		"Barriers":       func(s *Spec) { s.Barriers++ },
+		"WorkJitter":     func(s *Spec) { s.WorkJitter++ },
+		"Txns":           func(s *Spec) { s.Txns++ },
+		"L1Size":         func(s *Spec) { s.L1Size++ },
+		"L2BankSize":     func(s *Spec) { s.L2BankSize++ },
+		"Seed":           func(s *Spec) { s.Seed++ },
+		"Seeds":          func(s *Spec) { s.Seeds++ },
+		"Check":          func(s *Spec) { s.Check = !s.Check },
+		"Limit":          func(s *Spec) { s.Limit++ },
+		"Faults.Seed":    func(s *Spec) { s.Faults.Seed++ },
+		"Faults.Drop":    func(s *Spec) { s.Faults.Drop /= 2 },
+		"Faults.Dup":     func(s *Spec) { s.Faults.Dup /= 2 },
+		"Faults.Reorder": func(s *Spec) { s.Faults.Reorder /= 2 },
+		"Faults.Jitter":  func(s *Spec) { s.Faults.Jitter++ },
 	}
 	if n := reflect.TypeOf(Spec{}).NumField(); n != 15 {
 		t.Fatalf("Spec has %d fields; cover the new ones here", n)
+	}
+	if n := reflect.TypeOf(network.FaultConfig{}).NumField(); n != 5 {
+		t.Fatalf("FaultConfig has %d fields; cover the new ones here", n)
 	}
 	for name, mutate := range mutations {
 		s := base

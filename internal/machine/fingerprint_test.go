@@ -140,9 +140,9 @@ var faultPlans = [...]struct {
 	moved  string // counter the plan must move; "" for jitter
 	tokens bool   // only the TokenCMP stacks opt traffic into this knob
 }{
-	{"jitter", network.UniformFaults(7, 0, 0, 0, sim.NS(5)), "", false},
-	{"reorder", network.UniformFaults(7, 0, 0, 0.1, 0), counters.NetReordered, true},
-	{"drop", network.UniformFaults(7, 0.05, 0, 0, 0), counters.NetDropped, true},
+	{"jitter", network.FaultConfig{Seed: 7, Jitter: sim.NS(5)}, "", false},
+	{"reorder", network.FaultConfig{Seed: 7, Reorder: 0.1}, counters.NetReordered, true},
+	{"drop", network.FaultConfig{Seed: 7, Drop: 0.05}, counters.NetDropped, true},
 }
 
 // TestFaultedEventOrderFingerprint pins the delivery and drop stream of

@@ -225,7 +225,7 @@ func TestFaultSoakAllProtocols(t *testing.T) {
 				for seed := int64(1); seed <= 2; seed++ {
 					cfg := smallCfg(proto)
 					cfg.Seed = seed
-					cfg.Faults = network.UniformFaults(seed, fc.drop, fc.dup, fc.reorder, fc.jitter)
+					cfg.Faults = network.FaultConfig{Seed: seed, Drop: fc.drop, Dup: fc.dup, Reorder: fc.reorder, Jitter: fc.jitter}
 					m, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)

@@ -1,9 +1,12 @@
 // Fault injection: deterministic, seeded link faults — message loss,
-// duplication, reordering, and latency jitter — configured per link
-// class through Config.Faults. The injector exists to test the paper's
-// robustness claim: token coherence's timeout + persistent-request
-// machinery is supposed to make forward progress without a well-behaved
-// interconnect, so the interconnect must be able to misbehave.
+// duplication, reordering, and latency jitter — configured by one plan,
+// Config.Faults, that governs on-chip and off-chip links alike. The
+// reorder window and the retransmit delay are not knobs: each is 4x the
+// latency of the message's link class. The injector exists to test the
+// paper's robustness claim: token coherence's timeout +
+// persistent-request machinery is supposed to make forward progress
+// without a well-behaved interconnect, so the interconnect must be able
+// to misbehave.
 //
 // # Determinism
 //
@@ -31,16 +34,13 @@
 // leak tokens forever, which even the paper's protocol cannot recover
 // from without the token-recreation backstop). The FaultRetx class
 // models a lightweight ack+retransmit shim: a dropped message is
-// re-injected after RetxTimeout, paying bandwidth and latency again.
-// The re-send happens inside the drop event, so the conservation
+// re-injected 4x the link latency later, paying bandwidth and latency
+// again. The re-send happens inside the drop event, so the conservation
 // monitor's in-flight tallies never see a window where tokens are
 // neither held nor on the wire — TokenAudit balances at every instant.
 package network
 
-import (
-	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
-)
+import "tokencmp/internal/sim"
 
 // FaultClass partitions messages by how the injector may treat them.
 // The protocol assigns classes through Network.Classify.
@@ -61,70 +61,34 @@ const (
 	FaultDroppable
 
 	// FaultRetx messages carry tokens or data, so a drop is covered by
-	// the ack+retransmit shim: the message is re-injected after
-	// RetxTimeout instead of vanishing. They are never duplicated or
+	// the ack+retransmit shim: the message is re-injected 4x the link
+	// latency later instead of vanishing. They are never duplicated or
 	// reordered (the shim's sequence numbers would suppress both).
 	FaultRetx
 )
 
-// FaultPlan holds the fault knobs for one link class. The zero value
-// injects nothing.
-type FaultPlan struct {
-	Drop    float64 // per-message loss probability in [0,1)
-	Dup     float64 // per-message duplication probability in [0,1)
-	Reorder float64 // probability a droppable message is held back
-
-	// ReorderWindow bounds the extra hold applied to a reordered
-	// message; 0 means 4x the link latency.
-	ReorderWindow sim.Time
-
-	// Jitter adds a uniform [0, Jitter] delay to every message on the
-	// link (all classes; per-link FIFO order is preserved unless the
-	// reorder knob fires).
-	Jitter sim.Time
-}
-
-func (p FaultPlan) enabled() bool {
-	return p.Drop > 0 || p.Dup > 0 || p.Reorder > 0 || p.Jitter > 0
-}
-
-// FaultConfig seeds and scopes the injector. The zero value disables
-// fault injection entirely (no PRNG, byte-identical schedules).
+// FaultConfig is the injector's fault plan, applied alike to both link
+// classes. The zero value disables fault injection entirely (no PRNG,
+// byte-identical schedules).
 type FaultConfig struct {
 	// Seed drives the single fault PRNG. Runs are replayable from
-	// (Seed, plans): the same configuration produces the identical
+	// (Seed, plan): the same configuration produces the identical
 	// fault pattern and therefore the identical simulation.
 	Seed int64
 
-	// OnChip and OffChip are the per-link-class plans, matching the
-	// two link classes of Config.
-	OnChip, OffChip FaultPlan
+	Drop    float64 // per-message loss probability in [0,1)
+	Dup     float64 // per-message duplication probability in [0,1]
+	Reorder float64 // probability in [0,1] a droppable message is held back
 
-	// RetxTimeout is the ack+retransmit shim's resend delay for
-	// dropped FaultRetx messages; 0 means 4x the link latency.
-	RetxTimeout sim.Time
+	// Jitter adds a uniform [0, Jitter] delay to every message (all
+	// classes; per-link FIFO order is preserved unless the reorder
+	// knob fires).
+	Jitter sim.Time
 }
 
 // Enabled reports whether any fault knob is set.
 func (f FaultConfig) Enabled() bool {
-	return f.OnChip.enabled() || f.OffChip.enabled()
-}
-
-// UniformFaults builds a FaultConfig that applies the same plan to both
-// link classes — the shape behind the cmds' -drop/-dup/-reorder/-jitter
-// flags.
-func UniformFaults(seed int64, drop, dup, reorder float64, jitter sim.Time) FaultConfig {
-	p := FaultPlan{Drop: drop, Dup: dup, Reorder: reorder, Jitter: jitter}
-	return FaultConfig{Seed: seed, OnChip: p, OffChip: p}
-}
-
-// plan returns the fault plan for links with parameters lp: the plans
-// follow the network level, like the Figure 7 accounting.
-func (n *Network) plan(lp LinkParams) *FaultPlan {
-	if lp.Level == stats.IntraCMP {
-		return &n.Cfg.Faults.OnChip
-	}
-	return &n.Cfg.Faults.OffChip
+	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.Jitter > 0
 }
 
 // classOf applies the protocol's classifier, defaulting to protected.
@@ -158,18 +122,14 @@ func (n *Network) drop(m *Message) {
 		if n.ctrRetx != nil {
 			n.ctrRetx.Inc()
 		}
-		d := n.Cfg.Faults.RetxTimeout
-		if d == 0 {
-			lc, _ := n.route(m.Src, m.Dst)
-			d = 4 * lc.Latency
-		}
 		// Retransmit: the same message re-enters the send path after
-		// the shim's timeout, paying serialization and latency again
-		// and re-rolling the fault dice (a retransmit can itself be
+		// the shim's timeout, 4x the link latency, paying serialization
+		// and latency again and re-rolling the fault dice (a retransmit can itself be
 		// dropped; with Drop < 1 delivery is eventually certain, and
 		// Drop = 1.0 on a retx class is a documented livelock, not a
 		// supported configuration).
-		n.send(m, d, false)
+		lc, _ := n.route(m.Src, m.Dst)
+		n.send(m, 4*lc.Latency, false)
 		return
 	}
 	n.free(m)

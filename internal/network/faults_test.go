@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 
 	"tokencmp/internal/counters"
@@ -36,7 +37,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 	engA, nA, g, sinksA := testNet(t)
 	engB, nB, _, sinksB, _ := faultNet(t, FaultConfig{Seed: 99}, FaultDroppable)
 	for i := 0; i < 6; i++ {
-		mA := Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i), Size: 64}
+		mA := Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i), HasData: i%2 == 0}
 		mB := mA
 		nA.SendNew(mA)
 		nB.SendNew(mB)
@@ -61,7 +62,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 // delivery would — the conservation auditor may never see tokens stuck
 // on a wire that already lost them.
 func TestDroppableDropAccounting(t *testing.T) {
-	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 1.0, 0, 0, 0), FaultDroppable)
+	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Drop: 1.0}, FaultDroppable)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Block: 7, Tokens: 3, Owner: true, HasData: true})
 	if c := inFlight(n, 7); c != (blockCount{3, 1}) {
 		t.Fatalf("pre-drop in-flight = %d/%d, want 3/1", c.tokens, c.owners)
@@ -85,9 +86,7 @@ func TestDroppableDropAccounting(t *testing.T) {
 // either delivered or accounted in flight — the shim re-sends inside
 // the drop event, so the audit must balance after every single event.
 func TestRetxDropHasNoAuditGap(t *testing.T) {
-	fc := UniformFaults(1, 0.9, 0, 0, 0)
-	fc.RetxTimeout = sim.NS(10)
-	eng, n, g, sinks, cs := faultNet(t, fc, FaultRetx)
+	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Drop: 0.9}, FaultRetx)
 	dst := g.L1DNode(0, 1)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 7, Tokens: 5, Owner: true, HasData: true})
 	for eng.Step() {
@@ -121,7 +120,7 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 // message yields exactly two deliveries (a duplicate never
 // re-duplicates) and one net.dup event.
 func TestDuplicationDeliversTwice(t *testing.T) {
-	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 0, 1.0, 0, 0), FaultDroppable)
+	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Dup: 1.0}, FaultDroppable)
 	dst := g.L1DNode(0, 1)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: 42})
 	eng.Run(0)
@@ -143,7 +142,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 // token would break conservation with no receiver-side dedup to absorb
 // it.
 func TestDuplicationNeverCopiesTokens(t *testing.T) {
-	eng, n, g, sinks, _ := faultNet(t, UniformFaults(1, 0, 1.0, 0, 0), FaultDroppable)
+	eng, n, g, sinks, _ := faultNet(t, FaultConfig{Seed: 1, Dup: 1.0}, FaultDroppable)
 	dst := g.L1DNode(0, 1)
 	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Block: 3, Tokens: 1})
 	eng.Run(0)
@@ -156,10 +155,7 @@ func TestDuplicationNeverCopiesTokens(t *testing.T) {
 // what jitter alone cannot — deliver same-link messages out of send
 // order.
 func TestReorderViolatesPerLinkFIFO(t *testing.T) {
-	fc := UniformFaults(3, 0, 0, 1.0, 0)
-	fc.OnChip.ReorderWindow = sim.NS(50)
-	fc.OffChip.ReorderWindow = sim.NS(50)
-	eng, n, g, sinks, cs := faultNet(t, fc, FaultDroppable)
+	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 3, Reorder: 1.0}, FaultDroppable)
 	dst := g.L2Node(0, 0)
 	for i := 0; i < 8; i++ {
 		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
@@ -175,10 +171,62 @@ func TestReorderViolatesPerLinkFIFO(t *testing.T) {
 		}
 	}
 	if inOrder {
-		t.Error("reorder=1.0 over a 50ns window delivered all 8 messages in send order (seed 3)")
+		t.Error("reorder=1.0 over an 8ns window delivered all 8 messages in send order (seed 3)")
 	}
 	if cs.Value(counters.NetReordered) != 8 {
 		t.Errorf("net.reordered = %d, want 8", cs.Value(counters.NetReordered))
+	}
+}
+
+// TestFaultDelaysAreFourLinkLatencies pins the two delays the injector
+// derives from the link class: a reordered message is held back a
+// uniform draw from [0, 4x latency], and a dropped retransmit-class
+// message is re-sent 4x latency after its would-be arrival.
+func TestFaultDelaysAreFourLinkLatencies(t *testing.T) {
+	g := topo.NewGeometry(2, 2, 1)
+	src := g.L1DNode(0, 0)
+	for _, tc := range []struct {
+		name string
+		dst  topo.NodeID
+		lp   LinkParams
+	}{
+		{"on-chip", g.L1DNode(0, 1), Default().OnChip},
+		{"off-chip", g.L1DNode(1, 0), Default().OffChip},
+		{"memory", g.MemNode(0), Default().OffChip},
+	} {
+		ser, lat := tc.lp.serialization(ControlSize), tc.lp.Latency
+
+		// Reorder: replay the injector's two draws, the reorder coin
+		// and the hold.
+		const seed = 11
+		eng, n, _, sinks, _ := faultNet(t, FaultConfig{Seed: seed, Reorder: 1}, FaultDroppable)
+		n.SendNew(Message{Src: src, Dst: tc.dst})
+		eng.Run(0)
+		rng := rand.New(rand.NewSource(seed))
+		rng.Float64()
+		want := ser + lat + sim.Time(rng.Int63n(int64(4*lat)+1))
+		if at := sinks[tc.dst].at; len(at) != 1 || at[0] != want {
+			t.Errorf("%s: reordered message delivered at %v, want once at %v", tc.name, at, want)
+		}
+
+		// Retransmit: under Drop=1 every resend departs 4x latency
+		// after the drop and is dropped again.
+		eng, n, _, _, _ = faultNet(t, FaultConfig{Seed: 1, Drop: 1}, FaultRetx)
+		var drops []sim.Time
+		n.OnDrop = func(*Message) { drops = append(drops, eng.Now()) }
+		n.SendNew(Message{Src: src, Dst: tc.dst})
+		for len(drops) < 3 && eng.Step() {
+		}
+		want = ser + lat
+		for i, at := range drops {
+			if at != want {
+				t.Errorf("%s: drop %d at %v, want %v", tc.name, i, at, want)
+			}
+			want += 4*lat + ser + lat
+		}
+		if len(drops) != 3 {
+			t.Errorf("%s: %d drops, want 3", tc.name, len(drops))
+		}
 	}
 }
 
@@ -186,7 +234,7 @@ func TestReorderViolatesPerLinkFIFO(t *testing.T) {
 // to per-link FIFO, so protocols without recovery machinery (protected
 // class) still see ordered links.
 func TestJitterPreservesPerLinkFIFO(t *testing.T) {
-	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 0, 0, 0, sim.NS(100)), FaultProtected)
+	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Jitter: sim.NS(100)}, FaultProtected)
 	dst := g.L2Node(0, 0)
 	for i := 0; i < 10; i++ {
 		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})
@@ -209,7 +257,7 @@ func TestJitterPreservesPerLinkFIFO(t *testing.T) {
 // TestProtectedClassIsExempt: with no classifier opt-in (Classify nil →
 // everything protected), drop and dup knobs are honest no-ops.
 func TestProtectedClassIsExempt(t *testing.T) {
-	eng, n, g, sinks, cs := faultNet(t, UniformFaults(1, 1.0, 1.0, 1.0, 0), FaultProtected)
+	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Drop: 1.0, Dup: 1.0, Reorder: 1.0}, FaultProtected)
 	n.Classify = nil
 	dst := g.L1DNode(0, 1)
 	for i := 0; i < 5; i++ {
@@ -229,7 +277,7 @@ func TestProtectedClassIsExempt(t *testing.T) {
 // delivery sequence; a different seed diverges.
 func TestFaultDeterminism(t *testing.T) {
 	runOnce := func(seed int64) ([]sim.Time, []int) {
-		fc := UniformFaults(seed, 0.3, 0.2, 0.2, sim.NS(25))
+		fc := FaultConfig{Seed: seed, Drop: 0.3, Dup: 0.2, Reorder: 0.2, Jitter: sim.NS(25)}
 		eng, n, g, sinks, _ := faultNet(t, fc, FaultDroppable)
 		for i := 0; i < 20; i++ {
 			n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Aux: int32(i)})

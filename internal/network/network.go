@@ -71,7 +71,6 @@ type Message struct {
 	Aux       int32 // protocol-specific
 
 	Class stats.TrafficClass
-	Size  uint8 // bytes on the wire; 0 means ControlSize or DataSize
 
 	Owner   bool // carries the owner token
 	HasData bool // carries a data payload
@@ -121,11 +120,10 @@ type node struct {
 type LinkParams struct {
 	Latency    sim.Time
 	BytesPerNS int // bandwidth; 0 means infinite
-	Level      stats.Level
 }
 
 // Config holds the two link classes (Table 3 defaults via Default) and
-// the fault-injection plans (zero value: a perfectly reliable network).
+// the fault-injection plan (zero value: a perfectly reliable network).
 type Config struct {
 	OnChip  LinkParams
 	OffChip LinkParams
@@ -136,8 +134,8 @@ type Config struct {
 // one-way at 64 GB/s; between chips 20 ns at 16 GB/s.
 func Default() Config {
 	return Config{
-		OnChip:  LinkParams{Latency: sim.NS(2), BytesPerNS: 64, Level: stats.IntraCMP},
-		OffChip: LinkParams{Latency: sim.NS(20), BytesPerNS: 16, Level: stats.InterCMP},
+		OnChip:  LinkParams{Latency: sim.NS(2), BytesPerNS: 64},
+		OffChip: LinkParams{Latency: sim.NS(20), BytesPerNS: 16},
 	}
 }
 
@@ -215,9 +213,8 @@ const (
 	offChip
 )
 
-// linkClass is one Config link class with the fault plan its level
-// selects and the serialization times of the two protocol message
-// sizes, so a send of either divides nothing.
+// linkClass is one Config link class with the serialization times of
+// the two protocol message sizes, so a send divides nothing.
 //
 // Without faults, arrivals on one link are already in send order: a
 // message departs no earlier than its predecessor and every message on
@@ -227,14 +224,12 @@ const (
 // exist only when the fault injector is on.
 type linkClass struct {
 	LinkParams
-	plan             *FaultPlan
 	ctrlSer, dataSer sim.Time
 }
 
-func (n *Network) newLinkClass(p LinkParams) linkClass {
+func newLinkClass(p LinkParams) linkClass {
 	return linkClass{
 		LinkParams: p,
-		plan:       n.plan(p),
 		ctrlSer:    p.serialization(ControlSize),
 		dataSer:    p.serialization(DataSize),
 	}
@@ -261,8 +256,8 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 		nodes:    make([]node, n),
 		nextFree: make([]sim.Time, n*n),
 	}
-	nw.classes[onChip] = nw.newLinkClass(cfg.OnChip)
-	nw.classes[offChip] = nw.newLinkClass(cfg.OffChip)
+	nw.classes[onChip] = newLinkClass(cfg.OnChip)
+	nw.classes[offChip] = newLinkClass(cfg.OffChip)
 	for id := range nw.nodes {
 		nd := &nw.nodes[id]
 		nd.cmp = int32(g.CMPOf(topo.NodeID(id)))
@@ -288,13 +283,10 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 // ends are caches.
 func (n *Network) route(srcID, dstID topo.NodeID) (lc *linkClass, intraHops int) {
 	src, dst := &n.nodes[srcID], &n.nodes[dstID]
-	lc = &n.classes[offChip]
 	if !src.isMem && !dst.isMem && src.cmp == dst.cmp {
-		lc = &n.classes[onChip]
+		return &n.classes[onChip], 1
 	}
-	if lc.Level == stats.IntraCMP {
-		return lc, 1
-	}
+	lc = &n.classes[offChip]
 	if !src.isMem {
 		intraHops++
 	}
@@ -481,24 +473,20 @@ func deliverCall(ctx, arg any) { ctx.(*Network).deliver(arg.(*Message)) }
 // duplicate so a duplicate never re-duplicates.
 // When fault injection is enabled the PRNG is consumed in a fixed order
 // per message — jitter, reorder, duplicate, drop — so a run is a pure
-// function of (fault seed, plans, workload).
+// function of (fault seed, plan, workload).
 func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	if m.pooled {
 		panic(fmt.Sprintf("network: send of freed message %v", m))
-	}
-	if m.Size == 0 {
-		if m.HasData {
-			m.Size = DataSize
-		} else {
-			m.Size = ControlSize
-		}
 	}
 	m.SentAt = n.Eng.Now()
 	// Figure 7 accounting: one entry per interconnect the message
 	// traverses (see route).
 	lc, hops := n.route(m.Src, m.Dst)
-	size := int(m.Size)
-	if lc.Level == stats.IntraCMP {
+	size, ser := ControlSize, lc.ctrlSer
+	if m.HasData {
+		size, ser = DataSize, lc.dataSer
+	}
+	if lc == &n.classes[onChip] {
 		n.onChipMsgs++
 	} else {
 		n.Traffic.Add(stats.InterCMP, m.Class, size)
@@ -517,7 +505,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	reordered := false
 	dropped := false
 	if n.faultsOn {
-		plan := lc.plan
+		plan := &n.Cfg.Faults
 		cls := n.classOf(m)
 		if plan.Jitter > 0 {
 			hold += sim.Time(n.frng.Int63n(int64(plan.Jitter) + 1))
@@ -525,11 +513,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 		if cls == FaultDroppable {
 			if plan.Reorder > 0 && n.frng.Float64() < plan.Reorder {
 				reordered = true
-				w := plan.ReorderWindow
-				if w == 0 {
-					w = 4 * lc.Latency
-				}
-				hold += sim.Time(n.frng.Int63n(int64(w) + 1))
+				hold += sim.Time(n.frng.Int63n(int64(4*lc.Latency) + 1))
 				if n.ctrReordered != nil {
 					n.ctrReordered.Inc()
 				}
@@ -554,15 +538,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	}
 
 	li := int(m.Src)*n.numNodes + int(m.Dst)
-	depart := max(n.Eng.Now(), n.nextFree[li])
-	switch size {
-	case ControlSize:
-		depart += lc.ctrlSer
-	case DataSize:
-		depart += lc.dataSer
-	default:
-		depart += lc.serialization(size)
-	}
+	depart := max(n.Eng.Now(), n.nextFree[li]) + ser
 	n.nextFree[li] = depart
 
 	arrive := depart + lc.Latency + hold

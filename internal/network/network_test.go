@@ -37,7 +37,7 @@ func testNet(t *testing.T) (*sim.Engine, *Network, topo.Geometry, map[topo.NodeI
 func TestOnChipLatency(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
+	n.SendNew(Message{Src: src, Dst: dst})
 	eng.Run(0)
 	// 8 bytes at 64 B/ns = 0.125ns serialization + 2ns latency.
 	want := 125*sim.Picosecond + sim.NS(2)
@@ -49,7 +49,7 @@ func TestOnChipLatency(t *testing.T) {
 func TestOffChipLatency(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(1, 0)
-	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
+	n.SendNew(Message{Src: src, Dst: dst})
 	eng.Run(0)
 	// 8 bytes at 16 B/ns = 0.5ns + 20ns latency.
 	want := 500*sim.Picosecond + sim.NS(20)
@@ -61,7 +61,7 @@ func TestOffChipLatency(t *testing.T) {
 func TestMemoryLinksAreOffChip(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.MemNode(0) // same CMP, but memory is off-chip
-	n.SendNew(Message{Src: src, Dst: dst, Size: 8})
+	n.SendNew(Message{Src: src, Dst: dst})
 	eng.Run(0)
 	if sinks[dst].at[0] < sim.NS(20) {
 		t.Errorf("memory delivery at %v, want >= 20ns", sinks[dst].at[0])
@@ -71,14 +71,14 @@ func TestMemoryLinksAreOffChip(t *testing.T) {
 func TestBandwidthSerialization(t *testing.T) {
 	eng, n, g, sinks := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	// Two 64-byte messages on one link: the second serializes behind the
-	// first (1ns each at 64 B/ns).
-	n.SendNew(Message{Src: src, Dst: dst, Size: 64})
-	n.SendNew(Message{Src: src, Dst: dst, Size: 64})
+	// Two 72-byte data messages on one link: the second serializes
+	// behind the first (1.125ns each at 64 B/ns).
+	n.SendNew(Message{Src: src, Dst: dst, HasData: true})
+	n.SendNew(Message{Src: src, Dst: dst, HasData: true})
 	eng.Run(0)
 	d := sinks[dst].at[1] - sinks[dst].at[0]
-	if d != sim.NS(1) {
-		t.Errorf("serialization gap = %v, want 1ns", d)
+	if want := 1125 * sim.Picosecond; d != want {
+		t.Errorf("serialization gap = %v, want %v", d, want)
 	}
 }
 
@@ -96,26 +96,27 @@ func TestPerLinkFIFO(t *testing.T) {
 	}
 }
 
+// TestDefaultSizes: a message's wire size follows HasData alone.
 func TestDefaultSizes(t *testing.T) {
-	eng, n, g, sinks := testNet(t)
+	eng, n, g, _ := testNet(t)
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.SendNew(Message{Src: src, Dst: dst})                // control
-	n.SendNew(Message{Src: src, Dst: dst, HasData: true}) // data
+	n.SendNew(Message{Src: src, Dst: dst, Class: stats.Request})                     // control
+	n.SendNew(Message{Src: src, Dst: dst, Class: stats.ResponseData, HasData: true}) // data
 	eng.Run(0)
-	if sinks[dst].got[0].Size != ControlSize || sinks[dst].got[1].Size != DataSize {
-		t.Errorf("sizes = %d, %d; want %d, %d",
-			sinks[dst].got[0].Size, sinks[dst].got[1].Size, ControlSize, DataSize)
+	ctrl, data := n.Traffic.Bytes[stats.IntraCMP][stats.Request], n.Traffic.Bytes[stats.IntraCMP][stats.ResponseData]
+	if ctrl != ControlSize || data != DataSize {
+		t.Errorf("sizes = %d, %d; want %d, %d", ctrl, data, ControlSize, DataSize)
 	}
 }
 
 func TestTrafficAccounting(t *testing.T) {
 	eng, n, g, _ := testNet(t)
 	// On-chip cache-to-cache: intra only.
-	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Size: 8, Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Class: stats.Request})
 	// Cross-chip cache-to-cache: inter once + intra on both chips.
-	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Size: 8, Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Class: stats.Request})
 	// Cache-to-memory: inter + source-chip intra only.
-	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.MemNode(0), Size: 8, Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.MemNode(0), Class: stats.Request})
 	eng.Run(0)
 	if got := n.Traffic.Bytes[stats.IntraCMP][stats.Request]; got != 8+16+8 {
 		t.Errorf("intra bytes = %d, want 32", got)
@@ -204,21 +205,21 @@ func TestTokenInFlightAccounting(t *testing.T) {
 // derived from New's per-node records, against the geometry: a link
 // touching a memory controller, or joining two chips, is off-chip;
 // Figure 7 charges an off-chip message one intra-CMP hop per cache
-// endpoint and an on-chip message one. The fault plan follows the
-// link's level. Each link keeps one serializer time.
+// endpoint and an on-chip message one. Each link keeps one serializer
+// time, and the one fault plan governs both link classes: under Drop=1
+// a droppable message on any link is lost.
 func TestLinkTableMatchesGeometry(t *testing.T) {
 	cfg := Default()
-	cfg.Faults = FaultConfig{
-		OnChip:  FaultPlan{Drop: 0.1},
-		OffChip: FaultPlan{Drop: 0.2},
-	}
+	cfg.Faults = FaultConfig{Seed: 1, Drop: 1}
 	for _, g := range []topo.Geometry{
 		topo.NewGeometry(1, 1, 1),
 		topo.NewGeometry(2, 2, 1),
 		topo.NewGeometry(4, 4, 4),
 		topo.NewGeometry(3, 2, 5),
 	} {
-		n := New(sim.NewEngine(), g, cfg)
+		eng := sim.NewEngine()
+		n := New(eng, g, cfg)
+		n.Classify = func(*Message) FaultClass { return FaultDroppable }
 		if nodes := g.NumNodes(); len(n.nextFree) != nodes*nodes {
 			t.Errorf("%d serializer times, want one per link (%d)", len(n.nextFree), nodes*nodes)
 		}
@@ -229,11 +230,17 @@ func TestLinkTableMatchesGeometry(t *testing.T) {
 			t.Error("fault-free network keeps FIFO clamp records")
 		}
 		isMem := func(id topo.NodeID) bool { return g.KindOf(id) == topo.Mem }
+		delivered := &countSink{}
+		dropped := map[bool]int{} // on-chip → messages lost
+		for _, id := range g.AllNodes() {
+			n.Attach(id, delivered)
+		}
 		for _, src := range g.AllNodes() {
 			for _, dst := range g.AllNodes() {
-				want, wantPlan, wantHops := cfg.OffChip, cfg.Faults.OffChip, 0
-				if !isMem(src) && !isMem(dst) && g.SameCMP(src, dst) {
-					want, wantPlan, wantHops = cfg.OnChip, cfg.Faults.OnChip, 1
+				want, wantHops := cfg.OffChip, 0
+				on := !isMem(src) && !isMem(dst) && g.CMPOf(src) == g.CMPOf(dst)
+				if on {
+					want, wantHops = cfg.OnChip, 1
 				} else {
 					if !isMem(src) {
 						wantHops++
@@ -243,12 +250,19 @@ func TestLinkTableMatchesGeometry(t *testing.T) {
 					}
 				}
 				lc, hops := n.route(src, dst)
-				if lc.LinkParams != want || *lc.plan != wantPlan || hops != wantHops {
-					t.Errorf("%dx%dx%d link %v(%v)->%v(%v): params %+v plan %+v hops %d, want %+v %+v %d",
+				if lc.LinkParams != want || hops != wantHops {
+					t.Errorf("%dx%dx%d link %v(%v)->%v(%v): params %+v hops %d, want %+v %d",
 						g.CMPs, g.ProcsPerCMP, g.L2Banks, src, g.KindOf(src), dst, g.KindOf(dst),
-						lc.LinkParams, *lc.plan, hops, want, wantPlan, wantHops)
+						lc.LinkParams, hops, want, wantHops)
 				}
+				n.OnDrop = func(*Message) { dropped[on]++ }
+				n.SendNew(Message{Src: src, Dst: dst})
+				eng.Run(0)
 			}
+		}
+		if delivered.n != 0 || dropped[true] == 0 || dropped[false] == 0 {
+			t.Errorf("%dx%dx%d under Drop=1: %d delivered, %d on-chip and %d off-chip dropped; want 0 delivered and both classes dropping",
+				g.CMPs, g.ProcsPerCMP, g.L2Banks, delivered.n, dropped[true], dropped[false])
 		}
 	}
 }

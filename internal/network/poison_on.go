@@ -26,7 +26,6 @@ func poison(m *Message) {
 		Block:     mem.Block(0xdeadbeefdeadbeef),
 		Kind:      -0x7eadbeef,
 		Class:     stats.TrafficClass(0x7f),
-		Size:      0xff,
 		Tokens:    -0x7eadbeef,
 		Owner:     true,
 		HasData:   true,

@@ -3,6 +3,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 
 	"tokencmp/internal/sim"
@@ -39,5 +40,13 @@ func TestPoisonScramblesRetainedMessage(t *testing.T) {
 	}
 	if r.last.Block == 7 || r.last.Data == 99 || r.last.Tokens == 2 {
 		t.Errorf("retained message not scrambled: %v", r.last)
+	}
+	// Every field a protocol can read carries a poison value, so a field
+	// added to Message without one fails here.
+	v := reflect.ValueOf(*r.last)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+			t.Errorf("poison leaves Message.%s zero", f.Name)
+		}
 	}
 }

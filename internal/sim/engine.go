@@ -247,9 +247,8 @@ const CancelCheckEvery = 1024
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
-	pq      eventQueue
-	now     Time
-	stopped bool
+	pq  eventQueue
+	now Time
 	// ctx is the cancellation source (nil when the engine cannot be
 	// cancelled — the common case, and the zero-overhead one).
 	ctx         context.Context
@@ -335,10 +334,6 @@ func (e *Engine) ScheduleCallAt(t Time, call func(ctx, arg any), ctx, arg any) {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.pq.len() }
 
-// Stop makes the currently executing Run return once the current event
-// handler completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step fires the next event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
 	if e.pq.len() == 0 {
@@ -354,16 +349,15 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty, Stop is called, the
-// event-count limit is exceeded (limit <= 0 means no limit), or the
-// installed context is cancelled (see SetContext). It yields the
-// processor every CancelCheckEvery events (see poll). It returns the
-// final simulated time.
+// Run fires events until the queue is empty, the event-count limit is
+// exceeded (limit <= 0 means no limit), or the installed context is
+// cancelled (see SetContext). It yields the processor every
+// CancelCheckEvery events (see poll). It returns the final simulated
+// time.
 func (e *Engine) Run(limit uint64) Time {
-	e.stopped = false
 	e.interrupted = false
 	start := e.Executed
-	for !e.stopped && e.Step() {
+	for e.Step() {
 		if limit > 0 && e.Executed-start >= limit {
 			break
 		}
@@ -379,13 +373,12 @@ func (e *Engine) Run(limit uint64) Time {
 // context is cancelled (distinguish the last case with Interrupted). It
 // yields as Run does and reports whether cond was satisfied.
 func (e *Engine) RunUntil(cond func() bool, limit uint64) bool {
-	e.stopped = false
 	e.interrupted = false
 	if cond() {
 		return true
 	}
 	start := e.Executed
-	for !e.stopped && e.Step() {
+	for e.Step() {
 		if cond() {
 			return true
 		}

@@ -122,17 +122,6 @@ func TestRunEventLimit(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	after(e, NS(1), func() { n++; e.Stop() })
-	after(e, NS(2), func() { n++ })
-	e.Run(0)
-	if n != 1 {
-		t.Errorf("n = %d, want 1 (stopped)", n)
-	}
-}
-
 // Property: events always fire in non-decreasing time order regardless of
 // insertion order.
 func TestPropertyMonotonicTime(t *testing.T) {

@@ -249,7 +249,7 @@ func TestTimeoutEscalationLossSweep(t *testing.T) {
 		eng := sim.NewEngine()
 		g := topo.NewGeometry(4, 4, 4)
 		netCfg := network.Default()
-		netCfg.Faults = network.UniformFaults(1, d, 0, 0, 0)
+		netCfg.Faults = network.FaultConfig{Seed: 1, Drop: d}
 		sys := NewSystem(eng, hier.Config{Geom: g}, DefaultConfig(Dst1), netCfg)
 
 		// Sequential migratory ping-pong: each processor in turn stores

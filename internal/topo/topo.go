@@ -124,9 +124,6 @@ func (g Geometry) KindOf(id NodeID) Kind {
 // controller).
 func (g Geometry) IsCache(id NodeID) bool { return g.KindOf(id) != Mem }
 
-// SameCMP reports whether two endpoints share a chip.
-func (g Geometry) SameCMP(a, b NodeID) bool { return g.CMPOf(a) == g.CMPOf(b) }
-
 // L2BankFor returns the L2 bank on CMP c that serves block b.
 func (g Geometry) L2BankFor(c int, b mem.Block) NodeID {
 	return g.L2Node(c, g.Mapper.Bank(b))

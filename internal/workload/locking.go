@@ -100,14 +100,6 @@ type LockingProgram struct {
 	acquired int
 }
 
-// NewLockingProgram builds the thread for processor proc. All threads
-// must share mon.
-func NewLockingProgram(cfg LockingConfig, proc int, seed int64, mon *LockMonitor) *LockingProgram {
-	rng := rand.New(rand.NewSource(lockSeed(seed, proc)))
-	picks := appendPicks(make([]int32, 0, cfg.picksPerProc()), rng, cfg)
-	return &LockingProgram{cfg: cfg, proc: proc, picks: picks, mon: mon}
-}
-
 // picksPerProc is the number of locks a processor picks: one per
 // acquisition, and at least one, since the first is picked before the
 // Acquires check.

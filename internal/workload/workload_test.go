@@ -48,8 +48,8 @@ func runProgram(t *testing.T, p cpu.Program, fm *fakeMemory, limit int) bool {
 func TestLockingProgramCompletes(t *testing.T) {
 	cfg := DefaultLocking(4)
 	cfg.Acquires = 10
-	mon := NewLockMonitor()
-	p := NewLockingProgram(cfg, 0, 1, mon)
+	progs, mon := LockingPrograms(cfg, 1, 1)
+	p := progs[0].(*LockingProgram)
 	fm := &fakeMemory{}
 	if !runProgram(t, p, fm, 100000) {
 		t.Fatal("program did not finish")
@@ -70,7 +70,8 @@ func TestLockingProgramCompletes(t *testing.T) {
 
 func TestLockingAvoidsLastLock(t *testing.T) {
 	cfg := DefaultLocking(8)
-	p := NewLockingProgram(cfg, 0, 1, nil)
+	progs, _ := LockingPrograms(cfg, 1, 1)
+	p := progs[0].(*LockingProgram)
 	last := mem.Addr(0)
 	for i := 0; i < 50; i++ {
 		p.pickLock()
@@ -120,9 +121,9 @@ func acquiredLocks(t *testing.T, p cpu.Program) []mem.Addr {
 	return nil
 }
 
-// FuzzLockingPicks checks the picks LockingPrograms and
-// NewLockingProgram draw up front against the lazy reference generator:
-// every processor acquires the same locks in the same order.
+// FuzzLockingPicks checks the picks LockingPrograms draws up front
+// against the lazy reference generator: every processor acquires the
+// same locks in the same order.
 func FuzzLockingPicks(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, locks uint16, acquires, procs uint8) {
 		cfg := DefaultLocking(1 + int(locks)%1024)
@@ -131,16 +132,15 @@ func FuzzLockingPicks(f *testing.F) {
 		progs, _ := LockingPrograms(cfg, n, seed)
 		for proc, p := range progs {
 			got := acquiredLocks(t, p)
-			alone := acquiredLocks(t, NewLockingProgram(cfg, proc, seed, nil))
 			ref := newRefPicker(cfg.Locks, proc, seed)
-			if want := max(cfg.Acquires, 1); len(got) != want || len(alone) != want {
-				t.Fatalf("proc %d: %d and %d acquisitions, want %d", proc, len(got), len(alone), want)
+			if want := max(cfg.Acquires, 1); len(got) != want {
+				t.Fatalf("proc %d: %d acquisitions, want %d", proc, len(got), want)
 			}
 			for i := range got {
 				want := cfg.LockAddr(ref.next())
-				if got[i] != want || alone[i] != want {
-					t.Fatalf("proc %d acquisition %d: lock %#x (alone %#x), want %#x",
-						proc, i, uint64(got[i]), uint64(alone[i]), uint64(want))
+				if got[i] != want {
+					t.Fatalf("proc %d acquisition %d: lock %#x, want %#x",
+						proc, i, uint64(got[i]), uint64(want))
 				}
 			}
 		}
