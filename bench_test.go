@@ -27,8 +27,6 @@ import (
 	"tokencmp/internal/workload"
 )
 
-func simNewEngine() *sim.Engine { return sim.NewEngine() }
-
 // reportEventRate attaches host ns/event and events/sec to a bench.
 // events is one op's total over every run (the runs are deterministic,
 // so every op fires the same events); the time is wall clock at the
@@ -324,7 +322,7 @@ func BenchmarkProtocolHandoff(b *testing.B) {
 func BenchmarkAblationMigratory(b *testing.B) {
 	b.ReportAllocs()
 	run := func(disable bool) float64 {
-		eng := simNewEngine()
+		eng := sim.NewEngine()
 		g := topo.NewGeometry(4, 4, 4)
 		h := hier.Config{Geom: g, L1Size: 16 << 10, L2BankSize: 64 << 10}
 		cfg := tokencmp.DefaultConfig(tokencmp.Dst1)

@@ -42,7 +42,8 @@ type flagValues struct {
 // validate rejects flag values no run can use, with simd.Request's lower
 // bounds: a geometry needs at least one CMP, processor and bank; a zero
 // workload knob keeps the workload's default; and seeds, jitter, jobs
-// and timeout may not be negative.
+// and timeout may not be negative. Work jitter may not pass
+// experiments.MaxNS either, or it would wrap picosecond sim.Time.
 func validate(f flagValues) error {
 	for _, b := range []struct {
 		name   string
@@ -62,6 +63,9 @@ func validate(f flagValues) error {
 		if b.v < b.min {
 			return fmt.Errorf("mcsim: -%s must be >= %d, got %d", b.name, b.min, b.v)
 		}
+	}
+	if f.workJitter > experiments.MaxNS {
+		return fmt.Errorf("mcsim: -workjitter must be <= %d, got %d", experiments.MaxNS, f.workJitter)
 	}
 	if f.timeout < 0 {
 		return fmt.Errorf("mcsim: -timeout must be >= 0, got %v", f.timeout)

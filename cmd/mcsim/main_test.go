@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"tokencmp/internal/experiments"
 )
 
 func TestValidate(t *testing.T) {
@@ -28,6 +30,8 @@ func TestValidate(t *testing.T) {
 		{"seeds 0", func(f *flagValues) { f.seeds = 0 }, false},
 		{"jobs -3", func(f *flagValues) { f.jobs = -3 }, false},
 		{"workjitter -5", func(f *flagValues) { f.workJitter = -5 }, false},
+		{"workjitter at the sim.Time bound", func(f *flagValues) { f.workJitter = experiments.MaxNS }, true},
+		{"workjitter past the sim.Time bound", func(f *flagValues) { f.workJitter = experiments.MaxNS + 1 }, false},
 		{"timeout -1s", func(f *flagValues) { f.timeout = -time.Second }, false},
 	} {
 		f := ok

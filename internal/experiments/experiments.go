@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"tokencmp/internal/counters"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
@@ -66,7 +65,7 @@ func DefaultOptions() Options {
 		Geom:             topo.NewGeometry(4, 4, 4),
 		Seeds:            3,
 		Acquires:         32,
-		Barriers:         10,
+		Barriers:         20,
 		TxnsPerProc:      30,
 		CommercialL1:     16 << 10,
 		CommercialL2Bank: 64 << 10,
@@ -234,7 +233,7 @@ func (t *BarrierTable) Render(w io.Writer) {
 	bp := t.BaselineProto
 	baseF := t.Fixed[bp].Runtime.Mean()
 	baseJ := t.Jittered[bp].Runtime.Mean()
-	fmt.Fprintf(w, "Table 4: Barrier micro-benchmark runtime (normalized to %s)\n", bp)
+	fmt.Fprintf(w, "%s (normalized to %s)\n", table4Title, bp)
 	fmt.Fprintf(w, "%-22s %16s %22s\n", "Protocol", "3000ns fixed", "3000ns + U(-1k,+1k)")
 	for _, p := range t.Protocols {
 		fmt.Fprintf(w, "%-22s %16.2f %22.2f\n", p,
@@ -297,7 +296,7 @@ func RunCommercial(workloads, protocols []string, opt Options) (*Commercial, err
 // with the speedup the paper quotes: runtime(Dir)/runtime(X) - 1).
 func (c *Commercial) RenderRuntime(w io.Writer) {
 	bp := c.BaselineProto
-	fmt.Fprintf(w, "Figure 6: Commercial workload runtime (normalized to %s)\n", bp)
+	fmt.Fprintf(w, "%s (normalized to %s)\n", fig6Title, bp)
 	fmt.Fprintf(w, "%-22s", "Protocol")
 	for _, wl := range c.Workloads {
 		fmt.Fprintf(w, " %18s", wl)
@@ -330,9 +329,9 @@ func (c *Commercial) RenderRuntime(w io.Writer) {
 // RenderTraffic prints Figure 7a (inter-CMP) or 7b (intra-CMP): bytes by
 // message class, normalized to DirectoryCMP's total at that level.
 func (c *Commercial) RenderTraffic(w io.Writer, level stats.Level) {
-	name := "Figure 7a: Inter-CMP traffic"
+	name := fig7aTitle
 	if level == stats.IntraCMP {
-		name = "Figure 7b: Intra-CMP traffic"
+		name = fig7bTitle
 	}
 	bp := c.BaselineProto
 	fmt.Fprintf(w, "%s (bytes by message type, normalized to %s total)\n", name, bp)
@@ -362,49 +361,4 @@ func (c *Commercial) PersistentFraction(wl, proto string) float64 {
 		return 0
 	}
 	return float64(cell.Persist) / float64(cell.Misses)
-}
-
-// renderCounterBlocks prints one sorted counter table per protocol, in
-// the given order — the rendering behind the cmds' -counters flag.
-func renderCounterBlocks(w io.Writer, protocols []string, merged func(proto string) map[string]uint64) {
-	fmt.Fprintln(w, "\nEvent counters (summed over all runs of each protocol):")
-	for _, p := range protocols {
-		fmt.Fprintf(w, "%s:\n", p)
-		counters.Fprint(w, merged(p))
-	}
-}
-
-// RenderCounters prints the per-protocol event-counter totals of the
-// sweep, summed over lock counts and seeds.
-func (s *LockSweep) RenderCounters(w io.Writer) {
-	renderCounterBlocks(w, s.Protocols, func(p string) map[string]uint64 {
-		acc := map[string]uint64{}
-		for _, c := range s.Cells[p] {
-			counters.MergeInto(acc, c.Counters)
-		}
-		return acc
-	})
-}
-
-// RenderCounters prints the per-protocol event-counter totals of the
-// barrier study, summed over both jitter settings and all seeds.
-func (t *BarrierTable) RenderCounters(w io.Writer) {
-	renderCounterBlocks(w, t.Protocols, func(p string) map[string]uint64 {
-		acc := map[string]uint64{}
-		counters.MergeInto(acc, t.Fixed[p].Counters)
-		counters.MergeInto(acc, t.Jittered[p].Counters)
-		return acc
-	})
-}
-
-// RenderCounters prints the per-protocol event-counter totals of the
-// commercial study, summed over workloads and seeds.
-func (c *Commercial) RenderCounters(w io.Writer) {
-	renderCounterBlocks(w, c.Protocols, func(p string) map[string]uint64 {
-		acc := map[string]uint64{}
-		for _, wl := range c.Workloads {
-			counters.MergeInto(acc, c.Cells[wl][p].Counters)
-		}
-		return acc
-	})
 }

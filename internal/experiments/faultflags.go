@@ -9,9 +9,13 @@ import (
 	"tokencmp/internal/sim"
 )
 
+// MaxNS is the largest nanosecond count sim.NS converts without
+// overflowing picosecond sim.Time: the bound on every jitter flag.
+const MaxNS = math.MaxInt64 / int64(sim.Nanosecond)
+
 // RegisterFaultFlags installs the shared fault-injection flags
 // (-drop/-dup/-reorder/-jitter/-faultseed) on fs and returns a resolver
-// to call after parsing. All four cmds expose the same knobs, and the
+// to call after parsing. mcsim and figures expose the same knobs, and the
 // one plan they form governs on-chip and off-chip links alike; zero
 // values leave the network perfectly reliable and the run
 // byte-identical to a fault-free build. The resolver rejects a plan no
@@ -26,7 +30,6 @@ func RegisterFaultFlags(fs *flag.FlagSet) func() (network.FaultConfig, error) {
 		jitter  = fs.Int64("jitter", 0, "fault injection: per-message latency jitter bound in ns (all classes)")
 		seed    = fs.Int64("faultseed", 1, "fault injection: PRNG seed (same seed + knobs = identical run)")
 	)
-	const maxJitterNS = math.MaxInt64 / int64(sim.Nanosecond)
 	return func() (network.FaultConfig, error) {
 		// The comparisons are written so that NaN fails each of them.
 		switch {
@@ -36,8 +39,8 @@ func RegisterFaultFlags(fs *flag.FlagSet) func() (network.FaultConfig, error) {
 			return network.FaultConfig{}, fmt.Errorf("-dup must be in [0, 1], got %v", *dup)
 		case !(*reorder >= 0 && *reorder <= 1):
 			return network.FaultConfig{}, fmt.Errorf("-reorder must be in [0, 1], got %v", *reorder)
-		case *jitter < 0 || *jitter > maxJitterNS:
-			return network.FaultConfig{}, fmt.Errorf("-jitter must be in [0, %d] ns, got %d", maxJitterNS, *jitter)
+		case *jitter < 0 || *jitter > MaxNS:
+			return network.FaultConfig{}, fmt.Errorf("-jitter must be in [0, %d] ns, got %d", MaxNS, *jitter)
 		}
 		return network.FaultConfig{Seed: *seed, Drop: *drop, Dup: *dup, Reorder: *reorder, Jitter: sim.NS(*jitter)}, nil
 	}

@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"tokencmp/internal/stats"
-	"tokencmp/internal/topo"
 )
 
 // These regression tests assert the paper's qualitative results — who
-// wins and in which direction — on scaled-down runs. EXPERIMENTS.md
-// records full-size paper-vs-measured numbers.
+// wins and in which direction — on scaled-down runs. cmd/figures prints
+// the full-size figures (see README.md's command ↔ paper mapping).
 
 func quickOpts() Options {
 	opt := DefaultOptions()
@@ -161,5 +160,4 @@ func TestBarrierTableShape(t *testing.T) {
 	if table.Fixed["TokenCMP-dst1"].Runtime.Mean() > 1.25*base {
 		t.Errorf("dst1 = %.2f× Dir, expected comparable", table.Fixed["TokenCMP-dst1"].Runtime.Mean()/base)
 	}
-	_ = topo.Geometry{}
 }
