@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,34 +23,17 @@ import (
 	"tokencmp/internal/prof"
 )
 
-// flagValues are the flags parse checks.
-type flagValues struct {
-	fig                                   string
-	seeds, acquires, barriers, txns, jobs int
-}
-
 // parse returns the figure ids -fig selects ("all" selects every
-// figure), or an error for an unknown or empty id, fewer than one seed,
-// or a negative -acquires, -barriers, -txns or -jobs (0 keeps their
-// defaults).
-func parse(f flagValues) ([]string, error) {
-	for _, b := range []struct {
-		name   string
-		v, min int
-	}{
-		{"seeds", f.seeds, 1},
-		{"acquires", f.acquires, 0},
-		{"barriers", f.barriers, 0},
-		{"txns", f.txns, 0},
-		{"jobs", f.jobs, 0},
-	} {
-		if b.v < b.min {
-			return nil, fmt.Errorf("figures: -%s must be >= %d, got %d", b.name, b.min, b.v)
-		}
+// figure), or an error for an unknown or empty id or a negative -jobs.
+// Every other flag sets a field of the runs' experiments.Spec, which
+// Spec.Validate checks before anything runs.
+func parse(fig string, jobs int) ([]string, error) {
+	if jobs < 0 {
+		return nil, fmt.Errorf("figures: -jobs must be >= 0, got %d", jobs)
 	}
 	ids := experiments.FigureIDs()
-	if f.fig != "all" {
-		ids = strings.Split(f.fig, ",")
+	if fig != "all" {
+		ids = strings.Split(fig, ",")
 	}
 	if _, err := experiments.SelectFigures(ids); err != nil {
 		return nil, fmt.Errorf("figures: -fig: %w", err)
@@ -72,14 +56,9 @@ func main() {
 	)
 	faultFlags := experiments.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
-	ids, err := parse(flagValues{fig: *fig, seeds: *seeds, acquires: *acquires, barriers: *barriers, txns: *txns, jobs: *jobs})
+	ids, err := parse(*fig, *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faults, err := faultFlags()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
 
@@ -92,10 +71,13 @@ func main() {
 
 	opt := d
 	opt.Acquires, opt.Barriers, opt.TxnsPerProc = *acquires, *barriers, *txns
-	opt.Seeds, opt.Jobs, opt.Faults = *seeds, *jobs, faults
+	opt.Seeds, opt.Jobs, opt.Faults = *seeds, *jobs, faultFlags()
 	if err := experiments.RunFigures(os.Stdout, ids, opt, *ctrs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "figures:", err)
 		stopProf() // flush a usable CPU profile even on failure
+		if errors.Is(err, experiments.ErrInvalidSpec) {
+			os.Exit(2) // Spec.Validate refused the runs
+		}
 		os.Exit(1)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"tokencmp/internal/counters"
@@ -30,45 +31,15 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// flagValues are the numeric flags validate checks.
-type flagValues struct {
-	cmps, procs, banks              int
-	locks, acquires, barriers, txns int
-	seeds, jobs                     int
-	workJitter                      int64
-	timeout                         time.Duration
-}
-
-// validate rejects flag values no run can use, with simd.Request's lower
-// bounds: a geometry needs at least one CMP, processor and bank; a zero
-// workload knob keeps the workload's default; and seeds, jitter, jobs
-// and timeout may not be negative. Work jitter may not pass
-// experiments.MaxNS either, or it would wrap picosecond sim.Time.
-func validate(f flagValues) error {
-	for _, b := range []struct {
-		name   string
-		v, min int64
-	}{
-		{"cmps", int64(f.cmps), 1},
-		{"procs", int64(f.procs), 1},
-		{"banks", int64(f.banks), 1},
-		{"locks", int64(f.locks), 0},
-		{"acquires", int64(f.acquires), 0},
-		{"barriers", int64(f.barriers), 0},
-		{"txns", int64(f.txns), 0},
-		{"seeds", int64(f.seeds), 1},
-		{"jobs", int64(f.jobs), 0},
-		{"workjitter", f.workJitter, 0},
-	} {
-		if b.v < b.min {
-			return fmt.Errorf("mcsim: -%s must be >= %d, got %d", b.name, b.min, b.v)
-		}
+// validate rejects a -jobs or -timeout no command can use. Every other
+// flag is a field of the run's experiments.Spec, which Spec.Validate
+// checks.
+func validate(jobs int, timeout time.Duration) error {
+	if jobs < 0 {
+		return fmt.Errorf("mcsim: -jobs must be >= 0, got %d", jobs)
 	}
-	if f.workJitter > experiments.MaxNS {
-		return fmt.Errorf("mcsim: -workjitter must be <= %d, got %d", experiments.MaxNS, f.workJitter)
-	}
-	if f.timeout < 0 {
-		return fmt.Errorf("mcsim: -timeout must be >= 0, got %v", f.timeout)
+	if timeout < 0 {
+		return fmt.Errorf("mcsim: -timeout must be >= 0, got %v", timeout)
 	}
 	return nil
 }
@@ -77,11 +48,11 @@ func main() {
 	d := experiments.DefaultSpec()
 	var (
 		proto    = flag.String("proto", d.Protocol, "protocol (see -list)")
-		wl       = flag.String("workload", d.Workload, "locking, barrier, OLTP, Apache, or SPECjbb")
+		wl       = flag.String("workload", d.Workload, strings.Join(experiments.WorkloadNames(), ", "))
 		locks    = flag.Int("locks", d.Locks, "locking: number of locks")
 		acquires = flag.Int("acquires", d.Acquires, "locking: acquires per processor")
 		barriers = flag.Int("barriers", d.Barriers, "barrier: rounds")
-		wjitter  = flag.Int64("workjitter", d.WorkJitter.Nanoseconds(), "barrier: work jitter in ns")
+		wjitter  = flag.Int64("workjitter", d.WorkJitter.Nanoseconds(), fmt.Sprintf("barrier: work jitter in ns, in [0, %d]", experiments.MaxJitter.Nanoseconds()))
 		txns     = flag.Int("txns", d.Txns, "commercial: transactions per processor")
 		cmps     = flag.Int("cmps", d.Geom.CMPs, "CMP count")
 		procs    = flag.Int("procs", d.Geom.ProcsPerCMP, "processors per CMP")
@@ -112,18 +83,27 @@ func main() {
 		return
 	}
 
-	if err := validate(flagValues{
-		cmps: *cmps, procs: *procs, banks: *banks,
-		locks: *locks, acquires: *acquires, barriers: *barriers, txns: *txns,
-		seeds: *seeds, jobs: *jobs,
-		workJitter: *wjitter,
-		timeout:    *timeout,
-	}); err != nil {
+	if err := validate(*jobs, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	faults, err := faultFlags()
-	if err != nil {
+	// Run k of the sweep uses seed -seed+k and fault seed -faultseed+k,
+	// so every run sees an independent workload and fault pattern.
+	spec := experiments.Spec{
+		Protocol:   *proto,
+		Geom:       topo.NewGeometry(*cmps, *procs, *banks),
+		Workload:   *wl,
+		Locks:      *locks,
+		Acquires:   *acquires,
+		Barriers:   *barriers,
+		WorkJitter: sim.NS(*wjitter),
+		Txns:       *txns,
+		Seed:       *seed,
+		Seeds:      *seeds,
+		Faults:     faultFlags(),
+		Check:      *check,
+	}
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "mcsim:", err)
 		os.Exit(2)
 	}
@@ -142,22 +122,6 @@ func main() {
 		defer cancelBudget()
 	}
 
-	// Run k of the sweep uses seed -seed+k and fault seed -faultseed+k,
-	// so every run sees an independent workload and fault pattern.
-	spec := experiments.Spec{
-		Protocol:   *proto,
-		Geom:       topo.NewGeometry(*cmps, *procs, *banks),
-		Workload:   *wl,
-		Locks:      *locks,
-		Acquires:   *acquires,
-		Barriers:   *barriers,
-		WorkJitter: sim.NS(*wjitter),
-		Txns:       *txns,
-		Seed:       *seed,
-		Seeds:      *seeds,
-		Faults:     faults,
-		Check:      *check,
-	}
 	// The cell folds every run that completed, so when the wall-clock
 	// budget expires the completed runs are still reportable as partial
 	// progress.

@@ -56,7 +56,7 @@ func TestCounterDigests(t *testing.T) {
 			t.Run(proto+"/"+name, func(t *testing.T) {
 				s := DefaultSpec()
 				s.Protocol, s.Workload = proto, name
-				res, _, err := s.Run(context.Background())
+				res, _, err := s.run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

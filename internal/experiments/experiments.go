@@ -16,7 +16,6 @@ import (
 	"tokencmp/internal/sim"
 	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
-	"tokencmp/internal/workload"
 )
 
 // Options configures an experiment run.
@@ -247,19 +246,6 @@ type Commercial struct {
 	Protocols     []string
 	BaselineProto string                      // resolved normalization protocol
 	Cells         map[string]map[string]*Cell // workload → protocol → cell
-}
-
-// CommercialParamsFor returns the surrogate parameters by name.
-func CommercialParamsFor(name string) (workload.CommercialParams, error) {
-	switch name {
-	case "OLTP":
-		return workload.OLTP(), nil
-	case "Apache":
-		return workload.Apache(), nil
-	case "SPECjbb":
-		return workload.SPECjbb(), nil
-	}
-	return workload.CommercialParams{}, fmt.Errorf("unknown workload %q", name)
 }
 
 // RunCommercial measures the commercial surrogates on all protocols.

@@ -37,7 +37,7 @@ func TestSpecReproducesSweepRun(t *testing.T) {
 	for k := 1; k <= spec.Seeds; k++ {
 		one := spec
 		one.Seed, one.Faults.Seed, one.Seeds = int64(k), spec.Faults.Seed+int64(k)-1, 1
-		res, _, err := one.Run(context.Background())
+		res, _, err := one.run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

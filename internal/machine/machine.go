@@ -10,6 +10,8 @@ package machine
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
@@ -72,6 +74,15 @@ func Protocols() []string {
 	return append(names, "PerfectL2")
 }
 
+// CheckProtocol returns nil for a name Protocols lists, and otherwise
+// an error that lists them.
+func CheckProtocol(name string) error {
+	if slices.Contains(Protocols(), name) {
+		return nil
+	}
+	return fmt.Errorf("machine: unknown protocol %q (known: %s)", name, strings.Join(Protocols(), ", "))
+}
+
 // Machine is a built system plus its processors and monitors.
 type Machine struct {
 	Eng   *sim.Engine
@@ -105,9 +116,10 @@ func New(cfg Config) (*Machine, error) {
 	case "PerfectL2":
 		m.Proto = perfectl2.NewSystem(eng, h)
 	default:
-		v, err := tokencmp.VariantByName(cfg.Protocol)
-		if err != nil {
-			return nil, err
+		v, ok := tokencmp.VariantByName(cfg.Protocol)
+		if !ok {
+			// Not a variant, so not in Protocols: CheckProtocol fails.
+			return nil, CheckProtocol(cfg.Protocol)
 		}
 		tcfg := tokencmp.DefaultConfig(v)
 		tcfg.Seed = cfg.Seed

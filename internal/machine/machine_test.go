@@ -579,3 +579,21 @@ func TestTable3RunAllocatesLittle(t *testing.T) {
 		}
 	}
 }
+
+// TestNewUnknownProtocol checks that New and CheckProtocol agree on
+// which names build, and that an unknown name is reported with the
+// known ones.
+func TestNewUnknownProtocol(t *testing.T) {
+	known := "(known: " + strings.Join(Protocols(), ", ") + ")"
+	for _, name := range append(Protocols(), "Foo", "", "tokencmp-dst1", "TokenCMP") {
+		cfg := Config{Protocol: name, Geom: topo.NewGeometry(2, 2, 1)}
+		_, err := New(cfg)
+		if check := CheckProtocol(name); (err == nil) != (check == nil) {
+			t.Errorf("%q: New = %v but CheckProtocol = %v", name, err, check)
+		}
+		want := fmt.Sprintf("machine: unknown protocol %q %s", name, known)
+		if err != nil && err.Error() != want {
+			t.Errorf("%q: New = %q, want %q", name, err, want)
+		}
+	}
+}

@@ -40,7 +40,11 @@
 // neither held nor on the wire — TokenAudit balances at every instant.
 package network
 
-import "tokencmp/internal/sim"
+import (
+	"fmt"
+
+	"tokencmp/internal/sim"
+)
 
 // FaultClass partitions messages by how the injector may treat them.
 // The protocol assigns classes through Network.Classify.
@@ -84,6 +88,24 @@ type FaultConfig struct {
 	// classes; per-link FIFO order is preserved unless the reorder
 	// knob fires).
 	Jitter sim.Time
+}
+
+// Validate rejects a plan no run can use: Drop must lie in [0, 1),
+// because a retransmitted token carrier dropped with certainty is
+// resent forever; Dup and Reorder in [0, 1]; Jitter must not be
+// negative. The comparisons are written so that NaN fails each of them.
+func (f FaultConfig) Validate() error {
+	switch {
+	case !(f.Drop >= 0 && f.Drop < 1):
+		return fmt.Errorf("drop must be in [0, 1), got %v", f.Drop)
+	case !(f.Dup >= 0 && f.Dup <= 1):
+		return fmt.Errorf("dup must be in [0, 1], got %v", f.Dup)
+	case !(f.Reorder >= 0 && f.Reorder <= 1):
+		return fmt.Errorf("reorder must be in [0, 1], got %v", f.Reorder)
+	case f.Jitter < 0:
+		return fmt.Errorf("jitter must be >= 0 ns, got %d ns", f.Jitter.Nanoseconds())
+	}
+	return nil
 }
 
 // Enabled reports whether any fault knob is set.

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -313,5 +314,33 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("seeds 5 and 6 produced identical runs (fault PRNG ignoring the seed?)")
+	}
+}
+
+// TestFaultConfigValidate checks the plan's ranges: drop in [0, 1), dup
+// and reorder in [0, 1], jitter not negative, and no NaN. The jitter's
+// upper bound is experiments.MaxJitter (see TestSpecValidate there).
+func TestFaultConfigValidate(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		fc FaultConfig
+		ok bool
+	}{
+		{FaultConfig{Seed: 1}, true},
+		{FaultConfig{Seed: 9, Drop: 0.99, Dup: 1, Reorder: 1, Jitter: sim.NS(3)}, true},
+		{FaultConfig{Drop: 1}, false},
+		{FaultConfig{Drop: -0.5}, false},
+		{FaultConfig{Drop: nan}, false},
+		{FaultConfig{Dup: 1.5}, false},
+		{FaultConfig{Dup: -0.1}, false},
+		{FaultConfig{Dup: nan}, false},
+		{FaultConfig{Reorder: 7}, false},
+		{FaultConfig{Reorder: -1}, false},
+		{FaultConfig{Reorder: nan}, false},
+		{FaultConfig{Jitter: sim.NS(-1)}, false},
+	} {
+		if err := tc.fc.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate = %v, want ok=%v", tc.fc, err, tc.ok)
+		}
 	}
 }

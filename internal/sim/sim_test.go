@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -536,5 +537,30 @@ func TestRunYields(t *testing.T) {
 	e.Run(0)
 	if seenAt == 0 || seenAt > 2*CancelCheckEvery+1 {
 		t.Fatalf("goroutine first seen at event %d of %d, want by event %d", seenAt, e.Executed, 2*CancelCheckEvery+1)
+	}
+}
+
+// TestNSClamps checks that a nanosecond count past picosecond Time
+// clamps to the largest count that fits instead of wrapping into range.
+func TestNSClamps(t *testing.T) {
+	top := Time(maxNS) * Nanosecond
+	for _, tc := range []struct {
+		ns   int64
+		want Time
+	}{
+		{0, 0},
+		{3, 3000},
+		{-5, -5000},
+		{maxNS, top},
+		{maxNS + 1, top},
+		{18446744073709552, top},   // wraps to 384 ps unclamped
+		{-18446744073709551, -top}, // wraps to 616 ps unclamped
+		{math.MaxInt64, top},
+		{-maxNS - 1, -top},
+		{math.MinInt64, -top},
+	} {
+		if got := NS(tc.ns); got != tc.want {
+			t.Errorf("NS(%d) = %d, want %d", tc.ns, got, tc.want)
+		}
 	}
 }

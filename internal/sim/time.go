@@ -7,7 +7,10 @@
 // pseudo-random perturbation methodology of Alameldeen & Wood.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is simulated time in picoseconds. Picosecond resolution lets the
 // engine express both the 0.5 ns processor cycle of the paper's 2 GHz
@@ -22,8 +25,11 @@ const (
 	Millisecond Time = 1000 * Microsecond
 )
 
-// NS returns n nanoseconds as a Time.
-func NS(n int64) Time { return Time(n) * Nanosecond }
+// NS returns n nanoseconds as a Time. A count past Time's picosecond
+// range clamps to the largest that fits instead of wrapping into range.
+func NS(n int64) Time { return Time(min(max(n, -maxNS), maxNS)) * Nanosecond }
+
+const maxNS = math.MaxInt64 / int64(Nanosecond)
 
 // Nanoseconds reports t in (possibly fractional, truncated) nanoseconds.
 func (t Time) Nanoseconds() int64 { return int64(t / Nanosecond) }

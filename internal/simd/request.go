@@ -17,11 +17,8 @@ package simd
 import (
 	"cmp"
 	"fmt"
-	"sort"
-	"strings"
 
 	"tokencmp/internal/experiments"
-	"tokencmp/internal/machine"
 	"tokencmp/internal/topo"
 )
 
@@ -42,7 +39,7 @@ const (
 // deadline share one underlying run and one cached body.
 type Request struct {
 	Protocol string `json:"protocol"`
-	Workload string `json:"workload"` // locking, barrier, OLTP, Apache, SPECjbb
+	Workload string `json:"workload"` // see experiments.WorkloadNames
 	Locks    int    `json:"locks"`    // locking: number of locks
 	Acquires int    `json:"acquires"` // locking: acquires per processor
 	Barriers int    `json:"barriers"` // barrier: rounds
@@ -92,74 +89,50 @@ func (r *Request) Spec() experiments.Spec {
 	}
 }
 
-// workloads the daemon accepts (chaos names are gated separately).
-var workloads = map[string]bool{
-	"locking": true, "barrier": true,
-	"OLTP": true, "Apache": true, "SPECjbb": true,
-}
-
-// Validate rejects requests the simulator cannot run or that would be
-// unreasonably large for a shared daemon. chaos admits the synthetic
-// failure workloads used by tests.
+// Validate rejects a request the simulator cannot run (see
+// experiments.Spec.Validate) or that is too large for a shared daemon.
+// chaos admits the synthetic failure workloads used by tests, which are
+// checked and sized as a locking run.
 func (r *Request) Validate(chaos bool) error {
-	protoOK := false
-	for _, p := range machine.Protocols() {
-		if p == r.Protocol {
-			protoOK = true
-			break
-		}
+	spec := r.Spec()
+	if chaos && (r.Workload == ChaosPanic || r.Workload == ChaosHang) {
+		spec.Workload = "locking"
 	}
-	if !protoOK {
-		return fmt.Errorf("unknown protocol %q (known: %s)", r.Protocol, strings.Join(machine.Protocols(), ", "))
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	switch {
-	case workloads[r.Workload]:
-	case (r.Workload == ChaosPanic || r.Workload == ChaosHang) && chaos:
-	default:
-		names := make([]string, 0, len(workloads))
-		for w := range workloads {
-			names = append(names, w)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("unknown workload %q (known: %s)", r.Workload, strings.Join(names, ", "))
+	if r.TimeoutMS < 0 || r.TimeoutMS > 1<<22 {
+		return fmt.Errorf("timeout_ms = %d out of range [0, %d]", r.TimeoutMS, 1<<22)
 	}
-	bounds := []struct {
-		name      string
-		v, lo, hi int
+	for _, c := range []struct {
+		name   string
+		v, max int
 	}{
-		{"locks", r.Locks, 1, 1 << 12},
-		{"acquires", r.Acquires, 1, 1 << 16},
-		{"barriers", r.Barriers, 1, 1 << 12},
-		{"txns", r.Txns, 1, 1 << 12},
-		{"cmps", r.CMPs, 1, 16},
-		{"procs", r.Procs, 1, 16},
-		{"banks", r.Banks, 1, 16},
-		{"seeds", r.Seeds, 1, 64},
-		{"timeout_ms", r.TimeoutMS, 0, 1 << 22},
-	}
-	for _, b := range bounds {
-		if b.v < b.lo || b.v > b.hi {
-			return fmt.Errorf("%s = %d out of range [%d, %d]", b.name, b.v, b.lo, b.hi)
+		{"locks", r.Locks, 1 << 12},
+		{"acquires", r.Acquires, 1 << 16},
+		{"barriers", r.Barriers, 1 << 12},
+		{"txns", r.Txns, 1 << 12},
+		{"cmps", r.CMPs, 16},
+		{"procs", r.Procs, 16},
+		{"banks", r.Banks, 16},
+		{"seeds", r.Seeds, 64},
+	} {
+		if c.v > c.max {
+			return fmt.Errorf("%s = %d exceeds the daemon's cap of %d", c.name, c.v, c.max)
 		}
 	}
 	return nil
 }
 
 // EstimatedOps approximates the work a normalized request will do:
-// per-processor operation count for its workload family, times the
-// total processors, times the seeds, doubled when the coherence
+// the per-processor operation count of its workload
+// (experiments.Spec.OpsPerProc, acquires for a chaos workload), times
+// the total processors, times the seeds, doubled when the coherence
 // monitors and token audit are on. It is a pure function of the
 // request, so the admission class it induces is stable across
 // retries, restarts, and replicas.
 func (r *Request) EstimatedOps() int64 {
-	perProc := int64(r.Acquires)
-	switch r.Workload {
-	case "barrier":
-		perProc = int64(r.Barriers)
-	case "OLTP", "Apache", "SPECjbb":
-		perProc = int64(r.Txns)
-	}
-	ops := int64(r.Seeds) * perProc * int64(r.CMPs*r.Procs)
+	ops := int64(r.Seeds) * int64(r.Spec().OpsPerProc()) * int64(r.CMPs*r.Procs)
 	if r.Check {
 		ops *= 2
 	}

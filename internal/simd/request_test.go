@@ -109,3 +109,61 @@ func TestResponseMatchesSpecCell(t *testing.T) {
 		t.Errorf("response does not cover three seeds of the workload: %+v", got)
 	}
 }
+
+// TestRequestValidate checks the daemon's gate. A zero request after
+// Normalize is a valid Spec, so a tighter Spec rule can never make the
+// daemon reject its own defaults. The chaos workloads pass only with
+// the gate open, and are checked as a locking run. The size caps hold.
+func TestRequestValidate(t *testing.T) {
+	var zero Request
+	zero.Normalize()
+	if err := zero.Spec().Validate(); err != nil {
+		t.Errorf("normalized zero request: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		req   Request
+		chaos bool
+		ok    bool
+	}{
+		{"zero request", Request{}, false, true},
+		{"chaos gate closed", Request{Workload: ChaosPanic}, false, false},
+		{"chaos gate open", Request{Workload: ChaosHang}, true, true},
+		{"chaos gate open, cmps -1", Request{Workload: ChaosHang, CMPs: -1}, true, false},
+		{"acquires -1", Request{Acquires: -1}, false, false},
+		{"locks at the cap", Request{Locks: 1 << 12}, false, true},
+		{"locks past the cap", Request{Locks: 1<<12 + 1}, false, false},
+		{"procs past the cap", Request{Procs: 17}, false, false},
+		{"seeds past the cap", Request{Seeds: 65}, false, false},
+		{"timeout_ms at the cap", Request{TimeoutMS: 1 << 22}, false, true},
+		{"timeout_ms past the cap", Request{TimeoutMS: 1<<22 + 1}, false, false},
+		{"timeout_ms -1", Request{TimeoutMS: -1}, false, false},
+	} {
+		r := tc.req
+		r.Normalize()
+		if err := r.Validate(tc.chaos); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestEstimatedOpsReadsWorkloadKnob checks that each workload is sized
+// by its own knob, and a chaos workload by its acquires.
+func TestEstimatedOpsReadsWorkloadKnob(t *testing.T) {
+	for _, tc := range []struct {
+		req  Request
+		want int64
+	}{
+		{Request{Workload: "locking", Acquires: 3}, 3 * 16},
+		{Request{Workload: "barrier", Barriers: 5}, 5 * 16},
+		{Request{Workload: "OLTP", Txns: 7}, 7 * 16},
+		{Request{Workload: "SPECjbb", Txns: 7, Seeds: 2}, 2 * 7 * 16},
+		{Request{Workload: ChaosHang, Acquires: 9}, 9 * 16},
+	} {
+		r := tc.req
+		r.Normalize()
+		if got := r.EstimatedOps(); got != tc.want {
+			t.Errorf("%+v: EstimatedOps = %d, want %d", tc.req, got, tc.want)
+		}
+	}
+}

@@ -180,7 +180,7 @@ func TestServerRejectsBadInput(t *testing.T) {
 	d := newTestDaemon(t, Config{})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
-	for _, body := range []string{
+	bodies := []string{
 		`{`,
 		`{"bogus_field":1}`,
 		`{"protocol":"NoSuchCMP"}`,
@@ -188,14 +188,18 @@ func TestServerRejectsBadInput(t *testing.T) {
 		`{"cmps":999}`,
 		`{"seeds":-2}`,
 		`{"workload":"__panic"}`, // chaos gate off
-	} {
+		`{"locks":-1}`,
+		`{"workload":"barrier","barriers":5000}`,
+		`{"timeout_ms":-1}`,
+	}
+	for _, body := range bodies {
 		code, _, resp := post(t, ts.Client(), ts.URL, body)
 		if code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d (%s), want 400", body, code, resp)
 		}
 	}
-	if got := d.Metrics().BadInput.Load(); got != 7 {
-		t.Errorf("BadInput = %d, want 7", got)
+	if got := d.Metrics().BadInput.Load(); got != uint64(len(bodies)) {
+		t.Errorf("BadInput = %d, want %d", got, len(bodies))
 	}
 }
 

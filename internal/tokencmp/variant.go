@@ -6,8 +6,6 @@
 // token counting among all caches and memory controllers.
 package tokencmp
 
-import "fmt"
-
 // Activation selects the persistent-request activation mechanism (§3.2).
 type Activation int
 
@@ -58,11 +56,11 @@ func Variants() []Variant {
 }
 
 // VariantByName finds a variant by its paper name.
-func VariantByName(name string) (Variant, error) {
+func VariantByName(name string) (Variant, bool) {
 	for _, v := range Variants() {
 		if v.Name == name {
-			return v, nil
+			return v, true
 		}
 	}
-	return Variant{}, fmt.Errorf("tokencmp: unknown variant %q", name)
+	return Variant{}, false
 }

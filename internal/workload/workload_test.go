@@ -222,6 +222,26 @@ func TestBarrierJitterBounded(t *testing.T) {
 	}
 }
 
+// TestBarrierJitterAtTheBound draws work at 1 ms of jitter, the largest
+// that experiments.Spec.Validate accepts (experiments.MaxJitter). Every
+// draw lies in [Work-J, Work+J], clamped at zero, and none panics.
+func TestBarrierJitterAtTheBound(t *testing.T) {
+	cfg := DefaultBarrier(2, sim.Millisecond)
+	p := NewBarrierProgram(cfg, 0, 1, nil)
+	lo, hi := max(cfg.Work-cfg.Jitter, 0), cfg.Work+cfg.Jitter
+	sawLong := false
+	for range 1000 {
+		w := p.work()
+		if w < lo || w > hi {
+			t.Fatalf("work %v outside [%v, %v]", w, lo, hi)
+		}
+		sawLong = sawLong || w > cfg.Work+cfg.Jitter/2
+	}
+	if !sawLong {
+		t.Error("1000 draws never passed Work+J/2: the jitter is not applied")
+	}
+}
+
 // TestBarrierJitterBuiltLazily pins the lazily built jitter source: a
 // barrier thread without jitter builds none over a whole run, and one
 // with jitter draws the stream of a source seeded up front.
