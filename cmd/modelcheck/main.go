@@ -77,7 +77,7 @@ func main() {
 		caches   = flag.Int("caches", 3, "caches in every model (the paper's Section 5 scale is 3)")
 		tokens   = flag.Int("tokens", 4, "tokens per block in the token models")
 		msgs     = flag.Int("msgs", 0, "in-flight message bound (0 = per-model default: 2 token, 3 directory, 5 hammer)")
-		limit    = flag.Int("limit", 0, "exact state-count cap (0 = the 5,000,000 default; must be >= 0)")
+		limit    = flag.Int("limit", 0, "exact state-count cap (0 = the 5,000,000 default; must be >= 0); a check the cap cuts short reports PARTIAL and the exit status is non-zero")
 		jobs     = flag.Int("jobs", 0, "concurrent frontier-expansion workers (0 = one per CPU; must be >= 0)")
 		symmetry = flag.Bool("symmetry", true, "canonicalize states under cache permutation (Ip&Dill scalarset-style reduction, up to caches! fewer states)")
 		loss     = flag.Bool("loss", false, "token models: enable interconnect message loss with token recreation (verifies conservation modulo recreation)")
@@ -142,11 +142,11 @@ func main() {
 	}
 
 	failed := false
-	interrupted := false
+	partial := false
 	run := func(m mc.Model) {
 		res := mc.CheckOpt(m, mc.Options{Limit: *limit, Jobs: *jobs, Symmetry: *symmetry, Context: ctx})
-		if res.Interrupted {
-			interrupted = true
+		if res.Partial {
+			partial = true
 		}
 		note := ""
 		if *symmetry && !res.Symmetry {
@@ -194,10 +194,14 @@ func main() {
 	if want("hammer") {
 		fmt.Printf("  flat hammer (broadcast):  %s\n", modelLoC("internal/mc/models/hammer.go"))
 	}
-	if interrupted {
-		fmt.Fprintf(os.Stderr, "modelcheck: wall-clock budget %v exhausted; PARTIAL results above cover the explored prefix only\n", *timeout)
+	if partial {
+		cause := fmt.Sprintf("state cap -limit %d reached", *limit)
+		if ctx.Err() != nil {
+			cause = fmt.Sprintf("wall-clock budget %v exhausted", *timeout)
+		}
+		fmt.Fprintf(os.Stderr, "modelcheck: %s; PARTIAL results above cover the explored prefix only\n", cause)
 	}
-	if failed || interrupted {
+	if failed || partial {
 		stopProf()
 		os.Exit(1)
 	}

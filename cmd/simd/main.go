@@ -24,49 +24,32 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"tokencmp/internal/simd"
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers  = flag.Int("workers", 4, "total admission slots, split across cost classes (see -light/-heavy/-reserve)")
-		queue    = flag.Int("queue", 16, "total waiting requests beyond the slots before shedding with 429")
-		light    = flag.Int("light", 0, "dedicated light-class slots (0: derive from -workers)")
-		heavy    = flag.Int("heavy", 0, "dedicated heavy-class slots (0: derive from -workers)")
-		reserve  = flag.Int("reserve", 0, "shared overflow slots either class may borrow (0: derive from -workers)")
-		heavyOps = flag.Int64("heavy-ops", simd.DefaultHeavyOpsThreshold, "estimated ops at or above which a request competes in the heavy class")
-		entries  = flag.Int("cache-entries", 256, "result cache capacity (bodies)")
-		ttl      = flag.Duration("cache-ttl", 10*time.Minute, "result cache entry lifetime")
-		dir      = flag.String("cache-dir", "", "durable cache directory; results survive restarts (empty: memory-only)")
-		brkN     = flag.Int("breaker-panics", 3, "engine panics for one key before it is negatively cached (-1: disable)")
-		brkCool  = flag.Duration("breaker-cooldown", time.Minute, "how long a poisoned key is answered 422 before a probe retry")
-		reqTo    = flag.Duration("request-timeout", 30*time.Second, "default per-request deadline")
-		maxTo    = flag.Duration("max-timeout", 5*time.Minute, "ceiling clamped onto requested deadlines")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight runs and cache flushes")
-		chaos    = flag.Bool("chaos", false, "accept the __panic/__hang test workloads (smoke tests only)")
-	)
+	cfg := simd.DefaultConfig()
+	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
+	flag.IntVar(&cfg.MaxConcurrent, "workers", cfg.MaxConcurrent, "total admission slots, split into light, heavy and shared reserve pools (must be >= 1)")
+	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "total waiting requests beyond the slots before shedding with 429, halved between the classes (must be >= 1)")
+	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "result cache capacity in bodies (must be >= 1)")
+	flag.DurationVar(&cfg.CacheTTL, "cache-ttl", cfg.CacheTTL, "result cache entry lifetime (<= 0: never expires)")
+	flag.StringVar(&cfg.CacheDir, "cache-dir", cfg.CacheDir, "durable cache directory; results survive restarts (empty: memory-only)")
+	flag.DurationVar(&cfg.DefaultTimeout, "request-timeout", cfg.DefaultTimeout, "default per-request deadline (must be > 0)")
+	flag.DurationVar(&cfg.MaxTimeout, "max-timeout", cfg.MaxTimeout, "ceiling clamped onto requested deadlines (must be > 0)")
+	flag.DurationVar(&cfg.DrainTimeout, "drain", cfg.DrainTimeout, "graceful-shutdown budget for in-flight runs and cache flushes (must be > 0)")
 	flag.Parse()
 
-	d, err := simd.New(simd.Config{
-		MaxConcurrent:     *workers,
-		QueueDepth:        *queue,
-		LightSlots:        *light,
-		HeavySlots:        *heavy,
-		ReserveSlots:      *reserve,
-		HeavyOpsThreshold: *heavyOps,
-		CacheEntries:      *entries,
-		CacheTTL:          *ttl,
-		CacheDir:          *dir,
-		BreakerPanics:     *brkN,
-		BreakerCooldown:   *brkCool,
-		DefaultTimeout:    *reqTo,
-		MaxTimeout:        *maxTo,
-		DrainTimeout:      *drain,
-		Chaos:             *chaos,
-	})
+	if err := validate(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "simd:", err)
+		os.Exit(2)
+	}
+	run := cfg
+	if run.CacheTTL <= 0 {
+		run.CacheTTL = -1 // never expires; Normalize would read a zero as the default
+	}
+	d, err := simd.New(run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(1)
@@ -78,12 +61,12 @@ func main() {
 		os.Exit(1)
 	}
 	persist := "memory-only"
-	if *dir != "" {
+	if cfg.CacheDir != "" {
 		persist = fmt.Sprintf("dir=%s restored=%d torn=%d expired=%d",
-			*dir, d.Metrics().Restored.Load(), d.Metrics().RestoreTorn.Load(), d.Metrics().RestoreExpired.Load())
+			cfg.CacheDir, d.Metrics().Restored.Load(), d.Metrics().RestoreTorn.Load(), d.Metrics().RestoreExpired.Load())
 	}
 	fmt.Printf("simd: listening on %s (workers=%d queue=%d cache=%d ttl=%v %s)\n",
-		ln.Addr(), *workers, *queue, *entries, *ttl, persist)
+		ln.Addr(), cfg.MaxConcurrent, cfg.QueueDepth, cfg.CacheEntries, cfg.CacheTTL, persist)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -92,4 +75,25 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("simd: drained cleanly")
+}
+
+// validate refuses the flag values simd.Config.Normalize would
+// silently replace with a default: a slot, queue or cache size below
+// one, or a deadline or drain budget that is not positive.
+func validate(c simd.Config) error {
+	switch {
+	case c.MaxConcurrent < 1:
+		return fmt.Errorf("-workers = %d, must be >= 1", c.MaxConcurrent)
+	case c.QueueDepth < 1:
+		return fmt.Errorf("-queue = %d, must be >= 1", c.QueueDepth)
+	case c.CacheEntries < 1:
+		return fmt.Errorf("-cache-entries = %d, must be >= 1", c.CacheEntries)
+	case c.DefaultTimeout <= 0:
+		return fmt.Errorf("-request-timeout = %v, must be > 0", c.DefaultTimeout)
+	case c.MaxTimeout <= 0:
+		return fmt.Errorf("-max-timeout = %v, must be > 0", c.MaxTimeout)
+	case c.DrainTimeout <= 0:
+		return fmt.Errorf("-drain = %v, must be > 0", c.DrainTimeout)
+	}
+	return nil
 }

@@ -6,10 +6,11 @@
 //   - safety invariants in every reachable state (token conservation,
 //     the coherence invariant, and a serial view of memory);
 //   - deadlock freedom (every non-quiescent state has a successor);
-//   - starvation freedom as the CTL property AG(pending → EF satisfied),
+//   - starvation freedom as the CTL property AG(pending → EF ¬pending),
 //     decided by backward reachability over the explored state graph —
 //     under fair scheduling this implies every persistent request is
-//     eventually satisfied.
+//     eventually satisfied. A run cut short by the state cap or a
+//     cancelled context is marked Partial and leaves this undecided.
 //
 // Because the token models drive the performance-policy interface
 // nondeterministically (any holder may spill any tokens toward any cache
@@ -59,17 +60,16 @@ type Model interface {
 	// Quiescent reports whether a state is allowed to have no successors.
 	Quiescent(s string) bool
 	// Pending reports whether the state has an outstanding request that
-	// must eventually be satisfied.
+	// must eventually be satisfied; a state that is not pending
+	// satisfies every request.
 	Pending(s string) bool
-	// Satisfying reports whether the state satisfies all requests.
-	Satisfying(s string) bool
 }
 
 // Symmetric is implemented by models whose packed layout declares its
 // cache symmetry (see Symmetry in symmetry.go). Symmetry may return
 // nil when the model's rules are not permutation-invariant — such a
 // model is always explored unreduced. The predicate methods (Check,
-// Pending, Satisfying, Quiescent) of a Symmetric model must themselves
+// Pending, Quiescent) of a Symmetric model must themselves
 // be permutation-invariant, since with reduction on they are evaluated
 // on orbit representatives only.
 type Symmetric interface {
@@ -91,11 +91,8 @@ type Options struct {
 	Symmetry bool
 	// Context aborts the exploration between BFS levels: once it is
 	// cancelled, the current level finishes merging and the run stops
-	// with Result.Interrupted set, reporting the consistent subgraph
-	// explored so far (safety violations and deadlocks already found
-	// are real; the starvation pass is skipped, since unexpanded
-	// frontier states would read as false starvation). Nil, or a
-	// never-cancellable context, checks to completion.
+	// with Result.Partial set. Nil, or a never-cancellable context,
+	// checks to completion.
 	Context context.Context
 }
 
@@ -114,15 +111,19 @@ type Result struct {
 	Symmetry   bool // whether cache-permutation reduction was applied
 	FullStates int  // orbit-expanded state count (== States unreduced)
 
-	// Interrupted marks a run aborted by Options.Context before the
-	// state space was exhausted: counts describe the explored prefix
-	// and the starvation property was not decided.
-	Interrupted bool
+	// Partial marks a run that explored only a prefix of the state
+	// space: the state cap dropped a discovered state, or
+	// Options.Context was cancelled. Counts describe the consistent
+	// subgraph explored so far, and safety violations and deadlocks
+	// found in it are real, but the starvation property is undecided:
+	// the edges into the unexplored states are missing, so states that
+	// reach satisfaction only through them would read as starving.
+	Partial bool
 
 	Violation  error  // first safety violation, if any
 	BadState   string // the violating state
 	Deadlock   string // first deadlocked state, if any
-	Starvation string // first pending state that cannot reach satisfaction
+	Starvation string // first pending state that cannot reach a non-pending one
 }
 
 // OK reports whether every property held.
@@ -161,9 +162,9 @@ func (r *Result) String() string {
 	case r.Starvation != "":
 		status = "FAIL"
 		detail = " starvation"
-	case r.Interrupted:
+	case r.Partial:
 		status = "PARTIAL"
-		detail = " interrupted (counts are a prefix; starvation undecided)"
+		detail = " prefix only, starvation undecided"
 	}
 	states := fmt.Sprintf("states=%d", r.States)
 	if r.Symmetry {
@@ -284,12 +285,12 @@ const internChunk = 64 << 10
 // successors of a representative cover its whole orbit's successors up
 // to renaming, safety violations and deadlocks are permutation-
 // invariant, and backward reachability over the quotient graph decides
-// AG(pending → EF satisfied) exactly as over the full graph.
+// AG(pending → EF ¬pending) exactly as over the full graph.
 //
 // The state cap is exact: at most limit states are recorded, and edges
 // to states dropped by the cap are not counted as transitions, so the
 // reported (States, Transitions) pair always describes a consistent
-// explored subgraph.
+// explored subgraph. A run that drops a state is Partial.
 func CheckOpt(m Model, opt Options) *Result {
 	limit := opt.Limit
 	if limit <= 0 {
@@ -338,12 +339,14 @@ func CheckOpt(m Model, opt Options) *Result {
 
 	// push records a newly discovered state (with its precomputed hash)
 	// unless the cap has been reached, returning its index (-1 if
-	// dropped) and whether it was new. The key bytes are interned
-	// (copied into the current string chunk) only on first discovery.
+	// dropped, which makes the run Partial) and whether it was new.
+	// The key bytes are interned (copied into the current string
+	// chunk) only on first discovery.
 	push := func(b []byte, h uint64, depth int32) (int, bool) {
 		if idx, slot := table.lookup(h, b, states); idx >= 0 {
 			return int(idx), false
 		} else if len(states) >= limit {
+			res.Partial = true
 			return -1, false
 		} else {
 			table.insert(slot, h, int32(len(states)))
@@ -495,7 +498,7 @@ func CheckOpt(m Model, opt Options) *Result {
 		// always a consistent subgraph, and a level's expansion is the
 		// unit of work bounded enough for -timeout abort latency.
 		if ctx != nil && ctx.Err() != nil {
-			res.Interrupted = true
+			res.Partial = true
 			break
 		}
 	}
@@ -503,18 +506,18 @@ func CheckOpt(m Model, opt Options) *Result {
 	if sym == nil {
 		res.FullStates = res.States
 	}
-	if res.Interrupted {
+	if res.Partial {
 		// The starvation property cannot be decided on a truncated
-		// graph (unexpanded frontier states have no outgoing edges and
-		// would read as starving); report the prefix counts only.
+		// graph; report the prefix counts only.
 		res.Elapsed = time.Since(start)
 		return res
 	}
 
-	// Starvation check: backward reachability from satisfying states
-	// over a CSR predecessor adjacency (offsets + one flat edge array)
-	// transposed from the forward one. The per-state predicates decode
-	// in parallel; the propagation itself is a cheap serial pass.
+	// Starvation check: backward reachability from the non-pending
+	// states over a CSR predecessor adjacency (offsets + one flat edge
+	// array) transposed from the forward one. The per-state predicate
+	// decodes in parallel; the propagation itself is a cheap serial
+	// pass, and every state it does not reach is pending and starves.
 	offs := make([]int32, len(states)+1)
 	for _, t := range edgeTo {
 		offs[t+1]++
@@ -535,17 +538,13 @@ func CheckOpt(m Model, opt Options) *Result {
 	}
 	edgeTo, edgeEnd = nil, nil
 
-	satisfying := make([]bool, len(states))
-	pending := make([]bool, len(states))
-	pool.Stripe(len(states), func(i int) {
-		satisfying[i] = m.Satisfying(states[i])
-		pending[i] = m.Pending(states[i])
-	})
 	canReach := make([]bool, len(states))
+	pool.Stripe(len(states), func(i int) {
+		canReach[i] = !m.Pending(states[i])
+	})
 	stack := cursor[:0] // reuse the scatter cursor as the DFS stack
 	for i := range states {
-		if satisfying[i] {
-			canReach[i] = true
+		if canReach[i] {
 			stack = append(stack, int32(i))
 		}
 	}
@@ -560,7 +559,7 @@ func CheckOpt(m Model, opt Options) *Result {
 		}
 	}
 	for i, s := range states {
-		if pending[i] && !canReach[i] {
+		if !canReach[i] {
 			res.Starvation = s
 			break
 		}

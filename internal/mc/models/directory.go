@@ -533,6 +533,3 @@ func (m *DirModel) Pending(key string) bool {
 	}
 	return false
 }
-
-// Satisfying implements mc.Model.
-func (m *DirModel) Satisfying(key string) bool { return !m.Pending(key) }

@@ -594,6 +594,3 @@ func (m *HammerModel) Pending(key string) bool {
 	}
 	return false
 }
-
-// Satisfying implements mc.Model.
-func (m *HammerModel) Satisfying(key string) bool { return !m.Pending(key) }

@@ -607,6 +607,3 @@ func (m *TokenModel) Pending(key string) bool {
 	}
 	return false
 }
-
-// Satisfying implements mc.Model.
-func (m *TokenModel) Satisfying(key string) bool { return !m.Pending(key) }

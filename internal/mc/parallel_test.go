@@ -11,8 +11,8 @@ import (
 // fieldsOf flattens every Result field except Elapsed, which is the only
 // field allowed to vary with the worker count.
 func fieldsOf(r *mc.Result) string {
-	return fmt.Sprintf("model=%s states=%d transitions=%d diameter=%d violation=%v bad=%q deadlock=%q starvation=%q",
-		r.Model, r.States, r.Transitions, r.Diameter, r.Violation, r.BadState, r.Deadlock, r.Starvation)
+	return fmt.Sprintf("model=%s states=%d transitions=%d diameter=%d partial=%t violation=%v bad=%q deadlock=%q starvation=%q",
+		r.Model, r.States, r.Transitions, r.Diameter, r.Partial, r.Violation, r.BadState, r.Deadlock, r.Starvation)
 }
 
 func smallTokenModel() mc.Model {
@@ -64,12 +64,20 @@ func TestCheckLimitExact(t *testing.T) {
 			if res.States != limit {
 				t.Errorf("jobs=%d limit=%d: explored %d states, want exactly %d", jobs, limit, res.States, limit)
 			}
+			if !res.Partial {
+				t.Errorf("jobs=%d limit=%d: a cap below the reachable count must mark the run partial", jobs, limit)
+			}
 		}
-		// A cap beyond the reachable set must not truncate anything.
-		res := mc.CheckOpt(smallTokenModel(), mc.Options{Limit: full.States + 1000, Jobs: jobs})
-		if res.States != full.States || res.Transitions != full.Transitions {
-			t.Errorf("jobs=%d: capped run (%d states, %d transitions) != full run (%d, %d)",
-				jobs, res.States, res.Transitions, full.States, full.Transitions)
+		// A cap at or beyond the reachable set must not truncate anything.
+		for _, limit := range []int{full.States, full.States + 1000} {
+			res := mc.CheckOpt(smallTokenModel(), mc.Options{Limit: limit, Jobs: jobs})
+			if res.States != full.States || res.Transitions != full.Transitions {
+				t.Errorf("jobs=%d limit=%d: capped run (%d states, %d transitions) != full run (%d, %d)",
+					jobs, limit, res.States, res.Transitions, full.States, full.Transitions)
+			}
+			if res.Partial {
+				t.Errorf("jobs=%d limit=%d: a cap that drops no state marked the run partial", jobs, limit)
+			}
 		}
 	}
 }
@@ -77,8 +85,8 @@ func TestCheckLimitExact(t *testing.T) {
 // treeModel is a ternary tree over 16-bit state numbers: state x < 1000
 // has children 3x+1, 3x+2 and 3x+3 (the first emitted twice) and an
 // edge back to the root, so BFS discovers the states in numeric order,
-// several frontier chunks wide. The inner states are pending and only
-// the root satisfies them, through the back edges. States from 80 on
+// several frontier chunks wide. The inner states are pending and the
+// leaves satisfy them. States from 80 on
 // with x%5 == 3 violate safety, and leaves with x%3 == 1 are
 // deadlocks, so one chunk holds several of each.
 type treeModel struct{}
@@ -101,15 +109,13 @@ func (treeModel) Check(s string) error {
 	}
 	return nil
 }
-func (treeModel) Quiescent(s string) bool  { return treeNum(s)%3 != 1 }
-func (treeModel) Pending(s string) bool    { return treeNum(s) < 1000 }
-func (treeModel) Satisfying(s string) bool { return treeNum(s) == 0 }
+func (treeModel) Quiescent(s string) bool { return treeNum(s)%3 != 1 }
+func (treeModel) Pending(s string) bool   { return treeNum(s) < 1000 }
 
 // TestCheckReportsFirstWitness pins which violating and deadlocked
 // states the checker reports when several exist: the first in BFS order,
 // whichever frontier chunk and worker found them. It also requires every
-// state's back edge to survive the merge: a lost one would leave its
-// state starving.
+// pending state to reach a leaf, so no state starves.
 func TestCheckReportsFirstWitness(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
 		r := mc.CheckOpt(treeModel{}, mc.Options{Jobs: jobs})

@@ -47,21 +47,41 @@ type admission struct {
 	metrics *Metrics
 }
 
-// newAdmission builds pools with the given dedicated widths (entries
-// of slots may be 0 — that class then lives off the reserve alone)
-// and per-class queue depths. metrics may be nil.
-func newAdmission(light, heavy, reserve, lightQueue, heavyQueue int, metrics *Metrics) *admission {
+// newAdmission splits slots across the classes (see splitSlots) and
+// gives each class half of queue (at least one) as its waiting room.
+// metrics may be nil.
+func newAdmission(slots, queue int, metrics *Metrics) *admission {
 	if metrics == nil {
 		metrics = &Metrics{}
 	}
+	light, heavy, reserve := splitSlots(slots)
 	a := &admission{metrics: metrics}
 	a.slots[ClassLight] = make(chan struct{}, light)
 	a.slots[ClassHeavy] = make(chan struct{}, heavy)
 	a.reserve = make(chan struct{}, reserve)
-	a.depth[ClassLight] = lightQueue
-	a.depth[ClassHeavy] = heavyQueue
+	a.depth[ClassLight] = max(queue/2, 1)
+	a.depth[ClassHeavy] = max(queue/2, 1)
 	return a
 }
+
+// splitSlots derives the class pools from an aggregate slot count:
+// a quarter (at least one) becomes the shared reserve, the rest is
+// split between the classes with light taking the remainder. Tiny
+// totals (< 3) go entirely to the reserve: with no room to dedicate,
+// the pools degenerate to one shared semaphore.
+func splitSlots(total int) (light, heavy, reserve int) {
+	if total < 3 {
+		return 0, 0, total
+	}
+	reserve = max(total/4, 1)
+	heavy = (total - reserve) / 2
+	light = total - reserve - heavy
+	return light, heavy, reserve
+}
+
+// capacity counts the slots class c can ever hold: its dedicated pool
+// plus the shared reserve.
+func (a *admission) capacity(c Class) int { return cap(a.slots[c]) + cap(a.reserve) }
 
 // tryAcquire takes a slot without blocking: the class's own pool
 // first, then the shared reserve.

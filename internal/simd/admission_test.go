@@ -12,26 +12,23 @@ import (
 func TestRequestClassification(t *testing.T) {
 	light := Request{}
 	light.Normalize() // 1 seed x 64 acquires x 16 procs ≈ 1k ops
-	if got := light.Class(DefaultHeavyOpsThreshold); got != ClassLight {
+	if got := light.Class(); got != ClassLight {
 		t.Errorf("default request classed %v, want light (ops=%d)", got, light.EstimatedOps())
 	}
 	heavy := Request{Workload: "locking", Acquires: 5000, Seeds: 8}
 	heavy.Normalize()
-	if got := heavy.Class(DefaultHeavyOpsThreshold); got != ClassHeavy {
+	if got := heavy.Class(); got != ClassHeavy {
 		t.Errorf("8x5000-acquire sweep classed %v, want heavy (ops=%d)", got, heavy.EstimatedOps())
 	}
 	// Check doubles the estimate: a request just under the line tips over.
 	edge := Request{Workload: "locking", Acquires: 4000, Seeds: 1} // 4000*16 = 64k
 	edge.Normalize()
-	if got := edge.Class(DefaultHeavyOpsThreshold); got != ClassLight {
+	if got := edge.Class(); got != ClassLight {
 		t.Errorf("64k-op request classed %v, want light", got)
 	}
 	edge.Check = true // 128k >= 100k
-	if got := edge.Class(DefaultHeavyOpsThreshold); got != ClassHeavy {
+	if got := edge.Class(); got != ClassHeavy {
 		t.Errorf("checked 128k-op request classed %v, want heavy", got)
-	}
-	if got := edge.Class(0); got != ClassLight {
-		t.Errorf("threshold 0 must disable the split, got %v", got)
 	}
 }
 
@@ -39,7 +36,8 @@ func TestRequestClassification(t *testing.T) {
 // fills its own slots first, borrows the shared reserve next, and a
 // released slot returns to the pool it came from.
 func TestAdmissionPoolsAndReserve(t *testing.T) {
-	a := newAdmission(1, 1, 1, 0, 0, nil)
+	// 3 slots split 1 light / 1 heavy / 1 reserve.
+	a := newAdmission(3, 0, nil)
 	h1, ok := a.tryAcquire(ClassHeavy) // heavy dedicated
 	if !ok {
 		t.Fatal("heavy slot 1")
@@ -71,15 +69,22 @@ func TestAdmissionPoolsAndReserve(t *testing.T) {
 }
 
 // TestAdmissionShedsAtClassDepth asserts the per-class queue bound:
-// with zero queue depth, an acquire that cannot take a slot sheds
-// instead of waiting, and only its own class's counters move.
+// once the class's queue is full, an acquire that cannot take a slot
+// sheds instead of waiting, and only its own class's counters move.
 func TestAdmissionShedsAtClassDepth(t *testing.T) {
 	m := &Metrics{}
-	a := newAdmission(0, 0, 1, 0, 0, m)
+	a := newAdmission(1, 0, m) // one reserve slot, one waiter per class
 	tok, ok := a.tryAcquire(ClassHeavy)
 	if !ok {
 		t.Fatal("reserve slot")
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error)
+	go func() {
+		_, _, err := a.acquire(ctx, ClassLight)
+		waiter <- err
+	}()
+	waitFor(t, func() bool { return a.queued(ClassLight) == 1 }, "the light waiter to queue")
 	_, shed, err := a.acquire(context.Background(), ClassLight)
 	if err != nil || !shed {
 		t.Fatalf("acquire with full pools and zero queue: shed=%t err=%v, want shed", shed, err)
@@ -91,7 +96,32 @@ func TestAdmissionShedsAtClassDepth(t *testing.T) {
 	if m.Shed.Load() != 1 {
 		t.Errorf("aggregate Shed = %d, want 1", m.Shed.Load())
 	}
+	cancel()
+	if err := <-waiter; err == nil {
+		t.Error("the cancelled waiter took a slot")
+	}
 	a.release(tok)
+}
+
+// TestConfigDefaults pins the defaults: a zero Config normalizes to
+// DefaultConfig, whose 4 slots split into 2 light, 1 heavy and 1
+// reserve, and whose 16 queued requests split 8 and 8.
+func TestConfigDefaults(t *testing.T) {
+	var c Config
+	c.Normalize()
+	if c != DefaultConfig() {
+		t.Errorf("normalized zero Config = %+v, want DefaultConfig %+v", c, DefaultConfig())
+	}
+	a := newAdmission(c.MaxConcurrent, c.QueueDepth, nil)
+	if l, h, r := cap(a.slots[ClassLight]), cap(a.slots[ClassHeavy]), cap(a.reserve); l != 2 || h != 1 || r != 1 {
+		t.Errorf("slots light/heavy/reserve = %d/%d/%d, want 2/1/1", l, h, r)
+	}
+	if a.depth[ClassLight] != 8 || a.depth[ClassHeavy] != 8 {
+		t.Errorf("queues light/heavy = %d/%d, want 8/8", a.depth[ClassLight], a.depth[ClassHeavy])
+	}
+	if a.capacity(ClassLight) != 3 || a.capacity(ClassHeavy) != 2 {
+		t.Errorf("capacity light/heavy = %d/%d, want 3/2", a.capacity(ClassLight), a.capacity(ClassHeavy))
+	}
 }
 
 // TestRetryAfterBounds pins the scaled backoff hint (the satellite

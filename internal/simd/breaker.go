@@ -9,23 +9,21 @@ import (
 // keeps panicking the engine is negatively cached and answered 422
 // immediately instead of being re-run at full cost forever. Because
 // the simulator is deterministic in the cache key, a key that panicked
-// once will panic every time — the retry budget (threshold) exists
+// once will panic every time — the retry budget (breakerPanics) exists
 // only to absorb panics with environmental causes (OOM pressure,
 // runtime faults) that a deterministic input cannot explain away.
 //
 // States per key, classic three-state breaker:
 //
-//	closed    — panics below threshold; requests run normally.
-//	open      — threshold consecutive panics; requests are rejected
-//	            with 422 until the cooldown passes.
+//	closed    — fewer than breakerPanics panics; requests run normally.
+//	open      — breakerPanics consecutive panics; requests are
+//	            rejected with 422 for breakerCooldown.
 //	half-open — cooldown expired; exactly one probe request runs.
 //	            A panic reopens immediately (count stays at
-//	            threshold), a success closes and forgets the key.
+//	            breakerPanics), a success closes and forgets the key.
 type breaker struct {
-	threshold int           // consecutive panics before opening (<=0: disabled)
-	cooldown  time.Duration // how long an open key rejects
-	metrics   *Metrics
-	now       func() time.Time // injected by tests
+	metrics *Metrics
+	now     func() time.Time // injected by tests
 
 	mu      sync.Mutex
 	entries map[string]*breakerEntry
@@ -38,22 +36,25 @@ type breakerEntry struct {
 	probing   bool      // a half-open probe is in flight
 }
 
+const (
+	breakerPanics   = 3           // consecutive panics before a key opens
+	breakerCooldown = time.Minute // how long an open key rejects
+)
+
 // breakerMaxKeys bounds the tracked-key map: a stream of distinct
 // poison inputs must not grow daemon memory without limit. Beyond the
 // bound the oldest tracked key is forgotten (it re-earns its state if
 // it is still poisonous).
 const breakerMaxKeys = 4096
 
-func newBreaker(threshold int, cooldown time.Duration, metrics *Metrics) *breaker {
+func newBreaker(metrics *Metrics) *breaker {
 	if metrics == nil {
 		metrics = &Metrics{}
 	}
 	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
-		metrics:   metrics,
-		now:       time.Now,
-		entries:   make(map[string]*breakerEntry),
+		metrics: metrics,
+		now:     time.Now,
+		entries: make(map[string]*breakerEntry),
 	}
 }
 
@@ -61,9 +62,6 @@ func newBreaker(threshold int, cooldown time.Duration, metrics *Metrics) *breake
 // false the key is open and retryAfter is the remaining cooldown
 // (floored at one second) for the 422's Retry-After header.
 func (b *breaker) allow(key string) (ok bool, retryAfter time.Duration) {
-	if b.threshold <= 0 {
-		return true, 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e, tracked := b.entries[key]
@@ -87,12 +85,9 @@ func (b *breaker) allow(key string) (ok bool, retryAfter time.Duration) {
 	return true, 0
 }
 
-// onPanic records an engine panic for key; crossing the threshold
+// onPanic records an engine panic for key; reaching breakerPanics
 // opens the breaker (or reopens it after a failed half-open probe).
 func (b *breaker) onPanic(key string) {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entries[key]
@@ -108,21 +103,18 @@ func (b *breaker) onPanic(key string) {
 	}
 	e.probing = false
 	e.panics++
-	if e.panics >= b.threshold {
-		e.panics = b.threshold // saturate: one more panic after half-open reopens
+	if e.panics >= breakerPanics {
+		e.panics = breakerPanics // saturate: one more panic after half-open reopens
 		if e.openUntil.IsZero() || !b.now().Before(e.openUntil) {
 			b.metrics.BreakerOpen.Add(1)
 		}
-		e.openUntil = b.now().Add(b.cooldown)
+		e.openUntil = b.now().Add(breakerCooldown)
 	}
 }
 
 // onSuccess clears key's record: a completed run proves the input is
 // not poison (or no longer meets its environmental trigger).
 func (b *breaker) onSuccess(key string) {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, tracked := b.entries[key]; !tracked {

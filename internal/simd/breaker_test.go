@@ -7,8 +7,8 @@ import (
 )
 
 // testBreaker builds a breaker with an injectable clock.
-func testBreaker(threshold int, cooldown time.Duration, m *Metrics) (*breaker, *time.Time) {
-	b := newBreaker(threshold, cooldown, m)
+func testBreaker(m *Metrics) (*breaker, *time.Time) {
+	b := newBreaker(m)
 	clock := time.Unix(1_000_000, 0)
 	b.now = func() time.Time { return clock }
 	return b, &clock
@@ -16,26 +16,26 @@ func testBreaker(threshold int, cooldown time.Duration, m *Metrics) (*breaker, *
 
 // TestBreakerOpensAfterThreshold pins the core contract: K-1 panics
 // still allow runs, the Kth opens the key, and an open key rejects
-// with a positive cooldown hint while other keys stay unaffected.
+// with the cooldown as its hint while other keys stay unaffected.
 func TestBreakerOpensAfterThreshold(t *testing.T) {
 	m := &Metrics{}
-	b, _ := testBreaker(3, time.Minute, m)
-	for i := 0; i < 2; i++ {
+	b, _ := testBreaker(m)
+	for i := 0; i < breakerPanics-1; i++ {
 		if ok, _ := b.allow("poison"); !ok {
-			t.Fatalf("rejected after %d panics, threshold is 3", i)
+			t.Fatalf("rejected after %d panics, threshold is %d", i, breakerPanics)
 		}
 		b.onPanic("poison")
 	}
 	if ok, _ := b.allow("poison"); !ok {
-		t.Fatal("rejected after 2 panics, threshold is 3")
+		t.Fatalf("rejected after %d panics, threshold is %d", breakerPanics-1, breakerPanics)
 	}
 	b.onPanic("poison")
 	ok, retry := b.allow("poison")
 	if ok {
-		t.Fatal("allowed after 3 panics")
+		t.Fatalf("allowed after %d panics", breakerPanics)
 	}
-	if retry < time.Second {
-		t.Errorf("retryAfter = %v, want >= 1s", retry)
+	if retry != breakerCooldown {
+		t.Errorf("retryAfter = %v, want the %v cooldown", retry, breakerCooldown)
 	}
 	if m.BreakerOpen.Load() != 1 {
 		t.Errorf("BreakerOpen = %d, want 1", m.BreakerOpen.Load())
@@ -53,10 +53,11 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 // panic reopens immediately, and a probe success closes and forgets.
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	m := &Metrics{}
-	b, clock := testBreaker(2, time.Minute, m)
-	b.onPanic("k")
-	b.onPanic("k") // open
-	*clock = clock.Add(61 * time.Second)
+	b, clock := testBreaker(m)
+	for i := 0; i < breakerPanics; i++ {
+		b.onPanic("k") // the last one opens
+	}
+	*clock = clock.Add(breakerCooldown + time.Second)
 	if ok, _ := b.allow("k"); !ok {
 		t.Fatal("probe not allowed after cooldown")
 	}
@@ -73,7 +74,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Errorf("BreakerOpen = %d, want 2 (initial + reopen)", m.BreakerOpen.Load())
 	}
 	// Next cooldown: the probe succeeds and the key is forgotten.
-	*clock = clock.Add(61 * time.Second)
+	*clock = clock.Add(breakerCooldown + time.Second)
 	if ok, _ := b.allow("k"); !ok {
 		t.Fatal("probe not allowed after second cooldown")
 	}
@@ -91,29 +92,16 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 // TestBreakerSuccessResetsCount asserts sub-threshold panics are
 // forgiven by one success — only consecutive failures open the key.
 func TestBreakerSuccessResetsCount(t *testing.T) {
-	b, _ := testBreaker(3, time.Minute, &Metrics{})
-	b.onPanic("k")
-	b.onPanic("k")
-	b.onSuccess("k")
-	b.onPanic("k")
-	b.onPanic("k")
-	if ok, _ := b.allow("k"); !ok {
-		t.Fatal("opened at 2 consecutive panics after a reset, threshold is 3")
+	b, _ := testBreaker(&Metrics{})
+	for i := 0; i < breakerPanics-1; i++ {
+		b.onPanic("k")
 	}
-}
-
-// TestBreakerDisabled asserts threshold <= 0 turns the breaker into
-// a no-op that tracks nothing.
-func TestBreakerDisabled(t *testing.T) {
-	b, _ := testBreaker(-1, time.Minute, &Metrics{})
-	for i := 0; i < 10; i++ {
+	b.onSuccess("k")
+	for i := 0; i < breakerPanics-1; i++ {
 		b.onPanic("k")
 	}
 	if ok, _ := b.allow("k"); !ok {
-		t.Fatal("disabled breaker rejected a request")
-	}
-	if len(b.entries) != 0 {
-		t.Errorf("disabled breaker tracked %d keys", len(b.entries))
+		t.Fatalf("opened at %d consecutive panics after a reset, threshold is %d", breakerPanics-1, breakerPanics)
 	}
 }
 
@@ -121,9 +109,11 @@ func TestBreakerDisabled(t *testing.T) {
 // keys and asserts the tracked set stays at its bound, evicting the
 // oldest.
 func TestBreakerBoundedMemory(t *testing.T) {
-	b, _ := testBreaker(1, time.Minute, &Metrics{})
+	b, _ := testBreaker(&Metrics{})
 	for i := 0; i < breakerMaxKeys+100; i++ {
-		b.onPanic(fmt.Sprintf("key-%d", i))
+		for range breakerPanics {
+			b.onPanic(fmt.Sprintf("key-%d", i))
+		}
 	}
 	if len(b.entries) != breakerMaxKeys {
 		t.Fatalf("entries = %d, want bound %d", len(b.entries), breakerMaxKeys)

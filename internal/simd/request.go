@@ -22,9 +22,10 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// Chaos workload names, accepted only when Config.Chaos is set. They
-// exercise the daemon's failure paths (panic isolation, deadline
-// aborts) in tests and CI smoke checks without touching the simulator.
+// Chaos workload names, accepted only by a daemon whose config sets
+// chaos, which only this package's tests do. They exercise the
+// daemon's failure paths (panic isolation, deadline aborts) without
+// touching the simulator.
 const (
 	ChaosPanic = "__panic" // the run panics immediately
 	ChaosHang  = "__hang"  // the run blocks until its context is cancelled
@@ -139,11 +140,17 @@ func (r *Request) EstimatedOps() int64 {
 	return ops
 }
 
-// Class buckets the request for admission: at or above threshold
+// heavyOps splits the classes at 100k estimated operations: the
+// default request (1 seed x 64 acquires x 16 procs ≈ 1k ops) is deeply
+// light, while a paper-scale sweep (8 seeds x a few thousand ops per
+// proc) lands heavy.
+const heavyOps = 100_000
+
+// Class buckets the request for admission: at or above heavyOps
 // estimated ops it competes in the heavy pool, below it in the light
-// one. threshold <= 0 disables the split (everything is light).
-func (r *Request) Class(threshold int64) Class {
-	if threshold > 0 && r.EstimatedOps() >= threshold {
+// one.
+func (r *Request) Class() Class {
+	if r.EstimatedOps() >= heavyOps {
 		return ClassHeavy
 	}
 	return ClassLight

@@ -12,109 +12,59 @@ import (
 	"time"
 )
 
-// Config tunes the daemon's robustness envelope. The zero value is
-// usable; Normalize fills production defaults.
+// Config holds the daemon's deployment settings. The zero value is
+// usable: Normalize fills every unset field from DefaultConfig. The
+// admission pools are derived from MaxConcurrent and QueueDepth (see
+// newAdmission); the cost-class split (heavyOps) and the poison-input
+// breaker (breakerPanics, breakerCooldown) are fixed policy.
 type Config struct {
-	MaxConcurrent  int           // total admission slots; split across classes unless set explicitly
-	QueueDepth     int           // total waiters beyond the slots; split across classes unless set explicitly
+	MaxConcurrent  int           // total admission slots, split across the cost classes
+	QueueDepth     int           // total waiters beyond the slots, halved between the classes
 	CacheEntries   int           // LRU capacity of the result cache
-	CacheTTL       time.Duration // result body lifetime (<= 0: never expires)
-	CacheDir       string        // durable cache directory ("" = memory-only, exactly the PR 9 behavior)
+	CacheTTL       time.Duration // result body lifetime (< 0: never expires)
+	CacheDir       string        // durable cache directory ("" = memory-only)
 	DefaultTimeout time.Duration // per-request deadline when the request names none
 	MaxTimeout     time.Duration // ceiling clamped onto requested deadlines
 	DrainTimeout   time.Duration // graceful-shutdown budget before force-cancel
-	Chaos          bool          // accept the __panic/__hang test workloads
 
-	// Per-class admission. When the three slot fields are all zero,
-	// Normalize derives them from MaxConcurrent (see splitSlots);
-	// likewise the two queue fields from QueueDepth. Setting any
-	// field in a group takes that group as-is.
-	LightSlots   int // dedicated slots only light requests may hold
-	HeavySlots   int // dedicated slots only heavy requests may hold
-	ReserveSlots int // shared overflow either class may borrow
-	LightQueue   int // light-class waiters beyond the slots before shedding
-	HeavyQueue   int // heavy-class waiters beyond the slots before shedding
-
-	// HeavyOpsThreshold classifies requests: at or above this many
-	// estimated operations (Request.EstimatedOps) a request competes
-	// in the heavy pool. <= 0 selects the default; to disable the
-	// split, give one class all the slots instead.
-	HeavyOpsThreshold int64
-
-	// Poison-input circuit breaker: after BreakerPanics consecutive
-	// engine panics for one cache key, the key is answered 422 for
-	// BreakerCooldown instead of re-running. BreakerPanics < 0
-	// disables the breaker; 0 selects the default.
-	BreakerPanics   int
-	BreakerCooldown time.Duration
+	chaos bool // accept the __panic/__hang test workloads (this package's tests only)
 }
 
-// DefaultHeavyOpsThreshold splits the classes at 100k estimated
-// operations: the default request (1 seed x 64 acquires x 16 procs ≈
-// 1k ops) is deeply light, while a paper-scale sweep (8 seeds x a few
-// thousand ops per proc) lands heavy.
-const DefaultHeavyOpsThreshold = 100_000
+// DefaultConfig returns the production defaults: what Normalize fills
+// in and what cmd/simd's flags start from.
+func DefaultConfig() Config {
+	return Config{
+		MaxConcurrent:  4,
+		QueueDepth:     16,
+		CacheEntries:   256,
+		CacheTTL:       10 * time.Minute,
+		DefaultTimeout: 30 * time.Second,
+		MaxTimeout:     5 * time.Minute,
+		DrainTimeout:   10 * time.Second,
+	}
+}
 
-// Normalize fills zero fields with production defaults.
+// Normalize replaces each zero field, and each negative one except
+// CacheTTL, with its DefaultConfig value.
 func (c *Config) Normalize() {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
-	}
+	d := DefaultConfig()
+	c.MaxConcurrent = orDefault(c.MaxConcurrent, d.MaxConcurrent)
+	c.QueueDepth = orDefault(c.QueueDepth, d.QueueDepth)
+	c.CacheEntries = orDefault(c.CacheEntries, d.CacheEntries)
 	if c.CacheTTL == 0 {
-		c.CacheTTL = 10 * time.Minute
+		c.CacheTTL = d.CacheTTL
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
-	if c.LightSlots == 0 && c.HeavySlots == 0 && c.ReserveSlots == 0 {
-		c.LightSlots, c.HeavySlots, c.ReserveSlots = splitSlots(c.MaxConcurrent)
-	}
-	if c.LightQueue == 0 && c.HeavyQueue == 0 {
-		q := c.QueueDepth / 2
-		if q < 1 {
-			q = 1
-		}
-		c.LightQueue, c.HeavyQueue = q, q
-	}
-	if c.HeavyOpsThreshold == 0 {
-		c.HeavyOpsThreshold = DefaultHeavyOpsThreshold
-	}
-	if c.BreakerPanics == 0 {
-		c.BreakerPanics = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Minute
-	}
+	c.DefaultTimeout = orDefault(c.DefaultTimeout, d.DefaultTimeout)
+	c.MaxTimeout = orDefault(c.MaxTimeout, d.MaxTimeout)
+	c.DrainTimeout = orDefault(c.DrainTimeout, d.DrainTimeout)
 }
 
-// splitSlots derives the class pools from an aggregate slot count:
-// a quarter (at least one) becomes the shared reserve, the rest is
-// split between the classes with light taking the remainder. Tiny
-// totals (< 3) go entirely to the reserve — with no room to dedicate,
-// the pools degenerate to PR 9's single shared semaphore.
-func splitSlots(total int) (light, heavy, reserve int) {
-	if total < 3 {
-		return 0, 0, total
+// orDefault returns v when it is positive and def otherwise.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	reserve = total / 4
-	if reserve < 1 {
-		reserve = 1
-	}
-	heavy = (total - reserve) / 2
-	light = total - reserve - heavy
-	return light, heavy, reserve
+	return v
 }
 
 // Daemon serves simulation experiments over HTTP/JSON. See the
@@ -146,9 +96,8 @@ func New(cfg Config) (*Daemon, error) {
 		baseCancel: baseCancel,
 		mux:        http.NewServeMux(),
 	}
-	d.admit = newAdmission(cfg.LightSlots, cfg.HeavySlots, cfg.ReserveSlots,
-		cfg.LightQueue, cfg.HeavyQueue, d.metrics)
-	d.breaker = newBreaker(cfg.BreakerPanics, cfg.BreakerCooldown, d.metrics)
+	d.admit = newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, d.metrics)
+	d.breaker = newBreaker(d.metrics)
 	d.cache = NewCache(cfg.CacheEntries, cfg.CacheTTL, baseCtx, d.metrics)
 	if cfg.CacheDir != "" {
 		store, err := OpenStore(cfg.CacheDir, d.metrics)
@@ -212,7 +161,7 @@ func (d *Daemon) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Normalize()
-	if err := req.Validate(d.cfg.Chaos); err != nil {
+	if err := req.Validate(d.cfg.chaos); err != nil {
 		d.metrics.BadInput.Add(1)
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
@@ -241,13 +190,12 @@ func (d *Daemon) handleRun(w http.ResponseWriter, r *http.Request) {
 	// shared reserve), so a flood of heavy sweeps sheds 429 while
 	// cheap interactive runs keep being served from the light pool.
 	// The Retry-After hint scales with the shedding class's queue.
-	class := req.Class(d.cfg.HeavyOpsThreshold)
+	class := req.Class()
 	w.Header().Set("X-Simd-Class", class.String())
 	tok, shed, err := d.admit.acquire(r.Context(), class)
 	if shed {
-		slots := d.classSlots(class)
 		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterSeconds(d.cfg.DefaultTimeout, d.admit.queued(class), slots)))
+			strconv.Itoa(retryAfterSeconds(d.cfg.DefaultTimeout, d.admit.queued(class), d.admit.capacity(class))))
 		jsonError(w, http.StatusTooManyRequests, class.String()+" admission queue full")
 		return
 	}
@@ -297,15 +245,6 @@ func (d *Daemon) handleRun(w http.ResponseWriter, r *http.Request) {
 		d.metrics.Errors.Add(1)
 		jsonError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-// classSlots counts the slots a class can ever hold: its dedicated
-// pool plus the shared reserve.
-func (d *Daemon) classSlots(c Class) int {
-	if c == ClassHeavy {
-		return d.cfg.HeavySlots + d.cfg.ReserveSlots
-	}
-	return d.cfg.LightSlots + d.cfg.ReserveSlots
 }
 
 func writeBody(w http.ResponseWriter, body []byte, cacheState string) {

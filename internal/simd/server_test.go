@@ -93,7 +93,7 @@ func TestServerCollapsesDuplicates(t *testing.T) {
 // depth-1 queue with hanging runs and asserts the next request is
 // shed with 429 and a Retry-After hint instead of queueing.
 func TestServerShedsAtCapacity(t *testing.T) {
-	d := newTestDaemon(t, Config{MaxConcurrent: 1, QueueDepth: 1, DefaultTimeout: 2 * time.Second, Chaos: true})
+	d := newTestDaemon(t, Config{MaxConcurrent: 1, QueueDepth: 1, DefaultTimeout: 2 * time.Second, chaos: true})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	hang := func(seed int64) string {
@@ -157,7 +157,7 @@ func TestServerDeadlineAbortsEngine(t *testing.T) {
 // TestServerPanicIsolation asserts a poisoned request yields one 500
 // and leaves the daemon fully serviceable.
 func TestServerPanicIsolation(t *testing.T) {
-	d := newTestDaemon(t, Config{MaxConcurrent: 2, QueueDepth: 4, Chaos: true})
+	d := newTestDaemon(t, Config{MaxConcurrent: 2, QueueDepth: 4, chaos: true})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	code, _, body := post(t, ts.Client(), ts.URL, `{"workload":"__panic"}`)
@@ -234,7 +234,7 @@ func TestServerResponseShape(t *testing.T) {
 // Serve returns.
 func TestServeDrain(t *testing.T) {
 	d := newTestDaemon(t, Config{
-		MaxConcurrent: 2, QueueDepth: 4, Chaos: true,
+		MaxConcurrent: 2, QueueDepth: 4, chaos: true,
 		DefaultTimeout: 30 * time.Second,
 		DrainTimeout:   150 * time.Millisecond,
 	})
@@ -398,10 +398,10 @@ func TestServerRestartHonorsTTL(t *testing.T) {
 // light pool with bounded admission latency, and the heavy flood
 // sheds 429 with a Retry-After scaled by its own queue.
 func TestServerHeavyFloodDoesNotStarveLight(t *testing.T) {
+	// 3 slots split 1 light / 1 heavy / 1 reserve; 4 queued split 2 / 2.
 	d := newTestDaemon(t, Config{
-		LightSlots: 1, HeavySlots: 1, ReserveSlots: 1,
-		LightQueue: 4, HeavyQueue: 2,
-		DefaultTimeout: 5 * time.Second, Chaos: true,
+		MaxConcurrent: 3, QueueDepth: 4,
+		DefaultTimeout: 5 * time.Second, chaos: true,
 	})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
@@ -474,14 +474,11 @@ func TestServerHeavyFloodDoesNotStarveLight(t *testing.T) {
 // with a Retry-After immediately (no engine run), while a different
 // key still reaches the engine.
 func TestServerBreaker422(t *testing.T) {
-	d := newTestDaemon(t, Config{
-		MaxConcurrent: 2, QueueDepth: 4, Chaos: true,
-		BreakerPanics: 2, BreakerCooldown: time.Hour,
-	})
+	d := newTestDaemon(t, Config{MaxConcurrent: 2, QueueDepth: 4, chaos: true})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	poison := `{"workload":"__panic","seed":42}`
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerPanics; i++ {
 		code, _, body := post(t, ts.Client(), ts.URL, poison)
 		if code != http.StatusInternalServerError {
 			t.Fatalf("panic %d: status %d body %s", i+1, code, body)
