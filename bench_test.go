@@ -334,7 +334,7 @@ func BenchmarkAblationMigratory(b *testing.B) {
 		running := len(progs)
 		for i := range progs {
 			d, in := sys.Ports(i)
-			p := &cpu.Processor{ID: i, Eng: eng, Data: d, Inst: in, Prog: progs[i], Running: &running}
+			p := &cpu.Processor{Eng: eng, Data: d, Inst: in, Prog: progs[i], Running: &running}
 			p.Start()
 		}
 		eng.RunUntil(func() bool { return running == 0 }, 0)

@@ -48,14 +48,15 @@ type MemPort interface {
 // ActionKind tells the processor what to do next.
 type ActionKind int
 
-// Program actions.
+// Program actions. Each memory action has the value of its AccessKind,
+// so the processor passes its kind to the port unchanged.
 const (
-	ActThink ActionKind = iota
-	ActLoad
-	ActStore
-	ActAtomic
-	ActIFetch
-	ActDone
+	ActLoad   = ActionKind(Load)
+	ActStore  = ActionKind(Store)
+	ActAtomic = ActionKind(Atomic)
+	ActIFetch = ActionKind(IFetch)
+	ActThink  = ActIFetch + 1
+	ActDone   = ActIFetch + 2
 )
 
 // Action is one step of a Program.
@@ -91,22 +92,15 @@ type Program interface {
 	Next(now sim.Time, lastValue uint64) Action
 }
 
-// Stats collected per processor.
-type Stats struct {
-	Loads, Stores, Atomics, IFetches uint64
-	Thinks                           uint64
-	MemLatency                       sim.Time // summed memory-op latency
-	MemOps                           uint64
-}
-
 // Processor executes a Program against data and instruction ports.
 type Processor struct {
-	ID    int // global processor index
-	Eng   *sim.Engine
-	Data  MemPort
-	Inst  MemPort
-	Prog  Program
-	Stats Stats
+	Eng  *sim.Engine
+	Data MemPort
+	Inst MemPort
+	Prog Program
+
+	// MemOps counts the memory operations the processor completed.
+	MemOps uint64
 
 	// Running, if set, counts the unfinished processors of a machine:
 	// the processor decrements it when its program finishes, so a run
@@ -115,7 +109,6 @@ type Processor struct {
 
 	finished bool
 	lastVal  uint64
-	accStart sim.Time     // issue time of the in-flight memory op
 	accDone  func(uint64) // prebound completion callback, built once
 }
 
@@ -127,12 +120,10 @@ func procStep(ctx, _ any) { ctx.(*Processor).step() }
 // Start begins executing the program.
 func (p *Processor) Start() {
 	// A processor blocks on each memory operation, so one completion
-	// closure (reading the issue time off the processor) serves every
-	// access; binding it per access was the simulator's top allocation
-	// site.
+	// closure serves every access; binding it per access was the
+	// simulator's top allocation site.
 	p.accDone = func(v uint64) {
-		p.Stats.MemOps++
-		p.Stats.MemLatency += p.Eng.Now() - p.accStart
+		p.MemOps++
 		p.lastVal = v
 		p.step()
 	}
@@ -147,29 +138,15 @@ func (p *Processor) step() {
 	p.lastVal = 0
 	switch act.Kind {
 	case ActThink:
-		p.Stats.Thinks++
 		p.Eng.ScheduleCall(act.Dur, procStep, p, nil)
-	case ActLoad:
-		p.Stats.Loads++
-		p.access(p.Data, Load, act)
-	case ActStore:
-		p.Stats.Stores++
-		p.access(p.Data, Store, act)
-	case ActAtomic:
-		p.Stats.Atomics++
-		p.access(p.Data, Atomic, act)
+	case ActLoad, ActStore, ActAtomic:
+		p.Data.Access(AccessKind(act.Kind), act.Addr, act.Value, p.accDone)
 	case ActIFetch:
-		p.Stats.IFetches++
-		p.access(p.Inst, IFetch, act)
+		p.Inst.Access(IFetch, act.Addr, act.Value, p.accDone)
 	case ActDone:
 		p.finished = true
 		if p.Running != nil {
 			*p.Running--
 		}
 	}
-}
-
-func (p *Processor) access(port MemPort, kind AccessKind, act Action) {
-	p.accStart = p.Eng.Now()
-	port.Access(kind, act.Addr, act.Value, p.accDone)
 }

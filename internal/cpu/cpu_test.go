@@ -56,7 +56,7 @@ func newFlat(eng *sim.Engine) *flatPort {
 
 func TestProcessorRunsScript(t *testing.T) {
 	eng := sim.NewEngine()
-	port := newFlat(eng)
+	data, inst := newFlat(eng), newFlat(eng)
 	prog := &scriptProg{acts: []Action{
 		Think(sim.NS(10)),
 		StoreOf(0x100, 7),
@@ -65,7 +65,7 @@ func TestProcessorRunsScript(t *testing.T) {
 		LoadOf(0x100),
 		Fetch(0x200),
 	}}
-	p := &Processor{ID: 0, Eng: eng, Data: port, Inst: port, Prog: prog}
+	p := &Processor{Eng: eng, Data: data, Inst: inst, Prog: prog}
 	p.Start()
 	eng.Run(0)
 	if !p.finished {
@@ -78,11 +78,15 @@ func TestProcessorRunsScript(t *testing.T) {
 			t.Errorf("seen[%d] = %d, want %d (%v)", i, prog.seen[i], w, prog.seen)
 		}
 	}
-	if p.Stats.Loads != 2 || p.Stats.Stores != 1 || p.Stats.Atomics != 1 || p.Stats.IFetches != 1 || p.Stats.Thinks != 1 {
-		t.Errorf("stats = %+v", p.Stats)
+	// Each action reaches its port under its own access kind.
+	if len(data.counts) != 3 || data.counts[Load] != 2 || data.counts[Store] != 1 || data.counts[Atomic] != 1 {
+		t.Errorf("data port counts = %v, want 2 loads, 1 store, 1 atomic", data.counts)
 	}
-	if port.counts[IFetch] != 1 {
-		t.Error("ifetch not routed to instruction port")
+	if len(inst.counts) != 1 || inst.counts[IFetch] != 1 {
+		t.Errorf("instruction port counts = %v, want 1 ifetch", inst.counts)
+	}
+	if p.MemOps != 5 {
+		t.Errorf("MemOps = %d, want 5", p.MemOps)
 	}
 }
 
@@ -99,8 +103,8 @@ func TestProcessorTiming(t *testing.T) {
 	if !p.finished || eng.Now() != sim.NS(105) {
 		t.Errorf("finished %v at %v, want at 105ns", p.finished, eng.Now())
 	}
-	if p.Stats.MemLatency != sim.NS(5) || p.Stats.MemOps != 1 {
-		t.Errorf("mem stats = %+v", p.Stats)
+	if p.MemOps != 1 {
+		t.Errorf("MemOps = %d, want 1", p.MemOps)
 	}
 }
 

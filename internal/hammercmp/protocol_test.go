@@ -43,7 +43,7 @@ func runProgs(t *testing.T, s *System, progs []cpu.Program) {
 	running := len(progs)
 	for i := range progs {
 		d, in := s.Ports(i)
-		p := &cpu.Processor{ID: i, Eng: s.Eng, Data: d, Inst: in, Prog: progs[i], Running: &running}
+		p := &cpu.Processor{Eng: s.Eng, Data: d, Inst: in, Prog: progs[i], Running: &running}
 		p.Start()
 	}
 	ok := s.Eng.RunUntil(func() bool { return running == 0 }, 50_000_000)

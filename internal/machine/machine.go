@@ -227,7 +227,7 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 			data = &port{m: m, inner: data, proc: i}
 			inst = &port{m: m, inner: inst, proc: i}
 		}
-		m.Procs[i] = &cpu.Processor{ID: i, Eng: m.Eng, Data: data, Inst: inst, Prog: prog, Running: &running}
+		m.Procs[i] = &cpu.Processor{Eng: m.Eng, Data: data, Inst: inst, Prog: prog, Running: &running}
 		m.Procs[i].Start()
 	}
 	allDone := func() bool { return running == 0 }

@@ -477,7 +477,7 @@ func checkCounterRelations(t *testing.T, cfg Config, progs []cpu.Program) {
 	}
 	var ops uint64
 	for _, p := range m.Procs {
-		ops += p.Stats.MemOps
+		ops += p.MemOps
 	}
 	c, tr := res.Counters, &res.Traffic
 	if hit, miss := c[counters.L1Hit], c[counters.L1Miss]; hit+miss != ops || ops == 0 {

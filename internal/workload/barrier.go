@@ -9,41 +9,38 @@ import (
 )
 
 // BarrierConfig parameterizes the barrier micro-benchmark (Table 2):
-// processors perform local work, then pass a sense-reversing barrier
-// built from a lock-protected counter in one cache block and a sense flag
-// in another, repeating for Iterations rounds.
+// processors perform barrierWork of local work, then pass a
+// sense-reversing barrier built from a lock-protected counter in one
+// cache block and a sense flag in another, repeating for Iterations
+// rounds.
 type BarrierConfig struct {
 	Iterations int
-	Work       sim.Time // local work per round (3000 ns in the paper)
 	// Jitter adds U(-Jitter, +Jitter) to each round's work (the paper
 	// uses ±1000 ns in Table 4's right column; 0 disables).
 	Jitter sim.Time
 	Procs  int
-	Base   mem.Addr
 }
+
+// Table 2 barrier parameters: each round's local work, and the blocks of
+// the counter's lock, the counter and the sense flag.
+const (
+	barrierWork           = 3000 * sim.Nanosecond
+	barrierLock  mem.Addr = 0x200000
+	barrierCount          = barrierLock + mem.BlockSize
+	barrierFlag           = barrierLock + 2*mem.BlockSize
+)
 
 // DefaultBarrier returns the Table 2/Table 4 parameters.
 func DefaultBarrier(procs int, jitter sim.Time) BarrierConfig {
-	return BarrierConfig{
-		Iterations: 20,
-		Work:       sim.NS(3000),
-		Jitter:     jitter,
-		Procs:      procs,
-		Base:       0x200000,
-	}
+	return BarrierConfig{Iterations: 20, Jitter: jitter, Procs: procs}
 }
-
-func (c BarrierConfig) lockAddr() mem.Addr  { return c.Base }
-func (c BarrierConfig) countAddr() mem.Addr { return c.Base + mem.BlockSize }
-func (c BarrierConfig) flagAddr() mem.Addr  { return c.Base + 2*mem.BlockSize }
 
 type barrierState int
 
 const (
-	bsWork barrierState = iota
-	bsLockTest
-	bsLockSwap
-	bsLockEntered
+	bsWork     barrierState = iota
+	bsLockTest              // work done: start acquiring the counter's lock
+	bsLock                  // test-and-test-and-set in progress
 	bsGotCount
 	bsStoredCount // non-last: release next
 	bsReleasedSpin
@@ -62,14 +59,14 @@ type BarrierProgram struct {
 	rng   *rand.Rand
 	seed  int64
 	state barrierState
+	acq   ttas
 	round int
 	sense uint64
-	count uint64
 	mon   *LockMonitor
 }
 
-// NewBarrierProgram builds the thread for processor proc.
-func NewBarrierProgram(cfg BarrierConfig, proc int, seed int64, mon *LockMonitor) *BarrierProgram {
+// newBarrierProgram builds the thread for processor proc.
+func newBarrierProgram(cfg BarrierConfig, proc int, seed int64, mon *LockMonitor) *BarrierProgram {
 	return &BarrierProgram{
 		cfg:   cfg,
 		proc:  proc,
@@ -80,7 +77,7 @@ func NewBarrierProgram(cfg BarrierConfig, proc int, seed int64, mon *LockMonitor
 }
 
 func (p *BarrierProgram) work() sim.Time {
-	w := p.cfg.Work
+	w := barrierWork
 	if p.cfg.Jitter > 0 {
 		if p.rng == nil {
 			p.rng = rand.New(rand.NewSource(p.seed))
@@ -95,61 +92,48 @@ func (p *BarrierProgram) work() sim.Time {
 
 // Next implements cpu.Program.
 func (p *BarrierProgram) Next(now sim.Time, last uint64) cpu.Action {
-	cfg := p.cfg
 	switch p.state {
 	case bsWork:
 		p.state = bsLockTest
 		return cpu.Think(p.work())
 	case bsLockTest:
-		p.state = bsLockSwap
-		return cpu.LoadOf(cfg.lockAddr())
-	case bsLockSwap:
-		if last != 0 {
-			return cpu.LoadOf(cfg.lockAddr())
+		p.state = bsLock
+		return p.acq.start(barrierLock)
+	case bsLock:
+		act, acquired := p.acq.next(last)
+		if !acquired {
+			return act
 		}
-		p.state = bsLockEntered
-		return cpu.Swap(cfg.lockAddr(), 1)
-	case bsLockEntered:
-		if last != 0 {
-			p.state = bsLockSwap
-			return cpu.LoadOf(cfg.lockAddr())
-		}
-		if p.mon != nil {
-			p.mon.Enter(cfg.lockAddr(), p.proc)
-		}
+		p.mon.Enter(barrierLock, p.proc)
 		p.state = bsGotCount
-		return cpu.LoadOf(cfg.countAddr())
+		return cpu.LoadOf(barrierCount)
 	case bsGotCount:
-		p.count = last + 1
-		if int(p.count) == cfg.Procs {
+		count := last + 1
+		if int(count) == p.cfg.Procs {
 			p.state = bsLastZeroed
-			return cpu.StoreOf(cfg.countAddr(), 0)
+			return cpu.StoreOf(barrierCount, 0)
 		}
 		p.state = bsStoredCount
-		return cpu.StoreOf(cfg.countAddr(), p.count)
+		return cpu.StoreOf(barrierCount, count)
 	case bsStoredCount:
-		if p.mon != nil {
-			p.mon.Exit(cfg.lockAddr(), p.proc)
-		}
+		p.mon.Exit(barrierLock, p.proc)
 		p.state = bsReleasedSpin
-		return cpu.StoreOf(cfg.lockAddr(), 0)
+		return cpu.StoreOf(barrierLock, 0)
 	case bsReleasedSpin:
 		p.state = bsSpin
-		return cpu.LoadOf(cfg.flagAddr())
+		return cpu.LoadOf(barrierFlag)
 	case bsSpin:
 		if last != p.sense {
-			return cpu.LoadOf(cfg.flagAddr())
+			return cpu.LoadOf(barrierFlag)
 		}
 		return p.passBarrier()
 	case bsLastZeroed:
 		p.state = bsLastFlipped
-		return cpu.StoreOf(cfg.flagAddr(), p.sense)
+		return cpu.StoreOf(barrierFlag, p.sense)
 	case bsLastFlipped:
-		if p.mon != nil {
-			p.mon.Exit(cfg.lockAddr(), p.proc)
-		}
+		p.mon.Exit(barrierLock, p.proc)
 		p.state = bsLastReleased
-		return cpu.StoreOf(cfg.lockAddr(), 0)
+		return cpu.StoreOf(barrierLock, 0)
 	case bsLastReleased:
 		return p.passBarrier()
 	default:
@@ -172,7 +156,7 @@ func BarrierPrograms(cfg BarrierConfig, seed int64) ([]cpu.Program, *LockMonitor
 	mon := NewLockMonitor()
 	out := make([]cpu.Program, cfg.Procs)
 	for i := range out {
-		out[i] = NewBarrierProgram(cfg, i, seed, mon)
+		out[i] = newBarrierProgram(cfg, i, seed, mon)
 	}
 	return out, mon
 }

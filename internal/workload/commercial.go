@@ -156,9 +156,9 @@ type CommercialProgram struct {
 	queue []step
 	next  int
 
-	// lock-acquire sub-machine
-	lockState lockingState
-	lock      mem.Addr
+	// acquiring is set while acq spins for a lock.
+	acquiring bool
+	acq       ttas
 
 	// migratory RMW sub-machine: remembered loaded value
 	pendingStore mem.Addr
@@ -184,8 +184,8 @@ type step struct {
 	dur  sim.Time
 }
 
-// NewCommercialProgram builds processor proc's thread.
-func NewCommercialProgram(p CommercialParams, proc int, seed int64, mon *LockMonitor) *CommercialProgram {
+// newCommercialProgram builds processor proc's thread.
+func newCommercialProgram(p CommercialParams, proc int, seed int64, mon *LockMonitor) *CommercialProgram {
 	return &CommercialProgram{
 		p:    p,
 		proc: proc,
@@ -242,26 +242,13 @@ func (c *CommercialProgram) genTxn() {
 
 // Next implements cpu.Program.
 func (c *CommercialProgram) Next(now sim.Time, last uint64) cpu.Action {
-	// Lock-acquire sub-machine in progress?
-	switch c.lockState {
-	case lsTest:
-		c.lockState = lsSwap
-		return cpu.LoadOf(c.lock)
-	case lsSwap:
-		if last != 0 {
-			return cpu.LoadOf(c.lock)
+	if c.acquiring {
+		act, acquired := c.acq.next(last)
+		if !acquired {
+			return act
 		}
-		c.lockState = lsHold
-		return cpu.Swap(c.lock, 1)
-	case lsHold:
-		if last != 0 {
-			c.lockState = lsSwap
-			return cpu.LoadOf(c.lock)
-		}
-		if c.mon != nil {
-			c.mon.Enter(c.lock, c.proc)
-		}
-		c.lockState = lsStart // acquired; fall through to the queue
+		c.mon.Enter(c.acq.lock, c.proc)
+		c.acquiring = false
 	}
 	// Pending second half of an RMW?
 	if c.pendingStore != 0 {
@@ -296,13 +283,10 @@ func (c *CommercialProgram) Next(now sim.Time, last uint64) cpu.Action {
 			c.pendingStore = s.addr
 			return cpu.LoadOf(s.addr)
 		case stAcquire:
-			c.lock = s.addr
-			c.lockState = lsSwap
-			return cpu.LoadOf(c.lock)
+			c.acquiring = true
+			return c.acq.start(s.addr)
 		case stRelease:
-			if c.mon != nil {
-				c.mon.Exit(s.addr, c.proc)
-			}
+			c.mon.Exit(s.addr, c.proc)
 			return cpu.StoreOf(s.addr, 0)
 		}
 	}
@@ -313,7 +297,7 @@ func CommercialPrograms(p CommercialParams, procs int, seed int64) ([]cpu.Progra
 	mon := NewLockMonitor()
 	out := make([]cpu.Program, procs)
 	for i := range out {
-		out[i] = NewCommercialProgram(p, i, seed, mon)
+		out[i] = newCommercialProgram(p, i, seed, mon)
 	}
 	return out, mon
 }

@@ -1,8 +1,11 @@
 // Package workload builds the paper's benchmark programs (Table 2): the
 // locking and barrier micro-benchmarks, implemented exactly as described,
 // and synthetic surrogates for the Wisconsin Commercial Workload Suite
-// macro-benchmarks (OLTP, Apache, SPECjbb) — see DESIGN.md §4 for the
-// substitution rationale.
+// macro-benchmarks (OLTP, Apache, SPECjbb). The paper ran those suites as
+// full-system Simics images, which are not available here. What a
+// coherence protocol sees of them is their sharing-miss profile, so each
+// surrogate is a seeded reference stream tuned to its suite's mix of
+// migratory, read-mostly, private and lock-protected accesses.
 package workload
 
 import (
@@ -49,149 +52,176 @@ func (m *LockMonitor) Exit(lock mem.Addr, proc int) {
 	}
 }
 
+// ttas is one lock acquisition by test-and-test-and-set, the way every
+// Table 2 workload takes its locks: spin on loads while the lock reads
+// taken, and swap in 1 once it reads free.
+type ttas struct {
+	lock    mem.Addr
+	swapped bool // the swap, not a test load, is in flight
+}
+
+// start begins acquiring lock with its first test load.
+func (t *ttas) start(lock mem.Addr) cpu.Action {
+	t.lock, t.swapped = lock, false
+	return cpu.LoadOf(lock)
+}
+
+// next takes the value the last load or swap returned. It gives the next
+// load or swap, or reports acquired once a swap has won.
+func (t *ttas) next(last uint64) (act cpu.Action, acquired bool) {
+	switch {
+	case last != 0: // the lock is taken, or the swap lost the race
+		t.swapped = false
+		return cpu.LoadOf(t.lock), false
+	case t.swapped:
+		return cpu.Action{}, true
+	}
+	t.swapped = true
+	return cpu.Swap(t.lock, 1), false
+}
+
 // LockingConfig parameterizes the locking micro-benchmark: each
-// processor thinks for Think, acquires a random lock (different from the
-// last lock acquired) with test-and-test-and-set, holds it for Hold, and
-// repeats until it has performed Acquires acquisitions.
+// processor thinks for lockThink, acquires a random lock (different from
+// the last lock acquired) with test-and-test-and-set, holds it for
+// lockHold, and repeats until it has performed Acquires acquisitions.
 type LockingConfig struct {
 	Locks    int
 	Acquires int // per processor
-	Think    sim.Time
-	Hold     sim.Time
-	Base     mem.Addr // first lock's address; locks occupy one block each
 }
+
+// Table 2 locking parameters. The locks occupy one block each from
+// lockingBase.
+const (
+	lockThink            = 10 * sim.Nanosecond
+	lockHold             = 10 * sim.Nanosecond
+	lockingBase mem.Addr = 0x100000
+)
 
 // DefaultLocking returns the Table 2 parameters with the given lock
 // count (contention is varied by changing the number of locks).
 func DefaultLocking(locks int) LockingConfig {
-	return LockingConfig{
-		Locks:    locks,
-		Acquires: 64,
-		Think:    sim.NS(10),
-		Hold:     sim.NS(10),
-		Base:     0x100000,
-	}
-}
-
-// LockAddr returns the address of lock i.
-func (c LockingConfig) LockAddr(i int) mem.Addr {
-	return c.Base + mem.Addr(i)*mem.BlockSize
+	return LockingConfig{Locks: locks, Acquires: 64}
 }
 
 type lockingState int
 
 const (
-	lsStart    lockingState = iota
-	lsTest                  // think done: start the spin (load the lock word)
-	lsSwap                  // load returned: maybe attempt test-and-set
-	lsHold                  // swap returned: maybe enter the critical section
-	lsRelease               // hold time elapsed: store zero
-	lsReleased              // release store completed: credit and loop
+	lsStart    lockingState = iota // think before the first acquisition
+	lsTest                         // think done: pick a lock and start acquiring it
+	lsAcquire                      // test-and-test-and-set in progress
+	lsRelease                      // hold time elapsed: store zero
+	lsReleased                     // release store completed: credit and loop
 )
 
 // LockingProgram is one processor's locking micro-benchmark thread.
 type LockingProgram struct {
 	cfg      LockingConfig
 	proc     int
-	picks    []int32 // lock indices of the acquisitions still to come
 	mon      *LockMonitor
 	state    lockingState
-	lock     mem.Addr
+	acq      ttas
 	acquired int
+
+	// picks holds the pre-drawn lock indices still to come. A thread
+	// that runs past them draws the rest from drawn, its own picker
+	// seeded with seed.
+	picks []int32
+	seed  int64
+	drawn picker
 }
 
-// picksPerProc is the number of locks a processor picks: one per
-// acquisition, and at least one, since the first is picked before the
-// Acquires check.
-func (c LockingConfig) picksPerProc() int { return max(c.Acquires, 1) }
+// maxPreDrawn caps the picks LockingPrograms draws for a processor
+// before the run. It lies above every default and benchmark acquire
+// count, so those runs draw no pick during the run, while a run cut
+// short after a few of a huge acquire count pays for no more.
+const maxPreDrawn = 1024
 
 // lockSeed seeds processor proc's stream of lock picks.
 func lockSeed(seed int64, proc int) int64 { return seed*1_000_003 + int64(proc) + 7 }
 
-// appendPicks appends one processor's cfg.picksPerProc() lock picks,
-// drawn from rng, each a uniform lock different from the one before.
-func appendPicks(dst []int32, rng *rand.Rand, cfg LockingConfig) []int32 {
-	n, last := cfg.Locks, -1
-	for range cfg.picksPerProc() {
-		i := rng.Intn(n)
-		if n > 1 && i == last {
-			i = (i + 1 + rng.Intn(n-1)) % n
-		}
-		dst = append(dst, int32(i))
-		last = i
+// picker draws one processor's lock picks, each uniform over the locks
+// other than the one before.
+type picker struct {
+	rng   *rand.Rand
+	locks int
+	last  int
+}
+
+func (k *picker) next() int {
+	i := k.rng.Intn(k.locks)
+	if k.locks > 1 && i == k.last {
+		i = (i + 1 + k.rng.Intn(k.locks-1)) % k.locks
 	}
-	return dst
+	k.last = i
+	return i
 }
 
 // pickLock takes the next acquisition's lock.
-func (p *LockingProgram) pickLock() {
-	p.lock = p.cfg.LockAddr(int(p.picks[0]))
+func (p *LockingProgram) pickLock() mem.Addr {
+	if len(p.picks) == 0 {
+		if p.drawn.rng == nil {
+			// Past the pre-drawn picks: rebuild the source and replay them.
+			p.drawn = picker{rng: rand.New(rand.NewSource(p.seed)), locks: p.cfg.Locks, last: -1}
+			for range maxPreDrawn {
+				p.drawn.next()
+			}
+		}
+		return blockAddr(lockingBase, p.drawn.next())
+	}
+	i := p.picks[0]
 	p.picks = p.picks[1:]
+	return blockAddr(lockingBase, int(i))
 }
 
 // Next implements cpu.Program.
 func (p *LockingProgram) Next(now sim.Time, last uint64) cpu.Action {
 	switch p.state {
-	case lsStart:
-		p.pickLock()
-		p.state = lsTest
-		return cpu.Think(p.cfg.Think)
 	case lsTest:
-		// Test phase of test-and-test-and-set: spin on loads.
-		p.state = lsSwap
-		return cpu.LoadOf(p.lock)
-	case lsSwap:
-		if last != 0 {
-			// Lock held: keep spinning.
-			return cpu.LoadOf(p.lock)
+		p.state = lsAcquire
+		return p.acq.start(p.pickLock())
+	case lsAcquire:
+		act, acquired := p.acq.next(last)
+		if !acquired {
+			return act
 		}
-		p.state = lsHold
-		return cpu.Swap(p.lock, 1)
-	case lsHold:
-		if last != 0 {
-			// Lost the race: back to the test phase.
-			p.state = lsSwap
-			return cpu.LoadOf(p.lock)
-		}
-		if p.mon != nil {
-			p.mon.Enter(p.lock, p.proc)
-		}
+		p.mon.Enter(p.acq.lock, p.proc)
 		p.state = lsRelease
-		return cpu.Think(p.cfg.Hold)
+		return cpu.Think(lockHold)
 	case lsRelease:
 		p.state = lsReleased
-		return cpu.StoreOf(p.lock, 0)
+		return cpu.StoreOf(p.acq.lock, 0)
 	case lsReleased:
-		if p.mon != nil {
-			p.mon.Exit(p.lock, p.proc)
-		}
+		p.mon.Exit(p.acq.lock, p.proc)
 		p.acquired++
 		if p.acquired >= p.cfg.Acquires {
 			return cpu.Done()
 		}
-		p.pickLock()
-		p.state = lsTest
-		return cpu.Think(p.cfg.Think)
-	default:
-		panic("locking: bad state")
 	}
+	p.state = lsTest
+	return cpu.Think(lockThink)
 }
 
 // LockingPrograms builds one thread per processor, sharing a monitor.
-// One PRNG, reseeded with each processor's seed in turn, draws every
-// processor's picks into one shared slice: the same picks as a source
-// per processor, without a 5 KB source for each.
+// One PRNG, reseeded with each processor's seed in turn, draws each
+// processor's first picks (one per acquisition, and at least one, since
+// the first is picked before the Acquires check) into one shared slice:
+// the same picks as a source per processor, without a 5 KB source for
+// each.
 func LockingPrograms(cfg LockingConfig, procs int, seed int64) ([]cpu.Program, *LockMonitor) {
 	mon := NewLockMonitor()
-	per := cfg.picksPerProc()
+	per := min(max(cfg.Acquires, 1), maxPreDrawn)
 	picks := make([]int32, 0, procs*per)
 	rng := rand.New(rand.NewSource(0))
 	progs := make([]LockingProgram, procs)
 	out := make([]cpu.Program, procs)
 	for i := range out {
-		rng.Seed(lockSeed(seed, i))
-		picks = appendPicks(picks, rng, cfg)
-		progs[i] = LockingProgram{cfg: cfg, proc: i, picks: picks[i*per : (i+1)*per], mon: mon}
+		s := lockSeed(seed, i)
+		rng.Seed(s)
+		k := picker{rng: rng, locks: cfg.Locks, last: -1}
+		for range per {
+			picks = append(picks, int32(k.next()))
+		}
+		progs[i] = LockingProgram{cfg: cfg, proc: i, mon: mon, picks: picks[i*per : (i+1)*per], seed: s}
 		out[i] = &progs[i]
 	}
 	return out, mon

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tokencmp/internal/cpu"
@@ -9,40 +10,67 @@ import (
 	"tokencmp/internal/sim"
 )
 
-// fakeMemory runs a Program against an instantly-coherent memory,
+// fakeMemory runs Programs against an instantly-coherent memory,
 // checking the program logic independent of any protocol.
 type fakeMemory struct {
 	values map[mem.Block]uint64
 	ops    int
+	// won and lost count the swaps that read zero and nonzero.
+	won, lost int
+}
+
+// do performs one memory action and returns the value it read.
+func (fm *fakeMemory) do(act cpu.Action) (last uint64) {
+	b := mem.BlockOf(act.Addr)
+	switch act.Kind {
+	case cpu.ActLoad, cpu.ActIFetch:
+		last = fm.values[b]
+	case cpu.ActStore:
+		fm.values[b] = act.Value
+	case cpu.ActAtomic:
+		last = fm.values[b]
+		fm.values[b] = act.Value
+		if last == 0 {
+			fm.won++
+		} else {
+			fm.lost++
+		}
+	default:
+		return 0
+	}
+	fm.ops++
+	return last
+}
+
+// runInterleaved steps the programs round-robin, one action each per
+// round, and reports whether all finished within limit rounds.
+func runInterleaved(progs []cpu.Program, fm *fakeMemory, limit int) bool {
+	if fm.values == nil {
+		fm.values = map[mem.Block]uint64{}
+	}
+	last := make([]uint64, len(progs))
+	done := make([]bool, len(progs))
+	for i, left := 0, len(progs); i < limit; i++ {
+		for j, p := range progs {
+			if done[j] {
+				continue
+			}
+			act := p.Next(sim.Time(i), last[j])
+			last[j] = fm.do(act)
+			if act.Kind == cpu.ActDone {
+				done[j] = true
+				if left--; left == 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func runProgram(t *testing.T, p cpu.Program, fm *fakeMemory, limit int) bool {
 	t.Helper()
-	if fm.values == nil {
-		fm.values = map[mem.Block]uint64{}
-	}
-	var last uint64
-	for i := 0; i < limit; i++ {
-		act := p.Next(sim.Time(i), last)
-		last = 0
-		b := mem.BlockOf(act.Addr)
-		switch act.Kind {
-		case cpu.ActThink:
-		case cpu.ActLoad, cpu.ActIFetch:
-			last = fm.values[b]
-			fm.ops++
-		case cpu.ActStore:
-			fm.values[b] = act.Value
-			fm.ops++
-		case cpu.ActAtomic:
-			last = fm.values[b]
-			fm.values[b] = act.Value
-			fm.ops++
-		case cpu.ActDone:
-			return true
-		}
-	}
-	return false
+	return runInterleaved([]cpu.Program{p}, fm, limit)
 }
 
 func TestLockingProgramCompletes(t *testing.T) {
@@ -74,11 +102,11 @@ func TestLockingAvoidsLastLock(t *testing.T) {
 	p := progs[0].(*LockingProgram)
 	last := mem.Addr(0)
 	for i := 0; i < 50; i++ {
-		p.pickLock()
-		if p.lock == last && cfg.Locks > 1 {
+		lock := p.pickLock()
+		if lock == last && cfg.Locks > 1 {
 			t.Fatal("picked the same lock twice in a row")
 		}
-		last = p.lock
+		last = lock
 	}
 }
 
@@ -121,13 +149,14 @@ func acquiredLocks(t *testing.T, p cpu.Program) []mem.Addr {
 	return nil
 }
 
-// FuzzLockingPicks checks the picks LockingPrograms draws up front
-// against the lazy reference generator: every processor acquires the
-// same locks in the same order.
+// FuzzLockingPicks checks the picks LockingPrograms draws up front, and
+// those a thread draws once it runs past the maxPreDrawn bound, against
+// the lazy reference generator: every processor acquires the same locks
+// in the same order.
 func FuzzLockingPicks(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, locks uint16, acquires, procs uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, locks, acquires uint16, procs uint8) {
 		cfg := DefaultLocking(1 + int(locks)%1024)
-		cfg.Acquires = int(acquires) % 80 // 0 still acquires once
+		cfg.Acquires = int(acquires) % (maxPreDrawn + 100) // 0 still acquires once
 		n := 1 + int(procs)%32
 		progs, _ := LockingPrograms(cfg, n, seed)
 		for proc, p := range progs {
@@ -137,7 +166,7 @@ func FuzzLockingPicks(f *testing.F) {
 				t.Fatalf("proc %d: %d acquisitions, want %d", proc, len(got), want)
 			}
 			for i := range got {
-				want := cfg.LockAddr(ref.next())
+				want := blockAddr(lockingBase, ref.next())
 				if got[i] != want {
 					t.Fatalf("proc %d acquisition %d: lock %#x, want %#x",
 						proc, i, uint64(got[i]), uint64(want))
@@ -156,10 +185,84 @@ func TestLockMonitorDetectsViolation(t *testing.T) {
 	}
 }
 
+// TestTTAS drives one acquisition through the values its test loads and
+// swaps read.
+func TestTTAS(t *testing.T) {
+	const lock mem.Addr = 0x40
+	load, swap := cpu.LoadOf(lock), cpu.Swap(lock, 1)
+	for _, tc := range []struct {
+		name  string
+		reads []uint64     // what each issued load or swap reads
+		want  []cpu.Action // the actions after the first test load
+	}{
+		{"free lock", []uint64{0, 0}, []cpu.Action{swap}},
+		{"held lock", []uint64{1, 1, 1, 0, 0}, []cpu.Action{load, load, load, swap}},
+		{"lost swap", []uint64{0, 1, 1, 0, 0}, []cpu.Action{swap, load, load, swap}},
+	} {
+		var a ttas
+		if got := a.start(lock); got != load {
+			t.Fatalf("%s: start issued %+v, want a test load", tc.name, got)
+		}
+		var got []cpu.Action
+		for i, v := range tc.reads {
+			act, acquired := a.next(v)
+			if acquired != (i == len(tc.reads)-1) {
+				t.Fatalf("%s: read %d reported acquired %v", tc.name, i, acquired)
+			}
+			if !acquired {
+				got = append(got, act)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: issued %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestOneEnterPerAcquisition runs each workload's threads interleaved on
+// fake memory, where threads contend for locks and lose swaps: the
+// monitor sees one Enter per won swap and per acquisition the program
+// makes.
+func TestOneEnterPerAcquisition(t *testing.T) {
+	lc := DefaultLocking(1)
+	lc.Acquires = 20
+	locking, lmon := LockingPrograms(lc, 3, 1)
+	bc := DefaultBarrier(3, 0)
+	bc.Iterations = 10
+	barrier, bmon := BarrierPrograms(bc, 1)
+	params := OLTP()
+	params.TxnsPerProc = 5
+	commercial, cmon := CommercialPrograms(params, 3, 1)
+	for _, tc := range []struct {
+		name  string
+		progs []cpu.Program
+		mon   *LockMonitor
+		want  int
+	}{
+		{"locking", locking, lmon, 3 * lc.Acquires},
+		{"barrier", barrier, bmon, 3 * bc.Iterations},
+		{"commercial", commercial, cmon, 3 * params.TxnsPerProc * params.LockedSectionsPerTxn},
+	} {
+		fm := &fakeMemory{}
+		if !runInterleaved(tc.progs, fm, 1000000) {
+			t.Fatalf("%s: threads did not finish", tc.name)
+		}
+		if tc.mon.Acquires != uint64(tc.want) || fm.won != tc.want {
+			t.Errorf("%s: %d Enters and %d won swaps, want %d", tc.name, tc.mon.Acquires, fm.won, tc.want)
+		}
+		if fm.lost == 0 {
+			t.Errorf("%s: no swap lost its race", tc.name)
+		}
+		if len(tc.mon.Violations) != 0 {
+			t.Errorf("%s: violations %v", tc.name, tc.mon.Violations)
+		}
+	}
+}
+
 func TestBarrierProgramSoloCompletes(t *testing.T) {
 	cfg := DefaultBarrier(1, 0)
 	cfg.Iterations = 5
-	p := NewBarrierProgram(cfg, 0, 1, nil)
+	p := newBarrierProgram(cfg, 0, 1, NewLockMonitor())
 	fm := &fakeMemory{}
 	if !runProgram(t, p, fm, 100000) {
 		t.Fatal("single-processor barrier did not finish")
@@ -175,35 +278,9 @@ func TestBarrierProgramsInterleaved(t *testing.T) {
 	cfg := DefaultBarrier(2, 0)
 	cfg.Iterations = 4
 	mon := NewLockMonitor()
-	p0 := NewBarrierProgram(cfg, 0, 1, mon)
-	p1 := NewBarrierProgram(cfg, 1, 1, mon)
-	fm := &fakeMemory{values: map[mem.Block]uint64{}}
-	var last0, last1 uint64
-	done0, done1 := false, false
-	step := func(p *BarrierProgram, last *uint64, done *bool) {
-		if *done {
-			return
-		}
-		act := p.Next(0, *last)
-		*last = 0
-		b := mem.BlockOf(act.Addr)
-		switch act.Kind {
-		case cpu.ActLoad:
-			*last = fm.values[b]
-		case cpu.ActStore:
-			fm.values[b] = act.Value
-		case cpu.ActAtomic:
-			*last = fm.values[b]
-			fm.values[b] = act.Value
-		case cpu.ActDone:
-			*done = true
-		}
-	}
-	for i := 0; i < 100000 && !(done0 && done1); i++ {
-		step(p0, &last0, &done0)
-		step(p1, &last1, &done1)
-	}
-	if !done0 || !done1 {
+	p0 := newBarrierProgram(cfg, 0, 1, mon)
+	p1 := newBarrierProgram(cfg, 1, 1, mon)
+	if !runInterleaved([]cpu.Program{p0, p1}, &fakeMemory{}, 100000) {
 		t.Fatalf("barrier threads stuck (rounds %d/%d)", p0.round, p1.round)
 	}
 	if len(mon.Violations) != 0 {
@@ -213,7 +290,7 @@ func TestBarrierProgramsInterleaved(t *testing.T) {
 
 func TestBarrierJitterBounded(t *testing.T) {
 	cfg := DefaultBarrier(2, sim.NS(1000))
-	p := NewBarrierProgram(cfg, 0, 1, nil)
+	p := newBarrierProgram(cfg, 0, 1, NewLockMonitor())
 	for i := 0; i < 1000; i++ {
 		w := p.work()
 		if w < sim.NS(2000) || w > sim.NS(4000) {
@@ -224,18 +301,19 @@ func TestBarrierJitterBounded(t *testing.T) {
 
 // TestBarrierJitterAtTheBound draws work at 1 ms of jitter, the largest
 // that experiments.Spec.Validate accepts (experiments.MaxJitter). Every
-// draw lies in [Work-J, Work+J], clamped at zero, and none panics.
+// draw lies in [barrierWork-J, barrierWork+J], clamped at zero, and none
+// panics.
 func TestBarrierJitterAtTheBound(t *testing.T) {
 	cfg := DefaultBarrier(2, sim.Millisecond)
-	p := NewBarrierProgram(cfg, 0, 1, nil)
-	lo, hi := max(cfg.Work-cfg.Jitter, 0), cfg.Work+cfg.Jitter
+	p := newBarrierProgram(cfg, 0, 1, NewLockMonitor())
+	lo, hi := max(barrierWork-cfg.Jitter, 0), barrierWork+cfg.Jitter
 	sawLong := false
 	for range 1000 {
 		w := p.work()
 		if w < lo || w > hi {
 			t.Fatalf("work %v outside [%v, %v]", w, lo, hi)
 		}
-		sawLong = sawLong || w > cfg.Work+cfg.Jitter/2
+		sawLong = sawLong || w > barrierWork+cfg.Jitter/2
 	}
 	if !sawLong {
 		t.Error("1000 draws never passed Work+J/2: the jitter is not applied")
@@ -248,7 +326,7 @@ func TestBarrierJitterAtTheBound(t *testing.T) {
 func TestBarrierJitterBuiltLazily(t *testing.T) {
 	cfg := DefaultBarrier(1, 0)
 	cfg.Iterations = 5
-	p := NewBarrierProgram(cfg, 0, 1, nil)
+	p := newBarrierProgram(cfg, 0, 1, NewLockMonitor())
 	if !runProgram(t, p, &fakeMemory{}, 100000) {
 		t.Fatal("single-processor barrier did not finish")
 	}
@@ -258,10 +336,10 @@ func TestBarrierJitterBuiltLazily(t *testing.T) {
 
 	cfg.Jitter = sim.NS(1000)
 	const proc, seed = 3, 5
-	p = NewBarrierProgram(cfg, proc, seed, nil)
+	p = newBarrierProgram(cfg, proc, seed, NewLockMonitor())
 	ref := rand.New(rand.NewSource(seed*2_000_003 + proc + 11))
 	for i := range 100 {
-		want := cfg.Work + sim.Time(ref.Int63n(int64(2*cfg.Jitter)+1)) - cfg.Jitter
+		want := barrierWork + sim.Time(ref.Int63n(int64(2*cfg.Jitter)+1)) - cfg.Jitter
 		if got := p.work(); got != want {
 			t.Fatalf("draw %d: work %v, want %v", i, got, want)
 		}
@@ -272,7 +350,7 @@ func TestCommercialProgramCompletes(t *testing.T) {
 	for _, params := range []CommercialParams{OLTP(), Apache(), SPECjbb()} {
 		params.TxnsPerProc = 3
 		mon := NewLockMonitor()
-		p := NewCommercialProgram(params, 0, 1, mon)
+		p := newCommercialProgram(params, 0, 1, mon)
 		fm := &fakeMemory{}
 		if !runProgram(t, p, fm, 1000000) {
 			t.Fatalf("%s program did not finish", params.Name)
@@ -295,7 +373,7 @@ func TestCommercialProgramCompletes(t *testing.T) {
 func TestCommercialNextDoesNotAllocate(t *testing.T) {
 	for _, params := range []CommercialParams{OLTP(), Apache(), SPECjbb()} {
 		params.TxnsPerProc = 1 << 30
-		p := NewCommercialProgram(params, 1, 1, nil)
+		p := newCommercialProgram(params, 1, 1, NewLockMonitor())
 		nextTxn := func() {
 			for n := p.txns; p.txns == n; {
 				p.Next(0, 0)
@@ -310,7 +388,7 @@ func TestCommercialNextDoesNotAllocate(t *testing.T) {
 
 func TestCommercialDeterministicPerSeed(t *testing.T) {
 	gen := func(seed int64) []cpu.Action {
-		p := NewCommercialProgram(OLTP(), 2, seed, nil)
+		p := newCommercialProgram(OLTP(), 2, seed, NewLockMonitor())
 		var acts []cpu.Action
 		var last uint64
 		for i := 0; i < 200; i++ {
@@ -348,7 +426,7 @@ func TestCommercialDeterministicPerSeed(t *testing.T) {
 }
 
 func TestCommercialAddressRegionsDisjoint(t *testing.T) {
-	p := NewCommercialProgram(OLTP(), 1, 1, nil)
+	p := newCommercialProgram(OLTP(), 1, 1, NewLockMonitor())
 	var last uint64
 	private := map[mem.Block]bool{}
 	for i := 0; i < 5000; i++ {
