@@ -67,3 +67,50 @@ func TestCounterDigests(t *testing.T) {
 		}
 	}
 }
+
+// trafficDigest folds one run's Figure 7 traffic, the bytes and the
+// messages of every (level, class) cell, into a short hex digest.
+func trafficDigest(tr *stats.Traffic) string {
+	var b strings.Builder
+	for l := stats.Level(0); l < stats.NumLevels; l++ {
+		for c := stats.TrafficClass(0); c < stats.NumTrafficClasses; c++ {
+			fmt.Fprintf(&b, "%v/%v bytes=%d msgs=%d\n", l, c, tr.Bytes[l][c], tr.Messages[l][c])
+		}
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestTrafficClassDigests pins the per-class traffic of every protocol
+// on the locking, OLTP and barrier workloads at DefaultSpec scale.
+// TestCounterDigests sees only each level's totals, so a message
+// counted under the wrong Figure 7 class shows up only here.
+func TestTrafficClassDigests(t *testing.T) {
+	pins := map[string][3]string{ // protocol → locking, OLTP, barrier
+		"DirectoryCMP":       {"c58bbe2301a8dd4e", "e23456cf3857d4c1", "b3ff1b8ba1544556"},
+		"DirectoryCMP-zero":  {"0c9d0fba130cd7d8", "4c65eba13f3f585a", "451ae7273f3807c4"},
+		"HammerCMP":          {"ca8628f578f8c60c", "fca7db9b0ecc9cac", "b611d2b7c634f7e2"},
+		"TokenCMP-arb0":      {"5fcb30216316414a", "32ba6bb45aa809f3", "a37ee8488c56fae6"},
+		"TokenCMP-dst0":      {"0a1175497ce0a16a", "e511ce633f46565e", "a858a0a2a81335ea"},
+		"TokenCMP-dst4":      {"898f28b3c57f0766", "dae5791433e62146", "e403bb5911019820"},
+		"TokenCMP-dst1":      {"0a442f4438537c48", "c8d4c54d189510d3", "d1ef1060a5177e6a"},
+		"TokenCMP-dst1-pred": {"6f5918cd138ccc5c", "4d4d4448861ac18d", "9efde11dcfc80b1f"},
+		"TokenCMP-dst1-filt": {"4c0329ffdeeb7f8d", "75659c2adef6b1be", "b7ee2562c181ba59"},
+		"PerfectL2":          {"b13ddafcfd4cbe9e", "b13ddafcfd4cbe9e", "b13ddafcfd4cbe9e"},
+	}
+	for _, proto := range machine.Protocols() {
+		for w, name := range [...]string{"locking", "OLTP", "barrier"} {
+			t.Run(proto+"/"+name, func(t *testing.T) {
+				s := DefaultSpec()
+				s.Protocol, s.Workload = proto, name
+				res, _, err := s.run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := trafficDigest(&res.Traffic), pins[proto][w]; got != want {
+					t.Errorf("digest = %s, want %s", got, want)
+				}
+			})
+		}
+	}
+}
