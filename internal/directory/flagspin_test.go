@@ -41,7 +41,7 @@ func TestFlagSpinInvalidation(t *testing.T) {
 	sys.Net.Monitor = func(m *network.Message) {
 		if m.Block == b && len(trace) < 400 {
 			trace = append(trace, fmt.Sprintf("%v..%v %v->%v %s aux=%d data=%d hasData=%v proc=%d",
-				m.SentAt, eng.Now(), m.Src, m.Dst, kindName(m.Kind), m.Aux, m.Data, m.HasData, m.Proc))
+				m.SentAt, eng.Now(), m.Src, m.Dst, kinds.Name(m.Kind), m.Aux, m.Data, m.HasData, m.Proc))
 		}
 	}
 	defer func() {

@@ -8,7 +8,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -62,7 +61,6 @@ func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int3
 		Dst:       req,
 		Block:     b,
 		Kind:      kData,
-		Class:     stats.ResponseData,
 		HasData:   true,
 		Data:      value,
 		Aux:       aux,
@@ -83,7 +81,7 @@ func (c *HomeCtrl) Recv(m *network.Message) {
 	case kWbData, kWbCancel:
 		c.handleWbData(m)
 	default:
-		panic(fmt.Sprintf("directory: home %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("directory: home %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -133,7 +131,6 @@ func (c *HomeCtrl) startGetS(m *network.Message) {
 		Dst:       owner,
 		Block:     b,
 		Kind:      kFwdGetS,
-		Class:     stats.InvFwdAckTokens,
 		Requestor: m.Requestor,
 	})
 }
@@ -162,7 +159,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 			Dst:       c.sys.Geom.L2BankFor(cmp, b),
 			Block:     b,
 			Kind:      kInv,
-			Class:     stats.InvFwdAckTokens,
 			Requestor: m.Requestor,
 		})
 	}
@@ -180,7 +176,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 			Dst:       m.Requestor,
 			Block:     b,
 			Kind:      kGrant,
-			Class:     stats.InvFwdAckTokens,
 			Aux:       packAux(grantM, acks, false),
 			Requestor: m.Requestor,
 		})
@@ -192,7 +187,6 @@ func (c *HomeCtrl) startGetM(m *network.Message) {
 			Dst:       c.sys.Geom.L2BankFor(hl.owner, b),
 			Block:     b,
 			Kind:      kFwdGetM,
-			Class:     stats.InvFwdAckTokens,
 			Aux:       packAux(grantM, acks, false),
 			Requestor: m.Requestor,
 		})
@@ -224,7 +218,7 @@ func (c *HomeCtrl) handleUnblock(m *network.Message) {
 func (c *HomeCtrl) handleWbData(m *network.Message) {
 	b := m.Block
 	if kind := c.ser.Busy(b); kind == nil || *kind != kPut {
-		panic(fmt.Sprintf("directory: home %v %s without PUT for %v", c.id, kindName(m.Kind), b))
+		panic(fmt.Sprintf("directory: home %v %s without PUT for %v", c.id, kinds.Name(m.Kind), b))
 	}
 	c.ser.End(b)
 	hl := c.lineFor(b)

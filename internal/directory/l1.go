@@ -7,7 +7,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -44,7 +43,6 @@ func (c *L1Ctrl) request() {
 		Dst:       c.bank(c.Miss.Block),
 		Block:     c.Miss.Block,
 		Kind:      req,
-		Class:     stats.Request,
 		Requestor: c.id,
 	})
 }
@@ -75,7 +73,7 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 	case kWbGrant:
 		c.wb.Grant(m)
 	default:
-		panic(fmt.Sprintf("directory: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("directory: L1 %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -111,7 +109,6 @@ func (c *L1Ctrl) handleGrant(m *network.Message) {
 		Dst:   c.bank(b),
 		Block: b,
 		Kind:  kUnblock,
-		Class: stats.Unblock,
 	})
 	done(val)
 }
@@ -159,7 +156,6 @@ func (c *L1Ctrl) handleFwdGetS(m *network.Message) {
 		Dst:     m.Src, // the L2 bank
 		Block:   b,
 		Kind:    kFwdResp,
-		Class:   stats.ResponseData,
 		HasData: true,
 		Data:    data,
 		Dirty:   dirty,
@@ -190,7 +186,6 @@ func (c *L1Ctrl) handleFwdGetM(m *network.Message) {
 		Dst:     m.Src,
 		Block:   b,
 		Kind:    kFwdResp,
-		Class:   stats.ResponseData,
 		HasData: true,
 		Data:    data,
 		Dirty:   dirty,
@@ -217,7 +212,6 @@ func (c *L1Ctrl) handleInv(m *network.Message) {
 		Dst:   m.Requestor,
 		Block: b,
 		Kind:  kInvAck,
-		Class: stats.InvFwdAckTokens,
 		Proc:  m.Proc,
 	})
 }

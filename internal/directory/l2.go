@@ -9,7 +9,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -174,7 +173,7 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 	case kWbData, kWbCancel:
 		c.handleWbData(m)
 	default:
-		panic(fmt.Sprintf("directory: L2 %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("directory: L2 %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -236,7 +235,6 @@ func (c *L2Ctrl) sendToL1(dst topo.NodeID, b mem.Block, kind, tag, aux int32) {
 		Dst:       dst,
 		Block:     b,
 		Kind:      kind,
-		Class:     stats.InvFwdAckTokens,
 		Requestor: c.id,
 		Proc:      tag,
 		Aux:       aux,
@@ -302,13 +300,11 @@ func (c *L2Ctrl) grantLocal(b mem.Block, txn *l2Txn) {
 		Dst:       req,
 		Block:     b,
 		Kind:      kGrant,
-		Class:     stats.InvFwdAckTokens,
 		Aux:       packAux(gst, 0, false),
 		Requestor: req,
 	}
 	if withData {
 		msg.Kind = kData
-		msg.Class = stats.ResponseData
 		msg.HasData = true
 		msg.Data = line.data
 		msg.Dirty = line.dirty
@@ -335,7 +331,6 @@ func (c *L2Ctrl) goInter(b mem.Block, txn *l2Txn) {
 		Dst:       c.home(b),
 		Block:     b,
 		Kind:      txn.kind,
-		Class:     stats.Request,
 		Requestor: c.id,
 	})
 }
@@ -451,7 +446,7 @@ func (c *L2Ctrl) handleFwdResp(m *network.Message) {
 func (c *L2Ctrl) service(m *network.Message) *extSrv {
 	srv := c.ext.Peek(m.Block)
 	if srv == nil {
-		panic(fmt.Sprintf("directory: L2 %v stray %s (tag %d) for %v", c.id, kindName(m.Kind), m.Proc, m.Block))
+		panic(fmt.Sprintf("directory: L2 %v stray %s (tag %d) for %v", c.id, kinds.Name(m.Kind), m.Proc, m.Block))
 	}
 	return srv
 }
@@ -551,7 +546,6 @@ func (c *L2Ctrl) finishInterIfDone(b mem.Block, txn *l2Txn) {
 		Dst:   c.home(b),
 		Block: b,
 		Kind:  kUnblock,
-		Class: stats.Unblock,
 		Aux:   packAux(result, 0, txn.interMigr),
 	})
 
@@ -617,7 +611,7 @@ func (c *L2Ctrl) startHomeFwd(m *network.Message) {
 			c.serveFwdFromWb(m, w)
 			return
 		}
-		panic(fmt.Sprintf("directory: L2 %v owner-forward %s for %v without data", c.id, kindName(m.Kind), b))
+		panic(fmt.Sprintf("directory: L2 %v owner-forward %s for %v without data", c.id, kinds.Name(m.Kind), b))
 	}
 
 	_, acks, _ := unpackAux(m.Aux)
@@ -719,7 +713,6 @@ func (c *L2Ctrl) ackInter(dst topo.NodeID, b mem.Block) {
 		Dst:   dst,
 		Block: b,
 		Kind:  kInvAck,
-		Class: stats.InvFwdAckTokens,
 		Proc:  tagInter,
 	})
 }
@@ -762,7 +755,6 @@ func (c *L2Ctrl) sendData(dst topo.NodeID, b mem.Block, data uint64, dirty bool,
 		Dst:       dst,
 		Block:     b,
 		Kind:      kData,
-		Class:     stats.ResponseData,
 		HasData:   true,
 		Data:      data,
 		Dirty:     dirty,
@@ -830,7 +822,7 @@ func (c *L2Ctrl) handleWbData(m *network.Message) {
 	b := m.Block
 	txn := c.busy(b)
 	if txn == nil || txn.kind != kPut {
-		panic(fmt.Sprintf("directory: L2 %v %s without PUT transaction for %v", c.id, kindName(m.Kind), b))
+		panic(fmt.Sprintf("directory: L2 %v %s without PUT transaction for %v", c.id, kinds.Name(m.Kind), b))
 	}
 	c.ser.End(b)
 	evictorBit := c.sys.Geom.L1Bit(m.Src)

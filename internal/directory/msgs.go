@@ -12,7 +12,10 @@
 // request.
 package directory
 
-import "fmt"
+import (
+	"tokencmp/internal/network"
+	"tokencmp/internal/stats"
+)
 
 // Message kinds.
 const (
@@ -49,13 +52,25 @@ const (
 	kWbCancel
 )
 
-func kindName(k int32) string {
-	names := []string{"GetS", "GetM", "FwdGetS", "FwdGetM", "FwdResp", "Inv",
-		"InvAck", "Data", "Grant", "Unblock", "Put", "WbGrant", "WbData", "WbCancel"}
-	if k >= 0 && int(k) < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("kind(%d)", k)
+// kinds is the protocol's kind table (installed on the network by
+// NewSystem): each kind's name and Figure 7 class. A writeback's data
+// counts as Writeback Data. The protocol has no timeout or retry path,
+// so every kind is protected from injected faults.
+var kinds = network.Kinds{
+	kGetS:     {Name: "GetS", Class: stats.Request},
+	kGetM:     {Name: "GetM", Class: stats.Request},
+	kFwdGetS:  {Name: "FwdGetS", Class: stats.InvFwdAckTokens},
+	kFwdGetM:  {Name: "FwdGetM", Class: stats.InvFwdAckTokens},
+	kFwdResp:  {Name: "FwdResp", Class: stats.ResponseData},
+	kInv:      {Name: "Inv", Class: stats.InvFwdAckTokens},
+	kInvAck:   {Name: "InvAck", Class: stats.InvFwdAckTokens},
+	kData:     {Name: "Data", Class: stats.ResponseData},
+	kGrant:    {Name: "Grant", Class: stats.InvFwdAckTokens},
+	kUnblock:  {Name: "Unblock", Class: stats.Unblock},
+	kPut:      {Name: "Put", Class: stats.WritebackControl},
+	kWbGrant:  {Name: "WbGrant", Class: stats.WritebackControl},
+	kWbData:   {Name: "WbData", Class: stats.WritebackControl},
+	kWbCancel: {Name: "WbCancel", Class: stats.WritebackControl},
 }
 
 // grantState values carried in Aux.

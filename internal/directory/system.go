@@ -34,6 +34,7 @@ func NewSystem(eng *sim.Engine, h hier.Config, zeroDir bool, netCfg network.Conf
 	s.ctr = newCtrs(s.Ctrs)
 	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
+	s.Net.Kinds = kinds
 	// Every directory controller acts only after its access latency;
 	// the home's includes the directory lookup (80 ns for the DRAM
 	// directory, 0 for DirectoryCMP-zero).

@@ -9,7 +9,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -25,11 +24,11 @@ func testSystem(t *testing.T, zero bool) (*sim.Engine, *System) {
 // 32 or more to 0, so a kind there would silently skip its access
 // latency.
 func TestKindsFitDelay(t *testing.T) {
-	if name := kindName(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
+	if name := kinds.Name(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
 		t.Fatalf("kind %s follows kWbCancel; assert on the highest kind", name)
 	}
 	if kWbCancel >= 32 {
-		t.Errorf("highest message kind %s is %d, want below 32", kindName(kWbCancel), kWbCancel)
+		t.Errorf("highest message kind %s is %d, want below 32", kinds.Name(kWbCancel), kWbCancel)
 	}
 }
 
@@ -67,6 +66,56 @@ func TestDirStoreThenRemoteLoad(t *testing.T) {
 	run(t, eng, func() bool { return done }, "remote load")
 	if val != 7 {
 		t.Errorf("remote load = %d, want 7 (migratory transfer)", val)
+	}
+}
+
+// TestDirPinnedSetRetry fills one-set L2 banks with pinned lines: five
+// processors of one chip miss at once on five blocks of their bank, so
+// the last to arrive finds every way pinned by an in-flight transaction
+// and must retry its reservation until another transaction completes.
+// The five processors of the other chip then load the five blocks at
+// once, which pins their own bank's set the same way, and must read the
+// stored values.
+func TestDirPinnedSetRetry(t *testing.T) {
+	const n = 5 // one more than the bank's ways
+	eng := sim.NewEngine()
+	h := hier.Config{Geom: topo.NewGeometry(2, n, 1), L1Size: 256, L2BankSize: 256}
+	sys := NewSystem(eng, h, false, network.Default())
+	addr := func(i int) mem.Addr { return mem.Addr(i * mem.BlockSize) }
+	// A transaction whose block has no line yet is waiting for a way:
+	// its reservation failed and its retry is scheduled.
+	retried := make([]bool, len(sys.L2s))
+	watch := func(cmp int) {
+		bank := sys.L2s[cmp][0]
+		for i := range n {
+			b := mem.BlockOf(addr(i))
+			if bank.busy(b) != nil && bank.lookup(b) == nil {
+				retried[cmp] = true
+			}
+		}
+	}
+	stored := 0
+	for p := range n {
+		d, _ := sys.Ports(p)
+		d.Access(cpu.Store, addr(p), uint64(100+p), func(uint64) { stored++ })
+	}
+	run(t, eng, func() bool { watch(0); return stored == n }, "stores")
+	loaded := 0
+	vals := make([]uint64, n)
+	for p := range n {
+		d, _ := sys.Ports(n + p) // the other chip
+		d.Access(cpu.Load, addr(p), 0, func(v uint64) { vals[p] = v; loaded++ })
+	}
+	run(t, eng, func() bool { watch(1); return loaded == n }, "loads")
+	for p, v := range vals {
+		if v != uint64(100+p) {
+			t.Errorf("block %d loaded %d, want %d", p, v, 100+p)
+		}
+	}
+	for cmp, r := range retried {
+		if !r {
+			t.Errorf("chip %d's bank never waited for a way", cmp)
+		}
 	}
 }
 
@@ -182,7 +231,7 @@ func TestInvDeliveryDoesNotAllocate(t *testing.T) {
 	g := topo.NewGeometry(2, 2, 1)
 	req, acks := g.L2Node(1, 0), 0
 	sys.Net.Attach(req, countSink{&acks})
-	inv := network.Message{Src: req, Dst: g.L1DNode(1, 1), Block: 64, Kind: kInv, Class: stats.InvFwdAckTokens, Requestor: req}
+	inv := network.Message{Src: req, Dst: g.L1DNode(1, 1), Block: 64, Kind: kInv, Requestor: req}
 	sys.Net.SendNew(inv)
 	eng.Run(0)
 	avg := testing.AllocsPerRun(100, func() {

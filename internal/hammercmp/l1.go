@@ -8,7 +8,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -74,7 +73,6 @@ func (c *L1Ctrl) request() {
 		Dst:       c.home(c.Miss.Block),
 		Block:     c.Miss.Block,
 		Kind:      req,
-		Class:     stats.Request,
 		Requestor: c.id,
 	})
 }
@@ -104,7 +102,7 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 	case kWbGrant:
 		c.wb.Grant(m)
 	default:
-		panic(fmt.Sprintf("hammercmp: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("hammercmp: L1 %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -113,7 +111,7 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 func (c *L1Ctrl) handleResponse(m *network.Message) {
 	miss := c.For(m.Block)
 	if miss == nil {
-		panic(fmt.Sprintf("hammercmp: L1 %v stray %s for %v", c.id, kindName(m.Kind), m.Block))
+		panic(fmt.Sprintf("hammercmp: L1 %v stray %s for %v", c.id, kinds.Name(m.Kind), m.Block))
 	}
 	txn := &miss.Txn
 	txn.got++
@@ -209,7 +207,6 @@ func (c *L1Ctrl) maybeComplete(b mem.Block, txn *l1Txn) {
 		Dst:   c.home(b),
 		Block: b,
 		Kind:  kDone,
-		Class: stats.Unblock,
 	})
 	done(val)
 }

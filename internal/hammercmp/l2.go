@@ -71,7 +71,7 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 	case kWbGrant:
 		c.wb.Grant(m)
 	default:
-		panic(fmt.Sprintf("hammercmp: L2 %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("hammercmp: L2 %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -107,7 +107,7 @@ func (c *L2Ctrl) handlePut(m *network.Message) {
 func (c *L2Ctrl) handleWbData(m *network.Message) {
 	b := m.Block
 	if c.ser.Busy(b) == nil {
-		panic(fmt.Sprintf("hammercmp: L2 %v %s without Put window for %v", c.id, kindName(m.Kind), b))
+		panic(fmt.Sprintf("hammercmp: L2 %v %s without Put window for %v", c.id, kinds.Name(m.Kind), b))
 	}
 	if m.Kind == kWbData {
 		line, victim, vstate, wasEvicted := c.cache.Install(b)

@@ -8,7 +8,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -35,14 +34,6 @@ func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
 	return &MemCtrl{id: id, sys: sys, cmp: cmp}
 }
 
-// MemValue exposes the memory image for audits.
-func (c *MemCtrl) MemValue(b mem.Block) (uint64, bool) {
-	if v := c.mem.Peek(b); v != nil {
-		return *v, true
-	}
-	return 0, false
-}
-
 // Recv implements network.Endpoint. The network calls it after the
 // home's controller delay (see NewSystem). Queued requests are copied
 // by value, so the borrowed message never outlives Recv.
@@ -59,7 +50,7 @@ func (c *MemCtrl) Recv(m *network.Message) {
 	case kWbCancel:
 		c.close(m, kPut)
 	default:
-		panic(fmt.Sprintf("hammercmp: home %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("hammercmp: home %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -85,7 +76,6 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 		Src:       c.id,
 		Block:     b,
 		Kind:      kProbeS,
-		Class:     stats.Request,
 		Requestor: m.Requestor,
 	}
 	if m.Kind == kGetM {
@@ -104,13 +94,15 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 	// reading it now and injecting the reply after the array latency is
 	// exact.
 	c.sys.ctr.memRead.Inc()
-	value, _ := c.MemValue(b) // a block never written holds zero
+	var value uint64 // a block never written holds zero
+	if v := c.mem.Peek(b); v != nil {
+		value = *v
+	}
 	c.sys.Net.SendAfter(hier.DRAMLatency, network.Message{
 		Src:     c.id,
 		Dst:     m.Requestor,
 		Block:   b,
 		Kind:    kMemData,
-		Class:   stats.ResponseData,
 		HasData: true,
 		Data:    value,
 	})
@@ -121,7 +113,7 @@ func (c *MemCtrl) startBroadcast(m *network.Message) {
 func (c *MemCtrl) close(m *network.Message, wants ...int32) {
 	b := m.Block
 	if kind := c.ser.Busy(b); kind == nil || !slices.Contains(wants, *kind) {
-		panic(fmt.Sprintf("hammercmp: home %v stray %s for %v", c.id, kindName(m.Kind), b))
+		panic(fmt.Sprintf("hammercmp: home %v stray %s for %v", c.id, kinds.Name(m.Kind), b))
 	}
 	c.ser.End(b)
 	c.drain(b)

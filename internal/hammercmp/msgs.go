@@ -20,7 +20,10 @@
 // evictions write back to the home memory controller the same way.
 package hammercmp
 
-import "fmt"
+import (
+	"tokencmp/internal/network"
+	"tokencmp/internal/stats"
+)
 
 // Message kinds.
 const (
@@ -51,13 +54,23 @@ const (
 	kWbCancel
 )
 
-func kindName(k int32) string {
-	names := []string{"GetS", "GetM", "ProbeS", "ProbeM", "Ack", "Data",
-		"MemData", "Done", "Put", "WbGrant", "WbData", "WbCancel"}
-	if k >= 0 && int(k) < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("kind(%d)", k)
+// kinds is the protocol's kind table (installed on the network by
+// NewSystem): each kind's name and Figure 7 class. A writeback's data
+// counts as Writeback Data. The protocol has no timeout or retry path,
+// so every kind is protected from injected faults.
+var kinds = network.Kinds{
+	kGetS:     {Name: "GetS", Class: stats.Request},
+	kGetM:     {Name: "GetM", Class: stats.Request},
+	kProbeS:   {Name: "ProbeS", Class: stats.Request},
+	kProbeM:   {Name: "ProbeM", Class: stats.Request},
+	kAck:      {Name: "Ack", Class: stats.InvFwdAckTokens},
+	kData:     {Name: "Data", Class: stats.ResponseData},
+	kMemData:  {Name: "MemData", Class: stats.ResponseData},
+	kDone:     {Name: "Done", Class: stats.Unblock},
+	kPut:      {Name: "Put", Class: stats.WritebackControl},
+	kWbGrant:  {Name: "WbGrant", Class: stats.WritebackControl},
+	kWbData:   {Name: "WbData", Class: stats.WritebackControl},
+	kWbCancel: {Name: "WbCancel", Class: stats.WritebackControl},
 }
 
 // Aux flag bits on probe responses and writeback messages.

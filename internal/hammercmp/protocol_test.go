@@ -10,7 +10,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 	"tokencmp/internal/workload"
 )
@@ -29,11 +28,11 @@ func build(t *testing.T, g topo.Geometry) *System {
 // 32 or more to 0, so a kind there would silently skip its access
 // latency.
 func TestKindsFitDelay(t *testing.T) {
-	if name := kindName(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
+	if name := kinds.Name(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
 		t.Fatalf("kind %s follows kWbCancel; assert on the highest kind", name)
 	}
 	if kWbCancel >= 32 {
-		t.Errorf("highest message kind %s is %d, want below 32", kindName(kWbCancel), kWbCancel)
+		t.Errorf("highest message kind %s is %d, want below 32", kinds.Name(kWbCancel), kWbCancel)
 	}
 }
 
@@ -196,7 +195,7 @@ func TestProbeDeliveryDoesNotAllocate(t *testing.T) {
 	s := build(t, g)
 	req := g.L1DNode(1, 0)
 	s.Net.Attach(req, absorb{})
-	probe := network.Message{Src: g.HomeMem(64), Dst: g.L1DNode(0, 0), Block: 64, Kind: kProbeS, Class: stats.Request, Requestor: req}
+	probe := network.Message{Src: g.HomeMem(64), Dst: g.L1DNode(0, 0), Block: 64, Kind: kProbeS, Requestor: req}
 	s.Net.SendNew(probe)
 	s.Eng.Run(0)
 	avg := testing.AllocsPerRun(100, func() {

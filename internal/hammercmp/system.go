@@ -5,7 +5,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -38,6 +37,7 @@ func NewSystem(eng *sim.Engine, h hier.Config, netCfg network.Config) *System {
 	s.ctr = newCtrs(s.Ctrs)
 	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, ExclAux: auxExcl, Race: s.ctr.wbRace}
 	s.Net.WireCounters(s.Ctrs)
+	s.Net.Kinds = kinds
 	// Every HammerCMP controller acts only after its access latency.
 	s.Wire(h, s.Net, hier.Delays{
 		L1:  network.Delay{Latency: hier.L1Latency, Kinds: network.AllKinds},
@@ -62,7 +62,6 @@ func (s *System) respondData(id topo.NodeID, m *network.Message, data uint64, di
 		Dst:     m.Requestor,
 		Block:   m.Block,
 		Kind:    kData,
-		Class:   stats.ResponseData,
 		HasData: true,
 		Data:    data,
 		Dirty:   dirty,
@@ -78,7 +77,6 @@ func (s *System) respondAck(id topo.NodeID, m *network.Message, aux int32) {
 		Dst:   m.Requestor,
 		Block: m.Block,
 		Kind:  kAck,
-		Class: stats.InvFwdAckTokens,
 		Aux:   aux,
 	})
 }

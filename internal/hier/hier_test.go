@@ -10,7 +10,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -109,7 +108,7 @@ func TestWireOrderAndAttach(t *testing.T) {
 	arrived := map[topo.NodeID]sim.Time{}
 	net.Monitor = func(m *network.Message) { arrived[m.Dst] = eng.Now() }
 	for _, id := range ids {
-		net.SendNew(network.Message{Src: src, Dst: id, Class: stats.Request})
+		net.SendNew(network.Message{Src: src, Dst: id})
 	}
 	eng.Run(1_000_000)
 	all := map[topo.NodeID]*node{}

@@ -7,7 +7,6 @@ import (
 	"tokencmp/internal/counters"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -36,7 +35,6 @@ func (r *WbReplies) GrantPut(net *network.Network, id topo.NodeID, put *network.
 		Dst:   put.Src,
 		Block: put.Block,
 		Kind:  r.Grant,
-		Class: stats.WritebackControl,
 	})
 }
 
@@ -76,7 +74,6 @@ func (w *WbBuffer) Put(dst topo.NodeID, b mem.Block, data uint64, dirty, excl bo
 		Dst:   dst,
 		Block: b,
 		Kind:  w.r.Put,
-		Class: stats.WritebackControl,
 	})
 }
 
@@ -110,7 +107,6 @@ func (w *WbBuffer) Grant(gm *network.Message) {
 			Dst:   gm.Src,
 			Block: b,
 			Kind:  w.r.Cancel,
-			Class: stats.WritebackControl,
 		})
 		return
 	}
@@ -123,7 +119,6 @@ func (w *WbBuffer) Grant(gm *network.Message) {
 		Dst:     gm.Src,
 		Block:   b,
 		Kind:    w.r.Data,
-		Class:   stats.WritebackData,
 		HasData: true,
 		Data:    e.Data,
 		Dirty:   e.Dirty,

@@ -202,10 +202,10 @@ func TestTokenAuditAtQuiescence(t *testing.T) {
 // -race: every protocol family must complete the locking benchmark with
 // the coherence monitors and token audit on while the interconnect
 // drops, duplicates, reorders, and delays messages. Drop/dup/reorder
-// are class-gated — the token protocols classify their transient
-// requests as droppable, so net.dropped must actually fire there,
-// while the directory and hammer systems (no Classify hook) treat
-// every message as protected and the same knobs are honest no-ops.
+// are class-gated — the token protocols' kind tables mark their
+// transient requests droppable, so net.dropped must actually fire
+// there, while the directory and hammer tables leave every kind
+// protected and the same knobs are honest no-ops.
 func TestFaultSoakAllProtocols(t *testing.T) {
 	protos := []string{"DirectoryCMP", "HammerCMP", "TokenCMP-arb0", "TokenCMP-dst1"}
 	faultCases := []struct {

@@ -20,15 +20,16 @@
 //
 // # Message classes
 //
-// Faults are class-aware via Network.Classify. Protocols that have
-// recovery machinery mark messages droppable; everything else is
-// protected. With Classify unset (directory, hammer), every message is
-// protected and the drop/dup/reorder knobs are honest no-ops — those
-// protocols have no timeout/retry path, so "drop their messages" is not
-// a scenario they claim to survive. Jitter applies to all classes: it
-// varies latency without losing messages, and a per-link FIFO clamp
-// keeps same-link delivery order intact for protected traffic (only the
-// explicit reorder knob may violate it).
+// Faults are class-aware: each row of the protocol's kind table
+// (Network.Kinds) names its kind's fault class. Protocols that have
+// recovery machinery mark kinds droppable; everything else is
+// protected. The directory and hammer tables leave every kind
+// protected, so the drop/dup/reorder knobs are honest no-ops there —
+// those protocols have no timeout/retry path, so "drop their messages"
+// is not a scenario they claim to survive. Jitter applies to all
+// classes: it varies latency without losing messages, and a per-link
+// FIFO clamp keeps same-link delivery order intact for protected
+// traffic (only the explicit reorder knob may violate it).
 //
 // Token- or data-carrying messages must not simply vanish (that would
 // leak tokens forever, which even the paper's protocol cannot recover
@@ -47,16 +48,17 @@ import (
 )
 
 // FaultClass partitions messages by how the injector may treat them.
-// The protocol assigns classes through Network.Classify.
+// The protocol assigns one to each kind in its kind table.
 type FaultClass uint8
 
 const (
 	// FaultProtected messages are never dropped, duplicated, or
 	// reordered (jitter still applies, FIFO-clamped per link). This is
-	// the default for every message when Classify is unset, and for
-	// persistent-request table maintenance even in token protocols:
-	// losing or reordering activate/deactivate would corrupt the
-	// distributed tables with no recovery path.
+	// the zero class: every kind a table does not list, every
+	// directory and hammer kind, and even in token protocols the
+	// persistent-request table maintenance, since losing or reordering
+	// activate/deactivate would corrupt the distributed tables with no
+	// recovery path.
 	FaultProtected FaultClass = iota
 
 	// FaultDroppable messages may be dropped, duplicated, and
@@ -113,14 +115,6 @@ func (f FaultConfig) Enabled() bool {
 	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.Jitter > 0
 }
 
-// classOf applies the protocol's classifier, defaulting to protected.
-func (n *Network) classOf(m *Message) FaultClass {
-	if n.Classify == nil {
-		return FaultProtected
-	}
-	return n.Classify(m)
-}
-
 // dropCall is the closure-free ScheduleCall target for an injected loss.
 func dropCall(ctx, arg any) { ctx.(*Network).drop(arg.(*Message)) }
 
@@ -140,7 +134,7 @@ func (n *Network) drop(m *Message) {
 	if n.ctrDropped != nil {
 		n.ctrDropped.Inc()
 	}
-	if n.classOf(m) == FaultRetx {
+	if n.Kinds.row(m.Kind).Fault == FaultRetx {
 		if n.ctrRetx != nil {
 			n.ctrRetx.Inc()
 		}

@@ -10,8 +10,8 @@ import (
 	"tokencmp/internal/topo"
 )
 
-// faultNet builds a 2-CMP network with the given fault config, a
-// classifier mapping every message to cls, and wired counters.
+// faultNet builds a 2-CMP network with the given fault config, a kind
+// table whose one kind, kind 0, has fault class cls, and wired counters.
 func faultNet(t *testing.T, fc FaultConfig, cls FaultClass) (*sim.Engine, *Network, topo.Geometry, map[topo.NodeID]*sink, *counters.Set) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -19,7 +19,7 @@ func faultNet(t *testing.T, fc FaultConfig, cls FaultClass) (*sim.Engine, *Netwo
 	cfg := Default()
 	cfg.Faults = fc
 	n := New(eng, g, cfg)
-	n.Classify = func(*Message) FaultClass { return cls }
+	n.Kinds = Kinds{{Name: "Msg", Fault: cls}}
 	cs := counters.NewSet()
 	n.WireCounters(cs)
 	sinks := map[topo.NodeID]*sink{}
@@ -255,11 +255,11 @@ func TestJitterPreservesPerLinkFIFO(t *testing.T) {
 	}
 }
 
-// TestProtectedClassIsExempt: with no classifier opt-in (Classify nil →
-// everything protected), drop and dup knobs are honest no-ops.
+// TestProtectedClassIsExempt: with no kind table (every kind
+// protected), drop and dup knobs are honest no-ops.
 func TestProtectedClassIsExempt(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Drop: 1.0, Dup: 1.0, Reorder: 1.0}, FaultProtected)
-	n.Classify = nil
+	n.Kinds = nil
 	dst := g.L1DNode(0, 1)
 	for i := 0; i < 5; i++ {
 		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: dst, Aux: int32(i)})

@@ -54,10 +54,12 @@ const (
 // inline because the substrate's conservation monitor must see them on
 // every message regardless of protocol.
 //
-// The layout fills exactly one 64-byte cache line: the three 64-bit
-// fields first, then the 32-bit fields, then the byte-wide fields and
-// flags. Every pooled copy (SendNew, SendAfter, Broadcast, HandleAfter
-// of a non-live message) moves one line.
+// The layout is 56 bytes, within one 64-byte cache line: the three
+// 64-bit fields first, then the 32-bit fields, then the flags. Every
+// pooled copy (SendNew, SendAfter, Broadcast, HandleAfter of a non-live
+// message) moves less than one line. A message's Figure 7 class and
+// fault class are not fields: the network looks both up by Kind in the
+// protocol's kind table (see Kinds).
 type Message struct {
 	Block  mem.Block
 	Data   uint64   // modeled block value, for serial-view checking
@@ -69,8 +71,6 @@ type Message struct {
 	Tokens    int32 // tokens carried (0 for directory protocols)
 	Proc      int32 // global processor index (persistent requests)
 	Aux       int32 // protocol-specific
-
-	Class stats.TrafficClass
 
 	Owner   bool // carries the owner token
 	HasData bool // carries a data payload
@@ -84,6 +84,36 @@ type Message struct {
 func (m *Message) String() string {
 	return fmt.Sprintf("msg{%v->%v %v kind=%d tok=%d own=%v data=%v}",
 		m.Src, m.Dst, m.Block, m.Kind, m.Tokens, m.Owner, m.HasData)
+}
+
+// Kind is one row of a protocol's kind table: the message kind's name
+// for diagnostics, its Figure 7 traffic class and its fault class.
+type Kind struct {
+	Name  string
+	Class stats.TrafficClass
+	Fault FaultClass
+}
+
+// Kinds is a protocol's kind table, indexed by Message.Kind. Each
+// protocol declares its kinds once, in one table, and installs it as
+// Network.Kinds. A kind the table does not list has the zero row: class
+// 0 (Response Data) and FaultProtected.
+type Kinds []Kind
+
+// row returns kind k's row, or the zero row for a kind t does not list.
+func (t Kinds) row(k int32) Kind {
+	if k >= 0 && int(k) < len(t) {
+		return t[k]
+	}
+	return Kind{}
+}
+
+// Name returns kind k's name, or "kind(k)" for a kind t does not name.
+func (t Kinds) Name(k int32) string {
+	if name := t.row(k).Name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("kind(%d)", k)
 }
 
 // Endpoint receives messages when they are due: on arrival, after the
@@ -172,11 +202,15 @@ type Network struct {
 	ctrDropped, ctrDup    *counters.Counter
 	ctrReordered, ctrRetx *counters.Counter
 
-	// Fault-injection state (see faults.go). Classify maps a message to
-	// its fault class; protocols with recovery machinery install it at
-	// system construction. frng is the single seeded fault PRNG — nil
-	// unless Cfg.Faults enables a knob, so fault-free runs never draw.
-	Classify func(m *Message) FaultClass
+	// Kinds is the protocol's kind table, installed at system
+	// construction: send reads each message's Figure 7 class and fault
+	// class from it. A bare network has none, so every message counts
+	// as class 0 and protected.
+	Kinds Kinds
+
+	// Fault-injection state (see faults.go). frng is the single seeded
+	// fault PRNG — nil unless Cfg.Faults enables a knob, so fault-free
+	// runs never draw.
 	frng     *rand.Rand
 	faultsOn bool
 
@@ -481,18 +515,25 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	m.SentAt = n.Eng.Now()
 	// Figure 7 accounting: one entry per interconnect the message
 	// traverses (see route).
+	kind := n.Kinds.row(m.Kind)
+	class := kind.Class
 	lc, hops := n.route(m.Src, m.Dst)
 	size, ser := ControlSize, lc.ctrlSer
 	if m.HasData {
-		size, ser = DataSize, lc.dataSer
+		// A data carrier is Writeback Data if its kind's class is
+		// Writeback Control, and Response Data otherwise.
+		size, ser, class = DataSize, lc.dataSer, stats.ResponseData
+		if kind.Class == stats.WritebackControl {
+			class = stats.WritebackData
+		}
 	}
 	if lc == &n.classes[onChip] {
 		n.onChipMsgs++
 	} else {
-		n.Traffic.Add(stats.InterCMP, m.Class, size)
+		n.Traffic.Add(stats.InterCMP, class, size)
 	}
 	for h := hops; h > 0; h-- {
-		n.Traffic.Add(stats.IntraCMP, m.Class, size)
+		n.Traffic.Add(stats.IntraCMP, class, size)
 	}
 	n.InFlight++
 	n.launched(m)
@@ -506,7 +547,7 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	dropped := false
 	if n.faultsOn {
 		plan := &n.Cfg.Faults
-		cls := n.classOf(m)
+		cls := kind.Fault
 		if plan.Jitter > 0 {
 			hold += sim.Time(n.frng.Int63n(int64(plan.Jitter) + 1))
 		}

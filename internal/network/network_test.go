@@ -99,9 +99,10 @@ func TestPerLinkFIFO(t *testing.T) {
 // TestDefaultSizes: a message's wire size follows HasData alone.
 func TestDefaultSizes(t *testing.T) {
 	eng, n, g, _ := testNet(t)
+	n.Kinds = Kinds{{Name: "Req", Class: stats.Request}}
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.SendNew(Message{Src: src, Dst: dst, Class: stats.Request})                     // control
-	n.SendNew(Message{Src: src, Dst: dst, Class: stats.ResponseData, HasData: true}) // data
+	n.SendNew(Message{Src: src, Dst: dst})                // control
+	n.SendNew(Message{Src: src, Dst: dst, HasData: true}) // data
 	eng.Run(0)
 	ctrl, data := n.Traffic.Bytes[stats.IntraCMP][stats.Request], n.Traffic.Bytes[stats.IntraCMP][stats.ResponseData]
 	if ctrl != ControlSize || data != DataSize {
@@ -109,14 +110,52 @@ func TestDefaultSizes(t *testing.T) {
 	}
 }
 
+// TestKindTableClasses: a message's Figure 7 class is its kind's class,
+// except that a data carrier counts as Writeback Data if that class is
+// Writeback Control and as Response Data otherwise. A kind the table
+// does not list, and every kind on a network without a table, counts
+// as class 0.
+func TestKindTableClasses(t *testing.T) {
+	const kReq, kWb, kUnlisted = 0, 1, 7
+	for _, tc := range []struct {
+		kinds   Kinds
+		kind    int32
+		hasData bool
+		want    stats.TrafficClass
+	}{
+		{Kinds{kReq: {Class: stats.Request}}, kReq, false, stats.Request},
+		{Kinds{kReq: {Class: stats.Request}}, kReq, true, stats.ResponseData},
+		{Kinds{kWb: {Class: stats.WritebackControl}}, kWb, false, stats.WritebackControl},
+		{Kinds{kWb: {Class: stats.WritebackControl}}, kWb, true, stats.WritebackData},
+		{Kinds{kReq: {Class: stats.Request}}, kUnlisted, false, 0},
+		{nil, kWb, false, 0},
+	} {
+		eng, n, g, _ := testNet(t)
+		n.Kinds = tc.kinds
+		n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Kind: tc.kind, HasData: tc.hasData})
+		eng.Run(0)
+		if got := n.Traffic.Messages[stats.IntraCMP][tc.want]; got != 1 {
+			t.Errorf("kind %d (data %v) in table %v: %d messages counted as %v, want 1",
+				tc.kind, tc.hasData, tc.kinds, got, tc.want)
+		}
+	}
+	if got, want := (Kinds{kWb: {Name: "Wb"}}).Name(kWb), "Wb"; got != want {
+		t.Errorf("Name(%d) = %q, want %q", kWb, got, want)
+	}
+	if got, want := (Kinds{kWb: {Name: "Wb"}}).Name(kReq), "kind(0)"; got != want {
+		t.Errorf("unnamed Name(%d) = %q, want %q", kReq, got, want)
+	}
+}
+
 func TestTrafficAccounting(t *testing.T) {
 	eng, n, g, _ := testNet(t)
+	n.Kinds = Kinds{{Name: "Req", Class: stats.Request}}
 	// On-chip cache-to-cache: intra only.
-	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1), Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(0, 1)})
 	// Cross-chip cache-to-cache: inter once + intra on both chips.
-	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0), Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.L1DNode(1, 0)})
 	// Cache-to-memory: inter + source-chip intra only.
-	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.MemNode(0), Class: stats.Request})
+	n.SendNew(Message{Src: g.L1DNode(0, 0), Dst: g.MemNode(0)})
 	eng.Run(0)
 	if got := n.Traffic.Bytes[stats.IntraCMP][stats.Request]; got != 8+16+8 {
 		t.Errorf("intra bytes = %d, want 32", got)
@@ -219,7 +258,7 @@ func TestLinkTableMatchesGeometry(t *testing.T) {
 	} {
 		eng := sim.NewEngine()
 		n := New(eng, g, cfg)
-		n.Classify = func(*Message) FaultClass { return FaultDroppable }
+		n.Kinds = Kinds{{Name: "Msg", Fault: FaultDroppable}}
 		if nodes := g.NumNodes(); len(n.nextFree) != nodes*nodes {
 			t.Errorf("%d serializer times, want one per link (%d)", len(n.nextFree), nodes*nodes)
 		}

@@ -5,7 +5,6 @@ package network
 import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/topo"
 )
 
@@ -25,7 +24,6 @@ func poison(m *Message) {
 		Dst:       topo.NodeID(-0x7eadbeef),
 		Block:     mem.Block(0xdeadbeefdeadbeef),
 		Kind:      -0x7eadbeef,
-		Class:     stats.TrafficClass(0x7f),
 		Tokens:    -0x7eadbeef,
 		Owner:     true,
 		HasData:   true,

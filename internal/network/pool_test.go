@@ -121,11 +121,12 @@ func TestBroadcastDrawsFromPool(t *testing.T) {
 	}
 }
 
-// TestMessageFitsOneCacheLine pins the Message layout at one 64-byte
-// cache line: every pooled copy on the send path moves exactly one line.
+// TestMessageFitsOneCacheLine pins the Message layout at its exact
+// size, 56 bytes, within one 64-byte cache line: every pooled copy on
+// the send path moves less than one line.
 func TestMessageFitsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(Message{}); got != 64 {
-		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 64", got)
+	if got := unsafe.Sizeof(Message{}); got != 56 {
+		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 56", got)
 	}
 }
 

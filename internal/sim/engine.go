@@ -277,12 +277,8 @@ func (e *Engine) SetContext(ctx context.Context) {
 	e.interrupted = false
 }
 
-// Interrupted reports whether the most recent Run or RunUntil stopped
-// because the installed context was cancelled.
-func (e *Engine) Interrupted() bool { return e.interrupted }
-
-// Err returns the installed context's error if the engine was
-// interrupted by it, nil otherwise.
+// Err returns the installed context's error if the most recent Run or
+// RunUntil stopped because that context was cancelled, nil otherwise.
 func (e *Engine) Err() error {
 	if !e.interrupted {
 		return nil
@@ -295,8 +291,8 @@ func (e *Engine) Err() error {
 // a garbage collector's mark worker waiting to run gets in within about
 // 100 µs instead of at the 10 ms preemption tick: while a mark phase
 // stays open every pointer store in the event queue pays a write
-// barrier. It then reports true — and latches Interrupted — when the
-// installed context has been cancelled.
+// barrier. It then reports true, and latches the interruption that Err
+// reports, when the installed context has been cancelled.
 func (e *Engine) poll() bool {
 	if e.Executed%CancelCheckEvery != 0 {
 		return false
@@ -370,7 +366,7 @@ func (e *Engine) Run(limit uint64) Time {
 
 // RunUntil fires events until cond() is true (checked after every event),
 // the queue drains, the event-count limit is exceeded, or the installed
-// context is cancelled (distinguish the last case with Interrupted). It
+// context is cancelled (distinguish the last case with Err). It
 // yields as Run does and reports whether cond was satisfied.
 func (e *Engine) RunUntil(cond func() bool, limit uint64) bool {
 	e.interrupted = false

@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -439,20 +440,20 @@ func TestCancelStopsWithinBound(t *testing.T) {
 	if cancelled == 0 {
 		t.Fatal("cancel point never reached")
 	}
-	if !e.Interrupted() {
+	if e.Err() == nil {
 		t.Fatalf("engine not interrupted (executed %d events)", e.Executed)
 	}
 	if got := e.Executed - cancelled; got > CancelCheckEvery {
 		t.Errorf("engine ran %d events past cancellation, documented bound is %d", got, CancelCheckEvery)
 	}
-	if e.Err() == nil {
-		t.Error("Err() = nil after interruption, want context.Canceled")
+	if err := e.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err() = %v after interruption, want context.Canceled", err)
 	}
 }
 
 // TestRunUntilCancelDistinguishable asserts RunUntil reports an
-// unsatisfied condition on cancellation and that Interrupted
-// distinguishes it from an exhausted queue or event limit.
+// unsatisfied condition on cancellation and that Err distinguishes it
+// from an exhausted queue or event limit.
 func TestRunUntilCancelDistinguishable(t *testing.T) {
 	e := NewEngine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -465,8 +466,8 @@ func TestRunUntilCancelDistinguishable(t *testing.T) {
 	if ok {
 		t.Fatal("RunUntil reported cond satisfied on a cancelled run")
 	}
-	if !e.Interrupted() {
-		t.Fatal("Interrupted() = false after pre-cancelled run")
+	if e.Err() == nil {
+		t.Fatal("Err() = nil after pre-cancelled run")
 	}
 	if e.Executed > CancelCheckEvery {
 		t.Errorf("pre-cancelled run fired %d events, bound is %d", e.Executed, CancelCheckEvery)
@@ -480,7 +481,7 @@ func TestRunUntilCancelDistinguishable(t *testing.T) {
 	if e2.RunUntil(func() bool { return false }, 10) {
 		t.Fatal("RunUntil satisfied an always-false cond")
 	}
-	if e2.Interrupted() {
+	if e2.Err() != nil {
 		t.Error("limit exhaustion reported as interruption")
 	}
 }

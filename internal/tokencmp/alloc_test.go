@@ -70,7 +70,6 @@ func TestArbiterActivationDoesNotAllocate(t *testing.T) {
 				Dst:       home,
 				Block:     b,
 				Kind:      kind,
-				Class:     stats.Persistent,
 				Aux:       int32(token.ReqWrite),
 				Proc:      int32(req.globalProc),
 				Requestor: req.id,

@@ -5,7 +5,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
 	"tokencmp/internal/topo"
 )
@@ -146,18 +145,12 @@ func takeAll(s *token.State) network.Message {
 	return network.Message{Tokens: int32(tk), Owner: own, HasData: own && hasData, Data: data, Dirty: dirty}
 }
 
-// address makes m a response from this endpoint to dst about b, sized
-// as data or as a token-only message.
+// address makes m a response from this endpoint to dst about b.
 func (c *base) address(m *network.Message, dst topo.NodeID, b mem.Block) {
 	m.Src = c.id
 	m.Dst = dst
 	m.Block = b
 	m.Kind = kResponse
-	if m.HasData {
-		m.Class = stats.ResponseData
-	} else {
-		m.Class = stats.InvFwdAckTokens
-	}
 }
 
 // respond applies the Section 4 response rules of a cache holding s
@@ -200,22 +193,17 @@ func (c *base) respond(m *network.Message, s *token.State, external bool) (resp 
 // writeback sends the evicted state st of b to dst; the owner token
 // carries the data.
 func (c *base) writeback(dst topo.NodeID, b mem.Block, st token.State) {
-	m := network.Message{
+	c.sys.Net.SendNew(network.Message{
 		Src:     c.id,
 		Dst:     dst,
 		Block:   b,
 		Kind:    kWriteback,
-		Class:   stats.WritebackControl,
 		Tokens:  int32(st.Tokens),
 		Owner:   st.Owner,
 		HasData: st.Owner,
 		Data:    st.Data,
 		Dirty:   st.Dirty,
-	}
-	if st.Owner {
-		m.Class = stats.WritebackData
-	}
-	c.sys.Net.SendNew(m)
+	})
 }
 
 // reevalCall is reeval's closure-free thunk for a forward deferred by

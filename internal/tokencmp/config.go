@@ -11,10 +11,6 @@ type Config struct {
 	// reset), implementing the Alameldeen-Wood perturbation methodology.
 	Seed int64
 
-	// InitialTimeout seeds the per-L1 timeout estimator before any
-	// memory response has been observed.
-	InitialTimeout sim.Time
-
 	// DisableMigratory turns off the migratory-sharing optimization.
 	// Exactly as the paper argues (§5), this is a pure performance-policy
 	// change — the number of tokens returned to a read request — and
@@ -24,5 +20,9 @@ type Config struct {
 
 // DefaultConfig returns the target-system settings for a variant.
 func DefaultConfig(v Variant) Config {
-	return Config{Variant: v, Seed: 1, InitialTimeout: 400 * sim.Nanosecond}
+	return Config{Variant: v, Seed: 1}
 }
+
+// initialTimeout seeds the per-L1 timeout estimator before any memory
+// response has been observed.
+const initialTimeout = 400 * sim.Nanosecond

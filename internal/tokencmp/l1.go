@@ -10,7 +10,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
 	"tokencmp/internal/topo"
 )
@@ -52,7 +51,7 @@ func (sys *System) newL1(id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		globalProc: sys.Geom.GlobalProc(cmp, proc),
 		cache:      cache.New[token.State](sys.L1Params()),
 		banks:      sys.L2s[cmp],
-		est:        token.NewTimeoutEstimator(cfg.InitialTimeout),
+		est:        token.NewTimeoutEstimator(initialTimeout),
 		seed:       cfg.Seed*1000003 + int64(id),
 	}
 	c.initTables(sys, id)
@@ -185,7 +184,6 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 		Src:       c.id,
 		Block:     b,
 		Kind:      kTransient,
-		Class:     stats.Request,
 		Aux:       int32(txn.reqKind),
 		Requestor: c.id,
 		Proc:      int32(c.globalProc),
@@ -254,7 +252,6 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 			Src:       c.id,
 			Block:     b,
 			Kind:      kPersistent,
-			Class:     stats.Persistent,
 			Aux:       int32(txn.reqKind),
 			Proc:      int32(c.globalProc),
 			Requestor: c.id,
@@ -271,7 +268,6 @@ func (c *L1Ctrl) issuePersistent(b mem.Block, txn *l1Txn) {
 		Dst:       c.sys.Geom.HomeMem(b),
 		Block:     b,
 		Kind:      kArbRequest,
-		Class:     stats.Persistent,
 		Aux:       int32(txn.reqKind),
 		Proc:      int32(c.globalProc),
 		Requestor: c.id,
@@ -306,7 +302,6 @@ func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
 			Src:   c.id,
 			Block: b,
 			Kind:  kPersistentDone,
-			Class: stats.Persistent,
 			Proc:  int32(c.globalProc),
 		}
 		c.sys.Net.Broadcast(tmpl, c.sys.allEndpoints)
@@ -320,7 +315,6 @@ func (c *L1Ctrl) deactivatePersistent(b mem.Block) {
 		Dst:   c.sys.Geom.HomeMem(b),
 		Block: b,
 		Kind:  kArbDone,
-		Class: stats.Persistent,
 		Proc:  int32(c.globalProc),
 	})
 }
@@ -354,7 +348,7 @@ func (c *L1Ctrl) Recv(m *network.Message) {
 			c.tryComplete(m.Block)
 			return
 		}
-		panic(fmt.Sprintf("tokencmp: L1 %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("tokencmp: L1 %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 

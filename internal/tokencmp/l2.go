@@ -8,7 +8,6 @@ import (
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
 	"tokencmp/internal/topo"
 )
@@ -126,7 +125,7 @@ func (c *L2Ctrl) Recv(m *network.Message) {
 		if c.handlePersistentMsg(m) {
 			return
 		}
-		panic(fmt.Sprintf("tokencmp: L2 %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("tokencmp: L2 %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -206,7 +205,6 @@ func (c *L2Ctrl) handleLocal(m *network.Message) {
 		Src:       c.id,
 		Block:     b,
 		Kind:      kTransient,
-		Class:     stats.Request,
 		Aux:       m.Aux,
 		Requestor: m.Requestor,
 		Proc:      m.Proc,
@@ -248,7 +246,6 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 		Src:       c.id,
 		Block:     b,
 		Kind:      kFwdExternal,
-		Class:     stats.Request,
 		Aux:       m.Aux,
 		Requestor: m.Requestor,
 		Proc:      m.Proc,

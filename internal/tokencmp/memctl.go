@@ -8,7 +8,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
 	"tokencmp/internal/topo"
 )
@@ -82,7 +81,7 @@ func (c *MemCtrl) Recv(m *network.Message) {
 		if c.handlePersistentMsg(m) {
 			return
 		}
-		panic(fmt.Sprintf("tokencmp: mem %v cannot handle %s", c.id, kindName(m.Kind)))
+		panic(fmt.Sprintf("tokencmp: mem %v cannot handle %s", c.id, kinds.Name(m.Kind)))
 	}
 }
 
@@ -153,7 +152,6 @@ func (c *MemCtrl) handleArbDone(m *network.Message) {
 			Src:   c.id,
 			Block: m.Block,
 			Kind:  kArbDeactivate,
-			Class: stats.Persistent,
 			Proc:  m.Proc,
 		}
 		c.sys.Net.Broadcast(tmpl, c.sys.allEndpoints)
@@ -171,7 +169,6 @@ func (c *MemCtrl) broadcastActivate(b mem.Block, rk token.ReqKind, dest topo.Nod
 		Src:       c.id,
 		Block:     b,
 		Kind:      kArbActivate,
-		Class:     stats.Persistent,
 		Aux:       int32(rk),
 		Requestor: dest,
 		Proc:      int32(proc),

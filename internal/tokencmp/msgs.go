@@ -1,6 +1,9 @@
 package tokencmp
 
-import "tokencmp/internal/network"
+import (
+	"tokencmp/internal/network"
+	"tokencmp/internal/stats"
+)
 
 // Message kinds. Transient requests, responses, and writebacks implement
 // the performance policy; the persistent-request kinds belong to the
@@ -40,16 +43,19 @@ const (
 	kArbDeactivate
 )
 
-// classifyFault maps message kinds to fault-injection classes — the
-// protocol's statement of which losses it claims to survive (installed
-// on the network by NewSystem).
+// kinds is the protocol's kind table (installed on the network by
+// NewSystem): each kind's name, Figure 7 class and fault class. A
+// response or writeback that carries data counts as Response Data or
+// Writeback Data.
 //
-// Transient requests and their intra-CMP forwards are freely droppable,
-// duplicable, and reorderable: token counting makes re-received requests
-// look exactly like the retries the protocol already issues, and a lost
-// request is re-sent by the requestor's timeout (escalating to a
-// persistent request if retries keep failing) — this is the paper's
-// robustness claim, so the injector gets to attack it.
+// The fault classes are the protocol's statement of which losses it
+// claims to survive. Transient requests and their intra-CMP forwards
+// are freely droppable, duplicable, and reorderable: token counting
+// makes re-received requests look exactly like the retries the protocol
+// already issues, and a lost request is re-sent by the requestor's
+// timeout (escalating to a persistent request if retries keep failing)
+// — this is the paper's robustness claim, so the injector gets to
+// attack it.
 //
 // Responses and writebacks carry tokens and possibly data; losing one
 // would destroy tokens forever, which the protocol cannot recover
@@ -62,39 +68,15 @@ const (
 // messages maintain replicated table state, and the protocol's
 // correctness argument assumes table updates are reliable and per-link
 // ordered. Attacking them tests a claim the paper never makes.
-func classifyFault(m *network.Message) network.FaultClass {
-	switch m.Kind {
-	case kTransient, kFwdExternal:
-		return network.FaultDroppable
-	case kResponse, kWriteback:
-		return network.FaultRetx
-	default:
-		return network.FaultProtected
-	}
-}
-
-func kindName(k int32) string {
-	switch k {
-	case kTransient:
-		return "Transient"
-	case kFwdExternal:
-		return "FwdExternal"
-	case kResponse:
-		return "Response"
-	case kWriteback:
-		return "Writeback"
-	case kPersistent:
-		return "Persistent"
-	case kPersistentDone:
-		return "PersistentDone"
-	case kArbRequest:
-		return "ArbRequest"
-	case kArbDone:
-		return "ArbDone"
-	case kArbActivate:
-		return "ArbActivate"
-	case kArbDeactivate:
-		return "ArbDeactivate"
-	}
-	return "?"
+var kinds = network.Kinds{
+	kTransient:      {Name: "Transient", Class: stats.Request, Fault: network.FaultDroppable},
+	kFwdExternal:    {Name: "FwdExternal", Class: stats.Request, Fault: network.FaultDroppable},
+	kResponse:       {Name: "Response", Class: stats.InvFwdAckTokens, Fault: network.FaultRetx},
+	kWriteback:      {Name: "Writeback", Class: stats.WritebackControl, Fault: network.FaultRetx},
+	kPersistent:     {Name: "Persistent", Class: stats.Persistent, Fault: network.FaultProtected},
+	kPersistentDone: {Name: "PersistentDone", Class: stats.Persistent, Fault: network.FaultProtected},
+	kArbRequest:     {Name: "ArbRequest", Class: stats.Persistent, Fault: network.FaultProtected},
+	kArbDone:        {Name: "ArbDone", Class: stats.Persistent, Fault: network.FaultProtected},
+	kArbActivate:    {Name: "ArbActivate", Class: stats.Persistent, Fault: network.FaultProtected},
+	kArbDeactivate:  {Name: "ArbDeactivate", Class: stats.Persistent, Fault: network.FaultProtected},
 }

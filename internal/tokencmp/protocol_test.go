@@ -9,7 +9,6 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
-	"tokencmp/internal/stats"
 	"tokencmp/internal/token"
 	"tokencmp/internal/topo"
 )
@@ -213,12 +212,14 @@ func TestWritebackCarriesOwnerData(t *testing.T) {
 // performance policy can be arbitrarily wrong without harming safety or
 // liveness).
 func TestTimeoutEscalatesToPersistent(t *testing.T) {
-	eng, sys := fullSystem(t, Dst1, func(c *Config) { c.InitialTimeout = sim.Picosecond })
-	// Shrink the estimator floor so timeouts genuinely fire early.
+	eng, sys := fullSystem(t, Dst1, nil)
+	// Shrink each estimator's initial guess and floor so timeouts
+	// genuinely fire early.
 	for ci := range sys.L1Ds {
 		for pi := range sys.L1Ds[ci] {
-			sys.L1Ds[ci][pi].est.Floor = sim.Picosecond
-			sys.L1Is[ci][pi].est.Floor = sim.Picosecond
+			for _, est := range []*token.TimeoutEstimator{sys.L1Ds[ci][pi].est, sys.L1Is[ci][pi].est} {
+				est.Initial, est.Floor = sim.Picosecond, sim.Picosecond
+			}
 		}
 	}
 	p0, _ := sys.Ports(0)
@@ -317,7 +318,7 @@ func TestTransientDeliveryDoesNotAllocate(t *testing.T) {
 	eng, sys := testSystem(t, Dst1)
 	g := topo.NewGeometry(2, 2, 1)
 	req := g.L1DNode(0, 0)
-	transient := network.Message{Src: req, Dst: g.L1DNode(0, 1), Block: 64, Kind: kTransient, Class: stats.Request, Aux: int32(token.ReqRead), Requestor: req}
+	transient := network.Message{Src: req, Dst: g.L1DNode(0, 1), Block: 64, Kind: kTransient, Aux: int32(token.ReqRead), Requestor: req}
 	sys.Net.SendNew(transient)
 	eng.Run(0)
 	before := eng.Executed

@@ -49,10 +49,11 @@ func NewSystem(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config
 	}
 	s.ctr = newCtrs(s.Ctrs)
 	s.Net.WireCounters(s.Ctrs)
-	// Token coherence claims survival of an ill-behaved interconnect, so
-	// it opts its transient traffic into fault injection (see
-	// classifyFault for the per-kind policy).
-	s.Net.Classify = classifyFault
+	// The kind table fixes each message's Figure 7 class and fault
+	// class. Token coherence claims survival of an ill-behaved
+	// interconnect, so it opts its transient traffic into fault
+	// injection (see kinds for the per-kind policy).
+	s.Net.Kinds = kinds
 	// The performance policy's messages (transient requests, writebacks
 	// and responses, plus the arbiter's queue traffic at memory) pay
 	// each controller's access latency; the correctness substrate's

@@ -1,6 +1,7 @@
 package tokencmp
 
 import (
+	"fmt"
 	"testing"
 
 	"tokencmp/internal/cpu"
@@ -23,11 +24,11 @@ func testSystem(t *testing.T, v Variant) (*sim.Engine, *System) {
 // 32 or more to 0, so a kind there would silently skip its access
 // latency.
 func TestKindsFitDelay(t *testing.T) {
-	if name := kindName(kArbDeactivate + 1); name != "?" {
+	if name := kinds.Name(kArbDeactivate + 1); name != fmt.Sprintf("kind(%d)", kArbDeactivate+1) {
 		t.Fatalf("kind %s follows kArbDeactivate; assert on the highest kind", name)
 	}
 	if kArbDeactivate >= 32 {
-		t.Errorf("highest message kind %s is %d, want below 32", kindName(kArbDeactivate), kArbDeactivate)
+		t.Errorf("highest message kind %s is %d, want below 32", kinds.Name(kArbDeactivate), kArbDeactivate)
 	}
 }
 
