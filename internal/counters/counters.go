@@ -101,7 +101,6 @@ func (c *Counter) Value() uint64 { return c.v }
 // across independent runs).
 type Set struct {
 	byName map[string]*Counter
-	names  []string // registration order
 }
 
 // NewSet returns an empty registry.
@@ -120,7 +119,6 @@ func (s *Set) Counter(name string) *Counter {
 	}
 	c := &Counter{}
 	s.byName[name] = c
-	s.names = append(s.names, name)
 	return c
 }
 
@@ -132,29 +130,13 @@ func (s *Set) Value(name string) uint64 {
 	return 0
 }
 
-// Names returns the registered names in sorted order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	sort.Strings(out)
-	return out
-}
-
-// Each calls fn for every registered counter in sorted name order
-// (deterministic for rendering and golden output).
-func (s *Set) Each(fn func(name string, v uint64)) {
-	for _, name := range s.Names() {
-		fn(name, s.byName[name].v)
-	}
-}
-
 // Snapshot copies the current values into a fresh map — the form
 // results carry out of a finished run so they can be merged across
 // seeds.
 func (s *Set) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.names))
-	for _, name := range s.names {
-		out[name] = s.byName[name].v
+	out := make(map[string]uint64, len(s.byName))
+	for name, c := range s.byName {
+		out[name] = c.v
 	}
 	return out
 }

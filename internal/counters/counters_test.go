@@ -39,28 +39,8 @@ func TestSharedHandle(t *testing.T) {
 	if got := s.Value(WritebackRace); got != 2 {
 		t.Errorf("shared counter = %d, want 2", got)
 	}
-	if n := len(s.Names()); n != 1 {
-		t.Errorf("Names() has %d entries, want 1", n)
-	}
-}
-
-// TestEachSorted pins the deterministic iteration order rendering
-// depends on.
-func TestEachSorted(t *testing.T) {
-	s := NewSet()
-	s.Counter(NetMsgInterCMP).Add(2)
-	s.Counter(L1Miss).Add(1)
-	s.Counter(ProbeAck).Add(3)
-	var names []string
-	s.Each(func(name string, v uint64) { names = append(names, name) })
-	want := []string{L1Miss, NetMsgInterCMP, ProbeAck}
-	if len(names) != len(want) {
-		t.Fatalf("Each visited %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Each visited %v, want sorted %v", names, want)
-		}
+	if n := len(s.Snapshot()); n != 1 {
+		t.Errorf("Snapshot() has %d entries, want 1", n)
 	}
 }
 

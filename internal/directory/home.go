@@ -69,9 +69,9 @@ func (c *HomeCtrl) sendData(b mem.Block, req topo.NodeID, value uint64, aux int3
 }
 
 // Recv implements network.Endpoint. The network calls it after the
-// controller latency plus the directory lookup (see NewSystem). The
-// serializer copies queued requests by value, so the borrowed message
-// never outlives Recv.
+// controller latency plus the directory lookup, which every kind waits
+// out (see kinds). The serializer copies queued requests by value, so
+// the borrowed message never outlives Recv.
 func (c *HomeCtrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM, kPut:

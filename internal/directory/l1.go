@@ -59,7 +59,7 @@ func (c *L1Ctrl) evict(b mem.Block, st hier.Line) {
 }
 
 // Recv implements network.Endpoint. The network calls it after the
-// L1's tag-access delay (see NewSystem).
+// L1's tag-access delay, which every kind waits out (see kinds).
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kData, kGrant:

@@ -148,8 +148,9 @@ func (c *L2Ctrl) lookup(b mem.Block) *l2Line {
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
 // Recv implements network.Endpoint. The network calls it after the
-// bank's tag-access delay (see NewSystem). Queued messages are copied
-// by value, so the borrowed message never outlives Recv.
+// bank's tag-access delay, which every kind waits out (see kinds).
+// Queued messages are copied by value, so the borrowed message never
+// outlives Recv.
 func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM:

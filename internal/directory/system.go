@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"tokencmp/internal/counters"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -9,40 +8,26 @@ import (
 
 // System is a complete DirectoryCMP machine.
 type System struct {
-	Eng *sim.Engine
-	Net *network.Network
 	hier.Grid[*L1Ctrl, *L2Ctrl, *HomeCtrl]
 
 	// zeroDir selects the unrealistic zero-cycle directory
 	// (DirectoryCMP-zero) in place of the DRAM directory.
 	zeroDir bool
 
-	Ctrs *counters.Set
-	ctr  *ctrs
-	wbr  hier.WbReplies
+	ctr *ctrs
+	wbr hier.WbReplies
 }
 
 // NewSystem wires a DirectoryCMP machine, with a zero-cycle directory
 // if zeroDir is set.
 func NewSystem(eng *sim.Engine, h hier.Config, zeroDir bool, netCfg network.Config) *System {
-	s := &System{
-		Eng:     eng,
-		Net:     network.New(eng, h.Geom, netCfg),
-		zeroDir: zeroDir,
-		Ctrs:    counters.NewSet(),
-	}
+	s := &System{zeroDir: zeroDir}
+	s.Init(eng, h, netCfg, kinds)
 	s.ctr = newCtrs(s.Ctrs)
 	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, Race: s.ctr.wbRace}
-	s.Net.WireCounters(s.Ctrs)
-	s.Net.Kinds = kinds
-	// Every directory controller acts only after its access latency;
-	// the home's includes the directory lookup (80 ns for the DRAM
-	// directory, 0 for DirectoryCMP-zero).
-	s.Wire(h, s.Net, hier.Delays{
-		L1:  network.Delay{Latency: hier.L1Latency, Kinds: network.AllKinds},
-		L2:  network.Delay{Latency: hier.L2Latency, Kinds: network.AllKinds},
-		Mem: network.Delay{Latency: hier.MemLatency + s.dirLatency(), Kinds: network.AllKinds},
-	}, s.newL2, s.newL1, s.newHome)
+	// The home's access latency includes the directory lookup (80 ns for
+	// the DRAM directory, 0 for DirectoryCMP-zero).
+	s.Wire(hier.MemLatency+s.dirLatency(), s.newL2, s.newL1, s.newHome)
 	return s
 }
 
@@ -62,6 +47,3 @@ func (s *System) Name() string {
 	}
 	return "DirectoryCMP"
 }
-
-// Counters exposes the machine-wide uniform event-counter registry.
-func (s *System) Counters() *counters.Set { return s.Ctrs }

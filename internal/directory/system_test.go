@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"fmt"
 	"testing"
 
 	"tokencmp/internal/cpu"
@@ -17,19 +16,6 @@ func testSystem(t *testing.T, zero bool) (*sim.Engine, *System) {
 	eng := sim.NewEngine()
 	h := hier.Config{Geom: topo.NewGeometry(2, 2, 1), L1Size: 4 << 10, L2BankSize: 32 << 10}
 	return eng, NewSystem(eng, h, zero, network.Default())
-}
-
-// TestKindsFitDelay asserts the highest message kind is below 32, so
-// every kind has its bit in network.Delay.Kinds: Go shifts a uint32 by
-// 32 or more to 0, so a kind there would silently skip its access
-// latency.
-func TestKindsFitDelay(t *testing.T) {
-	if name := kinds.Name(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
-		t.Fatalf("kind %s follows kWbCancel; assert on the highest kind", name)
-	}
-	if kWbCancel >= 32 {
-		t.Errorf("highest message kind %s is %d, want below 32", kinds.Name(kWbCancel), kWbCancel)
-	}
 }
 
 func run(t *testing.T, eng *sim.Engine, cond func() bool, what string) {

@@ -53,9 +53,9 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 func (c *L2Ctrl) home(b mem.Block) topo.NodeID { return c.sys.Geom.HomeMem(b) }
 
 // Recv implements network.Endpoint. The network calls it after the
-// bank's tag-access delay (see NewSystem). Messages deferred behind a
-// writeback window are copied by value, so the borrowed message never
-// outlives Recv.
+// bank's tag-access delay, which every kind waits out (see kinds).
+// Messages deferred behind a writeback window are copied by value, so
+// the borrowed message never outlives Recv.
 func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kProbeS, kProbeM, kPut:

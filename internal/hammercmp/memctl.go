@@ -35,8 +35,9 @@ func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
 }
 
 // Recv implements network.Endpoint. The network calls it after the
-// home's controller delay (see NewSystem). Queued requests are copied
-// by value, so the borrowed message never outlives Recv.
+// home's controller delay, which every kind waits out (see kinds).
+// Queued requests are copied by value, so the borrowed message never
+// outlives Recv.
 func (c *MemCtrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kGetS, kGetM, kPut:

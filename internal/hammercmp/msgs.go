@@ -57,7 +57,8 @@ const (
 // kinds is the protocol's kind table (installed on the network by
 // NewSystem): each kind's name and Figure 7 class. A writeback's data
 // counts as Writeback Data. The protocol has no timeout or retry path,
-// so every kind is protected from injected faults.
+// so every kind is protected from injected faults, and no kind is
+// prompt: every controller acts only after its access latency.
 var kinds = network.Kinds{
 	kGetS:     {Name: "GetS", Class: stats.Request},
 	kGetM:     {Name: "GetM", Class: stats.Request},

@@ -1,7 +1,6 @@
 package hammercmp
 
 import (
-	"fmt"
 	"testing"
 
 	"tokencmp/internal/counters"
@@ -21,19 +20,6 @@ func build(t *testing.T, g topo.Geometry) *System {
 	eng := sim.NewEngine()
 	h := hier.Config{Geom: g, L1Size: 4 << 10, L2BankSize: 16 << 10}
 	return NewSystem(eng, h, network.Default())
-}
-
-// TestKindsFitDelay asserts the highest message kind is below 32, so
-// every kind has its bit in network.Delay.Kinds: Go shifts a uint32 by
-// 32 or more to 0, so a kind there would silently skip its access
-// latency.
-func TestKindsFitDelay(t *testing.T) {
-	if name := kinds.Name(kWbCancel + 1); name != fmt.Sprintf("kind(%d)", kWbCancel+1) {
-		t.Fatalf("kind %s follows kWbCancel; assert on the highest kind", name)
-	}
-	if kWbCancel >= 32 {
-		t.Errorf("highest message kind %s is %d, want below 32", kinds.Name(kWbCancel), kWbCancel)
-	}
 }
 
 // runProgs drives one program per processor to completion.
@@ -85,8 +71,8 @@ func TestQuiescence(t *testing.T) {
 	progs, _ := workload.LockingPrograms(lc, g.TotalProcs(), 3)
 	runProgs(t, s, progs)
 	s.Eng.Run(10_000_000) // drain in-flight writebacks
-	if s.Net.InFlight != 0 {
-		t.Errorf("network not quiescent: %d messages in flight", s.Net.InFlight)
+	if n := s.Eng.Pending(); n != 0 {
+		t.Errorf("network not quiescent: %d events pending", n)
 	}
 	if len(homed) == 0 {
 		t.Fatal("no message reached a home")

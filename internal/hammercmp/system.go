@@ -1,7 +1,6 @@
 package hammercmp
 
 import (
-	"tokencmp/internal/counters"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -13,13 +12,10 @@ import (
 // broadcasts probes as soon as its controller decision completes, which
 // is the protocol's whole latency advantage over DirectoryCMP.
 type System struct {
-	Eng *sim.Engine
-	Net *network.Network
 	hier.Grid[*L1Ctrl, *L2Ctrl, *MemCtrl]
 
-	Ctrs *counters.Set
-	ctr  *ctrs
-	wbr  hier.WbReplies
+	ctr *ctrs
+	wbr hier.WbReplies
 
 	// caches lists every cache endpoint; a requester expects
 	// len(caches)-1 probe responses plus the memory response.
@@ -28,30 +24,16 @@ type System struct {
 
 // NewSystem wires a HammerCMP machine.
 func NewSystem(eng *sim.Engine, h hier.Config, netCfg network.Config) *System {
-	s := &System{
-		Eng:    eng,
-		Net:    network.New(eng, h.Geom, netCfg),
-		caches: h.Geom.AllCaches(),
-		Ctrs:   counters.NewSet(),
-	}
+	s := &System{caches: h.Geom.AllCaches()}
+	s.Init(eng, h, netCfg, kinds)
 	s.ctr = newCtrs(s.Ctrs)
 	s.wbr = hier.WbReplies{Put: kPut, Grant: kWbGrant, Data: kWbData, Cancel: kWbCancel, ExclAux: auxExcl, Race: s.ctr.wbRace}
-	s.Net.WireCounters(s.Ctrs)
-	s.Net.Kinds = kinds
-	// Every HammerCMP controller acts only after its access latency.
-	s.Wire(h, s.Net, hier.Delays{
-		L1:  network.Delay{Latency: hier.L1Latency, Kinds: network.AllKinds},
-		L2:  network.Delay{Latency: hier.L2Latency, Kinds: network.AllKinds},
-		Mem: network.Delay{Latency: hier.MemLatency, Kinds: network.AllKinds},
-	}, s.newL2, s.newL1, s.newMem)
+	s.Wire(hier.MemLatency, s.newL2, s.newL1, s.newMem)
 	return s
 }
 
 // Name reports the protocol name.
 func (s *System) Name() string { return "HammerCMP" }
-
-// Counters exposes the machine-wide uniform event-counter registry.
-func (s *System) Counters() *counters.Set { return s.Ctrs }
 
 // respondData answers probe m from cache id with a copy of the block;
 // aux adds flags to the shared flag every data response carries.

@@ -1,15 +1,16 @@
 // Package hier describes the paper's Table 3 target system once for all
 // protocol stacks: the cache geometry and latencies every protocol runs
-// with, the grid of L1, L2-bank and memory controllers each stack wires
-// onto its interconnect, and the controller parts the stacks share: the
-// L1 front end, the MOESI hit path, the three-phase writeback (the
-// evictor's WbBuffer sends the Put and answers the grant, and
-// WbReplies.GrantPut is every grantor's WbGrant), the busy-block
-// serializer and the payloads of delayed calls.
+// with, the shell every stack is built in (its engine, interconnect,
+// counter registry and grid of L1, L2-bank and memory controllers), and
+// the controller parts the stacks share: the L1 front end, the MOESI hit
+// path, the three-phase writeback (the evictor's WbBuffer sends the Put
+// and answers the grant, and WbReplies.GrantPut is every grantor's
+// WbGrant), the busy-block serializer and the payloads of delayed calls.
 package hier
 
 import (
 	"tokencmp/internal/cache"
+	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -65,35 +66,46 @@ type L1Port interface {
 	network.Endpoint
 }
 
-// Grid holds one stack's structure and its controllers, indexed by CMP
-// and then by processor or bank. A System embeds it for its geometry,
-// cache parameters, controllers and Ports.
+// Grid is the shell of one protocol stack: its structure, engine,
+// interconnect and counter registry, and its controllers, indexed by CMP
+// and then by processor or bank. A System embeds it for all of these and
+// for Ports and Counters.
 type Grid[L1 L1Port, L2, M network.Endpoint] struct {
 	Config
+	Eng  *sim.Engine
+	Net  *network.Network
+	Ctrs *counters.Set
 
 	L1Ds, L1Is [][]L1 // [cmp][proc]
 	L2s        [][]L2 // [cmp][bank]
 	Mems       []M    // [cmp]
 }
 
-// Delays are a stack's access latencies, one per controller class:
-// which message kinds each class handles only after its Table 3 access
-// time.
-type Delays struct {
-	L1, L2, Mem network.Delay
+// Init builds the stack's interconnect over cfg's geometry with the
+// protocol's kind table, and its counter registry with the network's
+// fault counters in it.
+func (g *Grid[L1, L2, M]) Init(eng *sim.Engine, cfg Config, netCfg network.Config, kinds network.Kinds) {
+	g.Config, g.Eng = cfg, eng
+	g.Net = network.New(eng, cfg.Geom, netCfg)
+	g.Net.Kinds = kinds
+	g.Ctrs = counters.NewSet()
+	g.Net.WireCounters(g.Ctrs)
 }
 
-// Wire builds every controller of cfg's geometry and attaches it to
-// net with its class's delay. Per CMP it builds the L2 banks, then each
-// processor's L1D and L1I, then the memory controller. The grid fills
-// in as it goes, so a constructor may read cfg from g and an L1 its
-// CMP's banks from g.L2s.
-func (g *Grid[L1, L2, M]) Wire(cfg Config, net *network.Network, d Delays,
+// Counters exposes the machine-wide uniform event-counter registry.
+func (g *Grid[L1, L2, M]) Counters() *counters.Set { return g.Ctrs }
+
+// Wire builds every controller of the geometry Init was given and
+// attaches it to the network with its class's access latency: L1Latency
+// for an L1, L2Latency for a bank and memLatency for the memory
+// controller. Per CMP it builds the L2 banks, then each processor's L1D
+// and L1I, then the memory controller. The grid fills in as it goes, so
+// an L1 constructor may read its CMP's banks from g.L2s.
+func (g *Grid[L1, L2, M]) Wire(memLatency sim.Time,
 	newL2 func(id topo.NodeID, cmp, bank int) L2,
 	newL1 func(id topo.NodeID, cmp, proc int, instr bool) L1,
 	newMem func(id topo.NodeID, cmp int) M) {
-	g.Config = cfg
-	geom := cfg.Geom
+	geom, net := g.Geom, g.Net
 	g.L1Ds = make([][]L1, geom.CMPs)
 	g.L1Is = make([][]L1, geom.CMPs)
 	g.L2s = make([][]L2, geom.CMPs)
@@ -105,18 +117,18 @@ func (g *Grid[L1, L2, M]) Wire(cfg Config, net *network.Network, d Delays,
 		for b := 0; b < geom.L2Banks; b++ {
 			id := geom.L2Node(c, b)
 			g.L2s[c][b] = newL2(id, c, b)
-			net.AttachDelay(id, g.L2s[c][b], d.L2)
+			net.AttachDelay(id, g.L2s[c][b], L2Latency)
 		}
 		for p := 0; p < geom.ProcsPerCMP; p++ {
 			did, iid := geom.L1DNode(c, p), geom.L1INode(c, p)
 			g.L1Ds[c][p] = newL1(did, c, p, false)
 			g.L1Is[c][p] = newL1(iid, c, p, true)
-			net.AttachDelay(did, g.L1Ds[c][p], d.L1)
-			net.AttachDelay(iid, g.L1Is[c][p], d.L1)
+			net.AttachDelay(did, g.L1Ds[c][p], L1Latency)
+			net.AttachDelay(iid, g.L1Is[c][p], L1Latency)
 		}
 		id := geom.MemNode(c)
 		g.Mems[c] = newMem(id, c)
-		net.AttachDelay(id, g.Mems[c], d.Mem)
+		net.AttachDelay(id, g.Mems[c], memLatency)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tokencmp/internal/cache"
+	"tokencmp/internal/counters"
 	"tokencmp/internal/cpu"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -51,28 +52,40 @@ func (n *node) Recv(*network.Message) { n.got++; n.at = n.eng.Now() }
 
 func (n *node) Access(cpu.AccessKind, mem.Addr, uint64, func(uint64)) {}
 
-// TestWireOrderAndAttach pins the construction order every stack
+// TestWireOrderAndAttach pins what Init installs (the engine, the
+// geometry, a network with the kind table and a counter registry with
+// the network's fault counters), the construction order every stack
 // depends on (per CMP: banks, then L1D and L1I per processor, then
 // memory), that an L1 constructor sees its CMP's banks, and that every
 // controller receives the messages addressed to its node after its
-// class's delay.
+// class's latency.
 func TestWireOrderAndAttach(t *testing.T) {
 	eng := sim.NewEngine()
 	h := Config{Geom: topo.NewGeometry(2, 2, 2)}
-	net := network.New(eng, h.Geom, network.Default())
+	kinds := network.Kinds{{Name: "Msg"}}
 	var g Grid[*node, *node, *node]
+	g.Init(eng, h, network.Default(), kinds)
+	net := g.Net
+	if g.Eng != eng || net == nil || net.Eng != eng {
+		t.Fatal("Init did not build the network on its engine")
+	}
+	if len(net.Kinds) != 1 || &net.Kinds[0] != &kinds[0] {
+		t.Errorf("network kind table = %v, want the table Init was given", net.Kinds)
+	}
+	if g.Counters() == nil || g.Counters() != g.Ctrs {
+		t.Fatal("Init built no counter registry")
+	}
+	if _, ok := g.Ctrs.Snapshot()[counters.NetDropped]; !ok {
+		t.Errorf("registry %v lacks the network's fault counters", g.Ctrs.Snapshot())
+	}
 	var order []string
 	mk := func(format string, args ...any) *node {
 		n := &node{name: fmt.Sprintf(format, args...), eng: eng}
 		order = append(order, n.name)
 		return n
 	}
-	delays := Delays{
-		L1:  network.Delay{Latency: sim.NS(1), Kinds: network.AllKinds},
-		L2:  network.Delay{Latency: sim.NS(2), Kinds: network.AllKinds},
-		Mem: network.Delay{Latency: sim.NS(3), Kinds: network.AllKinds},
-	}
-	g.Wire(h, net, delays,
+	const memLatency = 3 * sim.Nanosecond
+	g.Wire(memLatency,
 		func(_ topo.NodeID, c, b int) *node { return mk("L2 %d.%d", c, b) },
 		func(_ topo.NodeID, c, p int, instr bool) *node {
 			if len(g.L2s[c]) != h.Geom.L2Banks || g.L2s[c][h.Geom.L2Banks-1] == nil {
@@ -116,16 +129,16 @@ func TestWireOrderAndAttach(t *testing.T) {
 	for c := 0; c < h.Geom.CMPs; c++ {
 		for b, n := range g.L2s[c] {
 			all[h.Geom.L2Node(c, b)] = n
-			delay[h.Geom.L2Node(c, b)] = delays.L2.Latency
+			delay[h.Geom.L2Node(c, b)] = L2Latency
 		}
 		for p := range g.L1Ds[c] {
 			all[h.Geom.L1DNode(c, p)] = g.L1Ds[c][p]
 			all[h.Geom.L1INode(c, p)] = g.L1Is[c][p]
-			delay[h.Geom.L1DNode(c, p)] = delays.L1.Latency
-			delay[h.Geom.L1INode(c, p)] = delays.L1.Latency
+			delay[h.Geom.L1DNode(c, p)] = L1Latency
+			delay[h.Geom.L1INode(c, p)] = L1Latency
 		}
 		all[h.Geom.MemNode(c)] = g.Mems[c]
-		delay[h.Geom.MemNode(c)] = delays.Mem.Latency
+		delay[h.Geom.MemNode(c)] = memLatency
 	}
 	if len(all) != len(ids) {
 		t.Fatalf("grid holds %d controllers, geometry has %d nodes", len(all), len(ids))

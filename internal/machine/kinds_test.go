@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tokencmp/internal/network"
 )
 
 // TestKindTablesNameEveryKind checks the kind table each stack installs
@@ -14,11 +16,26 @@ import (
 // kind constant has a row, and the row's name is the constant's name
 // without its k prefix. A kind left out of the table would be counted
 // as Response Data, protected from faults and named "kind(n)" in panics.
+//
+// It also states the §3 split between the correctness substrate and the
+// performance policy as data: in TokenCMP exactly the persistent-table
+// kinds act on arrival at every controller, and a response acts on
+// arrival at an L1; every other kind, and every DirectoryCMP and
+// HammerCMP kind, waits out each controller's access latency.
 func TestKindTablesNameEveryKind(t *testing.T) {
-	for _, tc := range []struct{ proto, pkg string }{
-		{"DirectoryCMP", "directory"},
-		{"HammerCMP", "hammercmp"},
-		{"TokenCMP-dst1", "tokencmp"},
+	for _, tc := range []struct {
+		proto, pkg string
+		prompt     map[string]network.Controllers // by kind name
+	}{
+		{"DirectoryCMP", "directory", nil},
+		{"HammerCMP", "hammercmp", nil},
+		{"TokenCMP-dst1", "tokencmp", map[string]network.Controllers{
+			"Response":       network.AtL1,
+			"Persistent":     network.AtAll,
+			"PersistentDone": network.AtAll,
+			"ArbActivate":    network.AtAll,
+			"ArbDeactivate":  network.AtAll,
+		}},
 	} {
 		t.Run(tc.pkg, func(t *testing.T) {
 			m, err := New(smallCfg(tc.proto))
@@ -32,6 +49,11 @@ func TestKindTablesNameEveryKind(t *testing.T) {
 			for k, c := range consts {
 				if got, want := m.net.Kinds.Name(int32(k)), strings.TrimPrefix(c, "k"); got != want {
 					t.Errorf("kind %s (%d) is named %q, want %q", c, k, got, want)
+				}
+			}
+			for _, row := range m.net.Kinds {
+				if want := tc.prompt[row.Name]; row.Prompt != want {
+					t.Errorf("kind %s is prompt at %03b, want %03b", row.Name, row.Prompt, want)
 				}
 			}
 		})

@@ -120,13 +120,12 @@ func dropCall(ctx, arg any) { ctx.(*Network).drop(arg.(*Message)) }
 
 // drop consumes a message at its would-be arrival time. The message has
 // been in flight until now, so the conservation monitor's accounting is
-// unwound exactly as deliver would: InFlight and the per-block
-// token/owner tallies both decrement — a dropped monitored message must
-// not haunt the audit. FaultRetx messages then re-enter the network in
-// this same event (the retransmit shim), re-incrementing the tallies
-// before any other event can observe a gap.
+// unwound exactly as deliver would: the per-block token/owner tallies
+// decrement — a dropped monitored message must not haunt the audit.
+// FaultRetx messages then re-enter the network in this same event (the
+// retransmit shim), re-incrementing the tallies before any other event
+// can observe a gap.
 func (n *Network) drop(m *Message) {
-	n.InFlight--
 	n.landed(m)
 	if n.OnDrop != nil {
 		n.OnDrop(m)

@@ -59,8 +59,8 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 }
 
 // TestDroppableDropAccounting: a dropped monitored message must unwind
-// the in-flight count and the per-block token tallies exactly as a
-// delivery would — the conservation auditor may never see tokens stuck
+// the per-block token tallies exactly as a delivery would, and leave no
+// event behind — the conservation auditor may never see tokens stuck
 // on a wire that already lost them.
 func TestDroppableDropAccounting(t *testing.T) {
 	eng, n, g, sinks, cs := faultNet(t, FaultConfig{Seed: 1, Drop: 1.0}, FaultDroppable)
@@ -72,9 +72,9 @@ func TestDroppableDropAccounting(t *testing.T) {
 	if got := len(sinks[g.L1DNode(0, 1)].got); got != 0 {
 		t.Errorf("delivered %d messages with drop=1.0, want 0", got)
 	}
-	if c := inFlight(n, 7); n.InFlight != 0 || c != (blockCount{}) {
-		t.Errorf("post-drop accounting: InFlight=%d tokens=%d owners=%d, want all 0",
-			n.InFlight, c.tokens, c.owners)
+	if c := inFlight(n, 7); eng.Pending() != 0 || c != (blockCount{}) {
+		t.Errorf("post-drop accounting: pending=%d tokens=%d owners=%d, want all 0",
+			eng.Pending(), c.tokens, c.owners)
 	}
 	if cs.Value(counters.NetDropped) != 1 {
 		t.Errorf("net.dropped = %d, want 1", cs.Value(counters.NetDropped))
@@ -111,9 +111,9 @@ func TestRetxDropHasNoAuditGap(t *testing.T) {
 		t.Errorf("dropped=%d != retx=%d: every retx-class drop must retransmit",
 			cs.Value(counters.NetDropped), cs.Value(counters.NetRetx))
 	}
-	if c := inFlight(n, 7); n.InFlight != 0 || c != (blockCount{}) {
-		t.Errorf("post-run accounting: InFlight=%d tokens=%d owners=%d, want all 0",
-			n.InFlight, c.tokens, c.owners)
+	if c := inFlight(n, 7); eng.Pending() != 0 || c != (blockCount{}) {
+		t.Errorf("post-run accounting: pending=%d tokens=%d owners=%d, want all 0",
+			eng.Pending(), c.tokens, c.owners)
 	}
 }
 

@@ -16,18 +16,19 @@
 // and its memory reused when the call returns.
 //
 // A controller's access latency is data, not code: AttachDelay records
-// a Delay with the endpoint, and the network calls Recv that Latency
-// after arrival for each kind the Delay names, or at arrival for any
-// other kind. A Recv that must act later again (a response-delay hold,
-// a request re-admitted from a queue) defers with HandleAfter or
-// HandleAt, which call Recv at the given time. Passed the message whose
-// Recv is running, HandleAt takes that message over instead of
-// reclaiming it; passed any other message, it defers a pooled copy, so
-// the caller's value stays its own. Either way the network frees the
-// deferred message when that Recv returns, and a protocol never frees
-// one itself. Building with -tags simdebug scrambles every reclaimed
-// message, so a controller that keeps a borrowed pointer past Recv
-// corrupts its own figures instead of failing silently.
+// the latency with the endpoint, and the network calls Recv that latency
+// after arrival, or at arrival for a kind whose row in the kind table
+// lists the endpoint's controller class as Prompt. A Recv that must act
+// later again (a response-delay hold, a request re-admitted from a
+// queue) defers with HandleAfter or HandleAt, which call Recv at the
+// given time. Passed the message whose Recv is running, HandleAt takes
+// that message over instead of reclaiming it; passed any other message,
+// it defers a pooled copy, so the caller's value stays its own. Either
+// way the network frees the deferred message when that Recv returns,
+// and a protocol never frees one itself. Building with -tags simdebug
+// scrambles every reclaimed message, so a controller that keeps a
+// borrowed pointer past Recv corrupts its own figures instead of
+// failing silently.
 package network
 
 import (
@@ -87,17 +88,36 @@ func (m *Message) String() string {
 }
 
 // Kind is one row of a protocol's kind table: the message kind's name
-// for diagnostics, its Figure 7 traffic class and its fault class.
+// for diagnostics, its Figure 7 traffic class, its fault class and the
+// controller classes that act on it as it arrives.
 type Kind struct {
 	Name  string
 	Class stats.TrafficClass
 	Fault FaultClass
+	// Prompt lists the controller classes whose Recv runs on the kind's
+	// arrival; every other class receives it its access latency later.
+	Prompt Controllers
 }
+
+// Controllers is a set of controller classes, for Kind.Prompt.
+type Controllers uint8
+
+// The controller classes: an L1 (data or instruction), an L2 bank and a
+// memory controller, as topo.KindOf places each node.
+const (
+	AtL1 Controllers = 1 << iota
+	AtL2
+	AtMem
+	AtAll = AtL1 | AtL2 | AtMem
+)
+
+// controllerOf is the controller class of each kind of node.
+var controllerOf = [...]Controllers{topo.L1D: AtL1, topo.L1I: AtL1, topo.L2: AtL2, topo.Mem: AtMem}
 
 // Kinds is a protocol's kind table, indexed by Message.Kind. Each
 // protocol declares its kinds once, in one table, and installs it as
 // Network.Kinds. A kind the table does not list has the zero row: class
-// 0 (Response Data) and FaultProtected.
+// 0 (Response Data), FaultProtected and prompt nowhere.
 type Kinds []Kind
 
 // row returns kind k's row, or the zero row for a kind t does not list.
@@ -117,33 +137,22 @@ func (t Kinds) Name(k int32) string {
 }
 
 // Endpoint receives messages when they are due: on arrival, after the
-// endpoint's Delay, or at a HandleAfter's time. Recv borrows the message,
-// which is reclaimed as soon as Recv returns unless Recv deferred it
-// (see the package ownership contract).
+// endpoint's access latency, or at a HandleAfter's time. Recv borrows
+// the message, which is reclaimed as soon as Recv returns unless Recv
+// deferred it (see the package ownership contract).
 type Endpoint interface {
 	Recv(m *Message)
 }
 
-// Delay is an endpoint's access latency: a message whose Kind k has bit
-// k set in Kinds reaches Recv Latency after it arrives, and any other
-// message reaches Recv on arrival. The zero Delay delivers every kind
-// at once. Kinds at or above 32 always act at once.
-type Delay struct {
-	Latency sim.Time
-	Kinds   uint32
-}
-
-// AllKinds is a Delay.Kinds that defers every kind below 32.
-const AllKinds = ^uint32(0)
-
 // node is one attached endpoint, its access latency and its place in
-// the topology, which picks the link class of every message it sends
-// or receives.
+// the topology: its CMP and controller class pick the link class of
+// every message it sends or receives, and the class picks the kinds it
+// receives on arrival.
 type node struct {
-	e Endpoint
-	Delay
-	cmp   int32 // the CMP the node sits in
-	isMem bool  // a memory controller, off-chip behind its CMP
+	e       Endpoint
+	latency sim.Time
+	cmp     int32       // the CMP the node sits in
+	class   Controllers // AtMem sits off-chip behind its CMP
 }
 
 // LinkParams describe one directed link.
@@ -220,10 +229,6 @@ type Network struct {
 	// linkClass).
 	lastArrive []sim.Time
 
-	// InFlight counts undelivered messages; the coherence monitor uses it
-	// and tests use it to detect quiescence.
-	InFlight int
-
 	// Monitor, if set, observes every message at delivery time, before
 	// the endpoint. Tests use it for failure traces and event-order
 	// fingerprints; the conservation audit reads EachInFlight instead.
@@ -295,7 +300,7 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 	for id := range nw.nodes {
 		nd := &nw.nodes[id]
 		nd.cmp = int32(g.CMPOf(topo.NodeID(id)))
-		nd.isMem = g.KindOf(topo.NodeID(id)) == topo.Mem
+		nd.class = controllerOf[g.KindOf(topo.NodeID(id))]
 	}
 	if cfg.Faults.Enabled() {
 		nw.faultsOn = true
@@ -317,14 +322,14 @@ func New(eng *sim.Engine, g topo.Geometry, cfg Config) *Network {
 // ends are caches.
 func (n *Network) route(srcID, dstID topo.NodeID) (lc *linkClass, intraHops int) {
 	src, dst := &n.nodes[srcID], &n.nodes[dstID]
-	if !src.isMem && !dst.isMem && src.cmp == dst.cmp {
+	if src.class != AtMem && dst.class != AtMem && src.cmp == dst.cmp {
 		return &n.classes[onChip], 1
 	}
 	lc = &n.classes[offChip]
-	if !src.isMem {
+	if src.class != AtMem {
 		intraHops++
 	}
-	if !dst.isMem {
+	if dst.class != AtMem {
 		intraHops++
 	}
 	return lc, intraHops
@@ -387,13 +392,15 @@ func (n *Network) TrafficCounters(snap map[string]uint64) {
 	snap[counters.NetHopInterCMP] = inter
 }
 
-// Attach registers the endpoint for id with the zero Delay: it
+// Attach registers the endpoint for id with no access latency: it
 // receives every message on arrival.
-func (n *Network) Attach(id topo.NodeID, e Endpoint) { n.AttachDelay(id, e, Delay{}) }
+func (n *Network) Attach(id topo.NodeID, e Endpoint) { n.AttachDelay(id, e, 0) }
 
-// AttachDelay registers the endpoint for id with its access latency d.
-func (n *Network) AttachDelay(id topo.NodeID, e Endpoint, d Delay) {
-	n.nodes[id].e, n.nodes[id].Delay = e, d
+// AttachDelay registers the endpoint for id with its access latency: it
+// receives each message that long after arrival, unless the message's
+// kind is prompt at the node's controller class (see Kind.Prompt).
+func (n *Network) AttachDelay(id topo.NodeID, e Endpoint, latency sim.Time) {
+	n.nodes[id].e, n.nodes[id].latency = e, latency
 }
 
 // alloc pops a message from the pool without clearing it, for callers
@@ -458,7 +465,7 @@ func (n *Network) HandleAfter(d sim.Time, m *Message) {
 }
 
 // HandleAt calls the Recv of the endpoint attached at m.Dst at absolute
-// time t, whatever its Delay. If m is the message whose Recv is
+// time t, whatever its access latency. If m is the message whose Recv is
 // running, the network takes it over instead of freeing it when that
 // call returns; any other m is deferred as a pooled copy, so the
 // caller's value stays its own. The network frees the deferred message
@@ -535,7 +542,6 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 	for h := hops; h > 0; h-- {
 		n.Traffic.Add(stats.IntraCMP, class, size)
 	}
-	n.InFlight++
 	n.launched(m)
 
 	// Fault draws, in fixed order (see send's contract). Protected
@@ -605,13 +611,12 @@ func (n *Network) send(m *Message, extra sim.Time, isDup bool) {
 }
 
 func (n *Network) deliver(m *Message) {
-	n.InFlight--
 	n.landed(m)
 	if n.Monitor != nil {
 		n.Monitor(m)
 	}
-	if d := n.nodes[m.Dst].Delay; d.Kinds>>uint32(m.Kind)&1 != 0 {
-		n.Eng.ScheduleCallAt(n.Eng.Now()+d.Latency, handleCall, n, m)
+	if nd := &n.nodes[m.Dst]; nd.latency != 0 && n.Kinds.row(m.Kind).Prompt&nd.class == 0 {
+		n.Eng.ScheduleCallAt(n.Eng.Now()+nd.latency, handleCall, n, m)
 		return
 	}
 	n.handle(m)

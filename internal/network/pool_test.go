@@ -195,8 +195,8 @@ func TestHandleAfterFreesOnce(t *testing.T) {
 }
 
 // TestHeldMessageIsNotReclaimed asserts deliver reclaims a message when
-// Recv returns without deferring it, but leaves one whose kind its
-// endpoint's Delay defers alone until its Recv returns.
+// Recv returns without deferring it, but leaves one that waits out its
+// endpoint's access latency alone until its Recv returns.
 func TestHeldMessageIsNotReclaimed(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
@@ -207,7 +207,7 @@ func TestHeldMessageIsNotReclaimed(t *testing.T) {
 	}
 
 	h := &handleSink{n: n}
-	n.AttachDelay(dst, h, Delay{Latency: sim.NS(1), Kinds: AllKinds})
+	n.AttachDelay(dst, h, sim.NS(1))
 	sent := delivered(n)
 	n.SendNew(Message{Src: src, Dst: dst, Data: 7})
 	if !eng.Step() {
@@ -233,7 +233,7 @@ func TestHandleAtRedeferFreesOnce(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
 	h := &handleSink{n: n, redefer: sim.NS(7)}
-	n.AttachDelay(dst, h, Delay{Latency: sim.NS(3), Kinds: AllKinds})
+	n.AttachDelay(dst, h, sim.NS(3))
 	sent := delivered(n)
 	n.SendNew(Message{Src: src, Dst: dst})
 	eng.Step() // delivery
@@ -317,7 +317,7 @@ func TestSteadyStateHandleAfterDoesNotAllocate(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
 	h := &handleSink{n: n, redefer: sim.NS(3)}
-	n.AttachDelay(dst, h, Delay{Latency: sim.NS(2), Kinds: AllKinds})
+	n.AttachDelay(dst, h, sim.NS(2))
 	for i := 0; i < 8; i++ {
 		n.SendNew(Message{Src: src, Dst: dst})
 	}
@@ -335,35 +335,54 @@ func TestSteadyStateHandleAfterDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestDelayKinds asserts an endpoint's Delay: a kind in Kinds reaches
-// Recv Latency after arrival on the delivered pointer and is freed
-// once; any other kind, a kind of 32 or more, and every kind under the
-// zero Delay that Attach records reach Recv inside their delivery
-// event. No case allocates.
-func TestDelayKinds(t *testing.T) {
+// TestPromptKinds asserts Kind.Prompt: at an endpoint with an access
+// latency, a kind whose row lists the endpoint's controller class (an
+// L1D or L1I is an L1) reaches Recv inside its delivery event; a kind
+// whose row lists only other classes, a kind the table does not list
+// and kinds 32 and 64 reach Recv one latency after arrival on the
+// delivered pointer and are freed once; and the two-argument Attach
+// delivers every kind at once. No case allocates.
+func TestPromptKinds(t *testing.T) {
 	const lat = 4 * sim.Nanosecond
-	some := Delay{Latency: lat, Kinds: 1<<3 | 1<<31}
+	kinds := make(Kinds, 65)
+	kinds[1] = Kind{Prompt: AtL1}
+	kinds[2] = Kind{Prompt: AtL2 | AtMem}
+	kinds[3] = Kind{Prompt: AtAll}
+	kinds[64] = Kind{Prompt: AtL2}
 	for _, tc := range []struct {
 		name     string
-		d        Delay
+		at       topo.Kind
+		latency  sim.Time
 		kind     int32
 		deferred bool
 	}{
-		{"kind 3 in Kinds", some, 3, true},
-		{"kind 31 in Kinds", some, 31, true},
-		{"kind 2 outside Kinds", some, 2, false},
-		{"kind 32 under AllKinds", Delay{Latency: lat, Kinds: AllKinds}, 32, false},
-		{"zero Delay kind 3", Delay{}, 3, false},
-		{"zero Delay kind 31", Delay{}, 31, false},
+		{"prompt at L1", topo.L1D, lat, 1, false},
+		{"prompt at L1 to an L1I", topo.L1I, lat, 1, false},
+		{"prompt at L1 to memory", topo.Mem, lat, 1, true},
+		{"prompt everywhere", topo.L1D, lat, 3, false},
+		{"prompt at L2 and memory only", topo.L1D, lat, 2, true},
+		{"prompt at L2 to an L2", topo.L2, lat, 2, false},
+		{"prompt at memory to memory", topo.Mem, lat, 2, false},
+		{"no Prompt", topo.L1D, lat, 0, true},
+		{"kind 32", topo.L1D, lat, 32, true},
+		{"kind 64 prompt at L2 only", topo.L1D, lat, 64, true},
+		{"kind 65 unlisted", topo.L1D, lat, 65, true},
+		{"Attach kind 0", topo.L1D, 0, 0, false},
+		{"Attach kind 2", topo.L1D, 0, 2, false},
+		{"Attach kind 65", topo.L1D, 0, 65, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, n, g := poolNet()
-			src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
+			n.Kinds = kinds
+			src := g.L1DNode(0, 0)
+			dst := map[topo.Kind]topo.NodeID{
+				topo.L1D: g.L1DNode(0, 1), topo.L1I: g.L1INode(0, 1), topo.L2: g.L2Node(0, 0), topo.Mem: g.MemNode(0),
+			}[tc.at]
 			h := &handleSink{n: n}
-			if tc.d == (Delay{}) {
+			if tc.latency == 0 {
 				n.Attach(dst, h) // the two-argument path
 			} else {
-				n.AttachDelay(dst, h, tc.d)
+				n.AttachDelay(dst, h, tc.latency)
 			}
 			sent := delivered(n)
 			n.SendNew(Message{Src: src, Dst: dst, Kind: tc.kind, Data: 5})
@@ -422,7 +441,7 @@ func (s drainSink) Recv(m *Message) {
 func TestSteadyStateDrainDoesNotAllocate(t *testing.T) {
 	eng, n, g := poolNet()
 	src, dst := g.L1DNode(0, 0), g.L1DNode(0, 1)
-	n.AttachDelay(dst, drainSink{n}, Delay{Kinds: AllKinds})
+	n.Attach(dst, drainSink{n})
 	for i := 0; i < 8; i++ {
 		n.SendNew(Message{Src: src, Dst: dst, Aux: 4})
 	}

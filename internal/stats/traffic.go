@@ -6,8 +6,9 @@ package stats
 
 import "fmt"
 
-// TrafficClass is the Figure 7 message-type breakdown. One byte wide, it
-// shares a network.Message word with the flag fields.
+// TrafficClass is the Figure 7 message-type breakdown. A message's class
+// is not carried on the message: each protocol's kind table names the
+// class of every message kind (see network.Kinds).
 type TrafficClass uint8
 
 // Traffic classes, in the paper's legend order.

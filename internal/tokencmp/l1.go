@@ -329,8 +329,9 @@ func (c *L1Ctrl) recheckMarked() {
 }
 
 // Recv implements network.Endpoint. Transient requests, local or
-// forwarded from another CMP, arrive after the tag-access delay; the
-// rest act on arrival (see NewSystem).
+// forwarded from another CMP, arrive after the tag-access delay;
+// responses and the persistent-table messages act on arrival (see the
+// Prompt column of kinds).
 func (c *L1Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient, kFwdExternal:

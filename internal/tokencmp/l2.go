@@ -108,7 +108,8 @@ func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied b
 
 // Recv implements network.Endpoint. Transient requests, writebacks and
 // stray responses arrive after the bank's tag-access delay; the
-// persistent-request messages act on arrival (see NewSystem).
+// persistent-request messages act on arrival (see the Prompt column of
+// kinds).
 func (c *L2Ctrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kWriteback, kResponse:

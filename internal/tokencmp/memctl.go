@@ -66,7 +66,8 @@ func (c *MemCtrl) StateOf(b mem.Block) (*token.State, bool) {
 
 // Recv implements network.Endpoint. Requests, writebacks and arbiter
 // messages arrive after the controller's array-access delay; the
-// persistent-table messages act on arrival (see NewSystem).
+// persistent-table messages act on arrival (see the Prompt column of
+// kinds).
 func (c *MemCtrl) Recv(m *network.Message) {
 	switch m.Kind {
 	case kTransient:

@@ -44,9 +44,15 @@ const (
 )
 
 // kinds is the protocol's kind table (installed on the network by
-// NewSystem): each kind's name, Figure 7 class and fault class. A
-// response or writeback that carries data counts as Response Data or
-// Writeback Data.
+// NewSystem): each kind's name, Figure 7 class, fault class and the
+// controllers that act on it as it arrives. A response or writeback
+// that carries data counts as Response Data or Writeback Data.
+//
+// The performance policy's messages (transient requests and their
+// forwards, writebacks and responses, plus the arbiter's queue traffic
+// at memory) pay each controller's access latency, except that an L1
+// takes its incoming responses on arrival. The correctness substrate's
+// persistent-table messages act on arrival everywhere (§3).
 //
 // The fault classes are the protocol's statement of which losses it
 // claims to survive. Transient requests and their intra-CMP forwards
@@ -71,12 +77,12 @@ const (
 var kinds = network.Kinds{
 	kTransient:      {Name: "Transient", Class: stats.Request, Fault: network.FaultDroppable},
 	kFwdExternal:    {Name: "FwdExternal", Class: stats.Request, Fault: network.FaultDroppable},
-	kResponse:       {Name: "Response", Class: stats.InvFwdAckTokens, Fault: network.FaultRetx},
+	kResponse:       {Name: "Response", Class: stats.InvFwdAckTokens, Fault: network.FaultRetx, Prompt: network.AtL1},
 	kWriteback:      {Name: "Writeback", Class: stats.WritebackControl, Fault: network.FaultRetx},
-	kPersistent:     {Name: "Persistent", Class: stats.Persistent, Fault: network.FaultProtected},
-	kPersistentDone: {Name: "PersistentDone", Class: stats.Persistent, Fault: network.FaultProtected},
+	kPersistent:     {Name: "Persistent", Class: stats.Persistent, Fault: network.FaultProtected, Prompt: network.AtAll},
+	kPersistentDone: {Name: "PersistentDone", Class: stats.Persistent, Fault: network.FaultProtected, Prompt: network.AtAll},
 	kArbRequest:     {Name: "ArbRequest", Class: stats.Persistent, Fault: network.FaultProtected},
 	kArbDone:        {Name: "ArbDone", Class: stats.Persistent, Fault: network.FaultProtected},
-	kArbActivate:    {Name: "ArbActivate", Class: stats.Persistent, Fault: network.FaultProtected},
-	kArbDeactivate:  {Name: "ArbDeactivate", Class: stats.Persistent, Fault: network.FaultProtected},
+	kArbActivate:    {Name: "ArbActivate", Class: stats.Persistent, Fault: network.FaultProtected, Prompt: network.AtAll},
+	kArbDeactivate:  {Name: "ArbDeactivate", Class: stats.Persistent, Fault: network.FaultProtected, Prompt: network.AtAll},
 }

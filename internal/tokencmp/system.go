@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tokencmp/internal/blocktab"
-	"tokencmp/internal/counters"
 	"tokencmp/internal/hier"
 	"tokencmp/internal/mem"
 	"tokencmp/internal/network"
@@ -16,16 +15,13 @@ import (
 // System is a complete TokenCMP machine: caches, memory controllers, and
 // the two-level interconnect, for one Table 1 variant.
 type System struct {
-	Eng *sim.Engine
-	Net *network.Network
 	Cfg Config
 	hier.Grid[*L1Ctrl, *L2Ctrl, *MemCtrl]
 
 	// T is the number of tokens per block, token.TokenCountFor(#caches).
 	T int
 
-	Ctrs *counters.Set
-	ctr  *ctrs
+	ctr *ctrs
 
 	allEndpoints []topo.NodeID
 	l1sInCMP     [][]topo.NodeID // [cmp]: the chip's L1s, in Geometry.L1sInCMP order
@@ -36,45 +32,26 @@ type System struct {
 func NewSystem(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config) *System {
 	g := h.Geom
 	s := &System{
-		Eng:          eng,
 		Cfg:          cfg,
 		T:            token.TokenCountFor(len(g.AllCaches())),
-		Net:          network.New(eng, g, netCfg),
 		allEndpoints: g.AllNodes(),
-		Ctrs:         counters.NewSet(),
 	}
 	s.l1sInCMP = make([][]topo.NodeID, g.CMPs)
 	for c := range s.l1sInCMP {
 		s.l1sInCMP[c] = g.L1sInCMP(c)
 	}
+	s.Init(eng, h, netCfg, kinds)
 	s.ctr = newCtrs(s.Ctrs)
-	s.Net.WireCounters(s.Ctrs)
-	// The kind table fixes each message's Figure 7 class and fault
-	// class. Token coherence claims survival of an ill-behaved
-	// interconnect, so it opts its transient traffic into fault
-	// injection (see kinds for the per-kind policy).
-	s.Net.Kinds = kinds
-	// The performance policy's messages (transient requests, writebacks
-	// and responses, plus the arbiter's queue traffic at memory) pay
-	// each controller's access latency; the correctness substrate's
-	// persistent-table messages, and an L1's incoming responses, act on
-	// arrival.
-	const policy = 1<<kTransient | 1<<kWriteback | 1<<kResponse
-	s.Wire(h, s.Net, hier.Delays{
-		L1:  network.Delay{Latency: hier.L1Latency, Kinds: 1<<kTransient | 1<<kFwdExternal},
-		L2:  network.Delay{Latency: hier.L2Latency, Kinds: policy},
-		Mem: network.Delay{Latency: hier.MemLatency, Kinds: policy | 1<<kArbRequest | 1<<kArbDone},
-	}, s.newL2, s.newL1, s.newMem)
+	s.Wire(hier.MemLatency, s.newL2, s.newL1, s.newMem)
 	return s
 }
 
 // Name reports the variant name.
 func (s *System) Name() string { return s.Cfg.Variant.Name }
 
-// Counters exposes the machine-wide uniform event-counter registry.
-func (s *System) Counters() *counters.Set { return s.Ctrs }
+// eachCacheState calls fn for every block state held in every cache
+// controller.
 
-// caches iterates over all cache controllers' base views.
 func (s *System) eachCacheState(fn func(id topo.NodeID, b mem.Block, st *token.State)) {
 	for c := range s.L1Ds {
 		for p := range s.L1Ds[c] {

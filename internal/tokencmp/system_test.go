@@ -1,7 +1,6 @@
 package tokencmp
 
 import (
-	"fmt"
 	"testing"
 
 	"tokencmp/internal/cpu"
@@ -17,19 +16,6 @@ func testSystem(t *testing.T, v Variant) (*sim.Engine, *System) {
 	eng := sim.NewEngine()
 	h := hier.Config{Geom: topo.NewGeometry(2, 2, 1), L1Size: 4 << 10, L2BankSize: 32 << 10}
 	return eng, NewSystem(eng, h, DefaultConfig(v), network.Default())
-}
-
-// TestKindsFitDelay asserts the highest message kind is below 32, so
-// every kind has its bit in network.Delay.Kinds: Go shifts a uint32 by
-// 32 or more to 0, so a kind there would silently skip its access
-// latency.
-func TestKindsFitDelay(t *testing.T) {
-	if name := kinds.Name(kArbDeactivate + 1); name != fmt.Sprintf("kind(%d)", kArbDeactivate+1) {
-		t.Fatalf("kind %s follows kArbDeactivate; assert on the highest kind", name)
-	}
-	if kArbDeactivate >= 32 {
-		t.Errorf("highest message kind %s is %d, want below 32", kinds.Name(kArbDeactivate), kArbDeactivate)
-	}
 }
 
 // run drives the engine until cond or failure.
