@@ -253,7 +253,8 @@ func BenchmarkSimdCacheParallel(b *testing.B) {
 
 // table3Delays are the simulator's fixed latencies (Table 3): L1, L2,
 // on-chip link, memory controller, off-chip link, response hold, DRAM.
-var table3Delays = []sim.Time{sim.NS(2), sim.NS(7), sim.NS(2), sim.NS(6), sim.NS(20), sim.NS(30), sim.NS(80)}
+var table3Delays = []sim.Time{hier.L1Latency, hier.L2Latency, network.Default().OnChip.Latency, hier.MemLatency,
+	network.Default().OffChip.Latency, hier.ResponseDelay, hier.DRAMLatency}
 
 // stepper keeps an engine's queue at a fixed depth: each event it fires
 // schedules its successor.

@@ -39,11 +39,3 @@ func (s *System) dirLatency() sim.Time {
 	}
 	return hier.DRAMLatency
 }
-
-// Name reports the protocol name.
-func (s *System) Name() string {
-	if s.zeroDir {
-		return "DirectoryCMP-zero"
-	}
-	return "DirectoryCMP"
-}

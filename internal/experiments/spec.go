@@ -162,6 +162,10 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("%w: %s must be >= %d, got %d", ErrInvalidSpec, b.name, b.min, b.v)
 		}
 	}
+	if s.Geom.ProcsPerCMP > topo.MaxProcsPerCMP || s.Geom.CMPs > topo.MaxCMPs {
+		return fmt.Errorf("%w: procs must be <= %d and cmps <= %d (the sharer masks are 64 bits), got %d and %d",
+			ErrInvalidSpec, topo.MaxProcsPerCMP, topo.MaxCMPs, s.Geom.ProcsPerCMP, s.Geom.CMPs)
+	}
 	if err := s.Faults.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tokencmp/internal/sim"
+	"tokencmp/internal/topo"
 )
 
 // TestSpecValidate covers every rule of Spec.Validate, starting from
@@ -37,6 +38,12 @@ func TestSpecValidate(t *testing.T) {
 		{"cmps -1", func(s *Spec) { s.Geom.CMPs = -1 }, false},
 		{"procs 0", func(s *Spec) { s.Geom.ProcsPerCMP = 0 }, false},
 		{"banks 0", func(s *Spec) { s.Geom.L2Banks = 0 }, false},
+		// The 64-bit sharer masks hold 2·32 L1s per CMP and 64 CMPs.
+		{"procs at MaxProcsPerCMP", func(s *Spec) { s.Geom.ProcsPerCMP = topo.MaxProcsPerCMP }, true},
+		{"procs past MaxProcsPerCMP", func(s *Spec) { s.Geom.ProcsPerCMP = topo.MaxProcsPerCMP + 1 }, false},
+		{"procs 65", func(s *Spec) { s.Geom.ProcsPerCMP = 65 }, false},
+		{"cmps at MaxCMPs", func(s *Spec) { s.Geom.CMPs = topo.MaxCMPs }, true},
+		{"cmps past MaxCMPs", func(s *Spec) { s.Geom.CMPs = topo.MaxCMPs + 1 }, false},
 		{"locks -1", func(s *Spec) { s.Locks = -1 }, false},
 		{"locks -1 off the locking workload", func(s *Spec) { s.Workload, s.Locks = "OLTP", -1 }, false},
 		{"acquires -5", func(s *Spec) { s.Acquires = -5 }, false},

@@ -32,9 +32,6 @@ func NewSystem(eng *sim.Engine, h hier.Config, netCfg network.Config) *System {
 	return s
 }
 
-// Name reports the protocol name.
-func (s *System) Name() string { return "HammerCMP" }
-
 // respondData answers probe m from cache id with a copy of the block;
 // aux adds flags to the shared flag every data response carries.
 func (s *System) respondData(id topo.NodeID, m *network.Message, data uint64, dirty bool, aux int32) {

@@ -194,8 +194,7 @@ func TestFaultedEventOrderFingerprint(t *testing.T) {
 				h := runFingerprint(t, m, "locking")
 				// arb0 and dst0 send no transient requests, so reorder,
 				// which only droppable transients take, is a no-op there.
-				v, _ := tokencmp.VariantByName(proto)
-				if fp.moved != "" && (fp.name != "reorder" || v.MaxTransients > 0) && m.Counters()[fp.moved] == 0 {
+				if fp.moved != "" && (fp.name != "reorder" || m.Proto.(*tokencmp.System).Cfg.Variant.MaxTransients > 0) && m.Counters()[fp.moved] == 0 {
 					t.Fatalf("%s moved no %s", fp.name, fp.moved)
 				}
 				if want, ok := pins[proto+"/"+fp.name]; !ok || h != want {

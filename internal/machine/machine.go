@@ -31,7 +31,6 @@ import (
 // counter registry is the only event accounting a system keeps.
 type Protocol interface {
 	Ports(globalProc int) (data, inst cpu.MemPort)
-	Name() string
 	Counters() *counters.Set
 }
 
@@ -42,7 +41,7 @@ type tokenAuditor interface {
 
 // Config selects and parameterizes a machine.
 type Config struct {
-	Protocol string // a tokencmp variant name, "DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", or "PerfectL2"
+	Protocol string // one of the names Protocols lists
 	Geom     topo.Geometry
 	Seed     int64
 
@@ -64,14 +63,56 @@ type Config struct {
 	L1Size, L2BankSize int
 }
 
+// builder builds one protocol's system and returns it with its
+// network (nil for PerfectL2).
+type builder func(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config) (Protocol, *network.Network)
+
+// stack is one row of the protocol table.
+type stack struct {
+	name  string
+	build builder
+}
+
+// stacks is the one table that maps a protocol name to its system, in
+// the paper's reporting order: DirectoryCMP with a DRAM and with a
+// zero-cycle directory, HammerCMP, the Table 1 TokenCMP variants and
+// PerfectL2.
+var stacks = func() []stack {
+	directoryCMP := func(zeroDir bool) builder {
+		return func(eng *sim.Engine, h hier.Config, _ Config, netCfg network.Config) (Protocol, *network.Network) {
+			sys := directory.NewSystem(eng, h, zeroDir, netCfg)
+			return sys, sys.Net
+		}
+	}
+	rows := []stack{
+		{"DirectoryCMP", directoryCMP(false)},
+		{"DirectoryCMP-zero", directoryCMP(true)},
+		{"HammerCMP", func(eng *sim.Engine, h hier.Config, _ Config, netCfg network.Config) (Protocol, *network.Network) {
+			sys := hammercmp.NewSystem(eng, h, netCfg)
+			return sys, sys.Net
+		}},
+	}
+	for _, v := range tokencmp.Variants() {
+		rows = append(rows, stack{v.Name, func(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config) (Protocol, *network.Network) {
+			tcfg := tokencmp.DefaultConfig(v)
+			tcfg.Seed = cfg.Seed
+			sys := tokencmp.NewSystem(eng, h, tcfg, netCfg)
+			return sys, sys.Net
+		}})
+	}
+	return append(rows, stack{"PerfectL2", func(eng *sim.Engine, h hier.Config, _ Config, _ network.Config) (Protocol, *network.Network) {
+		return perfectl2.NewSystem(eng, h), nil
+	}})
+}()
+
 // Protocols lists every protocol name this package can build, in the
 // paper's reporting order.
 func Protocols() []string {
-	names := []string{"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP"}
-	for _, v := range tokencmp.Variants() {
-		names = append(names, v.Name)
+	names := make([]string, len(stacks))
+	for i, st := range stacks {
+		names[i] = st.name
 	}
-	return append(names, "PerfectL2")
+	return names
 }
 
 // CheckProtocol returns nil for a name Protocols lists, and otherwise
@@ -99,6 +140,10 @@ type Machine struct {
 
 // New builds a machine for cfg.
 func New(cfg Config) (*Machine, error) {
+	i := slices.IndexFunc(stacks, func(st stack) bool { return st.name == cfg.Protocol })
+	if i < 0 {
+		return nil, CheckProtocol(cfg.Protocol)
+	}
 	eng := sim.NewEngine()
 	m := &Machine{Eng: eng, Cfg: cfg, expected: make(map[mem.Block]uint64)}
 
@@ -106,26 +151,7 @@ func New(cfg Config) (*Machine, error) {
 	netCfg.Faults = cfg.Faults
 
 	h := hier.Config{Geom: cfg.Geom, L1Size: cfg.L1Size, L2BankSize: cfg.L2BankSize}
-	switch cfg.Protocol {
-	case "DirectoryCMP", "DirectoryCMP-zero":
-		sys := directory.NewSystem(eng, h, cfg.Protocol == "DirectoryCMP-zero", netCfg)
-		m.Proto, m.net = sys, sys.Net
-	case "HammerCMP":
-		sys := hammercmp.NewSystem(eng, h, netCfg)
-		m.Proto, m.net = sys, sys.Net
-	case "PerfectL2":
-		m.Proto = perfectl2.NewSystem(eng, h)
-	default:
-		v, ok := tokencmp.VariantByName(cfg.Protocol)
-		if !ok {
-			// Not a variant, so not in Protocols: CheckProtocol fails.
-			return nil, CheckProtocol(cfg.Protocol)
-		}
-		tcfg := tokencmp.DefaultConfig(v)
-		tcfg.Seed = cfg.Seed
-		sys := tokencmp.NewSystem(eng, h, tcfg, netCfg)
-		m.Proto, m.net = sys, sys.Net
-	}
+	m.Proto, m.net = stacks[i].build(eng, h, cfg, netCfg)
 	return m, nil
 }
 
@@ -242,17 +268,17 @@ func (m *Machine) RunCtx(ctx context.Context, progs []cpu.Program, limit uint64)
 	}
 	if !ok {
 		return res, fmt.Errorf("machine: %s did not finish (events=%d, pending=%d, now=%v)",
-			m.Proto.Name(), m.Eng.Executed, m.Eng.Pending(), m.Eng.Now())
+			m.Cfg.Protocol, m.Eng.Executed, m.Eng.Pending(), m.Eng.Now())
 	}
 	if len(m.Violations) > 0 {
-		return res, fmt.Errorf("machine: %s consistency violations: %v", m.Proto.Name(), m.Violations[0])
+		return res, fmt.Errorf("machine: %s consistency violations: %v", m.Cfg.Protocol, m.Violations[0])
 	}
 	if a, okA := m.Proto.(tokenAuditor); okA && m.Cfg.AuditTokens {
 		if err := m.drain(limit - (m.Eng.Executed - start)); err != nil {
 			return res, err
 		}
 		if err := a.TokenAudit(); err != nil {
-			return res, fmt.Errorf("machine: %s: %w", m.Proto.Name(), err)
+			return res, fmt.Errorf("machine: %s: %w", m.Cfg.Protocol, err)
 		}
 	}
 	return res, nil
@@ -273,7 +299,7 @@ func (m *Machine) drain(limit uint64) error {
 	}
 	if n := m.Eng.Pending(); n > 0 {
 		return fmt.Errorf("machine: %s did not quiesce for the token audit (events=%d, pending=%d, now=%v)",
-			m.Proto.Name(), m.Eng.Executed, n, m.Eng.Now())
+			m.Cfg.Protocol, m.Eng.Executed, n, m.Eng.Now())
 	}
 	return nil
 }
@@ -283,7 +309,7 @@ func (m *Machine) drain(limit uint64) error {
 func (m *Machine) interrupted() error {
 	if cerr := m.Eng.Err(); cerr != nil {
 		return fmt.Errorf("machine: %s interrupted after %d events at %v: %w",
-			m.Proto.Name(), m.Eng.Executed, m.Eng.Now(), cerr)
+			m.Cfg.Protocol, m.Eng.Executed, m.Eng.Now(), cerr)
 	}
 	return nil
 }

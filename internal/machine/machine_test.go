@@ -301,7 +301,7 @@ func TestSeedPerturbsRuns(t *testing.T) {
 // TestRunLimitIsExact pins where a run stops: as soon as the event that
 // finishes the last processor fires. A limit of exactly the events the
 // run needs succeeds with the unlimited run's Result, and one event
-// fewer reports that the run did not finish.
+// fewer reports that the run did not finish, naming the protocol.
 func TestRunLimitIsExact(t *testing.T) {
 	for _, proto := range Protocols() {
 		t.Run(proto, func(t *testing.T) {
@@ -328,8 +328,9 @@ func TestRunLimitIsExact(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("limit = the %d events needed: Result %+v, want %+v", want.Events, got, want)
 			}
-			if _, err := run(want.Events - 1); err == nil || !strings.Contains(err.Error(), "did not finish") {
-				t.Errorf("limit one short of the %d events needed: err = %v, want did not finish", want.Events, err)
+			prefix := "machine: " + proto + " did not finish"
+			if _, err := run(want.Events - 1); err == nil || !strings.HasPrefix(err.Error(), prefix) {
+				t.Errorf("limit one short of the %d events needed: err = %v, want %s", want.Events, err, prefix)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
-// Package mem defines physical addresses, cache-block geometry, and the
-// static address-to-home mappings used throughout the simulated M-CMP
-// system: which L2 bank inside a CMP serves a block and which CMP's
-// memory controller is the block's home.
+// Package mem defines physical addresses and cache-block geometry for
+// the simulated M-CMP system. Which L2 bank serves a block and which
+// CMP is its home is topo.Geometry's business.
 package mem
 
 import "fmt"
@@ -25,35 +24,3 @@ func BlockOf(a Addr) Block { return Block(a >> BlockBits) }
 func (b Block) Addr() Addr { return Addr(b) << BlockBits }
 
 func (b Block) String() string { return fmt.Sprintf("blk%#x", uint64(b)) }
-
-// Mapper computes static home/bank assignments from block addresses.
-// Low-order block-address bits interleave across L2 banks; the next bits
-// interleave across CMP homes, spreading consecutive blocks as real
-// systems do.
-type Mapper struct {
-	Banks int // L2 banks per CMP
-	CMPs  int // CMP nodes in the system
-}
-
-// Bank returns the index of the L2 bank (within any CMP) that serves b.
-func (m Mapper) Bank(b Block) int {
-	if m.Banks <= 1 {
-		return 0
-	}
-	return int(uint64(b) % uint64(m.Banks))
-}
-
-// HomeCMP returns the CMP whose memory controller is home for b.
-func (m Mapper) HomeCMP(b Block) int {
-	if m.CMPs <= 1 {
-		return 0
-	}
-	return int((uint64(b) / uint64(max(m.Banks, 1))) % uint64(m.CMPs))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -24,41 +24,3 @@ func TestPropertyBlockRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMapperSpread(t *testing.T) {
-	m := Mapper{Banks: 4, CMPs: 4}
-	banks := map[int]int{}
-	homes := map[int]int{}
-	for b := 0; b < 4096; b++ {
-		banks[m.Bank(Block(b))]++
-		homes[m.HomeCMP(Block(b))]++
-	}
-	for i := 0; i < 4; i++ {
-		if banks[i] != 1024 {
-			t.Errorf("bank %d got %d blocks, want 1024", i, banks[i])
-		}
-		if homes[i] != 1024 {
-			t.Errorf("home %d got %d blocks, want 1024", i, homes[i])
-		}
-	}
-}
-
-func TestMapperDegenerate(t *testing.T) {
-	m := Mapper{Banks: 1, CMPs: 1}
-	for b := 0; b < 100; b++ {
-		if m.Bank(Block(b)) != 0 || m.HomeCMP(Block(b)) != 0 {
-			t.Fatal("single bank/CMP must map to zero")
-		}
-	}
-}
-
-// Property: mappings are always within range.
-func TestPropertyMapperInRange(t *testing.T) {
-	m := Mapper{Banks: 4, CMPs: 4}
-	f := func(b uint64) bool {
-		return m.Bank(Block(b)) < 4 && m.HomeCMP(Block(b)) < 4
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

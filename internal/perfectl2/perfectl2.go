@@ -63,9 +63,6 @@ func (s *System) Ports(globalProc int) (data, inst cpu.MemPort) {
 	return s.ports[2*globalProc], s.ports[2*globalProc+1]
 }
 
-// Name reports the protocol name.
-func (s *System) Name() string { return "PerfectL2" }
-
 // Counters exposes the machine-wide uniform event-counter registry.
 func (s *System) Counters() *counters.Set { return s.Ctrs }
 

@@ -79,7 +79,7 @@ func (c *L1Ctrl) find(b mem.Block) (*cache.Line[token.State], *token.State) {
 
 // bankFor returns this CMP's L2 bank controller serving b.
 func (c *L1Ctrl) bankFor(b mem.Block) *L2Ctrl {
-	return c.banks[c.sys.Geom.Mapper.Bank(b)]
+	return c.banks[c.sys.Geom.Bank(b)]
 }
 
 // notifyLoss keeps the L2 bank's on-chip token presence current when

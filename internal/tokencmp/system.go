@@ -46,12 +46,8 @@ func NewSystem(eng *sim.Engine, h hier.Config, cfg Config, netCfg network.Config
 	return s
 }
 
-// Name reports the variant name.
-func (s *System) Name() string { return s.Cfg.Variant.Name }
-
 // eachCacheState calls fn for every block state held in every cache
 // controller.
-
 func (s *System) eachCacheState(fn func(id topo.NodeID, b mem.Block, st *token.State)) {
 	for c := range s.L1Ds {
 		for p := range s.L1Ds[c] {

@@ -54,13 +54,3 @@ var (
 func Variants() []Variant {
 	return []Variant{Arb0, Dst0, Dst4, Dst1, Dst1Pred, Dst1Filt}
 }
-
-// VariantByName finds a variant by its paper name.
-func VariantByName(name string) (Variant, bool) {
-	for _, v := range Variants() {
-		if v.Name == name {
-			return v, true
-		}
-	}
-	return Variant{}, false
-}

@@ -53,17 +53,11 @@ type Geometry struct {
 	CMPs        int
 	ProcsPerCMP int
 	L2Banks     int // per CMP
-	Mapper      mem.Mapper
 }
 
-// NewGeometry builds a Geometry and its address mapper.
+// NewGeometry builds a Geometry.
 func NewGeometry(cmps, procs, banks int) Geometry {
-	return Geometry{
-		CMPs:        cmps,
-		ProcsPerCMP: procs,
-		L2Banks:     banks,
-		Mapper:      mem.Mapper{Banks: banks, CMPs: cmps},
-	}
+	return Geometry{CMPs: cmps, ProcsPerCMP: procs, L2Banks: banks}
 }
 
 // Per-CMP node layout: [L1D x procs][L1I x procs][L2 x banks][Mem].
@@ -95,6 +89,14 @@ func (g Geometry) MemNode(c int) NodeID {
 	return NodeID(c*g.nodesPerCMP() + 2*g.ProcsPerCMP + g.L2Banks)
 }
 
+// The sharer masks are 64 bits wide: a CMP's L1 mask (L1Bit) holds all
+// 2·ProcsPerCMP of its L1s, and the directory home's CMP mask holds
+// one bit per CMP. A larger geometry would lose caches from the masks.
+const (
+	MaxProcsPerCMP = 32
+	MaxCMPs        = 64
+)
+
 // L1Bit returns L1 cache id's bit in its CMP's sharer mask: the L1Ds
 // take the low ProcsPerCMP bits and the L1Is the next ProcsPerCMP.
 func (g Geometry) L1Bit(id NodeID) uint64 { return 1 << uint(int(id)%g.nodesPerCMP()) }
@@ -124,14 +126,20 @@ func (g Geometry) KindOf(id NodeID) Kind {
 // controller).
 func (g Geometry) IsCache(id NodeID) bool { return g.KindOf(id) != Mem }
 
+// Bank returns the index of the L2 bank (within any CMP) that serves
+// block b. The low-order block-address bits interleave across the
+// banks and the next bits across the CMP homes (HomeMem), spreading
+// consecutive blocks as real systems do.
+func (g Geometry) Bank(b mem.Block) int { return int(uint64(b) % uint64(g.L2Banks)) }
+
 // L2BankFor returns the L2 bank on CMP c that serves block b.
 func (g Geometry) L2BankFor(c int, b mem.Block) NodeID {
-	return g.L2Node(c, g.Mapper.Bank(b))
+	return g.L2Node(c, g.Bank(b))
 }
 
 // HomeMem returns the home memory controller for block b.
 func (g Geometry) HomeMem(b mem.Block) NodeID {
-	return g.MemNode(g.Mapper.HomeCMP(b))
+	return g.MemNode(int(uint64(b) / uint64(g.L2Banks) % uint64(g.CMPs)))
 }
 
 // AllNodes lists every endpoint.

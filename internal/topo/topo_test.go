@@ -129,6 +129,61 @@ func TestHomeAndBankMapping(t *testing.T) {
 	}
 }
 
+// TestInterleaveSpread checks that consecutive blocks interleave across
+// the L2 banks first and the CMP homes next, so 4096 blocks spread
+// evenly over 4 banks and 4 homes.
+func TestInterleaveSpread(t *testing.T) {
+	g := NewGeometry(4, 4, 4)
+	for _, c := range []struct {
+		blk        mem.Block
+		bank, home int
+	}{{0, 0, 0}, {1, 1, 0}, {3, 3, 0}, {4, 0, 1}, {5, 1, 1}, {15, 3, 3}, {16, 0, 0}, {17, 1, 0}} {
+		if bank, home := g.Bank(c.blk), g.CMPOf(g.HomeMem(c.blk)); bank != c.bank || home != c.home {
+			t.Errorf("block %d: bank %d, home CMP %d; want %d, %d", c.blk, bank, home, c.bank, c.home)
+		}
+	}
+	banks := map[int]int{}
+	homes := map[NodeID]int{}
+	for b := 0; b < 4096; b++ {
+		banks[g.Bank(mem.Block(b))]++
+		homes[g.HomeMem(mem.Block(b))]++
+	}
+	for i := 0; i < 4; i++ {
+		if banks[i] != 1024 {
+			t.Errorf("bank %d got %d blocks, want 1024", i, banks[i])
+		}
+		if m := g.MemNode(i); homes[m] != 1024 {
+			t.Errorf("home %v got %d blocks, want 1024", m, homes[m])
+		}
+	}
+}
+
+// TestInterleaveDegenerate checks that a machine of one bank and one
+// CMP maps every block to them.
+func TestInterleaveDegenerate(t *testing.T) {
+	g := NewGeometry(1, 1, 1)
+	for b := 0; b < 100; b++ {
+		if g.Bank(mem.Block(b)) != 0 || g.L2BankFor(0, mem.Block(b)) != g.L2Node(0, 0) || g.HomeMem(mem.Block(b)) != g.MemNode(0) {
+			t.Fatal("single bank/CMP must map to zero")
+		}
+	}
+}
+
+// Property: a block's bank and home are always in range, and
+// L2BankFor names the Bank-th bank of the asked CMP.
+func TestPropertyInterleaveInRange(t *testing.T) {
+	g := NewGeometry(3, 4, 2)
+	f := func(b uint64, c uint8) bool {
+		blk, cmp := mem.Block(b), int(c)%g.CMPs
+		bank := g.Bank(blk)
+		return bank >= 0 && bank < g.L2Banks && g.L2BankFor(cmp, blk) == g.L2Node(cmp, bank) &&
+			g.KindOf(g.HomeMem(blk)) == Mem && g.CMPOf(g.HomeMem(blk)) < g.CMPs
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: every NodeID classifies into exactly one kind and round-trips
 // through its constructor.
 func TestPropertyKindPartition(t *testing.T) {
