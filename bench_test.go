@@ -37,7 +37,7 @@ func reportEventRate(b *testing.B, events uint64) {
 	b.ReportMetric(1e9/per, "events/sec")
 }
 
-func sweepEvents(sweep *experiments.LockSweep) (n uint64) {
+func sweepEvents(sweep *experiments.Sweep) (n uint64) {
 	for _, cells := range sweep.Cells {
 		for _, c := range cells {
 			n += c.Events
@@ -73,10 +73,10 @@ func BenchmarkFig2LockingPersistent(b *testing.B) {
 		}
 		if i == 0 {
 			base := sweep.Baseline()
-			b.ReportMetric(sweep.Cells["TokenCMP-arb0"][0].Runtime.Mean()/base, "arb0@2locks")
-			b.ReportMetric(sweep.Cells["TokenCMP-dst0"][0].Runtime.Mean()/base, "dst0@2locks")
-			b.ReportMetric(sweep.Cells["TokenCMP-dst0"][2].Runtime.Mean()/base, "dst0@512locks")
-			b.ReportMetric(sweep.Cells["HammerCMP"][2].Runtime.Mean()/base, "hammer@512locks")
+			b.ReportMetric(sweep.Cells["2"]["TokenCMP-arb0"].Runtime.Mean()/base, "arb0@2locks")
+			b.ReportMetric(sweep.Cells["2"]["TokenCMP-dst0"].Runtime.Mean()/base, "dst0@2locks")
+			b.ReportMetric(sweep.Cells["512"]["TokenCMP-dst0"].Runtime.Mean()/base, "dst0@512locks")
+			b.ReportMetric(sweep.Cells["512"]["HammerCMP"].Runtime.Mean()/base, "hammer@512locks")
 			events = sweepEvents(sweep)
 		}
 	}
@@ -98,9 +98,9 @@ func BenchmarkFig3LockingTransient(b *testing.B) {
 		}
 		if i == 0 {
 			base := sweep.Baseline()
-			b.ReportMetric(sweep.Cells["TokenCMP-dst1"][2].Runtime.Mean()/base, "dst1@512locks")
-			b.ReportMetric(sweep.Cells["TokenCMP-dst4"][0].Runtime.Mean()/base, "dst4@2locks")
-			b.ReportMetric(sweep.Cells["TokenCMP-dst1-pred"][0].Runtime.Mean()/base, "dst1pred@2locks")
+			b.ReportMetric(sweep.Cells["512"]["TokenCMP-dst1"].Runtime.Mean()/base, "dst1@512locks")
+			b.ReportMetric(sweep.Cells["2"]["TokenCMP-dst4"].Runtime.Mean()/base, "dst4@2locks")
+			b.ReportMetric(sweep.Cells["2"]["TokenCMP-dst1-pred"].Runtime.Mean()/base, "dst1pred@2locks")
 			events = sweepEvents(sweep)
 		}
 	}
@@ -119,9 +119,10 @@ func BenchmarkTable4Barrier(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			base := table.Fixed["DirectoryCMP"].Runtime.Mean()
-			b.ReportMetric(table.Fixed["TokenCMP-arb0"].Runtime.Mean()/base, "arb0-fixed")
-			b.ReportMetric(table.Fixed["TokenCMP-dst1"].Runtime.Mean()/base, "dst1-fixed")
+			fixed := table.Cells["fixed"]
+			base := fixed["DirectoryCMP"].Runtime.Mean()
+			b.ReportMetric(fixed["TokenCMP-arb0"].Runtime.Mean()/base, "arb0-fixed")
+			b.ReportMetric(fixed["TokenCMP-dst1"].Runtime.Mean()/base, "dst1-fixed")
 		}
 	}
 }
@@ -140,16 +141,14 @@ func BenchmarkFig6Runtime(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			for _, wl := range res.Workloads {
+			for _, wl := range res.Points {
 				base := res.Cells[wl]["DirectoryCMP"].Runtime.Mean()
 				tok := res.Cells[wl]["TokenCMP-dst1"].Runtime.Mean()
 				ham := res.Cells[wl]["HammerCMP"].Runtime.Mean()
 				b.ReportMetric((base/tok-1)*100, wl+"-speedup-%")
 				b.ReportMetric((base/ham-1)*100, wl+"-hammer-speedup-%")
-				for _, c := range res.Cells[wl] {
-					events += c.Events
-				}
 			}
+			events = sweepEvents(res)
 		}
 	}
 	reportEventRate(b, events)

@@ -204,11 +204,10 @@ func (c *L2Ctrl) startLocal(m *network.Message) {
 			c.sendToL1(line.ownerL1, b, kFwdGetS, tagTxn, 0)
 		case line != nil && line.cs != csI && line.hasData:
 			c.grantLocal(b, txn)
-		case line != nil && line.cs != csI && line.ownerL1 == m.Requestor:
-			// The requester is the registered owner yet missed: its copy
-			// was consumed (writeback raced). Re-supply via home.
-			c.goInter(b, txn)
 		default:
+			// No valid copy on chip, or the requester is the registered
+			// owner yet missed: its copy was consumed (writeback raced).
+			// Re-supply via home.
 			c.goInter(b, txn)
 		}
 		return

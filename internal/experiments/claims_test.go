@@ -28,7 +28,7 @@ const (
 // pool of jobs workers and returns the per-seed results in seed order
 // (deterministic for any jobs).
 func runSeeds(ctx context.Context, spec Spec, jobs int) ([]machine.Result, error) {
-	runs, err := sweep(ctx, []Spec{spec}, jobs)
+	runs, err := runAll(ctx, []Spec{spec}, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func TestLockSweepParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		sweep.Render(&b, "determinism")
+		sweep.RenderLocks(&b, "determinism")
 		return b.String()
 	}
 	serial := render(1)
@@ -48,7 +48,7 @@ func TestBarrierParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		table.Render(&b)
+		table.RenderBarrier(&b)
 		return b.String()
 	}
 	serial := render(1)
@@ -89,7 +89,7 @@ func TestRenderWithoutDirectoryCMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	sweep.Render(&b, "no-baseline")
+	sweep.RenderLocks(&b, "no-baseline")
 	if !strings.Contains(b.String(), "TokenCMP-dst1") {
 		t.Errorf("lock sweep did not fall back to the first protocol:\n%s", b.String())
 	}
@@ -99,7 +99,7 @@ func TestRenderWithoutDirectoryCMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Reset()
-	table.Render(&b)
+	table.RenderBarrier(&b)
 	if !strings.Contains(b.String(), "normalized to TokenCMP-dst1") {
 		t.Errorf("barrier table did not fall back to the first protocol:\n%s", b.String())
 	}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"tokencmp/internal/network"
 	"tokencmp/internal/sim"
@@ -113,22 +114,26 @@ type Cell struct {
 	Counters map[string]uint64
 }
 
-// LockSweep is the Figure 2 / Figure 3 experiment.
-type LockSweep struct {
-	LockCounts    []int
+// Sweep is one measured experiment: every protocol at every point of
+// one axis. The axis is the lock count in Figures 2 and 3, fixed or
+// jittered work in Table 4, and the commercial workload in Figures 6
+// and 7.
+type Sweep struct {
+	Points        []string
 	Protocols     []string
-	BaselineProto string             // resolved normalization protocol
-	Cells         map[string][]*Cell // protocol → per lock count
+	BaselineProto string                      // resolved normalization protocol
+	Cells         map[string]map[string]*Cell // point → protocol → cell
 }
 
-// RunLockSweep measures the locking micro-benchmark across lock counts.
-// Every (protocol, lock count, seed) run goes through the worker pool.
-func RunLockSweep(protocols []string, lockCounts []int, opt Options) (*LockSweep, error) {
+// runSweep measures every protocol at every point: at(i, s) fills in
+// point i of s, which starts as opt.spec(protocol). Every (point,
+// protocol, seed) run goes through one worker pool.
+func runSweep(points, protocols []string, opt Options, at func(i int, s *Spec)) (*Sweep, error) {
 	var specs []Spec
-	for _, proto := range protocols {
-		for _, locks := range lockCounts {
+	for i := range points {
+		for _, proto := range protocols {
 			spec := opt.spec(proto)
-			spec.Workload, spec.Locks = "locking", locks
+			at(i, &spec)
 			specs = append(specs, spec)
 		}
 	}
@@ -136,12 +141,49 @@ func RunLockSweep(protocols []string, lockCounts []int, opt Options) (*LockSweep
 	if err != nil {
 		return nil, err
 	}
-	out := &LockSweep{LockCounts: lockCounts, Protocols: protocols,
-		BaselineProto: resolveBaseline(protocols), Cells: map[string][]*Cell{}}
-	for pi, proto := range protocols {
-		out.Cells[proto] = cells[pi*len(lockCounts) : (pi+1)*len(lockCounts)]
+	out := &Sweep{Points: points, Protocols: protocols,
+		BaselineProto: resolveBaseline(protocols), Cells: map[string]map[string]*Cell{}}
+	for i, pt := range points {
+		out.Cells[pt] = map[string]*Cell{}
+		for j, proto := range protocols {
+			out.Cells[pt][proto] = cells[i*len(protocols)+j]
+		}
 	}
 	return out, nil
+}
+
+// RunLockSweep measures the locking micro-benchmark (Figures 2 and 3)
+// with one point per lock count.
+func RunLockSweep(protocols []string, lockCounts []int, opt Options) (*Sweep, error) {
+	points := make([]string, len(lockCounts))
+	for i, locks := range lockCounts {
+		points[i] = strconv.Itoa(locks)
+	}
+	return runSweep(points, protocols, opt, func(i int, s *Spec) {
+		s.Workload, s.Locks = "locking", lockCounts[i]
+	})
+}
+
+// RunBarrierTable measures the barrier micro-benchmark (Table 4) at two
+// points: "fixed" (3000 ns of work) and "jittered" (3000 ns ± U(1000)).
+func RunBarrierTable(protocols []string, opt Options) (*Sweep, error) {
+	return runSweep([]string{"fixed", "jittered"}, protocols, opt, func(i int, s *Spec) {
+		s.Workload, s.WorkJitter = "barrier", []sim.Time{0, sim.NS(1000)}[i]
+	})
+}
+
+// RunCommercial measures the commercial surrogates (Figures 6 and 7)
+// with one point per workload, on the scaled-down caches.
+func RunCommercial(workloads, protocols []string, opt Options) (*Sweep, error) {
+	for _, wl := range workloads {
+		if _, err := CommercialParamsFor(wl); err != nil {
+			return nil, err
+		}
+	}
+	return runSweep(workloads, protocols, opt, func(i int, s *Spec) {
+		s.Workload = workloads[i]
+		s.L1Size, s.L2BankSize = opt.CommercialL1, opt.CommercialL2Bank
+	})
 }
 
 // resolveBaseline picks the protocol every figure and table normalizes
@@ -167,145 +209,75 @@ func resolveBaseline(protocols []string) string {
 	return protocols[0]
 }
 
-// Baseline returns the normalization denominator: the baseline
-// protocol at the largest (least contended) lock count, as in
-// Figures 2 and 3.
-func (s *LockSweep) Baseline() float64 {
-	cells := s.Cells[s.BaselineProto]
-	return cells[len(cells)-1].Runtime.Mean()
+// Baseline returns the normalization denominator of Figures 2 and 3:
+// the baseline protocol at the last point, the largest (least
+// contended) lock count.
+func (s *Sweep) Baseline() float64 {
+	return s.Cells[s.Points[len(s.Points)-1]][s.BaselineProto].Runtime.Mean()
 }
 
-// Render prints the normalized runtime series (one row per lock count).
-func (s *LockSweep) Render(w io.Writer, title string) {
+// RenderLocks prints Figure 2 or 3: the normalized runtime series, one
+// row per lock count.
+func (s *Sweep) RenderLocks(w io.Writer, title string) {
 	base := s.Baseline()
-	fmt.Fprintf(w, "%s (runtime normalized to %s @ %d locks)\n", title, s.BaselineProto, s.LockCounts[len(s.LockCounts)-1])
+	fmt.Fprintf(w, "%s (runtime normalized to %s @ %s locks)\n", title, s.BaselineProto, s.Points[len(s.Points)-1])
 	fmt.Fprintf(w, "%8s", "locks")
 	for _, p := range s.Protocols {
 		fmt.Fprintf(w, " %22s", p)
 	}
 	fmt.Fprintln(w)
-	for i, locks := range s.LockCounts {
-		fmt.Fprintf(w, "%8d", locks)
+	for _, pt := range s.Points {
+		fmt.Fprintf(w, "%8s", pt)
 		for _, p := range s.Protocols {
-			c := s.Cells[p][i]
+			c := s.Cells[pt][p]
 			fmt.Fprintf(w, " %14.3f ± %5.3f", c.Runtime.Mean()/base, c.Runtime.CI95()/base)
 		}
 		fmt.Fprintln(w)
 	}
 }
 
-// BarrierTable is the Table 4 experiment.
-type BarrierTable struct {
-	Protocols     []string
-	BaselineProto string           // resolved normalization protocol
-	Fixed         map[string]*Cell // 3000 ns fixed work
-	Jittered      map[string]*Cell // 3000 ns ± U(1000)
-}
-
-// RunBarrierTable measures the barrier micro-benchmark. Every
-// (protocol, jitter, seed) run goes through the worker pool.
-func RunBarrierTable(protocols []string, opt Options) (*BarrierTable, error) {
-	jitters := []sim.Time{0, sim.NS(1000)}
-	var specs []Spec
-	for _, proto := range protocols {
-		for _, jitter := range jitters {
-			spec := opt.spec(proto)
-			spec.Workload, spec.WorkJitter = "barrier", jitter
-			specs = append(specs, spec)
-		}
-	}
-	cells, err := RunCells(opt.ctx(), specs, opt.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := &BarrierTable{Protocols: protocols, BaselineProto: resolveBaseline(protocols),
-		Fixed: map[string]*Cell{}, Jittered: map[string]*Cell{}}
-	for pi, proto := range protocols {
-		out.Fixed[proto] = cells[pi*len(jitters)]
-		out.Jittered[proto] = cells[pi*len(jitters)+1]
-	}
-	return out, nil
-}
-
-// Render prints Table 4, normalized to the resolved baseline protocol.
-func (t *BarrierTable) Render(w io.Writer) {
-	bp := t.BaselineProto
-	baseF := t.Fixed[bp].Runtime.Mean()
-	baseJ := t.Jittered[bp].Runtime.Mean()
+// RenderBarrier prints Table 4, normalized to the resolved baseline
+// protocol at each point.
+func (s *Sweep) RenderBarrier(w io.Writer) {
+	bp := s.BaselineProto
+	fixed, jittered := s.Cells["fixed"], s.Cells["jittered"]
+	baseF, baseJ := fixed[bp].Runtime.Mean(), jittered[bp].Runtime.Mean()
 	fmt.Fprintf(w, "%s (normalized to %s)\n", table4Title, bp)
 	fmt.Fprintf(w, "%-22s %16s %22s\n", "Protocol", "3000ns fixed", "3000ns + U(-1k,+1k)")
-	for _, p := range t.Protocols {
+	for _, p := range s.Protocols {
 		fmt.Fprintf(w, "%-22s %16.2f %22.2f\n", p,
-			t.Fixed[p].Runtime.Mean()/baseF, t.Jittered[p].Runtime.Mean()/baseJ)
+			fixed[p].Runtime.Mean()/baseF, jittered[p].Runtime.Mean()/baseJ)
 	}
-}
-
-// Commercial is the Figure 6 + Figure 7 experiment.
-type Commercial struct {
-	Workloads     []string
-	Protocols     []string
-	BaselineProto string                      // resolved normalization protocol
-	Cells         map[string]map[string]*Cell // workload → protocol → cell
-}
-
-// RunCommercial measures the commercial surrogates on all protocols.
-// Every (workload, protocol, seed) run goes through the worker pool.
-func RunCommercial(workloads, protocols []string, opt Options) (*Commercial, error) {
-	var specs []Spec
-	for _, wl := range workloads {
-		if _, err := CommercialParamsFor(wl); err != nil {
-			return nil, err
-		}
-		for _, proto := range protocols {
-			spec := opt.spec(proto)
-			spec.Workload = wl
-			spec.L1Size, spec.L2BankSize = opt.CommercialL1, opt.CommercialL2Bank
-			specs = append(specs, spec)
-		}
-	}
-	cells, err := RunCells(opt.ctx(), specs, opt.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := &Commercial{Workloads: workloads, Protocols: protocols,
-		BaselineProto: resolveBaseline(protocols), Cells: map[string]map[string]*Cell{}}
-	for wi, wl := range workloads {
-		out.Cells[wl] = map[string]*Cell{}
-		for pi, proto := range protocols {
-			out.Cells[wl][proto] = cells[wi*len(protocols)+pi]
-		}
-	}
-	return out, nil
 }
 
 // RenderRuntime prints Figure 6 (runtime normalized to the baseline,
 // with the speedup the paper quotes: runtime(Dir)/runtime(X) - 1).
-func (c *Commercial) RenderRuntime(w io.Writer) {
-	bp := c.BaselineProto
+func (s *Sweep) RenderRuntime(w io.Writer) {
+	bp := s.BaselineProto
 	fmt.Fprintf(w, "%s (normalized to %s)\n", fig6Title, bp)
 	fmt.Fprintf(w, "%-22s", "Protocol")
-	for _, wl := range c.Workloads {
+	for _, wl := range s.Points {
 		fmt.Fprintf(w, " %18s", wl)
 	}
 	fmt.Fprintln(w)
-	for _, p := range c.Protocols {
+	for _, p := range s.Protocols {
 		fmt.Fprintf(w, "%-22s", p)
-		for _, wl := range c.Workloads {
-			base := c.Cells[wl][bp].Runtime.Mean()
-			cell := c.Cells[wl][p]
+		for _, wl := range s.Points {
+			base := s.Cells[wl][bp].Runtime.Mean()
+			cell := s.Cells[wl][p]
 			fmt.Fprintf(w, " %10.3f ±%5.3f", cell.Runtime.Mean()/base, cell.Runtime.CI95()/base)
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "\nSpeedup vs %s (runtime(%s)/runtime(X) - 1):\n", bp, bp)
-	for _, p := range c.Protocols {
+	for _, p := range s.Protocols {
 		if p == bp {
 			continue
 		}
 		fmt.Fprintf(w, "%-22s", p)
-		for _, wl := range c.Workloads {
-			base := c.Cells[wl][bp].Runtime.Mean()
-			cell := c.Cells[wl][p]
+		for _, wl := range s.Points {
+			base := s.Cells[wl][bp].Runtime.Mean()
+			cell := s.Cells[wl][p]
 			fmt.Fprintf(w, " %17.1f%%", (base/cell.Runtime.Mean()-1)*100)
 		}
 		fmt.Fprintln(w)
@@ -314,22 +286,22 @@ func (c *Commercial) RenderRuntime(w io.Writer) {
 
 // RenderTraffic prints Figure 7a (inter-CMP) or 7b (intra-CMP): bytes by
 // message class, normalized to DirectoryCMP's total at that level.
-func (c *Commercial) RenderTraffic(w io.Writer, level stats.Level) {
+func (s *Sweep) RenderTraffic(w io.Writer, level stats.Level) {
 	name := fig7aTitle
 	if level == stats.IntraCMP {
 		name = fig7bTitle
 	}
-	bp := c.BaselineProto
+	bp := s.BaselineProto
 	fmt.Fprintf(w, "%s (bytes by message type, normalized to %s total)\n", name, bp)
-	for _, wl := range c.Workloads {
-		base := float64(c.Cells[wl][bp].Traffic.TotalBytes(level))
+	for _, wl := range s.Points {
+		base := float64(s.Cells[wl][bp].Traffic.TotalBytes(level))
 		fmt.Fprintf(w, "\n[%s]\n%-22s %9s", wl, "Protocol", "total")
 		for cl := stats.TrafficClass(0); cl < stats.NumTrafficClasses; cl++ {
 			fmt.Fprintf(w, " %19s", cl)
 		}
 		fmt.Fprintln(w)
-		for _, p := range c.Protocols {
-			tr := c.Cells[wl][p].Traffic
+		for _, p := range s.Protocols {
+			tr := s.Cells[wl][p].Traffic
 			fmt.Fprintf(w, "%-22s %9.3f", p, float64(tr.TotalBytes(level))/base)
 			for cl := stats.TrafficClass(0); cl < stats.NumTrafficClasses; cl++ {
 				fmt.Fprintf(w, " %19.3f", float64(tr.Bytes[level][cl])/base)
@@ -341,8 +313,8 @@ func (c *Commercial) RenderTraffic(w io.Writer, level stats.Level) {
 
 // PersistentFraction reports persistent requests as a share of L1 misses
 // (the paper: < 0.3% for all macro workloads).
-func (c *Commercial) PersistentFraction(wl, proto string) float64 {
-	cell := c.Cells[wl][proto]
+func (s *Sweep) PersistentFraction(point, proto string) float64 {
+	cell := s.Cells[point][proto]
 	if cell.Misses == 0 {
 		return 0
 	}

@@ -10,16 +10,18 @@ import (
 	"tokencmp/internal/stats"
 )
 
-// The headings of the figures whose renderers print their own title;
-// their Figures records carry the same strings.
+// The headings the figures open with; the Figures records carry the
+// same strings.
 const (
+	fig2Title   = "Figure 2: Locking micro-benchmark, persistent requests only"
+	fig3Title   = "Figure 3: Locking micro-benchmark, transient + persistent requests"
 	table4Title = "Table 4: Barrier micro-benchmark runtime"
 	fig6Title   = "Figure 6: Commercial workload runtime"
 	fig7aTitle  = "Figure 7a: Inter-CMP traffic"
 	fig7bTitle  = "Figure 7b: Intra-CMP traffic"
 )
 
-// experiment is the kind of run that measures a figure.
+// experiment is the sweep that measures a figure.
 type experiment int
 
 const (
@@ -34,7 +36,7 @@ type Figure struct {
 	Title     string   // the heading the figure's output opens with
 	Protocols []string // the protocols it compares, in print order
 	exp       experiment
-	show      func(w io.Writer, c *Commercial) // prints a commercial figure from the shared run
+	show      func(w io.Writer, s *Sweep) // prints the figure from its sweep
 }
 
 var (
@@ -52,28 +54,34 @@ var (
 )
 
 // Figures lists the paper's figures and tables in the order RunFigures
-// prints them. The records of one experiment are adjacent.
+// prints them. The records of one experiment are adjacent: Figures 2
+// and 3 each run their own RunLockSweep over lockCounts, Table 4 its
+// own RunBarrierTable, and Figures 6, 7a and 7b share one RunCommercial
+// over commercialWorkloads.
 var Figures = []Figure{
-	{ID: "2", Title: "Figure 2: Locking micro-benchmark, persistent requests only", exp: lockSweep,
-		Protocols: []string{"TokenCMP-arb0", "DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst0"}},
-	{ID: "3", Title: "Figure 3: Locking micro-benchmark, transient + persistent requests", exp: lockSweep,
-		Protocols: []string{"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst4", "TokenCMP-dst1", "TokenCMP-dst1-pred"}},
+	{ID: "2", Title: fig2Title, exp: lockSweep,
+		Protocols: []string{"TokenCMP-arb0", "DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst0"},
+		show:      func(w io.Writer, s *Sweep) { s.RenderLocks(w, fig2Title) }},
+	{ID: "3", Title: fig3Title, exp: lockSweep,
+		Protocols: []string{"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP", "TokenCMP-dst4", "TokenCMP-dst1", "TokenCMP-dst1-pred"},
+		show:      func(w io.Writer, s *Sweep) { s.RenderLocks(w, fig3Title) }},
 	{ID: "4", Title: table4Title, exp: barrierTable,
 		Protocols: []string{
 			"TokenCMP-arb0", "TokenCMP-dst0",
 			"DirectoryCMP", "DirectoryCMP-zero", "HammerCMP",
 			"TokenCMP-dst4", "TokenCMP-dst1", "TokenCMP-dst1-pred", "TokenCMP-dst1-filt",
-		}},
+		},
+		show: func(w io.Writer, s *Sweep) { s.RenderBarrier(w) }},
 	{ID: "6", Title: fig6Title, exp: commercial, Protocols: commercialProtocols,
-		show: func(w io.Writer, c *Commercial) {
-			c.RenderRuntime(w)
+		show: func(w io.Writer, s *Sweep) {
+			s.RenderRuntime(w)
 			fmt.Fprintln(w)
-			c.renderPersistentShare(w)
+			s.renderPersistentShare(w)
 		}},
 	{ID: "7a", Title: fig7aTitle, exp: commercial, Protocols: commercialProtocols,
-		show: func(w io.Writer, c *Commercial) { c.RenderTraffic(w, stats.InterCMP) }},
+		show: func(w io.Writer, s *Sweep) { s.RenderTraffic(w, stats.InterCMP) }},
 	{ID: "7b", Title: fig7bTitle, exp: commercial, Protocols: commercialProtocols,
-		show: func(w io.Writer, c *Commercial) { c.RenderTraffic(w, stats.IntraCMP) }},
+		show: func(w io.Writer, s *Sweep) { s.RenderTraffic(w, stats.IntraCMP) }},
 }
 
 // FigureIDs returns every figure's id, in table order.
@@ -115,40 +123,30 @@ func RunFigures(w io.Writer, ids []string, opt Options, counters bool) error {
 	if err != nil {
 		return err
 	}
-	var com *Commercial
+	var com *Sweep
 	printed := 0
 	for i, f := range Figures {
 		if !want[f.ID] {
 			continue
 		}
+		var s *Sweep
 		switch f.exp {
 		case lockSweep:
-			sweep, err := RunLockSweep(f.Protocols, lockCounts, opt)
-			if err != nil {
-				return err
-			}
-			sweep.Render(w, f.Title)
-			if counters {
-				renderCounters(w, f.Protocols, func(p string) []*Cell { return sweep.Cells[p] })
-			}
+			s, err = RunLockSweep(f.Protocols, lockCounts, opt)
 		case barrierTable:
-			table, err := RunBarrierTable(f.Protocols, opt)
-			if err != nil {
-				return err
-			}
-			table.Render(w)
-			if counters {
-				renderCounters(w, f.Protocols, func(p string) []*Cell {
-					return []*Cell{table.Fixed[p], table.Jittered[p]}
-				})
-			}
+			s, err = RunBarrierTable(f.Protocols, opt)
 		case commercial:
 			if com == nil {
-				if com, err = RunCommercial(commercialWorkloads, f.Protocols, opt); err != nil {
-					return err
-				}
+				com, err = RunCommercial(commercialWorkloads, f.Protocols, opt)
 			}
-			f.show(w, com)
+			s = com
+		}
+		if err != nil {
+			return err
+		}
+		f.show(w, s)
+		if counters && f.exp != commercial {
+			renderCounters(w, s)
 		}
 		printed++
 		if printed < len(want) || i+1 < len(Figures) && Figures[i+1].exp == f.exp {
@@ -156,25 +154,19 @@ func RunFigures(w io.Writer, ids []string, opt Options, counters bool) error {
 		}
 	}
 	if com != nil && counters {
-		renderCounters(w, com.Protocols, func(p string) []*Cell {
-			var cells []*Cell
-			for _, wl := range com.Workloads {
-				cells = append(cells, com.Cells[wl][p])
-			}
-			return cells
-		})
+		renderCounters(w, com)
 	}
 	return nil
 }
 
-// renderCounters prints one sorted event-counter table per protocol, in
-// the given order, each summed over the protocol's cells.
-func renderCounters(w io.Writer, protocols []string, cells func(proto string) []*Cell) {
+// renderCounters prints one sorted event-counter table per protocol of
+// s, in order, each summed over the protocol's cells at every point.
+func renderCounters(w io.Writer, s *Sweep) {
 	fmt.Fprintln(w, "\nEvent counters (summed over all runs of each protocol):")
-	for _, p := range protocols {
+	for _, p := range s.Protocols {
 		acc := map[string]uint64{}
-		for _, c := range cells(p) {
-			counters.MergeInto(acc, c.Counters)
+		for _, pt := range s.Points {
+			counters.MergeInto(acc, s.Cells[pt][p].Counters)
 		}
 		fmt.Fprintf(w, "%s:\n", p)
 		counters.Fprint(w, acc)
@@ -183,9 +175,9 @@ func renderCounters(w io.Writer, protocols []string, cells func(proto string) []
 
 // renderPersistentShare prints TokenCMP-dst1's persistent requests as a
 // share of its L1 misses, per workload (the paper: < 0.3%).
-func (c *Commercial) renderPersistentShare(w io.Writer) {
+func (s *Sweep) renderPersistentShare(w io.Writer) {
 	fmt.Fprintln(w, "Persistent requests as a share of L1 misses (paper: < 0.3%):")
-	for _, wl := range c.Workloads {
-		fmt.Fprintf(w, "  %-8s TokenCMP-dst1: %.3f%%\n", wl, 100*c.PersistentFraction(wl, "TokenCMP-dst1"))
+	for _, wl := range s.Points {
+		fmt.Fprintf(w, "  %-8s TokenCMP-dst1: %.3f%%\n", wl, 100*s.PersistentFraction(wl, "TokenCMP-dst1"))
 	}
 }

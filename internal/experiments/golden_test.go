@@ -37,14 +37,14 @@ func renderAllFiguresCtx(t *testing.T, jobs int, ctx context.Context) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep.Render(&b, "golden locking sweep")
+	sweep.RenderLocks(&b, "golden locking sweep")
 	b.WriteString("\n")
 
 	table, err := RunBarrierTable([]string{"DirectoryCMP-zero", "TokenCMP-dst0", "TokenCMP-dst1"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.Render(&b)
+	table.RenderBarrier(&b)
 	b.WriteString("\n")
 
 	res, err := RunCommercial([]string{"OLTP"},

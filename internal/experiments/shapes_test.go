@@ -29,8 +29,8 @@ func TestFig2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	high := func(p string) float64 { return sweep.Cells[p][0].Runtime.Mean() }
-	low := func(p string) float64 { return sweep.Cells[p][1].Runtime.Mean() }
+	high := func(p string) float64 { return sweep.Cells["2"][p].Runtime.Mean() }
+	low := func(p string) float64 { return sweep.Cells["512"][p].Runtime.Mean() }
 
 	// Paper: under contention the arbiter scheme is clearly worse than
 	// DirectoryCMP; distributed activation is comparable or better.
@@ -59,7 +59,7 @@ func TestFig3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low := func(p string) float64 { return sweep.Cells[p][1].Runtime.Mean() }
+	low := func(p string) float64 { return sweep.Cells["512"][p].Runtime.Mean() }
 	// All TokenCMP variants beat DirectoryCMP at low contention.
 	for _, p := range []string{"TokenCMP-dst4", "TokenCMP-dst1", "TokenCMP-dst1-pred"} {
 		if low(p) > low("DirectoryCMP") {
@@ -68,7 +68,7 @@ func TestFig3Shape(t *testing.T) {
 		}
 	}
 	// dst1-pred is the most robust token variant under contention.
-	high := func(p string) float64 { return sweep.Cells[p][0].Runtime.Mean() }
+	high := func(p string) float64 { return sweep.Cells["2"][p].Runtime.Mean() }
 	if high("TokenCMP-dst1-pred") > high("TokenCMP-dst1") {
 		t.Errorf("dst1-pred@2locks = %.0f vs dst1 %.0f: predictor should help under contention",
 			high("TokenCMP-dst1-pred"), high("TokenCMP-dst1"))
@@ -84,7 +84,7 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wl := range res.Workloads {
+	for _, wl := range res.Points {
 		dir := res.Cells[wl]["DirectoryCMP"].Runtime.Mean()
 		tok := res.Cells[wl]["TokenCMP-dst1"].Runtime.Mean()
 		perf := res.Cells[wl]["PerfectL2"].Runtime.Mean()
@@ -103,7 +103,7 @@ func TestFig6Shape(t *testing.T) {
 		t.Errorf("OLTP gain (%.2f) should exceed SPECjbb gain (%.2f)", gain("OLTP"), gain("SPECjbb"))
 	}
 	// Persistent requests must stay rare on macro workloads (paper < 0.3%).
-	for _, wl := range res.Workloads {
+	for _, wl := range res.Points {
 		if f := res.PersistentFraction(wl, "TokenCMP-dst1"); f > 0.01 {
 			t.Errorf("%s persistent fraction = %.3f%%, want < 1%%", wl, 100*f)
 		}
@@ -151,13 +151,14 @@ func TestBarrierTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := table.Fixed["DirectoryCMP"].Runtime.Mean()
+	fixed := table.Cells["fixed"]
+	base := fixed["DirectoryCMP"].Runtime.Mean()
 	// Paper Table 4: arb0 clearly worse than DirectoryCMP; dst0 and dst1
 	// comparable or better.
-	if table.Fixed["TokenCMP-arb0"].Runtime.Mean() < 1.05*base {
-		t.Errorf("arb0 = %.2f× Dir, expected clearly worse", table.Fixed["TokenCMP-arb0"].Runtime.Mean()/base)
+	if fixed["TokenCMP-arb0"].Runtime.Mean() < 1.05*base {
+		t.Errorf("arb0 = %.2f× Dir, expected clearly worse", fixed["TokenCMP-arb0"].Runtime.Mean()/base)
 	}
-	if table.Fixed["TokenCMP-dst1"].Runtime.Mean() > 1.25*base {
-		t.Errorf("dst1 = %.2f× Dir, expected comparable", table.Fixed["TokenCMP-dst1"].Runtime.Mean()/base)
+	if fixed["TokenCMP-dst1"].Runtime.Mean() > 1.25*base {
+		t.Errorf("dst1 = %.2f× Dir, expected comparable", fixed["TokenCMP-dst1"].Runtime.Mean()/base)
 	}
 }

@@ -241,20 +241,20 @@ func (s Spec) programs() ([]cpu.Program, *workload.LockMonitor) {
 // included: two specs have equal keys exactly when they are equal.
 func (s Spec) Key() string { return fmt.Sprintf("%#v", s) }
 
-// outcome is one finished run of a sweep; mon is nil until it finished.
+// outcome is one finished run of runAll; mon is nil until it finished.
 type outcome struct {
 	res machine.Result
 	mon *workload.LockMonitor
 }
 
-// sweep runs every perturbed run of every spec through one bounded
+// runAll makes every perturbed run of every spec through one bounded
 // worker pool — the whole experiment fans out at once, not one spec at
 // a time — and returns each spec's outcomes in seed order. Each run owns
 // its machine, so the outcomes are identical for any jobs value.
 // Cancelling ctx stops dispatching new runs, and runs in flight stop
 // within sim.CancelCheckEvery events; the runs that finished keep their
 // outcomes alongside the error.
-func sweep(ctx context.Context, specs []Spec, jobs int) ([][]outcome, error) {
+func runAll(ctx context.Context, specs []Spec, jobs int) ([][]outcome, error) {
 	offsets := make([]int, len(specs)+1)
 	for i, s := range specs {
 		offsets[i+1] = offsets[i] + s.Seeds
@@ -294,7 +294,7 @@ func RunCells(ctx context.Context, specs []Spec, jobs int) ([]*Cell, error) {
 			return nil, err
 		}
 	}
-	runs, err := sweep(ctx, specs, jobs)
+	runs, err := runAll(ctx, specs, jobs)
 	cells := make([]*Cell, len(specs))
 	for si, rs := range runs {
 		c := &Cell{Counters: map[string]uint64{}}

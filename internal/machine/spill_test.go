@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"tokencmp/internal/counters"
@@ -8,6 +9,7 @@ import (
 	"tokencmp/internal/mem"
 	"tokencmp/internal/sim"
 	"tokencmp/internal/topo"
+	"tokencmp/internal/workload"
 )
 
 // script is a program that replays a fixed list of actions.
@@ -71,5 +73,39 @@ func TestHammerL2SpillsToHome(t *testing.T) {
 	}
 	if got := res.Counters[counters.L1Writeback]; got == 0 {
 		t.Error("l1.writeback = 0: no owned L1 line was written back")
+	}
+}
+
+// TestWritebackRacesOnTinyCaches runs OLTP on DirectoryCMP and
+// HammerCMP with 1 KB L1s and 2 KB L2 banks, so lines are evicted while
+// requests for them are in flight: forwards and probes find the line
+// in the writeback buffer, a home forward waits out a bank recall, and
+// an invalidation meets a placeholder line. The serial-view monitor
+// fails the run on a stale read, and the lock monitor must see no
+// mutual-exclusion violation.
+func TestWritebackRacesOnTinyCaches(t *testing.T) {
+	for _, proto := range []string{"DirectoryCMP", "HammerCMP"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", proto, seed), func(t *testing.T) {
+				m, err := New(Config{
+					Protocol:         proto,
+					Geom:             topo.NewGeometry(2, 2, 2),
+					Seed:             seed,
+					CheckConsistency: true,
+					L1Size:           1 << 10,
+					L2BankSize:       2 << 10,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				progs, mon := workload.CommercialPrograms(workload.OLTP(), m.Cfg.Geom.TotalProcs(), seed)
+				if _, err := m.Run(progs, 0); err != nil {
+					t.Fatal(err)
+				}
+				if len(mon.Violations) > 0 {
+					t.Fatalf("mutual exclusion violated: %v", mon.Violations[0])
+				}
+			})
+		}
 	}
 }

@@ -169,7 +169,8 @@ func (t *ArbTable) Active(b mem.Block) *Entry {
 }
 
 // Arbiter is the home-side queue of the arbiter-based scheme: fair FIFO
-// per block, at most one activated request per block (§3.2).
+// per block, at most one activated request per block (§3.2). The zero
+// Arbiter is empty and ready to use.
 type Arbiter struct {
 	queues blocktab.Queues[arbReq]
 	active blocktab.Table[arbReq]
@@ -180,9 +181,6 @@ type arbReq struct {
 	Kind ReqKind
 	Dest topo.NodeID
 }
-
-// NewArbiter builds an empty arbiter.
-func NewArbiter() *Arbiter { return &Arbiter{} }
 
 // Request enqueues a persistent request; it reports whether the request
 // became active immediately (no other active request for the block).
@@ -196,40 +194,31 @@ func (a *Arbiter) Request(b mem.Block, proc int, kind ReqKind, dest topo.NodeID)
 	return false
 }
 
-// Done deactivates the active request for b (which must belong to proc)
-// and returns the next request to activate, if any.
-func (a *Arbiter) Done(b mem.Block, proc int) (next Entry, procID int, ok bool) {
+// Cancel removes proc's request for b whether it is active or still
+// queued; a requester that was satisfied by transient responses before
+// activation uses this. It reports whether the request was the active
+// one, and whether the next queued request took the freed active slot
+// (see ActiveFor).
+func (a *Arbiter) Cancel(b mem.Block, proc int) (wasActive, hasNext bool) {
 	cur := a.active.Peek(b)
 	if cur == nil || cur.Proc != proc {
-		return Entry{}, 0, false
+		a.queues.Remove(b, func(r *arbReq) bool { return r.Proc == proc })
+		return false, false
 	}
 	nxt, ok := a.queues.Pop(b)
 	if !ok {
 		a.active.Delete(b)
-		return Entry{}, 0, false
+		return true, false
 	}
 	*cur = nxt
-	return Entry{Valid: true, Block: b, Kind: nxt.Kind, Dest: nxt.Dest, Proc: nxt.Proc}, nxt.Proc, true
-}
-
-// Cancel removes proc's request for b whether it is active or still
-// queued; a requester that was satisfied by transient responses before
-// activation uses this. If the active slot was freed and another request
-// was queued, the next activation is returned.
-func (a *Arbiter) Cancel(b mem.Block, proc int) (next Entry, procID int, wasActive, ok bool) {
-	if cur := a.active.Peek(b); cur != nil && cur.Proc == proc {
-		n, p, o := a.Done(b, proc)
-		return n, p, true, o
-	}
-	a.queues.Remove(b, func(r *arbReq) bool { return r.Proc == proc })
-	return Entry{}, 0, false, false
+	return true, true
 }
 
 // ActiveFor reports the active request for b, if any.
-func (a *Arbiter) ActiveFor(b mem.Block) (Entry, int, bool) {
+func (a *Arbiter) ActiveFor(b mem.Block) (Entry, bool) {
 	r := a.active.Peek(b)
 	if r == nil {
-		return Entry{}, 0, false
+		return Entry{}, false
 	}
-	return Entry{Valid: true, Block: b, Kind: r.Kind, Dest: r.Dest, Proc: r.Proc}, r.Proc, true
+	return Entry{Valid: true, Block: b, Kind: r.Kind, Dest: r.Dest, Proc: r.Proc}, true
 }

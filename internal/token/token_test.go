@@ -127,35 +127,36 @@ func TestMarkingMechanism(t *testing.T) {
 }
 
 func TestArbiterFIFO(t *testing.T) {
-	a := NewArbiter()
+	var a Arbiter
 	if !a.Request(9, 0, ReqWrite, 10) {
 		t.Fatal("first request should activate")
 	}
 	if a.Request(9, 1, ReqRead, 11) {
 		t.Fatal("second request should queue")
 	}
-	next, proc, ok := a.Done(9, 0)
-	if !ok || proc != 1 || next.Kind != ReqRead {
-		t.Errorf("next = proc %d (%v)", proc, ok)
+	_, hasNext := a.Cancel(9, 0)
+	next, _ := a.ActiveFor(9)
+	if !hasNext || next.Proc != 1 || next.Kind != ReqRead {
+		t.Errorf("next = proc %d (%v)", next.Proc, hasNext)
 	}
-	if _, _, ok := a.Done(9, 1); ok {
+	if _, hasNext := a.Cancel(9, 1); hasNext {
 		t.Error("queue should be empty")
 	}
 }
 
 func TestArbiterCancelQueued(t *testing.T) {
-	a := NewArbiter()
+	var a Arbiter
 	a.Request(9, 0, ReqWrite, 10)
 	a.Request(9, 1, ReqWrite, 11)
 	a.Request(9, 2, ReqWrite, 12)
 	// Cancel the queued (not active) proc 1.
-	_, _, wasActive, _ := a.Cancel(9, 1)
-	if wasActive {
+	if wasActive, _ := a.Cancel(9, 1); wasActive {
 		t.Fatal("proc 1 was not active")
 	}
-	next, proc, _, ok := a.Cancel(9, 0) // finish the active one
-	if !ok || proc != 2 || !next.Valid {
-		t.Errorf("next after cancel = proc %d (%v)", proc, ok)
+	_, hasNext := a.Cancel(9, 0) // finish the active one
+	next, _ := a.ActiveFor(9)
+	if !hasNext || next.Proc != 2 || !next.Valid {
+		t.Errorf("next after cancel = proc %d (%v)", next.Proc, hasNext)
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 // caches (including L1-to-L1 transfers in flight on the on-chip
 // interconnect, which the bank observes). This is what lets the policy
 // stay on chip when the block is local — the "hierarchical for
-// performance" half of the design.
+// performance" half of the design. A block leaves the table once it has
+// no tokens, no owner and no sharers.
 type presence struct {
-	tokens int
-	owner  bool
+	tokens  int
+	owner   bool
+	sharers uint64 // approximate L1-sharer bits (filter variant)
 }
 
 // L2Ctrl is a TokenCMP shared-L2 bank controller.
@@ -27,10 +29,9 @@ type L2Ctrl struct {
 	base
 	cmp, bank int
 
-	cache   *cache.Array[token.State]
-	onChip  blocktab.Table[presence]
-	sharers blocktab.Table[uint64] // approximate L1-sharer bits (filter variant); absent means none
-	dsts    []topo.NodeID          // handleLocal's broadcast list, reused
+	cache  *cache.Array[token.State]
+	onChip blocktab.Table[presence]
+	dsts   []topo.NodeID // handleLocal's broadcast list, reused
 }
 
 func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
@@ -51,37 +52,23 @@ func (sys *System) newL2(id topo.NodeID, cmp, bank int) *L2Ctrl {
 	return c
 }
 
-func (c *L2Ctrl) presenceOf(b mem.Block) *presence { return c.onChip.At(b) }
-
-// addSharer and dropSharer edit b's sharer mask; a block whose mask
-// empties leaves the table.
-func (c *L2Ctrl) addSharer(b mem.Block, l1 topo.NodeID) { *c.sharers.At(b) |= c.sys.Geom.L1Bit(l1) }
-
-func (c *L2Ctrl) dropSharer(b mem.Block, l1 topo.NodeID) {
-	if m := c.sharers.Peek(b); m != nil {
-		if *m &^= c.sys.Geom.L1Bit(l1); *m == 0 {
-			c.sharers.Delete(b)
-		}
-	}
-}
-
 // noteL1Gain records tokens arriving at a local L1 from off-chip or from
 // this bank.
 func (c *L2Ctrl) noteL1Gain(b mem.Block, tokens int, owner bool, l1 topo.NodeID) {
-	p := c.presenceOf(b)
+	p := c.onChip.At(b)
 	p.tokens += tokens
 	if owner {
 		p.owner = true
 	}
 	if tokens > 0 {
-		c.addSharer(b, l1)
+		p.sharers |= c.sys.Geom.L1Bit(l1)
 	}
 }
 
 // noteL1Loss records tokens leaving a local L1 toward this bank, another
 // bank, or off-chip.
 func (c *L2Ctrl) noteL1Loss(b mem.Block, tokens int, owner bool, l1 topo.NodeID, emptied bool) {
-	p := c.presenceOf(b)
+	p := c.onChip.At(b)
 	p.tokens -= tokens
 	if p.tokens < 0 {
 		p.tokens = 0
@@ -90,9 +77,9 @@ func (c *L2Ctrl) noteL1Loss(b mem.Block, tokens int, owner bool, l1 topo.NodeID,
 		p.owner = false
 	}
 	if emptied {
-		c.dropSharer(b, l1)
+		p.sharers &^= c.sys.Geom.L1Bit(l1)
 	}
-	if p.tokens == 0 && !p.owner {
+	if p.tokens == 0 && !p.owner && p.sharers == 0 {
 		c.onChip.Delete(b)
 	}
 }
@@ -100,10 +87,11 @@ func (c *L2Ctrl) noteL1Loss(b mem.Block, tokens int, owner bool, l1 topo.NodeID,
 // noteL1Transfer records an L1-to-L1 transfer: on-chip totals are
 // unchanged but the sharer mask moves.
 func (c *L2Ctrl) noteL1Transfer(b mem.Block, from, to topo.NodeID, fromEmptied bool) {
+	p := c.onChip.At(b)
 	if fromEmptied {
-		c.dropSharer(b, from)
+		p.sharers &^= c.sys.Geom.L1Bit(from)
 	}
-	c.addSharer(b, to)
+	p.sharers |= c.sys.Geom.L1Bit(to)
 }
 
 // Recv implements network.Endpoint. Transient requests, writebacks and
@@ -252,10 +240,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 		Proc:      m.Proc,
 	}
 	if c.sys.Cfg.Variant.Filter {
-		var mask uint64
-		if m := c.sharers.Peek(b); m != nil {
-			mask = *m
-		}
+		mask := p.sharers
 		for _, l1 := range l1s {
 			if mask&c.sys.Geom.L1Bit(l1) != 0 {
 				fwd.Dst = l1

@@ -21,11 +21,11 @@ type MemCtrl struct {
 	base
 	cmp   int
 	store blocktab.Table[token.State] // a block is materialized once present
-	arb   *token.Arbiter
+	arb   token.Arbiter
 }
 
 func (sys *System) newMem(id topo.NodeID, cmp int) *MemCtrl {
-	c := &MemCtrl{cmp: cmp, arb: token.NewArbiter()}
+	c := &MemCtrl{cmp: cmp}
 	c.initTables(sys, id)
 	c.accessLatency = hier.MemLatency
 	c.dataDelay = hier.DRAMLatency
@@ -147,7 +147,7 @@ func (c *MemCtrl) handleArbRequest(m *network.Message) {
 
 func (c *MemCtrl) handleArbDone(m *network.Message) {
 	// Deactivate everywhere, then activate the next queued request.
-	_, _, wasActive, hasNext := c.arb.Cancel(m.Block, int(m.Proc))
+	wasActive, hasNext := c.arb.Cancel(m.Block, int(m.Proc))
 	if wasActive {
 		tmpl := &network.Message{
 			Src:   c.id,
@@ -159,9 +159,8 @@ func (c *MemCtrl) handleArbDone(m *network.Message) {
 		c.atable.Deactivate(m.Block, int(m.Proc))
 	}
 	if hasNext {
-		if e, proc, ok := c.arb.ActiveFor(m.Block); ok {
-			c.broadcastActivate(m.Block, e.Kind, e.Dest, proc)
-		}
+		e, _ := c.arb.ActiveFor(m.Block)
+		c.broadcastActivate(m.Block, e.Kind, e.Dest, e.Proc)
 	}
 }
 
