@@ -210,14 +210,14 @@ func resolveBaseline(protocols []string) string {
 }
 
 // Baseline returns the normalization denominator of Figures 2 and 3:
-// the baseline protocol at the last point, the largest (least
-// contended) lock count.
+// the baseline protocol at the last point, which in a RunLockSweep
+// sweep is the largest (least contended) lock count.
 func (s *Sweep) Baseline() float64 {
 	return s.Cells[s.Points[len(s.Points)-1]][s.BaselineProto].Runtime.Mean()
 }
 
-// RenderLocks prints Figure 2 or 3: the normalized runtime series, one
-// row per lock count.
+// RenderLocks prints Figure 2 or 3 from a RunLockSweep sweep: the
+// normalized runtime series, one row per lock count.
 func (s *Sweep) RenderLocks(w io.Writer, title string) {
 	base := s.Baseline()
 	fmt.Fprintf(w, "%s (runtime normalized to %s @ %s locks)\n", title, s.BaselineProto, s.Points[len(s.Points)-1])
@@ -236,11 +236,12 @@ func (s *Sweep) RenderLocks(w io.Writer, title string) {
 	}
 }
 
-// RenderBarrier prints Table 4, normalized to the resolved baseline
-// protocol at each point.
+// RenderBarrier prints Table 4 from a RunBarrierTable sweep (fixed
+// work at its first point, jittered work at its second), normalized to
+// the resolved baseline protocol at each point.
 func (s *Sweep) RenderBarrier(w io.Writer) {
 	bp := s.BaselineProto
-	fixed, jittered := s.Cells["fixed"], s.Cells["jittered"]
+	fixed, jittered := s.Cells[s.Points[0]], s.Cells[s.Points[1]]
 	baseF, baseJ := fixed[bp].Runtime.Mean(), jittered[bp].Runtime.Mean()
 	fmt.Fprintf(w, "%s (normalized to %s)\n", table4Title, bp)
 	fmt.Fprintf(w, "%-22s %16s %22s\n", "Protocol", "3000ns fixed", "3000ns + U(-1k,+1k)")
@@ -250,8 +251,9 @@ func (s *Sweep) RenderBarrier(w io.Writer) {
 	}
 }
 
-// RenderRuntime prints Figure 6 (runtime normalized to the baseline,
-// with the speedup the paper quotes: runtime(Dir)/runtime(X) - 1).
+// RenderRuntime prints Figure 6 from a RunCommercial sweep (runtime
+// normalized to the baseline, with the speedup the paper quotes:
+// runtime(Dir)/runtime(X) - 1).
 func (s *Sweep) RenderRuntime(w io.Writer) {
 	bp := s.BaselineProto
 	fmt.Fprintf(w, "%s (normalized to %s)\n", fig6Title, bp)
@@ -284,8 +286,9 @@ func (s *Sweep) RenderRuntime(w io.Writer) {
 	}
 }
 
-// RenderTraffic prints Figure 7a (inter-CMP) or 7b (intra-CMP): bytes by
-// message class, normalized to DirectoryCMP's total at that level.
+// RenderTraffic prints Figure 7a (inter-CMP) or 7b (intra-CMP) from a
+// RunCommercial sweep: bytes by message class, normalized to
+// DirectoryCMP's total at that level.
 func (s *Sweep) RenderTraffic(w io.Writer, level stats.Level) {
 	name := fig7aTitle
 	if level == stats.IntraCMP {

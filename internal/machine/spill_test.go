@@ -99,7 +99,7 @@ func TestWritebackRacesOnTinyCaches(t *testing.T) {
 					t.Fatal(err)
 				}
 				progs, mon := workload.CommercialPrograms(workload.OLTP(), m.Cfg.Geom.TotalProcs(), seed)
-				if _, err := m.Run(progs, 0); err != nil {
+				if _, err := m.Run(progs, 50_000_000); err != nil {
 					t.Fatal(err)
 				}
 				if len(mon.Violations) > 0 {
